@@ -294,7 +294,7 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
                  for j in range(q_aux + 1)]
         layer_terms = sum(len(sl) for sl in lifts)
         try:
-            quo = divide_by_member(lifts, key, q_aux, consume=True)
+            quo = divide_by_member(lifts, key, q_aux)
         except ArithmeticError:
             quo = None
         lifts = None

@@ -94,13 +94,16 @@ def _cache_path(cache_dir: str, desc: str, window: TruncationWindow) -> str:
 def _cached_expand(desc: str, window: TruncationWindow, cache_dir) -> tuple:
     """Return (series_json, digest, hit)."""
     path = _cache_path(cache_dir, desc, window) if cache_dir else None
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            doc = json.load(fh)
-        body = doc["series"]
-        if (doc.get("schema") == _SCHEMA
-                and hashlib.sha256(body.encode()).hexdigest() == doc.get("digest")):
-            return body, doc["digest"], True
+    if path:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+            body = doc["series"]
+            if (doc["schema"] == _SCHEMA
+                    and hashlib.sha256(body.encode()).hexdigest() == doc["digest"]):
+                return body, doc["digest"], True
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
+            pass  # missing or unreadable entry: a miss, rewritten below
     series = expand_descriptor(desc, window)
     body = series.to_json()
     digest = hashlib.sha256(body.encode()).hexdigest()
@@ -238,6 +241,14 @@ def _cmd_compare(args) -> int:
     return 1
 
 
+def _power(text: str) -> int:
+    """A displayed power for --qmax/--smax: a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must not be negative, got %d" % value)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="refltower",
@@ -245,9 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_window(sp, qdef=4, sdef=2):
-        sp.add_argument("--qmax", type=int, default=qdef,
+        sp.add_argument("--qmax", type=_power, default=qdef,
                         help="largest displayed q power (default %d)" % qdef)
-        sp.add_argument("--smax", type=int, default=sdef,
+        sp.add_argument("--smax", type=_power, default=sdef,
                         help="largest displayed s power (default %d)" % sdef)
 
     def add_io(sp):
@@ -263,9 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run identity checks")
     sp.add_argument("identity", nargs="*", help="identity names (default all)")
-    sp.add_argument("--qmax", type=int, default=None,
+    sp.add_argument("--qmax", type=_power, default=None,
                     help="cap the displayed q power of every check")
-    sp.add_argument("--smax", type=int, default=None,
+    sp.add_argument("--smax", type=_power, default=None,
                     help="cap the displayed s power of every check")
     sp.add_argument("--list", action="store_true", help="list identity names")
     add_io(sp)

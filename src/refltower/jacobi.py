@@ -29,7 +29,6 @@ import numpy as np
 from .series import (
     FourierSeries,
     TruncationWindow,
-    _div_binomial_slice,
     _packed_reduce,
     _slice_mul_into,
 )
@@ -225,7 +224,6 @@ for _c, _key in ((1, "psi_5_A1"), (2, "psi_4_2A1"), (3, "psi_3_3A1"),
                                _c, 12 - 3 * _c, 6 - _c, _c, 2, 12,
                                Fraction(1, 2), 3)
 
-MEMBER_FOR_LATTICE = {m.lattice_name: m.key for m in MEMBERS.values()}
 TOWER_TOPS = {"psi_4_D8", "psi_3_3A2", "psi_2_4A1"}
 REGISTRY_KEYS = ("theta", "Theta_A2") + tuple(MEMBERS)
 
@@ -308,10 +306,6 @@ def _a2_member_series(copies: int, q_max: int) -> FourierSeries:
     prod = prod.truncated(TruncationWindow(q_max, 0))
     _A2_SERIES[copies] = prod
     return prod
-
-
-def warm_a2_cache(copies: int, q_max: int) -> None:
-    _a2_member_series(copies, q_max)
 
 
 _PSI_SLICES: dict = {}
@@ -420,39 +414,24 @@ def build(name: str, window: TruncationWindow) -> JacobiForm:
 def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
     """z-slice of psi|V_m at q_num, by the divisor-sum formula.
 
-    The A1 family runs in display coordinates (doubled exponents, odd
-    translate orders); the divisor condition d | (n, l, m) is realised
-    by scaling source keys, so l-divisibility needs no separate test.
+    The A1 family runs in display coordinates on the half grid (q in
+    steps of 12, doubled exponents, odd translate orders, so every
+    divisor is odd); the others on the integral grid.  The divisor
+    condition d | (n, l, m) is realised by scaling source keys, so
+    l-divisibility needs no separate test.
     """
     meta = MEMBERS[key]
-    out: dict = {}
+    grid = 24
     if meta.family == "A1":
         if m % 2 == 0:
             raise ValueError("translate order must be odd on the half grid")
-        if q_num % 12 or (q_num // 12) % 2 == 0:
-            return {}
-        nd = q_num // 12
-        for d in _divisors(_gcd(nd, m)):
-            if d % 2 == 0:
-                continue
-            src = member_slice(key, 12 * (nd * m // (d * d)))
-            if d == 1 and not out:
-                out = dict(src)
-                continue
-            w = d ** (meta.weight - 1)
-            for z, c in src.items():
-                zz = tuple(d * a for a in z)
-                v = out.get(zz, 0) + w * c
-                if v:
-                    out[zz] = v
-                else:
-                    out.pop(zz, None)
-        return out
-    if q_num % 24:
+        grid = 12
+    if q_num % grid:
         return {}
-    n = q_num // 24
+    n = q_num // grid
+    out: dict = {}
     for d in _divisors(_gcd(n, m)):
-        src = member_slice(key, 24 * (n * m // (d * d)))
+        src = member_slice(key, grid * (n * m // (d * d)))
         if d == 1 and not out:
             out = dict(src)
             continue
@@ -603,69 +582,19 @@ def _factor_stack(meta: MemberMeta, depth: int) -> list:
     return stack
 
 
-def _shift_sub_into(R: dict, src: dict, zc: tuple, coeff) -> None:
-    """R -= coeff * (src shifted by zc), termwise with zero removal."""
-    nz = [i for i, v in enumerate(zc) if v]
-    if len(nz) == 1:
-        i = nz[0]
-        d = zc[i]
-        for z, c in src.items():
-            zt = z[:i] + (z[i] + d,) + z[i + 1:]
-            v = R.get(zt, 0) - coeff * c
-            if v:
-                R[zt] = v
-            else:
-                R.pop(zt, None)
-        return
-    for z, c in src.items():
-        zt = tuple(a + b for a, b in zip(z, zc))
-        v = R.get(zt, 0) - coeff * c
-        if v:
-            R[zt] = v
-        else:
-            R.pop(zt, None)
-
-
-def _div_binomial_axis(sl: dict, axis: int, s: int) -> dict:
-    """Exact division by (zeta_axis^s - zeta_axis^-s), line by line."""
-    if not sl:
-        return {}
-    lines: dict = {}
-    for z, c in sl.items():
-        lines.setdefault(z[:axis] + z[axis + 1:], {})[z[axis]] = c
-    out: dict = {}
-    step = 2 * s
-    for base, ln in lines.items():
-        ps = sorted(ln)
-        pmin, pmax = ps[0], ps[-1]
-        for p0 in {p % step for p in ps}:
-            top = pmax - ((pmax - p0) % step)
-            if top < pmin:
-                continue
-            acc = 0
-            p = top
-            while p >= pmin:
-                c = ln.get(p)
-                if c:
-                    acc += c
-                if acc:
-                    out[base[:axis] + (p - s,) + base[axis:]] = acc
-                p -= step
-            if acc:
-                raise ArithmeticError("binomial division left a remainder")
-    return out
-
-
 def _binomial_packed(keys, vals, span: int, s: int):
     """Divide packed (line*span + d) data by (zeta^s - zeta^-s) on the digit.
 
     Keys must come in sorted so lines are contiguous.  Per line and
-    residue class mod 2s the quotient is the descending running sum,
-    shifted down by s; a nonzero class total means a remainder.
+    residue class mod 2|s| the quotient is the descending running sum,
+    shifted down by |s| (and negated when s < 0); a nonzero class total
+    means a remainder.  Values keep their dtype, int64 or object.
     """
     n = len(keys)
     if n == 0:
         return keys, vals
+    sign = 1 if s > 0 else -1
+    s = abs(s)
     step = 2 * s
     out_k = []
     out_v = []
@@ -679,225 +608,241 @@ def _binomial_packed(keys, vals, span: int, s: int):
         b1 = min(b0 + limit, len(edges) - 1)
         lo, hi = edges[b0], edges[b1]
         b0 = b1
-        kb = keys[lo:hi]
-        vb = vals[lo:hi]
         lb = lines[lo:hi]
+        digits = keys[lo:hi] - lb * span
+        dmin = int(digits.min())
         uniq, inv = np.unique(lb, return_inverse=True)
-        dense = np.zeros((len(uniq), span), dtype=np.int64)
-        dense[inv, kb - lb * span] = vb
-        for rho in range(step):
-            sub = dense[:, rho::step]
-            if sub.shape[1] == 0:
-                continue
-            c = sub[:, ::-1].cumsum(axis=1)[:, ::-1]
+        dense = np.zeros((len(uniq), int(digits.max()) - dmin + 1),
+                         dtype=vals.dtype)
+        dense[inv, digits - dmin] = vals[lo:hi]
+        for rho in range(min(step, dense.shape[1])):
+            c = dense[:, rho::step][:, ::-1].cumsum(axis=1)[:, ::-1]
             if np.any(c[:, 0]):
                 raise ArithmeticError("binomial division left a remainder")
             rows, cols = np.nonzero(c)
-            if len(rows) == 0:
-                continue
-            d_out = rho + step * cols - s
-            if d_out.min() < 0 or d_out.max() >= span:
-                raise ArithmeticError("packed grid margin exhausted")
-            out_k.append(uniq[rows] * span + d_out)
-            out_v.append(c[rows, cols])
+            if len(rows):
+                out_k.append(uniq[rows] * span + (dmin + rho - s + step * cols))
+                out_v.append(c[rows, cols] if sign > 0 else -c[rows, cols])
     if not out_k:
         return keys[:0], vals[:0]
     return np.concatenate(out_k), np.concatenate(out_v)
 
 
-def _divide_packed(levels: list, meta: MemberMeta, depth: int,
-                   stack: list) -> list:
-    """The factored division on packed int64 keys (single-axis blocks).
+# Packed int64 values stay below this; a step whose bound reaches it
+# reruns the whole division on object-dtype (python int) values.
+_INT64_SAFE = 1 << 62
 
-    Same factor-by-factor scheme as the slicewise path, with each level
-    held as (packed keys, values); repacking puts the active axis on
-    stride one so corrections are scalar shifts and the binomial pass
-    works on contiguous lines.  Returns quotient dicts, raises
-    ArithmeticError when division is not exact, TypeError or
-    OverflowError when the data does not fit the packed form.
+
+class _Int64Overflow(Exception):
+    pass
+
+
+class _Frame(NamedTuple):
+    """A packing of z-vectors in which one binomial direction is an axis.
+
+    Frame coordinates are ``m @ z`` (``m`` None for the identity); the
+    active axis has stride one, so a packed key splits into a line and a
+    digit along it.  ``w`` turns a shift of z into a shift of the key.
+    """
+
+    axis: int
+    s: int
+    order: list  # axes by decreasing stride
+    lo: object  # int64 array, frame box bottom
+    span: list
+    st: object  # int64 array of strides
+    m: object
+    minv: object
+    w: list
+
+
+def _frame(dvec: tuple, L, H) -> _Frame:
+    """The frame of direction dvec over the box L <= z <= H.
+
+    The shear fixes the first nonzero coordinate a of dvec and clears
+    the others, z_i -> z_i - (d_i/d_a) z_a (every block direction has
+    d_a dividing d_i): it is unimodular, so keys stay a bijection, and
+    (-3, 3) becomes an axis under (a, b) -> (a, a+b).
+    """
+    r = len(dvec)
+    ax = next(i for i, v in enumerate(dvec) if v)
+    s = dvec[ax]
+    m = minv = None
+    if any(v for i, v in enumerate(dvec) if i != ax):
+        col = np.array(dvec, dtype=np.int64) // s
+        col[ax] = 0
+        m = np.eye(r, dtype=np.int64)
+        m[:, ax] -= col
+        minv = 2 * np.eye(r, dtype=np.int64) - m
+    if m is None:
+        lo, hi = L, H
+    else:
+        lo = np.minimum(m * L, m * H).sum(axis=1)
+        hi = np.maximum(m * L, m * H).sum(axis=1)
+    span = [int(w) for w in hi - lo + 1]
+    order = [i for i in range(r) if i != ax] + [ax]
+    st = [0] * r
+    total = 1
+    for i in reversed(order):
+        st[i] = total
+        total *= span[i]
+        if total >= _INT64_SAFE:
+            # not OverflowError: that is an ArithmeticError, which callers
+            # read as "not divisible"
+            raise ValueError("packed span too wide")
+    w = st if m is None else [int(x) for x in m.T @ np.array(st, dtype=np.int64)]
+    return _Frame(ax, s, order, lo, span, np.array(st, dtype=np.int64), m, minv, w)
+
+
+def _encode(z, f: _Frame):
+    """Packed keys of original-coordinate rows z (n x r)."""
+    if f.m is not None:
+        z = z @ f.m.T
+    return (z - f.lo) @ f.st
+
+
+def _decode(keys, f: _Frame):
+    """Original-coordinate rows (n x r) of packed keys."""
+    z = np.empty((len(keys), len(f.span)), dtype=np.int64)
+    rem = keys
+    for i in f.order:
+        z[:, i], rem = np.divmod(rem, f.st[i])
+    z += f.lo
+    return z if f.minv is None else z @ f.minv.T
+
+
+def _pad(stack: list, depth: int, r: int) -> list:
+    """Margin per axis that every intermediate of the division stays in.
+
+    An exact binomial quotient line reaches |s| inside its dividend at
+    both ends, and a level-l correction term reaches b_l beyond the
+    quotient it shifts; so a factor moves the data of level j at most
+    j * g past its input box, g = max over l of (b_l - half)/l, where
+    half is the level-0 binomial product's half width on the axis.
+    """
+    pad = [0] * r
+    for dirs, cells in stack:
+        for i in range(r):
+            half = sum(abs(d[i]) for d in dirs)
+            reach = 0
+            for lvl, t in cells.items():
+                b = max(abs(zc[i]) for zc in t)
+                if lvl <= depth and b > half:
+                    reach = max(reach, depth * (b - half) // lvl)
+            pad[i] += reach
+    return pad
+
+
+def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
+                   dtype) -> list:
+    """The factored division on packed keys with values of one dtype.
+
+    Each level is held as (packed keys, values) in the frame of the
+    factor at hand; every binomial direction is divided out in its own
+    frame (see ``_frame``) and correction terms are key offsets.  With
+    int64 values every step first bounds its output from the actual
+    maxima of its inputs; a bound reaching 2^62 raises _Int64Overflow.
+    Raises ArithmeticError when division is not exact, TypeError on
+    non-int coefficients, ValueError when the keys do not fit int64.
     """
     r = meta.r
-    lo = [0] * r
-    hi = [0] * r
-    seen = False
-    for sl in levels:
-        for z in sl:
-            if not seen:
-                lo = list(z)
-                hi = list(z)
-                seen = True
-                continue
-            for i, a in enumerate(z):
-                if a < lo[i]:
-                    lo[i] = a
-                elif a > hi[i]:
-                    hi[i] = a
-    if not seen:
-        return [{} for _ in range(depth + 1)]
-    for sl in levels:
-        for c in sl.values():
-            if type(c) is not int:
-                raise TypeError("packed division needs plain integers")
-    axes = []
-    for dirs, cells in stack:
-        dvec = dirs[0]
-        ax = next(i for i, v in enumerate(dvec) if v)
-        terms = sorted((lvl, zc[ax], cc) for lvl, t in cells.items()
-                       for zc, cc in t.items())
-        axes.append((ax, dvec[ax], terms))
-    pad = [0] * r
-    for ax, s, terms in axes:
-        shift = max([abs(d) for _, d, _ in terms], default=0)
-        pad[ax] = shift + s
-    span = [hi[i] - lo[i] + 1 + 2 * pad[i] for i in range(r)]
-    total = 1
-    for w in span:
-        total *= w
-        if total >= (1 << 62):
-            raise OverflowError("packed span too wide")
-    order = [i for i in range(r) if i != axes[0][0]] + [axes[0][0]]
-
-    def strides_for(seq):
-        st = [0] * r
-        acc = 1
-        for ax in reversed(seq):
-            st[ax] = acc
-            acc *= span[ax]
-        return st
-
-    st = strides_for(order)
-    work = []
+    checked = dtype is not object
+    cols = []
+    vals = []
     for j in range(depth + 1):
         sl = levels[j] if j < len(levels) else {}
-        if not sl:
-            work.append((np.zeros(0, np.int64), np.zeros(0, np.int64)))
-            continue
-        cols = np.array(list(sl.keys()), dtype=np.int64).reshape(len(sl), r)
-        vals = np.fromiter(sl.values(), dtype=np.int64, count=len(sl))
-        if int(np.abs(vals).max()) >= (1 << 40):
-            raise OverflowError("coefficients too large for packed division")
-        packed = np.zeros(len(sl), dtype=np.int64)
-        for i in range(r):
-            packed += (cols[:, i] - lo[i] + pad[i]) * st[i]
-        work.append((packed, vals))
+        vs = list(sl.values())
+        if set(map(type, vs)) - {int}:
+            raise TypeError("packed division needs plain integers")
+        if checked and vs and max(map(abs, vs)) >= _INT64_SAFE:
+            raise _Int64Overflow
+        cols.append(np.array(list(sl), dtype=np.int64).reshape(len(sl), r))
+        vals.append(np.array(vs, dtype=dtype))
+    filled = [c for c in cols if len(c)]
+    if not filled:
+        return [{} for _ in range(depth + 1)]
+    pad = np.array(_pad(stack, depth, r), dtype=np.int64)
+    L = np.min([c.min(axis=0) for c in filled], axis=0) - pad
+    H = np.max([c.max(axis=0) for c in filled], axis=0) + pad
+    frames = [[_frame(d, L, H) for d in dirs] for dirs, _ in stack]
+
+    def amax(v):
+        return int(np.abs(v).max()) if checked and len(v) else 0
+
+    def guard(bound):
+        if checked and bound >= _INT64_SAFE:
+            raise _Int64Overflow
+
+    cur = frames[0][0]
+    work = [(_encode(c, cur), v) for c, v in zip(cols, vals)]
+    mx = [amax(v) for v in vals]
     e = meta.eta_exp
     if e:
         coeffs = [_eta_coeff(e, e + 24 * i) for i in range(depth + 1)]
         for j in range(1, depth + 1):
-            parts_k = [work[j][0]]
-            parts_v = [work[j][1]]
-            for i in range(1, j + 1):
-                a = coeffs[i]
-                pk, pv = work[j - i]
-                if a and len(pk):
-                    parts_k.append(pk)
-                    parts_v.append(pv * (-a))
-            work[j] = _packed_reduce(np.concatenate(parts_k),
-                                     np.concatenate(parts_v))
-    for ax, s, terms in axes:
-        new_order = [i for i in order if i != ax] + [ax]
-        if new_order != order:
-            st_old = strides_for(order)
-            st_new = strides_for(new_order)
-            for j in range(depth + 1):
-                pk, pv = work[j]
-                if not len(pk):
-                    continue
-                rem = pk.copy()
-                out = np.zeros_like(pk)
-                for i in order:
-                    dig = rem // st_old[i]
-                    rem -= dig * st_old[i]
-                    out += dig * st_new[i]
-                work[j] = (out, pv)
-            order = new_order
-        w_ax = span[ax]
+            guard(mx[j] + sum(abs(coeffs[i]) * mx[j - i]
+                              for i in range(1, j + 1)))
+            parts = [work[j]] + [(work[j - i][0], work[j - i][1] * -coeffs[i])
+                                 for i in range(1, j + 1)
+                                 if coeffs[i] and len(work[j - i][0])]
+            work[j] = _packed_reduce(np.concatenate([p[0] for p in parts]),
+                                     np.concatenate([p[1] for p in parts]))
+            mx[j] = amax(work[j][1])
+    for (dirs, cells), fr in zip(stack, frames):
+        f0 = fr[0]
+        if f0 is not cur:
+            work = [(_encode(_decode(k, cur), f0), v) for k, v in work]
+            cur = f0
+        terms = [(lvl, sum(a * b for a, b in zip(zc, f0.w)), cc)
+                 for lvl, t in sorted(cells.items()) if lvl <= depth
+                 for zc, cc in t.items()]
         for j in range(depth + 1):
-            parts_k = [work[j][0]]
-            parts_v = [work[j][1]]
-            for lvl, d, cc in terms:
-                if lvl > j:
-                    continue
-                pk, pv = work[j - lvl]
-                if len(pk):
-                    parts_k.append(pk + d)
-                    parts_v.append(pv * (-cc))
-            pk, pv = _packed_reduce(np.concatenate(parts_k),
-                                    np.concatenate(parts_v))
-            work[j] = _binomial_packed(pk, pv, w_ax, s)
+            guard(mx[j] + sum(abs(cc) * mx[j - lvl]
+                              for lvl, _, cc in terms if lvl <= j))
+            parts = [work[j]] + [(work[j - lvl][0] + off, work[j - lvl][1] * -cc)
+                                 for lvl, off, cc in terms
+                                 if lvl <= j and len(work[j - lvl][0])]
+            k, v = _packed_reduce(np.concatenate([p[0] for p in parts]),
+                                  np.concatenate([p[1] for p in parts]))
+            prev = f0
+            for f in fr:
+                if f is not prev:
+                    k = _encode(_decode(k, prev), f)
+                    order = np.argsort(k)
+                    k, v = k[order], v[order]
+                    prev = f
+                w_ax = f.span[f.axis]
+                guard(amax(v) * (w_ax // (2 * abs(f.s)) + 1))
+                k, v = _binomial_packed(k, v, w_ax, f.s)
+            if prev is not f0:
+                k = _encode(_decode(k, prev), f0)
+            work[j] = (k, v)
+            mx[j] = amax(v)
     quo = []
-    st = strides_for(order)
-    for pk, pv in work:
-        if not len(pk):
-            quo.append({})
-            continue
-        cols = np.empty((len(pk), r), dtype=np.int64)
-        rem = pk.copy()
-        for i in order:
-            dig = rem // st[i]
-            rem -= dig * st[i]
-            cols[:, i] = dig + lo[i] - pad[i]
-        quo.append({tuple(zr): c
-                    for zr, c in zip(cols.tolist(), pv.tolist())})
+    for k, v in work:
+        quo.append({tuple(z): c for z, c in
+                    zip(_decode(k, cur).tolist(), v.tolist())})
     return quo
 
 
-def divide_by_member(levels: list, key: str, depth: int,
-                     consume: bool = False) -> list:
+def divide_by_member(levels: list, key: str, depth: int) -> list:
     """Exact division of 24-grid levels by the whole theta block.
 
     ``levels[j]`` is the dividend slice at q_num = val + 24*j; the result
     is the quotient slice list on levels 0..depth.  Works factor by
-    factor: the eta power contributes a scalar level recurrence, each
-    theta factor a sparse correction plus a linear binomial pass.
-    Raises ArithmeticError when the division is not exact.  With
-    ``consume`` the input dicts are reused as scratch space.
+    factor on packed keys: the eta power contributes a scalar level
+    recurrence, each theta factor a sparse correction plus one linear
+    binomial pass per direction of its level-0 cell.  Values are int64
+    unless some step could reach 2^62, in which case the division is
+    run again on python ints.  Raises ArithmeticError when the division
+    is not exact.
     """
     meta = MEMBERS[key]
     stack = _factor_stack(meta, depth)
-    if meta.family in ("D", "A1", "D1"):
-        try:
-            return _divide_packed(levels, meta, depth, stack)
-        except (TypeError, OverflowError):
-            pass
-    if consume:
-        work = [levels[j] if j < len(levels) else {} for j in range(depth + 1)]
-    else:
-        work = [dict(levels[j]) if j < len(levels) else {}
-                for j in range(depth + 1)]
-    e = meta.eta_exp
-    if e:
-        coeffs = [_eta_coeff(e, e + 24 * i) for i in range(depth + 1)]
-        for j in range(1, depth + 1):
-            R = work[j]
-            for i in range(1, j + 1):
-                a = coeffs[i]
-                if not a:
-                    continue
-                for z, c in work[j - i].items():
-                    v = R.get(z, 0) - a * c
-                    if v:
-                        R[z] = v
-                    else:
-                        R.pop(z, None)
-    for dirs, cells in _factor_stack(meta, depth):
-        for j in range(depth + 1):
-            R = work[j]
-            for i, t in cells.items():
-                if i > j:
-                    continue
-                prev = work[j - i]
-                if prev:
-                    for zc, cc in t.items():
-                        _shift_sub_into(R, prev, zc, cc)
-            for dvec in dirs:
-                nz = [i for i, v in enumerate(dvec) if v]
-                if len(nz) == 1:
-                    R = _div_binomial_axis(R, nz[0], dvec[nz[0]])
-                else:
-                    R = _div_binomial_slice(R, dvec)
-            work[j] = R
-    return work
+    try:
+        return _divide_packed(levels, meta, depth, stack, np.int64)
+    except _Int64Overflow:
+        return _divide_packed(levels, meta, depth, stack, object)
 
 
 def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
@@ -909,10 +854,10 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     if member_slice(key, val) != corner:
         raise AssertionError("theta block corner is not the binomial product")
     if meta.family == "A2":
-        warm_a2_cache(meta.copies, val + 24 * q_depth * p + 24 * p)
+        _a2_member_series(meta.copies, val + 24 * q_depth * p + 24 * p)
     quo = divide_by_member(
         [member_hecke_slice(key, p, val + 24 * j) for j in range(q_depth + 1)],
-        key, q_depth, consume=True)
+        key, q_depth)
     out = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 0))
     for j, sl in enumerate(quo):
         if sl:
@@ -968,31 +913,18 @@ _PHI0_CACHE: dict = {}
 
 
 def weak_weight0(key: str, q_depth: int) -> JacobiForm:
-    """Weight-0 form of a tower member, shared through the tower-top cache.
+    """Weight-0 form of a member, memoised per member.
 
-    A member restricts the top form when a deep enough top is already
-    cached (a sweep over a tower pays for the top once and every member
-    below reads it for free).  Otherwise its own block is divided, which
-    is always cheaper than building the top just for one member.  The
-    agreement of restriction and direct division is a checked identity.
+    Every member divides its own block: restricting a cached tower top
+    instead reads the whole top form once per dropped variable, which
+    costs far more than the member's own division.  That restriction
+    and direct division agree is a checked identity.
     """
     cached = _PHI0_CACHE.get(key)
     if cached is not None and cached.series.window.q_max >= 24 * q_depth:
         return cached
-    meta = MEMBERS[key]
-    f = None
-    if key not in TOWER_TOPS and meta.family != "D1":
-        top_key = {"D": "psi_4_D8", "A2": "psi_3_3A2", "A1": "psi_2_4A1"}[meta.family]
-        top = _PHI0_CACHE.get(top_key)
-        if top is not None and top.series.window.q_max >= 24 * q_depth:
-            res = restrict_tower(top, meta.lattice_name)
-            f = JacobiForm("phi0_%s" % meta.lattice_name, res.series, 0,
-                           Fraction(1), meta.lattice_name, meta.family,
-                           meta.copies)
-    if f is None:
-        f = phi0_by_division(key, q_depth)
-    if cached is None or f.series.window.q_max > cached.series.window.q_max:
-        _PHI0_CACHE[key] = f
+    f = phi0_by_division(key, q_depth)
+    _PHI0_CACHE[key] = f
     return f
 
 

@@ -48,11 +48,6 @@ def lift_layers(key: str, s_max: int) -> list:
     return [(2 * m, m) for m in range(1, s_max // 2 + 1)]
 
 
-def lift_slice(key: str, q_num: int, order: int) -> dict:
-    """One z-slice of the lift layer psi|V_order."""
-    return member_hecke_slice(key, order, q_num)
-
-
 def gritsenko_lift(key: str, window: TruncationWindow) -> OrthogonalModularForm:
     """The arithmetic lift as a materialised series over the window."""
     meta = MEMBERS[key]

@@ -38,10 +38,6 @@ class TruncationWindow(NamedTuple):
         return TruncationWindow(min(self.q_max, other.q_max), min(self.s_max, other.s_max))
 
 
-def window(q_max: int, s_max: int = 0) -> TruncationWindow:
-    return TruncationWindow(q_max, s_max)
-
-
 def _norm_coeff(c):
     """Collapse integral Fractions back to int."""
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -251,50 +247,6 @@ def _peel_divide(R: dict, B0: dict, r: int) -> dict:
     return Q
 
 
-def _div_binomial_slice(sl: dict, dvec: ZKey) -> dict:
-    """Exact division of a z-slice by (zeta^dvec - zeta^-dvec).
-
-    Works line by line in the dvec direction with a descending prefix
-    recurrence; raises ArithmeticError when some line has a remainder.
-    """
-    if not sl:
-        return {}
-    D = sum(d * d for d in dvec)
-    lines: dict = {}
-    for z, c in sl.items():
-        t = sum(a * b for a, b in zip(z, dvec))
-        perp = tuple(a * D - t * b for a, b in zip(z, dvec))
-        lines.setdefault(perp, {})[t] = (z, c)
-    out: dict = {}
-    for ln in lines.values():
-        ts = sorted(ln)
-        tmin, tmax = ts[0], ts[-1]
-        for t0 in {t % (2 * D) for t in ts}:
-            # walk this congruence class from the top
-            top = tmax - ((tmax - t0) % (2 * D))
-            if top < tmin:
-                continue
-            acc = 0
-            zcur = None
-            t = top
-            while t >= tmin:
-                ent = ln.get(t)
-                if ent is not None:
-                    z, c = ent
-                    acc += c
-                    zcur = z
-                if acc and zcur is not None:
-                    zq = tuple(a - b for a, b in zip(zcur, dvec))
-                    out[zq] = out.get(zq, 0) + acc
-                    if not out[zq]:
-                        del out[zq]
-                    zcur = tuple(a - 2 * b for a, b in zip(zcur, dvec))
-                t -= 2 * D
-            if acc:
-                raise ArithmeticError("binomial division left a remainder")
-    return out
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -480,22 +432,6 @@ class FourierSeries:
         return self.scaled(other)
 
     __rmul__ = __mul__
-
-    def pow_int(self, n: int, window: TruncationWindow = None) -> "FourierSeries":
-        if n < 0:
-            raise ValueError("negative power")
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result.mul(base, window)
-            n >>= 1
-            if n:
-                base = base.mul(base, window)
-        if result is None:
-            w = window if window is not None else self.window
-            return FourierSeries.monomial(1, 0, (0,) * self.r, 0, self.den_z, w)
-        return result
 
     # -- division ------------------------------------------------------------
 

@@ -30,10 +30,6 @@ class VerificationReport(NamedTuple):
     details: dict
 
 
-def _meet(a: TruncationWindow, b: TruncationWindow) -> TruncationWindow:
-    return TruncationWindow(min(a.q_max, b.q_max), min(a.s_max, b.s_max))
-
-
 def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x) if x.denominator != 1 else x.numerator
@@ -520,7 +516,7 @@ def run(identity: str, window: TruncationWindow = None) -> VerificationReport:
     if identity not in _REGISTRY:
         raise KeyError("unknown identity %r" % identity)
     claim, cap, runner = _REGISTRY[identity]
-    eff = cap if window is None else _meet(cap, window)
+    eff = cap if window is None else cap.meet(window)
     ok, checked, details = runner(eff)
     return VerificationReport(
         identity=identity,

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from refltower import jacobi
 from refltower.cli import main
 
@@ -58,6 +60,23 @@ def test_expand_cache_round_trip(tmp_path, capsys):
     files[0].write_text(json.dumps(doc))
     assert main(args) == 0
     assert capsys.readouterr().out == first
+    # a truncated entry is a miss and gets rewritten whole
+    text = files[0].read_text()
+    files[0].write_text(text[: len(text) // 2])
+    assert main(args) == 0
+    assert capsys.readouterr().out == first
+    assert json.loads(files[0].read_text())["series"] == json.loads(text)["series"]
+
+
+def test_negative_window_is_usage_error(capsys):
+    for flag in ("--qmax", "--smax"):
+        for argv in (["expand", "lift:D2", flag, "-1"],
+                     ["compare", "lift:D2", "borcherds:D2", flag, "-1"],
+                     ["verify", "q0-terms", flag, "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "must not be negative" in capsys.readouterr().err
 
 
 def test_cache_dir_from_environment(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,12 @@
 """Tests for theta blocks, Hecke translates, and the weight-0 quotients."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from refltower import jacobi
 from refltower.jacobi import (
     MEMBERS,
     REGISTRY_KEYS,
@@ -11,6 +14,7 @@ from refltower.jacobi import (
     _eta_coeff,
     build,
     chi4,
+    divide_by_member,
     dual_from_z,
     eta_power,
     hecke_Vm,
@@ -251,10 +255,87 @@ def test_phi0_d1_is_doubled_restriction():
 
 
 def test_phi0_general_division_agrees():
-    for key in ("psi_10_D2", "psi_5_A1"):
+    for key in ("psi_10_D2", "psi_5_A1", "psi_9_A2", "psi_6_2A2"):
         a = phi0_by_division(key, 3)
         b = phi0_by_general_division(key, 3)
         assert a.series == b.series
+
+
+def test_division_rejects_a_corrupt_a2_dividend():
+    key = "psi_6_2A2"
+    val = MEMBERS[key].val_q
+    levels = [member_hecke_slice(key, 2, val + 24 * j) for j in range(4)]
+    assert divide_by_member([dict(sl) for sl in levels], key, 3)[3]
+    for j in (0, 2):
+        bad = [dict(sl) for sl in levels]
+        z = sorted(bad[j])[len(bad[j]) // 2]
+        bad[j][z] += 1
+        with pytest.raises(ArithmeticError):
+            divide_by_member(bad, key, 3)
+
+
+def test_division_quotient_wider_than_its_dividend():
+    """psi_0 / psi spreads by about 2 (D) or 6 (A2) per level beyond the
+    single dividend cell, so the packed grid needs its derived margin."""
+    depth = 4
+    for key in ("psi_10_D2", "psi_9_A2"):
+        meta = MEMBERS[key]
+        w = TruncationWindow(meta.val_q + 24 * depth, 0)
+        num = FourierSeries(meta.r, meta.den_z, w)
+        num.cells[(0, meta.val_q)] = dict(member_slice(key, meta.val_q))
+        want = num.div(member_series(key, w))
+        got = divide_by_member([num.cells[(0, meta.val_q)]], key, depth)
+        assert got[depth]
+        for j in range(depth + 1):
+            assert got[j] == want.cells.get((0, 24 * j), {})
+
+
+def test_division_input_errors_are_loud():
+    with pytest.raises(TypeError):
+        divide_by_member([{(1, 1): Fraction(1)}], "psi_10_D2", 0)
+    far = 2 ** 40 + 1
+    with pytest.raises(ValueError, match="span too wide"):
+        divide_by_member([{(1, 1): 1, (far, far): 1}], "psi_10_D2", 0)
+
+
+def test_division_near_2_62_reruns_on_python_ints(monkeypatch):
+    """Dividend entries below 2^62 whose steps could pass it: the int64
+    pass gives up and the object-dtype rerun is exact."""
+    key, depth = "psi_9_A2", 3
+    meta = MEMBERS[key]
+    rng = random.Random(62)
+    quo = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * depth, 0))
+    for _ in range(20):
+        z = tuple(rng.randrange(-6, 7) for _ in range(meta.r))
+        quo.add_term(24 * rng.randrange(depth + 1), z, 0,
+                     rng.randrange(-2 ** 54, 2 ** 54))
+    psi = member_series(key, TruncationWindow(meta.val_q + 24 * depth, 0))
+    num = psi.mul(quo)
+    levels = [dict(num.cells.get((0, meta.val_q + 24 * j), {}))
+              for j in range(depth + 1)]
+    assert 2 ** 61 <= max(abs(c) for sl in levels for c in sl.values()) < 2 ** 62
+    dtypes = []
+    real = jacobi._divide_packed
+
+    def spy(*args):
+        dtypes.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(jacobi, "_divide_packed", spy)
+    got = divide_by_member(levels, key, depth)
+    assert dtypes == [np.int64, object]
+    want = num.div(psi)
+    for j in range(depth + 1):
+        assert got[j] == want.cells.get((0, 24 * j), {})
+        assert got[j] == quo.cells.get((0, 24 * j), {})
+    # eight entries of 2^61 on one line sum to 2^64, which int64 reads as
+    # zero: the line is not divisible by the binomial all the same
+    wrap = {}
+    for k in range(8):
+        wrap[(2 * k + 1, 1)] = 2 ** 61
+        wrap[(2 * k + 1, -1)] = -2 ** 61
+    with pytest.raises(ArithmeticError):
+        divide_by_member([wrap], "psi_10_D2", 0)
 
 
 def test_phi0_weight0_tautology():

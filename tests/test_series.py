@@ -4,7 +4,6 @@ from fractions import Fraction
 from refltower.series import (
     FourierSeries,
     TruncationWindow,
-    _div_binomial_slice,
     _peel_divide,
     _slice_mul_py,
 )
@@ -136,7 +135,6 @@ def test_division_detects_remainder():
 
 def test_peel_and_binomial_division_agree():
     rng = random.Random(31)
-    dvec = (1, -1)
     binom = {(1, -1): 1, (-1, 1): -1}
     for _ in range(12):
         Q = {}
@@ -148,7 +146,6 @@ def test_peel_and_binomial_division_agree():
         R = {}
         _slice_mul_py(R, Q, binom)
         assert _peel_divide(dict(R), binom, 2) == Q
-        assert _div_binomial_slice(dict(R), dvec) == Q
 
 
 def test_exp_s_inverse():

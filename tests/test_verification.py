@@ -119,18 +119,19 @@ def test_negative_control_catches_corrupt_weight0(monkeypatch):
 
 def test_negative_control_catches_corrupt_lift(monkeypatch):
     real = borcherds.member_hecke_slice
-    val = jacobi.MEMBERS["psi_5_A1"].val_q
+    for key in ("psi_5_A1", "psi_9_A2"):
+        val = jacobi.MEMBERS[key].val_q
 
-    def crooked(key, m, q_num):
-        sl = real(key, m, q_num)
-        if m == 1 and q_num == val:
-            sl = dict(sl)
-            z = sorted(sl)[0]
-            sl[z] += 1
-        return sl
+        def crooked(k, m, q_num, val=val):
+            sl = real(k, m, q_num)
+            if m == 1 and q_num == val:
+                sl = dict(sl)
+                z = sorted(sl)[0]
+                sl[z] += 1
+            return sl
 
-    monkeypatch.setattr(borcherds, "member_hecke_slice", crooked)
-    rep = verification.run("lift-equals-product:psi_5_A1",
-                           TruncationWindow(48, 2))
-    assert rep.status == "fail"
-    assert rep.details["first_mismatch"] is not None
+        monkeypatch.setattr(borcherds, "member_hecke_slice", crooked)
+        rep = verification.run("lift-equals-product:%s" % key,
+                               TruncationWindow(48, 2))
+        assert rep.status == "fail", key
+        assert rep.details["first_mismatch"] is not None

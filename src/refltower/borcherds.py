@@ -26,6 +26,8 @@ from fractions import Fraction
 from math import gcd as _gcd
 from typing import NamedTuple
 
+import numpy as np
+
 from .jacobi import (
     MEMBERS,
     _corner_dirs,
@@ -38,7 +40,8 @@ from .jacobi import (
 )
 from .lattices import lattice
 from .lifting import lift_layers
-from .series import FourierSeries, TruncationWindow, _slice_mul_into
+from .series import (FourierSeries, TruncationWindow, _norm_coeff, _NotInt64,
+                     _qz_decode, _qz_frame, _qz_mul, _qz_pack, _qz_product, _qz_rows)
 
 
 def index_step(key: str) -> int:
@@ -73,71 +76,102 @@ def hecke_v0(phi: FourierSeries, m: int, q_depth: int) -> FourierSeries:
         raise ValueError("weight-0 form is too shallow for this translate")
     out = FourierSeries(phi.r, phi.den_z, TruncationWindow(24 * q_depth, 0))
     for n in range(q_depth + 1):
-        acc: dict = {}
+        acc: dict = {}  # m times the translate, so the weights m/d are integers
         for d in range(1, m + 1):
             if m % d or (n % d if n else 0):
                 continue
             src = phi.cells.get((0, 24 * n * m // (d * d)))
             if not src:
                 continue
+            w = m // d
             for z, c in src.items():
-                zz = tuple(d * a for a in z)
-                v = acc.get(zz, 0) + (c if d == 1 else Fraction(c, d))
-                if v:
-                    acc[zz] = v
-                elif zz in acc:
-                    del acc[zz]
-        if acc:
-            out.cells[(0, 24 * n)] = acc
+                if d > 1:
+                    z = tuple([d * a for a in z])
+                acc[z] = acc.get(z, 0) + w * c
+        cell = {z: v // m if v % m == 0 else Fraction(v, m) for z, v in acc.items() if v}
+        if cell:
+            out.cells[(0, 24 * n)] = cell
     return out
+
+
+def _exp_packed(key: str, j_max: int, q_depth: int, dtype) -> tuple:
+    """(frame, packed E_0..E_j) with values of one dtype.
+
+    The frame bounds every layer: E_j is a sum of products of W_i whose
+    orders add up to j, so its reach per axis is at most the largest
+    reach(W_i) + reach(E_{j-i}).  With int64 values a quotient by j that
+    leaves a remainder raises _NotInt64; object values keep it as a
+    Fraction.
+    """
+    meta = MEMBERS[key]
+    phi = weak_weight0(key, max(j_max * q_depth, 1)).series
+    rows = [None]
+    for i in range(1, j_max + 1):
+        # W_i = -i phi|V_i, integral unless phi0 is corrupt
+        wi = {q // 24: {z: c * -i if type(c) is int else _norm_coeff(c * -i)
+                        for z, c in sl.items()}
+              for (_, q), sl in hecke_v0(phi, i, q_depth).cells.items()}
+        rows.append(_qz_rows(wi, meta.r, dtype))
+    reach = [np.zeros(meta.r, dtype=np.int64)]
+    for j in range(1, j_max + 1):
+        reach.append(np.max([rows[i][3] + reach[j - i]
+                             for i in range(1, j + 1)], axis=0))
+    f = _qz_frame(np.max(reach, axis=0), q_depth)
+    W = [None] + [_qz_pack(rw, f) for rw in rows[1:]]
+    E = [(np.array([f.zero], dtype=np.int64), np.ones(1, dtype), reach[0])]
+    for j in range(1, j_max + 1):
+        k, v, rj = _qz_mul([(W[i], E[j - i]) for i in range(1, j + 1)],
+                           f, q_depth)
+        if dtype is object:
+            v = np.array([_norm_coeff(Fraction(c, j)) for c in v.tolist()],
+                         dtype=object)
+        else:
+            v, rem = np.divmod(v, j)
+            if rem.any():
+                raise _NotInt64
+        E.append((k, v, rj))
+    return f, E
 
 
 def exp_layers(key: str, j_max: int, q_depth: int) -> list:
     """Layers E_0..E_j of exp(-sum (phi0|V_j^(0)) s^j) as q-z series.
 
-    Computed through the first-order recursion j E_j = sum i X_i E_{j-i}.
-    The combinations i X_i have integral coefficients (the 1/d weights of
-    V_i^(0) cancel against i), and the layers themselves are integral
-    because every product factor expands with binomial coefficients, so
-    the convolutions run over plain integers and the division by j is
-    exact termwise.
+    Computed through the first-order recursion j E_j = sum i X_i E_{j-i},
+    each step one packed product over whole layers.  The combinations
+    i X_i have integral coefficients (the 1/d weights of V_i^(0) cancel
+    against i), and the layers themselves are integral because every
+    product factor expands with binomial coefficients, so the products
+    run on int64 and the division by j is exact termwise.  A bound
+    reaching 2^62, or a remainder (only a corrupted phi0 leaves one),
+    reruns the recursion on python ints and Fractions.
     """
     meta = MEMBERS[key]
-    phi = weak_weight0(key, max(j_max * q_depth, 1)).series
     win = TruncationWindow(24 * q_depth, 0)
-    one = FourierSeries.monomial(1, 0, (0,) * meta.r, 0, meta.den_z, win)
-    if j_max == 0:
-        return [one]
-    W = [None]
-    for i in range(1, j_max + 1):
-        vi = hecke_v0(phi, i, q_depth)
-        for sl in vi.cells.values():
-            for z, c in sl.items():
-                v = c * (-i)
-                if isinstance(v, Fraction) and v.denominator == 1:
-                    v = v.numerator
-                sl[z] = v
-        W.append(vi)
-    E = [one]
-    for j in range(1, j_max + 1):
-        acc: dict = {}
-        for i in range(1, j + 1):
-            for (_, qa), sa in W[i].cells.items():
-                for (_, qb), sb in E[j - i].cells.items():
-                    if qa + qb <= win.q_max:
-                        _slice_mul_into(acc.setdefault((0, qa + qb), {}),
-                                        sa, sb, meta.r)
+    try:
+        f, E = _exp_packed(key, j_max, q_depth, np.int64)
+    except _NotInt64:
+        f, E = _exp_packed(key, j_max, q_depth, object)
+    out = []
+    for k, v, _ in E:
         Ej = FourierSeries(meta.r, meta.den_z, win)
-        for kk, sl in acc.items():
-            d = {}
-            for z, c in sl.items():
-                if c:
-                    v, rem = divmod(c, j)
-                    d[z] = v if not rem else Fraction(c, j)
-            if d:
-                Ej.cells[kk] = d
-        E.append(Ej)
-    return E
+        Ej.cells = {(0, 24 * lvl): sl for lvl, sl in _qz_decode(k, v, f).items()}
+        out.append(Ej)
+    return out
+
+
+def _block_times(key: str, layer: FourierSeries, depth: int) -> dict:
+    """{level: slice} of psi * layer through level depth, by one packed product.
+
+    Level l of psi sits at q_num val + 24 l, level l of the layer at 24 l.
+    """
+    meta = MEMBERS[key]
+    psi = member_series(key, TruncationWindow(meta.val_q + 24 * depth, 0))
+    psi = {(q - meta.val_q) // 24: sl for (_, q), sl in psi.cells.items()}
+    ex = {q // 24: sl for (_, q), sl in layer.cells.items() if q <= 24 * depth}
+    try:
+        return _qz_product(psi, ex, meta.r, depth, np.int64)
+    except _NotInt64:
+        return _qz_product(psi, ex, meta.r, depth, object)
 
 
 def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
@@ -146,36 +180,18 @@ def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
     s0 = index_step(key)
     j_max = max((window.s_max - s0) // 2, 0)
     q_depth = max((window.q_max - meta.val_q) // 24, 0)
-    E = exp_layers(key, j_max, q_depth)
-    psi = member_series(key, TruncationWindow(window.q_max, 0))
     out = FourierSeries(meta.r, meta.den_z, window)
-    for j, Ej in enumerate(E):
+    if window.q_max < meta.val_q:
+        return out
+    for j, Ej in enumerate(exp_layers(key, j_max, q_depth)):
         s_num = s0 + 2 * j
         if s_num > window.s_max:
             break
-        for (_, qa), sa in psi.cells.items():
-            for (_, qb), sb in Ej.cells.items():
-                q = qa + qb
-                if q > window.q_max:
-                    continue
-                acc = out.cells.setdefault((s_num, q), {})
-                _slice_mul_into(acc, sa, sb, meta.r)
-    for cq in list(out.cells):
-        sl = out.cells[cq]
-        clean = {}
-        for z, c in sl.items():
-            if not c:
-                continue
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ArithmeticError(
-                        "non-integral product coefficient at %r" % (cq,))
-                c = int(c)
-            clean[z] = c
-        if clean:
-            out.cells[cq] = clean
-        else:
-            del out.cells[cq]
+        for lvl, sl in _block_times(key, Ej, q_depth).items():
+            cq = (s_num, meta.val_q + 24 * lvl)
+            if any(isinstance(c, Fraction) and c.denominator != 1 for c in sl.values()):
+                raise ArithmeticError("non-integral product coefficient at %r" % (cq,))
+            out.cells[cq] = {z: int(c) for z, c in sl.items()}
     return out
 
 
@@ -272,10 +288,11 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     The product layer at s0 + 2j is psi * E_j, so the check divides each
     lift layer by the theta block (exact, unit corner) and compares the
     quotient with E_j levelwise.  Division is the cheap direction: the
-    block factors into theta binomials.  On a mismatch the original
-    coefficients of both sides are recomputed directly for the report;
-    if a corrupted layer is not divisible at all, the comparison falls
-    back to convolving the product side outright.
+    block factors into theta binomials.  At the first level where the
+    quotient differs, or throughout a corrupted layer that is not
+    divisible at all, the product layer is convolved outright and the
+    first differing key of the layers themselves is reported, with the
+    product coefficient recomputed directly.
     """
     meta = MEMBERS[key]
     s0 = index_step(key)
@@ -289,7 +306,6 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     rows = []
     for s_num, order in layers:
         Ej = E[(s_num - s0) // 2]
-        layer_terms = 0
         lifts = [member_hecke_slice(key, order, meta.val_q + 24 * j)
                  for j in range(q_aux + 1)]
         layer_terms = sum(len(sl) for sl in lifts)
@@ -297,27 +313,20 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
             quo = divide_by_member(lifts, key, q_aux)
         except ArithmeticError:
             quo = None
-        lifts = None
+        rhs = None
         for j in range(q_aux + 1):
             if mismatch is not None:
                 break
+            if quo is not None and quo[j] == Ej.cells.get((0, 24 * j), {}):
+                continue
+            if rhs is None:
+                rhs = _block_times(key, Ej, q_aux)
             q = meta.val_q + 24 * j
-            if quo is not None:
-                z = _slice_first_diff(quo[j], Ej.cells.get((0, 24 * j), {}))
-            else:
-                rhs: dict = {}
-                qa = meta.val_q
-                while qa <= q:
-                    sa = member_slice(key, qa)
-                    sb = Ej.cells.get((0, q - qa))
-                    if sa and sb:
-                        _slice_mul_into(rhs, sa, sb, meta.r)
-                    qa += 24
-                z = _slice_first_diff(member_hecke_slice(key, order, q), rhs)
+            z = _slice_first_diff(lifts[j], rhs.get(j, {}))
             if z is not None:
                 mismatch = {
                     "s_num": s_num, "q_num": q, "z": z,
-                    "lift": member_hecke_slice(key, order, q).get(z, 0),
+                    "lift": lifts[j].get(z, 0),
                     "product": _product_coefficient(key, Ej, q, z),
                 }
         checked += layer_terms

@@ -172,9 +172,10 @@ def _cmd_expand(args) -> int:
     cache_dir = args.cache_dir or os.environ.get("CACHE_DIR")
     try:
         body, digest, _ = _cached_expand(args.descriptor, window, cache_dir)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # ArithmeticError: an exactness check failed, e.g. integrality
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ArithmeticError) else 2
     if args.format == "json":
         text = _render_json(args.descriptor, window, body, digest)
     else:
@@ -220,9 +221,9 @@ def _cmd_compare(args) -> int:
     try:
         body_a, _, _ = _cached_expand(args.left, window, cache_dir)
         body_b, _, _ = _cached_expand(args.right, window, cache_dir)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ArithmeticError) else 2
     a = FourierSeries.from_json(body_a)
     b = FourierSeries.from_json(body_b)
     if (a.r, a.den_z) != (b.r, b.den_z):

@@ -27,9 +27,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .series import (
+    _INT64_SAFE,
     FourierSeries,
     TruncationWindow,
-    _packed_reduce,
+    _key_rows,
+    _NotInt64,
+    _reduce_parts,
     _slice_mul_into,
 )
 
@@ -283,29 +286,40 @@ def _odd_shell(r: int, total: int) -> dict:
     return out
 
 
-_A2_SERIES: dict = {}
+_A2_LEVELS: dict = {}
 
 
-def _a2_member_series(copies: int, q_max: int) -> FourierSeries:
-    cur = _A2_SERIES.get(copies)
-    if cur is not None and cur.window.q_max >= q_max:
-        return cur
-    q_max = max(q_max, 24 * 6)
-    block = theta_A2(q_max)
-    r = 2 * copies
-    prod = None
-    for c in range(copies):
-        rows = [[0] * r, [0] * r]
-        rows[0][2 * c] = 1
-        rows[1][2 * c + 1] = 1
-        fac = block.map_z(rows, den_z_new=6)
-        prod = fac if prod is None else prod.mul(fac)
-    p = 24 - 8 * copies
+def _a2_levels(k: int, p: int, depth: int) -> list:
+    """Slices of eta^p Theta_A2^(x k) at levels l = 0..depth, q_num p + 8k + 24l.
+
+    Copy c of Theta_A2 holds coordinates 2c, 2c+1.  Memoised per (k, p)
+    and extended by the missing levels only, as eta^p (x) Theta^(x k) or
+    Theta^(x (k-1)) (x) Theta; Theta_A2 itself is cut from a block built
+    at least twice as deep as the last one.
+    """
+    have = _A2_LEVELS.setdefault((k, p), [])
+    if len(have) > depth:
+        return have
+    if (k, p) == (1, 0):
+        top = max(depth, 2 * len(have), 6)
+        block = theta_A2(8 + 24 * top)
+        have[:] = [block.cells.get((0, 8 + 24 * lvl), {}) for lvl in range(top + 1)]
+        return have
     if p:
-        prod = prod.mul(_promote(eta_power(p, q_max), r, 6))
-    prod = prod.truncated(TruncationWindow(q_max, 0))
-    _A2_SERIES[copies] = prod
-    return prod
+        a = _a2_levels(k, 0, depth)
+        b = [{(): _eta_coeff(p, p + 24 * m)} for m in range(depth + 1)]
+    else:
+        a = _a2_levels(k - 1, 0, depth)
+        b = _a2_levels(1, 0, depth)
+    for n in range(len(have), depth + 1):
+        acc: dict = {}
+        for i in range(n + 1):
+            for za, ca in a[i].items():
+                for zb, cb in b[n - i].items():
+                    z = za + zb
+                    acc[z] = acc.get(z, 0) + ca * cb
+        have.append({z: c for z, c in acc.items() if c})
+    return have
 
 
 _PSI_SLICES: dict = {}
@@ -345,33 +359,11 @@ def member_slice(key: str, q_num: int) -> dict:
                 out[(-2 * m,)] = -e * s
             m += 2
     else:
-        ser = _a2_member_series(meta.copies, q_num)
-        out = dict(ser.cells.get((0, q_num), {}))
+        n = (q_num - meta.val_q) // 24
+        out = dict(_a2_levels(meta.copies, meta.eta_exp, n)[n])
     if (q_num - meta.val_q) // 24 <= _PSI_SLICE_CACHE_DEPTH:
         _PSI_SLICES[ck] = out
     return out
-
-
-def member_coefficient(key: str, q_num: int, z: tuple) -> int:
-    meta = MEMBERS[key]
-    if meta.family in ("D", "A1"):
-        if any(c % 2 == 0 for c in z):
-            return 0
-        ssq = sum(c * c for c in z)
-        e = _eta_coeff(meta.eta_exp, q_num - 3 * ssq)
-        if not e:
-            return 0
-        s = 1
-        for c in z:
-            s *= chi4(c)
-        return e * s
-    if meta.family == "D1":
-        m2 = z[0]
-        if m2 % 4 == 0 or m2 % 2:
-            return 0
-        m = m2 // 2
-        return _eta_coeff(meta.eta_exp, q_num - 3 * m * m) * chi4(m)
-    return member_slice(key, q_num).get(tuple(z), 0)
 
 
 def member_series(key: str, window: TruncationWindow) -> FourierSeries:
@@ -472,36 +464,6 @@ def hecke_Vm(form: JacobiForm, m: int) -> JacobiForm:
                       form.copies)
 
 
-def hecke_Vm_subst(form: JacobiForm, m: int) -> JacobiForm:
-    """The same translate as an average over tau -> (a tau + b)/d.
-
-    Literal sum m^-1 sum_{ad=m} a^k sum_{b mod d} psi((a tau + b)/d, a z);
-    the b-average keeps exactly the keys with d | n.  Only integral
-    q-grids are supported: on half-integral grids the average acquires
-    multiplier-system phases and stops being a plain divisor sum.
-    """
-    ser = form.series
-    if any(q % 24 for (_, q) in ser.cells):
-        raise ValueError("substitution average needs an integral q-grid")
-    wq = ser.window.q_max // m
-    out = FourierSeries(ser.r, ser.den_z, TruncationWindow(wq, ser.window.s_max))
-    for a in _divisors(m):
-        d = m // a
-        factor = Fraction(a ** form.weight * d, m)
-        for (s, q), sl in ser.cells.items():
-            n = q // 24
-            if n % d:
-                continue  # the b-average kills this key
-            qq = 24 * a * n // d
-            if qq > wq:
-                continue
-            for z, c in sl.items():
-                out.add_term(qq, tuple(a * x for x in z), s, factor * c)
-    return JacobiForm("%s|V_%d" % (form.name, m), out, form.weight,
-                      form.index * m, form.lattice_name, form.family,
-                      form.copies)
-
-
 # ---------------------------------------------------------------------------
 # weak weight-0 forms
 
@@ -563,21 +525,12 @@ def _factor_stack(meta: MemberMeta, depth: int) -> list:
             d[i] = scale
             stack.append(([tuple(d)], cells))
         return stack
-    block = theta_A2(8 + 24 * depth)
-    val_b = min(q for (_, q) in block.cells)
+    block = _a2_levels(1, 0, depth)
     dirs_all = _corner_dirs(meta)
     for c in range(meta.copies):
-        cells = {}
-        for (_, q), sl in block.cells.items():
-            lvl = (q - val_b) // 24
-            if lvl == 0 or lvl > depth:
-                continue
-            out = {}
-            for (a, b), co in sl.items():
-                z = [0] * meta.r
-                z[2 * c], z[2 * c + 1] = a, b
-                out[tuple(z)] = co
-            cells[lvl] = out
+        pre, post = (0,) * (2 * c), (0,) * (meta.r - 2 * c - 2)
+        cells = {lvl: {pre + ab + post: co for ab, co in block[lvl].items()}
+                 for lvl in range(1, depth + 1) if block[lvl]}
         stack.append((dirs_all[3 * c:3 * c + 3], cells))
     return stack
 
@@ -626,15 +579,6 @@ def _binomial_packed(keys, vals, span: int, s: int):
     if not out_k:
         return keys[:0], vals[:0]
     return np.concatenate(out_k), np.concatenate(out_v)
-
-
-# Packed int64 values stay below this; a step whose bound reaches it
-# reruns the whole division on object-dtype (python int) values.
-_INT64_SAFE = 1 << 62
-
-
-class _Int64Overflow(Exception):
-    pass
 
 
 class _Frame(NamedTuple):
@@ -741,7 +685,7 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
     factor at hand; every binomial direction is divided out in its own
     frame (see ``_frame``) and correction terms are key offsets.  With
     int64 values every step first bounds its output from the actual
-    maxima of its inputs; a bound reaching 2^62 raises _Int64Overflow.
+    maxima of its inputs; a bound reaching 2^62 raises _NotInt64.
     Raises ArithmeticError when division is not exact, TypeError on
     non-int coefficients, ValueError when the keys do not fit int64.
     """
@@ -755,8 +699,8 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
         if set(map(type, vs)) - {int}:
             raise TypeError("packed division needs plain integers")
         if checked and vs and max(map(abs, vs)) >= _INT64_SAFE:
-            raise _Int64Overflow
-        cols.append(np.array(list(sl), dtype=np.int64).reshape(len(sl), r))
+            raise _NotInt64
+        cols.append(_key_rows(sl, r))
         vals.append(np.array(vs, dtype=dtype))
     filled = [c for c in cols if len(c)]
     if not filled:
@@ -771,7 +715,7 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
 
     def guard(bound):
         if checked and bound >= _INT64_SAFE:
-            raise _Int64Overflow
+            raise _NotInt64
 
     cur = frames[0][0]
     work = [(_encode(c, cur), v) for c, v in zip(cols, vals)]
@@ -785,8 +729,7 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
             parts = [work[j]] + [(work[j - i][0], work[j - i][1] * -coeffs[i])
                                  for i in range(1, j + 1)
                                  if coeffs[i] and len(work[j - i][0])]
-            work[j] = _packed_reduce(np.concatenate([p[0] for p in parts]),
-                                     np.concatenate([p[1] for p in parts]))
+            work[j] = _reduce_parts(parts)
             mx[j] = amax(work[j][1])
     for (dirs, cells), fr in zip(stack, frames):
         f0 = fr[0]
@@ -802,8 +745,7 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
             parts = [work[j]] + [(work[j - lvl][0] + off, work[j - lvl][1] * -cc)
                                  for lvl, off, cc in terms
                                  if lvl <= j and len(work[j - lvl][0])]
-            k, v = _packed_reduce(np.concatenate([p[0] for p in parts]),
-                                  np.concatenate([p[1] for p in parts]))
+            k, v = _reduce_parts(parts)
             prev = f0
             for f in fr:
                 if f is not prev:
@@ -841,7 +783,7 @@ def divide_by_member(levels: list, key: str, depth: int) -> list:
     stack = _factor_stack(meta, depth)
     try:
         return _divide_packed(levels, meta, depth, stack, np.int64)
-    except _Int64Overflow:
+    except _NotInt64:
         return _divide_packed(levels, meta, depth, stack, object)
 
 
@@ -853,8 +795,6 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     corner = _corner_slice(meta)
     if member_slice(key, val) != corner:
         raise AssertionError("theta block corner is not the binomial product")
-    if meta.family == "A2":
-        _a2_member_series(meta.copies, val + 24 * q_depth * p + 24 * p)
     quo = divide_by_member(
         [member_hecke_slice(key, p, val + 24 * j) for j in range(q_depth + 1)],
         key, q_depth)
@@ -864,49 +804,6 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
             out.cells[(0, 24 * j)] = {z: -c for z, c in sl.items()}
     return JacobiForm("phi0_%s" % meta.lattice_name, out, 0, Fraction(1),
                       meta.lattice_name, meta.family, meta.copies)
-
-
-def phi0_by_general_division(key: str, q_depth: int) -> JacobiForm:
-    """Same quotient through the generic series division (cross-check path)."""
-    meta = MEMBERS[key]
-    p = meta.hecke_p
-    w_num = FourierSeries(meta.r, meta.den_z,
-                          TruncationWindow(meta.val_q + 24 * q_depth, 0))
-    w_den = FourierSeries(meta.r, meta.den_z,
-                          TruncationWindow(meta.val_q + 24 * q_depth, 0))
-    for j in range(q_depth + 1):
-        q = meta.val_q + 24 * j
-        num = member_hecke_slice(key, p, q)
-        if num:
-            w_num.cells[(0, q)] = num
-        den = member_slice(key, q)
-        if den:
-            w_den.cells[(0, q)] = dict(den)
-    quo = w_num.div(w_den)
-    ser = (-quo).truncated(TruncationWindow(24 * q_depth, 0))
-    return JacobiForm("phi0_%s" % meta.lattice_name, ser, 0, Fraction(1),
-                      meta.lattice_name, meta.family, meta.copies)
-
-
-def restrict_tower(form: JacobiForm, target_lattice: str) -> JacobiForm:
-    """Set the trailing block of elliptic variables to zero."""
-    from .lattices import lattice as _lat
-    tgt = _lat(target_lattice)
-    meta_family = "D" if tgt.family == "D" else ("A2" if tgt.family == "A2" else "A1")
-    if form.family in ("D", "D1"):
-        src_family = "D"
-    else:
-        src_family = form.family
-    if src_family != meta_family:
-        raise ValueError("restriction stays inside one family")
-    ser = form.series
-    r_target = tgt.rank if tgt.family != "A2" else tgt.rank
-    if r_target > ser.r:
-        raise ValueError("restriction cannot add variables")
-    while ser.r > r_target:
-        ser = ser.restrict_z(ser.r - 1)
-    return JacobiForm("%s|%s" % (form.name, target_lattice), ser, form.weight,
-                      form.index, target_lattice, form.family, 0)
 
 
 _PHI0_CACHE: dict = {}
@@ -963,14 +860,3 @@ def dual_from_z(family: str, z: tuple) -> tuple:
     if family in ("A1", "D1"):
         return tuple(Fraction(a, 4) for a in z)
     raise ValueError("unknown family %r" % (family,))
-
-
-def z_from_dual(family: str, ell: tuple) -> tuple:
-    den = {"D": 2, "D1": 4, "A2": 6, "A1": 4}[family]
-    out = []
-    for a in ell:
-        v = Fraction(a) * den
-        if v.denominator != 1:
-            raise ValueError("vector is not on the z grid")
-        out.append(int(v))
-    return tuple(out)

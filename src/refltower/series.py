@@ -17,6 +17,7 @@ import heapq
 import json
 from fractions import Fraction
 from hashlib import sha256
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -55,13 +56,6 @@ def _coeff_from_str(s: str):
     return int(s)
 
 
-def _lex_positive(z: ZKey) -> bool:
-    for a in z:
-        if a:
-            return a > 0
-    return False
-
-
 # ---------------------------------------------------------------------------
 # slice-level kernels
 
@@ -83,21 +77,6 @@ _NP_CHUNK = 1 << 21
 _NP_MERGE_CAP = 1 << 22
 
 
-def _np_safe(A: dict, B: dict) -> bool:
-    if len(A) * len(B) < _NP_PAIR_MIN:
-        return False
-    sa = sb = 0
-    for c in A.values():
-        if not isinstance(c, int):
-            return False
-        sa += c if c >= 0 else -c
-    for c in B.values():
-        if not isinstance(c, int):
-            return False
-        sb += c if c >= 0 else -c
-    return sa * sb < (1 << 62)
-
-
 def _packed_reduce(keys, vals):
     """Sum vals over equal keys; sorted keys and nonzero sums come back."""
     order = np.argsort(keys, kind="stable")
@@ -114,90 +93,210 @@ def _packed_reduce(keys, vals):
     return ks[idx][keep], sums[keep]
 
 
-def _slice_mul_np(acc: dict, A: dict, B: dict, r: int) -> None:
-    """acc += A * B with packed-key numpy accumulation.
+def _reduce_parts(parts):
+    """_packed_reduce over a list of (keys, vals) parts."""
+    return _packed_reduce(*map(np.concatenate, zip(*parts)))
 
-    Keys are linearised with common strides so that packing commutes with
-    addition.  Pair enumeration runs in bounded chunks and the partial
-    sums are merged whenever they pass a size cap, which keeps the peak
-    footprint independent of the total pair count.
+
+def _merge_sums(blocks):
+    """Sum a stream of (keys, vals) blocks over equal keys.
+
+    Blocks are reduced every _NP_CHUNK pairs and the partial sums merged
+    whenever they pass _NP_MERGE_CAP, which keeps the peak footprint
+    independent of the total pair count.
     """
-    ka = np.array(list(A.keys()), dtype=np.int64).reshape(len(A), r)
-    kb = np.array(list(B.keys()), dtype=np.int64).reshape(len(B), r)
-    ca = np.fromiter(A.values(), dtype=np.int64, count=len(A))
-    cb = np.fromiter(B.values(), dtype=np.int64, count=len(B))
-    lo = ka.min(0) + kb.min(0) if r else np.zeros(0, np.int64)
-    hi = ka.max(0) + kb.max(0) if r else np.zeros(0, np.int64)
-    span = hi - lo + 1
-    total = 1
-    for w in span:
-        total *= int(w)
-        if total >= (1 << 62):
-            _slice_mul_py(acc, A, B)
-            return
-    strides = np.ones(r, dtype=np.int64)
-    for i in range(r - 2, -1, -1):
-        strides[i] = strides[i + 1] * span[i + 1]
-    pa = ka @ strides
-    pb = kb @ strides
-    base = int(lo @ strides)
-    rows = max(1, _NP_CHUNK // max(1, len(B)))
-    run_k = run_v = None
-    pending = 0
-    pieces_k = []
-    pieces_v = []
+    runs, pend, count = [], [], 0
+    for blk in blocks:
+        pend.append(blk)
+        count += len(blk[0])
+        if count >= _NP_CHUNK:
+            runs.append(_reduce_parts(pend))
+            pend, count = [], 0
+            if sum(len(k) for k, _ in runs) > _NP_MERGE_CAP:
+                runs = [_reduce_parts(runs)]
+    return _reduce_parts(runs + pend)
 
-    def flush():
-        nonlocal run_k, run_v, pending, pieces_k, pieces_v
-        if run_k is not None:
-            pieces_k.append(run_k)
-            pieces_v.append(run_v)
-        run_k, run_v = _packed_reduce(np.concatenate(pieces_k),
-                                      np.concatenate(pieces_v))
-        pieces_k = []
-        pieces_v = []
-        pending = 0
 
-    for start in range(0, len(A), rows):
-        p = (pa[start : start + rows, None] + pb[None, :]).ravel() - base
-        w = (ca[start : start + rows, None] * cb[None, :]).ravel()
-        k1, v1 = _packed_reduce(p, w)
-        pieces_k.append(k1)
-        pieces_v.append(v1)
-        pending += len(k1)
-        if pending > _NP_MERGE_CAP:
-            flush()
-    if pieces_k:
-        flush()
-    if run_k is None or len(run_k) == 0:
-        return
-    uniq, tot = run_k, run_v
-    # unpack and merge
-    zcols = np.empty((len(uniq), r), dtype=np.int64)
-    rem = uniq
-    for i in range(r):
-        quo, rem = np.divmod(rem, strides[i])
-        zcols[:, i] = quo + lo[i]
-    if not acc:
-        for row, c in zip(zcols.tolist(), tot.tolist()):
-            acc[tuple(row)] = c
-        return
-    for row, c in zip(zcols.tolist(), tot.tolist()):
-        z = tuple(row)
-        v = acc.get(z, 0) + c
-        if v:
-            acc[z] = v
-        else:
-            acc.pop(z, None)
+def _key_rows(sl: dict, r: int):
+    """The z-keys of a slice as an (n, r) int64 array."""
+    return np.fromiter(chain.from_iterable(sl), np.int64,
+                       count=len(sl) * r).reshape(len(sl), r)
+
+
+# Packed int64 values stay below this; a step whose bound reaches it
+# reruns the whole computation on object-dtype (python int) values.
+_INT64_SAFE = 1 << 62
+
+
+class _NotInt64(Exception):
+    """Values int64 cannot carry exactly: rerun on object dtype."""
+
+
+def _abs_sum(v) -> int:
+    """Exact sum of |v| over int64 values below 2^62."""
+    a = np.abs(v)
+    return sum(a.tolist()) if int(a.max(initial=0)) * len(a) >= _INT64_SAFE else int(a.sum())
+
+
+# ---------------------------------------------------------------------------
+# packed (level, z) series: sorted int64 keys with the level as the top
+# digit, values of one dtype (int64, or object for big ints and
+# Fractions), and the reach, the largest |z_k| per axis
+
+
+class _QZFrame(NamedTuple):
+    """Keys level * stq + sum_k (z_k + half_k) * st_k, with |z_k| <= half_k.
+
+    Keys sort by level, then z; a product term's key is the sum of its
+    factors' keys minus ``zero``, the key of level 0 and z = 0.
+    """
+
+    half: object  # int64 arrays
+    st: object
+    stq: int
+    zero: int
+
+
+def _qz_frame(half, top: int) -> _QZFrame:
+    """The frame for |z_k| <= half[k] on levels 0..top."""
+    st, total = [], 1
+    for h in reversed([int(h) for h in half]):
+        st.insert(0, total)
+        total *= 2 * h + 1
+    if 2 * (top + 1) * total >= _INT64_SAFE:
+        # not OverflowError: that is an ArithmeticError, which callers
+        # read as "not divisible" or "not integral"
+        raise ValueError("packed span too wide")
+    half, st = np.array(half, dtype=np.int64), np.array(st, dtype=np.int64)
+    return _QZFrame(half, st, total, int(half @ st))
+
+
+def _qz_rows(levels: dict, r: int, dtype):
+    """(levels, z rows, values, reach) of {level: slice}, before packing.
+
+    With int64 values every coefficient must be a python int below 2^62,
+    else _NotInt64; object dtype takes big ints and Fractions alike.
+    """
+    lv, zs, vs = [np.zeros(0, np.int64)], [np.zeros((0, r), np.int64)], []
+    for lvl, sl in levels.items():
+        if dtype is not object and set(map(type, sl.values())) - {int}:
+            raise _NotInt64
+        lv.append(np.full(len(sl), lvl, dtype=np.int64))
+        zs.append(_key_rows(sl, r))
+        vs.extend(sl.values())
+    if dtype is not object and vs and max(max(vs), -min(vs)) >= _INT64_SAFE:
+        raise _NotInt64
+    z = np.concatenate(zs)
+    return (np.concatenate(lv), z, np.array(vs, dtype=dtype),
+            np.abs(z).max(axis=0, initial=0))
+
+
+def _qz_pack(rows, f: _QZFrame) -> tuple:
+    """Packed (keys, values, reach) of _qz_rows output, keys sorted."""
+    lv, z, v, reach = rows
+    if np.any(reach > f.half):
+        raise ValueError("series leaves its packing frame")
+    keys = lv * f.stq + (z + f.half) @ f.st
+    order = np.argsort(keys, kind="stable")
+    return keys[order], v[order], reach
+
+
+def _level_runs(keys, stq: int) -> list:
+    """(level, start, end) of each run of one level in sorted packed keys."""
+    lv = keys // stq
+    cuts = np.flatnonzero(np.diff(lv, prepend=-1)).tolist() + [len(keys)]
+    return [(int(lv[a]), a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _level_abs(vals, runs: list, top: int) -> tuple:
+    """Sum and max of |vals| per level 0..top, as python ints."""
+    s, m = [0] * (top + 1), [0] * (top + 1)
+    for lvl, a, b in runs:
+        if lvl <= top:
+            s[lvl], m[lvl] = _abs_sum(vals[a:b]), int(np.abs(vals[a:b]).max())
+    return s, m
+
+
+def _qz_decode(keys, vals, f: _QZFrame) -> dict:
+    """{level: {z: coefficient}} of packed keys and values."""
+    rem = keys % f.stq
+    z = np.empty((len(keys), len(f.st)), dtype=np.int64)
+    for i, s in enumerate(f.st):
+        z[:, i], rem = np.divmod(rem, s)
+    zt = list(map(tuple, (z - f.half).tolist()))
+    vl = vals.tolist()
+    return {lvl: dict(zip(zt[a:b], vl[a:b])) for lvl, a, b in _level_runs(keys, f.stq)}
+
+
+def _qz_mul(pairs: list, f: _QZFrame, top: int) -> tuple:
+    """Sum of the products a * b over pairs of packed series, through level top.
+
+    Each level of a pairs only with the prefix of b whose levels keep
+    the sum at or below top, so no pair past the cut is formed.  With
+    int64 values, every coefficient (and partial sum) at level n is
+    bounded by the sum over pairs and over i <= n of
+    min(S_a(i) M_b(n-i), M_a(i) S_b(n-i)), with S and M the sum and the
+    maximum of |values| on one level; _NotInt64 is raised when a bound
+    reaches 2^62.
+    """
+    reach = np.max([a[2] + b[2] for a, b in pairs], axis=0)
+    if np.any(reach > f.half):
+        raise ValueError("product leaves its packing frame")
+    dtype = np.result_type(*[x[1] for pair in pairs for x in pair])
+    runs = [(_level_runs(a[0], f.stq), _level_runs(b[0], f.stq)) for a, b in pairs]
+    if dtype != object:
+        bound = [0] * (top + 1)
+        for ((_, va, _), (_, vb, _)), (ra, rb) in zip(pairs, runs):
+            (sa, ma), (sb, mb) = _level_abs(va, ra, top), _level_abs(vb, rb, top)
+            for n in range(top + 1):
+                bound[n] += sum(min(sa[i] * mb[n - i], ma[i] * sb[n - i])
+                                for i in range(n + 1))
+        if max(bound) >= _INT64_SAFE:
+            raise _NotInt64
+
+    def blocks():
+        yield np.zeros(0, np.int64), np.zeros(0, dtype)
+        for ((ka, va, _), (kb, vb, _)), (ra, _) in zip(pairs, runs):
+            for lvl, s, e in ra:
+                nb = int(np.searchsorted(kb, (top - lvl + 1) * f.stq))
+                if not nb:
+                    break
+                rows = max(1, _NP_CHUNK // nb)
+                for r0 in range(s, e, rows):
+                    r1 = min(r0 + rows, e)
+                    yield ((ka[r0:r1, None] + kb[None, :nb]).ravel(),
+                           (va[r0:r1, None] * vb[None, :nb]).ravel())
+
+    keys, vals = _merge_sums(blocks())
+    return keys - f.zero, vals, reach
+
+
+def _qz_product(a: dict, b: dict, r: int, top: int, dtype) -> dict:
+    """{level: slice} of the product of two {level: slice} series through top."""
+    ra, rb = _qz_rows(a, r, dtype), _qz_rows(b, r, dtype)
+    f = _qz_frame(ra[3] + rb[3], top)
+    k, v, _ = _qz_mul([(_qz_pack(ra, f), _qz_pack(rb, f))], f, top)
+    return _qz_decode(k, v, f)
 
 
 def _slice_mul_into(acc: dict, A: dict, B: dict, r: int) -> None:
+    """acc += A * B: packed for large integer slices, dict loops otherwise."""
     if not A or not B:
         return
-    if _np_safe(A, B):
-        _slice_mul_np(acc, A, B, r)
-    else:
-        _slice_mul_py(acc, A, B)
+    if len(A) * len(B) >= _NP_PAIR_MIN:
+        try:
+            prod = _qz_product({0: A}, {0: B}, r, 0, np.int64).get(0, {})
+        except (_NotInt64, ValueError):  # values or key span past int64
+            pass
+        else:
+            for z, c in prod.items():
+                v = acc.get(z, 0) + c
+                if v:
+                    acc[z] = v
+                else:
+                    acc.pop(z, None)
+            return
+    _slice_mul_py(acc, A, B)
 
 
 def _peel_divide(R: dict, B0: dict, r: int) -> dict:

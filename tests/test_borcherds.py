@@ -1,11 +1,13 @@
 """Borcherds products: exponential form, literal product, divisor scan."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from refltower.series import TruncationWindow
-from refltower import borcherds, jacobi, lifting
+from refltower.series import FourierSeries, TruncationWindow, _slice_mul_py
+from refltower import borcherds, jacobi, lifting, series, verification
 
 
 def test_weyl_data():
@@ -138,3 +140,114 @@ def test_scan_rank_one_block_has_two_components():
 def test_hecke_v0_rejects_shallow_windows():
     with pytest.raises(ValueError):
         borcherds.hecke_v0(jacobi.weak_weight0("psi_5_A1", 2).series, 3, 4)
+
+
+def test_exp_layers_match_the_exponential_of_all_members():
+    """Independent oracle: E_j is the s^j layer of exp(-X) for
+    X = sum_j (phi0|V_j) s^j, expanded by FourierSeries.exp_s."""
+    j_max, q_depth = 2, 2
+    for key, meta in jacobi.MEMBERS.items():
+        phi = jacobi.weak_weight0(key, j_max * q_depth).series
+        X = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 2 * j_max))
+        for j in range(1, j_max + 1):
+            for (_, q), sl in borcherds.hecke_v0(phi, j, q_depth).cells.items():
+                X.cells[(2 * j, q)] = dict(sl)
+        want = (-X).exp_s()
+        E = borcherds.exp_layers(key, j_max, q_depth)
+        assert len(E) == j_max + 1
+        for j, Ej in enumerate(E):
+            assert Ej.cells == {(0, q): sl for (s, q), sl in want.cells.items()
+                                if s == 2 * j}, (key, j)
+
+
+def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch):
+    """Layer entries in [2^61, 2^62): the int64 product gives up before
+    it can wrap, and the object-dtype rerun equals the dict product."""
+    key, depth = "psi_8_D4", 2
+    meta = jacobi.MEMBERS[key]
+    rng = random.Random(61)
+    layer = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * depth, 0))
+    for _ in range(40):
+        z = tuple(rng.randrange(-3, 4) for _ in range(meta.r))
+        c = rng.randrange(2 ** 61, 2 ** 62) * rng.choice((1, -1))
+        layer.add_term(24 * rng.randrange(depth + 1), z, 0, c)
+    dtypes = []
+    real = series._qz_mul
+
+    def spy(pairs, f, top):
+        dtypes.append(pairs[0][0][1].dtype)
+        return real(pairs, f, top)
+
+    monkeypatch.setattr(series, "_qz_mul", spy)
+    got = borcherds._block_times(key, layer, depth)
+    assert dtypes == [np.int64, object]
+    for n in range(depth + 1):
+        want = {}
+        for a in range(n + 1):
+            _slice_mul_py(want, jacobi.member_slice(key, meta.val_q + 24 * a),
+                          layer.cells.get((0, 24 * (n - a)), {}))
+        assert got.get(n, {}) == want
+        assert all(type(c) is int for c in got.get(n, {}).values())
+    assert max(abs(c) for sl in got.values() for c in sl.values()) >= 2 ** 63
+    # four products of 2^61 on one key sum to 2^63, which int64 reads as
+    # -2^63: the bound sends them to python ints all the same
+    a = {0: {(k,): 1 for k in range(4)}}
+    b = {0: {(-k,): 2 ** 61 for k in range(4)}}
+    with pytest.raises(series._NotInt64):
+        series._qz_product(a, b, 1, 0, np.int64)
+    assert series._qz_product(a, b, 1, 0, object)[0][(0,)] == 2 ** 63
+
+
+def _corrupt_weight0(monkeypatch, victim, factor):
+    real = jacobi.weak_weight0
+
+    def crooked(key, depth):
+        form = real(key, depth)
+        if key == victim:
+            return form._replace(series=form.series.scaled(factor))
+        return form
+
+    monkeypatch.setattr(borcherds, "weak_weight0", crooked)
+
+
+def test_negative_control_corrupt_weight0_fails_the_comparison(monkeypatch):
+    # doubling phi0 squares exp(-sum X_j s^j): the product stays
+    # integral, only the comparison with the lift can see it
+    _corrupt_weight0(monkeypatch, "psi_10_D2", 2)
+    rep = borcherds.compare_lift_product("psi_10_D2", 3, 2)
+    assert rep["status"] == "fail"
+    bad = rep["first_mismatch"]
+    assert bad["lift"] != bad["product"]
+    assert verification.run("borcherds-integrality").status == "pass"
+    # halving it leaves Fractions in the layers: still a reported fail,
+    # and the product is no longer integral
+    _corrupt_weight0(monkeypatch, "psi_10_D2", Fraction(1, 2))
+    rep = borcherds.compare_lift_product("psi_10_D2", 3, 2)
+    assert rep["status"] == "fail"
+    bad = rep["first_mismatch"]
+    assert bad["lift"] != bad["product"]
+    rep = verification.run("borcherds-integrality")
+    assert rep.status == "fail"
+    assert "non-integral" in rep.details["psi_10_D2"]
+    with pytest.raises(ArithmeticError):
+        borcherds.borcherds_exp("psi_10_D2", TruncationWindow(72, 4))
+
+
+def test_exp_layer_remainder_stays_exact(monkeypatch):
+    """A translate with 2 V_2 integral but off by one: the quotient of
+    2 E_2 by 2 leaves a remainder, which stays an exact Fraction."""
+    real = borcherds.hecke_v0
+
+    def crooked(phi, m, q_depth):
+        v = real(phi, m, q_depth)
+        if m == 2:
+            sl = v.cells[(0, 0)]
+            sl[min(sl)] += Fraction(1, 2)
+        return v
+
+    monkeypatch.setattr(borcherds, "hecke_v0", crooked)
+    E = borcherds.exp_layers("psi_10_D2", 2, 2)
+    assert [c for sl in E[2].cells.values() for c in sl.values()
+            if isinstance(c, Fraction)] == [Fraction(-1, 2)]
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        borcherds.borcherds_exp("psi_10_D2", TruncationWindow(72, 6))

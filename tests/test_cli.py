@@ -1,10 +1,11 @@
 import hashlib
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from refltower import jacobi
+from refltower import borcherds, jacobi
 from refltower.cli import main
 
 
@@ -147,3 +148,19 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "fail" in out
     assert "claim:" in out
+
+
+def test_non_integral_product_is_a_reported_error(monkeypatch, capsys):
+    real = jacobi.weak_weight0
+
+    def crooked(key, depth):
+        form = real(key, depth)
+        return form._replace(series=form.series.scaled(Fraction(1, 2)))
+
+    monkeypatch.setattr(borcherds, "weak_weight0", crooked)
+    for argv in (["expand", "borcherds:D2", "--qmax", "3", "--smax", "2"],
+                 ["compare", "lift:D2", "borcherds:D2", "--qmax", "3", "--smax", "2"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: non-integral product coefficient")

@@ -10,7 +10,9 @@ from refltower import jacobi
 from refltower.jacobi import (
     MEMBERS,
     REGISTRY_KEYS,
+    JacobiForm,
     _corner_slice,
+    _divisors,
     _eta_coeff,
     build,
     chi4,
@@ -18,22 +20,127 @@ from refltower.jacobi import (
     dual_from_z,
     eta_power,
     hecke_Vm,
-    hecke_Vm_subst,
     member_hecke_slice,
     member_series,
     member_slice,
     phi0_by_division,
-    phi0_by_general_division,
     quasi_pullback,
-    restrict_tower,
     theta,
     theta_A2,
     theta_product_form,
     weak_weight0,
-    z_from_dual,
 )
 from refltower.lattices import lattice
 from refltower.series import FourierSeries, TruncationWindow
+
+
+# ---------------------------------------------------------------------------
+# independent constructions the tests compare the program against
+
+
+def member_coefficient(key: str, q_num: int, z: tuple) -> int:
+    meta = MEMBERS[key]
+    if meta.family in ("D", "A1"):
+        if any(c % 2 == 0 for c in z):
+            return 0
+        ssq = sum(c * c for c in z)
+        e = _eta_coeff(meta.eta_exp, q_num - 3 * ssq)
+        if not e:
+            return 0
+        s = 1
+        for c in z:
+            s *= chi4(c)
+        return e * s
+    if meta.family == "D1":
+        m2 = z[0]
+        if m2 % 4 == 0 or m2 % 2:
+            return 0
+        m = m2 // 2
+        return _eta_coeff(meta.eta_exp, q_num - 3 * m * m) * chi4(m)
+    return member_slice(key, q_num).get(tuple(z), 0)
+
+
+def hecke_Vm_subst(form: JacobiForm, m: int) -> JacobiForm:
+    """The same translate as an average over tau -> (a tau + b)/d.
+
+    Literal sum m^-1 sum_{ad=m} a^k sum_{b mod d} psi((a tau + b)/d, a z);
+    the b-average keeps exactly the keys with d | n.  Only integral
+    q-grids are supported: on half-integral grids the average acquires
+    multiplier-system phases and stops being a plain divisor sum.
+    """
+    ser = form.series
+    if any(q % 24 for (_, q) in ser.cells):
+        raise ValueError("substitution average needs an integral q-grid")
+    wq = ser.window.q_max // m
+    out = FourierSeries(ser.r, ser.den_z, TruncationWindow(wq, ser.window.s_max))
+    for a in _divisors(m):
+        d = m // a
+        factor = Fraction(a ** form.weight * d, m)
+        for (s, q), sl in ser.cells.items():
+            n = q // 24
+            if n % d:
+                continue  # the b-average kills this key
+            qq = 24 * a * n // d
+            if qq > wq:
+                continue
+            for z, c in sl.items():
+                out.add_term(qq, tuple(a * x for x in z), s, factor * c)
+    return JacobiForm("%s|V_%d" % (form.name, m), out, form.weight,
+                      form.index * m, form.lattice_name, form.family,
+                      form.copies)
+
+
+def phi0_by_general_division(key: str, q_depth: int) -> JacobiForm:
+    """Same quotient through the generic series division (cross-check path)."""
+    meta = MEMBERS[key]
+    p = meta.hecke_p
+    w_num = FourierSeries(meta.r, meta.den_z,
+                          TruncationWindow(meta.val_q + 24 * q_depth, 0))
+    w_den = FourierSeries(meta.r, meta.den_z,
+                          TruncationWindow(meta.val_q + 24 * q_depth, 0))
+    for j in range(q_depth + 1):
+        q = meta.val_q + 24 * j
+        num = member_hecke_slice(key, p, q)
+        if num:
+            w_num.cells[(0, q)] = num
+        den = member_slice(key, q)
+        if den:
+            w_den.cells[(0, q)] = dict(den)
+    quo = w_num.div(w_den)
+    ser = (-quo).truncated(TruncationWindow(24 * q_depth, 0))
+    return JacobiForm("phi0_%s" % meta.lattice_name, ser, 0, Fraction(1),
+                      meta.lattice_name, meta.family, meta.copies)
+
+
+def restrict_tower(form: JacobiForm, target_lattice: str) -> JacobiForm:
+    """Set the trailing block of elliptic variables to zero."""
+    tgt = lattice(target_lattice)
+    meta_family = "D" if tgt.family == "D" else ("A2" if tgt.family == "A2" else "A1")
+    if form.family in ("D", "D1"):
+        src_family = "D"
+    else:
+        src_family = form.family
+    if src_family != meta_family:
+        raise ValueError("restriction stays inside one family")
+    ser = form.series
+    r_target = tgt.rank if tgt.family != "A2" else tgt.rank
+    if r_target > ser.r:
+        raise ValueError("restriction cannot add variables")
+    while ser.r > r_target:
+        ser = ser.restrict_z(ser.r - 1)
+    return JacobiForm("%s|%s" % (form.name, target_lattice), ser, form.weight,
+                      form.index, target_lattice, form.family, 0)
+
+
+def z_from_dual(family: str, ell: tuple) -> tuple:
+    den = {"D": 2, "D1": 4, "A2": 6, "A1": 4}[family]
+    out = []
+    for a in ell:
+        v = Fraction(a) * den
+        if v.denominator != 1:
+            raise ValueError("vector is not on the z grid")
+        out.append(int(v))
+    return tuple(out)
 
 
 def test_theta_sum_equals_triple_product():
@@ -125,9 +232,7 @@ def test_member_coefficient_lookup():
             sl = member_slice(key, q)
             for z, c in list(sl.items())[:40]:
                 assert build is not None
-                from refltower.jacobi import member_coefficient
                 assert member_coefficient(key, q, z) == c
-            from refltower.jacobi import member_coefficient
             assert member_coefficient(key, q, (5,) * meta.r) == sl.get((5,) * meta.r, 0)
 
 

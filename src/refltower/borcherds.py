@@ -32,7 +32,6 @@ from .jacobi import (
     MEMBERS,
     _corner_dirs,
     divide_by_member,
-    dual_from_z,
     member_hecke_slice,
     member_series,
     member_slice,
@@ -363,37 +362,65 @@ class WallClass(NamedTuple):
     example: tuple  # a primitive (n, z, m) realising the class
 
 
-def _z_norm(family: str, z: tuple) -> Fraction:
-    if family == "D":
-        return Fraction(sum(a * a for a in z), 4)
-    if family == "D1":
-        return Fraction(z[0] * z[0], 16)
-    if family == "A1":
-        return Fraction(sum(a * a for a in z), 8)
-    total = 0
-    for i in range(0, len(z), 2):
-        a, b = z[i], z[i + 1]
-        total += a * a + b * b + a * b
-    return Fraction(total, 54)
-
-
-def _primitive(lat, family: str, n: int, z: tuple, m: int):
-    g = _gcd(_gcd(n, m), _gcd(*(abs(a) for a in z)))
+def _primitive(lat, n: int, z: tuple, m: int):
+    """Divide (n, z, m) by the largest t | gcd(n, z, m) that keeps z / t in S^vee."""
+    g = _gcd(n, m, *z)
     t = 1
     rest = g
     p = 2
     while p * p <= rest:
         while rest % p == 0:
-            cand = tuple(a // (t * p) for a in z)
-            if lat.in_dual(dual_from_z(family, cand)):
+            if lat.in_dual(tuple(a // (t * p) for a in z), grid=True):
                 t *= p
             rest //= p
         p += 1
-    if rest > 1:
-        cand = tuple(a // (t * rest) for a in z)
-        if lat.in_dual(dual_from_z(family, cand)):
-            t *= rest
+    if rest > 1 and lat.in_dual(tuple(a // (t * rest) for a in z), grid=True):
+        t *= rest
     return n // t, tuple(a // t for a in z), m // t
+
+
+def _scan_walls(key: str, q_depth: int, m_bound: int) -> list:
+    """Sorted (n, z, m, multiplicity) of the primitive walls of nonzero multiplicity."""
+    meta = MEMBERS[key]
+    lat = lattice(meta.lattice_name)
+    N = lat.norm_den  # grid norms are numerators over N
+    floor = _FAMILY_MIN[meta.family] * N
+    # truncate so the report does not depend on how deep a cached
+    # weight-0 form happens to be
+    phi = weak_weight0(key, q_depth).series.truncated(
+        TruncationWindow(24 * q_depth, 0))
+    walls: set = set()
+    for (_, qn), sl in phi.cells.items():
+        nphi = qn // 24
+        for z in sl:
+            if 2 * nphi * N >= lat.grid_norm(z):
+                continue
+            if nphi:
+                splits = [(a, nphi // a) for a in range(1, nphi + 1)
+                          if nphi % a == 0 and a <= q_depth
+                          and nphi // a <= m_bound]
+            else:
+                splits = [(0, m) for m in range(m_bound + 1)]
+                splits += [(n, 0) for n in range(1, q_depth + 1)]
+            for n, m in splits:
+                n0, z0, m0 = _primitive(lat, n, z, m)
+                if n0 == 0 and m0 == 0 and z0 < tuple(-a for a in z0):
+                    z0 = tuple(-a for a in z0)
+                walls.add((n0, z0, m0))
+    out = []
+    for (n0, z0, m0) in sorted(walls):
+        mu2 = 2 * n0 * m0 * N - lat.grid_norm(z0)
+        mult = 0
+        d = 1
+        while d * d * mu2 >= floor:
+            qn = 24 * d * d * n0 * m0
+            if qn > phi.window.q_max:
+                raise ValueError("window too small for the multiplicity sum")
+            mult += phi.cells.get((0, qn), {}).get(tuple(d * a for a in z0), 0)
+            d += 1
+        if mult:
+            out.append((n0, z0, m0, mult))
+    return out
 
 
 def reflective_divisor_scan(key: str, q_depth: int, m_bound: int = None) -> dict:
@@ -404,56 +431,22 @@ def reflective_divisor_scan(key: str, q_depth: int, m_bound: int = None) -> dict
     coefficients along its multiples, finite because negative support
     stops at the minimal norm of the family.
     """
-    meta = MEMBERS[key]
-    lat = lattice(meta.lattice_name)
-    fam_min = _FAMILY_MIN[meta.family]
+    lat = lattice(MEMBERS[key].lattice_name)
     if m_bound is None:
         m_bound = q_depth
-    # truncate so the report does not depend on how deep a cached
-    # weight-0 form happens to be
-    phi = weak_weight0(key, q_depth).series.truncated(
-        TruncationWindow(24 * q_depth, 0))
-    walls: set = set()
-    for (_, qn), sl in phi.cells.items():
-        nphi = qn // 24
-        for z in sl:
-            if 2 * nphi - _z_norm(meta.family, z) >= 0:
-                continue
-            if nphi:
-                splits = [(a, nphi // a) for a in range(1, nphi + 1)
-                          if nphi % a == 0 and a <= q_depth
-                          and nphi // a <= m_bound]
-            else:
-                splits = [(0, m) for m in range(m_bound + 1)]
-                splits += [(n, 0) for n in range(1, q_depth + 1)]
-            for n, m in splits:
-                n0, z0, m0 = _primitive(lat, meta.family, n, z, m)
-                if n0 == 0 and m0 == 0 and z0 < tuple(-a for a in z0):
-                    z0 = tuple(-a for a in z0)
-                walls.add((n0, z0, m0))
+    by_kappa: dict = {}  # EichlerClass -> [multiplicities, walls, first wall]
+    for (n0, z0, m0, mult) in _scan_walls(key, q_depth, m_bound):
+        row = by_kappa.setdefault(lat.eichler_invariant(n0, z0, m0, grid=True),
+                                  [set(), 0, (n0, z0, m0)])
+        row[0].add(mult)
+        row[1] += 1
+    # merge kappa with -kappa; the first class seen keeps its example
     classes: dict = {}
-    for (n0, z0, m0) in sorted(walls):
-        mu2 = 2 * n0 * m0 - _z_norm(meta.family, z0)
-        mult = 0
-        d = 1
-        while d * d * mu2 >= fam_min:
-            qn = 24 * d * d * n0 * m0
-            if qn > phi.window.q_max:
-                raise ValueError("window too small for the multiplicity sum")
-            mult += phi.cells.get((0, qn), {}).get(tuple(d * a for a in z0), 0)
-            d += 1
-        if not mult:
-            continue
-        ell = dual_from_z(meta.family, z0)
-        ec = lat.eichler_invariant(n0, ell, m0)
+    for ec, (mset, cnt, ex) in by_kappa.items():
         neg = lat.disc_reduce(tuple(-a for a in ec.kappa))
-        ck = (ec.v2, ec.div, min(ec.kappa, neg))
-        row = classes.get(ck)
-        if row is None:
-            classes[ck] = [set([mult]), 1, (n0, z0, m0)]
-        else:
-            row[0].add(mult)
-            row[1] += 1
+        row = classes.setdefault((ec.v2, ec.div, min(ec.kappa, neg)), [set(), 0, ex])
+        row[0] |= mset
+        row[1] += cnt
     out = []
     for (v2, dv, kp) in sorted(classes):
         mset, cnt, ex = classes[(v2, dv, kp)]

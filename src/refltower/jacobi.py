@@ -11,6 +11,10 @@ The registry covers three families of theta blocks:
 * A1 family: eta^(12-3n) prod theta(tau, z_i), index one half, supported
   on a shifted grid (den_z = 2, dual vector z/4 in root coordinates).
 
+The rank-one doubled block stores exponents of theta(tau, 2z), whose dual
+vectors are z/4.  Each member's lattice (``refltower.lattices``) computes
+on these keys directly, as numerators over its grid denominator.
+
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
 constant term positive and the exponential lift reproduce the block.
@@ -841,22 +845,3 @@ def quasi_pullback(form: JacobiForm, coord: int) -> JacobiForm:
     return JacobiForm("qp(%s)" % form.name, ser, weight, form.index,
                       new_lat, form.family, max(0, form.copies - 1))
 
-
-# ---------------------------------------------------------------------------
-# coordinate dictionaries
-
-
-def dual_from_z(family: str, z: tuple) -> tuple:
-    """Dual lattice vector of a stored z-exponent tuple.
-
-    The D1 block stores zeta-exponents of theta(tau, 2z) whose dual
-    vectors are z/4 in e-coordinates; its holomorphic support bound pins
-    the normalisation down.
-    """
-    if family == "D":
-        return tuple(Fraction(a, 2) for a in z)
-    if family == "A2":
-        return tuple(Fraction(a, 6) for a in z)
-    if family in ("A1", "D1"):
-        return tuple(Fraction(a, 4) for a in z)
-    raise ValueError("unknown family %r" % (family,))

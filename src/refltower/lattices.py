@@ -2,9 +2,26 @@
 
 Covered lattices: D_n for n = 1..8 (D_1 is the rank-one lattice of Gram
 matrix (4)), k copies of A_2 for k = 1..3, and n copies of A_1 for
-n = 1..4.  Coordinates are Euclidean e-coordinates for the D family,
-fundamental-weight coordinates per copy for the A_2 family, and root
-coordinates per copy for the A_1 family.
+n = 1..4.  Ambient coordinates are Euclidean e-coordinates for the D
+family, fundamental-weight coordinates per copy for the A_2 family, and
+root coordinates per copy for the A_1 family.
+
+All arithmetic runs on the integer z grid that the Jacobi forms store: a
+vector is a tuple of integer numerators over the lattice's grid
+denominator ``den`` (2 for D_n with n >= 2, 4 for D_1 and the A_1
+family, 6 for the A_2 family), so the stored exponent z of a member is
+the dual vector z / den.  Each lattice builds its integer tables once:
+the ambient form scaled to integers (a grid norm is a numerator over
+``norm_den``), the pairing of each basis vector (S^vee membership and
+content), and the pairing of each generator of the discriminant group,
+whose residues name the class of a dual vector.  The public methods take
+ambient int or Fraction coordinates and convert them to the grid on
+entry; a vector off the grid or outside S^vee raises ValueError where
+the method needs a dual vector, and ``in_dual`` answers False.  With
+``grid=True``, ``in_dual``, ``disc_reduce`` and ``eichler_invariant``
+take the numerators directly, as the wall scan does.  Discriminant
+representatives and kappa values are Fraction tuples in ambient
+coordinates.
 
 Reflective vectors live in the even lattice L = 2U + S(-1).  A Fourier
 index (n, l, m) of a weight-0 form corresponds to w = m e' + n f' + l
@@ -17,21 +34,11 @@ group.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 Vec = tuple
-
-
-def _fr(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _mod2(x: Fraction) -> Fraction:
-    """Reduce a rational into [0, 2)."""
-    x = _fr(x)
-    return x - 2 * (x / 2).__floor__()
-
 
 CATALOGUE = (
     "D1", "D2", "D3", "D4", "D5", "D6", "D7", "D8",
@@ -67,6 +74,16 @@ class ReflectiveClass(NamedTuple):
     witness: tuple  # Fourier index (n, l, m) realising the class
 
 
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _unit(rank: int, i: int, c: int = 1) -> list:
+    row = [0] * rank
+    row[i] = c
+    return row
+
+
 class Lattice:
     """One catalogue member; all data derives from family and copy count."""
 
@@ -83,312 +100,193 @@ class Lattice:
             self.family = "A2" if name.endswith("A2") else "A1"
             self.n = k
             self.rank = 2 * k if self.family == "A2" else k
-        self.dual_den = 3 if self.family == "A2" else 2
+        r, half = self.rank, Fraction(1, 2)
+        # integer form (scaled by `scale`), Z-basis of S and generators of
+        # the discriminant group (grid numerators), canonical representatives
+        scale = 1
+        form = [_unit(r, i) for i in range(r)]
+        if self.family == "D" and self.n == 1:
+            self.den, self.invariants = 4, (4,)
+            basis, gens = [[2]], [[2]]
+            reps = [(Fraction(k, 2),) for k in range(4)]
+        elif self.family == "D":
+            self.den, self.invariants = 2, (4,) if self.n % 2 else (2, 2)
+            basis = [_unit(r, i) for i in range(r)]
+            for i in range(r - 1):
+                basis[i][i + 1] = -1
+            basis[-1][-2] = 1
+            gens = [_unit(r, r - 1, 2), [1] * r]
+            zero = [Fraction(0)] * r
+            reps = [zero, zero[:-1] + [Fraction(1)], [half] * r, [half] * (r - 1) + [-half]]
+        elif self.family == "A1":
+            self.den, self.invariants = 4, (2,) * self.n
+            form = [_unit(r, i, 2) for i in range(r)]
+            basis = [_unit(r, i) for i in range(r)]
+            gens = [_unit(r, i, 2) for i in range(r)]
+            reps = [[half if mask >> i & 1 else Fraction(0) for i in range(r)]
+                    for mask in range(1 << r)]
+        else:
+            self.den, self.invariants, scale = 6, (3,) * self.n, 3
+            basis, gens, reps = [], [], [[]]
+            for c in range(0, r, 2):
+                form[c][c] = form[c + 1][c + 1] = 2
+                form[c][c + 1] = form[c + 1][c] = 1
+                b1, b2 = _unit(r, c, 2), _unit(r, c + 1, 2)
+                b1[c + 1] = b2[c] = -1
+                basis += [b1, b2]
+                gens.append(_unit(r, c, 6))
+                reps = [rep + list(t) for t in ((0, 0), (1, 0), (0, 1)) for rep in reps]
+            reps = [[Fraction(a) for a in rep] for rep in reps]
+        self._form = [(i, j, c) for i, row in enumerate(form) for j, c in enumerate(row) if c]
+        self.norm_den = scale * self.den * self.den  # (z/den, z/den) = grid_norm(z) / norm_den
+        self._pair_den = scale * self.den  # (z/den, b) = (z . row_b) / _pair_den
+        self._pair_rows = [[_dot(row, b) for row in form] for b in basis]
+        self._gen_rows = [[_dot(row, g) for row in form] for g in gens]
+        self._basis = tuple(tuple(b) for b in basis)
+        self._reps = tuple(sorted(tuple(rep) for rep in reps))
+        self._class_of = {self._key(self._grid(rep)): rep for rep in self._reps}
+        assert len(self._class_of) == len(self._reps)
 
     def __repr__(self):
         return "Lattice(%s)" % self.name
 
+    # -- grid arithmetic ---------------------------------------------------------
+
+    def _grid(self, v: Vec):
+        """Grid numerators of ambient coordinates v, or None off the grid."""
+        if len(v) != self.rank:
+            raise ValueError("bad vector length")
+        out = []
+        for a in v:
+            a = a if isinstance(a, Fraction) else Fraction(a)
+            num, rem = divmod(a.numerator * self.den, a.denominator)
+            if rem:
+                return None
+            out.append(num)
+        return tuple(out)
+
+    def _pairings(self, z: Vec) -> list:
+        return [_dot(z, row) for row in self._pair_rows]
+
+    def _dual(self, v: Vec, grid: bool = False) -> Vec:
+        """Grid numerators of v, which must lie in S^vee."""
+        z = v if grid else self._grid(v)
+        if z is None or not self.in_dual(z, grid=True):
+            raise ValueError("vector is not in the dual lattice")
+        return z
+
+    def _key(self, z: Vec) -> tuple:
+        """The discriminant class of a dual vector as pairings with generators."""
+        return tuple(_dot(z, row) % self.norm_den for row in self._gen_rows)
+
+    def _order(self, z: Vec) -> int:
+        return lcm(*(self.norm_den // gcd(self.norm_den, k) for k in self._key(z)))
+
+    def _bilinear(self, u: Vec, v: Vec) -> int:
+        return sum(c * u[i] * v[j] for i, j, c in self._form)
+
+    def grid_norm(self, z: Vec) -> int:
+        """(z/den, z/den) * norm_den for grid numerators z."""
+        return self._bilinear(z, z)
+
     # -- bilinear form -------------------------------------------------------
 
     def inner(self, u: Vec, v: Vec) -> Fraction:
-        if len(u) != self.rank or len(v) != self.rank:
-            raise ValueError("bad vector length")
-        if self.family == "D":
-            total = sum(_fr(a) * _fr(b) for a, b in zip(u, v))
-        elif self.family == "A1":
-            total = 2 * sum(_fr(a) * _fr(b) for a, b in zip(u, v))
-        else:
-            total = Fraction(0)
-            for i in range(0, self.rank, 2):
-                a1, a2 = _fr(u[i]), _fr(u[i + 1])
-                b1, b2 = _fr(v[i]), _fr(v[i + 1])
-                total += Fraction(2 * a1 * b1 + 2 * a2 * b2 + a1 * b2 + a2 * b1, 3)
-        return total
+        zu, zv = self._grid(u), self._grid(v)
+        if zu is None or zv is None:
+            raise ValueError("vector is off the 1/%d grid" % self.den)
+        return Fraction(self._bilinear(zu, zv), self.norm_den)
 
     def norm(self, v: Vec) -> Fraction:
         return self.inner(v, v)
 
-    # -- membership ----------------------------------------------------------
+    # -- membership, basis and divisor ---------------------------------------------
 
-    def in_lattice(self, v: Vec) -> bool:
-        fv = [_fr(a) for a in v]
-        if any(a.denominator != 1 for a in fv):
-            return False
-        iv = [int(a) for a in fv]
-        if self.family == "D":
-            if self.n == 1:
-                return iv[0] % 2 == 0
-            return sum(iv) % 2 == 0
-        if self.family == "A1":
-            return True
-        return all((iv[i] - iv[i + 1]) % 3 == 0 for i in range(0, self.rank, 2))
-
-    def in_dual(self, v: Vec) -> bool:
-        fv = [_fr(a) for a in v]
-        if self.family == "D":
-            if self.n == 1:
-                return fv[0].denominator in (1, 2)
-            dens = {a.denominator for a in fv}
-            return dens <= {1} or dens <= {1, 2} and all(a.denominator == 2 for a in fv)
-        if self.family == "A1":
-            return all(a.denominator in (1, 2) for a in fv)
-        return all(a.denominator == 1 for a in fv)
-
-    # -- basis and divisor -----------------------------------------------------
+    def in_dual(self, v: Vec, grid: bool = False) -> bool:
+        z = v if grid else self._grid(v)
+        return z is not None and not any(p % self._pair_den for p in self._pairings(z))
 
     def basis(self) -> tuple:
         """A Z-basis of S in ambient coordinates (the root basis)."""
-        if self.family == "D":
-            if self.n == 1:
-                return ((Fraction(2),),)
-            if self.n == 2:
-                return ((Fraction(1), Fraction(-1)), (Fraction(1), Fraction(1)))
-            rows = []
-            for i in range(self.n - 1):
-                row = [Fraction(0)] * self.n
-                row[i], row[i + 1] = Fraction(1), Fraction(-1)
-                rows.append(tuple(row))
-            last = [Fraction(0)] * self.n
-            last[self.n - 2] = last[self.n - 1] = Fraction(1)
-            rows.append(tuple(last))
-            return tuple(rows)
-        if self.family == "A1":
-            rows = []
-            for i in range(self.rank):
-                row = [Fraction(0)] * self.rank
-                row[i] = Fraction(1)
-                rows.append(tuple(row))
-            return tuple(rows)
-        rows = []
-        for c in range(self.n):
-            r1 = [Fraction(0)] * self.rank
-            r2 = [Fraction(0)] * self.rank
-            r1[2 * c], r1[2 * c + 1] = Fraction(2), Fraction(-1)
-            r2[2 * c], r2[2 * c + 1] = Fraction(-1), Fraction(2)
-            rows.append(tuple(r1))
-            rows.append(tuple(r2))
-        return tuple(rows)
+        return self._basis
 
     def gram(self) -> tuple:
-        b = self.basis()
-        return tuple(tuple(int(self.inner(x, y)) for y in b) for x in b)
+        return tuple(tuple(_dot(row, y) * self.den // self._pair_den for y in self._basis)
+                     for row in self._pair_rows)
 
     def content(self, v: Vec) -> int:
         """Positive generator of the pairing ideal (v, S)."""
-        g = 0
-        for b in self.basis():
-            p = self.inner(v, b)
-            if p.denominator != 1:
-                raise ValueError("vector is not in the dual lattice")
-            g = gcd(g, abs(int(p)))
-        return g
+        return gcd(*self._pairings(self._dual(v))) // self._pair_den
 
     def divisor(self, v: Vec) -> int:
         """div(v) for v in S."""
-        if not self.in_lattice(v):
+        if self.disc_order(v) != 1:
             raise ValueError("divisor is defined for lattice vectors")
         return self.content(v)
 
     # -- discriminant group -----------------------------------------------------
 
-    def disc_reduce(self, v: Vec) -> Vec:
+    def disc_reduce(self, v: Vec, grid: bool = False) -> Vec:
         """Canonical representative of v + S in the discriminant group."""
-        fv = [_fr(a) for a in v]
-        if self.family == "A1":
-            return tuple(a - a.__floor__() for a in fv)
-        if self.family == "A2":
-            out = []
-            for c in range(self.n):
-                t = int(fv[2 * c] + 2 * fv[2 * c + 1]) % 3
-                out.extend((Fraction(1), Fraction(0)) if t == 1 else
-                           (Fraction(0), Fraction(1)) if t == 2 else
-                           (Fraction(0), Fraction(0)))
-            return tuple(out)
-        if self.n == 1:
-            return (_mod2(fv[0]),)
-        dens = {a.denominator for a in fv}
-        zero = Fraction(0)
-        if dens <= {1}:
-            if sum(fv) % 2 == 0:
-                return tuple([zero] * self.n)
-            out = [zero] * self.n
-            out[-1] = Fraction(1)
-            return tuple(out)
-        # half-integer coset: h or h' told apart by the doubled coordinate sum mod 4
-        t = int(sum(2 * a for a in fv)) % 4
-        h = [Fraction(1, 2)] * self.n
-        if t != (self.n % 4):
-            h[-1] = Fraction(-1, 2)
-        return tuple(h)
+        return self._class_of[self._key(self._dual(v, grid))]
 
     def disc_order(self, v: Vec) -> int:
-        for d in range(1, 13):
-            if self.in_lattice(tuple(_fr(a) * d for a in v)):
-                return d
-        raise ValueError("order not found; is the vector in the dual lattice?")
+        return self._order(self._dual(v))
 
     def discriminant_group(self) -> DiscGroup:
-        if self.family == "D":
-            if self.n == 1:
-                reps = [(Fraction(k, 2),) for k in range(4)]
-                inv = (4,)
-            else:
-                zero = tuple([Fraction(0)] * self.n)
-                e = list(zero)
-                e[-1] = Fraction(1)
-                h = tuple([Fraction(1, 2)] * self.n)
-                hp = list(h)
-                hp[-1] = Fraction(-1, 2)
-                reps = [zero, tuple(e), h, tuple(hp)]
-                inv = (4,) if self.n % 2 else (2, 2)
-        elif self.family == "A1":
-            reps = []
-            for mask in range(1 << self.n):
-                reps.append(tuple(Fraction(1, 2) if mask >> i & 1 else Fraction(0)
-                                  for i in range(self.n)))
-            inv = (2,) * self.n
-        else:
-            reps = [()]
-            for _ in range(self.n):
-                ext = []
-                for t in ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
-                          (Fraction(0), Fraction(1))):
-                    ext.extend(r + t for r in reps)
-                reps = ext
-            inv = (3,) * self.n
-        reps = [self.disc_reduce(r) for r in reps]
-        order = 1
-        for t in inv:
-            order *= t
-        assert len(set(reps)) == order == len(reps)
-        return DiscGroup(order, inv, tuple(sorted(reps)))
-
-    # -- dual vector enumeration -------------------------------------------------
-
-    def dual_vectors_up_to_norm(self, bound) -> list:
-        """All v in S^vee with (v, v) <= bound, as coordinate tuples."""
-        bound = _fr(bound)
-        if bound < 0:
-            return []
-        if self.family == "D":
-            out = []
-            if self.n == 1:
-                vals = set()
-                t = Fraction(0)
-                while t * t <= bound:
-                    vals.add(t)
-                    vals.add(-t)
-                    t += Fraction(1, 2)
-                return [(x,) for x in sorted(vals)]
-            for parity in (0, 1):  # integer and half-integer cosets
-                out.extend(self._rec_euclid(self.n, bound, parity))
-            return sorted(out)
-        if self.family == "A1":
-            return sorted(self._rec_scaled(self.rank, bound, Fraction(1, 2), 2))
-        return sorted(self._rec_a2(self.n, bound))
-
-    def _rec_euclid(self, k, rem, parity):
-        if k == 0:
-            return [()] if rem >= 0 else []
-        out = []
-        t = Fraction(parity, 2)
-        while t * t <= rem:
-            for v in (t, -t) if t else (t,):
-                for tail in self._rec_euclid(k - 1, rem - v * v, parity):
-                    out.append((v,) + tail)
-            t += 1
-        return out
-
-    def _rec_scaled(self, k, rem, step, scale):
-        if k == 0:
-            return [()] if rem >= 0 else []
-        out = []
-        t = Fraction(0)
-        while scale * t * t <= rem:
-            for v in (t, -t) if t else (t,):
-                for tail in self._rec_scaled(k - 1, rem - scale * v * v, step, scale):
-                    out.append((v,) + tail)
-            t += step
-        return out
-
-    def _rec_a2(self, copies, rem):
-        if copies == 0:
-            return [()] if rem >= 0 else []
-        out = []
-        lim = int(3 * rem / 2) + 1
-        r = isqrt(4 * lim // 3) + 2
-        cell = []
-        for a in range(-r, r + 1):
-            for b in range(-r, r + 1):
-                nrm = Fraction(2 * (a * a + a * b + b * b), 3)
-                if nrm <= rem:
-                    cell.append(((Fraction(a), Fraction(b)), nrm))
-        for (pair, nrm) in cell:
-            for tail in self._rec_a2(copies - 1, rem - nrm):
-                out.append(pair + tail)
-        return out
+        return DiscGroup(len(self._reps), self.invariants, self._reps)
 
     # -- Eichler data ----------------------------------------------------------
 
-    def eichler_invariant(self, n: int, ell: Vec, m: int) -> EichlerClass:
+    def eichler_invariant(self, n: int, ell: Vec, m: int, grid: bool = False) -> EichlerClass:
         """Orbit data of the primitive vector on the line of m e' + n f' + ell."""
-        ell = tuple(_fr(a) for a in ell)
-        if not self.in_dual(ell):
+        z = ell if grid else self._grid(ell)
+        pairs = None if z is None else self._pairings(z)
+        if pairs is None or any(p % self._pair_den for p in pairs):
             raise ValueError("ell must be a dual vector")
-        D = self.disc_order(ell)
-        hyper = 2 * n * m - self.norm(ell)
-        v2 = D * D * hyper
-        if v2.denominator != 1:
+        D = self._order(z)
+        v2, rem = divmod(D * D * (2 * n * m * self.norm_den - self.grid_norm(z)), self.norm_den)
+        if rem:
             raise ValueError("non-integral vector norm")
-        dv = gcd(gcd(D * abs(n), D * abs(m)), D * self.content(ell))
-        kappa = self.disc_reduce(tuple(a * Fraction(D, dv) for a in ell))
-        return EichlerClass(int(v2), dv, kappa)
+        dv = D * gcd(n, m, gcd(*pairs) // self._pair_den)
+        # D ell / div(v) lies in S^vee, so the division is exact
+        kappa = self._class_of[self._key(tuple(a * D // dv for a in z))]
+        return EichlerClass(v2, dv, kappa)
 
     def classify_reflective(self) -> list:
         """All reflective vector classes of 2U + S(-1), with group flags."""
-        disc = self.discriminant_group()
+        N = self.norm_den
         seen = {}
-        for kappa in disc.reps:
-            D = self.disc_order(kappa)
+        for kappa in self._reps:
+            z = self._grid(kappa)
+            D = self._order(z)
             for v2 in (-D, -2 * D):
-                if v2 % 2:
+                # v2 even and v2 / D^2 = -(kappa, kappa) mod 2
+                if v2 % 2 or (v2 * N + D * D * self.grid_norm(z)) % (2 * N * D * D):
                     continue
-                qk = _mod2(-self.norm(kappa))
-                if _mod2(Fraction(v2, D * D)) != qk:
-                    continue
-                key = (v2, D, min(kappa, self.disc_reduce(tuple(-a for a in kappa))))
-                if key in seen:
-                    continue
-                seen[key] = self._build_class(v2, D, kappa, disc)
+                key = (v2, D, min(kappa, self._class_of[self._key(tuple(-a for a in z))]))
+                if key not in seen:
+                    seen[key] = self._build_class(v2, D, kappa, z)
         return sorted(seen.values(), key=lambda c: (-c.v2, c.div, c.kappas))
 
-    def _build_class(self, v2, D, kappa, disc) -> ReflectiveClass:
-        neg = self.disc_reduce(tuple(-a for a in kappa))
+    def _build_class(self, v2, D, kappa, z) -> ReflectiveClass:
+        N = self.norm_den
+        neg = self._class_of[self._key(tuple(-a for a in z))]
         kappas = (kappa,) if neg == kappa else tuple(sorted((kappa, neg)))
-        # action of sigma_v on the discriminant group
-        action = "id"
-        ident = True
-        negid = True
-        for mu in disc.reps:
-            t = Fraction(2 * D * D * self.inner(mu, kappa), v2)
-            assert t.denominator == 1
-            img = self.disc_reduce(tuple(a + t * b for a, b in zip(mu, kappa)))
-            if img != mu:
-                ident = False
-            if img != self.disc_reduce(tuple(-a for a in mu)):
-                negid = False
-        if ident:
-            action = "id"
-        elif negid:
-            action = "-id"
-        else:
-            action = "other"
-        in_o = ident or negid
-        in_so = negid and (self.rank % 2 == 1)
-        mt = Fraction(v2 + D * D * self.norm(kappa), 2 * D)
-        assert mt.denominator == 1 and int(mt) % D == 0
-        witness = (int(mt) // D, kappa, 1)
-        return ReflectiveClass(v2, D, kappas, action, in_o, in_so, witness)
+        # action of sigma_v on the discriminant group: mu -> mu + t kappa
+        ident = negid = True
+        for mu in self._reps:
+            zm = self._grid(mu)
+            t, rem = divmod(2 * D * D * self._bilinear(zm, z), N * v2)
+            assert not rem
+            img = self._class_of[self._key(tuple(a + t * b for a, b in zip(zm, z)))]
+            ident = ident and img == mu
+            negid = negid and img == self._class_of[self._key(tuple(-a for a in zm))]
+        action = "id" if ident else "-id" if negid else "other"
+        mt, rem = divmod(v2 * N + D * D * self.grid_norm(z), 2 * D * N)
+        assert not rem and mt % D == 0
+        return ReflectiveClass(v2, D, kappas, action, ident or negid,
+                               negid and self.rank % 2 == 1, (mt // D, kappa, 1))
 
 
 _cache: dict = {}

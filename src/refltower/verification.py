@@ -103,6 +103,11 @@ def _run_q0_terms(win):
     return ok, checked, {"constants": {k: _Q0_CONST[m.family](m) for k, m in jacobi.MEMBERS.items()}, "mismatches": bad}
 
 
+def _hyper_norm(lat, q, z, index=1) -> Fraction:
+    """2 (q/24) index - (l, l) for the index (q, z) of a form on the grid of lat."""
+    return Fraction(q, 12) * index - Fraction(lat.grid_norm(z), lat.norm_den)
+
+
 def _run_support_bounds(win):
     # two-sided support control: block coefficients never sit below the
     # cone, weight-0 coefficients never drop below the family floor, and
@@ -113,13 +118,14 @@ def _run_support_bounds(win):
     bad = {}
     depth = max(win.q_max // 24, 1)
     for key, meta in jacobi.MEMBERS.items():
+        lat = lattices.lattice(meta.lattice_name)
         for j in range(depth + 1):
             q = meta.val_q + 24 * j
             if q > win.q_max:
                 break
             for z in jacobi.member_slice(key, q):
                 checked += 1
-                if 2 * Fraction(q, 24) * meta.index - borcherds._z_norm(meta.family, z) < 0:
+                if _hyper_norm(lat, q, z, meta.index) < 0:
                     ok = False
                     bad.setdefault(key, []).append(_jsonable((q, z)))
         floor = borcherds._FAMILY_MIN[meta.family]
@@ -128,7 +134,7 @@ def _run_support_bounds(win):
         for (s, q), sl in phi.cells.items():
             for z, c in sl.items():
                 checked += 1
-                nrm = 2 * Fraction(q, 24) - borcherds._z_norm(meta.family, z)
+                nrm = _hyper_norm(lat, q, z)
                 if nrm < floor or (nrm < 0 and (nrm != floor or c != 1)):
                     ok = False
                     bad.setdefault(key, []).append(_jsonable((q, z, c)))
@@ -137,6 +143,7 @@ def _run_support_bounds(win):
 
 def _support_norms(key, win):
     meta = jacobi.MEMBERS[key]
+    lat = lattices.lattice(meta.lattice_name)
     depth = max(win.q_max // 24, 1)
     norms = set()
     count = 0
@@ -145,7 +152,7 @@ def _support_norms(key, win):
         if q > win.q_max:
             break
         for z in jacobi.member_slice(key, q):
-            norms.add(2 * Fraction(q, 24) * meta.index - borcherds._z_norm(meta.family, z))
+            norms.add(_hyper_norm(lat, q, z, meta.index))
             count += 1
     return norms, count
 
@@ -324,9 +331,8 @@ def _run_class_invariance(win):
         groups = {}
         for (s, q), sl in phi.cells.items():
             for z, c in sl.items():
-                ell = jacobi.dual_from_z(meta.family, z)
-                nrm = 2 * Fraction(q, 24) - borcherds._z_norm(meta.family, z)
-                groups.setdefault((nrm, lat.disc_reduce(ell)), set()).add(c)
+                nrm = _hyper_norm(lat, q, z)
+                groups.setdefault((nrm, lat.disc_reduce(z, grid=True)), set()).add(c)
                 checked += 1
         broken = sum(1 for vals in groups.values() if len(vals) != 1)
         details[key] = {"groups": len(groups), "broken": broken}

@@ -17,7 +17,6 @@ from refltower.jacobi import (
     build,
     chi4,
     divide_by_member,
-    dual_from_z,
     eta_power,
     hecke_Vm,
     member_hecke_slice,
@@ -130,6 +129,22 @@ def restrict_tower(form: JacobiForm, target_lattice: str) -> JacobiForm:
         ser = ser.restrict_z(ser.r - 1)
     return JacobiForm("%s|%s" % (form.name, target_lattice), ser, form.weight,
                       form.index, target_lattice, form.family, 0)
+
+
+def dual_from_z(family: str, z: tuple) -> tuple:
+    """Dual lattice vector of a stored z-exponent tuple.
+
+    The D1 block stores zeta-exponents of theta(tau, 2z) whose dual
+    vectors are z/4 in e-coordinates; its holomorphic support bound pins
+    the normalisation down.
+    """
+    if family == "D":
+        return tuple(Fraction(a, 2) for a in z)
+    if family == "A2":
+        return tuple(Fraction(a, 6) for a in z)
+    if family in ("A1", "D1"):
+        return tuple(Fraction(a, 4) for a in z)
+    raise ValueError("unknown family %r" % (family,))
 
 
 def z_from_dual(family: str, ell: tuple) -> tuple:

@@ -1,8 +1,79 @@
 from fractions import Fraction
+import functools
+import random
+from math import gcd, isqrt
 
 import pytest
 
-from refltower.lattices import CATALOGUE, lattice
+from refltower import borcherds, jacobi
+from refltower.lattices import CATALOGUE, EichlerClass, lattice
+
+
+def dual_vectors_up_to_norm(lat, bound) -> list:
+    """All v in S^vee with (v, v) <= bound, as coordinate tuples."""
+    bound = Fraction(bound)
+    if bound < 0:
+        return []
+    if lat.family == "D":
+        out = []
+        if lat.n == 1:
+            vals = set()
+            t = Fraction(0)
+            while t * t <= bound:
+                vals.add(t)
+                vals.add(-t)
+                t += Fraction(1, 2)
+            return [(x,) for x in sorted(vals)]
+        for parity in (0, 1):  # integer and half-integer cosets
+            out.extend(_rec_euclid(lat.n, bound, parity))
+        return sorted(out)
+    if lat.family == "A1":
+        return sorted(_rec_scaled(lat.rank, bound, Fraction(1, 2), 2))
+    return sorted(_rec_a2(lat.n, bound))
+
+
+def _rec_euclid(k, rem, parity):
+    if k == 0:
+        return [()] if rem >= 0 else []
+    out = []
+    t = Fraction(parity, 2)
+    while t * t <= rem:
+        for v in (t, -t) if t else (t,):
+            for tail in _rec_euclid(k - 1, rem - v * v, parity):
+                out.append((v,) + tail)
+        t += 1
+    return out
+
+
+def _rec_scaled(k, rem, step, scale):
+    if k == 0:
+        return [()] if rem >= 0 else []
+    out = []
+    t = Fraction(0)
+    while scale * t * t <= rem:
+        for v in (t, -t) if t else (t,):
+            for tail in _rec_scaled(k - 1, rem - scale * v * v, step, scale):
+                out.append((v,) + tail)
+        t += step
+    return out
+
+
+def _rec_a2(copies, rem):
+    if copies == 0:
+        return [()] if rem >= 0 else []
+    out = []
+    lim = int(3 * rem / 2) + 1
+    r = isqrt(4 * lim // 3) + 2
+    cell = []
+    for a in range(-r, r + 1):
+        for b in range(-r, r + 1):
+            nrm = Fraction(2 * (a * a + a * b + b * b), 3)
+            if nrm <= rem:
+                cell.append(((Fraction(a), Fraction(b)), nrm))
+    for (pair, nrm) in cell:
+        for tail in _rec_a2(copies - 1, rem - nrm):
+            out.append(pair + tail)
+    return out
 
 
 def test_gram_matrices_even_and_symmetric():
@@ -64,19 +135,19 @@ def test_d8_coset_norms():
 def test_dual_vector_counts_low_norm():
     a2 = lattice("A2")
     shells = {}
-    for v in a2.dual_vectors_up_to_norm(2):
+    for v in dual_vectors_up_to_norm(a2, 2):
         shells.setdefault(a2.norm(v), []).append(v)
     assert len(shells[Fraction(2, 3)]) == 6  # the weight vectors
     assert len(shells[Fraction(2)]) == 6  # the roots
     d2 = lattice("D2")
-    vs = d2.dual_vectors_up_to_norm(1)
+    vs = dual_vectors_up_to_norm(d2, 1)
     assert len([v for v in vs if d2.norm(v) == 1]) == 4  # (+-1, 0) type
     assert len([v for v in vs if d2.norm(v) == Fraction(1, 2)]) == 4  # (+-1/2, +-1/2)
 
 
 def test_dual_vectors_norm_bound_sharp():
     a2 = lattice("A2")
-    got = {v for v in a2.dual_vectors_up_to_norm(32)}
+    got = {v for v in dual_vectors_up_to_norm(a2, 32)}
     # the bound must include long vectors like 4*lambda_1 - 4*lambda_2 of norm 32/3*2
     for v in got:
         assert a2.norm(v) <= 32
@@ -180,3 +251,213 @@ def test_witness_consistency_everywhere():
 def test_unknown_lattice_rejected():
     with pytest.raises(ValueError):
         lattice("E8")
+
+
+def test_non_dual_input_fails_loudly():
+    a2, d4, a1 = lattice("A2"), lattice("D4"), lattice("A1")
+    third = Fraction(1, 3)
+    with pytest.raises(ValueError):
+        a2.disc_reduce((Fraction(1, 2), 0))  # on the 1/6 grid, not in S^vee
+    with pytest.raises(ValueError):
+        d4.disc_reduce((third,) * 4)
+    with pytest.raises(ValueError):
+        a1.disc_reduce((third,))
+    with pytest.raises(ValueError):
+        d4.disc_order((Fraction(1, 5),) * 4)
+    assert not a2.in_dual((Fraction(1, 2), 0))
+    assert not d4.in_dual((third,) * 4)
+    assert not a1.in_dual((third,))
+    assert not d4.in_dual((Fraction(1, 2),) * 3 + (0,))
+    assert d4.in_dual((Fraction(1, 2),) * 4) and a1.in_dual((Fraction(1, 2),))
+    with pytest.raises(ValueError):
+        d4.eichler_invariant(1, (third,) * 4, 1)
+    with pytest.raises(ValueError):
+        d4.content((Fraction(1, 2),) * 3 + (0,))
+
+
+# -- the Fraction arithmetic the integer grid replaced, kept as an oracle -------
+
+
+def _fr(x) -> Fraction:
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _mod2(x: Fraction) -> Fraction:
+    x = _fr(x)
+    return x - 2 * (x / 2).__floor__()
+
+
+class FractionLattice:
+    """Ambient Fraction arithmetic of one catalogue lattice (the pure
+    functions of one vector are memoised: the oracle pairs each low-norm
+    vector with nine (n, m))."""
+
+    def __init__(self, lat):
+        self.family, self.n, self.rank = lat.family, lat.n, lat.rank
+        self._basis = self._rows()
+
+    def inner(self, u, v) -> Fraction:
+        if self.family == "D":
+            return sum(_fr(a) * _fr(b) for a, b in zip(u, v))
+        if self.family == "A1":
+            return 2 * sum(_fr(a) * _fr(b) for a, b in zip(u, v))
+        total = Fraction(0)
+        for i in range(0, self.rank, 2):
+            a1, a2 = _fr(u[i]), _fr(u[i + 1])
+            b1, b2 = _fr(v[i]), _fr(v[i + 1])
+            total += Fraction(2 * a1 * b1 + 2 * a2 * b2 + a1 * b2 + a2 * b1, 3)
+        return total
+
+    @functools.cache
+    def norm(self, v) -> Fraction:
+        return self.inner(v, v)
+
+    def in_lattice(self, v) -> bool:
+        fv = [_fr(a) for a in v]
+        if any(a.denominator != 1 for a in fv):
+            return False
+        iv = [int(a) for a in fv]
+        if self.family == "D":
+            if self.n == 1:
+                return iv[0] % 2 == 0
+            return sum(iv) % 2 == 0
+        if self.family == "A1":
+            return True
+        return all((iv[i] - iv[i + 1]) % 3 == 0 for i in range(0, self.rank, 2))
+
+    def in_dual(self, v) -> bool:
+        fv = [_fr(a) for a in v]
+        if self.family == "D":
+            if self.n == 1:
+                return fv[0].denominator in (1, 2)
+            dens = {a.denominator for a in fv}
+            return dens <= {1} or dens <= {1, 2} and all(a.denominator == 2 for a in fv)
+        if self.family == "A1":
+            return all(a.denominator in (1, 2) for a in fv)
+        return all(a.denominator == 1 for a in fv)
+
+    def basis(self) -> tuple:
+        return self._basis
+
+    def _rows(self) -> tuple:
+        rows = []
+        if self.family == "D":
+            if self.n == 1:
+                return ((Fraction(2),),)
+            if self.n == 2:
+                return ((Fraction(1), Fraction(-1)), (Fraction(1), Fraction(1)))
+            for i in range(self.n - 1):
+                row = [Fraction(0)] * self.n
+                row[i], row[i + 1] = Fraction(1), Fraction(-1)
+                rows.append(tuple(row))
+            last = [Fraction(0)] * self.n
+            last[self.n - 2] = last[self.n - 1] = Fraction(1)
+            rows.append(tuple(last))
+            return tuple(rows)
+        if self.family == "A1":
+            for i in range(self.rank):
+                row = [Fraction(0)] * self.rank
+                row[i] = Fraction(1)
+                rows.append(tuple(row))
+            return tuple(rows)
+        for c in range(self.n):
+            r1 = [Fraction(0)] * self.rank
+            r2 = [Fraction(0)] * self.rank
+            r1[2 * c], r1[2 * c + 1] = Fraction(2), Fraction(-1)
+            r2[2 * c], r2[2 * c + 1] = Fraction(-1), Fraction(2)
+            rows.append(tuple(r1))
+            rows.append(tuple(r2))
+        return tuple(rows)
+
+    @functools.cache
+    def content(self, v) -> int:
+        g = 0
+        for b in self.basis():
+            p = self.inner(v, b)
+            if p.denominator != 1:
+                raise ValueError("vector is not in the dual lattice")
+            g = gcd(g, abs(int(p)))
+        return g
+
+    def disc_reduce(self, v):
+        fv = [_fr(a) for a in v]
+        if self.family == "A1":
+            return tuple(a - a.__floor__() for a in fv)
+        if self.family == "A2":
+            out = []
+            for c in range(self.n):
+                t = int(fv[2 * c] + 2 * fv[2 * c + 1]) % 3
+                out.extend((Fraction(1), Fraction(0)) if t == 1 else
+                           (Fraction(0), Fraction(1)) if t == 2 else
+                           (Fraction(0), Fraction(0)))
+            return tuple(out)
+        if self.n == 1:
+            return (_mod2(fv[0]),)
+        dens = {a.denominator for a in fv}
+        zero = Fraction(0)
+        if dens <= {1}:
+            if sum(fv) % 2 == 0:
+                return tuple([zero] * self.n)
+            out = [zero] * self.n
+            out[-1] = Fraction(1)
+            return tuple(out)
+        t = int(sum(2 * a for a in fv)) % 4
+        h = [Fraction(1, 2)] * self.n
+        if t != (self.n % 4):
+            h[-1] = Fraction(-1, 2)
+        return tuple(h)
+
+    @functools.cache
+    def disc_order(self, v) -> int:
+        for d in range(1, 13):
+            if self.in_lattice(tuple(_fr(a) * d for a in v)):
+                return d
+        raise ValueError("order not found; is the vector in the dual lattice?")
+
+    def eichler_invariant(self, n, ell, m) -> EichlerClass:
+        ell = tuple(_fr(a) for a in ell)
+        if not self.in_dual(ell):
+            raise ValueError("ell must be a dual vector")
+        D = self.disc_order(ell)
+        hyper = 2 * n * m - self.norm(ell)
+        v2 = D * D * hyper
+        if v2.denominator != 1:
+            raise ValueError("non-integral vector norm")
+        dv = gcd(gcd(D * abs(n), D * abs(m)), D * self.content(ell))
+        kappa = self.disc_reduce(tuple(a * Fraction(D, dv) for a in ell))
+        return EichlerClass(int(v2), dv, kappa)
+
+
+def _agree(lat, oracle, ell, nms):
+    z = tuple(a * lat.den for a in ell)
+    assert all(a.denominator == 1 for a in z)
+    z = tuple(int(a) for a in z)
+    assert lat.disc_reduce(ell) == lat.disc_reduce(z, grid=True) == oracle.disc_reduce(ell)
+    assert lat.content(ell) == oracle.content(ell)
+    for n, m in nms:
+        want = oracle.eichler_invariant(n, ell, m)
+        assert lat.eichler_invariant(n, ell, m) == want
+        assert lat.eichler_invariant(n, z, m, grid=True) == want
+
+
+def test_integer_grid_matches_the_fraction_oracle():
+    # every low-norm dual vector of every lattice, then the walls of the
+    # depth-2 scan: all of them for the small members, 500 drawn for the
+    # three largest
+    for name in CATALOGUE:
+        lat = lattice(name)
+        oracle = FractionLattice(lat)
+        for ell in dual_vectors_up_to_norm(lat, 2):
+            _agree(lat, oracle, ell, [(n, m) for n in range(3) for m in range(3)
+                                      if n or m or any(ell)])
+    rng = random.Random(4)
+    for key, meta in jacobi.MEMBERS.items():
+        lat = lattice(meta.lattice_name)
+        oracle = FractionLattice(lat)
+        walls = borcherds._scan_walls(key, 2, 2)
+        if key in ("psi_4_D8", "psi_5_D7", "psi_3_3A2"):
+            walls = rng.sample(walls, 500)
+        else:
+            assert len(walls) <= 1000, key
+        for n, z, m, _ in walls:
+            _agree(lat, oracle, tuple(Fraction(a, lat.den) for a in z), [(n, m)])

@@ -117,6 +117,28 @@ def test_negative_control_catches_corrupt_weight0(monkeypatch):
     assert "psi_5_A1" in rep.details["mismatches"]
 
 
+def test_negative_control_catches_doubled_wall(monkeypatch):
+    # l = e_1 at q^0 is a wall of psi_10_D2 with coefficient one; doubling
+    # it doubles the multiplicity of every wall on that line
+    real = borcherds.weak_weight0
+    wall = (2, 0)
+
+    def crooked(key, depth):
+        form = real(key, depth)
+        if key == "psi_10_D2":
+            series = form.series.copy()
+            assert series.coefficient(0, wall) == 1
+            series.add_term(0, wall, 0, 1)
+            return form._replace(series=series)
+        return form
+
+    monkeypatch.setattr(borcherds, "weak_weight0", crooked)
+    rep = verification.run("reflective-divisor-classes", TruncationWindow(48, 0))
+    assert rep.status == "fail"
+    assert rep.details["psi_10_D2"]["simple"] is False
+    assert all(d["simple"] for k, d in rep.details.items() if k != "psi_10_D2")
+
+
 def test_negative_control_catches_corrupt_lift(monkeypatch):
     real = borcherds.member_hecke_slice
     for key in ("psi_5_A1", "psi_9_A2"):

@@ -31,6 +31,7 @@ import numpy as np
 from .jacobi import (
     MEMBERS,
     _corner_dirs,
+    _divisor_sum,
     divide_by_member,
     member_hecke_slice,
     member_series,
@@ -39,8 +40,8 @@ from .jacobi import (
 )
 from .lattices import lattice
 from .lifting import lift_layers
-from .series import (FourierSeries, TruncationWindow, _norm_coeff, _NotInt64,
-                     _qz_decode, _qz_frame, _qz_mul, _qz_pack, _qz_product, _qz_rows)
+from .series import (FourierSeries, TruncationWindow, _frame, _int64_first, _norm_coeff,
+                     _NotInt64, _qz_decode, _qz_mul, _qz_pack, _qz_product, _qz_rows)
 
 
 def index_step(key: str) -> int:
@@ -75,19 +76,9 @@ def hecke_v0(phi: FourierSeries, m: int, q_depth: int) -> FourierSeries:
         raise ValueError("weight-0 form is too shallow for this translate")
     out = FourierSeries(phi.r, phi.den_z, TruncationWindow(24 * q_depth, 0))
     for n in range(q_depth + 1):
-        acc: dict = {}  # m times the translate, so the weights m/d are integers
-        for d in range(1, m + 1):
-            if m % d or (n % d if n else 0):
-                continue
-            src = phi.cells.get((0, 24 * n * m // (d * d)))
-            if not src:
-                continue
-            w = m // d
-            for z, c in src.items():
-                if d > 1:
-                    z = tuple([d * a for a in z])
-                acc[z] = acc.get(z, 0) + w * c
-        cell = {z: v // m if v % m == 0 else Fraction(v, m) for z, v in acc.items() if v}
+        # m times the translate, so the weights m/d are integers
+        acc = _divisor_sum(lambda k: phi.cells.get((0, 24 * k)), n, m, lambda d: m // d)
+        cell = {z: v // m if v % m == 0 else Fraction(v, m) for z, v in acc.items()}
         if cell:
             out.cells[(0, 24 * n)] = cell
     return out
@@ -115,7 +106,8 @@ def _exp_packed(key: str, j_max: int, q_depth: int, dtype) -> tuple:
     for j in range(1, j_max + 1):
         reach.append(np.max([rows[i][3] + reach[j - i]
                              for i in range(1, j + 1)], axis=0))
-    f = _qz_frame(np.max(reach, axis=0), q_depth)
+    box = np.max(reach, axis=0)
+    f = _frame(-box, box, q_depth)
     W = [None] + [_qz_pack(rw, f) for rw in rows[1:]]
     E = [(np.array([f.zero], dtype=np.int64), np.ones(1, dtype), reach[0])]
     for j in range(1, j_max + 1):
@@ -146,10 +138,7 @@ def exp_layers(key: str, j_max: int, q_depth: int) -> list:
     """
     meta = MEMBERS[key]
     win = TruncationWindow(24 * q_depth, 0)
-    try:
-        f, E = _exp_packed(key, j_max, q_depth, np.int64)
-    except _NotInt64:
-        f, E = _exp_packed(key, j_max, q_depth, object)
+    f, E = _int64_first(_exp_packed, key, j_max, q_depth)
     out = []
     for k, v, _ in E:
         Ej = FourierSeries(meta.r, meta.den_z, win)
@@ -167,10 +156,7 @@ def _block_times(key: str, layer: FourierSeries, depth: int) -> dict:
     psi = member_series(key, TruncationWindow(meta.val_q + 24 * depth, 0))
     psi = {(q - meta.val_q) // 24: sl for (_, q), sl in psi.cells.items()}
     ex = {q // 24: sl for (_, q), sl in layer.cells.items() if q <= 24 * depth}
-    try:
-        return _qz_product(psi, ex, meta.r, depth, np.int64)
-    except _NotInt64:
-        return _qz_product(psi, ex, meta.r, depth, object)
+    return _int64_first(_qz_product, psi, ex, meta.r, depth)
 
 
 def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:

@@ -19,10 +19,12 @@ Descriptors name a series to build:
 Windows are given in displayed powers: ``--qmax 4 --smax 2`` keeps
 everything through q^4 and s^2.  Expansions can be cached on disk with
 ``--cache-dir`` (or the CACHE_DIR environment variable); cache entries are
-keyed by descriptor and window and carry a digest of the payload.
+keyed by descriptor, window and a digest of the package source, and carry
+a digest of the payload.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -83,8 +85,20 @@ def expand_descriptor(desc: str, window: TruncationWindow) -> FourierSeries:
 # ---------------------------------------------------------------------------
 # cache
 
+@functools.lru_cache(maxsize=None)
+def _code_digest() -> str:
+    """sha256 over the refltower source files, so older code's entries miss."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
+
+
 def _cache_path(cache_dir: str, desc: str, window: TruncationWindow) -> str:
-    key = json.dumps({"schema": _SCHEMA, "descriptor": desc,
+    key = json.dumps({"schema": _SCHEMA, "code": _code_digest(), "descriptor": desc,
                       "q_max": window.q_max, "s_max": window.s_max},
                      separators=(",", ":"), sort_keys=True)
     h = hashlib.sha256(key.encode()).hexdigest()

@@ -34,8 +34,13 @@ from .series import (
     _INT64_SAFE,
     FourierSeries,
     TruncationWindow,
-    _key_rows,
+    _decode,
+    _encode,
+    _frame,
+    _int64_first,
     _NotInt64,
+    _qz_decode,
+    _qz_rows,
     _reduce_parts,
     _slice_mul_into,
 )
@@ -49,9 +54,7 @@ def chi4(m: int) -> int:
 
 
 def _divisors(n: int) -> list:
-    n = abs(n)
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, abs(n) + 1) if n % d == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +410,30 @@ def build(name: str, window: TruncationWindow) -> JacobiForm:
 # Hecke translates
 
 
+def _divisor_sum(slice_at, n: int, m: int, weight) -> dict:
+    """Sum over d | (n, m) of weight(d) * slice_at(n m / d^2), keys scaled by d.
+
+    Every divisor of m counts when n = 0.  Sums that cancel are dropped.
+    """
+    out: dict = {}
+    for d in _divisors(_gcd(n, m)):
+        src = slice_at(n * m // (d * d))
+        if not src:
+            continue
+        w = weight(d)
+        if d == 1:  # the first divisor: no key to rebuild, nothing to add to
+            out = dict(src) if w == 1 else {z: w * c for z, c in src.items()}
+            continue
+        for z, c in src.items():
+            zz = tuple([d * a for a in z])
+            v = out.get(zz, 0) + w * c
+            if v:
+                out[zz] = v
+            else:
+                out.pop(zz, None)
+    return out
+
+
 def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
     """z-slice of psi|V_m at q_num, by the divisor-sum formula.
 
@@ -424,48 +451,8 @@ def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
         grid = 12
     if q_num % grid:
         return {}
-    n = q_num // grid
-    out: dict = {}
-    for d in _divisors(_gcd(n, m)):
-        src = member_slice(key, grid * (n * m // (d * d)))
-        if d == 1 and not out:
-            out = dict(src)
-            continue
-        w = d ** (meta.weight - 1)
-        for z, c in src.items():
-            zz = tuple(d * a for a in z)
-            v = out.get(zz, 0) + w * c
-            if v:
-                out[zz] = v
-            else:
-                out.pop(zz, None)
-    return out
-
-
-def hecke_Vm(form: JacobiForm, m: int) -> JacobiForm:
-    """psi|V_m from a materialised series (integral q-grid only)."""
-    ser = form.series
-    if any(q % 24 for (_, q) in ser.cells):
-        raise ValueError("hecke_Vm needs an integral q-grid")
-    wq = ser.window.q_max // m
-    out = FourierSeries(ser.r, ser.den_z, TruncationWindow(wq, ser.window.s_max))
-    for n in range(0, wq // 24 + 1):
-        acc: dict = {}
-        for d in _divisors(_gcd(n, m)):
-            cell = ser.cells.get((0, 24 * (n * m // (d * d))), {})
-            w = d ** (form.weight - 1)
-            for z, c in cell.items():
-                zz = tuple(d * a for a in z)
-                v = acc.get(zz, 0) + w * c
-                if v:
-                    acc[zz] = v
-                else:
-                    acc.pop(zz, None)
-        if acc:
-            out.cells[(0, 24 * n)] = acc
-    return JacobiForm("%s|V_%d" % (form.name, m), out, form.weight,
-                      form.index * m, form.lattice_name, form.family,
-                      form.copies)
+    return _divisor_sum(lambda k: member_slice(key, grid * k), q_num // grid, m,
+                        lambda d: d ** (meta.weight - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -585,80 +572,6 @@ def _binomial_packed(keys, vals, span: int, s: int):
     return np.concatenate(out_k), np.concatenate(out_v)
 
 
-class _Frame(NamedTuple):
-    """A packing of z-vectors in which one binomial direction is an axis.
-
-    Frame coordinates are ``m @ z`` (``m`` None for the identity); the
-    active axis has stride one, so a packed key splits into a line and a
-    digit along it.  ``w`` turns a shift of z into a shift of the key.
-    """
-
-    axis: int
-    s: int
-    order: list  # axes by decreasing stride
-    lo: object  # int64 array, frame box bottom
-    span: list
-    st: object  # int64 array of strides
-    m: object
-    minv: object
-    w: list
-
-
-def _frame(dvec: tuple, L, H) -> _Frame:
-    """The frame of direction dvec over the box L <= z <= H.
-
-    The shear fixes the first nonzero coordinate a of dvec and clears
-    the others, z_i -> z_i - (d_i/d_a) z_a (every block direction has
-    d_a dividing d_i): it is unimodular, so keys stay a bijection, and
-    (-3, 3) becomes an axis under (a, b) -> (a, a+b).
-    """
-    r = len(dvec)
-    ax = next(i for i, v in enumerate(dvec) if v)
-    s = dvec[ax]
-    m = minv = None
-    if any(v for i, v in enumerate(dvec) if i != ax):
-        col = np.array(dvec, dtype=np.int64) // s
-        col[ax] = 0
-        m = np.eye(r, dtype=np.int64)
-        m[:, ax] -= col
-        minv = 2 * np.eye(r, dtype=np.int64) - m
-    if m is None:
-        lo, hi = L, H
-    else:
-        lo = np.minimum(m * L, m * H).sum(axis=1)
-        hi = np.maximum(m * L, m * H).sum(axis=1)
-    span = [int(w) for w in hi - lo + 1]
-    order = [i for i in range(r) if i != ax] + [ax]
-    st = [0] * r
-    total = 1
-    for i in reversed(order):
-        st[i] = total
-        total *= span[i]
-        if total >= _INT64_SAFE:
-            # not OverflowError: that is an ArithmeticError, which callers
-            # read as "not divisible"
-            raise ValueError("packed span too wide")
-    w = st if m is None else [int(x) for x in m.T @ np.array(st, dtype=np.int64)]
-    return _Frame(ax, s, order, lo, span, np.array(st, dtype=np.int64), m, minv, w)
-
-
-def _encode(z, f: _Frame):
-    """Packed keys of original-coordinate rows z (n x r)."""
-    if f.m is not None:
-        z = z @ f.m.T
-    return (z - f.lo) @ f.st
-
-
-def _decode(keys, f: _Frame):
-    """Original-coordinate rows (n x r) of packed keys."""
-    z = np.empty((len(keys), len(f.span)), dtype=np.int64)
-    rem = keys
-    for i in f.order:
-        z[:, i], rem = np.divmod(rem, f.st[i])
-    z += f.lo
-    return z if f.minv is None else z @ f.minv.T
-
-
 def _pad(stack: list, depth: int, r: int) -> list:
     """Margin per axis that every intermediate of the division stays in.
 
@@ -687,7 +600,7 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
 
     Each level is held as (packed keys, values) in the frame of the
     factor at hand; every binomial direction is divided out in its own
-    frame (see ``_frame``) and correction terms are key offsets.  With
+    frame (``series._frame``) and correction terms are key offsets.  With
     int64 values every step first bounds its output from the actual
     maxima of its inputs; a bound reaching 2^62 raises _NotInt64.
     Raises ArithmeticError when division is not exact, TypeError on
@@ -695,24 +608,14 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
     """
     r = meta.r
     checked = dtype is not object
-    cols = []
-    vals = []
-    for j in range(depth + 1):
-        sl = levels[j] if j < len(levels) else {}
-        vs = list(sl.values())
-        if set(map(type, vs)) - {int}:
-            raise TypeError("packed division needs plain integers")
-        if checked and vs and max(map(abs, vs)) >= _INT64_SAFE:
-            raise _NotInt64
-        cols.append(_key_rows(sl, r))
-        vals.append(np.array(vs, dtype=dtype))
-    filled = [c for c in cols if len(c)]
-    if not filled:
+    lv, z, v, _ = _qz_rows(dict(enumerate(levels[:depth + 1])), r, dtype)
+    if not checked and set(map(type, v.tolist())) - {int}:
+        raise TypeError("packed division needs plain integers")
+    if not len(z):
         return [{} for _ in range(depth + 1)]
     pad = np.array(_pad(stack, depth, r), dtype=np.int64)
-    L = np.min([c.min(axis=0) for c in filled], axis=0) - pad
-    H = np.max([c.max(axis=0) for c in filled], axis=0) + pad
-    frames = [[_frame(d, L, H) for d in dirs] for dirs, _ in stack]
+    L, H = z.min(axis=0) - pad, z.max(axis=0) + pad
+    frames = [[_frame(L, H, 0, d) for d in dirs] for dirs, _ in stack]
 
     def amax(v):
         return int(np.abs(v).max()) if checked and len(v) else 0
@@ -722,8 +625,9 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
             raise _NotInt64
 
     cur = frames[0][0]
-    work = [(_encode(c, cur), v) for c, v in zip(cols, vals)]
-    mx = [amax(v) for v in vals]
+    cuts = np.searchsorted(lv, np.arange(1, depth + 1))
+    work = list(zip(np.split(_encode(z, cur), cuts), np.split(v, cuts)))
+    mx = [amax(v) for _, v in work]
     e = meta.eta_exp
     if e:
         coeffs = [_eta_coeff(e, e + 24 * i) for i in range(depth + 1)]
@@ -740,7 +644,7 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
         if f0 is not cur:
             work = [(_encode(_decode(k, cur), f0), v) for k, v in work]
             cur = f0
-        terms = [(lvl, sum(a * b for a, b in zip(zc, f0.w)), cc)
+        terms = [(lvl, int(np.dot(zc, f0.w)), cc)
                  for lvl, t in sorted(cells.items()) if lvl <= depth
                  for zc, cc in t.items()]
         for j in range(depth + 1):
@@ -751,24 +655,21 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
                                  if lvl <= j and len(work[j - lvl][0])]
             k, v = _reduce_parts(parts)
             prev = f0
-            for f in fr:
+            for d, f in zip(dirs, fr):
                 if f is not prev:
                     k = _encode(_decode(k, prev), f)
                     order = np.argsort(k)
                     k, v = k[order], v[order]
                     prev = f
-                w_ax = f.span[f.axis]
-                guard(amax(v) * (w_ax // (2 * abs(f.s)) + 1))
-                k, v = _binomial_packed(k, v, w_ax, f.s)
+                ax = f.order[-1]
+                w_ax = int(f.hi[ax] - f.lo[ax]) + 1
+                guard(amax(v) * (w_ax // (2 * abs(d[ax])) + 1))
+                k, v = _binomial_packed(k, v, w_ax, d[ax])
             if prev is not f0:
                 k = _encode(_decode(k, prev), f0)
             work[j] = (k, v)
             mx[j] = amax(v)
-    quo = []
-    for k, v in work:
-        quo.append({tuple(z): c for z, c in
-                    zip(_decode(k, cur).tolist(), v.tolist())})
-    return quo
+    return [_qz_decode(k, v, cur).get(0, {}) for k, v in work]
 
 
 def divide_by_member(levels: list, key: str, depth: int) -> list:
@@ -785,10 +686,7 @@ def divide_by_member(levels: list, key: str, depth: int) -> list:
     """
     meta = MEMBERS[key]
     stack = _factor_stack(meta, depth)
-    try:
-        return _divide_packed(levels, meta, depth, stack, np.int64)
-    except _NotInt64:
-        return _divide_packed(levels, meta, depth, stack, object)
+    return _int64_first(_divide_packed, levels, meta, depth, stack)
 
 
 def phi0_by_division(key: str, q_depth: int) -> JacobiForm:

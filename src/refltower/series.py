@@ -9,6 +9,13 @@ A series is a dict of cells keyed by (s_num, q_num); each cell is a dict
 mapping a z-exponent tuple to its coefficient.  Every series carries a
 TruncationWindow recording the region where its terms are exact; binary
 operations propagate the largest window they can honestly guarantee.
+
+This module also owns the packed form of both int64 kernels, the (q, z)
+product ``_qz_mul`` and the theta-block division ``jacobi.divide_by_member``:
+one ``_Frame`` packs (level, z) into a single int64 key, ``_qz_rows`` /
+``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts,
+and ``_int64_first`` reruns a kernel on Python ints when int64 cannot
+carry its values.
 """
 
 from __future__ import annotations
@@ -132,6 +139,14 @@ class _NotInt64(Exception):
     """Values int64 cannot carry exactly: rerun on object dtype."""
 
 
+def _int64_first(run, *args):
+    """run(*args, np.int64), rerun as run(*args, object) on _NotInt64."""
+    try:
+        return run(*args, np.int64)
+    except _NotInt64:
+        return run(*args, object)
+
+
 def _abs_sum(v) -> int:
     """Exact sum of |v| over int64 values below 2^62."""
     a = np.abs(v)
@@ -144,31 +159,76 @@ def _abs_sum(v) -> int:
 # Fractions), and the reach, the largest |z_k| per axis
 
 
-class _QZFrame(NamedTuple):
-    """Keys level * stq + sum_k (z_k + half_k) * st_k, with |z_k| <= half_k.
+class _Frame(NamedTuple):
+    """Keys level * stq + (m z - lo) @ st over the box lo <= m z <= hi.
 
-    Keys sort by level, then z; a product term's key is the sum of its
-    factors' keys minus ``zero``, the key of level 0 and z = 0.
+    ``m`` is a unimodular shear, or the identity.  ``order`` lists the
+    axes by decreasing stride; the last, the active axis, has stride
+    one.  A key equals level * stq + z @ w + zero (``zero`` is the key
+    of level 0 and z = 0), so a shift of z by c moves it by c @ w, and
+    a product term's key is the sum of its factors' keys minus zero.
     """
 
-    half: object  # int64 arrays
+    lo: object  # int64 arrays, sheared coordinates
+    hi: object
     st: object
     stq: int
     zero: int
+    order: list
+    w: object  # int64 array
+    minv: object  # inverse of the shear, or None
 
 
-def _qz_frame(half, top: int) -> _QZFrame:
-    """The frame for |z_k| <= half[k] on levels 0..top."""
-    st, total = [], 1
-    for h in reversed([int(h) for h in half]):
-        st.insert(0, total)
-        total *= 2 * h + 1
+def _frame(lo, hi, top: int = 0, dvec: tuple = None) -> _Frame:
+    """The frame over the box lo <= z <= hi on levels 0..top.
+
+    Without dvec the last axis is active.  A block direction dvec makes
+    its first nonzero coordinate a active, and a shear clears the
+    others, z_i -> z_i - (d_i/d_a) z_a (d_a divides every d_i): it is
+    unimodular, so keys stay a bijection, and (-3, 3) becomes an axis
+    under (a, b) -> (a, a+b).  The box is then the image of lo..hi.
+    """
+    r = len(lo)
+    ax, m, minv = r - 1, None, None
+    if dvec is not None:
+        ax = next(i for i, v in enumerate(dvec) if v)
+        if any(v for i, v in enumerate(dvec) if i != ax):
+            col = np.array(dvec, dtype=np.int64) // dvec[ax]
+            col[ax] = 0
+            m = np.eye(r, dtype=np.int64)
+            m[:, ax] -= col
+            minv = 2 * np.eye(r, dtype=np.int64) - m
+            lo, hi = (np.minimum(m * lo, m * hi).sum(axis=1),
+                      np.maximum(m * lo, m * hi).sum(axis=1))
+    order = [i for i in range(r) if i != ax] + [ax]
+    st, total = [0] * r, 1
+    for i in reversed(order):
+        st[i] = total
+        total *= int(hi[i]) - int(lo[i]) + 1
     if 2 * (top + 1) * total >= _INT64_SAFE:
         # not OverflowError: that is an ArithmeticError, which callers
         # read as "not divisible" or "not integral"
         raise ValueError("packed span too wide")
-    half, st = np.array(half, dtype=np.int64), np.array(st, dtype=np.int64)
-    return _QZFrame(half, st, total, int(half @ st))
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
+    st = np.array(st, dtype=np.int64)
+    w = st if m is None else m.T @ st
+    return _Frame(lo, hi, st, total, -int(lo @ st), order, w, minv)
+
+
+def _encode(z, f: _Frame, lv=0):
+    """Packed keys of z rows (n x r) on levels lv (an array, or one level)."""
+    return z @ f.w + (f.zero + lv * f.stq)
+
+
+def _decode(keys, f: _Frame):
+    """The z rows (n x r) of packed keys; the level is dropped."""
+    z = np.empty((len(keys), len(f.order)), dtype=np.int64)
+    rem = keys % f.stq
+    for i in f.order[:-1]:
+        z[:, i], rem = np.divmod(rem, f.st[i])
+    z[:, f.order[-1]] = rem
+    z += f.lo
+    return z if f.minv is None else z @ f.minv.T
 
 
 def _qz_rows(levels: dict, r: int, dtype):
@@ -191,12 +251,12 @@ def _qz_rows(levels: dict, r: int, dtype):
             np.abs(z).max(axis=0, initial=0))
 
 
-def _qz_pack(rows, f: _QZFrame) -> tuple:
+def _qz_pack(rows, f: _Frame) -> tuple:
     """Packed (keys, values, reach) of _qz_rows output, keys sorted."""
     lv, z, v, reach = rows
-    if np.any(reach > f.half):
+    if np.any(reach > f.hi):
         raise ValueError("series leaves its packing frame")
-    keys = lv * f.stq + (z + f.half) @ f.st
+    keys = _encode(z, f, lv)
     order = np.argsort(keys, kind="stable")
     return keys[order], v[order], reach
 
@@ -217,18 +277,14 @@ def _level_abs(vals, runs: list, top: int) -> tuple:
     return s, m
 
 
-def _qz_decode(keys, vals, f: _QZFrame) -> dict:
-    """{level: {z: coefficient}} of packed keys and values."""
-    rem = keys % f.stq
-    z = np.empty((len(keys), len(f.st)), dtype=np.int64)
-    for i, s in enumerate(f.st):
-        z[:, i], rem = np.divmod(rem, s)
-    zt = list(map(tuple, (z - f.half).tolist()))
+def _qz_decode(keys, vals, f: _Frame) -> dict:
+    """{level: {z: coefficient}} of packed keys and values, sorted by level."""
+    zt = list(map(tuple, _decode(keys, f).tolist()))
     vl = vals.tolist()
     return {lvl: dict(zip(zt[a:b], vl[a:b])) for lvl, a, b in _level_runs(keys, f.stq)}
 
 
-def _qz_mul(pairs: list, f: _QZFrame, top: int) -> tuple:
+def _qz_mul(pairs: list, f: _Frame, top: int) -> tuple:
     """Sum of the products a * b over pairs of packed series, through level top.
 
     Each level of a pairs only with the prefix of b whose levels keep
@@ -240,7 +296,7 @@ def _qz_mul(pairs: list, f: _QZFrame, top: int) -> tuple:
     reaches 2^62.
     """
     reach = np.max([a[2] + b[2] for a, b in pairs], axis=0)
-    if np.any(reach > f.half):
+    if np.any(reach > f.hi):
         raise ValueError("product leaves its packing frame")
     dtype = np.result_type(*[x[1] for pair in pairs for x in pair])
     runs = [(_level_runs(a[0], f.stq), _level_runs(b[0], f.stq)) for a, b in pairs]
@@ -274,7 +330,8 @@ def _qz_mul(pairs: list, f: _QZFrame, top: int) -> tuple:
 def _qz_product(a: dict, b: dict, r: int, top: int, dtype) -> dict:
     """{level: slice} of the product of two {level: slice} series through top."""
     ra, rb = _qz_rows(a, r, dtype), _qz_rows(b, r, dtype)
-    f = _qz_frame(ra[3] + rb[3], top)
+    reach = ra[3] + rb[3]
+    f = _frame(-reach, reach, top)
     k, v, _ = _qz_mul([(_qz_pack(ra, f), _qz_pack(rb, f))], f, top)
     return _qz_decode(k, v, f)
 

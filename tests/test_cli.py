@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from refltower import borcherds, jacobi
+from refltower import borcherds, cli, jacobi
 from refltower.cli import main
+from refltower.series import TruncationWindow
 
 
 def test_expand_theta_text(capsys):
@@ -67,6 +68,30 @@ def test_expand_cache_round_trip(tmp_path, capsys):
     assert main(args) == 0
     assert capsys.readouterr().out == first
     assert json.loads(files[0].read_text())["series"] == json.loads(text)["series"]
+
+
+def test_cache_entry_of_other_code_is_a_miss(tmp_path, monkeypatch):
+    """An entry stored under another code digest is not served; the
+    expansion is computed again and stored under the current digest."""
+    desc, win, cache = "theta", TruncationWindow(48, 0), str(tmp_path)
+    want = cli.expand_descriptor(desc, win).to_json()
+    monkeypatch.setattr(cli, "_code_digest", lambda: "0" * 64)
+    assert cli._cached_expand(desc, win, cache)[2] is False
+    (stale,) = tmp_path.glob("*.json")
+    # what older code with another answer would have stored: a sound
+    # entry, served while the digests match
+    doc = json.loads(stale.read_text())
+    doc["series"] = cli.expand_descriptor(desc, TruncationWindow(24, 0)).to_json()
+    doc["digest"] = hashlib.sha256(doc["series"].encode()).hexdigest()
+    stale.write_text(json.dumps(doc))
+    body, _, hit = cli._cached_expand(desc, win, cache)
+    assert (body, hit) == (doc["series"], True)
+    monkeypatch.undo()
+    body, _, hit = cli._cached_expand(desc, win, cache)
+    assert (body, hit) == (want, False)
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    body, _, hit = cli._cached_expand(desc, win, cache)
+    assert (body, hit) == (want, True)
 
 
 def test_negative_window_is_usage_error(capsys):

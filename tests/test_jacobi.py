@@ -18,7 +18,6 @@ from refltower.jacobi import (
     chi4,
     divide_by_member,
     eta_power,
-    hecke_Vm,
     member_hecke_slice,
     member_series,
     member_slice,
@@ -375,10 +374,12 @@ def test_phi0_d1_is_doubled_restriction():
 
 
 def test_phi0_general_division_agrees():
-    for key in ("psi_10_D2", "psi_5_A1", "psi_9_A2", "psi_6_2A2"):
-        a = phi0_by_division(key, 3)
-        b = phi0_by_general_division(key, 3)
-        assert a.series == b.series
+    cases = [(key, 5) for key, meta in MEMBERS.items() if meta.r <= 4]
+    cases += [("psi_7_D5", 4), ("psi_6_D6", 4)]
+    for key, depth in cases:
+        a = phi0_by_division(key, depth)
+        b = phi0_by_general_division(key, depth)
+        assert a.series == b.series, key
 
 
 def test_division_rejects_a_corrupt_a2_dividend():
@@ -478,15 +479,13 @@ def test_phi0_weight0_tautology():
 def test_hecke_subst_agrees_with_divisor_form():
     for key, m in (("psi_5_D7", 2), ("psi_5_D7", 3), ("psi_9_A2", 2)):
         f = build(key, TruncationWindow(24 * 4 * m, 0))
-        a = hecke_Vm(f, m)
-        b = hecke_Vm_subst(f, m)
-        assert a.series.first_difference(b.series) is None
+        b = hecke_Vm_subst(f, m).series
+        for n in range(5):
+            assert member_hecke_slice(key, m, 24 * n) == b.cells.get((0, 24 * n), {})
 
 
 def test_hecke_on_half_grid_rules():
     f = build("psi_5_A1", TruncationWindow(12 + 24 * 4, 0))
-    with pytest.raises(ValueError):
-        hecke_Vm(f, 3)
     with pytest.raises(ValueError):
         hecke_Vm_subst(f, 3)
     with pytest.raises(ValueError):
@@ -498,7 +497,7 @@ def test_hecke_on_half_grid_rules():
 def test_hecke_slice_matches_series_operator():
     key, m = "psi_9_A2", 2
     f = build(key, TruncationWindow(24 * 8, 0))
-    op = hecke_Vm(f, m)
+    op = hecke_Vm_subst(f, m)
     for n in range(1, 5):
         cell = op.series.cells.get((0, 24 * n), {})
         assert member_hecke_slice(key, m, 24 * n) == cell

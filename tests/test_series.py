@@ -1,9 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from refltower.series import (
     FourierSeries,
     TruncationWindow,
+    _decode,
+    _encode,
+    _frame,
     _peel_divide,
     _slice_mul_py,
 )
@@ -146,6 +152,44 @@ def test_peel_and_binomial_division_agree():
         R = {}
         _slice_mul_py(R, Q, binom)
         assert _peel_divide(dict(R), binom, 2) == Q
+
+
+def _box_rows(rng, lo, hi, n):
+    return np.stack([rng.integers(a, b + 1, n) for a, b in zip(lo, hi)], axis=1)
+
+
+def test_packed_frame_round_trips_and_stays_additive():
+    rng = np.random.default_rng(11)
+    # identity frame with levels: the level is the top digit
+    lo, hi = np.array([-4, -7, 0]), np.array([5, 3, 9])
+    z, lv = _box_rows(rng, lo, hi, 300), rng.integers(0, 4, 300)
+    f = _frame(lo, hi, 3)
+    keys = _encode(z, f, lv)
+    assert (keys // f.stq == lv).all() and (keys >= 0).all()
+    assert (_decode(keys, f) == z).all()
+    assert len(set(keys.tolist())) == len(set(zip(lv.tolist(), map(tuple, z.tolist()))))
+    assert f.st[f.order[-1]] == 1
+    # the A2 shears: the block direction is the active axis, stride one
+    lo, hi = np.array([-12, -9]), np.array([15, 6])
+    z = _box_rows(rng, lo, hi, 300)
+    for d in ((-3, 3), (0, 3)):
+        f = _frame(lo, hi, 0, d)
+        keys = _encode(z, f)
+        assert (keys >= 0).all() and (keys < f.stq).all()
+        assert (_decode(keys, f) == z).all()
+        ax = f.order[-1]
+        assert f.st[ax] == 1 and int(np.dot(d, f.w)) == d[ax]
+    # a product frame: the key of a sum is the sum of the keys minus zero
+    ha, hb, top = np.array([3, 1, 4]), np.array([2, 5, 0]), 4
+    f = _frame(-(ha + hb), ha + hb, top)
+    za, zb = _box_rows(rng, -ha, ha, 200), _box_rows(rng, -hb, hb, 200)
+    la, lb = rng.integers(0, 3, 200), rng.integers(0, 3, 200)
+    ks = _encode(za, f, la) + _encode(zb, f, lb) - f.zero
+    assert (ks == _encode(za + zb, f, la + lb)).all()
+    assert (_decode(ks, f) == za + zb).all() and (ks // f.stq == la + lb).all()
+    assert _encode(np.zeros((1, 3), np.int64), f)[0] == f.zero
+    with pytest.raises(ValueError, match="packed span too wide"):
+        _frame(np.full(4, -2 ** 15), np.full(4, 2 ** 15))
 
 
 def test_exp_s_inverse():

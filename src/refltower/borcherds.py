@@ -26,8 +26,6 @@ from fractions import Fraction
 from math import gcd as _gcd
 from typing import NamedTuple
 
-import numpy as np
-
 from .jacobi import (
     MEMBERS,
     _corner_dirs,
@@ -41,7 +39,7 @@ from .jacobi import (
 from .lattices import lattice
 from .lifting import lift_layers
 from .series import (FourierSeries, TruncationWindow, _frame, _int64_first, _norm_coeff,
-                     _NotInt64, _qz_decode, _qz_mul, _qz_pack, _qz_product, _qz_rows)
+                     _NotInt64, _qz_decode, _qz_mul, _qz_pack, _qz_product, _qz_rows, np)
 
 
 def index_step(key: str) -> int:
@@ -420,15 +418,15 @@ def reflective_divisor_scan(key: str, q_depth: int, m_bound: int = None) -> dict
     lat = lattice(MEMBERS[key].lattice_name)
     if m_bound is None:
         m_bound = q_depth
-    by_kappa: dict = {}  # EichlerClass -> [multiplicities, walls, first wall]
+    by_key: dict = {}  # integer class key -> [multiplicities, walls, first wall]
     for (n0, z0, m0, mult) in _scan_walls(key, q_depth, m_bound):
-        row = by_kappa.setdefault(lat.eichler_invariant(n0, z0, m0, grid=True),
-                                  [set(), 0, (n0, z0, m0)])
+        row = by_key.setdefault(lat._eichler_key(n0, z0, m0), [set(), 0, (n0, z0, m0)])
         row[0].add(mult)
         row[1] += 1
     # merge kappa with -kappa; the first class seen keeps its example
     classes: dict = {}
-    for ec, (mset, cnt, ex) in by_kappa.items():
+    for mset, cnt, ex in by_key.values():
+        ec = lat.eichler_invariant(*ex, grid=True)
         neg = lat.disc_reduce(tuple(-a for a in ec.kappa))
         row = classes.setdefault((ec.v2, ec.div, min(ec.kappa, neg)), [set(), 0, ex])
         row[0] |= mset

@@ -18,9 +18,10 @@ Descriptors name a series to build:
 
 Windows are given in displayed powers: ``--qmax 4 --smax 2`` keeps
 everything through q^4 and s^2.  Expansions can be cached on disk with
-``--cache-dir`` (or the CACHE_DIR environment variable); cache entries are
-keyed by descriptor, window and a digest of the package source, and carry
-a digest of the payload.
+``--cache-dir`` (or the CACHE_DIR environment variable): one file per
+descriptor and window, holding a digest of the package source that wrote
+it and a digest of the payload.  A request parses its series at most
+once, and one answered from the cache imports no numpy.
 """
 
 import argparse
@@ -98,47 +99,56 @@ def _code_digest() -> str:
 
 
 def _cache_path(cache_dir: str, desc: str, window: TruncationWindow) -> str:
-    key = json.dumps({"schema": _SCHEMA, "code": _code_digest(), "descriptor": desc,
+    key = json.dumps({"schema": _SCHEMA, "descriptor": desc,
                       "q_max": window.q_max, "s_max": window.s_max},
                      separators=(",", ":"), sort_keys=True)
     h = hashlib.sha256(key.encode()).hexdigest()
     return os.path.join(cache_dir, h + ".json")
 
 
-def _cached_expand(desc: str, window: TruncationWindow, cache_dir) -> tuple:
-    """Return (series_json, digest, hit)."""
+class _Entry(tuple):
+    """(series_json, digest, hit) of one lookup; ``series`` is that series."""
+
+    def __new__(cls, body: str, digest: str, hit: bool, series: FourierSeries):
+        entry = super().__new__(cls, (body, digest, hit))
+        entry.series = series
+        return entry
+
+
+def _cached_expand(desc: str, window: TruncationWindow, cache_dir) -> _Entry:
+    """Look up or build an expansion.  An entry of other code, with a wrong
+    payload digest or a body ``from_json`` rejects is a miss and rewritten."""
     path = _cache_path(cache_dir, desc, window) if cache_dir else None
     if path:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
             body = doc["series"]
-            if (doc["schema"] == _SCHEMA
+            if (doc["schema"] == _SCHEMA and doc["code"] == _code_digest()
                     and hashlib.sha256(body.encode()).hexdigest() == doc["digest"]):
-                return body, doc["digest"], True
+                return _Entry(body, doc["digest"], True, FourierSeries.from_json(body))
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
-            pass  # missing or unreadable entry: a miss, rewritten below
+            pass  # missing, unreadable or malformed entry: a miss, rewritten below
     series = expand_descriptor(desc, window)
     body = series.to_json()
     digest = hashlib.sha256(body.encode()).hexdigest()
     if path:
         os.makedirs(cache_dir, exist_ok=True)
-        doc = {"schema": _SCHEMA, "descriptor": desc,
+        doc = {"schema": _SCHEMA, "code": _code_digest(), "descriptor": desc,
                "q_max": window.q_max, "s_max": window.s_max,
                "series": body, "digest": digest}
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
             json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
         os.replace(tmp, path)
-    return body, digest, False
+    return _Entry(body, digest, False, series)
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 def _pow_str(num: int, den: int) -> str:
-    f = Fraction(num, den)
-    return str(f)
+    return str(Fraction(num, den))
 
 
 def _render_text(desc: str, window, series: FourierSeries, digest: str) -> str:
@@ -155,15 +165,16 @@ def _render_text(desc: str, window, series: FourierSeries, digest: str) -> str:
             continue
         lines.append("s^%s q^%s: %d terms" % (_pow_str(s, 2), _pow_str(q, 24), len(sl)))
         for z in sorted(sl):
-            lines.append("  (%s) %s" % (",".join(str(a) for a in z), sl[z]))
+            lines.append("  (%s) %s" % (",".join(map(str, z)), sl[z]))
     return "\n".join(lines) + "\n"
 
 
 def _render_json(desc: str, window, body: str, digest: str) -> str:
-    doc = {"schema": _SCHEMA, "descriptor": desc,
-           "window": {"q_max": window.q_max, "s_max": window.s_max},
-           "digest": digest, "series": json.loads(body)}
-    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    """The document with sorted keys, the series body spliced in as stored."""
+    head = json.dumps({"descriptor": desc, "digest": digest, "schema": _SCHEMA},
+                      separators=(",", ":"), sort_keys=True)
+    return '%s,"series":%s,"window":{"q_max":%d,"s_max":%d}}\n' % (
+        head[:-1], body, window.q_max, window.s_max)
 
 
 def _emit(text: str, out) -> None:
@@ -185,15 +196,16 @@ def _cmd_expand(args) -> int:
     window = _window_from(args)
     cache_dir = args.cache_dir or os.environ.get("CACHE_DIR")
     try:
-        body, digest, _ = _cached_expand(args.descriptor, window, cache_dir)
+        entry = _cached_expand(args.descriptor, window, cache_dir)
     except (ValueError, ArithmeticError) as exc:
         # ArithmeticError: an exactness check failed, e.g. integrality
         print("error: %s" % exc, file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2
+    body, digest, _ = entry
     if args.format == "json":
         text = _render_json(args.descriptor, window, body, digest)
     else:
-        text = _render_text(args.descriptor, window, FourierSeries.from_json(body), digest)
+        text = _render_text(args.descriptor, window, entry.series, digest)
     _emit(text, args.out)
     return 0
 
@@ -233,13 +245,11 @@ def _cmd_compare(args) -> int:
     window = _window_from(args)
     cache_dir = args.cache_dir or os.environ.get("CACHE_DIR")
     try:
-        body_a, _, _ = _cached_expand(args.left, window, cache_dir)
-        body_b, _, _ = _cached_expand(args.right, window, cache_dir)
+        a = _cached_expand(args.left, window, cache_dir).series
+        b = _cached_expand(args.right, window, cache_dir).series
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2
-    a = FourierSeries.from_json(body_a)
-    b = FourierSeries.from_json(body_b)
     if (a.r, a.den_z) != (b.r, b.den_z):
         print("error: incompatible grids r=%d,den_z=%d vs r=%d,den_z=%d"
               % (a.r, a.den_z, b.r, b.den_z), file=sys.stderr)

@@ -28,8 +28,6 @@ from math import isqrt
 from math import gcd as _gcd
 from typing import NamedTuple
 
-import numpy as np
-
 from .series import (
     _INT64_SAFE,
     FourierSeries,
@@ -43,6 +41,7 @@ from .series import (
     _qz_rows,
     _reduce_parts,
     _slice_mul_into,
+    np,
 )
 
 

@@ -240,7 +240,11 @@ class Lattice:
 
     def eichler_invariant(self, n: int, ell: Vec, m: int, grid: bool = False) -> EichlerClass:
         """Orbit data of the primitive vector on the line of m e' + n f' + ell."""
-        z = ell if grid else self._grid(ell)
+        v2, dv, key = self._eichler_key(n, ell if grid else self._grid(ell), m)
+        return EichlerClass(v2, dv, self._class_of[key])
+
+    def _eichler_key(self, n: int, z, m: int) -> tuple:
+        """eichler_invariant on grid numerators, kappa as its integer ``_key``."""
         pairs = None if z is None else self._pairings(z)
         if pairs is None or any(p % self._pair_den for p in pairs):
             raise ValueError("ell must be a dual vector")
@@ -250,8 +254,7 @@ class Lattice:
             raise ValueError("non-integral vector norm")
         dv = D * gcd(n, m, gcd(*pairs) // self._pair_den)
         # D ell / div(v) lies in S^vee, so the division is exact
-        kappa = self._class_of[self._key(tuple(a * D // dv for a in z))]
-        return EichlerClass(v2, dv, kappa)
+        return v2, dv, self._key(tuple(a * D // dv for a in z))
 
     def classify_reflective(self) -> list:
         """All reflective vector classes of 2U + S(-1), with group flags."""

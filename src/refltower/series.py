@@ -15,19 +15,29 @@ product ``_qz_mul`` and the theta-block division ``jacobi.divide_by_member``:
 one ``_Frame`` packs (level, z) into a single int64 key, ``_qz_rows`` /
 ``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts,
 and ``_int64_first`` reruns a kernel on Python ints when int64 cannot
-carry its values.
+carry its values.  ``np`` here, which ``jacobi`` and ``borcherds`` import,
+runs numpy's import on its first use, so work with no kernel never pays it.
 """
 
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import json
+import sys
 from fractions import Fraction
 from hashlib import sha256
 from itertools import chain
 from typing import Iterator, NamedTuple
 
-import numpy as np
+if "numpy" not in sys.modules:  # a module that runs numpy's import on first use
+    _spec = importlib.util.find_spec("numpy")
+    if _spec is None:
+        raise ModuleNotFoundError("refltower needs numpy", name="numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules["numpy"])
+np = sys.modules["numpy"]
 
 QDEN = 24
 SDEN = 2
@@ -59,7 +69,7 @@ def _coeff_to_str(c) -> str:
 
 def _coeff_from_str(s: str):
     if "/" in s:
-        return Fraction(s)
+        return _norm_coeff(Fraction(s))
     return int(s)
 
 
@@ -743,17 +753,13 @@ class FourierSeries:
         w = self.window.meet(other.window)
         if window is not None:
             w = w.meet(window)
-        keys = set()
-        for src in (self, other):
-            for (s, q), sl in src.cells.items():
-                if s <= w.s_max and q <= w.q_max:
-                    for z in sl:
-                        keys.add((s, q, z))
-        for (s, q, z) in sorted(keys):
-            a = self.coefficient(q, z, s)
-            b = other.coefficient(q, z, s)
-            if a != b:
-                return (s, q, z, a, b)
+        for (s, q) in sorted({c for c in chain(self.cells, other.cells)
+                              if c[0] <= w.s_max and c[1] <= w.q_max}):
+            a, b = self.cells.get((s, q), {}), other.cells.get((s, q), {})
+            if a != b:  # the cell may still agree up to stored zeros
+                for z in sorted(a.keys() | b.keys()):
+                    if a.get(z, 0) != b.get(z, 0):
+                        return (s, q, z, a.get(z, 0), b.get(z, 0))
         return None
 
     # -- serialisation -----------------------------------------------------------
@@ -768,13 +774,19 @@ class FourierSeries:
 
     @classmethod
     def from_json(cls, text: str) -> "FourierSeries":
+        """Parse ``to_json`` output.  A duplicate (s, q, z) term, a zero
+        coefficient or a term outside the window raises ValueError."""
         doc = json.loads(text)
         if doc.get("schema") != 1:
             raise ValueError("unknown schema version")
         w = TruncationWindow(doc["window"]["q_max"], doc["window"]["s_max"])
         f = cls(doc["r"], doc["den_z"], w)
         for t in doc["terms"]:
-            f.add_term(t["q"], tuple(t["z"]), t["s"], _coeff_from_str(t["c"]))
+            q, s, z, c = t["q"], t["s"], tuple(t["z"]), _coeff_from_str(t["c"])
+            cell = f.cells.setdefault((s, q), {})
+            if not c or q > w.q_max or s > w.s_max or z in cell:
+                raise ValueError("bad term q=%s z=%s s=%s c=%s" % (q, z, s, t["c"]))
+            cell[z] = c
         return f
 
     def digest(self) -> str:

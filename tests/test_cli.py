@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import refltower
 from refltower import borcherds, cli, jacobi
 from refltower.cli import main
 from refltower.series import TruncationWindow
@@ -72,7 +75,7 @@ def test_expand_cache_round_trip(tmp_path, capsys):
 
 def test_cache_entry_of_other_code_is_a_miss(tmp_path, monkeypatch):
     """An entry stored under another code digest is not served; the
-    expansion is computed again and stored under the current digest."""
+    expansion is computed again and overwrites that entry's file."""
     desc, win, cache = "theta", TruncationWindow(48, 0), str(tmp_path)
     want = cli.expand_descriptor(desc, win).to_json()
     monkeypatch.setattr(cli, "_code_digest", lambda: "0" * 64)
@@ -89,9 +92,85 @@ def test_cache_entry_of_other_code_is_a_miss(tmp_path, monkeypatch):
     monkeypatch.undo()
     body, _, hit = cli._cached_expand(desc, win, cache)
     assert (body, hit) == (want, False)
-    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert list(tmp_path.glob("*.json")) == [stale]
     body, _, hit = cli._cached_expand(desc, win, cache)
     assert (body, hit) == (want, True)
+
+
+def test_cache_entry_rejected_by_from_json_is_a_miss(tmp_path):
+    desc, win, cache = "theta", TruncationWindow(48, 0), str(tmp_path)
+    want = cli._cached_expand(desc, win, cache)[0]
+    (path,) = tmp_path.glob("*.json")
+    # a sound digest over a body with one term twice
+    doc = json.loads(path.read_text())
+    series = json.loads(doc["series"])
+    series["terms"].append(series["terms"][0])
+    doc["series"] = json.dumps(series, separators=(",", ":"), sort_keys=True)
+    doc["digest"] = hashlib.sha256(doc["series"].encode()).hexdigest()
+    path.write_text(json.dumps(doc))
+    body, _, hit = cli._cached_expand(desc, win, cache)
+    assert (body, hit) == (want, False)
+    assert json.loads(path.read_text())["series"] == want
+
+
+# one descriptor of every kind, each with its own window
+KINDS = (("psi_10_D2", 2, 2), ("lift:D2", 3, 2), ("borcherds:D3", 2, 2),
+         ("product:A2", 2, 2), ("phi0:D4", 1, 0), ("closedform:D3", 2, 2))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cache_hit_prints_what_the_miss_printed(tmp_path, capsys, fmt):
+    for desc, qmax, smax in KINDS:
+        argv = ["expand", desc, "--qmax", str(qmax), "--smax", str(smax),
+                "--format", fmt, "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        miss = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == miss, desc
+        win = TruncationWindow(24 * qmax, 2 * smax)
+        assert cli._cached_expand(desc, win, str(tmp_path))[2] is True
+        if fmt == "json":
+            # the spliced body prints as re-serialising the whole document would
+            doc = json.loads(miss)
+            assert miss == json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(refltower.__file__)))
+
+
+def _python(code: str, *argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_import_loads_every_module_and_runs_no_numpy():
+    proc = _python(
+        "import pkgutil, sys, refltower.cli\n"
+        "print(sorted(m.name for m in pkgutil.iter_modules(refltower.__path__, 'refltower.')"
+        " if m.name not in sys.modules))\n"
+        "print(sorted(n for n in sys.modules if n.startswith('numpy.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[]\n"
+
+
+def test_cache_hits_need_no_numpy(tmp_path, capsys):
+    cache = ["--cache-dir", str(tmp_path)]
+    requests = [["expand", "lift:D3", "--qmax", "2", "--smax", "2"],
+                ["expand", "lift:D3", "--qmax", "2", "--smax", "2", "--format", "json"],
+                ["compare", "lift:D2", "borcherds:D2", "--qmax", "3", "--smax", "2"],
+                ["compare", "psi_10_D2", "lift:psi_10_D2", "--qmax", "3", "--smax", "2"]]
+    blocked = ("import sys\nsys.modules['numpy'] = None\n"
+               "from refltower.cli import main\nraise SystemExit(main(sys.argv[1:]))")
+    for argv in requests:
+        rc = main(argv + cache)
+        want = capsys.readouterr().out
+        proc = _python(blocked, *argv, *cache)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want, "")
+    # the block is real: a miss needs numpy's kernels
+    proc = _python(blocked, "expand", "borcherds:D3", "--qmax", "2", *cache)
+    assert proc.returncode != 0
 
 
 def test_negative_window_is_usage_error(capsys):

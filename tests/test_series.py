@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -258,3 +259,59 @@ def test_lowest_term_and_valuations():
     assert f.s_valuation() == 2
     assert f.corner_cell() == (2, 5)
     assert f.lowest_term() == (5, (1, -1), 2, -2)
+
+
+@pytest.mark.parametrize("case", ["duplicate", "zero", "outside-window"])
+def test_from_json_rejects_malformed_terms(case):
+    f = FourierSeries(1, 2, TruncationWindow(24, 2))
+    f.add_term(3, (1,), 0, 5)
+    f.add_term(3, (-1,), 0, -5)
+    doc = json.loads(f.to_json())
+    term = dict(doc["terms"][0])
+    if case == "duplicate":
+        term["c"] = "7"
+    elif case == "zero":
+        term["z"], term["c"] = [3], "0"
+    else:
+        term["q"] = 25
+    doc["terms"].append(term)
+    with pytest.raises(ValueError, match="bad term"):
+        FourierSeries.from_json(json.dumps(doc))
+
+
+def sorted_first_difference(a, b, w):
+    """The comparison as a sort over every (s, q, z) key of both series."""
+    keys = {(s, q, z) for src in (a, b) for (s, q), sl in src.cells.items()
+            if s <= w.s_max and q <= w.q_max for z in sl}
+    for (s, q, z) in sorted(keys):
+        ca, cb = a.coefficient(q, z, s), b.coefficient(q, z, s)
+        if ca != cb:
+            return (s, q, z, ca, cb)
+    return None
+
+
+def test_first_difference_matches_sorting_every_key():
+    rng = random.Random(43)
+    kinds = set()
+    for trial in range(300):
+        a = rand_series(rng, 2, 2, 30, 4, 40, fractions=trial % 3 == 0)
+        b = a.copy()
+        for _ in range(rng.randrange(0, 3)):  # changed, added or removed terms
+            q, z, s, _ = rng.choice(list(a.terms()) or [(0, (0, 0), 0, 0)])
+            if rng.random() < 0.5:
+                q, z = rng.randrange(0, 31), (rng.randrange(-4, 5), rng.randrange(-4, 5))
+            b.add_term(q, z, s, rng.choice([-1, 1, Fraction(1, 2), -b.coefficient(q, z, s)]))
+        # cells that differ as dicts only: missing on one side and empty or
+        # holding a stored zero on the other
+        for _ in range(rng.randrange(0, 3)):
+            cell = (rng.randrange(0, 5), rng.randrange(0, 31))
+            if cell not in b.cells:
+                sl = a.cells.setdefault(cell, {})
+                if rng.random() < 0.5:
+                    sl[(rng.randrange(-4, 5), 0)] = 0
+        w = rng.choice([None, TruncationWindow(rng.randrange(0, 31), rng.randrange(0, 5))])
+        got = a.first_difference(b, w)
+        assert got == sorted_first_difference(a, b, a.window.meet(w or a.window))
+        assert b.first_difference(a, w) == (None if got is None else got[:3] + got[:2:-1])
+        kinds.add(got is None)
+    assert kinds == {True, False}

@@ -426,6 +426,7 @@ def reflective_divisor_scan(key: str, q_depth: int, m_bound: int = None) -> dict
     # merge kappa with -kappa; the first class seen keeps its example
     classes: dict = {}
     for mset, cnt, ex in by_key.values():
+        # one public eichler_invariant call per class, which the traced profile counts
         ec = lat.eichler_invariant(*ex, grid=True)
         neg = lat.disc_reduce(tuple(-a for a in ec.kappa))
         row = classes.setdefault((ec.v2, ec.div, min(ec.kappa, neg)), [set(), 0, ex])

@@ -106,18 +106,11 @@ def _cache_path(cache_dir: str, desc: str, window: TruncationWindow) -> str:
     return os.path.join(cache_dir, h + ".json")
 
 
-class _Entry(tuple):
-    """(series_json, digest, hit) of one lookup; ``series`` is that series."""
-
-    def __new__(cls, body: str, digest: str, hit: bool, series: FourierSeries):
-        entry = super().__new__(cls, (body, digest, hit))
-        entry.series = series
-        return entry
-
-
-def _cached_expand(desc: str, window: TruncationWindow, cache_dir) -> _Entry:
-    """Look up or build an expansion.  An entry of other code, with a wrong
-    payload digest or a body ``from_json`` rejects is a miss and rewritten."""
+def _cached_expand(desc: str, window: TruncationWindow, cache_dir, *,
+                   parse: bool = True) -> tuple:
+    """Return (series_json, digest, hit, series).  A hit parses the body only
+    if ``parse``; an entry of other code, with a wrong payload digest or a
+    body ``from_json`` rejects is a miss and rewritten."""
     path = _cache_path(cache_dir, desc, window) if cache_dir else None
     if path:
         try:
@@ -126,11 +119,16 @@ def _cached_expand(desc: str, window: TruncationWindow, cache_dir) -> _Entry:
             body = doc["series"]
             if (doc["schema"] == _SCHEMA and doc["code"] == _code_digest()
                     and hashlib.sha256(body.encode()).hexdigest() == doc["digest"]):
-                return _Entry(body, doc["digest"], True, FourierSeries.from_json(body))
+                return (body, doc["digest"], True,
+                        FourierSeries.from_json(body) if parse else None)
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
             pass  # missing, unreadable or malformed entry: a miss, rewritten below
     series = expand_descriptor(desc, window)
     body = series.to_json()
+    w = series.window
+    if any(s > w.s_max or q > w.q_max or not all(sl.values())
+           for (s, q), sl in series.cells.items()):
+        series = FourierSeries.from_json(body)  # only the terms a hit reads back
     digest = hashlib.sha256(body.encode()).hexdigest()
     if path:
         os.makedirs(cache_dir, exist_ok=True)
@@ -141,14 +139,15 @@ def _cached_expand(desc: str, window: TruncationWindow, cache_dir) -> _Entry:
         with open(tmp, "w") as fh:
             json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
         os.replace(tmp, path)
-    return _Entry(body, digest, False, series)
+    return body, digest, False, series
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
 def _pow_str(num: int, den: int) -> str:
-    return str(Fraction(num, den))
+    f = Fraction(num, den)
+    return str(f)
 
 
 def _render_text(desc: str, window, series: FourierSeries, digest: str) -> str:
@@ -196,16 +195,16 @@ def _cmd_expand(args) -> int:
     window = _window_from(args)
     cache_dir = args.cache_dir or os.environ.get("CACHE_DIR")
     try:
-        entry = _cached_expand(args.descriptor, window, cache_dir)
+        body, digest, _, series = _cached_expand(args.descriptor, window, cache_dir,
+                                                 parse=args.format != "json")
     except (ValueError, ArithmeticError) as exc:
         # ArithmeticError: an exactness check failed, e.g. integrality
         print("error: %s" % exc, file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2
-    body, digest, _ = entry
     if args.format == "json":
         text = _render_json(args.descriptor, window, body, digest)
     else:
-        text = _render_text(args.descriptor, window, entry.series, digest)
+        text = _render_text(args.descriptor, window, series, digest)
     _emit(text, args.out)
     return 0
 
@@ -245,8 +244,8 @@ def _cmd_compare(args) -> int:
     window = _window_from(args)
     cache_dir = args.cache_dir or os.environ.get("CACHE_DIR")
     try:
-        a = _cached_expand(args.left, window, cache_dir).series
-        b = _cached_expand(args.right, window, cache_dir).series
+        a = _cached_expand(args.left, window, cache_dir)[3]
+        b = _cached_expand(args.right, window, cache_dir)[3]
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2

@@ -468,11 +468,14 @@ class FourierSeries:
         return cell.get(tuple(z), 0)
 
     def terms(self) -> Iterator[tuple]:
-        """Yield (q_num, z, s_num, coeff) in canonical (s, q, z) order."""
-        for (s, q) in sorted(self.cells):
+        """Yield (q_num, z, s_num, coeff) in canonical (s, q, z) order,
+        skipping stored zeros and cells outside the window."""
+        w = self.window
+        for (s, q) in sorted(c for c in self.cells if c[0] <= w.s_max and c[1] <= w.q_max):
             cell = self.cells[(s, q)]
             for z in sorted(cell):
-                yield q, z, s, cell[z]
+                if cell[z]:
+                    yield q, z, s, cell[z]
 
     def term_count(self) -> int:
         return sum(len(c) for c in self.cells.values())

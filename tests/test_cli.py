@@ -87,13 +87,13 @@ def test_cache_entry_of_other_code_is_a_miss(tmp_path, monkeypatch):
     doc["series"] = cli.expand_descriptor(desc, TruncationWindow(24, 0)).to_json()
     doc["digest"] = hashlib.sha256(doc["series"].encode()).hexdigest()
     stale.write_text(json.dumps(doc))
-    body, _, hit = cli._cached_expand(desc, win, cache)
+    body, _, hit, _ = cli._cached_expand(desc, win, cache)
     assert (body, hit) == (doc["series"], True)
     monkeypatch.undo()
-    body, _, hit = cli._cached_expand(desc, win, cache)
+    body, _, hit, _ = cli._cached_expand(desc, win, cache)
     assert (body, hit) == (want, False)
     assert list(tmp_path.glob("*.json")) == [stale]
-    body, _, hit = cli._cached_expand(desc, win, cache)
+    body, _, hit, _ = cli._cached_expand(desc, win, cache)
     assert (body, hit) == (want, True)
 
 
@@ -108,10 +108,51 @@ def test_cache_entry_rejected_by_from_json_is_a_miss(tmp_path):
     doc["series"] = json.dumps(series, separators=(",", ":"), sort_keys=True)
     doc["digest"] = hashlib.sha256(doc["series"].encode()).hexdigest()
     path.write_text(json.dumps(doc))
-    body, _, hit = cli._cached_expand(desc, win, cache)
+    body, _, hit, _ = cli._cached_expand(desc, win, cache)
     assert (body, hit) == (want, False)
     assert json.loads(path.read_text())["series"] == want
 
+
+
+def test_json_hit_splices_the_body_unparsed(tmp_path, capsys, monkeypatch):
+    argv = ["expand", "lift:D2", "--qmax", "2", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    miss = capsys.readouterr().out
+
+    def no_parse(text):
+        raise AssertionError("a json hit parsed its body")
+
+    monkeypatch.setattr(cli.FourierSeries, "from_json", no_parse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == miss
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_built_zeros_and_outside_terms_print_as_a_hit_reads_them(
+        tmp_path, capsys, monkeypatch, fmt):
+    """A builder that leaves stored zeros, empty cells or terms outside the
+    window prints the same on a miss and on a hit, and its entry hits."""
+    build = cli.expand_descriptor
+
+    def dirty(desc, window):
+        f = build("theta", window)
+        f.cells.setdefault((0, 0), {})[(5,)] = 0
+        f.cells[(0, 1)] = {}
+        f.cells[(0, window.q_max + 24)] = {(0,): 3}
+        return f
+
+    monkeypatch.setattr(cli, "expand_descriptor", dirty)
+    argv = ["expand", "theta", "--qmax", "2", "--smax", "0", "--format", fmt,
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    miss = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == miss
+    monkeypatch.undo()
+    assert cli._cached_expand("theta", TruncationWindow(48, 0), str(tmp_path))[2] is True
+    assert main(argv) == 0
+    assert capsys.readouterr().out == miss
 
 # one descriptor of every kind, each with its own window
 KINDS = (("psi_10_D2", 2, 2), ("lift:D2", 3, 2), ("borcherds:D3", 2, 2),

@@ -261,6 +261,18 @@ def test_lowest_term_and_valuations():
     assert f.lowest_term() == (5, (1, -1), 2, -2)
 
 
+def test_to_json_writes_only_nonzero_terms_inside_the_window():
+    f = FourierSeries(1, 2, TruncationWindow(24, 2))
+    f.add_term(3, (1,), 0, 5)
+    want = f.to_json()
+    f.cells[(0, 3)][(2,)] = 0
+    f.cells[(2, 0)] = {}
+    f.cells[(0, 25)] = {(0,): 1}
+    f.cells[(4, 0)] = {(0,): 1}
+    assert f.to_json() == want
+    assert FourierSeries.from_json(want).cells == {(0, 3): {(1,): 5}}
+
+
 @pytest.mark.parametrize("case", ["duplicate", "zero", "outside-window"])
 def test_from_json_rejects_malformed_terms(case):
     f = FourierSeries(1, 2, TruncationWindow(24, 2))

@@ -26,7 +26,6 @@ from .jacobi import (
     MEMBERS,
     _eta_coeff,
     _odd_shell,
-    chi4,
     member_hecke_slice,
 )
 from .series import FourierSeries, TruncationWindow
@@ -63,16 +62,6 @@ def gritsenko_lift(key: str, window: TruncationWindow) -> OrthogonalModularForm:
     return OrthogonalModularForm("lift(%s)" % key, out, meta.weight, key, step)
 
 
-def fourier_jacobi(form: OrthogonalModularForm, s_num: int) -> FourierSeries:
-    """Extract one Fourier-Jacobi layer of a lift as a plain q-z series."""
-    ser = form.series
-    out = FourierSeries(ser.r, ser.den_z, TruncationWindow(ser.window.q_max, 0))
-    for (s, q), sl in ser.cells.items():
-        if s == s_num:
-            out.cells[(0, q)] = dict(sl)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # closed coefficient formula for the D family
 
@@ -101,12 +90,10 @@ def closed_form_slice(k: int, n: int, m: int) -> dict:
                 break
             e = _eta_coeff(p, rest)
             if e:
-                for w in _odd_shell(k, ssq):
-                    kr = 1
-                    for a in w:
-                        kr *= chi4(a)
+                pe = pw * e
+                for w, kr in _odd_shell(k, ssq).items():
                     z = w if d == 1 else tuple(d * a for a in w)
-                    v = acc.get(z, 0) + pw * e * kr
+                    v = acc.get(z, 0) + pe * kr
                     if v:
                         acc[z] = v
                     else:

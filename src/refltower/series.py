@@ -651,27 +651,6 @@ class FourierSeries:
             return self.div(other)
         return self.scaled(Fraction(1, other) if isinstance(other, int) else 1 / other)
 
-    # -- exponential ---------------------------------------------------------
-
-    def exp_s(self) -> "FourierSeries":
-        """exp of a series with positive s-valuation, exact on its window."""
-        one = FourierSeries.monomial(1, 0, (0,) * self.r, 0, self.den_z, self.window)
-        if self.is_zero():
-            return one
-        sval = self.s_valuation()
-        if sval <= 0:
-            raise ValueError("exp needs positive s-valuation")
-        out = one
-        term = one
-        j = 1
-        while j * sval <= self.window.s_max:
-            term = term.mul(self, self.window).scaled(Fraction(1, j))
-            if term.is_zero():
-                break
-            out = out + term
-            j += 1
-        return out
-
     # -- variable changes ------------------------------------------------------
 
     def scale_variables(self, q_factor=1, z_factor=1) -> "FourierSeries":
@@ -717,19 +696,32 @@ class FourierSeries:
         """Set z_i = 0, summing coefficients; r drops by one."""
         if not 0 <= i < self.r:
             raise ValueError("coordinate out of range")
-        cols = [j for j in range(self.r) if j != i]
-        matrix = [[1 if j == col else 0 for col in cols] for j in range(self.r)]
-        return self.map_z(matrix)
+        out = FourierSeries(self.r - 1, self.den_z if self.r > 1 else 1, self.window)
+        for cq, sl in self.cells.items():
+            acc: dict = {}
+            for z, c in sl.items():
+                zn = z[:i] + z[i + 1:]
+                acc[zn] = acc.get(zn, 0) + c
+            acc = {z: c if type(c) is int else _norm_coeff(c) for z, c in acc.items() if c}
+            if acc:
+                out.cells[cq] = acc
+        return out
 
     def derivative_z(self, i: int) -> "FourierSeries":
         """Apply (2 pi i)^-1 d/dz_i, i.e. multiply each term by its z_i exponent."""
         if not 0 <= i < self.r:
             raise ValueError("coordinate out of range")
         out = FourierSeries(self.r, self.den_z, self.window)
+        d = self.den_z
         for (s, q), sl in self.cells.items():
             acc = {}
             for z, c in sl.items():
-                v = _norm_coeff(c * Fraction(z[i], self.den_z))
+                if type(c) is int:
+                    v, rem = divmod(c * z[i], d)
+                    if rem:
+                        v = Fraction(c * z[i], d)
+                else:
+                    v = _norm_coeff(c * Fraction(z[i], d))
                 if v:
                     acc[z] = v
             if acc:

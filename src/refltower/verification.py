@@ -103,9 +103,14 @@ def _run_q0_terms(win):
     return ok, checked, {"constants": {k: _Q0_CONST[m.family](m) for k, m in jacobi.MEMBERS.items()}, "mismatches": bad}
 
 
-def _hyper_norm(lat, q, z, index=1) -> Fraction:
-    """2 (q/24) index - (l, l) for the index (q, z) of a form on the grid of lat."""
-    return Fraction(q, 12) * index - Fraction(lat.grid_norm(z), lat.norm_den)
+def _hyper_norm(lat, q, z, index=1) -> int:
+    """2 (q/24) index - (l, l) for the index (q, z) of a form on the grid of
+    lat, as a numerator over ``_norm_den(lat, index)``."""
+    return q * index.numerator * lat.norm_den - 12 * index.denominator * lat.grid_norm(z)
+
+
+def _norm_den(lat, index=1) -> int:
+    return 12 * index.denominator * lat.norm_den
 
 
 def _run_support_bounds(win):
@@ -128,7 +133,9 @@ def _run_support_bounds(win):
                 if _hyper_norm(lat, q, z, meta.index) < 0:
                     ok = False
                     bad.setdefault(key, []).append(_jsonable((q, z)))
-        floor = borcherds._FAMILY_MIN[meta.family]
+        floor = borcherds._FAMILY_MIN[meta.family] * _norm_den(lat)
+        assert floor.denominator == 1, "family floor off the norm grid"
+        floor = floor.numerator
         pdepth = min(depth, 4)
         phi = jacobi.weak_weight0(key, pdepth).series.truncated(TruncationWindow(24 * pdepth, 0))
         for (s, q), sl in phi.cells.items():
@@ -154,7 +161,8 @@ def _support_norms(key, win):
         for z in jacobi.member_slice(key, q):
             norms.add(_hyper_norm(lat, q, z, meta.index))
             count += 1
-    return norms, count
+    den = _norm_den(lat, meta.index)
+    return {Fraction(n, den) for n in norms}, count
 
 
 def _run_singular_support(win):
@@ -164,7 +172,7 @@ def _run_singular_support(win):
     for key in sorted(jacobi.TOWER_TOPS):
         norms, count = _support_norms(key, win)
         checked += count
-        details[key] = sorted(_jsonable(n) for n in norms)
+        details[key] = [_jsonable(n) for n in sorted(norms)]
         if norms != {Fraction(0)}:
             ok = False
     return ok, checked, details
@@ -318,8 +326,8 @@ _CLASS_REPS = ["psi_4_D8", "psi_10_D2", "eta21_theta2z", "psi_9_A2", "psi_5_A1",
 
 
 def _run_class_invariance(win):
-    # group weight-0 coefficients by (hyperbolic norm, discriminant class);
-    # each group must be constant
+    # group weight-0 coefficients by (hyperbolic norm numerator,
+    # discriminant class); each group must be constant
     ok = True
     checked = 0
     details = {}

@@ -375,7 +375,8 @@ def test_phi0_d1_is_doubled_restriction():
 
 def test_phi0_general_division_agrees():
     cases = [(key, 5) for key, meta in MEMBERS.items() if meta.r <= 4]
-    cases += [("psi_7_D5", 4), ("psi_6_D6", 4)]
+    cases += [("psi_7_D5", 4), ("psi_6_D6", 4), ("psi_3_3A2", 3),
+              ("psi_5_D7", 3), ("psi_4_D8", 2)]
     for key, depth in cases:
         a = phi0_by_division(key, depth)
         b = phi0_by_general_division(key, depth)

@@ -2,8 +2,18 @@
 
 from fractions import Fraction
 
-from refltower.series import TruncationWindow
+from refltower.series import FourierSeries, TruncationWindow
 from refltower import jacobi, lifting
+
+
+def fourier_jacobi(form: lifting.OrthogonalModularForm, s_num: int) -> FourierSeries:
+    """One Fourier-Jacobi layer of a lift as a plain q-z series."""
+    ser = form.series
+    out = FourierSeries(ser.r, ser.den_z, TruncationWindow(ser.window.q_max, 0))
+    for (s, q), sl in ser.cells.items():
+        if s == s_num:
+            out.cells[(0, q)] = dict(sl)
+    return out
 
 
 def test_lift_layer_grids():
@@ -28,7 +38,7 @@ def test_lift_cells_are_hecke_translates():
 def test_fourier_jacobi_extraction():
     w = TruncationWindow(72, 4)
     lift = lifting.gritsenko_lift("psi_10_D2", w)
-    layer = lifting.fourier_jacobi(lift, 2)
+    layer = fourier_jacobi(lift, 2)
     psi = jacobi.member_series("psi_10_D2", TruncationWindow(72, 0))
     assert layer.first_difference(psi) is None
 
@@ -72,3 +82,30 @@ def test_closed_form_nm_symmetry():
     for n, m in [(1, 2), (2, 3), (1, 4)]:
         assert lifting.closed_form_slice(4, n, m) == \
             lifting.closed_form_slice(4, m, n)
+
+
+def test_closed_form_reads_the_shell_sign_as_the_kronecker_product(monkeypatch):
+    """closed_form_slice takes prod_i chi4(w_i) from the _odd_shell map:
+    every shell it reads at the identity-mix window (72, 4) must carry
+    exactly that sign."""
+    real, seen = lifting._odd_shell, set()
+
+    def spy(r, total):
+        seen.add((r, total))
+        return real(r, total)
+
+    monkeypatch.setattr(lifting, "_odd_shell", spy)
+    for k in range(2, 9):
+        for m in (1, 2):
+            for n in (1, 2, 3):
+                lifting.closed_form_slice(k, n, m)
+    assert {r for r, _ in seen} == set(range(2, 9))
+    entries = 0
+    for r, total in seen:
+        for w, sign in real(r, total).items():
+            want = 1
+            for a in w:
+                want *= jacobi.chi4(a)
+            assert sign == want, (r, total, w)
+            entries += 1
+    assert entries > 10000

@@ -15,6 +15,8 @@ from refltower.series import (
     _slice_mul_py,
 )
 
+from oracles import exp_s
+
 
 def rand_series(rng, r, den_z, wq, ws, nterms, fractions=False):
     f = FourierSeries(r, den_z, TruncationWindow(wq, ws))
@@ -200,8 +202,8 @@ def test_exp_s_inverse():
         for _ in range(6):
             x.add_term(rng.randrange(0, 10), (rng.randrange(-2, 3),),
                        rng.randrange(1, 4), rng.randrange(-4, 5))
-        e = x.exp_s()
-        einv = (-x).exp_s()
+        e = exp_s(x)
+        einv = exp_s(-x)
         prod = e.mul(einv)
         one = FourierSeries.monomial(1, 0, (0,), 0, 2, prod.window)
         assert prod.first_difference(one) is None
@@ -230,6 +232,44 @@ def test_restrict_and_derivative():
     d = f.derivative_z(0)
     assert d.coefficient(1, (1, 2)) == Fraction(5, 2)
     assert d.coefficient(1, (-1, 2)) == -2
+
+
+def _canonical(f):
+    """Every stored coefficient is a nonzero int or a non-integral Fraction."""
+    return all(c and (type(c) is int or c.denominator != 1)
+               for sl in f.cells.values() for c in sl.values())
+
+
+def test_restrict_and_derivative_match_the_general_formulas():
+    """restrict_z equals map_z by the projection matrix, and derivative_z
+    the Fraction product c * z_i / den_z, on seeded series with Fraction
+    coefficients, terms that cancel (or sum to an integer) under the
+    restriction, and r = 1 -> 0."""
+    rng = random.Random(43)
+    for trial in range(60):
+        r, den_z = rng.randrange(1, 4), rng.choice((1, 2, 4, 6))
+        f = rand_series(rng, r, den_z, 30, 3, 25, fractions=trial % 2 == 0)
+        i = rng.randrange(r)
+        for _ in range(6):  # pairs that meet at z_i = 0: cancel, or sum to 1
+            q, s = rng.randrange(31), rng.randrange(4)
+            z = [rng.randrange(-4, 5) for _ in range(r)]
+            c = rng.choice((rng.randrange(1, 9), Fraction(rng.randrange(1, 9), 3)))
+            f.add_term(q, tuple(z), s, c)
+            z[i] += rng.randrange(1, 4)
+            f.add_term(q, tuple(z), s, -c if rng.random() < 0.5 else 1 - c)
+        proj = [[1 if j == col else 0 for col in range(r) if col != i] for j in range(r)]
+        got, want = f.restrict_z(i), f.map_z(proj)
+        assert got == want and _canonical(got)
+        assert got.den_z == (den_z if r > 1 else 1)
+        d = f.derivative_z(i)
+        want = {}
+        for cq, sl in f.cells.items():
+            cell = {z: c * Fraction(z[i], den_z) for z, c in sl.items()}
+            cell = {z: int(c) if c.denominator == 1 else c for z, c in cell.items() if c}
+            if cell:
+                want[cq] = cell
+        assert d.cells == want and _canonical(d)
+        assert (d.r, d.den_z, d.window) == (f.r, f.den_z, f.window)
 
 
 def test_map_z_relabel():

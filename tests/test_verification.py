@@ -1,7 +1,14 @@
 import json
+from fractions import Fraction
 
-from refltower import borcherds, jacobi, verification
+from refltower import borcherds, jacobi, lattices, verification
 from refltower.series import TruncationWindow
+
+
+def hyper_norm_fraction(lat, q, z, index=1) -> Fraction:
+    """2 (q/24) index - (l, l) in Fraction arithmetic: the oracle of
+    verification._hyper_norm."""
+    return Fraction(q, 12) * index - Fraction(lat.grid_norm(z), lat.norm_den)
 
 
 def test_identity_listing_is_sorted_and_complete():
@@ -157,3 +164,91 @@ def test_negative_control_catches_corrupt_lift(monkeypatch):
                                TruncationWindow(48, 2))
         assert rep.status == "fail", key
         assert rep.details["first_mismatch"] is not None
+
+
+def test_integer_hyper_norm_matches_the_fraction_oracle():
+    """The numerator over _norm_den is the Fraction norm on every member
+    slice through q = 96 and every phi0 term through depth 2, the
+    identity-mix windows of the support and class checks, for all 15
+    members (the index-1/2 A1 family included)."""
+    checked = 0
+    for key, meta in jacobi.MEMBERS.items():
+        lat = lattices.lattice(meta.lattice_name)
+        cells = [(meta.index, q, jacobi.member_slice(key, q))
+                 for q in range(meta.val_q, 97, 24)]
+        phi = jacobi.weak_weight0(key, 2).series.truncated(TruncationWindow(48, 0))
+        cells += [(Fraction(1), q, sl) for (_, q), sl in phi.cells.items()]
+        for index, q, sl in cells:
+            den = verification._norm_den(lat, index)
+            for z in sl:
+                got = verification._hyper_norm(lat, q, z, index)
+                assert type(got) is int
+                assert Fraction(got, den) == hyper_norm_fraction(lat, q, z, index), (key, q, z)
+                checked += 1
+    assert checked > 50000
+
+
+def _add_slice_term(monkeypatch, key, q, z):
+    real = jacobi.member_slice
+
+    def crooked(k, q_num):
+        sl = real(k, q_num)
+        if (k, q_num) == (key, q):
+            sl = dict(sl)
+            sl[z] = 1
+        return sl
+
+    monkeypatch.setattr(jacobi, "member_slice", crooked)
+
+
+def _bump_phi0_term(monkeypatch, key, q, z):
+    real = jacobi.weak_weight0
+
+    def crooked(k, depth):
+        form = real(k, depth)
+        if k == key:
+            series = form.series.copy()
+            series.add_term(q, z, 0, 1)
+            return form._replace(series=series)
+        return form
+
+    monkeypatch.setattr(jacobi, "weak_weight0", crooked)
+
+
+def test_negative_control_below_cone_slice_term(monkeypatch):
+    # 2 - 15/4: below the cone, and off the integers
+    z = (3, 1, 1, 1, 1, 1, 1, 0)
+    _add_slice_term(monkeypatch, "psi_4_D8", 24, z)
+    rep = verification.run("lemma13-support-bounds", TruncationWindow(48, 4))
+    assert rep.status == "fail"
+    assert rep.details["violations"] == {"psi_4_D8": [[24, list(z)]]}
+    rep = verification.run("singular-support", TruncationWindow(96, 4))
+    assert rep.status == "fail"
+    assert rep.details["psi_4_D8"] == ["-7/4", 0]
+    assert rep.details["psi_3_3A2"] == [0]
+
+
+def test_negative_control_phi0_term_below_the_floor(monkeypatch):
+    # -(l, l) = -4 with l = 2 e_1, below the D floor -1
+    _bump_phi0_term(monkeypatch, "psi_10_D2", 0, (4, 0))
+    rep = verification.run("lemma13-support-bounds", TruncationWindow(48, 4))
+    assert rep.status == "fail"
+    assert rep.details["violations"] == {"psi_10_D2": [[0, [4, 0], 1]]}
+
+
+def test_negative_control_cone_term_below_a_top(monkeypatch):
+    # 48/12 - 16/4 = 0: on the cone
+    _add_slice_term(monkeypatch, "psi_8_D4", 48, (2, 2, 2, 2))
+    rep = verification.run("cusp-support", TruncationWindow(96, 4))
+    assert rep.status == "fail"
+    assert rep.details["psi_8_D4"] == 0
+    assert all(Fraction(low) > 0 for k, low in rep.details.items() if k != "psi_8_D4")
+
+
+def test_negative_control_coefficient_off_its_class(monkeypatch):
+    # c(1, 2 e_1) = 36 is shared by every permutation and sign change
+    _bump_phi0_term(monkeypatch, "psi_4_D8", 24, (2, 0, 0, 0, 0, 0, 0, 0))
+    rep = verification.run("coefficient-class-invariance", TruncationWindow(48, 4))
+    assert rep.status == "fail"
+    assert rep.details["psi_4_D8"]["broken"] >= 1
+    assert all(d["broken"] == 0 for k, d in rep.details.items() if k != "psi_4_D8")

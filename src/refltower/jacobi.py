@@ -15,6 +15,10 @@ The rank-one doubled block stores exponents of theta(tau, 2z), whose dual
 vectors are z/4.  Each member's lattice (``refltower.lattices``) computes
 on these keys directly, as numerators over its grid denominator.
 
+Each block is described once, as the list of its factors
+(``_factor_stack``: the eta power, then one theta factor per copy); its
+corner directions and the packed division both read that list.
+
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
 constant term positive and the exponential lift reproduce the block.
@@ -60,65 +64,26 @@ def _divisors(n: int) -> list:
 # eta powers
 
 
+_SIGMA = [0]  # sigma(k), the divisor sums, for k < len(_SIGMA)
 _ETA_TABLES: dict = {}
 
 
-def _conv1(a: list, b: list, depth: int) -> list:
-    out = [0] * (depth + 1)
-    for i, x in enumerate(a):
-        if x == 0 or i > depth:
-            continue
-        top = min(depth - i, len(b) - 1)
-        for j in range(top + 1):
-            y = b[j]
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _euler(depth: int) -> list:
-    """prod_{n>=1} (1 - q^n) by the pentagonal number recursion."""
-    e = [0] * (depth + 1)
-    e[0] = 1
-    k = 1
-    while k * (3 * k - 1) // 2 <= depth:
-        s = -1 if k % 2 else 1
-        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if g <= depth:
-                e[g] = s
-        k += 1
-    return e
-
-
 def _eta_table(p: int, depth: int) -> list:
-    """Integer-exponent coefficients of prod (1 - q^n)^p up to q^depth."""
+    """Integer-exponent coefficients of prod (1 - q^n)^p up to q^depth.
+
+    The log derivative gives n a_n = -p sum_{k=1..n} sigma(k) a_(n-k);
+    each table is memoised per p and extended in place.
+    """
     tab = _ETA_TABLES.get(p)
     if tab is not None and len(tab) > depth:
         return tab
-    depth = max(depth, 32, 2 * (len(tab) - 1) if tab else 0)
-    e = _euler(depth)
-    if p >= 0:
-        base = e
-    else:
-        base = [0] * (depth + 1)
-        base[0] = 1
-        for n in range(1, depth + 1):
-            acc = 0
-            for k in range(1, n + 1):
-                if e[k]:
-                    acc += e[k] * base[n - k]
-            base[n] = -acc
-    result = [1] + [0] * depth
-    power = base
-    n = abs(p)
-    while n:
-        if n & 1:
-            result = _conv1(result, power, depth)
-        n >>= 1
-        if n:
-            power = _conv1(power, power, depth)
-    _ETA_TABLES[p] = result
-    return result
+    if tab is None:
+        tab = _ETA_TABLES[p] = [1]
+    while len(_SIGMA) <= depth:
+        _SIGMA.append(sum(_divisors(len(_SIGMA))))
+    for n in range(len(tab), depth + 1):
+        tab.append(-p * sum(_SIGMA[k] * tab[n - k] for k in range(1, n + 1)) // n)
+    return tab
 
 
 def _eta_coeff(p: int, q_num: int) -> int:
@@ -132,12 +97,10 @@ def _eta_coeff(p: int, q_num: int) -> int:
 def eta_power(p: int, q_max: int, s_max: int = 0) -> FourierSeries:
     """eta^p as an r=0 series, exact through q_num <= q_max."""
     f = FourierSeries(0, 1, TruncationWindow(q_max, s_max))
-    t = 0
-    while p + 24 * t <= q_max:
-        c = _eta_coeff(p, p + 24 * t)
-        if c:
+    top = (q_max - p) // 24
+    if top >= 0:
+        for t, c in enumerate(_eta_table(p, top)[:top + 1]):
             f.add_term(p + 24 * t, (), 0, c)
-        t += 1
     return f
 
 
@@ -328,6 +291,11 @@ def _a2_levels(k: int, p: int, depth: int) -> list:
     return have
 
 
+def _theta_scale(meta: MemberMeta) -> int:
+    """The exponent scale of a block's theta factors: 2 for theta(tau, 2z)."""
+    return 2 if meta.family == "D1" else 1
+
+
 _PSI_SLICES: dict = {}
 _PSI_SLICE_CACHE_DEPTH = 6
 
@@ -341,32 +309,17 @@ def member_slice(key: str, q_num: int) -> dict:
     cached = _PSI_SLICES.get(ck)
     if cached is not None:
         return cached
-    if meta.family in ("D", "A1"):
-        out = {}
-        u = 0
-        while True:
-            ssq = meta.copies + 8 * u
-            rest = q_num - 3 * ssq
-            if rest < meta.eta_exp:
-                break
-            e = _eta_coeff(meta.eta_exp, rest)
-            if e:
-                for z, s in _odd_shell(meta.copies, ssq).items():
-                    out[z] = e * s
-            u += 1
-    elif meta.family == "D1":
-        out = {}
-        m = 1
-        while 3 * m * m <= q_num - meta.eta_exp:
-            e = _eta_coeff(meta.eta_exp, q_num - 3 * m * m)
-            if e:
-                s = chi4(m)
-                out[(2 * m,)] = e * s
-                out[(-2 * m,)] = -e * s
-            m += 2
-    else:
+    if meta.family == "A2":
         n = (q_num - meta.val_q) // 24
         out = dict(_a2_levels(meta.copies, meta.eta_exp, n)[n])
+    else:
+        out = {}
+        scale = _theta_scale(meta)
+        for ssq in range(meta.copies, (q_num - meta.eta_exp) // 3 + 1, 8):
+            e = _eta_coeff(meta.eta_exp, q_num - 3 * ssq)
+            if e:
+                for z, s in _odd_shell(meta.copies, ssq).items():
+                    out[z if scale == 1 else tuple([scale * a for a in z])] = e * s
     if (q_num - meta.val_q) // 24 <= _PSI_SLICE_CACHE_DEPTH:
         _PSI_SLICES[ck] = out
     return out
@@ -442,6 +395,8 @@ def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
     condition d | (n, l, m) is realised by scaling source keys, so
     l-divisibility needs no separate test.
     """
+    if m < 1:
+        raise ValueError("translate order must be positive")
     meta = MEMBERS[key]
     grid = 24
     if meta.family == "A1":
@@ -459,22 +414,8 @@ def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
 
 
 def _corner_dirs(meta: MemberMeta) -> list:
-    if meta.family in ("D", "A1"):
-        dirs = []
-        for i in range(meta.r):
-            d = [0] * meta.r
-            d[i] = 1
-            dirs.append(tuple(d))
-        return dirs
-    if meta.family == "D1":
-        return [(2,)]
-    dirs = []
-    for c in range(meta.copies):
-        for pat in ((3, 0), (-3, 3), (0, 3)):
-            d = [0] * meta.r
-            d[2 * c], d[2 * c + 1] = pat
-            dirs.append(tuple(d))
-    return dirs
+    """The binomial directions of the block's level-0 cell, factor by factor."""
+    return [d for dirs, _ in _factor_stack(meta, 0) for d in dirs]
 
 
 def _corner_slice(meta: MemberMeta) -> dict:
@@ -490,38 +431,34 @@ def _corner_slice(meta: MemberMeta) -> dict:
 
 
 def _factor_stack(meta: MemberMeta, depth: int) -> list:
-    """The theta factors of a block, as (dirs, {level: slice}) pairs.
+    """The factors of a block, as (dirs, {level: slice}) pairs.
 
-    Each factor's cells are indexed by 24-grid level above its own
-    valuation, with the level-0 binomial left out (it is handled by the
-    per-direction division).  All higher cells are tiny, which is what
-    makes dividing by the whole block factor by factor cheap.
+    The eta power comes first, with no directions; then one copy of the
+    family's theta factor (theta(tau, z), theta(tau, 2z) or Theta_A2)
+    per copy, on that copy's coordinates.  Cells are indexed by 24-grid
+    level above the factor's valuation, with the level-0 binomial left
+    out (its directions are divided out one by one).  All higher cells
+    are tiny, which is what makes dividing by the whole block factor by
+    factor cheap.
     """
-    stack = []
-    if meta.family in ("D", "A1", "D1"):
-        scale = 2 if meta.family == "D1" else 1
-        for i in range(meta.r):
-            cells: dict = {}
-            m = 3
-            while 3 * (m * m - 1) <= 24 * depth:
-                lvl = (m * m - 1) // 8
-                z = [0] * meta.r
-                z[i] = scale * m
-                cells.setdefault(lvl, {})[tuple(z)] = chi4(m)
-                z[i] = -scale * m
-                cells[lvl][tuple(z)] = -chi4(m)
-                m += 2
-            d = [0] * meta.r
-            d[i] = scale
-            stack.append(([tuple(d)], cells))
-        return stack
-    block = _a2_levels(1, 0, depth)
-    dirs_all = _corner_dirs(meta)
+    eta = _eta_table(meta.eta_exp, depth)
+    stack = [([], {lvl: {(0,) * meta.r: eta[lvl]}
+                   for lvl in range(1, depth + 1) if eta[lvl]})]
+    if meta.family == "A2":
+        block = _a2_levels(1, 0, depth)
+        dirs = [(3, 0), (-3, 3), (0, 3)]
+        cells = {lvl: block[lvl] for lvl in range(1, depth + 1) if block[lvl]}
+    else:
+        s = _theta_scale(meta)
+        dirs = [(s,)]
+        cells = {(m * m - 1) // 8: {(s * m,): chi4(m), (-s * m,): -chi4(m)}
+                 for m in range(3, isqrt(8 * depth + 1) + 1, 2)}
+    w = len(dirs[0])
     for c in range(meta.copies):
-        pre, post = (0,) * (2 * c), (0,) * (meta.r - 2 * c - 2)
-        cells = {lvl: {pre + ab + post: co for ab, co in block[lvl].items()}
-                 for lvl in range(1, depth + 1) if block[lvl]}
-        stack.append((dirs_all[3 * c:3 * c + 3], cells))
+        pre, post = (0,) * (w * c), (0,) * (meta.r - w * c - w)
+        stack.append(([pre + d + post for d in dirs],
+                      {lvl: {pre + z + post: co for z, co in t.items()}
+                       for lvl, t in cells.items()}))
     return stack
 
 
@@ -597,9 +534,10 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
                    dtype) -> list:
     """The factored division on packed keys with values of one dtype.
 
-    Each level is held as (packed keys, values) in the frame of the
-    factor at hand; every binomial direction is divided out in its own
-    frame (``series._frame``) and correction terms are key offsets.  With
+    One loop over the factors of ``_factor_stack``, the eta power first:
+    per level, a factor subtracts its correction terms (key offsets of
+    lower quotient levels), then divides out each of its binomial
+    directions in that direction's frame (``series._frame``).  With
     int64 values every step first bounds its output from the actual
     maxima of its inputs; a bound reaching 2^62 raises _NotInt64.
     Raises ArithmeticError when division is not exact, TypeError on
@@ -615,6 +553,7 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
     pad = np.array(_pad(stack, depth, r), dtype=np.int64)
     L, H = z.min(axis=0) - pad, z.max(axis=0) + pad
     frames = [[_frame(L, H, 0, d) for d in dirs] for dirs, _ in stack]
+    cur = next(fr[0] for fr in frames if fr)
 
     def amax(v):
         return int(np.abs(v).max()) if checked and len(v) else 0
@@ -623,23 +562,11 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
         if checked and bound >= _INT64_SAFE:
             raise _NotInt64
 
-    cur = frames[0][0]
     cuts = np.searchsorted(lv, np.arange(1, depth + 1))
     work = list(zip(np.split(_encode(z, cur), cuts), np.split(v, cuts)))
     mx = [amax(v) for _, v in work]
-    e = meta.eta_exp
-    if e:
-        coeffs = [_eta_coeff(e, e + 24 * i) for i in range(depth + 1)]
-        for j in range(1, depth + 1):
-            guard(mx[j] + sum(abs(coeffs[i]) * mx[j - i]
-                              for i in range(1, j + 1)))
-            parts = [work[j]] + [(work[j - i][0], work[j - i][1] * -coeffs[i])
-                                 for i in range(1, j + 1)
-                                 if coeffs[i] and len(work[j - i][0])]
-            work[j] = _reduce_parts(parts)
-            mx[j] = amax(work[j][1])
     for (dirs, cells), fr in zip(stack, frames):
-        f0 = fr[0]
+        f0 = fr[0] if fr else cur
         if f0 is not cur:
             work = [(_encode(_decode(k, cur), f0), v) for k, v in work]
             cur = f0
@@ -676,8 +603,8 @@ def divide_by_member(levels: list, key: str, depth: int) -> list:
 
     ``levels[j]`` is the dividend slice at q_num = val + 24*j; the result
     is the quotient slice list on levels 0..depth.  Works factor by
-    factor on packed keys: the eta power contributes a scalar level
-    recurrence, each theta factor a sparse correction plus one linear
+    factor on packed keys: each factor, the eta power first, contributes
+    a sparse correction per level, and each theta factor one linear
     binomial pass per direction of its level-0 cell.  Values are int64
     unless some step could reach 2^62, in which case the division is
     run again on python ints.  Raises ArithmeticError when the division

@@ -654,10 +654,13 @@ class FourierSeries:
     # -- variable changes ------------------------------------------------------
 
     def scale_variables(self, q_factor=1, z_factor=1) -> "FourierSeries":
-        """Substitute tau -> a*tau, z -> b*z; errors if a key leaves the grid."""
+        """Substitute tau -> a*tau (a > 0), z -> b*z; errors if a key leaves
+        the grid.  The result is exact through floor(a * q_max)."""
         qf = Fraction(q_factor)
         zf = Fraction(z_factor)
-        wq = int(self.window.q_max * qf) if qf >= 1 else self.window.q_max
+        if qf <= 0:
+            raise ValueError("q factor must be positive")
+        wq = self.window.q_max * qf.numerator // qf.denominator
         out = FourierSeries(self.r, self.den_z, TruncationWindow(wq, self.window.s_max))
         for (s, q), sl in self.cells.items():
             qn = q * qf
@@ -769,19 +772,27 @@ class FourierSeries:
 
     @classmethod
     def from_json(cls, text: str) -> "FourierSeries":
-        """Parse ``to_json`` output.  A duplicate (s, q, z) term, a zero
-        coefficient or a term outside the window raises ValueError."""
+        """Parse ``to_json`` output.  A malformed, duplicate, zero or
+        out-of-window term raises ValueError."""
         doc = json.loads(text)
         if doc.get("schema") != 1:
             raise ValueError("unknown schema version")
         w = TruncationWindow(doc["window"]["q_max"], doc["window"]["s_max"])
         f = cls(doc["r"], doc["den_z"], w)
         for t in doc["terms"]:
-            q, s, z, c = t["q"], t["s"], tuple(t["z"]), _coeff_from_str(t["c"])
-            cell = f.cells.setdefault((s, q), {})
-            if not c or q > w.q_max or s > w.s_max or z in cell:
-                raise ValueError("bad term q=%s z=%s s=%s c=%s" % (q, z, s, t["c"]))
+            try:
+                q, s, z, c = t["q"], t["s"], tuple(t["z"]), _coeff_from_str(t["c"])
+                cell = f.cells.setdefault((s, q), {})
+                ok = (c and q <= w.q_max and s <= w.s_max and z not in cell
+                      and len(z) == f.r and type(q) is type(s) is int)
+            except (LookupError, TypeError, ValueError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise ValueError("bad term %s" % (t,))
             cell[z] = c
+        # the z entries are typed at once: a test per term would cost more
+        if not {int} >= set(map(type, chain.from_iterable(chain.from_iterable(f.cells.values())))):
+            raise ValueError("bad term: a z entry is not an integer")
         return f
 
     def digest(self) -> str:

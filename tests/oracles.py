@@ -23,3 +23,17 @@ def exp_s(x: FourierSeries) -> FourierSeries:
         out = out + term
         j += 1
     return out
+
+
+def eta_product(p: int, depth: int) -> list:
+    """prod_{n>=1} (1 - q^n)^p through q^depth, one factor (1 - q^n) at a time."""
+    a = [1] + [0] * depth
+    for n in range(1, depth + 1):
+        for _ in range(abs(p)):
+            if p > 0:  # times (1 - q^n)
+                for i in range(depth, n - 1, -1):
+                    a[i] -= a[i - n]
+            else:  # divided by (1 - q^n)
+                for i in range(n, depth + 1):
+                    a[i] += a[i - n]
+    return a

@@ -31,6 +31,8 @@ from refltower.jacobi import (
 from refltower.lattices import lattice
 from refltower.series import FourierSeries, TruncationWindow
 
+from oracles import eta_product
+
 
 # ---------------------------------------------------------------------------
 # independent constructions the tests compare the program against
@@ -180,6 +182,23 @@ def test_eta_cube_from_theta_pullback():
 def test_delta_coefficients():
     tau = [_eta_coeff(24, 24 * n) for n in range(1, 8)]
     assert tau == [1, -24, 252, -1472, 4830, -6048, -16744]
+
+
+def test_eta_table_matches_the_naive_product():
+    for p in range(-30, 25):
+        assert jacobi._eta_table(p, 60)[:61] == eta_product(p, 60), p
+
+
+def test_eta_table_extended_in_place_equals_a_fresh_one(monkeypatch):
+    for p in (-30, -1, 0, 3, 24):
+        monkeypatch.setattr(jacobi, "_SIGMA", [0])
+        monkeypatch.setattr(jacobi, "_ETA_TABLES", {})
+        short = jacobi._eta_table(p, 10)
+        assert len(short) == 11
+        deep = jacobi._eta_table(p, 60)
+        assert deep is short and len(deep) == 61
+        monkeypatch.setattr(jacobi, "_ETA_TABLES", {})
+        assert jacobi._eta_table(p, 60) == deep
 
 
 def test_eta_inverse_roundtrip():
@@ -491,6 +510,9 @@ def test_hecke_on_half_grid_rules():
         hecke_Vm_subst(f, 3)
     with pytest.raises(ValueError):
         member_hecke_slice("psi_5_A1", 2, 36)
+    for m in (0, -2):
+        with pytest.raises(ValueError):
+            member_hecke_slice("psi_9_A2", m, 48)
     sl = member_hecke_slice("psi_5_A1", 3, 36)
     assert sl and all(len(z) == 1 for z in sl)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from refltower.jacobi import eta_power
 from refltower.series import (
     FourierSeries,
     TruncationWindow,
@@ -221,6 +222,20 @@ def test_scale_variables_grid_check():
         assert False, "expected an off-grid error"
 
 
+def test_scale_variables_claims_only_the_window_it_has():
+    half = eta_power(24, 48).scale_variables(Fraction(1, 2))
+    deep = eta_power(24, 96).scale_variables(Fraction(1, 2))
+    assert half.window.q_max == 24
+    assert deep.coefficient(36, ()) == 252
+    assert half.first_difference(deep) is None
+    odd = FourierSeries(1, 2, TruncationWindow(41, 0)).scale_variables(Fraction(1, 2))
+    assert odd.window.q_max == 20
+    assert eta_power(24, 48).scale_variables(3).window.q_max == 144
+    for bad in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            half.scale_variables(bad)
+
+
 def test_restrict_and_derivative():
     f = FourierSeries(2, 2, TruncationWindow(10, 0))
     f.add_term(1, (1, 2), 0, 5)
@@ -313,20 +328,22 @@ def test_to_json_writes_only_nonzero_terms_inside_the_window():
     assert FourierSeries.from_json(want).cells == {(0, 3): {(1,): 5}}
 
 
-@pytest.mark.parametrize("case", ["duplicate", "zero", "outside-window"])
-def test_from_json_rejects_malformed_terms(case):
+@pytest.mark.parametrize("change", [
+    pytest.param({"c": "7"}, id="duplicate"),
+    pytest.param({"z": [3], "c": "0"}, id="zero"),
+    pytest.param({"q": 25}, id="outside-window"),
+    pytest.param({"q": 1.5}, id="float-q"),
+    pytest.param({"q": 11, "z": [True]}, id="bool-z"),
+    pytest.param({"q": 11, "z": ["1"]}, id="string-z"),
+    pytest.param({"q": 11, "z": [1, 1]}, id="z-longer-than-r"),
+    pytest.param({"q": 11, "c": "1/0"}, id="zero-denominator"),
+])
+def test_from_json_rejects_malformed_terms(change):
     f = FourierSeries(1, 2, TruncationWindow(24, 2))
     f.add_term(3, (1,), 0, 5)
     f.add_term(3, (-1,), 0, -5)
     doc = json.loads(f.to_json())
-    term = dict(doc["terms"][0])
-    if case == "duplicate":
-        term["c"] = "7"
-    elif case == "zero":
-        term["z"], term["c"] = [3], "0"
-    else:
-        term["q"] = 25
-    doc["terms"].append(term)
+    doc["terms"].append(dict(doc["terms"][0], **change))
     with pytest.raises(ValueError, match="bad term"):
         FourierSeries.from_json(json.dumps(doc))
 

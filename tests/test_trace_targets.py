@@ -1,0 +1,33 @@
+"""The traced benchmark pass (``perfbench/run.py --trace 1``) patches
+refltower functions by name; a refactor that renames or moves one of
+them breaks that pass.  These tests read ``perfbench/tracer.py`` without
+importing it as a package module, so nothing is written beside it."""
+
+import os
+import types
+
+import refltower.cli  # noqa: F401  (loads every refltower module, as the tracer expects)
+
+TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "perfbench", "tracer.py")
+
+
+def _tracer():
+    mod = types.ModuleType("perfbench_tracer")
+    with open(TRACER) as fh:
+        exec(compile(fh.read(), TRACER, "exec"), mod.__dict__)
+    return mod
+
+
+def test_every_trace_target_resolves():
+    tracer = _tracer()
+    for metric, module, attr in tracer.TARGETS:
+        owner, name, _ = tracer._resolve(module, attr)
+        assert callable(getattr(owner, name)), metric
+
+
+def test_aliases_the_benchmark_tests_name_are_bound():
+    tracer = _tracer()
+    wrapped = {tracer.binding_name(o, n) for o, n, _, _ in tracer.bindings()}
+    assert {"lifting.member_hecke_slice", "jacobi._slice_mul_into",
+            "borcherds.member_slice", "Lattice.in_dual"} <= wrapped

@@ -8,9 +8,12 @@ computable shapes.  The exponential form
 is the workhorse: every layer is a finite convolution and the result
 must come out integral, which the constructor asserts.  The literal
 product form multiplies factors (1 - q^n s^m zeta^l) with exponents
-read off phi0 at n*m, times a Weyl monomial; it agrees with the
-exponential form wherever both are computed and is kept for modest
-windows.
+read off phi0 at n*m, times a Weyl monomial, the factors of one (n, m)
+together before they meet the running product.  It agrees with the
+exponential form on the D, D1 and A1 families and is kept for modest
+windows; on A2 it keeps the wrong half of the z-only walls (the
+lexicographic half, where the corner directions need the other one) and
+differs from the corner cell on.
 
 The divisor scan walks the negative-norm support of phi0, reduces each
 Fourier index to a primitive wall vector, sums the coefficients along
@@ -208,7 +211,11 @@ def borcherds_product_form(key: str, window: TruncationWindow) -> FourierSeries:
 
     Factor exponents at (n, l, m) are phi0 coefficients at (nm, l); the
     m = 0 factors rebuild the theta block itself, so the only input
-    beyond the member data is the weight-0 form.
+    beyond the member data is the weight-0 form.  The factors of one
+    (n, m) share their q and s steps, so their product stays small; the
+    running product is multiplied once per (n, m), not once per factor.
+    Of each +-pair of z-only walls the z lexicographically above zero is
+    kept, which is wrong for the A2 family (see the module docstring).
     """
     meta = MEMBERS[key]
     wd = weyl_data(key)
@@ -221,18 +228,16 @@ def borcherds_product_form(key: str, window: TruncationWindow) -> FourierSeries:
     for m in range(m_max + 1):
         for n in range(q_depth + 1):
             sl = phi.cells.get((0, 24 * n * m))
-            if not sl:
-                continue
-            for z in sorted(sl):
+            group = None  # the factors of one (n, m), multiplied together first
+            for z in sorted(sl or ()):
                 c = sl[z]
-                if n == 0 and m == 0:
-                    if z <= zero:
-                        continue  # one factor per +-pair of z-only walls
-                if not c:
-                    continue
+                if not c or (n == 0 and m == 0 and z <= zero):
+                    continue  # no factor, or the other half of a +-pair of z-only walls
                 fac = _binom_factor(c, 24 * n, z, 2 * m,
                                     meta.r, meta.den_z, window)
-                out = out.mul(fac, window)
+                group = fac if group is None else group.mul(fac, window)
+            if group is not None:
+                out = out.mul(group, window)
     out = out.shifted(wd.q_num, wd.z, s0).scaled(wd.sign).truncated(window)
     return out
 

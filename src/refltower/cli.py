@@ -20,8 +20,9 @@ Windows are given in displayed powers: ``--qmax 4 --smax 2`` keeps
 everything through q^4 and s^2.  Expansions can be cached on disk with
 ``--cache-dir`` (or the CACHE_DIR environment variable): one file per
 descriptor and window, holding a digest of the package source that wrote
-it and a digest of the payload.  A request parses its series at most
-once, and one answered from the cache imports no numpy.
+it, a digest of the payload and its term count.  A request parses its
+series at most once, a ``compare`` of two equal digests parses neither,
+and one answered from the cache imports no numpy.
 """
 
 import argparse
@@ -108,9 +109,10 @@ def _cache_path(cache_dir: str, desc: str, window: TruncationWindow) -> str:
 
 def _cached_expand(desc: str, window: TruncationWindow, cache_dir, *,
                    parse: bool = True) -> tuple:
-    """Return (series_json, digest, hit, series).  A hit parses the body only
-    if ``parse``; an entry of other code, with a wrong payload digest or a
-    body ``from_json`` rejects is a miss and rewritten."""
+    """Return (series_json, digest, hit, series, terms).  A hit parses the
+    body only if ``parse``; an entry of other code, with a wrong payload
+    digest, without the term count of its body or with a body
+    ``from_json`` rejects is a miss and rewritten."""
     path = _cache_path(cache_dir, desc, window) if cache_dir else None
     if path:
         try:
@@ -118,9 +120,10 @@ def _cached_expand(desc: str, window: TruncationWindow, cache_dir, *,
                 doc = json.load(fh)
             body = doc["series"]
             if (doc["schema"] == _SCHEMA and doc["code"] == _code_digest()
+                    and doc["terms"] == body.count('"c":')  # one "c" key per term
                     and hashlib.sha256(body.encode()).hexdigest() == doc["digest"]):
                 return (body, doc["digest"], True,
-                        FourierSeries.from_json(body) if parse else None)
+                        FourierSeries.from_json(body) if parse else None, doc["terms"])
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
             pass  # missing, unreadable or malformed entry: a miss, rewritten below
     series = expand_descriptor(desc, window)
@@ -130,16 +133,17 @@ def _cached_expand(desc: str, window: TruncationWindow, cache_dir, *,
            for (s, q), sl in series.cells.items()):
         series = FourierSeries.from_json(body)  # only the terms a hit reads back
     digest = hashlib.sha256(body.encode()).hexdigest()
+    terms = series.term_count()
     if path:
         os.makedirs(cache_dir, exist_ok=True)
         doc = {"schema": _SCHEMA, "code": _code_digest(), "descriptor": desc,
                "q_max": window.q_max, "s_max": window.s_max,
-               "series": body, "digest": digest}
+               "series": body, "digest": digest, "terms": terms}
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
             json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
         os.replace(tmp, path)
-    return body, digest, False, series
+    return body, digest, False, series, terms
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +199,8 @@ def _cmd_expand(args) -> int:
     window = _window_from(args)
     cache_dir = args.cache_dir or os.environ.get("CACHE_DIR")
     try:
-        body, digest, _, series = _cached_expand(args.descriptor, window, cache_dir,
-                                                 parse=args.format != "json")
+        body, digest, _, series, _ = _cached_expand(args.descriptor, window, cache_dir,
+                                                    parse=args.format != "json")
     except (ValueError, ArithmeticError) as exc:
         # ArithmeticError: an exactness check failed, e.g. integrality
         print("error: %s" % exc, file=sys.stderr)
@@ -243,26 +247,31 @@ def _cmd_verify(args) -> int:
 def _cmd_compare(args) -> int:
     window = _window_from(args)
     cache_dir = args.cache_dir or os.environ.get("CACHE_DIR")
+    descs = (args.left, args.right)
     try:
-        a = _cached_expand(args.left, window, cache_dir)[3]
-        b = _cached_expand(args.right, window, cache_dir)[3]
+        sides = [_cached_expand(d, window, cache_dir, parse=False) for d in descs]
+        if sides[0][1] != sides[1][1]:  # parse the hits; a rejected body is a miss
+            sides = [_cached_expand(d, window, cache_dir) if side[2] else side
+                     for d, side in zip(descs, sides)]
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2
-    if (a.r, a.den_z) != (b.r, b.den_z):
-        print("error: incompatible grids r=%d,den_z=%d vs r=%d,den_z=%d"
-              % (a.r, a.den_z, b.r, b.den_z), file=sys.stderr)
-        return 2
-    diff = a.first_difference(b)
-    if diff is None:
-        print("equal: %s == %s through q^%s s^%s (%d terms)" % (
-            args.left, args.right, _pow_str(window.q_max, 24),
-            _pow_str(window.s_max, 2), a.term_count()))
-        return 0
-    s, q, z, ca, cb = diff
-    print("difference at s^%s q^%s z=(%s): %s vs %s" % (
-        _pow_str(s, 2), _pow_str(q, 24), ",".join(str(v) for v in z), ca, cb))
-    return 1
+    (_, digest_a, _, a, terms), (_, digest_b, _, b, _) = sides
+    if digest_a != digest_b:
+        if (a.r, a.den_z) != (b.r, b.den_z):
+            print("error: incompatible grids r=%d,den_z=%d vs r=%d,den_z=%d"
+                  % (a.r, a.den_z, b.r, b.den_z), file=sys.stderr)
+            return 2
+        diff = a.first_difference(b)
+        if diff is not None:
+            s, q, z, ca, cb = diff
+            print("difference at s^%s q^%s z=(%s): %s vs %s" % (
+                _pow_str(s, 2), _pow_str(q, 24), ",".join(str(v) for v in z), ca, cb))
+            return 1
+    print("equal: %s == %s through q^%s s^%s (%d terms)" % (
+        args.left, args.right, _pow_str(window.q_max, 24),
+        _pow_str(window.s_max, 2), terms))
+    return 0
 
 
 def _power(text: str) -> int:

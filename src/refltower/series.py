@@ -63,10 +63,6 @@ def _norm_coeff(c):
     return c
 
 
-def _coeff_to_str(c) -> str:
-    return str(c)
-
-
 def _coeff_from_str(s: str):
     if "/" in s:
         return _norm_coeff(Fraction(s))
@@ -763,12 +759,12 @@ class FourierSeries:
     # -- serialisation -----------------------------------------------------------
 
     def to_json(self) -> str:
-        terms = [{"q": q, "z": list(z), "s": s, "c": _coeff_to_str(c)}
-                 for q, z, s, c in self.terms()]
-        doc = {"schema": 1, "r": self.r, "den_z": self.den_z,
-               "window": {"q_max": self.window.q_max, "s_max": self.window.s_max},
-               "terms": terms}
-        return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+        """Compact JSON with sorted keys of the nonzero terms inside the
+        window, one string format per term."""
+        term = '{"c":"%%s","q":%%d,"s":%%d,"z":[%s]}' % ",".join(["%d"] * self.r)
+        return '{"den_z":%d,"r":%d,"schema":1,"terms":[%s],"window":{"q_max":%d,"s_max":%d}}' % (
+            self.den_z, self.r, ",".join([term % (c, q, s, *z) for q, z, s, c in self.terms()]),
+            *self.window)
 
     @classmethod
     def from_json(cls, text: str) -> "FourierSeries":
@@ -779,6 +775,9 @@ class FourierSeries:
             raise ValueError("unknown schema version")
         w = TruncationWindow(doc["window"]["q_max"], doc["window"]["s_max"])
         f = cls(doc["r"], doc["den_z"], w)
+        if not (type(f.r) is type(f.den_z) is type(w.q_max) is type(w.s_max) is int
+                and f.r >= 0 and f.den_z >= 1):
+            raise ValueError("bad header: r, den_z or window")
         for t in doc["terms"]:
             try:
                 q, s, z, c = t["q"], t["s"], tuple(t["z"]), _coeff_from_str(t["c"])

@@ -1,7 +1,9 @@
 """Reference implementations the tests compare the program against."""
 
+import json
 from fractions import Fraction
 
+from refltower import borcherds, jacobi
 from refltower.series import FourierSeries
 
 
@@ -37,3 +39,32 @@ def eta_product(p: int, depth: int) -> list:
                 for i in range(n, depth + 1):
                     a[i] += a[i - n]
     return a
+
+
+def to_json(f: FourierSeries) -> str:
+    """``FourierSeries.to_json`` by ``json.dumps`` over one dict per term."""
+    terms = [{"q": q, "z": list(z), "s": s, "c": str(c)} for q, z, s, c in f.terms()]
+    doc = {"schema": 1, "r": f.r, "den_z": f.den_z,
+           "window": {"q_max": f.window.q_max, "s_max": f.window.s_max},
+           "terms": terms}
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True)
+
+
+def product_form(key: str, window) -> FourierSeries:
+    """``borcherds.borcherds_product_form`` with the running product
+    multiplied by one binomial factor at a time."""
+    meta = jacobi.MEMBERS[key]
+    wd = borcherds.weyl_data(key)
+    m_max = max((window.s_max - wd.s_num) // 2, 0)
+    q_depth = max((window.q_max - meta.val_q) // 24, 0)
+    phi = jacobi.weak_weight0(key, max(q_depth * max(m_max, 1), 1)).series
+    zero = (0,) * meta.r
+    out = FourierSeries.monomial(1, 0, zero, 0, meta.den_z, window)
+    for m in range(m_max + 1):
+        for n in range(q_depth + 1):
+            sl = phi.cells.get((0, 24 * n * m), {})
+            for z in sorted(sl):
+                if sl[z] and not (n == 0 and m == 0 and z <= zero):
+                    out = out.mul(borcherds._binom_factor(
+                        sl[z], 24 * n, z, 2 * m, meta.r, meta.den_z, window), window)
+    return out.shifted(wd.q_num, wd.z, wd.s_num).scaled(wd.sign).truncated(window)

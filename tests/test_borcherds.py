@@ -9,6 +9,7 @@ import pytest
 from refltower.series import FourierSeries, TruncationWindow, _slice_mul_py
 from refltower import borcherds, jacobi, lifting, series, verification
 
+import oracles
 from oracles import exp_s
 
 
@@ -54,12 +55,47 @@ def test_exponential_form_equals_lift():
         assert B.first_difference(L) is None
 
 
+# (q_max, s_max) per member: the largest windows that keep the product
+# against the exponential form to a few seconds (under ten for all twelve
+# members outside A2); D8 reaches only the block layer.
+PRODUCT_WINDOWS = {
+    "psi_10_D2": (120, 6), "psi_9_D3": (120, 6), "psi_8_D4": (96, 4),
+    "psi_7_D5": (72, 4), "psi_6_D6": (48, 4), "psi_5_D7": (48, 4),
+    "psi_4_D8": (96, 2), "eta21_theta2z": (120, 6), "psi_9_A2": (120, 6),
+    "psi_6_2A2": (96, 4), "psi_3_3A2": (48, 4), "psi_5_A1": (120, 6),
+    "psi_4_2A1": (120, 6), "psi_3_3A1": (120, 6), "psi_2_4A1": (96, 4),
+}
+A2_MEMBERS = [key for key, meta in jacobi.MEMBERS.items() if meta.family == "A2"]
+
+
+def _product_equals_exponential(key):
+    w = TruncationWindow(*PRODUCT_WINDOWS[key])
+    P = borcherds.borcherds_product_form(key, w)
+    B = borcherds.borcherds_exp(key, w)
+    assert P.first_difference(B) is None, key
+
+
 def test_product_form_equals_exponential_form():
-    w = TruncationWindow(72, 4)
-    for key in ("psi_10_D2", "psi_5_A1", "eta21_theta2z"):
-        P = borcherds.borcherds_product_form(key, w)
-        B = borcherds.borcherds_exp(key, w)
-        assert P.first_difference(B) is None
+    for key in PRODUCT_WINDOWS:
+        if key not in A2_MEMBERS:
+            _product_equals_exponential(key)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the literal product halves the z-only walls lexicographically (z <= 0), "
+    "which keeps (6,-6) where the A2 corner directions need (-6,6); the "
+    "product first differs at the corner cell (2, 24)"))
+@pytest.mark.parametrize("key", A2_MEMBERS)
+def test_a2_product_form_equals_exponential_form(key):
+    _product_equals_exponential(key)
+
+
+def test_grouped_product_equals_one_factor_at_a_time():
+    # the A2 members included: their product is wrong, but the same
+    for key, meta in jacobi.MEMBERS.items():
+        w = TruncationWindow(48, 4 if meta.r <= 4 else 2)
+        assert (borcherds.borcherds_product_form(key, w).digest()
+                == oracles.product_form(key, w).digest()), key
 
 
 def test_product_block_factors_rebuild_the_block():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -84,34 +85,43 @@ def test_cache_entry_of_other_code_is_a_miss(tmp_path, monkeypatch):
     # what older code with another answer would have stored: a sound
     # entry, served while the digests match
     doc = json.loads(stale.read_text())
-    doc["series"] = cli.expand_descriptor(desc, TruncationWindow(24, 0)).to_json()
+    older = cli.expand_descriptor(desc, TruncationWindow(24, 0))
+    doc["series"], doc["terms"] = older.to_json(), older.term_count()
     doc["digest"] = hashlib.sha256(doc["series"].encode()).hexdigest()
     stale.write_text(json.dumps(doc))
-    body, _, hit, _ = cli._cached_expand(desc, win, cache)
+    body, _, hit, _, _ = cli._cached_expand(desc, win, cache)
     assert (body, hit) == (doc["series"], True)
     monkeypatch.undo()
-    body, _, hit, _ = cli._cached_expand(desc, win, cache)
+    body, _, hit, _, _ = cli._cached_expand(desc, win, cache)
     assert (body, hit) == (want, False)
     assert list(tmp_path.glob("*.json")) == [stale]
-    body, _, hit, _ = cli._cached_expand(desc, win, cache)
+    body, _, hit, _, _ = cli._cached_expand(desc, win, cache)
     assert (body, hit) == (want, True)
+
+
+def _corrupt_body(path) -> None:
+    """Give an entry a body with one term twice, under a sound digest and
+    term count, so that only ``from_json`` can reject it."""
+    doc = json.loads(path.read_text())
+    series = json.loads(doc["series"])
+    series["terms"].append(series["terms"][0])
+    doc["terms"] += 1
+    doc["series"] = json.dumps(series, separators=(",", ":"), sort_keys=True)
+    doc["digest"] = hashlib.sha256(doc["series"].encode()).hexdigest()
+    path.write_text(json.dumps(doc))
 
 
 def test_cache_entry_rejected_by_from_json_is_a_miss(tmp_path):
     desc, win, cache = "theta", TruncationWindow(48, 0), str(tmp_path)
     want = cli._cached_expand(desc, win, cache)[0]
     (path,) = tmp_path.glob("*.json")
-    # a sound digest over a body with one term twice
-    doc = json.loads(path.read_text())
-    series = json.loads(doc["series"])
-    series["terms"].append(series["terms"][0])
-    doc["series"] = json.dumps(series, separators=(",", ":"), sort_keys=True)
-    doc["digest"] = hashlib.sha256(doc["series"].encode()).hexdigest()
-    path.write_text(json.dumps(doc))
-    body, _, hit, _ = cli._cached_expand(desc, win, cache)
+    _corrupt_body(path)
+    body, _, hit, _, _ = cli._cached_expand(desc, win, cache)
     assert (body, hit) == (want, False)
     assert json.loads(path.read_text())["series"] == want
 
+def _no_parse(text):
+    raise AssertionError("a body was parsed")
 
 
 def test_json_hit_splices_the_body_unparsed(tmp_path, capsys, monkeypatch):
@@ -119,13 +129,56 @@ def test_json_hit_splices_the_body_unparsed(tmp_path, capsys, monkeypatch):
             "--cache-dir", str(tmp_path)]
     assert main(argv) == 0
     miss = capsys.readouterr().out
-
-    def no_parse(text):
-        raise AssertionError("a json hit parsed its body")
-
-    monkeypatch.setattr(cli.FourierSeries, "from_json", no_parse)
+    monkeypatch.setattr(cli.FourierSeries, "from_json", _no_parse)
     assert main(argv) == 0
     assert capsys.readouterr().out == miss
+
+
+def test_compare_of_equal_digests_parses_neither_body(tmp_path, capsys, monkeypatch):
+    argv = ["compare", "lift:D2", "borcherds:D2", "--qmax", "3", "--smax", "2",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    miss = capsys.readouterr().out
+    assert miss.startswith("equal: ")
+    monkeypatch.setattr(cli.FourierSeries, "from_json", _no_parse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == miss
+    # a hit beside a miss: the miss counts the terms
+    assert main(["compare", "lift:D2", "product:D2"] + argv[3:]) == 0
+    assert capsys.readouterr().out == miss.replace("borcherds:D2", "product:D2")
+
+
+def test_compare_of_different_digests_reports_the_first_difference(tmp_path, capsys):
+    argv = ["compare", "psi_10_D2", "lift:psi_10_D2", "--qmax", "3", "--smax", "2",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 1
+    miss = capsys.readouterr().out
+    assert miss.startswith("difference at s^0")
+    assert main(argv) == 1
+    assert capsys.readouterr().out == miss
+    # a body from_json rejects is a miss on this path too, and rewritten
+    path = pathlib.Path(cli._cache_path(str(tmp_path), "psi_10_D2", TruncationWindow(72, 4)))
+    want = json.loads(path.read_text())["series"]
+    _corrupt_body(path)
+    assert main(argv) == 1
+    assert capsys.readouterr().out == miss
+    assert json.loads(path.read_text())["series"] == want
+
+
+def test_cache_entry_without_its_term_count_is_a_miss(tmp_path):
+    desc, win, cache = "theta", TruncationWindow(48, 0), str(tmp_path)
+    body, _, hit, _, terms = cli._cached_expand(desc, win, cache)
+    assert (hit, terms) == (False, cli.FourierSeries.from_json(body).term_count())
+    (path,) = tmp_path.glob("*.json")
+    for count in (None, str(terms), terms - 1):  # no count, or not the body's
+        doc = json.loads(path.read_text())
+        assert doc["terms"] == terms
+        doc["terms"] = count
+        if count is None:
+            del doc["terms"]
+        path.write_text(json.dumps(doc))
+        assert cli._cached_expand(desc, win, cache, parse=False)[2] is False
+    assert cli._cached_expand(desc, win, cache, parse=False)[2:] == (True, None, terms)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -16,6 +16,7 @@ from refltower.series import (
     _slice_mul_py,
 )
 
+import oracles
 from oracles import exp_s
 
 
@@ -328,23 +329,60 @@ def test_to_json_writes_only_nonzero_terms_inside_the_window():
     assert FourierSeries.from_json(want).cells == {(0, 3): {(1,): 5}}
 
 
-@pytest.mark.parametrize("change", [
-    pytest.param({"c": "7"}, id="duplicate"),
-    pytest.param({"z": [3], "c": "0"}, id="zero"),
-    pytest.param({"q": 25}, id="outside-window"),
-    pytest.param({"q": 1.5}, id="float-q"),
-    pytest.param({"q": 11, "z": [True]}, id="bool-z"),
-    pytest.param({"q": 11, "z": ["1"]}, id="string-z"),
-    pytest.param({"q": 11, "z": [1, 1]}, id="z-longer-than-r"),
-    pytest.param({"q": 11, "c": "1/0"}, id="zero-denominator"),
+def _json_cases():
+    """Series whose bodies cover every shape of term and header."""
+    f = FourierSeries(2, 6, TruncationWindow(48, 4))
+    f.add_term(3, (-5, 2), 0, 5)
+    f.add_term(3, (4, -1), 0, Fraction(-7, 3))
+    f.add_term(27, (0, 0), 2, -12345678901234567890)
+    f.add_term(48, (-1, -1), 4, Fraction(1, 2))
+    dirty = f.copy()
+    dirty.cells[(0, 3)][(9, 9)] = 0  # a stored zero
+    dirty.cells[(2, 0)] = {}  # an empty cell
+    dirty.cells[(0, 49)] = {(0, 0): 1}  # outside the window in q
+    dirty.cells[(6, 0)] = {(0, 0): 1}  # and in s
+    g = FourierSeries(0, 1, TruncationWindow(24, 0))  # r = 0: z is []
+    g.add_term(0, (), 0, 3)
+    g.add_term(24, (), 0, Fraction(-1, 4))
+    rng = random.Random(7)
+    return [f, dirty, g, FourierSeries(3, 2, TruncationWindow(0, 0)),
+            rand_series(rng, 3, 6, 25, 4, 30, fractions=True),
+            eta_power(24, 240)]
+
+
+def test_to_json_matches_the_json_dumps_writer_byte_for_byte():
+    for f in _json_cases():
+        assert f.to_json() == oracles.to_json(f), f
+
+
+@pytest.mark.parametrize("part, change", [
+    pytest.param("terms", {"c": "7"}, id="duplicate"),
+    pytest.param("terms", {"z": [3], "c": "0"}, id="zero"),
+    pytest.param("terms", {"q": 25}, id="outside-window"),
+    pytest.param("terms", {"q": 1.5}, id="float-q"),
+    pytest.param("terms", {"q": 11, "z": [True]}, id="bool-z"),
+    pytest.param("terms", {"q": 11, "z": ["1"]}, id="string-z"),
+    pytest.param("terms", {"q": 11, "z": [1, 1]}, id="z-longer-than-r"),
+    pytest.param("terms", {"q": 11, "c": "1/0"}, id="zero-denominator"),
+    pytest.param("header", {"den_z": 0}, id="zero-den-z"),
+    pytest.param("header", {"den_z": True}, id="bool-den-z"),
+    pytest.param("header", {"r": True}, id="bool-r"),
+    pytest.param("header", {"r": -1}, id="negative-r"),
+    pytest.param("header", {"r": 1.0}, id="float-r"),
+    pytest.param("window", {"q_max": 24.5}, id="float-q-max"),
+    pytest.param("window", {"s_max": True}, id="bool-s-max"),
+    pytest.param("window", {"s_max": "2"}, id="string-s-max"),
 ])
-def test_from_json_rejects_malformed_terms(change):
+def test_from_json_rejects_malformed_terms(part, change):
     f = FourierSeries(1, 2, TruncationWindow(24, 2))
     f.add_term(3, (1,), 0, 5)
     f.add_term(3, (-1,), 0, -5)
     doc = json.loads(f.to_json())
-    doc["terms"].append(dict(doc["terms"][0], **change))
-    with pytest.raises(ValueError, match="bad term"):
+    if part == "terms":
+        doc["terms"].append(dict(doc["terms"][0], **change))
+    else:
+        (doc if part == "header" else doc["window"]).update(change)
+    with pytest.raises(ValueError, match="bad term" if part == "terms" else "bad header"):
         FourierSeries.from_json(json.dumps(doc))
 
 

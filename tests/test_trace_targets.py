@@ -31,3 +31,24 @@ def test_aliases_the_benchmark_tests_name_are_bound():
     wrapped = {tracer.binding_name(o, n) for o, n, _, _ in tracer.bindings()}
     assert {"lifting.member_hecke_slice", "jacobi._slice_mul_into",
             "borcherds.member_slice", "Lattice.in_dual"} <= wrapped
+
+
+def test_cache_counters_read_one_real_call(tmp_path):
+    """The ``cli.cache`` counters unpack ``_cached_expand``'s positional
+    arguments as (descriptor, window, cache dir) and read the hit flag at
+    index 2 of its result."""
+    from refltower import cli
+
+    tracer = _tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        argv = ["expand", "theta", "--qmax", "2", "--smax", "0",
+                "--cache-dir", str(tmp_path)]
+        assert cli.main(argv) == 0 and cli.main(argv) == 0
+    finally:
+        t.uninstall()
+    (entry,) = tmp_path.glob("*.json")
+    stats = t.stats["cli.cache"]
+    assert (stats["calls"], stats["lookups"], stats["hits"]) == (2, 2, 1)
+    assert stats["bytes"] == 2 * entry.stat().st_size

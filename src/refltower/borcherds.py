@@ -15,6 +15,10 @@ windows; on A2 it keeps the wrong half of the z-only walls (the
 lexicographic half, where the corner directions need the other one) and
 differs from the corner cell on.
 
+The lift-versus-product check divides all lift layers, built from
+packed member slices, in one batch and compares the quotients with the
+packed E_j as arrays; dicts appear only in a mismatch report.
+
 The divisor scan walks the negative-norm support of phi0, reduces each
 Fourier index to a primitive wall vector, sums the coefficients along
 multiples of the wall, and groups the results by the invariants of the
@@ -34,15 +38,16 @@ from .jacobi import (
     _corner_dirs,
     _divisor_sum,
     divide_by_member,
-    member_hecke_slice,
+    hecke_levels,
     member_series,
     member_slice,
     weak_weight0,
 )
 from .lattices import lattice
 from .lifting import lift_layers
-from .series import (FourierSeries, TruncationWindow, _frame, _int64_first, _norm_coeff,
-                     _NotInt64, _qz_decode, _qz_mul, _qz_pack, _qz_product, _qz_rows, np)
+from .series import (FourierSeries, TruncationWindow, _encode, _frame, _int64_first,
+                     _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _qz_pack, _qz_product,
+                     _qz_rows, np)
 
 
 def index_step(key: str) -> int:
@@ -270,62 +275,71 @@ def _product_coefficient(key: str, Ej, q_num: int, z: tuple) -> object:
     return tot
 
 
+def _layer_matches(quo: list, t: int, k, v, f) -> bool:
+    """Whether entry t of packed quotient levels equals the packed layer
+    (k, v), as sorted keys and values in its frame f (the symmetric box
+    -f.hi..f.hi, so a row outside it is a difference)."""
+    sel = [lvl.z[:, 0] == t for lvl in quo]
+    z = np.concatenate([lvl.z[s, 1:] for lvl, s in zip(quo, sel)])
+    if len(z) != len(k) or np.any(np.abs(z) > f.hi):
+        return False
+    lv = np.concatenate([np.full(np.count_nonzero(s), j) for j, s in enumerate(sel)])
+    kq = _encode(z, f, lv)
+    order = np.argsort(kq)
+    vq = np.concatenate([lvl.v[s] for lvl, s in zip(quo, sel)])
+    return np.array_equal(kq[order], k) and np.array_equal(vq[order], v)
+
+
 def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
-    """Check lift layers against product layers, layer by layer.
+    """Check lift layers against product layers in one packed pass.
 
     The product layer at s0 + 2j is psi * E_j, so the check divides each
     lift layer by the theta block (exact, unit corner) and compares the
-    quotient with E_j levelwise.  Division is the cheap direction: the
-    block factors into theta binomials.  At the first level where the
-    quotient differs, or throughout a corrupted layer that is not
-    divisible at all, the product layer is convolved outright and the
-    first differing key of the layers themselves is reported, with the
-    product coefficient recomputed directly.
+    quotient with E_j.  Division is the cheap direction: the block
+    factors into theta binomials.  The packed E_j come first; then all
+    lift layers (``jacobi.hecke_levels``) go through one division and
+    each quotient is compared with its E_j as arrays.  At the first
+    quotient that differs, or throughout when a layer is not divisible
+    (the whole batch fails), the lift layer is compared with psi * E_j
+    outright, and the first differing key of the layers themselves is
+    reported, with the product coefficient recomputed directly.
     """
     meta = MEMBERS[key]
     s0 = index_step(key)
     layers = lift_layers(key, 2 * s_depth)
-    q_top = 24 * q_depth
-    q_aux = max((q_top - meta.val_q) // 24, 0)
+    q_aux = max((24 * q_depth - meta.val_q) // 24, 0)
     j_max = max(((s - s0) // 2) for s, _ in layers) if layers else 0
-    E = exp_layers(key, j_max, q_aux)
-    checked = 0
+    f, E = _int64_first(_exp_packed, key, j_max, q_aux)
+    num = hecke_levels(key, [order for _, order in layers], q_aux)
+    terms = sum(np.bincount(lvl.z[:, 0], minlength=len(layers)) for lvl in num)
+    try:
+        quo = divide_by_member(num, key, q_aux)
+    except ArithmeticError:  # some layer does not divide: compare them all outright
+        quo = None
+    del num  # the dividend is not read again; deep windows need the memory
     mismatch = None
-    rows = []
-    for s_num, order in layers:
-        Ej = E[(s_num - s0) // 2]
-        lifts = [member_hecke_slice(key, order, meta.val_q + 24 * j)
-                 for j in range(q_aux + 1)]
-        layer_terms = sum(len(sl) for sl in lifts)
-        try:
-            quo = divide_by_member(lifts, key, q_aux)
-        except ArithmeticError:
-            quo = None
-        rhs = None
-        for j in range(q_aux + 1):
-            if mismatch is not None:
-                break
-            if quo is not None and quo[j] == Ej.cells.get((0, 24 * j), {}):
-                continue
-            if rhs is None:
-                rhs = _block_times(key, Ej, q_aux)
-            q = meta.val_q + 24 * j
-            z = _slice_first_diff(lifts[j], rhs.get(j, {}))
+    for t, (s_num, order) in enumerate(layers):
+        k, v, _ = E[(s_num - s0) // 2]
+        if mismatch is not None or (quo is not None and _layer_matches(quo, t, k, v, f)):
+            continue
+        Ej = exp_layers(key, j_max, q_aux)[(s_num - s0) // 2]
+        rhs = _block_times(key, Ej, q_aux)
+        for j, lvl in enumerate(hecke_levels(key, [order], q_aux)):
+            lift = dict(zip(map(tuple, lvl.z[:, 1:].tolist()), lvl.v.tolist()))
+            z = _slice_first_diff(lift, rhs.get(j, {}))
             if z is not None:
-                mismatch = {
-                    "s_num": s_num, "q_num": q, "z": z,
-                    "lift": lifts[j].get(z, 0),
-                    "product": _product_coefficient(key, Ej, q, z),
-                }
-        checked += layer_terms
-        rows.append({"s_num": s_num, "order": order, "terms": layer_terms})
+                q = meta.val_q + 24 * j
+                mismatch = {"s_num": s_num, "q_num": q, "z": z, "lift": lift.get(z, 0),
+                            "product": _product_coefficient(key, Ej, q, z)}
+                break
     return {
         "status": "pass" if mismatch is None else "fail",
         "member": key,
         "q_depth": q_depth,
         "s_depth": s_depth,
-        "layers": rows,
-        "checked_terms": checked,
+        "layers": [{"s_num": s, "order": o, "terms": int(n)}
+                   for (s, o), n in zip(layers, terms)],
+        "checked_terms": int(sum(terms)),
         "first_mismatch": mismatch,
     }
 

@@ -35,13 +35,13 @@ from typing import NamedTuple
 from .series import (
     _INT64_SAFE,
     FourierSeries,
+    PackedLevel,
     TruncationWindow,
     _decode,
     _encode,
     _frame,
     _int64_first,
     _NotInt64,
-    _qz_decode,
     _qz_rows,
     _reduce_parts,
     _slice_mul_into,
@@ -58,6 +58,11 @@ def chi4(m: int) -> int:
 
 def _divisors(n: int) -> list:
     return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+
+def _divisor_terms(n: int, m: int) -> list:
+    """(d, n m / d^2) over d | (n, m); every divisor of m when n = 0."""
+    return [(d, n * m // (d * d)) for d in _divisors(_gcd(n, m))]
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +302,7 @@ def _theta_scale(meta: MemberMeta) -> int:
 
 
 _PSI_SLICES: dict = {}
+_PSI_ROWS: dict = {}
 _PSI_SLICE_CACHE_DEPTH = 6
 
 
@@ -323,6 +329,18 @@ def member_slice(key: str, q_num: int) -> dict:
     if (q_num - meta.val_q) // 24 <= _PSI_SLICE_CACHE_DEPTH:
         _PSI_SLICES[ck] = out
     return out
+
+
+def _member_rows(key: str, q_num: int) -> tuple:
+    """member_slice as (z rows, values), cached as deep as the slice; the
+    z rows are narrow, so the two caches never hold two full copies."""
+    rows = _PSI_ROWS.get((key, q_num))
+    if rows is None:
+        _, z, v, _ = _int64_first(_qz_rows, {0: member_slice(key, q_num)}, MEMBERS[key].r)
+        rows = z.astype(np.int16) if np.abs(z).max(initial=0) < 1 << 15 else z, v
+        if (key, q_num) in _PSI_SLICES:
+            _PSI_ROWS[(key, q_num)] = rows
+    return rows
 
 
 def member_series(key: str, window: TruncationWindow) -> FourierSeries:
@@ -365,11 +383,11 @@ def build(name: str, window: TruncationWindow) -> JacobiForm:
 def _divisor_sum(slice_at, n: int, m: int, weight) -> dict:
     """Sum over d | (n, m) of weight(d) * slice_at(n m / d^2), keys scaled by d.
 
-    Every divisor of m counts when n = 0.  Sums that cancel are dropped.
+    Sums that cancel are dropped.
     """
     out: dict = {}
-    for d in _divisors(_gcd(n, m)):
-        src = slice_at(n * m // (d * d))
+    for d, k in _divisor_terms(n, m):
+        src = slice_at(k)
         if not src:
             continue
         w = weight(d)
@@ -409,6 +427,37 @@ def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
                         lambda d: d ** (meta.weight - 1))
 
 
+def hecke_levels(key: str, orders: list, depth: int) -> list:
+    """member_hecke_slice of each order (as ``lift_layers`` gives them) at
+    q_num = val + 24 j as one PackedLevel per j, the order's index first:
+    divisor d scales packed member slice rows by d and values by d^(k-1)
+    (python ints if a bound reaches 2^62), and equal keys are summed."""
+    meta = MEMBERS[key]
+    grid = 12 if meta.family == "A1" else 24
+    out = []
+    for j in range(depth + 1):
+        parts = [(t, d, d ** (meta.weight - 1), *_member_rows(key, grid * k))
+                 for t, m in enumerate(orders)
+                 for d, k in _divisor_terms((meta.val_q + 24 * j) // grid, m)]
+        big = sum(w * int(np.abs(vr).max(initial=0)) for *_, w, _, vr in parts) >= _INT64_SAFE
+        n = sum(len(vr) for *_, vr in parts)
+        z = np.empty((n, 1 + meta.r), np.int64)
+        v = np.empty(n, object if big else np.int64)
+        a = 0
+        for t, d, w, zr, vr in parts:
+            b = a + len(vr)
+            z[a:b, 0] = t
+            z[a:b, 1:] = d * zr.astype(np.int64)
+            v[a:b] = vr.astype(v.dtype) * w
+            a = b
+        if len(parts) > len({p[0] for p in parts}):  # an order with several divisors
+            f = _frame(z.min(axis=0, initial=0), z.max(axis=0, initial=0))
+            k, v = _reduce_parts([(_encode(z, f), v)])
+            z = _decode(k, f)
+        out.append(PackedLevel(z, v))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # weak weight-0 forms
 
@@ -430,7 +479,7 @@ def _corner_slice(meta: MemberMeta) -> dict:
     return acc
 
 
-def _factor_stack(meta: MemberMeta, depth: int) -> list:
+def _factor_stack(meta: MemberMeta, depth: int, lead: int = 0) -> list:
     """The factors of a block, as (dirs, {level: slice}) pairs.
 
     The eta power comes first, with no directions; then one copy of the
@@ -439,10 +488,10 @@ def _factor_stack(meta: MemberMeta, depth: int) -> list:
     level above the factor's valuation, with the level-0 binomial left
     out (its directions are divided out one by one).  All higher cells
     are tiny, which is what makes dividing by the whole block factor by
-    factor cheap.
+    factor cheap.  ``lead`` batch coordinates ahead of z are zero in all.
     """
     eta = _eta_table(meta.eta_exp, depth)
-    stack = [([], {lvl: {(0,) * meta.r: eta[lvl]}
+    stack = [([], {lvl: {(0,) * (lead + meta.r): eta[lvl]}
                    for lvl in range(1, depth + 1) if eta[lvl]})]
     if meta.family == "A2":
         block = _a2_levels(1, 0, depth)
@@ -455,7 +504,7 @@ def _factor_stack(meta: MemberMeta, depth: int) -> list:
                  for m in range(3, isqrt(8 * depth + 1) + 1, 2)}
     w = len(dirs[0])
     for c in range(meta.copies):
-        pre, post = (0,) * (w * c), (0,) * (meta.r - w * c - w)
+        pre, post = (0,) * (lead + w * c), (0,) * (meta.r - w * c - w)
         stack.append(([pre + d + post for d in dirs],
                       {lvl: {pre + z + post: co for z, co in t.items()}
                        for lvl, t in cells.items()}))
@@ -543,15 +592,16 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
     Raises ArithmeticError when division is not exact, TypeError on
     non-int coefficients, ValueError when the keys do not fit int64.
     """
-    r = meta.r
     checked = dtype is not object
-    lv, z, v, _ = _qz_rows(dict(enumerate(levels[:depth + 1])), r, dtype)
-    if not checked and set(map(type, v.tolist())) - {int}:
+    levels = levels[:depth + 1]
+    if checked and any(x.v.dtype == object for x in levels):
+        raise _NotInt64
+    vs = [x.v.astype(dtype, copy=False) for x in levels]
+    if not checked and set().union(*(map(type, v.tolist()) for v in vs)) - {int}:
         raise TypeError("packed division needs plain integers")
-    if not len(z):
-        return [{} for _ in range(depth + 1)]
-    pad = np.array(_pad(stack, depth, r), dtype=np.int64)
-    L, H = z.min(axis=0) - pad, z.max(axis=0) + pad
+    pad = np.array(_pad(stack, depth, levels[0].z.shape[1]), dtype=np.int64)
+    L = np.min([x.z.min(axis=0, initial=0) for x in levels], axis=0) - pad
+    H = np.max([x.z.max(axis=0, initial=0) for x in levels], axis=0) + pad
     frames = [[_frame(L, H, 0, d) for d in dirs] for dirs, _ in stack]
     cur = next(fr[0] for fr in frames if fr)
 
@@ -562,8 +612,8 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
         if checked and bound >= _INT64_SAFE:
             raise _NotInt64
 
-    cuts = np.searchsorted(lv, np.arange(1, depth + 1))
-    work = list(zip(np.split(_encode(z, cur), cuts), np.split(v, cuts)))
+    work = [(_encode(x.z, cur), v) for x, v in zip(levels, vs)]
+    work += [(np.zeros(0, np.int64), np.zeros(0, dtype))] * (depth + 1 - len(work))
     mx = [amax(v) for _, v in work]
     for (dirs, cells), fr in zip(stack, frames):
         f0 = fr[0] if fr else cur
@@ -595,23 +645,25 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
                 k = _encode(_decode(k, prev), f0)
             work[j] = (k, v)
             mx[j] = amax(v)
-    return [_qz_decode(k, v, cur).get(0, {}) for k, v in work]
+    return [PackedLevel(_decode(k, cur), v) for k, v in work]
 
 
 def divide_by_member(levels: list, key: str, depth: int) -> list:
     """Exact division of 24-grid levels by the whole theta block.
 
-    ``levels[j]`` is the dividend slice at q_num = val + 24*j; the result
-    is the quotient slice list on levels 0..depth.  Works factor by
-    factor on packed keys: each factor, the eta power first, contributes
-    a sparse correction per level, and each theta factor one linear
-    binomial pass per direction of its level-0 cell.  Values are int64
-    unless some step could reach 2^62, in which case the division is
-    run again on python ints.  Raises ArithmeticError when the division
-    is not exact.
+    ``levels[j]`` is the dividend PackedLevel at q_num = val + 24*j; the
+    result is the quotient on levels 0..depth.  Leading batch columns
+    (the order index of ``hecke_levels``) are zero in every direction
+    and correction of the block, so one call divides every entry.  Works
+    factor by factor on packed keys: each factor, the eta power first,
+    contributes a sparse correction per level, and each theta factor one
+    linear binomial pass per direction of its level-0 cell.  Values are
+    int64 unless some step could reach 2^62, in which case the division
+    is run again on python ints.  Raises ArithmeticError when the
+    division is not exact.
     """
     meta = MEMBERS[key]
-    stack = _factor_stack(meta, depth)
+    stack = _factor_stack(meta, depth, levels[0].z.shape[1] - meta.r)
     return _int64_first(_divide_packed, levels, meta, depth, stack)
 
 
@@ -623,13 +675,12 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     corner = _corner_slice(meta)
     if member_slice(key, val) != corner:
         raise AssertionError("theta block corner is not the binomial product")
-    quo = divide_by_member(
-        [member_hecke_slice(key, p, val + 24 * j) for j in range(q_depth + 1)],
-        key, q_depth)
+    quo = divide_by_member(hecke_levels(key, [p], q_depth), key, q_depth)
     out = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 0))
-    for j, sl in enumerate(quo):
-        if sl:
-            out.cells[(0, 24 * j)] = {z: -c for z, c in sl.items()}
+    for j, lvl in enumerate(quo):
+        if len(lvl):
+            out.cells[(0, 24 * j)] = dict(zip(map(tuple, lvl.z[:, 1:].tolist()),
+                                              (-lvl.v).tolist()))
     return JacobiForm("phi0_%s" % meta.lattice_name, out, 0, Fraction(1),
                       meta.lattice_name, meta.family, meta.copies)
 

@@ -47,21 +47,10 @@ CATALOGUE = (
 )
 
 
-class DiscGroup(NamedTuple):
-    order: int
-    invariants: tuple
-    reps: tuple  # coordinate tuples of Fractions
-
-
 class EichlerClass(NamedTuple):
     v2: int
     div: int
     kappa: Vec  # reduced representative of v/div(v) in the discriminant group
-
-    @property
-    def is_reflective(self) -> bool:
-        a = -self.v2
-        return a > 0 and self.v2 % self.div == 0 and (2 * self.div) % a == 0
 
 
 class ReflectiveClass(NamedTuple):
@@ -210,10 +199,6 @@ class Lattice:
         """A Z-basis of S in ambient coordinates (the root basis)."""
         return self._basis
 
-    def gram(self) -> tuple:
-        return tuple(tuple(_dot(row, y) * self.den // self._pair_den for y in self._basis)
-                     for row in self._pair_rows)
-
     def content(self, v: Vec) -> int:
         """Positive generator of the pairing ideal (v, S)."""
         return gcd(*self._pairings(self._dual(v))) // self._pair_den
@@ -232,9 +217,6 @@ class Lattice:
 
     def disc_order(self, v: Vec) -> int:
         return self._order(self._dual(v))
-
-    def discriminant_group(self) -> DiscGroup:
-        return DiscGroup(len(self._reps), self.invariants, self._reps)
 
     # -- Eichler data ----------------------------------------------------------
 

@@ -15,8 +15,10 @@ product ``_qz_mul`` and the theta-block division ``jacobi.divide_by_member``:
 one ``_Frame`` packs (level, z) into a single int64 key, ``_qz_rows`` /
 ``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts,
 and ``_int64_first`` reruns a kernel on Python ints when int64 cannot
-carry its values.  ``np`` here, which ``jacobi`` and ``borcherds`` import,
-runs numpy's import on its first use, so work with no kernel never pays it.
+carry its values.  A ``PackedLevel`` is one level as z rows beside
+their values, no dict: the division takes and returns them.  ``np``
+here, which ``jacobi`` and ``borcherds`` import, runs numpy's import on
+its first use, so work with no kernel never pays it.
 """
 
 from __future__ import annotations
@@ -257,6 +259,19 @@ def _qz_rows(levels: dict, r: int, dtype):
             np.abs(z).max(axis=0, initial=0))
 
 
+class PackedLevel:
+    """One level as z rows (n x c ints, any leading batch columns first)
+    beside n values; ``len`` is the term count, as for a z-slice dict."""
+
+    __slots__ = ("z", "v")
+
+    def __init__(self, z, v):
+        self.z, self.v = z, v
+
+    def __len__(self) -> int:
+        return len(self.v)
+
+
 def _qz_pack(rows, f: _Frame) -> tuple:
     """Packed (keys, values, reach) of _qz_rows output, keys sorted."""
     lv, z, v, reach = rows
@@ -487,13 +502,6 @@ class FourierSeries:
         s0 = min(s for (s, _) in self.cells)
         q0 = min(q for (s, q) in self.cells if s == s0)
         return (s0, q0)
-
-    def lowest_term(self) -> tuple:
-        """(q_num, z, s_num, coeff) at the corner cell, lex-least z."""
-        s0, q0 = self.corner_cell()
-        cell = self.cells[(s0, q0)]
-        z = min(cell)
-        return q0, z, s0, cell[z]
 
     def __repr__(self) -> str:
         return "FourierSeries(r=%d, den_z=%d, window=%s, %d terms)" % (

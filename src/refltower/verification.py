@@ -327,7 +327,7 @@ _CLASS_REPS = ["psi_4_D8", "psi_10_D2", "eta21_theta2z", "psi_9_A2", "psi_5_A1",
 
 def _run_class_invariance(win):
     # group weight-0 coefficients by (hyperbolic norm numerator,
-    # discriminant class); each group must be constant
+    # discriminant class, as its integer key); each group must be constant
     ok = True
     checked = 0
     details = {}
@@ -340,7 +340,7 @@ def _run_class_invariance(win):
         for (s, q), sl in phi.cells.items():
             for z, c in sl.items():
                 nrm = _hyper_norm(lat, q, z)
-                groups.setdefault((nrm, lat.disc_reduce(z, grid=True)), set()).add(c)
+                groups.setdefault((nrm, lat._key(lat._dual(z, grid=True))), set()).add(c)
                 checked += 1
         broken = sum(1 for vals in groups.values() if len(vals) != 1)
         details[key] = {"groups": len(groups), "broken": broken}

@@ -3,8 +3,10 @@
 import json
 from fractions import Fraction
 
-from refltower import borcherds, jacobi
+from refltower import borcherds, jacobi, lifting
 from refltower.series import FourierSeries
+
+from helpers import divide_slices
 
 
 def exp_s(x: FourierSeries) -> FourierSeries:
@@ -68,3 +70,54 @@ def product_form(key: str, window) -> FourierSeries:
                     out = out.mul(borcherds._binom_factor(
                         sl[z], 24 * n, z, 2 * m, meta.r, meta.den_z, window), window)
     return out.shifted(wd.q_num, wd.z, wd.s_num).scaled(wd.sign).truncated(window)
+
+
+def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
+    """``borcherds.compare_lift_product`` one layer at a time on dicts:
+    each lift layer from ``jacobi.member_hecke_slice``, divided on its
+    own and compared with the decoded E_j slice by slice."""
+    meta = jacobi.MEMBERS[key]
+    s0 = borcherds.index_step(key)
+    layers = lifting.lift_layers(key, 2 * s_depth)
+    q_aux = max((24 * q_depth - meta.val_q) // 24, 0)
+    j_max = max(((s - s0) // 2) for s, _ in layers) if layers else 0
+    E = borcherds.exp_layers(key, j_max, q_aux)
+    checked = 0
+    mismatch = None
+    rows = []
+    for s_num, order in layers:
+        Ej = E[(s_num - s0) // 2]
+        lifts = [jacobi.member_hecke_slice(key, order, meta.val_q + 24 * j)
+                 for j in range(q_aux + 1)]
+        layer_terms = sum(len(sl) for sl in lifts)
+        try:
+            quo = divide_slices(lifts, key, q_aux)
+        except ArithmeticError:
+            quo = None
+        rhs = None
+        for j in range(q_aux + 1):
+            if mismatch is not None:
+                break
+            if quo is not None and quo[j] == Ej.cells.get((0, 24 * j), {}):
+                continue
+            if rhs is None:
+                rhs = borcherds._block_times(key, Ej, q_aux)
+            q = meta.val_q + 24 * j
+            z = borcherds._slice_first_diff(lifts[j], rhs.get(j, {}))
+            if z is not None:
+                mismatch = {
+                    "s_num": s_num, "q_num": q, "z": z,
+                    "lift": lifts[j].get(z, 0),
+                    "product": borcherds._product_coefficient(key, Ej, q, z),
+                }
+        checked += layer_terms
+        rows.append({"s_num": s_num, "order": order, "terms": layer_terms})
+    return {
+        "status": "pass" if mismatch is None else "fail",
+        "member": key,
+        "q_depth": q_depth,
+        "s_depth": s_depth,
+        "layers": rows,
+        "checked_terms": checked,
+        "first_mismatch": mismatch,
+    }

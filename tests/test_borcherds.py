@@ -9,6 +9,7 @@ import pytest
 from refltower.series import FourierSeries, TruncationWindow, _slice_mul_py
 from refltower import borcherds, jacobi, lifting, series, verification
 
+from helpers import divide_slices
 import oracles
 from oracles import exp_s
 
@@ -132,6 +133,166 @@ def test_compare_half_grid_member():
     assert [row["order"] for row in rep["layers"]] == [1, 3]
 
 
+# (q_depth, s_depth) windows per size class, as the benchmark sweep sizes
+# them (perfbench/workloads.py); the class goes by rank, one class
+# smaller for the tower tops
+SWEEP_CLASSES = (
+    ((4, 3), (6, 4)),
+    ((3, 3), (4, 3)),
+    ((3, 2), (3, 3)),
+    ((2, 2), (3, 2)),
+)
+
+
+def _sweep_windows(key):
+    r = jacobi.MEMBERS[key].r
+    c = 0 if r <= 2 else 1 if r <= 4 else 2 if r <= 6 else 3
+    if key in jacobi.TOWER_TOPS:
+        c += 1
+    return SWEEP_CLASSES[min(c, len(SWEEP_CLASSES) - 1)]
+
+
+def test_compare_equals_the_layer_by_layer_oracle_on_every_sweep_window():
+    for key in jacobi.MEMBERS:
+        for q_depth, s_depth in _sweep_windows(key):
+            got = borcherds.compare_lift_product(key, q_depth, s_depth)
+            assert got["status"] == "pass"
+            assert got == oracles.compare_lift_product(key, q_depth, s_depth), key
+
+
+def _level_dicts(lvl, count):
+    """A batched PackedLevel as one z-slice dict per batch entry."""
+    out = [{} for _ in range(count)]
+    for row, c in zip(lvl.z.tolist(), lvl.v.tolist()):
+        out[row[0]][tuple(row[1:])] = c
+    return out
+
+
+def _batch(dicts, r):
+    """z-slice dicts as one PackedLevel, the entry index as first column."""
+    rows = [(t,) + z for t, sl in enumerate(dicts) for z in sl]
+    vals = [c for sl in dicts for c in sl.values()]
+    return series.PackedLevel(np.array(rows, dtype=np.int64).reshape(len(rows), r + 1),
+                              np.array(vals, dtype=np.int64))
+
+
+def _corrupt_layer(monkeypatch, key, order, change):
+    """Apply change(level, slice) to one lift layer in both sources: the
+    dicts the oracle reads and the packed levels the program divides."""
+    meta = jacobi.MEMBERS[key]
+    real_dicts, real_packed = jacobi.member_hecke_slice, borcherds.hecke_levels
+
+    def dicts(k, m, q):
+        sl = real_dicts(k, m, q)
+        return change((q - meta.val_q) // 24, dict(sl)) if (k, m) == (key, order) else sl
+
+    def packed(k, orders, depth):
+        levels = real_packed(k, orders, depth)
+        if k == key and order in orders:
+            t = orders.index(order)
+            for j, lvl in enumerate(levels):
+                sls = _level_dicts(lvl, len(orders))
+                sls[t] = change(j, sls[t])
+                levels[j] = _batch(sls, meta.r)
+        return levels
+
+    monkeypatch.setattr(jacobi, "member_hecke_slice", dicts)
+    monkeypatch.setattr(borcherds, "hecke_levels", packed)
+    raised = []
+    real_div = borcherds.divide_by_member
+
+    def divide(levels, k, depth):
+        try:
+            return real_div(levels, k, depth)
+        except ArithmeticError:
+            raised.append(k)
+            raise
+
+    monkeypatch.setattr(borcherds, "divide_by_member", divide)
+    return raised
+
+
+# (member, window, layer order, level): a non-first layer at level >= 1
+CORRUPTIONS = [("psi_8_D4", (4, 3), 2, 1), ("psi_6_2A2", (3, 3), 3, 2),
+               ("psi_4_2A1", (4, 3), 3, 1)]
+
+
+@pytest.mark.parametrize("key,window,order,level", CORRUPTIONS)
+def test_compare_equals_the_oracle_when_a_layer_gains_a_block_multiple(
+        monkeypatch, key, window, order, level):
+    """q^level psi added to one layer keeps it divisible: the batch
+    divides, and its quotient differs from E_j from that level on."""
+    val = jacobi.MEMBERS[key].val_q
+
+    def change(j, sl):
+        if j >= level:
+            for z, c in jacobi.member_slice(key, val + 24 * (j - level)).items():
+                sl[z] = sl.get(z, 0) + c
+        return {z: c for z, c in sl.items() if c}
+
+    raised = _corrupt_layer(monkeypatch, key, order, change)
+    got = borcherds.compare_lift_product(key, *window)
+    assert not raised
+    assert got["status"] == "fail"
+    assert got["first_mismatch"]["q_num"] == val + 24 * level
+    assert got == oracles.compare_lift_product(key, *window)
+
+
+@pytest.mark.parametrize("key,window,order,level", CORRUPTIONS)
+def test_compare_equals_the_oracle_when_a_layer_does_not_divide(
+        monkeypatch, key, window, order, level):
+    """One coefficient off by one: that layer has no quotient, so the
+    whole batch raises and every layer is compared outright."""
+
+    def change(j, sl):
+        if j == level:
+            sl[min(sl)] += 1
+        return sl
+
+    raised = _corrupt_layer(monkeypatch, key, order, change)
+    got = borcherds.compare_lift_product(key, *window)
+    assert raised == [key]
+    assert got["status"] == "fail"
+    assert got == oracles.compare_lift_product(key, *window)
+
+
+def test_batch_with_one_layer_near_2_62_reruns_on_python_ints(monkeypatch):
+    """Mirrors the dict division test near 2^62: only the second layer of
+    the batch could pass 2^62, yet the whole batch reruns on python ints,
+    and both layers come out exact."""
+    key, depth = "psi_9_A2", 3
+    meta = jacobi.MEMBERS[key]
+    rng = random.Random(62)
+    quo = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * depth, 0))
+    for _ in range(20):
+        z = tuple(rng.randrange(-6, 7) for _ in range(meta.r))
+        quo.add_term(24 * rng.randrange(depth + 1), z, 0,
+                     rng.randrange(-2 ** 54, 2 ** 54))
+    psi = jacobi.member_series(key, TruncationWindow(meta.val_q + 24 * depth, 0))
+    num = psi.mul(quo)
+    lift = [jacobi.member_hecke_slice(key, 1, meta.val_q + 24 * j) for j in range(depth + 1)]
+    big = [dict(num.cells.get((0, meta.val_q + 24 * j), {})) for j in range(depth + 1)]
+    assert max(abs(c) for sl in lift for c in sl.values()) < 2 ** 40
+    assert 2 ** 61 <= max(abs(c) for sl in big for c in sl.values()) < 2 ** 62
+    batch = [_batch([a, b], meta.r) for a, b in zip(lift, big)]
+    dtypes = []
+    real = jacobi._divide_packed
+
+    def spy(*args):
+        dtypes.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(jacobi, "_divide_packed", spy)
+    got = jacobi.divide_by_member(batch, key, depth)
+    assert dtypes == [np.int64, object]
+    want = divide_slices(lift, key, depth)
+    for j in range(depth + 1):
+        small, large = _level_dicts(got[j], 2)
+        assert small == want[j]
+        assert large == quo.cells.get((0, 24 * j), {})
+        assert all(type(c) is int for c in got[j].v.tolist())
+
+
 def test_scan_d_family_single_class():
     rep = borcherds.reflective_divisor_scan("psi_10_D2", 4)
     assert len(rep["classes"]) == 1
@@ -176,8 +337,9 @@ def test_scan_rank_one_block_has_two_components():
 
 
 def test_hecke_v0_rejects_shallow_windows():
+    # phi0 divided afresh: the memoised form may already be deeper
     with pytest.raises(ValueError):
-        borcherds.hecke_v0(jacobi.weak_weight0("psi_5_A1", 2).series, 3, 4)
+        borcherds.hecke_v0(jacobi.phi0_by_division("psi_5_A1", 2).series, 3, 4)
 
 
 def test_exp_layers_match_the_exponential_of_all_members():

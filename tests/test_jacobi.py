@@ -16,7 +16,6 @@ from refltower.jacobi import (
     _eta_coeff,
     build,
     chi4,
-    divide_by_member,
     eta_power,
     member_hecke_slice,
     member_series,
@@ -29,8 +28,10 @@ from refltower.jacobi import (
     weak_weight0,
 )
 from refltower.lattices import lattice
+from refltower.lifting import lift_layers
 from refltower.series import FourierSeries, TruncationWindow
 
+from helpers import divide_slices
 from oracles import eta_product
 
 
@@ -406,13 +407,13 @@ def test_division_rejects_a_corrupt_a2_dividend():
     key = "psi_6_2A2"
     val = MEMBERS[key].val_q
     levels = [member_hecke_slice(key, 2, val + 24 * j) for j in range(4)]
-    assert divide_by_member([dict(sl) for sl in levels], key, 3)[3]
+    assert divide_slices([dict(sl) for sl in levels], key, 3)[3]
     for j in (0, 2):
         bad = [dict(sl) for sl in levels]
         z = sorted(bad[j])[len(bad[j]) // 2]
         bad[j][z] += 1
         with pytest.raises(ArithmeticError):
-            divide_by_member(bad, key, 3)
+            divide_slices(bad, key, 3)
 
 
 def test_division_quotient_wider_than_its_dividend():
@@ -425,7 +426,7 @@ def test_division_quotient_wider_than_its_dividend():
         num = FourierSeries(meta.r, meta.den_z, w)
         num.cells[(0, meta.val_q)] = dict(member_slice(key, meta.val_q))
         want = num.div(member_series(key, w))
-        got = divide_by_member([num.cells[(0, meta.val_q)]], key, depth)
+        got = divide_slices([num.cells[(0, meta.val_q)]], key, depth)
         assert got[depth]
         for j in range(depth + 1):
             assert got[j] == want.cells.get((0, 24 * j), {})
@@ -433,10 +434,10 @@ def test_division_quotient_wider_than_its_dividend():
 
 def test_division_input_errors_are_loud():
     with pytest.raises(TypeError):
-        divide_by_member([{(1, 1): Fraction(1)}], "psi_10_D2", 0)
+        divide_slices([{(1, 1): Fraction(1)}], "psi_10_D2", 0)
     far = 2 ** 40 + 1
     with pytest.raises(ValueError, match="span too wide"):
-        divide_by_member([{(1, 1): 1, (far, far): 1}], "psi_10_D2", 0)
+        divide_slices([{(1, 1): 1, (far, far): 1}], "psi_10_D2", 0)
 
 
 def test_division_near_2_62_reruns_on_python_ints(monkeypatch):
@@ -463,7 +464,7 @@ def test_division_near_2_62_reruns_on_python_ints(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(jacobi, "_divide_packed", spy)
-    got = divide_by_member(levels, key, depth)
+    got = divide_slices(levels, key, depth)
     assert dtypes == [np.int64, object]
     want = num.div(psi)
     for j in range(depth + 1):
@@ -476,7 +477,7 @@ def test_division_near_2_62_reruns_on_python_ints(monkeypatch):
         wrap[(2 * k + 1, 1)] = 2 ** 61
         wrap[(2 * k + 1, -1)] = -2 ** 61
     with pytest.raises(ArithmeticError):
-        divide_by_member([wrap], "psi_10_D2", 0)
+        divide_slices([wrap], "psi_10_D2", 0)
 
 
 def test_phi0_weight0_tautology():
@@ -515,6 +516,43 @@ def test_hecke_on_half_grid_rules():
             member_hecke_slice("psi_9_A2", m, 48)
     sl = member_hecke_slice("psi_5_A1", 3, 36)
     assert sl and all(len(z) == 1 for z in sl)
+
+
+def _hecke_levels_as_dicts(key, orders, depth):
+    """jacobi.hecke_levels as {(order, j): slice dict}."""
+    out = {}
+    for j, lvl in enumerate(jacobi.hecke_levels(key, orders, depth)):
+        for row, c in zip(lvl.z.tolist(), lvl.v.tolist()):
+            out.setdefault((orders[row[0]], j), {})[tuple(row[1:])] = c
+    return out
+
+
+def _hecke_dicts(key, orders, depth):
+    val = MEMBERS[key].val_q
+    return {(m, j): sl for m in orders for j in range(depth + 1)
+            if (sl := member_hecke_slice(key, m, val + 24 * j))}
+
+
+def test_hecke_levels_equal_the_dict_translates():
+    """The packed dividend builder against the divisor-sum dicts, for the
+    layer orders of every member and its phi0 translate."""
+    for key, meta in MEMBERS.items():
+        orders = [m for _, m in lift_layers(key, 6)] + [meta.hecke_p]
+        depth = 4 if meta.r <= 4 else 2 if meta.r <= 6 else 1
+        assert _hecke_levels_as_dicts(key, orders, depth) == _hecke_dicts(key, orders, depth), key
+
+
+def test_hecke_levels_past_2_62_run_on_python_ints(monkeypatch):
+    """Member slices scaled by 2^60: weighted by d^(k-1) and summed over
+    divisors they pass 2^63, and the levels must come out exact."""
+    real = jacobi.member_slice
+    monkeypatch.setattr(jacobi, "member_slice",
+                        lambda key, q: {z: c << 60 for z, c in real(key, q).items()})
+    monkeypatch.setattr(jacobi, "_PSI_ROWS", {})
+    key, orders, depth = "psi_10_D2", [1, 2, 3, 4], 5
+    got = _hecke_levels_as_dicts(key, orders, depth)
+    assert got == _hecke_dicts(key, orders, depth)
+    assert max(abs(c) for sl in got.values() for c in sl.values()) >= 2 ** 63
 
 
 def test_hecke_slice_matches_series_operator():

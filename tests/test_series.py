@@ -16,6 +16,7 @@ from refltower.series import (
     _slice_mul_py,
 )
 
+from helpers import lowest_term
 import oracles
 from oracles import exp_s
 
@@ -314,7 +315,7 @@ def test_lowest_term_and_valuations():
     assert f.q_valuation() == 5
     assert f.s_valuation() == 2
     assert f.corner_cell() == (2, 5)
-    assert f.lowest_term() == (5, (1, -1), 2, -2)
+    assert lowest_term(f) == (5, (1, -1), 2, -2)
 
 
 def test_to_json_writes_only_nonzero_terms_inside_the_window():

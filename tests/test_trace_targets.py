@@ -52,3 +52,27 @@ def test_cache_counters_read_one_real_call(tmp_path):
     stats = t.stats["cli.cache"]
     assert (stats["calls"], stats["lookups"], stats["hits"]) == (2, 2, 1)
     assert stats["bytes"] == 2 * entry.stat().st_size
+
+
+def test_division_counter_reads_packed_levels():
+    """The ``jacobi.divide_by_member`` pre-counter sums ``len`` over the
+    items of its first argument; packed dividend levels answer ``len``
+    with their term count, so a traced sweep counts what it divides."""
+    from refltower import borcherds, jacobi
+
+    key = "psi_10_D2"
+    meta = jacobi.MEMBERS[key]
+    jacobi.weak_weight0(key, 8)  # cached, so the comparison divides once
+    phi0_terms = sum(len(jacobi.member_hecke_slice(key, meta.hecke_p, meta.val_q + 24 * j))
+                     for j in range(4))
+    tracer = _tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        rep = borcherds.compare_lift_product(key, 3, 2)
+        jacobi.phi0_by_division(key, 3)
+    finally:
+        t.uninstall()
+    stats = t.stats["jacobi.divide_by_member"]
+    assert stats["calls"] == 2
+    assert stats["terms_in"] == rep["checked_terms"] + phi0_terms

@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from refltower import borcherds, jacobi, lattices, verification
-from refltower.series import TruncationWindow
+from refltower.series import PackedLevel, TruncationWindow
 
 
 def hyper_norm_fraction(lat, q, z, index=1) -> Fraction:
@@ -147,19 +149,23 @@ def test_negative_control_catches_doubled_wall(monkeypatch):
 
 
 def test_negative_control_catches_corrupt_lift(monkeypatch):
-    real = borcherds.member_hecke_slice
+    # the lift layers reach the check as packed levels, one batch column
+    # per layer: corrupt the lex-first key of the m = 1 layer at the corner
+    real = borcherds.hecke_levels
     for key in ("psi_5_A1", "psi_9_A2"):
-        val = jacobi.MEMBERS[key].val_q
 
-        def crooked(k, m, q_num, val=val):
-            sl = real(k, m, q_num)
-            if m == 1 and q_num == val:
-                sl = dict(sl)
-                z = sorted(sl)[0]
-                sl[z] += 1
-            return sl
+        def crooked(k, orders, depth):
+            levels = real(k, orders, depth)
+            if 1 in orders:
+                lvl = levels[0]
+                rows = np.flatnonzero(lvl.z[:, 0] == orders.index(1))
+                first = rows[np.lexsort(lvl.z[rows, 1:].T[::-1])[0]]
+                v = lvl.v.copy()
+                v[first] += 1
+                levels[0] = PackedLevel(lvl.z, v)
+            return levels
 
-        monkeypatch.setattr(borcherds, "member_hecke_slice", crooked)
+        monkeypatch.setattr(borcherds, "hecke_levels", crooked)
         rep = verification.run("lift-equals-product:%s" % key,
                                TruncationWindow(48, 2))
         assert rep.status == "fail", key

@@ -15,6 +15,8 @@ windows; on A2 it keeps the wrong half of the z-only walls (the
 lexicographic half, where the corner directions need the other one) and
 differs from the corner cell on.
 
+One packed recursion (``exp_layers``) gives the exponential layers E_j
+when started at 1 and the product layers psi * E_j when started at psi.
 The lift-versus-product check divides all lift layers, built from
 packed member slices, in one batch and compares the quotients with the
 packed E_j as arrays; dicts appear only in a mismatch report.
@@ -46,13 +48,7 @@ from .jacobi import (
 from .lattices import lattice
 from .lifting import lift_layers
 from .series import (FourierSeries, TruncationWindow, _encode, _frame, _int64_first,
-                     _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _qz_pack, _qz_product,
-                     _qz_rows, np)
-
-
-def index_step(key: str) -> int:
-    """s_num of the first Fourier-Jacobi layer (1 on the half grid)."""
-    return 1 if MEMBERS[key].family == "A1" else 2
+                     _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _qz_pack, _qz_rows, np)
 
 
 class WeylData(NamedTuple):
@@ -66,7 +62,7 @@ def weyl_data(key: str) -> WeylData:
     meta = MEMBERS[key]
     dirs = _corner_dirs(meta)
     zw = tuple(-sum(col) for col in zip(*dirs))
-    return WeylData(meta.val_q, zw, index_step(key), (-1) ** len(dirs))
+    return WeylData(meta.val_q, zw, meta.s_step, (-1) ** len(dirs))
 
 
 # ---------------------------------------------------------------------------
@@ -90,34 +86,35 @@ def hecke_v0(phi: FourierSeries, m: int, q_depth: int) -> FourierSeries:
     return out
 
 
-def _exp_packed(key: str, j_max: int, q_depth: int, dtype) -> tuple:
-    """(frame, packed E_0..E_j) with values of one dtype.
+def _exp_packed(key: str, j_max: int, q_depth: int, first: dict, dtype) -> tuple:
+    """(frame, packed F_0..F_j) from F_0 = first ({level: slice}), with
+    values of one dtype.
 
-    The frame bounds every layer: E_j is a sum of products of W_i whose
-    orders add up to j, so its reach per axis is at most the largest
-    reach(W_i) + reach(E_{j-i}).  With int64 values a quotient by j that
-    leaves a remainder raises _NotInt64; object values keep it as a
-    Fraction.
+    The frame bounds every layer: F_j is a sum of products of F_0 and
+    W_i whose orders add up to j, so its reach per axis is at most the
+    largest reach(W_i) + reach(F_{j-i}).  With int64 values a quotient by
+    j that leaves a remainder raises _NotInt64; object values keep it as
+    a Fraction.
     """
     meta = MEMBERS[key]
     phi = weak_weight0(key, max(j_max * q_depth, 1)).series
-    rows = [None]
+    rows = [_qz_rows(first, meta.r, dtype)]
     for i in range(1, j_max + 1):
         # W_i = -i phi|V_i, integral unless phi0 is corrupt
         wi = {q // 24: {z: c * -i if type(c) is int else _norm_coeff(c * -i)
                         for z, c in sl.items()}
               for (_, q), sl in hecke_v0(phi, i, q_depth).cells.items()}
         rows.append(_qz_rows(wi, meta.r, dtype))
-    reach = [np.zeros(meta.r, dtype=np.int64)]
+    reach = [rows[0][3]]
     for j in range(1, j_max + 1):
         reach.append(np.max([rows[i][3] + reach[j - i]
                              for i in range(1, j + 1)], axis=0))
     box = np.max(reach, axis=0)
     f = _frame(-box, box, q_depth)
-    W = [None] + [_qz_pack(rw, f) for rw in rows[1:]]
-    E = [(np.array([f.zero], dtype=np.int64), np.ones(1, dtype), reach[0])]
+    W = [_qz_pack(rw, f) for rw in rows]
+    F = W[:1]
     for j in range(1, j_max + 1):
-        k, v, rj = _qz_mul([(W[i], E[j - i]) for i in range(1, j + 1)],
+        k, v, rj = _qz_mul([(W[i], F[j - i]) for i in range(1, j + 1)],
                            f, q_depth)
         if dtype is object:
             v = np.array([_norm_coeff(Fraction(c, j)) for c in v.tolist()],
@@ -126,63 +123,53 @@ def _exp_packed(key: str, j_max: int, q_depth: int, dtype) -> tuple:
             v, rem = np.divmod(v, j)
             if rem.any():
                 raise _NotInt64
-        E.append((k, v, rj))
-    return f, E
+        F.append((k, v, rj))
+    return f, F
 
 
-def exp_layers(key: str, j_max: int, q_depth: int) -> list:
-    """Layers E_0..E_j of exp(-sum (phi0|V_j^(0)) s^j) as q-z series.
+def exp_layers(key: str, j_max: int, q_depth: int, psi: bool = False) -> tuple:
+    """Layers E_0..E_j of exp(X), X = -sum (phi0|V_j^(0)) s^j, or psi * E_j
+    with ``psi`` (level l at q_num val + 24 l), as packed
+    (frame, [(keys, values, reach)]) through level q_depth.
 
-    Computed through the first-order recursion j E_j = sum i X_i E_{j-i},
-    each step one packed product over whole layers.  The combinations
-    i X_i have integral coefficients (the 1/d weights of V_i^(0) cancel
-    against i), and the layers themselves are integral because every
-    product factor expands with binomial coefficients, so the products
-    run on int64 and the division by j is exact termwise.  A bound
-    reaching 2^62, or a remainder (only a corrupted phi0 leaves one),
-    reruns the recursion on python ints and Fractions.
+    s d/ds exp(X) = (s dX/ds) exp(X) is the first-order recursion
+    j E_j = sum i X_i E_{j-i}, each step one packed product over whole
+    layers.  It is linear in its first layer and psi has no s, so started
+    at psi instead of 1 it yields psi * E_j.  The combinations i X_i are
+    integral (the 1/d weights of V_i^(0) cancel against i), and so are
+    the layers, as every product factor expands with binomial
+    coefficients: the products run on int64 and the division by j is
+    exact.  A bound reaching 2^62, or a remainder (only a corrupted phi0
+    leaves one), reruns the recursion on python ints and Fractions.
     """
     meta = MEMBERS[key]
-    win = TruncationWindow(24 * q_depth, 0)
-    f, E = _int64_first(_exp_packed, key, j_max, q_depth)
-    out = []
-    for k, v, _ in E:
-        Ej = FourierSeries(meta.r, meta.den_z, win)
-        Ej.cells = {(0, 24 * lvl): sl for lvl, sl in _qz_decode(k, v, f).items()}
-        out.append(Ej)
-    return out
-
-
-def _block_times(key: str, layer: FourierSeries, depth: int) -> dict:
-    """{level: slice} of psi * layer through level depth, by one packed product.
-
-    Level l of psi sits at q_num val + 24 l, level l of the layer at 24 l.
-    """
-    meta = MEMBERS[key]
-    psi = member_series(key, TruncationWindow(meta.val_q + 24 * depth, 0))
-    psi = {(q - meta.val_q) // 24: sl for (_, q), sl in psi.cells.items()}
-    ex = {q // 24: sl for (_, q), sl in layer.cells.items() if q <= 24 * depth}
-    return _int64_first(_qz_product, psi, ex, meta.r, depth)
+    first = {0: {(0,) * meta.r: 1}}
+    if psi:
+        ps = member_series(key, TruncationWindow(meta.val_q + 24 * q_depth, 0))
+        first = {(q - meta.val_q) // 24: sl for (_, q), sl in ps.cells.items()}
+    return _int64_first(_exp_packed, key, j_max, q_depth, first)
 
 
 def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
     """The Borcherds product as a materialised series over a window."""
     meta = MEMBERS[key]
-    s0 = index_step(key)
+    s0 = meta.s_step
     j_max = max((window.s_max - s0) // 2, 0)
     q_depth = max((window.q_max - meta.val_q) // 24, 0)
     out = FourierSeries(meta.r, meta.den_z, window)
     if window.q_max < meta.val_q:
         return out
-    for j, Ej in enumerate(exp_layers(key, j_max, q_depth)):
+    f, F = exp_layers(key, j_max, q_depth, psi=True)
+    for j, (k, v, _) in enumerate(F):
         s_num = s0 + 2 * j
         if s_num > window.s_max:
             break
-        for lvl, sl in _block_times(key, Ej, q_depth).items():
+        for lvl, sl in _qz_decode(k, v, f).items():
             cq = (s_num, meta.val_q + 24 * lvl)
-            if any(isinstance(c, Fraction) and c.denominator != 1 for c in sl.values()):
+            # int64 layers are integral; a remainder reruns as a Fraction
+            if v.dtype == object and any(type(c) is not int for c in sl.values()):
                 raise ArithmeticError("non-integral product coefficient at %r" % (cq,))
-            out.cells[cq] = {z: int(c) for z, c in sl.items()}
+            out.cells[cq] = sl
     return out
 
 
@@ -258,20 +245,18 @@ def _slice_first_diff(a: dict, b: dict):
     return None
 
 
-def _product_coefficient(key: str, Ej, q_num: int, z: tuple) -> object:
-    """One coefficient of psi * E_j, by direct convolution."""
+def _product_coefficient(key: str, Ej: dict, q_num: int, z: tuple) -> object:
+    """One coefficient of psi * E_j ({level: slice}), by direct convolution."""
     meta = MEMBERS[key]
     tot = 0
-    qa = meta.val_q
-    while qa <= q_num:
-        sb = Ej.cells.get((0, q_num - qa))
+    for qa in range(meta.val_q, q_num + 1, 24):
+        sb = Ej.get((q_num - qa) // 24)
         if sb:
             sa = member_slice(key, qa)
             for z1, c1 in sb.items():
                 c0 = sa.get(tuple(a - b for a, b in zip(z, z1)))
                 if c0:
                     tot += c0 * c1
-        qa += 24
     return tot
 
 
@@ -301,15 +286,15 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     each quotient is compared with its E_j as arrays.  At the first
     quotient that differs, or throughout when a layer is not divisible
     (the whole batch fails), the lift layer is compared with psi * E_j
-    outright, and the first differing key of the layers themselves is
-    reported, with the product coefficient recomputed directly.
+    from ``exp_layers``, and the first differing key is reported, with
+    the product coefficient recomputed directly from E_j.
     """
     meta = MEMBERS[key]
-    s0 = index_step(key)
+    s0 = meta.s_step
     layers = lift_layers(key, 2 * s_depth)
     q_aux = max((24 * q_depth - meta.val_q) // 24, 0)
     j_max = max(((s - s0) // 2) for s, _ in layers) if layers else 0
-    f, E = _int64_first(_exp_packed, key, j_max, q_aux)
+    f, E = exp_layers(key, j_max, q_aux)
     num = hecke_levels(key, [order for _, order in layers], q_aux)
     terms = sum(np.bincount(lvl.z[:, 0], minlength=len(layers)) for lvl in num)
     try:
@@ -317,20 +302,21 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     except ArithmeticError:  # some layer does not divide: compare them all outright
         quo = None
     del num  # the dividend is not read again; deep windows need the memory
-    mismatch = None
+    mismatch = prod = None
     for t, (s_num, order) in enumerate(layers):
         k, v, _ = E[(s_num - s0) // 2]
         if mismatch is not None or (quo is not None and _layer_matches(quo, t, k, v, f)):
             continue
-        Ej = exp_layers(key, j_max, q_aux)[(s_num - s0) // 2]
-        rhs = _block_times(key, Ej, q_aux)
+        if prod is None:
+            fp, prod = exp_layers(key, j_max, q_aux, psi=True)
+        rhs = _qz_decode(*prod[(s_num - s0) // 2][:2], fp)
         for j, lvl in enumerate(hecke_levels(key, [order], q_aux)):
             lift = dict(zip(map(tuple, lvl.z[:, 1:].tolist()), lvl.v.tolist()))
             z = _slice_first_diff(lift, rhs.get(j, {}))
             if z is not None:
                 q = meta.val_q + 24 * j
                 mismatch = {"s_num": s_num, "q_num": q, "z": z, "lift": lift.get(z, 0),
-                            "product": _product_coefficient(key, Ej, q, z)}
+                            "product": _product_coefficient(key, _qz_decode(k, v, f), q, z)}
                 break
     return {
         "status": "pass" if mismatch is None else "fail",

@@ -72,9 +72,8 @@ def expand_descriptor(desc: str, window: TruncationWindow) -> FourierSeries:
         return borcherds.borcherds_product_form(_resolve_member(rest), window)
     if kind == "phi0":
         key = _resolve_member(rest)
-        depth = max(window.q_max // 24, 1)
-        w = TruncationWindow(24 * depth, 0)
-        return jacobi.weak_weight0(key, depth).series.truncated(w)
+        form = jacobi.weak_weight0(key, max(window.q_max // 24, 1))
+        return form.series.truncated(TruncationWindow(window.q_max, 0))
     if kind == "closedform":
         key = _resolve_member(rest)
         meta = jacobi.MEMBERS[key]

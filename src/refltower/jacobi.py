@@ -182,6 +182,16 @@ class MemberMeta(NamedTuple):
     index: Fraction
     hecke_p: int  # the Hecke translate used for the weight-0 form
 
+    @property
+    def s_step(self) -> int:
+        """s_num of the first layer, 2 * index: 1 on the A1 half grid."""
+        return int(2 * self.index)
+
+    @property
+    def q_grid(self) -> int:
+        """q_num step of the Hecke divisor sums, 24 * index."""
+        return 12 * self.s_step
+
 
 MEMBERS: dict = {}
 
@@ -346,12 +356,10 @@ def _member_rows(key: str, q_num: int) -> tuple:
 def member_series(key: str, window: TruncationWindow) -> FourierSeries:
     meta = MEMBERS[key]
     f = FourierSeries(meta.r, meta.den_z, window)
-    q = meta.val_q
-    while q <= window.q_max:
+    for q in range(meta.val_q, window.q_max + 1, 24):
         sl = member_slice(key, q)
         if sl:
             f.cells[(0, q)] = dict(sl)
-        q += 24
     return f
 
 
@@ -416,11 +424,9 @@ def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
     if m < 1:
         raise ValueError("translate order must be positive")
     meta = MEMBERS[key]
-    grid = 24
-    if meta.family == "A1":
-        if m % 2 == 0:
-            raise ValueError("translate order must be odd on the half grid")
-        grid = 12
+    grid = meta.q_grid
+    if meta.s_step == 1 and m % 2 == 0:
+        raise ValueError("translate order must be odd on the half grid")
     if q_num % grid:
         return {}
     return _divisor_sum(lambda k: member_slice(key, grid * k), q_num // grid, m,
@@ -433,7 +439,7 @@ def hecke_levels(key: str, orders: list, depth: int) -> list:
     divisor d scales packed member slice rows by d and values by d^(k-1)
     (python ints if a bound reaches 2^62), and equal keys are summed."""
     meta = MEMBERS[key]
-    grid = 12 if meta.family == "A1" else 24
+    grid = meta.q_grid
     out = []
     for j in range(depth + 1):
         parts = [(t, d, d ** (meta.weight - 1), *_member_rows(key, grid * k))

@@ -41,10 +41,8 @@ class OrthogonalModularForm(NamedTuple):
 
 def lift_layers(key: str, s_max: int) -> list:
     """(s_num, translate order) pairs of the layers inside an s window."""
-    meta = MEMBERS[key]
-    if meta.family == "A1":
-        return [(m, m) for m in range(1, s_max + 1, 2)]
-    return [(2 * m, m) for m in range(1, s_max // 2 + 1)]
+    step = MEMBERS[key].s_step  # 1 on the half grid: odd orders only
+    return [(s, s // step) for s in range(step, s_max + 1, 2)]
 
 
 def gritsenko_lift(key: str, window: TruncationWindow) -> OrthogonalModularForm:
@@ -52,14 +50,11 @@ def gritsenko_lift(key: str, window: TruncationWindow) -> OrthogonalModularForm:
     meta = MEMBERS[key]
     out = FourierSeries(meta.r, meta.den_z, window)
     for s_num, order in lift_layers(key, window.s_max):
-        q = meta.val_q
-        while q <= window.q_max:
+        for q in range(meta.val_q, window.q_max + 1, 24):
             sl = member_hecke_slice(key, order, q)
             if sl:
                 out.cells[(s_num, q)] = sl
-            q += 24
-    step = 1 if meta.family == "A1" else 2
-    return OrthogonalModularForm("lift(%s)" % key, out, meta.weight, key, step)
+    return OrthogonalModularForm("lift(%s)" % key, out, meta.weight, key, meta.s_step)
 
 
 # ---------------------------------------------------------------------------

@@ -264,8 +264,7 @@ def _run_nm_symmetry(win):
     checked = 0
     bad = []
     for key, pairs in _NM_SAMPLES:
-        meta = jacobi.MEMBERS[key]
-        unit = 12 if meta.family == "A1" else 24
+        unit = jacobi.MEMBERS[key].q_grid
         for n, m in pairs:
             if unit * n * max(n, m) > win.q_max:
                 continue

@@ -3,9 +3,10 @@ packed theta-block division on z-slice dicts."""
 
 from typing import NamedTuple
 
-from refltower import jacobi
+from refltower import borcherds, jacobi
 from refltower.lattices import Lattice, _dot
-from refltower.series import PackedLevel, _int64_first, _qz_rows
+from refltower.series import (FourierSeries, PackedLevel, TruncationWindow, _int64_first,
+                              _qz_decode, _qz_rows)
 
 
 class DiscGroup(NamedTuple):
@@ -48,3 +49,17 @@ def divide_slices(levels: list, key: str, depth: int) -> list:
     packed = [PackedLevel(*_int64_first(_qz_rows, {0: sl}, r)[1:3]) for sl in levels]
     return [dict(zip(map(tuple, q.z.tolist()), q.v.tolist()))
             for q in jacobi.divide_by_member(packed, key, depth)]
+
+
+def exp_series(key: str, j_max: int, q_depth: int, psi: bool = False) -> list:
+    """``borcherds.exp_layers`` decoded, one q-z series per layer: level l
+    at q_num 24 l, or val + 24 l with ``psi``, exact through level q_depth."""
+    meta = jacobi.MEMBERS[key]
+    q0 = meta.val_q if psi else 0
+    f, layers = borcherds.exp_layers(key, j_max, q_depth, psi)
+    out = []
+    for k, v, _ in layers:
+        layer = FourierSeries(meta.r, meta.den_z, TruncationWindow(q0 + 24 * q_depth, 0))
+        layer.cells = {(0, q0 + 24 * lvl): sl for lvl, sl in _qz_decode(k, v, f).items()}
+        out.append(layer)
+    return out

@@ -4,9 +4,9 @@ import json
 from fractions import Fraction
 
 from refltower import borcherds, jacobi, lifting
-from refltower.series import FourierSeries
+from refltower.series import FourierSeries, TruncationWindow
 
-from helpers import divide_slices
+from helpers import divide_slices, exp_series
 
 
 def exp_s(x: FourierSeries) -> FourierSeries:
@@ -75,13 +75,15 @@ def product_form(key: str, window) -> FourierSeries:
 def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     """``borcherds.compare_lift_product`` one layer at a time on dicts:
     each lift layer from ``jacobi.member_hecke_slice``, divided on its
-    own and compared with the decoded E_j slice by slice."""
+    own and compared with the decoded E_j slice by slice; a layer that
+    differs is compared with psi * E_j from ``FourierSeries.mul``."""
     meta = jacobi.MEMBERS[key]
-    s0 = borcherds.index_step(key)
+    s0 = meta.s_step
     layers = lifting.lift_layers(key, 2 * s_depth)
     q_aux = max((24 * q_depth - meta.val_q) // 24, 0)
     j_max = max(((s - s0) // 2) for s, _ in layers) if layers else 0
-    E = borcherds.exp_layers(key, j_max, q_aux)
+    E = exp_series(key, j_max, q_aux)
+    psi = jacobi.member_series(key, TruncationWindow(meta.val_q + 24 * q_aux, 0))
     checked = 0
     mismatch = None
     rows = []
@@ -101,14 +103,15 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
             if quo is not None and quo[j] == Ej.cells.get((0, 24 * j), {}):
                 continue
             if rhs is None:
-                rhs = borcherds._block_times(key, Ej, q_aux)
+                rhs = psi.mul(Ej)
             q = meta.val_q + 24 * j
-            z = borcherds._slice_first_diff(lifts[j], rhs.get(j, {}))
+            z = borcherds._slice_first_diff(lifts[j], rhs.cells.get((0, q), {}))
             if z is not None:
+                levels = {qe // 24: sl for (_, qe), sl in Ej.cells.items()}
                 mismatch = {
                     "s_num": s_num, "q_num": q, "z": z,
                     "lift": lifts[j].get(z, 0),
-                    "product": borcherds._product_coefficient(key, Ej, q, z),
+                    "product": borcherds._product_coefficient(key, levels, q, z),
                 }
         checked += layer_terms
         rows.append({"s_num": s_num, "order": order, "terms": layer_terms})

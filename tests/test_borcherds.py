@@ -6,10 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from refltower.series import FourierSeries, TruncationWindow, _slice_mul_py
+from refltower.series import FourierSeries, TruncationWindow
 from refltower import borcherds, jacobi, lifting, series, verification
 
-from helpers import divide_slices
+from helpers import divide_slices, exp_series
 import oracles
 from oracles import exp_s
 
@@ -38,7 +38,7 @@ def test_hecke_v0_relabels_towards_longer_vectors():
 
 def test_exp_layers_match_direct_formulas():
     for key in ("psi_10_D2", "psi_2_4A1"):
-        E = borcherds.exp_layers(key, 2, 3)
+        E = exp_series(key, 2, 3)
         phi = jacobi.weak_weight0(key, 6).series
         win = E[1].window
         assert E[0].term_count() == 1 and E[0].coefficient(0, (0,) * E[0].r) == 1
@@ -342,53 +342,85 @@ def test_hecke_v0_rejects_shallow_windows():
         borcherds.hecke_v0(jacobi.phi0_by_division("psi_5_A1", 2).series, 3, 4)
 
 
+def _exp_oracle(key, j_max, q_depth):
+    """The s^j layers, j <= j_max, of exp(-X) for X = sum_j (phi0|V_j) s^j,
+    expanded by the exp_s oracle, as q-z series."""
+    meta = jacobi.MEMBERS[key]
+    phi = borcherds.weak_weight0(key, max(j_max * q_depth, 1)).series
+    X = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 2 * j_max))
+    for j in range(1, j_max + 1):
+        for (_, q), sl in borcherds.hecke_v0(phi, j, q_depth).cells.items():
+            X.cells[(2 * j, q)] = dict(sl)
+    want = exp_s(-X)
+    out = []
+    for j in range(j_max + 1):
+        layer = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 0))
+        layer.cells = {(0, q): sl for (s, q), sl in want.cells.items() if s == 2 * j}
+        out.append(layer)
+    return out
+
+
 def test_exp_layers_match_the_exponential_of_all_members():
     """Independent oracle: E_j is the s^j layer of exp(-X) for
     X = sum_j (phi0|V_j) s^j, expanded by the exp_s oracle."""
     j_max, q_depth = 2, 2
-    for key, meta in jacobi.MEMBERS.items():
-        phi = jacobi.weak_weight0(key, j_max * q_depth).series
-        X = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 2 * j_max))
-        for j in range(1, j_max + 1):
-            for (_, q), sl in borcherds.hecke_v0(phi, j, q_depth).cells.items():
-                X.cells[(2 * j, q)] = dict(sl)
-        want = exp_s(-X)
-        E = borcherds.exp_layers(key, j_max, q_depth)
+    for key in jacobi.MEMBERS:
+        E = exp_series(key, j_max, q_depth)
         assert len(E) == j_max + 1
-        for j, Ej in enumerate(E):
-            assert Ej.cells == {(0, q): sl for (s, q), sl in want.cells.items()
-                                if s == 2 * j}, (key, j)
+        for j, (Ej, want) in enumerate(zip(E, _exp_oracle(key, j_max, q_depth))):
+            assert Ej.cells == want.cells, (key, j)
+
+
+def _psi_times(key, layers, q_depth):
+    """psi * each layer through level q_depth, by ``FourierSeries.mul``."""
+    meta = jacobi.MEMBERS[key]
+    psi = jacobi.member_series(key, TruncationWindow(meta.val_q + 24 * q_depth, 0))
+    return [{cq: sl for cq, sl in psi.mul(layer).cells.items() if sl} for layer in layers]
+
+
+def test_exp_layers_started_at_psi_are_psi_times_the_exponential():
+    """The recursion started at psi gives psi * E_j for every member:
+    the oracle's s-layers times the member series."""
+    j_max, q_depth = 2, 2
+    for key in jacobi.MEMBERS:
+        got = exp_series(key, j_max, q_depth, psi=True)
+        want = _psi_times(key, _exp_oracle(key, j_max, q_depth), q_depth)
+        assert [layer.cells for layer in got] == want, key
 
 
 def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch):
-    """Layer entries in [2^61, 2^62): the int64 product gives up before
-    it can wrap, and the object-dtype rerun equals the dict product."""
-    key, depth = "psi_8_D4", 2
-    meta = jacobi.MEMBERS[key]
-    rng = random.Random(61)
-    layer = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * depth, 0))
-    for _ in range(40):
-        z = tuple(rng.randrange(-3, 4) for _ in range(meta.r))
-        c = rng.randrange(2 ** 61, 2 ** 62) * rng.choice((1, -1))
-        layer.add_term(24 * rng.randrange(depth + 1), z, 0, c)
+    """A translate with one entry near 2^61 sends the int64 recursion
+    started at psi past its 2^62 bound before it can wrap; the rerun on
+    python ints still equals psi times the exp_s oracle."""
+    key, j_max, q_depth = "psi_8_D4", 2, 2
+    real = borcherds.hecke_v0
+
+    def crooked(phi, m, depth):
+        v = real(phi, m, depth)
+        if m == 1:
+            sl = v.cells[(0, 24)]
+            sl[min(sl)] += 2 ** 61  # even, so E_2 = X_1^2 / 2 - X_2 stays integral
+        return v
+
+    monkeypatch.setattr(borcherds, "hecke_v0", crooked)
     dtypes = []
-    real = series._qz_mul
+    real_exp = borcherds._exp_packed
 
-    def spy(pairs, f, top):
-        dtypes.append(pairs[0][0][1].dtype)
-        return real(pairs, f, top)
+    def spy(*args):
+        dtypes.append(args[-1])
+        return real_exp(*args)
 
-    monkeypatch.setattr(series, "_qz_mul", spy)
-    got = borcherds._block_times(key, layer, depth)
+    monkeypatch.setattr(borcherds, "_exp_packed", spy)
+    got = exp_series(key, j_max, q_depth, psi=True)
     assert dtypes == [np.int64, object]
-    for n in range(depth + 1):
-        want = {}
-        for a in range(n + 1):
-            _slice_mul_py(want, jacobi.member_slice(key, meta.val_q + 24 * a),
-                          layer.cells.get((0, 24 * (n - a)), {}))
-        assert got.get(n, {}) == want
-        assert all(type(c) is int for c in got.get(n, {}).values())
-    assert max(abs(c) for sl in got.values() for c in sl.values()) >= 2 ** 63
+    want = _psi_times(key, _exp_oracle(key, j_max, q_depth), q_depth)
+    assert [layer.cells for layer in got] == want
+    values = [c for layer in got for sl in layer.cells.values() for c in sl.values()]
+    assert all(type(c) is int for c in values)
+    assert max(map(abs, values)) >= 2 ** 63
+
+
+def test_packed_product_near_2_62_reruns_on_python_ints():
     # four products of 2^61 on one key sum to 2^63, which int64 reads as
     # -2^63: the bound sends them to python ints all the same
     a = {0: {(k,): 1 for k in range(4)}}
@@ -446,7 +478,7 @@ def test_exp_layer_remainder_stays_exact(monkeypatch):
         return v
 
     monkeypatch.setattr(borcherds, "hecke_v0", crooked)
-    E = borcherds.exp_layers("psi_10_D2", 2, 2)
+    E = exp_series("psi_10_D2", 2, 2)
     assert [c for sl in E[2].cells.values() for c in sl.values()
             if isinstance(c, Fraction)] == [Fraction(-1, 2)]
     with pytest.raises(ArithmeticError, match="non-integral"):

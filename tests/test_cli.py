@@ -42,6 +42,18 @@ def test_expand_json_digest_is_self_consistent(capsys):
     assert doc["window"] == {"q_max": 192, "s_max": 0}
 
 
+@pytest.mark.parametrize("qmax", [0, 1])
+def test_expand_prints_no_cell_past_its_window(capsys, qmax):
+    descs = ("theta", "eta^3", "Theta_A2", "D2", "lift:D2", "borcherds:D2",
+             "product:D2", "phi0:D2", "phi0:A1", "closedform:D2")
+    for desc in descs:
+        assert main(["expand", desc, "--qmax", str(qmax), "--smax", "1"]) == 0
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("s^"):
+                s, q = line.split(":")[0].split(" ")
+                assert Fraction(s[2:]) <= 1 and Fraction(q[2:]) <= qmax, (desc, line)
+
+
 def test_expand_unknown_descriptor_is_usage_error(capsys):
     assert main(["expand", "psi_99_E8"]) == 2
     assert main(["expand", "closedform:psi_5_A1"]) == 2

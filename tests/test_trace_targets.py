@@ -76,3 +76,25 @@ def test_division_counter_reads_packed_levels():
     stats = t.stats["jacobi.divide_by_member"]
     assert stats["calls"] == 2
     assert stats["terms_in"] == rep["checked_terms"] + phi0_terms
+
+
+def test_product_paths_keep_the_bindings_the_benchmark_pins():
+    """The traced benchmark expects every binding to record calls on some
+    workload, except ``borcherds.member_slice``, which only a mismatch
+    report reads: the product must reach psi through ``jacobi`` and its
+    layers through ``borcherds.exp_layers``."""
+    from refltower import borcherds
+    from refltower.series import TruncationWindow
+
+    tracer = _tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        borcherds.borcherds_exp("psi_8_D4", TruncationWindow(48, 4))
+        product_calls = t.binding_calls["borcherds.exp_layers"]
+        rep = borcherds.compare_lift_product("psi_10_D2", 3, 2)
+    finally:
+        t.uninstall()
+    assert rep["status"] == "pass"
+    assert t.binding_calls["borcherds.member_slice"] == 0
+    assert product_calls >= 1

@@ -17,6 +17,9 @@ differs from the corner cell on.
 
 One packed recursion (``exp_layers``) gives the exponential layers E_j
 when started at 1 and the product layers psi * E_j when started at psi.
+Its results are memoised per (member, j_max, q depth, start), with
+read-only arrays, and tied to the phi0 object they were built from: a
+replaced phi0 misses, so a corrupted one is never hidden by the memo.
 The lift-versus-product check divides all lift layers, built from
 packed member slices, in one batch and compares the quotients with the
 packed E_j as arrays; dicts appear only in a mismatch report.
@@ -86,9 +89,9 @@ def hecke_v0(phi: FourierSeries, m: int, q_depth: int) -> FourierSeries:
     return out
 
 
-def _exp_packed(key: str, j_max: int, q_depth: int, first: dict, dtype) -> tuple:
-    """(frame, packed F_0..F_j) from F_0 = first ({level: slice}), with
-    values of one dtype.
+def _exp_packed(key: str, j_max: int, q_depth: int, first: dict, phi, dtype) -> tuple:
+    """(frame, packed F_0..F_j) from F_0 = first ({level: slice}) and the
+    weight-0 form phi, with values of one dtype.
 
     The frame bounds every layer: F_j is a sum of products of F_0 and
     W_i whose orders add up to j, so its reach per axis is at most the
@@ -97,7 +100,6 @@ def _exp_packed(key: str, j_max: int, q_depth: int, first: dict, dtype) -> tuple
     a Fraction.
     """
     meta = MEMBERS[key]
-    phi = weak_weight0(key, max(j_max * q_depth, 1)).series
     rows = [_qz_rows(first, meta.r, dtype)]
     for i in range(1, j_max + 1):
         # W_i = -i phi|V_i, integral unless phi0 is corrupt
@@ -127,10 +129,13 @@ def _exp_packed(key: str, j_max: int, q_depth: int, first: dict, dtype) -> tuple
     return f, F
 
 
+_EXP_MEMO: dict = {}  # (key, j_max, q_depth, psi) -> (phi0 series, exp_layers result)
+
+
 def exp_layers(key: str, j_max: int, q_depth: int, psi: bool = False) -> tuple:
     """Layers E_0..E_j of exp(X), X = -sum (phi0|V_j^(0)) s^j, or psi * E_j
     with ``psi`` (level l at q_num val + 24 l), as packed
-    (frame, [(keys, values, reach)]) through level q_depth.
+    (frame, ((keys, values, reach), ...)) through level q_depth.
 
     s d/ds exp(X) = (s dX/ds) exp(X) is the first-order recursion
     j E_j = sum i X_i E_{j-i}, each step one packed product over whole
@@ -141,13 +146,23 @@ def exp_layers(key: str, j_max: int, q_depth: int, psi: bool = False) -> tuple:
     coefficients: the products run on int64 and the division by j is
     exact.  A bound reaching 2^62, or a remainder (only a corrupted phi0
     leaves one), reruns the recursion on python ints and Fractions.
+    The memo (see the module docstring) is looked up first.
     """
+    phi = weak_weight0(key, max(j_max * q_depth, 1)).series
+    ck = (key, j_max, q_depth, psi)
+    hit = _EXP_MEMO.get(ck)
+    if hit is not None and hit[0] is phi:
+        return hit[1]
     meta = MEMBERS[key]
     first = {0: {(0,) * meta.r: 1}}
     if psi:
         ps = member_series(key, TruncationWindow(meta.val_q + 24 * q_depth, 0))
         first = {(q - meta.val_q) // 24: sl for (_, q), sl in ps.cells.items()}
-    return _int64_first(_exp_packed, key, j_max, q_depth, first)
+    f, F = _int64_first(_exp_packed, key, j_max, q_depth, first, phi)
+    for a in (x for layer in F for x in layer):
+        a.flags.writeable = False
+    _EXP_MEMO[ck] = phi, (f, tuple(F))
+    return _EXP_MEMO[ck][1]
 
 
 def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
@@ -287,8 +302,11 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     quotient that differs, or throughout when a layer is not divisible
     (the whole batch fails), the lift layer is compared with psi * E_j
     from ``exp_layers``, and the first differing key is reported, with
-    the product coefficient recomputed directly from E_j.
+    the product coefficient recomputed directly from E_j.  Raises
+    ValueError for q_depth < 0 or s_depth < 1, which check nothing.
     """
+    if q_depth < 0 or s_depth < 1:
+        raise ValueError("compare needs q_depth >= 0 and s_depth >= 1")
     meta = MEMBERS[key]
     s0 = meta.s_step
     layers = lift_layers(key, 2 * s_depth)

@@ -342,14 +342,13 @@ def member_slice(key: str, q_num: int) -> dict:
 
 
 def _member_rows(key: str, q_num: int) -> tuple:
-    """member_slice as (z rows, values), cached as deep as the slice; the
-    z rows are narrow, so the two caches never hold two full copies."""
+    """member_slice as (z rows, values), cached at every level: the narrow
+    rows cost a fraction of the slice dict, which is cached less deep."""
     rows = _PSI_ROWS.get((key, q_num))
     if rows is None:
         _, z, v, _ = _int64_first(_qz_rows, {0: member_slice(key, q_num)}, MEMBERS[key].r)
-        rows = z.astype(np.int16) if np.abs(z).max(initial=0) < 1 << 15 else z, v
-        if (key, q_num) in _PSI_SLICES:
-            _PSI_ROWS[(key, q_num)] = rows
+        rows = _PSI_ROWS[(key, q_num)] = (
+            z.astype(np.int16) if np.abs(z).max(initial=0) < 1 << 15 else z, v)
     return rows
 
 
@@ -520,10 +519,13 @@ def _factor_stack(meta: MemberMeta, depth: int, lead: int = 0) -> list:
 def _binomial_packed(keys, vals, span: int, s: int):
     """Divide packed (line*span + d) data by (zeta^s - zeta^-s) on the digit.
 
-    Keys must come in sorted so lines are contiguous.  Per line and
-    residue class mod 2|s| the quotient is the descending running sum,
-    shifted down by |s| (and negated when s < 0); a nonzero class total
-    means a remainder.  Values keep their dtype, int64 or object.
+    Keys must come in sorted, so a "new line" mask numbers the lines.
+    Per line and residue class mod 2|s| the quotient is the descending
+    running sum, shifted down by |s| (and negated when s < 0); a nonzero
+    class total means a remainder.  A block of lines is laid out dense as
+    (class, line, column), its width padded to a multiple of 2|s|, so one
+    running sum and one ``flatnonzero`` serve every class; the output
+    comes class by class.  Values keep their dtype, int64 or object.
     """
     n = len(keys)
     if n == 0:
@@ -531,35 +533,30 @@ def _binomial_packed(keys, vals, span: int, s: int):
     sign = 1 if s > 0 else -1
     s = abs(s)
     step = 2 * s
-    out_k = []
-    out_v = []
+    out_k, out_v = [], []
     lines = keys // span
-    bounds = np.flatnonzero(lines[1:] != lines[:-1]) + 1
+    new = np.concatenate(([True], lines[1:] != lines[:-1]))
+    starts = np.append(np.flatnonzero(new), n)
+    uniq = lines[new]
+    line_of = new.cumsum() - 1
     # cap the dense block at a few million cells
     limit = max(1, (1 << 21) // span)
-    edges = np.concatenate(([0], bounds, [n]))
-    b0 = 0
-    while b0 < len(edges) - 1:
-        b1 = min(b0 + limit, len(edges) - 1)
-        lo, hi = edges[b0], edges[b1]
-        b0 = b1
-        lb = lines[lo:hi]
-        digits = keys[lo:hi] - lb * span
-        dmin = int(digits.min())
-        uniq, inv = np.unique(lb, return_inverse=True)
-        dense = np.zeros((len(uniq), int(digits.max()) - dmin + 1),
-                         dtype=vals.dtype)
-        dense[inv, digits - dmin] = vals[lo:hi]
-        for rho in range(min(step, dense.shape[1])):
-            c = dense[:, rho::step][:, ::-1].cumsum(axis=1)[:, ::-1]
-            if np.any(c[:, 0]):
-                raise ArithmeticError("binomial division left a remainder")
-            rows, cols = np.nonzero(c)
-            if len(rows):
-                out_k.append(uniq[rows] * span + (dmin + rho - s + step * cols))
-                out_v.append(c[rows, cols] if sign > 0 else -c[rows, cols])
-    if not out_k:
-        return keys[:0], vals[:0]
+    for b0 in range(0, len(uniq), limit):
+        b1 = min(b0 + limit, len(uniq))
+        lo, hi = starts[b0], starts[b1]
+        dg = keys[lo:hi] - lines[lo:hi] * span
+        dmin = int(dg.min())
+        col, rho = np.divmod(dg - dmin, step)
+        dense = np.zeros((step, b1 - b0, int(col.max()) + 1), dtype=vals.dtype)
+        dense[rho, line_of[lo:hi] - b0, col] = vals[lo:hi]
+        rev = dense[:, :, ::-1]
+        np.cumsum(rev, axis=2, out=rev)
+        if dense[:, :, 0].any():
+            raise ArithmeticError("binomial division left a remainder")
+        flat = np.flatnonzero(dense)
+        rho, rows, col = np.unravel_index(flat, dense.shape)
+        out_k.append(uniq[b0:b1][rows] * span + (dmin - s + rho + step * col))
+        out_v.append(dense.ravel()[flat] * sign)
     return np.concatenate(out_k), np.concatenate(out_v)
 
 

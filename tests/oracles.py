@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from refltower import borcherds, jacobi, lifting
 from refltower.series import FourierSeries, TruncationWindow
 
@@ -124,3 +126,43 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
         "checked_terms": checked,
         "first_mismatch": mismatch,
     }
+
+
+def binomial_packed(keys, vals, span: int, s: int):
+    """``jacobi._binomial_packed`` with ``np.unique`` lines and one dense
+    running sum per residue class mod 2|s|."""
+    n = len(keys)
+    if n == 0:
+        return keys, vals
+    sign = 1 if s > 0 else -1
+    s = abs(s)
+    step = 2 * s
+    out_k = []
+    out_v = []
+    lines = keys // span
+    bounds = np.flatnonzero(lines[1:] != lines[:-1]) + 1
+    limit = max(1, (1 << 21) // span)
+    edges = np.concatenate(([0], bounds, [n]))
+    b0 = 0
+    while b0 < len(edges) - 1:
+        b1 = min(b0 + limit, len(edges) - 1)
+        lo, hi = edges[b0], edges[b1]
+        b0 = b1
+        lb = lines[lo:hi]
+        digits = keys[lo:hi] - lb * span
+        dmin = int(digits.min())
+        uniq, inv = np.unique(lb, return_inverse=True)
+        dense = np.zeros((len(uniq), int(digits.max()) - dmin + 1),
+                         dtype=vals.dtype)
+        dense[inv, digits - dmin] = vals[lo:hi]
+        for rho in range(min(step, dense.shape[1])):
+            c = dense[:, rho::step][:, ::-1].cumsum(axis=1)[:, ::-1]
+            if np.any(c[:, 0]):
+                raise ArithmeticError("binomial division left a remainder")
+            rows, cols = np.nonzero(c)
+            if len(rows):
+                out_k.append(uniq[rows] * span + (dmin + rho - s + step * cols))
+                out_v.append(c[rows, cols] if sign > 0 else -c[rows, cols])
+    if not out_k:
+        return keys[:0], vals[:0]
+    return np.concatenate(out_k), np.concatenate(out_v)

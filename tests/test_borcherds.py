@@ -403,6 +403,7 @@ def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch):
         return v
 
     monkeypatch.setattr(borcherds, "hecke_v0", crooked)
+    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})  # the memo cannot see hecke_v0
     dtypes = []
     real_exp = borcherds._exp_packed
 
@@ -478,8 +479,93 @@ def test_exp_layer_remainder_stays_exact(monkeypatch):
         return v
 
     monkeypatch.setattr(borcherds, "hecke_v0", crooked)
+    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})  # the memo cannot see hecke_v0
     E = exp_series("psi_10_D2", 2, 2)
     assert [c for sl in E[2].cells.values() for c in sl.values()
             if isinstance(c, Fraction)] == [Fraction(-1, 2)]
     with pytest.raises(ArithmeticError, match="non-integral"):
         borcherds.borcherds_exp("psi_10_D2", TruncationWindow(72, 6))
+
+
+@pytest.mark.parametrize("q_depth,s_depth", [(3, 0), (3, -1), (-1, 2)])
+def test_compare_rejects_windows_that_check_nothing(monkeypatch, q_depth, s_depth):
+    """(3, 0) and (3, -1) have no layer and (-1, 2) no level: a ValueError
+    before anything is built or looked up, not a vacuous pass."""
+
+    def untouched(*args):
+        raise AssertionError("built or looked up for an empty window")
+
+    monkeypatch.setattr(borcherds, "weak_weight0", untouched)
+    monkeypatch.setattr(borcherds, "exp_layers", untouched)
+    with pytest.raises(ValueError):
+        borcherds.compare_lift_product("psi_10_D2", q_depth, s_depth)
+
+
+def _arrays(layers):
+    """Keys, values and reach of every layer of an exp_layers result."""
+    return [a for layer in layers[1] for a in layer]
+
+
+def test_exp_layer_memo_hits_equal_a_fresh_build_and_are_read_only(monkeypatch):
+    """Every exp_layers window of the sweep, for all fifteen members: a
+    warm hit is the stored object, equal to a build from an empty memo,
+    and none of its arrays takes a write."""
+    calls = []
+    real = borcherds.exp_layers
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(borcherds, "exp_layers", spy)
+    for key in jacobi.MEMBERS:
+        for window in _sweep_windows(key):
+            borcherds.compare_lift_product(key, *window)
+    monkeypatch.undo()
+    assert {args[0] for args in calls} == set(jacobi.MEMBERS)
+    for args in calls:
+        hit = borcherds.exp_layers(*args)
+        assert borcherds.exp_layers(*args) is hit
+        with monkeypatch.context() as m:
+            m.setattr(borcherds, "_EXP_MEMO", {})
+            fresh = borcherds.exp_layers(*args)
+        assert fresh is not hit
+        assert all(np.array_equal(a, b) for a, b in zip(hit[0], fresh[0]))
+        got, want = _arrays(hit), _arrays(fresh)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+
+
+def test_exp_layer_memo_repeats_add_no_entry():
+    borcherds.exp_layers("psi_5_A1", 3, 4, psi=True)
+    borcherds.compare_lift_product("psi_5_A1", 4, 3)
+    memo = dict(borcherds._EXP_MEMO)
+    for _ in range(3):
+        borcherds.exp_layers("psi_5_A1", 3, 4, psi=True)
+        borcherds.compare_lift_product("psi_5_A1", 4, 3)
+    assert borcherds._EXP_MEMO.keys() == memo.keys()
+    assert all(borcherds._EXP_MEMO[k] is v for k, v in memo.items())
+
+
+def test_negative_control_corrupt_weight0_fails_after_a_warm_hit(monkeypatch):
+    """The memo serves only the phi0 object it was built from: with the
+    layers warm, a doubled or halved phi0 is still seen."""
+    key, window = "psi_10_D2", TruncationWindow(72, 4)
+    assert borcherds.compare_lift_product(key, 3, 2)["status"] == "pass"
+    good = borcherds.borcherds_exp(key, window)
+    assert borcherds.compare_lift_product(key, 3, 2)["status"] == "pass"
+    assert borcherds.borcherds_exp(key, window).first_difference(good) is None
+    _corrupt_weight0(monkeypatch, key, 2)
+    assert borcherds.compare_lift_product(key, 3, 2)["status"] == "fail"
+    assert borcherds.borcherds_exp(key, window).first_difference(good) is not None
+    _corrupt_weight0(monkeypatch, key, Fraction(1, 2))
+    assert borcherds.compare_lift_product(key, 3, 2)["status"] == "fail"
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        borcherds.borcherds_exp(key, window)
+    monkeypatch.undo()
+    assert borcherds.compare_lift_product(key, 3, 2)["status"] == "pass"
+    assert borcherds.borcherds_exp(key, window).first_difference(good) is None

@@ -32,6 +32,7 @@ from refltower.lifting import lift_layers
 from refltower.series import FourierSeries, TruncationWindow
 
 from helpers import divide_slices
+import oracles
 from oracles import eta_product
 
 
@@ -438,6 +439,48 @@ def test_division_input_errors_are_loud():
     far = 2 ** 40 + 1
     with pytest.raises(ValueError, match="span too wide"):
         divide_slices([{(1, 1): 1, (far, far): 1}], "psi_10_D2", 0)
+
+
+def _binomial_dividend(rng, s, span, n_lines, dtype):
+    """Sorted packed keys and values of random quotient lines times
+    (zeta^s - zeta^-s), lines drawn with gaps between them."""
+    keys, vals = [], []
+    for line in sorted(rng.sample(range(3 * n_lines), n_lines)):
+        acc = {}
+        for _ in range(rng.randint(1, 6)):
+            d = rng.randrange(abs(s), span - abs(s))
+            c = rng.choice([-3, -1, 1, 2, 5]) * (2 ** 70 if dtype is object else 1)
+            acc[d + s] = acc.get(d + s, 0) + c
+            acc[d - s] = acc.get(d - s, 0) - c
+        for d in sorted(acc):
+            if acc[d]:
+                keys.append(line * span + d)
+                vals.append(acc[d])
+    return np.array(keys, dtype=np.int64), np.array(vals, dtype=dtype)
+
+
+@pytest.mark.parametrize("s", [1, -1, 2, -2, 3, -3, 6, -6])
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_binomial_packed_equals_the_per_class_oracle(s, dtype):
+    """The one-pass division equals the old per-residue body, keys, order
+    and dtype included, in one block and (for two s) split by the cell
+    cap into several; a +1 anywhere leaves a remainder in both."""
+    rng = random.Random(100 * s + (dtype is object))
+    cases = [(64, 40)]
+    if s in (2, -6):
+        cases.append((1 << 17, 40))  # 16 lines per block: three blocks
+    for span, n_lines in cases:
+        keys, vals = _binomial_dividend(rng, s, span, n_lines, dtype)
+        got = jacobi._binomial_packed(keys, vals, span, s)
+        want = oracles.binomial_packed(keys, vals, span, s)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+        assert got[1].dtype == want[1].dtype == np.dtype(dtype)
+        bad = vals.copy()
+        bad[rng.randrange(len(bad))] += 1
+        for div in (jacobi._binomial_packed, oracles.binomial_packed):
+            with pytest.raises(ArithmeticError, match="remainder"):
+                div(keys, bad, span, s)
 
 
 def test_division_near_2_62_reruns_on_python_ints(monkeypatch):

@@ -31,6 +31,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from .series import FourierSeries, TruncationWindow
@@ -138,8 +139,10 @@ def _cached_expand(desc: str, window: TruncationWindow, cache_dir, *,
         doc = {"schema": _SCHEMA, "code": _code_digest(), "descriptor": desc,
                "q_max": window.q_max, "s_max": window.s_max,
                "series": body, "digest": digest, "terms": terms}
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
+        # a temp file of its own, so that writers of one entry never
+        # move each other's file away
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)
+        with os.fdopen(fd, "w") as fh:
             json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
         os.replace(tmp, path)
     return body, digest, False, series, terms

@@ -15,9 +15,11 @@ The rank-one doubled block stores exponents of theta(tau, 2z), whose dual
 vectors are z/4.  Each member's lattice (``refltower.lattices``) computes
 on these keys directly, as numerators over its grid denominator.
 
-Each block is described once, as the list of its factors
-(``_factor_stack``: the eta power, then one theta factor per copy); its
-corner directions and the packed division both read that list.
+Every block is an eta power times one theta(tau, (d, z)) per corner
+direction d (``_corner_dirs``; Theta_A2 contributes three directions and
+an eta^-1 per copy).  The packed division reads the block as that list
+of factors (``_factor_stack``), one frame and one binomial per theta
+factor.
 
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
@@ -468,8 +470,17 @@ def hecke_levels(key: str, orders: list, depth: int) -> list:
 
 
 def _corner_dirs(meta: MemberMeta) -> list:
-    """The binomial directions of the block's level-0 cell, factor by factor."""
-    return [d for dirs, _ in _factor_stack(meta, 0) for d in dirs]
+    """The block's binomial directions, one per theta factor theta(tau, (d, z)).
+
+    A2 copy c holds coordinates 2c, 2c+1 and the directions (3, 0),
+    (-3, 3), (0, 3) of Theta_A2 = eta^-1 theta(z1) theta(z2 - z1) theta(z2);
+    every other copy holds one coordinate and the direction (s,), with s
+    the exponent scale of its theta factor.
+    """
+    base = [(3, 0), (-3, 3), (0, 3)] if meta.family == "A2" else [(_theta_scale(meta),)]
+    w = len(base[0])
+    return [(0,) * (w * c) + d + (0,) * (meta.r - w * c - w)
+            for c in range(meta.copies) for d in base]
 
 
 def _corner_slice(meta: MemberMeta) -> dict:
@@ -485,34 +496,26 @@ def _corner_slice(meta: MemberMeta) -> dict:
 
 
 def _factor_stack(meta: MemberMeta, depth: int, lead: int = 0) -> list:
-    """The factors of a block, as (dirs, {level: slice}) pairs.
+    """The factors of a block, as (direction, {level: slice}) pairs.
 
-    The eta power comes first, with no directions; then one copy of the
-    family's theta factor (theta(tau, z), theta(tau, 2z) or Theta_A2)
-    per copy, on that copy's coordinates.  Cells are indexed by 24-grid
-    level above the factor's valuation, with the level-0 binomial left
-    out (its directions are divided out one by one).  All higher cells
-    are tiny, which is what makes dividing by the whole block factor by
-    factor cheap.  ``lead`` batch coordinates ahead of z are zero in all.
+    Every block is an eta power times one theta(tau, (d, z)) per corner
+    direction d; an A2 block folds the eta^-1 of each Theta_A2 copy into
+    its eta power.  The eta power comes first, with direction None.
+    Cells are indexed by 24-grid level above the factor's valuation, with
+    the level-0 binomial left out (it is divided out in the direction's
+    frame): a theta factor's cell at level (m^2 - 1)/8 is chi4(m)
+    (zeta^(m d) - zeta^(-m d)) for odd m >= 3.  All these cells are tiny,
+    which is what makes dividing by the whole block factor by factor
+    cheap.  ``lead`` batch coordinates ahead of z are zero in all.
     """
-    eta = _eta_table(meta.eta_exp, depth)
-    stack = [([], {lvl: {(0,) * (lead + meta.r): eta[lvl]}
-                   for lvl in range(1, depth + 1) if eta[lvl]})]
-    if meta.family == "A2":
-        block = _a2_levels(1, 0, depth)
-        dirs = [(3, 0), (-3, 3), (0, 3)]
-        cells = {lvl: block[lvl] for lvl in range(1, depth + 1) if block[lvl]}
-    else:
-        s = _theta_scale(meta)
-        dirs = [(s,)]
-        cells = {(m * m - 1) // 8: {(s * m,): chi4(m), (-s * m,): -chi4(m)}
-                 for m in range(3, isqrt(8 * depth + 1) + 1, 2)}
-    w = len(dirs[0])
-    for c in range(meta.copies):
-        pre, post = (0,) * (lead + w * c), (0,) * (meta.r - w * c - w)
-        stack.append(([pre + d + post for d in dirs],
-                      {lvl: {pre + z + post: co for z, co in t.items()}
-                       for lvl, t in cells.items()}))
+    eta = _eta_table(meta.eta_exp - (meta.copies if meta.family == "A2" else 0), depth)
+    stack = [(None, {lvl: {(0,) * (lead + meta.r): eta[lvl]}
+                     for lvl in range(1, depth + 1) if eta[lvl]})]
+    for d in _corner_dirs(meta):
+        d = (0,) * lead + d
+        stack.append((d, {(m * m - 1) // 8: {tuple(m * a for a in d): chi4(m),
+                                             tuple(-m * a for a in d): -chi4(m)}
+                          for m in range(3, isqrt(8 * depth + 1) + 1, 2)}))
     return stack
 
 
@@ -563,16 +566,16 @@ def _binomial_packed(keys, vals, span: int, s: int):
 def _pad(stack: list, depth: int, r: int) -> list:
     """Margin per axis that every intermediate of the division stays in.
 
-    An exact binomial quotient line reaches |s| inside its dividend at
-    both ends, and a level-l correction term reaches b_l beyond the
-    quotient it shifts; so a factor moves the data of level j at most
-    j * g past its input box, g = max over l of (b_l - half)/l, where
-    half is the level-0 binomial product's half width on the axis.
+    An exact quotient line of the binomial in direction d reaches |d_i|
+    inside its dividend at both ends, and a level-l correction term
+    reaches b_l beyond the quotient it shifts; so a factor moves the data
+    of level j at most j * g past its input box, g = max over l of
+    (b_l - |d_i|)/l.  The margins of the factors add up.
     """
     pad = [0] * r
-    for dirs, cells in stack:
+    for d, cells in stack:
         for i in range(r):
-            half = sum(abs(d[i]) for d in dirs)
+            half = abs(d[i]) if d else 0
             reach = 0
             for lvl, t in cells.items():
                 b = max(abs(zc[i]) for zc in t)
@@ -586,14 +589,15 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
                    dtype) -> list:
     """The factored division on packed keys with values of one dtype.
 
-    One loop over the factors of ``_factor_stack``, the eta power first:
-    per level, a factor subtracts its correction terms (key offsets of
-    lower quotient levels), then divides out each of its binomial
-    directions in that direction's frame (``series._frame``).  With
-    int64 values every step first bounds its output from the actual
-    maxima of its inputs; a bound reaching 2^62 raises _NotInt64.
-    Raises ArithmeticError when division is not exact, TypeError on
-    non-int coefficients, ValueError when the keys do not fit int64.
+    One loop over the factors of ``_factor_stack``, the eta power first.
+    Each theta factor re-encodes the levels once, into the frame of its
+    direction (``series._frame``); then per level it subtracts its
+    correction terms (key offsets of lower quotient levels) and divides
+    out its binomial in one pass.  With int64 values every step first
+    bounds its output from the actual maxima of its inputs; a bound
+    reaching 2^62 raises _NotInt64.  Raises ArithmeticError when
+    division is not exact, TypeError on non-int coefficients, ValueError
+    when the keys do not fit int64.
     """
     checked = dtype is not object
     levels = levels[:depth + 1]
@@ -605,8 +609,8 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
     pad = np.array(_pad(stack, depth, levels[0].z.shape[1]), dtype=np.int64)
     L = np.min([x.z.min(axis=0, initial=0) for x in levels], axis=0) - pad
     H = np.max([x.z.max(axis=0, initial=0) for x in levels], axis=0) + pad
-    frames = [[_frame(L, H, 0, d) for d in dirs] for dirs, _ in stack]
-    cur = next(fr[0] for fr in frames if fr)
+    frames = [_frame(L, H, 0, d) if d else None for d, _ in stack]
+    cur = next(f for f in frames if f)
 
     def amax(v):
         return int(np.abs(v).max()) if checked and len(v) else 0
@@ -618,14 +622,15 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
     work = [(_encode(x.z, cur), v) for x, v in zip(levels, vs)]
     work += [(np.zeros(0, np.int64), np.zeros(0, dtype))] * (depth + 1 - len(work))
     mx = [amax(v) for _, v in work]
-    for (dirs, cells), fr in zip(stack, frames):
-        f0 = fr[0] if fr else cur
-        if f0 is not cur:
-            work = [(_encode(_decode(k, cur), f0), v) for k, v in work]
-            cur = f0
-        terms = [(lvl, int(np.dot(zc, f0.w)), cc)
+    for (d, cells), f in zip(stack, frames):
+        if f and f is not cur:
+            work = [(_encode(_decode(k, cur), f), v) for k, v in work]
+            cur = f
+        terms = [(lvl, int(np.dot(zc, cur.w)), cc)
                  for lvl, t in sorted(cells.items()) if lvl <= depth
                  for zc, cc in t.items()]
+        ax = cur.order[-1]
+        w_ax = int(cur.hi[ax] - cur.lo[ax]) + 1
         for j in range(depth + 1):
             guard(mx[j] + sum(abs(cc) * mx[j - lvl]
                               for lvl, _, cc in terms if lvl <= j))
@@ -633,19 +638,9 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
                                  for lvl, off, cc in terms
                                  if lvl <= j and len(work[j - lvl][0])]
             k, v = _reduce_parts(parts)
-            prev = f0
-            for d, f in zip(dirs, fr):
-                if f is not prev:
-                    k = _encode(_decode(k, prev), f)
-                    order = np.argsort(k)
-                    k, v = k[order], v[order]
-                    prev = f
-                ax = f.order[-1]
-                w_ax = int(f.hi[ax] - f.lo[ax]) + 1
+            if d:
                 guard(amax(v) * (w_ax // (2 * abs(d[ax])) + 1))
                 k, v = _binomial_packed(k, v, w_ax, d[ax])
-            if prev is not f0:
-                k = _encode(_decode(k, prev), f0)
             work[j] = (k, v)
             mx[j] = amax(v)
     return [PackedLevel(_decode(k, cur), v) for k, v in work]
@@ -660,10 +655,9 @@ def divide_by_member(levels: list, key: str, depth: int) -> list:
     and correction of the block, so one call divides every entry.  Works
     factor by factor on packed keys: each factor, the eta power first,
     contributes a sparse correction per level, and each theta factor one
-    linear binomial pass per direction of its level-0 cell.  Values are
-    int64 unless some step could reach 2^62, in which case the division
-    is run again on python ints.  Raises ArithmeticError when the
-    division is not exact.
+    linear binomial pass in its direction.  Values are int64 unless some
+    step could reach 2^62, in which case the division is run again on
+    python ints.  Raises ArithmeticError when the division is not exact.
     """
     meta = MEMBERS[key]
     stack = _factor_stack(meta, depth, levels[0].z.shape[1] - meta.r)

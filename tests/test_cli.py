@@ -111,6 +111,28 @@ def test_cache_entry_of_other_code_is_a_miss(tmp_path, monkeypatch):
     assert (body, hit) == (want, True)
 
 
+def test_two_writers_of_one_entry_both_store_it(tmp_path, monkeypatch):
+    """A second writer of the same entry overtakes the first between its
+    write and its replace; each writes through a temp file of its own,
+    so both replaces succeed and no temp file is left behind."""
+    desc, win, cache = "theta", TruncationWindow(48, 0), str(tmp_path)
+    real, moved = os.replace, []
+
+    def replace(src, dst):
+        moved.append(src)
+        if len(moved) == 1:
+            assert cli._cached_expand(desc, win, cache)[2] is False
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    body = cli._cached_expand(desc, win, cache)[0]
+    monkeypatch.undo()
+    assert len(set(moved)) == 2
+    assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+    again, _, hit, _, _ = cli._cached_expand(desc, win, cache)
+    assert (again, hit) == (body, True)
+
+
 def _corrupt_body(path) -> None:
     """Give an entry a body with one term twice, under a sound digest and
     term count, so that only ``from_json`` can reject it."""

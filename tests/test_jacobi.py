@@ -417,11 +417,34 @@ def test_division_rejects_a_corrupt_a2_dividend():
             divide_slices(bad, key, 3)
 
 
+@pytest.mark.parametrize("key", list(MEMBERS))
+def test_division_recovers_a_random_quotient(key):
+    """psi * Q divided by psi gives Q back exactly, and one unit added at
+    the deepest level of the dividend leaves a remainder."""
+    meta = MEMBERS[key]
+    depth = 3 if meta.r >= 7 else 4
+    rng = random.Random(key)
+    quo = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * depth, 0))
+    for j in range(depth + 1):
+        cell = {tuple(rng.randint(-3, 3) for _ in range(meta.r)): rng.choice([-5, -2, 1, 3, 7])
+                for _ in range(4)}
+        quo.cells[(0, 24 * j)] = cell
+    prod = member_series(key, TruncationWindow(meta.val_q + 24 * depth, 0)).mul(quo)
+    levels = [prod.cells.get((0, meta.val_q + 24 * j), {}) for j in range(depth + 1)]
+    assert divide_slices(levels, key, depth) == [quo.cells[(0, 24 * j)]
+                                                 for j in range(depth + 1)]
+    z = sorted(levels[depth])[len(levels[depth]) // 2]
+    levels[depth][z] += 1
+    with pytest.raises(ArithmeticError):
+        divide_slices(levels, key, depth)
+
+
 def test_division_quotient_wider_than_its_dividend():
     """psi_0 / psi spreads by about 2 (D) or 6 (A2) per level beyond the
     single dividend cell, so the packed grid needs its derived margin."""
     depth = 4
-    for key in ("psi_10_D2", "psi_9_A2"):
+    for key in ("psi_10_D2", "psi_9_A2", "psi_6_2A2", "eta21_theta2z",
+                "psi_2_4A1", "psi_8_D4"):
         meta = MEMBERS[key]
         w = TruncationWindow(meta.val_q + 24 * depth, 0)
         num = FourierSeries(meta.r, meta.den_z, w)

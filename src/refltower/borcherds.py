@@ -15,14 +15,15 @@ windows; on A2 it keeps the wrong half of the z-only walls (the
 lexicographic half, where the corner directions need the other one) and
 differs from the corner cell on.
 
-One packed recursion (``exp_layers``) gives the exponential layers E_j
-when started at 1 and the product layers psi * E_j when started at psi.
-Its results are memoised per (member, j_max, q depth, start), with
-read-only arrays, and tied to the phi0 object they were built from: a
-replaced phi0 misses, so a corrupted one is never hidden by the memo.
-The lift-versus-product check divides all lift layers, built from
-packed member slices, in one batch and compares the quotients with the
-packed E_j as arrays; dicts appear only in a mismatch report.
+One packed recursion (``exp_layers``) gives the exponential layers E_j;
+the product layers psi * E_j are E_j times the block, multiplied out
+factor by factor (``jacobi.multiply_by_member``).  Both are memoised per
+(member, j_max, q depth, psi or 1), with read-only arrays, and tied to
+the phi0 object they were built from: a replaced phi0 misses, so a
+corrupted one is never hidden by the memo.  The lift-versus-product
+check builds all lift layers from packed member slices and compares
+each with its psi * E_j as arrays; dicts appear only in a mismatch
+report.
 
 The divisor scan walks the negative-norm support of phi0, reduces each
 Fourier index to a primitive wall vector, sums the coefficients along
@@ -42,10 +43,9 @@ from .jacobi import (
     MEMBERS,
     _corner_dirs,
     _divisor_sum,
-    divide_by_member,
     hecke_levels,
-    member_series,
     member_slice,
+    multiply_by_member,
     weak_weight0,
 )
 from .lattices import lattice
@@ -89,18 +89,18 @@ def hecke_v0(phi: FourierSeries, m: int, q_depth: int) -> FourierSeries:
     return out
 
 
-def _exp_packed(key: str, j_max: int, q_depth: int, first: dict, phi, dtype) -> tuple:
-    """(frame, packed F_0..F_j) from F_0 = first ({level: slice}) and the
-    weight-0 form phi, with values of one dtype.
+def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
+    """(frame, packed E_0..E_j) from the weight-0 form phi, with values of
+    one dtype.
 
-    The frame bounds every layer: F_j is a sum of products of F_0 and
-    W_i whose orders add up to j, so its reach per axis is at most the
-    largest reach(W_i) + reach(F_{j-i}).  With int64 values a quotient by
-    j that leaves a remainder raises _NotInt64; object values keep it as
-    a Fraction.
+    The frame bounds every layer: E_j is a sum of products of W_i whose
+    orders add up to j, so its reach per axis is at most the largest
+    reach(W_i) + reach(E_{j-i}).  With int64 values a quotient by j that
+    leaves a remainder raises _NotInt64; object values keep it as a
+    Fraction.
     """
     meta = MEMBERS[key]
-    rows = [_qz_rows(first, meta.r, dtype)]
+    rows = [_qz_rows({0: {(0,) * meta.r: 1}}, meta.r, dtype)]
     for i in range(1, j_max + 1):
         # W_i = -i phi|V_i, integral unless phi0 is corrupt
         wi = {q // 24: {z: c * -i if type(c) is int else _norm_coeff(c * -i)
@@ -139,26 +139,24 @@ def exp_layers(key: str, j_max: int, q_depth: int, psi: bool = False) -> tuple:
 
     s d/ds exp(X) = (s dX/ds) exp(X) is the first-order recursion
     j E_j = sum i X_i E_{j-i}, each step one packed product over whole
-    layers.  It is linear in its first layer and psi has no s, so started
-    at psi instead of 1 it yields psi * E_j.  The combinations i X_i are
-    integral (the 1/d weights of V_i^(0) cancel against i), and so are
-    the layers, as every product factor expands with binomial
-    coefficients: the products run on int64 and the division by j is
-    exact.  A bound reaching 2^62, or a remainder (only a corrupted phi0
-    leaves one), reruns the recursion on python ints and Fractions.
-    The memo (see the module docstring) is looked up first.
+    layers.  The combinations i X_i are integral (the 1/d weights of
+    V_i^(0) cancel against i), and so are the layers, as every product
+    factor expands with binomial coefficients: the products run on int64
+    and the division by j is exact.  A bound reaching 2^62, or a
+    remainder (only a corrupted phi0 leaves one), reruns the recursion on
+    python ints and Fractions.  psi * E_j is the memoised E_j times the
+    block, factor by factor (``jacobi.multiply_by_member``).  The memo
+    (see the module docstring) is looked up first.
     """
     phi = weak_weight0(key, max(j_max * q_depth, 1)).series
     ck = (key, j_max, q_depth, psi)
     hit = _EXP_MEMO.get(ck)
     if hit is not None and hit[0] is phi:
         return hit[1]
-    meta = MEMBERS[key]
-    first = {0: {(0,) * meta.r: 1}}
     if psi:
-        ps = member_series(key, TruncationWindow(meta.val_q + 24 * q_depth, 0))
-        first = {(q - meta.val_q) // 24: sl for (_, q), sl in ps.cells.items()}
-    f, F = _int64_first(_exp_packed, key, j_max, q_depth, first, phi)
+        f, F = multiply_by_member(*exp_layers(key, j_max, q_depth), key, q_depth)
+    else:
+        f, F = _int64_first(_exp_packed, key, j_max, q_depth, phi)
     for a in (x for layer in F for x in layer):
         a.flags.writeable = False
     _EXP_MEMO[ck] = phi, (f, tuple(F))
@@ -275,34 +273,32 @@ def _product_coefficient(key: str, Ej: dict, q_num: int, z: tuple) -> object:
     return tot
 
 
-def _layer_matches(quo: list, t: int, k, v, f) -> bool:
-    """Whether entry t of packed quotient levels equals the packed layer
+def _layer_matches(levels: list, t: int, k, v, f) -> bool:
+    """Whether entry t of packed batched levels equals the packed layer
     (k, v), as sorted keys and values in its frame f (the symmetric box
     -f.hi..f.hi, so a row outside it is a difference)."""
-    sel = [lvl.z[:, 0] == t for lvl in quo]
-    z = np.concatenate([lvl.z[s, 1:] for lvl, s in zip(quo, sel)])
+    sel = [lvl.z[:, 0] == t for lvl in levels]
+    z = np.concatenate([lvl.z[s, 1:] for lvl, s in zip(levels, sel)])
     if len(z) != len(k) or np.any(np.abs(z) > f.hi):
         return False
     lv = np.concatenate([np.full(np.count_nonzero(s), j) for j, s in enumerate(sel)])
     kq = _encode(z, f, lv)
     order = np.argsort(kq)
-    vq = np.concatenate([lvl.v[s] for lvl, s in zip(quo, sel)])
+    vq = np.concatenate([lvl.v[s] for lvl, s in zip(levels, sel)])
     return np.array_equal(kq[order], k) and np.array_equal(vq[order], v)
 
 
 def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     """Check lift layers against product layers in one packed pass.
 
-    The product layer at s0 + 2j is psi * E_j, so the check divides each
-    lift layer by the theta block (exact, unit corner) and compares the
-    quotient with E_j.  Division is the cheap direction: the block
-    factors into theta binomials.  The packed E_j come first; then all
-    lift layers (``jacobi.hecke_levels``) go through one division and
-    each quotient is compared with its E_j as arrays.  At the first
-    quotient that differs, or throughout when a layer is not divisible
-    (the whole batch fails), the lift layer is compared with psi * E_j
-    from ``exp_layers``, and the first differing key is reported, with
-    the product coefficient recomputed directly from E_j.  Raises
+    The product layer at s0 + 2j is psi * E_j, from ``exp_layers``: the
+    memoised E_j times the block, multiplied out factor by factor and
+    memoised in turn.  All lift layers are built at once from packed
+    member slices (``jacobi.hecke_levels``) and each is compared with its
+    psi * E_j as sorted keys and values.  At the first layer that
+    differs, the first differing key is reported from dicts, with the
+    product coefficient recomputed directly from E_j; a layer that
+    differs as arrays but not as dicts raises AssertionError.  Raises
     ValueError for q_depth < 0 or s_depth < 1, which check nothing.
     """
     if q_depth < 0 or s_depth < 1:
@@ -312,30 +308,29 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     layers = lift_layers(key, 2 * s_depth)
     q_aux = max((24 * q_depth - meta.val_q) // 24, 0)
     j_max = max(((s - s0) // 2) for s, _ in layers) if layers else 0
-    f, E = exp_layers(key, j_max, q_aux)
+    fp, prod = exp_layers(key, j_max, q_aux, psi=True)
     num = hecke_levels(key, [order for _, order in layers], q_aux)
     terms = sum(np.bincount(lvl.z[:, 0], minlength=len(layers)) for lvl in num)
-    try:
-        quo = divide_by_member(num, key, q_aux)
-    except ArithmeticError:  # some layer does not divide: compare them all outright
-        quo = None
-    del num  # the dividend is not read again; deep windows need the memory
-    mismatch = prod = None
+    mismatch = None
     for t, (s_num, order) in enumerate(layers):
-        k, v, _ = E[(s_num - s0) // 2]
-        if mismatch is not None or (quo is not None and _layer_matches(quo, t, k, v, f)):
+        k, v, _ = prod[(s_num - s0) // 2]
+        if _layer_matches(num, t, k, v, fp):
             continue
-        if prod is None:
-            fp, prod = exp_layers(key, j_max, q_aux, psi=True)
-        rhs = _qz_decode(*prod[(s_num - s0) // 2][:2], fp)
-        for j, lvl in enumerate(hecke_levels(key, [order], q_aux)):
-            lift = dict(zip(map(tuple, lvl.z[:, 1:].tolist()), lvl.v.tolist()))
+        rhs = _qz_decode(k, v, fp)
+        for j, lvl in enumerate(num):
+            sel = lvl.z[:, 0] == t
+            lift = dict(zip(map(tuple, lvl.z[sel, 1:].tolist()), lvl.v[sel].tolist()))
             z = _slice_first_diff(lift, rhs.get(j, {}))
             if z is not None:
+                f, E = exp_layers(key, j_max, q_aux)
                 q = meta.val_q + 24 * j
                 mismatch = {"s_num": s_num, "q_num": q, "z": z, "lift": lift.get(z, 0),
-                            "product": _product_coefficient(key, _qz_decode(k, v, f), q, z)}
+                            "product": _product_coefficient(
+                                key, _qz_decode(*E[(s_num - s0) // 2][:2], f), q, z)}
                 break
+        else:
+            raise AssertionError("layer s_num=%d differs as arrays but not as dicts" % s_num)
+        break
     return {
         "status": "pass" if mismatch is None else "fail",
         "member": key,

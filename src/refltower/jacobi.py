@@ -19,7 +19,8 @@ Every block is an eta power times one theta(tau, (d, z)) per corner
 direction d (``_corner_dirs``; Theta_A2 contributes three directions and
 an eta^-1 per copy).  The packed division reads the block as that list
 of factors (``_factor_stack``), one frame and one binomial per theta
-factor.
+factor; the packed multiply by the block reads the same list in one
+frame, each binomial two key shifts.
 
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
@@ -662,6 +663,52 @@ def divide_by_member(levels: list, key: str, depth: int) -> list:
     meta = MEMBERS[key]
     stack = _factor_stack(meta, depth, levels[0].z.shape[1] - meta.r)
     return _int64_first(_divide_packed, levels, meta, depth, stack)
+
+
+def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
+                     dtype) -> tuple:
+    """The factored product with values of one dtype.  A factor is its
+    level-0 part (1, or zeta^d - zeta^-d) plus its cells, each term a key
+    offset lvl * stq + zc @ w in one frame, E's box plus the factors'
+    summed reaches; keys past level ``depth`` are cut before one reduce
+    per factor.  With int64 values a bound max|v| sum|c| reaching 2^62
+    raises _NotInt64."""
+    terms = [([(0, d, 1), (0, tuple(-a for a in d), -1)] if d else [(0, (0,) * meta.r, 1)])
+             + [(lvl, zc, c) for lvl, t in cells.items() for zc, c in t.items()]
+             for d, cells in stack]
+    reach = np.sum([np.abs([zc for _, zc, _ in t]).max(axis=0) for t in terms], axis=0)
+    g = _frame(-(f.hi + reach), f.hi + reach, depth)
+    factors = [[(lvl * g.stq + int(np.dot(zc, g.w)), c) for lvl, zc, c in t] for t in terms]
+    top = (depth + 1) * g.stq
+    out = []
+    for k, v, rk in layers:
+        if dtype is not object and v.dtype == object:
+            raise _NotInt64
+        k, v = _encode(_decode(k, f), g, k // f.stq), v.astype(dtype, copy=False)
+        for fac in factors:
+            if (dtype is not object and len(v)
+                    and int(np.abs(v).max()) * sum(abs(c) for _, c in fac) >= _INT64_SAFE):
+                raise _NotInt64
+            cuts = [(off, c, int(np.searchsorted(k, top - off))) for off, c in fac]
+            k, v = _reduce_parts([(k[:n] + off, v[:n] * c) for off, c, n in cuts])
+        out.append((k, v, rk + reach))
+    return g, out
+
+
+def multiply_by_member(f, layers: list, key: str, depth: int) -> tuple:
+    """The theta block times packed layers, the inverse of ``divide_by_member``.
+
+    ``layers`` are (keys, values, reach) with the level as the top key
+    digit in the symmetric frame f, as ``borcherds.exp_layers`` returns
+    (f, layers); level l of a product is at q_num val + 24 l.  Returns
+    (frame, [(keys, values, reach)]) through level depth, keys sorted,
+    the frame symmetric.  Works factor by factor over ``_factor_stack``:
+    the eta power, then one theta per corner direction, whose binomial
+    is two key shifts.  Values are int64 unless some factor could reach
+    2^62, in which case the product is run again on python ints.
+    """
+    meta = MEMBERS[key]
+    return _int64_first(_multiply_packed, f, layers, meta, depth, _factor_stack(meta, depth))
 
 
 def phi0_by_division(key: str, q_depth: int) -> JacobiForm:

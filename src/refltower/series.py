@@ -10,9 +10,10 @@ mapping a z-exponent tuple to its coefficient.  Every series carries a
 TruncationWindow recording the region where its terms are exact; binary
 operations propagate the largest window they can honestly guarantee.
 
-This module also owns the packed form of both int64 kernels, the (q, z)
-product ``_qz_mul`` and the theta-block division ``jacobi.divide_by_member``:
-one ``_Frame`` packs (level, z) into a single int64 key, ``_qz_rows`` /
+This module also owns the packed form of the int64 kernels, the (q, z)
+product ``_qz_mul`` and the theta-block division and multiplication
+(``jacobi.divide_by_member``, ``jacobi.multiply_by_member``): one
+``_Frame`` packs (level, z) into a single int64 key, ``_qz_rows`` /
 ``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts,
 and ``_int64_first`` reruns a kernel on Python ints when int64 cannot
 carry its values.  A ``PackedLevel`` is one level as z rows beside

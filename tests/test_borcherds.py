@@ -1,5 +1,6 @@
 """Borcherds products: exponential form, literal product, divisor scan."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -160,6 +161,41 @@ def test_compare_equals_the_layer_by_layer_oracle_on_every_sweep_window():
             assert got == oracles.compare_lift_product(key, q_depth, s_depth), key
 
 
+def test_compare_fails_loudly_when_arrays_and_dicts_disagree(monkeypatch):
+    """A layer the array comparison rejects but whose dicts show no
+    differing key is an internal contradiction: it raises, never passes."""
+    monkeypatch.setattr(borcherds, "_layer_matches", lambda *args: False)
+    with pytest.raises(AssertionError, match="differs as arrays but not as dicts"):
+        borcherds.compare_lift_product("psi_10_D2", 3, 2)
+
+
+def _spy_everywhere(monkeypatch, name, calls):
+    """Count calls of a refltower function through every module that binds it."""
+    for mod in (jacobi, borcherds):
+        real = getattr(mod, name, None)
+        if real is not None:
+            def spy(*args, real=real, **kw):
+                calls.append(name)
+                return real(*args, **kw)
+
+            monkeypatch.setattr(mod, name, spy)
+
+
+def test_warm_compare_neither_divides_nor_builds_layers(monkeypatch):
+    """A second comparison on a window reads psi * E_j from the memo: no
+    division, no exponential recursion and no multiply by the block."""
+    for key in ("psi_8_D4", "psi_6_2A2", "psi_4_2A1"):
+        window = _sweep_windows(key)[0]
+        first = borcherds.compare_lift_product(key, *window)
+        calls = []
+        with monkeypatch.context() as m:
+            for name in ("divide_by_member", "_divide_packed", "_exp_packed",
+                         "multiply_by_member", "_multiply_packed"):
+                _spy_everywhere(m, name, calls)
+            assert borcherds.compare_lift_product(key, *window) == first
+        assert calls == [], key
+
+
 def _level_dicts(lvl, count):
     """A batched PackedLevel as one z-slice dict per batch entry."""
     out = [{} for _ in range(count)]
@@ -178,7 +214,7 @@ def _batch(dicts, r):
 
 def _corrupt_layer(monkeypatch, key, order, change):
     """Apply change(level, slice) to one lift layer in both sources: the
-    dicts the oracle reads and the packed levels the program divides."""
+    dicts the oracle reads and the packed levels the program compares."""
     meta = jacobi.MEMBERS[key]
     real_dicts, real_packed = jacobi.member_hecke_slice, borcherds.hecke_levels
 
@@ -198,18 +234,6 @@ def _corrupt_layer(monkeypatch, key, order, change):
 
     monkeypatch.setattr(jacobi, "member_hecke_slice", dicts)
     monkeypatch.setattr(borcherds, "hecke_levels", packed)
-    raised = []
-    real_div = borcherds.divide_by_member
-
-    def divide(levels, k, depth):
-        try:
-            return real_div(levels, k, depth)
-        except ArithmeticError:
-            raised.append(k)
-            raise
-
-    monkeypatch.setattr(borcherds, "divide_by_member", divide)
-    return raised
 
 
 # (member, window, layer order, level): a non-first layer at level >= 1
@@ -220,8 +244,8 @@ CORRUPTIONS = [("psi_8_D4", (4, 3), 2, 1), ("psi_6_2A2", (3, 3), 3, 2),
 @pytest.mark.parametrize("key,window,order,level", CORRUPTIONS)
 def test_compare_equals_the_oracle_when_a_layer_gains_a_block_multiple(
         monkeypatch, key, window, order, level):
-    """q^level psi added to one layer keeps it divisible: the batch
-    divides, and its quotient differs from E_j from that level on."""
+    """q^level psi added to one layer keeps it divisible by the block:
+    the layer differs from psi * E_j from that level on."""
     val = jacobi.MEMBERS[key].val_q
 
     def change(j, sl):
@@ -230,9 +254,8 @@ def test_compare_equals_the_oracle_when_a_layer_gains_a_block_multiple(
                 sl[z] = sl.get(z, 0) + c
         return {z: c for z, c in sl.items() if c}
 
-    raised = _corrupt_layer(monkeypatch, key, order, change)
+    _corrupt_layer(monkeypatch, key, order, change)
     got = borcherds.compare_lift_product(key, *window)
-    assert not raised
     assert got["status"] == "fail"
     assert got["first_mismatch"]["q_num"] == val + 24 * level
     assert got == oracles.compare_lift_product(key, *window)
@@ -241,18 +264,18 @@ def test_compare_equals_the_oracle_when_a_layer_gains_a_block_multiple(
 @pytest.mark.parametrize("key,window,order,level", CORRUPTIONS)
 def test_compare_equals_the_oracle_when_a_layer_does_not_divide(
         monkeypatch, key, window, order, level):
-    """One coefficient off by one: that layer has no quotient, so the
-    whole batch raises and every layer is compared outright."""
+    """One coefficient off by one: that layer is not divisible by the
+    block, and differs from psi * E_j at that level."""
 
     def change(j, sl):
         if j == level:
             sl[min(sl)] += 1
         return sl
 
-    raised = _corrupt_layer(monkeypatch, key, order, change)
+    _corrupt_layer(monkeypatch, key, order, change)
     got = borcherds.compare_lift_product(key, *window)
-    assert raised == [key]
     assert got["status"] == "fail"
+    assert got["first_mismatch"]["q_num"] == jacobi.MEMBERS[key].val_q + 24 * level
     assert got == oracles.compare_lift_product(key, *window)
 
 
@@ -378,42 +401,55 @@ def _psi_times(key, layers, q_depth):
     return [{cq: sl for cq, sl in psi.mul(layer).cells.items() if sl} for layer in layers]
 
 
+def _exp_windows(key):
+    """(j_max, q depth) of the exp_layers calls of the member's sweep windows."""
+    meta = jacobi.MEMBERS[key]
+    return {(max((s - meta.s_step) // 2 for s, _ in lifting.lift_layers(key, 2 * s_depth)),
+             max((24 * q_depth - meta.val_q) // 24, 0))
+            for q_depth, s_depth in _sweep_windows(key)}
+
+
 def test_exp_layers_started_at_psi_are_psi_times_the_exponential():
-    """The recursion started at psi gives psi * E_j for every member:
-    the oracle's s-layers times the member series."""
+    """The block times E_j is psi * E_j for every member: the oracle's
+    s-layers times the member series at (2, 2), and E_j times the member
+    series (``FourierSeries.mul``) at every window of the sweep."""
     j_max, q_depth = 2, 2
     for key in jacobi.MEMBERS:
         got = exp_series(key, j_max, q_depth, psi=True)
         want = _psi_times(key, _exp_oracle(key, j_max, q_depth), q_depth)
         assert [layer.cells for layer in got] == want, key
+        for window in _exp_windows(key):
+            got = exp_series(key, *window, psi=True)
+            want = _psi_times(key, exp_series(key, *window), window[1])
+            assert [layer.cells for layer in got] == want, (key, window)
 
 
 def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch):
-    """A translate with one entry near 2^61 sends the int64 recursion
-    started at psi past its 2^62 bound before it can wrap; the rerun on
-    python ints still equals psi times the exp_s oracle."""
-    key, j_max, q_depth = "psi_8_D4", 2, 2
+    """A translate with one entry near 2^61 leaves E_1 on int64, but
+    multiplying it by the block could pass 2^62 before it wraps: the
+    multiply reruns on python ints and still equals psi times the exp_s
+    oracle."""
+    key, j_max, q_depth = "psi_8_D4", 1, 2
     real = borcherds.hecke_v0
 
     def crooked(phi, m, depth):
         v = real(phi, m, depth)
-        if m == 1:
-            sl = v.cells[(0, 24)]
-            sl[min(sl)] += 2 ** 61  # even, so E_2 = X_1^2 / 2 - X_2 stays integral
+        sl = v.cells[(0, 24)]
+        sl[min(sl)] += 2 ** 61
         return v
 
     monkeypatch.setattr(borcherds, "hecke_v0", crooked)
     monkeypatch.setattr(borcherds, "_EXP_MEMO", {})  # the memo cannot see hecke_v0
-    dtypes = []
-    real_exp = borcherds._exp_packed
+    dtypes = {"exp": [], "mul": []}
+    for name, mod, attr in (("exp", borcherds, "_exp_packed"),
+                            ("mul", jacobi, "_multiply_packed")):
+        def spy(*args, name=name, real=getattr(mod, attr)):
+            dtypes[name].append(args[-1])
+            return real(*args)
 
-    def spy(*args):
-        dtypes.append(args[-1])
-        return real_exp(*args)
-
-    monkeypatch.setattr(borcherds, "_exp_packed", spy)
+        monkeypatch.setattr(mod, attr, spy)
     got = exp_series(key, j_max, q_depth, psi=True)
-    assert dtypes == [np.int64, object]
+    assert dtypes == {"exp": [np.int64], "mul": [np.int64, object]}
     want = _psi_times(key, _exp_oracle(key, j_max, q_depth), q_depth)
     assert [layer.cells for layer in got] == want
     values = [c for layer in got for sl in layer.cells.values() for c in sl.values()]
@@ -507,15 +543,15 @@ def _arrays(layers):
 
 
 def test_exp_layer_memo_hits_equal_a_fresh_build_and_are_read_only(monkeypatch):
-    """Every exp_layers window of the sweep, for all fifteen members: a
-    warm hit is the stored object, equal to a build from an empty memo,
-    and none of its arrays takes a write."""
+    """Every exp_layers window of the sweep, E_j and psi * E_j, for all
+    fifteen members: a warm hit is the stored object, equal to a build
+    from an empty memo, and none of its arrays takes a write."""
     calls = []
     real = borcherds.exp_layers
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(*args, **kw):
+        calls.append(args[:3])
+        return real(*args, **kw)
 
     monkeypatch.setattr(borcherds, "exp_layers", spy)
     for key in jacobi.MEMBERS:
@@ -523,12 +559,12 @@ def test_exp_layer_memo_hits_equal_a_fresh_build_and_are_read_only(monkeypatch):
             borcherds.compare_lift_product(key, *window)
     monkeypatch.undo()
     assert {args[0] for args in calls} == set(jacobi.MEMBERS)
-    for args in calls:
-        hit = borcherds.exp_layers(*args)
-        assert borcherds.exp_layers(*args) is hit
+    for args, kw in itertools.product(set(calls), ({}, {"psi": True})):
+        hit = borcherds.exp_layers(*args, **kw)
+        assert borcherds.exp_layers(*args, **kw) is hit
         with monkeypatch.context() as m:
             m.setattr(borcherds, "_EXP_MEMO", {})
-            fresh = borcherds.exp_layers(*args)
+            fresh = borcherds.exp_layers(*args, **kw)
         assert fresh is not hit
         assert all(np.array_equal(a, b) for a, b in zip(hit[0], fresh[0]))
         got, want = _arrays(hit), _arrays(fresh)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from refltower import jacobi
+from refltower import jacobi, series
 from refltower.jacobi import (
     MEMBERS,
     REGISTRY_KEYS,
@@ -420,7 +420,9 @@ def test_division_rejects_a_corrupt_a2_dividend():
 @pytest.mark.parametrize("key", list(MEMBERS))
 def test_division_recovers_a_random_quotient(key):
     """psi * Q divided by psi gives Q back exactly, and one unit added at
-    the deepest level of the dividend leaves a remainder."""
+    the deepest level of the dividend leaves a remainder.  The packed
+    multiply of Q by the block equals psi * Q from ``FourierSeries.mul``,
+    so division and multiply invert each other."""
     meta = MEMBERS[key]
     depth = 3 if meta.r >= 7 else 4
     rng = random.Random(key)
@@ -431,6 +433,11 @@ def test_division_recovers_a_random_quotient(key):
         quo.cells[(0, 24 * j)] = cell
     prod = member_series(key, TruncationWindow(meta.val_q + 24 * depth, 0)).mul(quo)
     levels = [prod.cells.get((0, meta.val_q + 24 * j), {}) for j in range(depth + 1)]
+    rows = series._qz_rows({j: quo.cells[(0, 24 * j)] for j in range(depth + 1)},
+                           meta.r, np.int64)
+    f = series._frame(-rows[3], rows[3], depth)
+    g, [(k, v, _)] = jacobi.multiply_by_member(f, [series._qz_pack(rows, f)], key, depth)
+    assert series._qz_decode(k, v, g) == {j: sl for j, sl in enumerate(levels) if sl}
     assert divide_slices(levels, key, depth) == [quo.cells[(0, 24 * j)]
                                                  for j in range(depth + 1)]
     z = sorted(levels[depth])[len(levels[depth]) // 2]

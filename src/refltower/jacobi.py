@@ -20,7 +20,9 @@ direction d (``_corner_dirs``; Theta_A2 contributes three directions and
 an eta^-1 per copy).  The packed division reads the block as that list
 of factors (``_factor_stack``), one frame and one binomial per theta
 factor; the packed multiply by the block reads the same list in one
-frame, each binomial two key shifts.
+frame, each binomial two key shifts.  Applied to the unit, the multiply
+gives every block's packed rows (``_member_rows``); dict slices of the
+A2 blocks are decoded from them, the others summed from odd shells.
 
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
@@ -37,6 +39,7 @@ from typing import NamedTuple
 
 from .series import (
     _INT64_SAFE,
+    _NP_CHUNK,
     FourierSeries,
     PackedLevel,
     TruncationWindow,
@@ -45,7 +48,6 @@ from .series import (
     _frame,
     _int64_first,
     _NotInt64,
-    _qz_rows,
     _reduce_parts,
     _slice_mul_into,
     np,
@@ -273,54 +275,18 @@ def _odd_shell(r: int, total: int) -> dict:
     return out
 
 
-_A2_LEVELS: dict = {}
-
-
-def _a2_levels(k: int, p: int, depth: int) -> list:
-    """Slices of eta^p Theta_A2^(x k) at levels l = 0..depth, q_num p + 8k + 24l.
-
-    Copy c of Theta_A2 holds coordinates 2c, 2c+1.  Memoised per (k, p)
-    and extended by the missing levels only, as eta^p (x) Theta^(x k) or
-    Theta^(x (k-1)) (x) Theta; Theta_A2 itself is cut from a block built
-    at least twice as deep as the last one.
-    """
-    have = _A2_LEVELS.setdefault((k, p), [])
-    if len(have) > depth:
-        return have
-    if (k, p) == (1, 0):
-        top = max(depth, 2 * len(have), 6)
-        block = theta_A2(8 + 24 * top)
-        have[:] = [block.cells.get((0, 8 + 24 * lvl), {}) for lvl in range(top + 1)]
-        return have
-    if p:
-        a = _a2_levels(k, 0, depth)
-        b = [{(): _eta_coeff(p, p + 24 * m)} for m in range(depth + 1)]
-    else:
-        a = _a2_levels(k - 1, 0, depth)
-        b = _a2_levels(1, 0, depth)
-    for n in range(len(have), depth + 1):
-        acc: dict = {}
-        for i in range(n + 1):
-            for za, ca in a[i].items():
-                for zb, cb in b[n - i].items():
-                    z = za + zb
-                    acc[z] = acc.get(z, 0) + ca * cb
-        have.append({z: c for z, c in acc.items() if c})
-    return have
-
-
 def _theta_scale(meta: MemberMeta) -> int:
     """The exponent scale of a block's theta factors: 2 for theta(tau, 2z)."""
     return 2 if meta.family == "D1" else 1
 
 
 _PSI_SLICES: dict = {}
-_PSI_ROWS: dict = {}
 _PSI_SLICE_CACHE_DEPTH = 6
 
 
 def member_slice(key: str, q_num: int) -> dict:
-    """The z-slice of a registry theta block at the given q_num."""
+    """The z-slice of a registry theta block at the given q_num: decoded
+    from the packed rows for A2, else summed from odd shells (no numpy)."""
     meta = MEMBERS[key]
     if q_num < meta.val_q or (q_num - meta.val_q) % 24:
         return {}
@@ -329,8 +295,8 @@ def member_slice(key: str, q_num: int) -> dict:
     if cached is not None:
         return cached
     if meta.family == "A2":
-        n = (q_num - meta.val_q) // 24
-        out = dict(_a2_levels(meta.copies, meta.eta_exp, n)[n])
+        z, v = _member_rows(key, q_num)
+        out = dict(zip(map(tuple, z.tolist()), v.tolist()))
     else:
         out = {}
         scale = _theta_scale(meta)
@@ -344,15 +310,29 @@ def member_slice(key: str, q_num: int) -> dict:
     return out
 
 
+_PSI_LEVELS: dict = {}  # key -> [(z rows, values)] on levels 0..depth
+
+
 def _member_rows(key: str, q_num: int) -> tuple:
-    """member_slice as (z rows, values), cached at every level: the narrow
-    rows cost a fraction of the slice dict, which is cached less deep."""
-    rows = _PSI_ROWS.get((key, q_num))
-    if rows is None:
-        _, z, v, _ = _int64_first(_qz_rows, {0: member_slice(key, q_num)}, MEMBERS[key].r)
-        rows = _PSI_ROWS[(key, q_num)] = (
-            z.astype(np.int16) if np.abs(z).max(initial=0) < 1 << 15 else z, v)
-    return rows
+    """The block's slice at q_num as (z rows, values), no dict: the block
+    times the unit layer, factor by factor (``multiply_by_member``),
+    memoised per member and rebuilt only when a deeper level is asked
+    for.  Rows are int16 when they fit; the arrays are read-only."""
+    meta = MEMBERS[key]
+    lvl, off = divmod(q_num - meta.val_q, 24)
+    if lvl < 0 or off:
+        return np.zeros((0, meta.r), np.int16), np.zeros(0, np.int64)
+    levels = _PSI_LEVELS.get(key)
+    if levels is None or len(levels) <= lvl:
+        zero = np.zeros(meta.r, np.int64)
+        unit = (np.zeros(1, np.int64), np.ones(1, np.int64), zero)
+        g, [(k, v, _)] = multiply_by_member(_frame(zero, zero, lvl), [unit], key, lvl)
+        z = _decode(k, g)
+        z = z.astype(np.int16) if np.abs(z).max(initial=0) < 1 << 15 else z
+        z.flags.writeable = v.flags.writeable = False
+        cuts = np.searchsorted(k, np.arange(lvl + 2) * g.stq).tolist()
+        levels = _PSI_LEVELS[key] = [(z[a:b], v[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return levels[lvl]
 
 
 def member_series(key: str, window: TruncationWindow) -> FourierSeries:
@@ -442,6 +422,8 @@ def hecke_levels(key: str, orders: list, depth: int) -> list:
     (python ints if a bound reaches 2^62), and equal keys are summed."""
     meta = MEMBERS[key]
     grid = meta.q_grid
+    # the deepest slice first, so the packed block is built once
+    _member_rows(key, grid * ((meta.val_q + 24 * depth) // grid) * max(orders, default=0))
     out = []
     for j in range(depth + 1):
         parts = [(t, d, d ** (meta.weight - 1), *_member_rows(key, grid * k))
@@ -484,14 +466,21 @@ def _corner_dirs(meta: MemberMeta) -> list:
             for c in range(meta.copies) for d in base]
 
 
-def _corner_slice(meta: MemberMeta) -> dict:
-    """prod over directions of (zeta^dvec - zeta^-dvec), as a z-slice."""
+def _registry_corner(meta: MemberMeta) -> dict:
+    """The block's lowest slice from the registry forms: the lowest cell of
+    theta (exponents scaled as in the block) or of Theta_A2, one per copy,
+    multiplied over the copies."""
+    if meta.family == "A2":
+        cell = theta_A2(8).cells[(0, 8)]
+    else:
+        s = _theta_scale(meta)
+        cell = {(s * z[0],): c for z, c in theta(3).cells[(0, 3)].items()}
+    w = len(next(iter(cell)))
     acc = {(0,) * meta.r: 1}
-    for dvec in _corner_dirs(meta):
-        neg = tuple(-a for a in dvec)
-        binom = {dvec: 1, neg: -1}
+    for c in range(meta.copies):
         nxt: dict = {}
-        _slice_mul_into(nxt, acc, binom, meta.r)
+        _slice_mul_into(nxt, acc, {(0,) * (w * c) + z + (0,) * (meta.r - w * c - w): v
+                                   for z, v in cell.items()}, meta.r)
         acc = nxt
     return acc
 
@@ -670,16 +659,16 @@ def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
     """The factored product with values of one dtype.  A factor is its
     level-0 part (1, or zeta^d - zeta^-d) plus its cells, each term a key
     offset lvl * stq + zc @ w in one frame, E's box plus the factors'
-    summed reaches; keys past level ``depth`` are cut before one reduce
-    per factor.  With int64 values a bound max|v| sum|c| reaching 2^62
-    raises _NotInt64."""
+    summed reaches.  A term moves a key up exactly lvl levels, so no key
+    past level ``depth`` is formed, and a factor with more than _NP_CHUNK
+    pairs reduces them one output level at a time.  With int64 values a
+    bound max|v| sum|c| reaching 2^62 raises _NotInt64."""
     terms = [([(0, d, 1), (0, tuple(-a for a in d), -1)] if d else [(0, (0,) * meta.r, 1)])
              + [(lvl, zc, c) for lvl, t in cells.items() for zc, c in t.items()]
              for d, cells in stack]
     reach = np.sum([np.abs([zc for _, zc, _ in t]).max(axis=0) for t in terms], axis=0)
     g = _frame(-(f.hi + reach), f.hi + reach, depth)
-    factors = [[(lvl * g.stq + int(np.dot(zc, g.w)), c) for lvl, zc, c in t] for t in terms]
-    top = (depth + 1) * g.stq
+    factors = [[(lvl, lvl * g.stq + int(np.dot(zc, g.w)), c) for lvl, zc, c in t] for t in terms]
     out = []
     for k, v, rk in layers:
         if dtype is not object and v.dtype == object:
@@ -687,10 +676,15 @@ def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
         k, v = _encode(_decode(k, f), g, k // f.stq), v.astype(dtype, copy=False)
         for fac in factors:
             if (dtype is not object and len(v)
-                    and int(np.abs(v).max()) * sum(abs(c) for _, c in fac) >= _INT64_SAFE):
+                    and int(np.abs(v).max()) * sum(abs(c) for *_, c in fac) >= _INT64_SAFE):
                 raise _NotInt64
-            cuts = [(off, c, int(np.searchsorted(k, top - off))) for off, c in fac]
-            k, v = _reduce_parts([(k[:n] + off, v[:n] * c) for off, c, n in cuts])
+            at = np.searchsorted(k, np.arange(depth + 2) * g.stq).tolist()  # first key per level
+            cuts = range(depth + 2) if len(k) * len(fac) > _NP_CHUNK else (0, depth + 1)
+            bands = []
+            for lo, hi in zip(cuts, cuts[1:]):  # output levels lo..hi-1
+                src = [(at[max(lo - lvl, 0)], at[max(hi - lvl, 0)], off, c) for lvl, off, c in fac]
+                bands.append(_reduce_parts([(k[a:b] + off, v[a:b] * c) for a, b, off, c in src]))
+            k, v = map(np.concatenate, zip(*bands))
         out.append((k, v, rk + reach))
     return g, out
 
@@ -714,12 +708,11 @@ def multiply_by_member(f, layers: list, key: str, depth: int) -> tuple:
 def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     """The weak weight-0 form as -(psi|V_p)/psi, solved slice by slice."""
     meta = MEMBERS[key]
-    p = meta.hecke_p
-    val = meta.val_q
-    corner = _corner_slice(meta)
-    if member_slice(key, val) != corner:
-        raise AssertionError("theta block corner is not the binomial product")
-    quo = divide_by_member(hecke_levels(key, [p], q_depth), key, q_depth)
+    num = hecke_levels(key, [meta.hecke_p], q_depth)
+    z, v = _member_rows(key, meta.val_q)
+    if dict(zip(map(tuple, z.tolist()), v.tolist())) != _registry_corner(meta):
+        raise AssertionError("packed theta block corner differs from the registry's theta cells")
+    quo = divide_by_member(num, key, q_depth)
     out = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 0))
     for j, lvl in enumerate(quo):
         if len(lvl):

@@ -45,6 +45,50 @@ def eta_product(p: int, depth: int) -> list:
     return a
 
 
+def a2_levels(k: int, p: int, depth: int, _memo: dict = {}) -> list:
+    """Slices of eta^p Theta_A2^(x k) at levels l = 0..depth, q_num p + 8k + 24l,
+    by dict convolution of ``jacobi.theta_A2`` slices.
+
+    Copy c of Theta_A2 holds coordinates 2c, 2c+1.  Memoised per (k, p)
+    and extended by the missing levels only, as eta^p (x) Theta^(x k) or
+    Theta^(x (k-1)) (x) Theta; Theta_A2 itself is cut from a block built
+    at least twice as deep as the last one.
+    """
+    have = _memo.setdefault((k, p), [])
+    if len(have) > depth:
+        return have
+    if (k, p) == (1, 0):
+        top = max(depth, 2 * len(have), 6)
+        block = jacobi.theta_A2(8 + 24 * top)
+        have[:] = [block.cells.get((0, 8 + 24 * lvl), {}) for lvl in range(top + 1)]
+        return have
+    if p:
+        a = a2_levels(k, 0, depth)
+        b = [{(): jacobi._eta_coeff(p, p + 24 * m)} for m in range(depth + 1)]
+    else:
+        a = a2_levels(k - 1, 0, depth)
+        b = a2_levels(1, 0, depth)
+    for n in range(len(have), depth + 1):
+        acc: dict = {}
+        for i in range(n + 1):
+            for za, ca in a[i].items():
+                for zb, cb in b[n - i].items():
+                    z = za + zb
+                    acc[z] = acc.get(z, 0) + ca * cb
+        have.append({z: c for z, c in acc.items() if c})
+    return have
+
+
+def member_slice(key: str, q_num: int) -> dict:
+    """A member's slice from the dicts: ``jacobi.member_slice``'s odd shells
+    for the D, D1 and A1 blocks, ``a2_levels`` for the A2 blocks."""
+    meta = jacobi.MEMBERS[key]
+    if meta.family != "A2":
+        return jacobi.member_slice(key, q_num)
+    n, off = divmod(q_num - meta.val_q, 24)
+    return {} if n < 0 or off else a2_levels(meta.copies, meta.eta_exp, n)[n]
+
+
 def to_json(f: FourierSeries) -> str:
     """``FourierSeries.to_json`` by ``json.dumps`` over one dict per term."""
     terms = [{"q": q, "z": list(z), "s": s, "c": str(c)} for q, z, s, c in f.terms()]

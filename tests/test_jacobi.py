@@ -11,7 +11,6 @@ from refltower.jacobi import (
     MEMBERS,
     REGISTRY_KEYS,
     JacobiForm,
-    _corner_slice,
     _divisors,
     _eta_coeff,
     build,
@@ -59,7 +58,17 @@ def member_coefficient(key: str, q_num: int, z: tuple) -> int:
             return 0
         m = m2 // 2
         return _eta_coeff(meta.eta_exp, q_num - 3 * m * m) * chi4(m)
-    return member_slice(key, q_num).get(tuple(z), 0)
+    return oracles.member_slice(key, q_num).get(tuple(z), 0)
+
+
+def corner_slice(meta) -> dict:
+    """prod over the corner directions d of (zeta^d - zeta^-d), as a z-slice."""
+    acc = {(0,) * meta.r: 1}
+    for d in jacobi._corner_dirs(meta):
+        nxt: dict = {}
+        series._slice_mul_into(nxt, acc, {d: 1, tuple(-a for a in d): -1}, meta.r)
+        acc = nxt
+    return acc
 
 
 def hecke_Vm_subst(form: JacobiForm, m: int) -> JacobiForm:
@@ -242,7 +251,61 @@ def test_registry_keys_and_metadata():
 
 def test_member_corner_is_binomial_product():
     for key, meta in MEMBERS.items():
-        assert member_slice(key, meta.val_q) == _corner_slice(meta)
+        assert member_slice(key, meta.val_q) == corner_slice(meta)
+
+
+# the deepest level of each block that the benchmark's sweep windows reach
+SWEEP_PSI_DEPTHS = {
+    "psi_10_D2": 31, "eta21_theta2z": 31, "psi_9_A2": 31, "psi_5_A1": 46,
+    "psi_4_2A1": 46, "psi_3_3A1": 19, "psi_9_D3": 13, "psi_8_D4": 13,
+    "psi_6_2A2": 13, "psi_2_4A1": 13, "psi_7_D5": 9, "psi_6_D6": 9,
+    "psi_5_D7": 16, "psi_4_D8": 5, "psi_3_3A2": 5,
+}
+
+
+def test_packed_block_rows_equal_the_dict_slices():
+    """The block multiplied out factor by factor from the unit equals the
+    odd-shell slices (D, D1, A1) and the Theta_A2 convolution (A2) at every
+    level the sweep reaches, and D7 to level 16."""
+    assert set(SWEEP_PSI_DEPTHS) == set(MEMBERS)
+    for key, depth in SWEEP_PSI_DEPTHS.items():
+        val = MEMBERS[key].val_q
+        for lvl in range(depth + 1):
+            z, v = jacobi._member_rows(key, val + 24 * lvl)
+            got = dict(zip(map(tuple, z.tolist()), v.tolist()))
+            assert got == oracles.member_slice(key, val + 24 * lvl), (key, lvl)
+
+
+@pytest.mark.parametrize("key, dirs", [
+    ("psi_9_A2", [(3, 0), (3, -3), (0, 3)]),
+    ("psi_10_D2", [(1, 0), (0, -1)]),
+    ("eta21_theta2z", [(1,)]),
+])
+def test_phi0_rejects_a_block_whose_corner_differs_from_the_registry(monkeypatch, key, dirs):
+    """Corner directions that build a different block (a Theta_A2 direction
+    flipped, a D2 sign flipped, the D1 scale lost) fail the corner check
+    against the registry's theta cells."""
+    monkeypatch.setattr(jacobi, "_corner_dirs", lambda meta: dirs)
+    monkeypatch.setattr(jacobi, "_PSI_LEVELS", {})
+    with pytest.raises(AssertionError, match="corner"):
+        phi0_by_division(key, 2)
+
+
+def test_cold_hecke_levels_build_the_block_once(monkeypatch):
+    """hecke_levels asks for its deepest slice first, so a cold call
+    multiplies the block out once, not once per level."""
+    real, calls = jacobi.multiply_by_member, []
+
+    def spy(f, layers, key, depth):
+        calls.append(key)
+        return real(f, layers, key, depth)
+
+    monkeypatch.setattr(jacobi, "multiply_by_member", spy)
+    monkeypatch.setattr(jacobi, "_PSI_LEVELS", {})
+    for key, meta in MEMBERS.items():
+        orders = [m for _, m in lift_layers(key, 6)] + [meta.hecke_p]
+        jacobi.hecke_levels(key, orders, 3 if meta.r <= 6 else 1)
+    assert calls == list(MEMBERS)
 
 
 def test_member_series_matches_direct_product():
@@ -616,12 +679,18 @@ def test_hecke_levels_equal_the_dict_translates():
 
 
 def test_hecke_levels_past_2_62_run_on_python_ints(monkeypatch):
-    """Member slices scaled by 2^60: weighted by d^(k-1) and summed over
-    divisors they pass 2^63, and the levels must come out exact."""
-    real = jacobi.member_slice
+    """Member slices and packed block rows scaled by 2^60: weighted by
+    d^(k-1) and summed over divisors they pass 2^63, and the levels must
+    come out exact."""
+    real, real_rows = jacobi.member_slice, jacobi._member_rows
     monkeypatch.setattr(jacobi, "member_slice",
                         lambda key, q: {z: c << 60 for z, c in real(key, q).items()})
-    monkeypatch.setattr(jacobi, "_PSI_ROWS", {})
+
+    def scaled_rows(key, q):
+        z, v = real_rows(key, q)
+        return z, v.astype(object) << 60
+
+    monkeypatch.setattr(jacobi, "_member_rows", scaled_rows)
     key, orders, depth = "psi_10_D2", [1, 2, 3, 4], 5
     got = _hecke_levels_as_dicts(key, orders, depth)
     assert got == _hecke_dicts(key, orders, depth)

@@ -21,9 +21,9 @@ factor by factor (``jacobi.multiply_by_member``).  Both are memoised per
 (member, j_max, q depth, psi or 1), with read-only arrays, and tied to
 the phi0 object they were built from: a replaced phi0 misses, so a
 corrupted one is never hidden by the memo.  The lift-versus-product
-check builds all lift layers from packed member slices and compares
-each with its psi * E_j as arrays; dicts appear only in a mismatch
-report.
+check builds each lift layer from packed member slices as rows sorted
+by level and z, encodes them into psi * E_j's frame and compares keys
+and values as arrays; dicts appear only in a mismatch report.
 
 The divisor scan walks the negative-norm support of phi0, reduces each
 Fourier index to a primitive wall vector, sums the coefficients along
@@ -273,33 +273,20 @@ def _product_coefficient(key: str, Ej: dict, q_num: int, z: tuple) -> object:
     return tot
 
 
-def _layer_matches(levels: list, t: int, k, v, f) -> bool:
-    """Whether entry t of packed batched levels equals the packed layer
-    (k, v), as sorted keys and values in its frame f (the symmetric box
-    -f.hi..f.hi, so a row outside it is a difference)."""
-    sel = [lvl.z[:, 0] == t for lvl in levels]
-    z = np.concatenate([lvl.z[s, 1:] for lvl, s in zip(levels, sel)])
-    if len(z) != len(k) or np.any(np.abs(z) > f.hi):
-        return False
-    lv = np.concatenate([np.full(np.count_nonzero(s), j) for j, s in enumerate(sel)])
-    kq = _encode(z, f, lv)
-    order = np.argsort(kq)
-    vq = np.concatenate([lvl.v[s] for lvl, s in zip(levels, sel)])
-    return np.array_equal(kq[order], k) and np.array_equal(vq[order], v)
-
-
 def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     """Check lift layers against product layers in one packed pass.
 
     The product layer at s0 + 2j is psi * E_j, from ``exp_layers``: the
     memoised E_j times the block, multiplied out factor by factor and
     memoised in turn.  All lift layers are built at once from packed
-    member slices (``jacobi.hecke_levels``) and each is compared with its
-    psi * E_j as sorted keys and values.  At the first layer that
-    differs, the first differing key is reported from dicts, with the
-    product coefficient recomputed directly from E_j; a layer that
-    differs as arrays but not as dicts raises AssertionError.  Raises
-    ValueError for q_depth < 0 or s_depth < 1, which check nothing.
+    member slices (``jacobi.hecke_levels``), sorted by level and z; each
+    is encoded into the product's frame and compared with its psi * E_j
+    as keys and values, and a lift that leaves the frame's box differs.
+    At the first layer that differs, the first differing key is reported
+    from dicts, with the product coefficient recomputed directly from
+    E_j; a layer that differs as arrays but not as dicts raises
+    AssertionError.  Raises ValueError for q_depth < 0 or s_depth < 1,
+    which check nothing.
     """
     if q_depth < 0 or s_depth < 1:
         raise ValueError("compare needs q_depth >= 0 and s_depth >= 1")
@@ -310,16 +297,16 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     j_max = max(((s - s0) // 2) for s, _ in layers) if layers else 0
     fp, prod = exp_layers(key, j_max, q_aux, psi=True)
     num = hecke_levels(key, [order for _, order in layers], q_aux)
-    terms = sum(np.bincount(lvl.z[:, 0], minlength=len(layers)) for lvl in num)
     mismatch = None
-    for t, (s_num, order) in enumerate(layers):
+    for (s_num, _), (lv, zs, vs, reach) in zip(layers, num):
         k, v, _ = prod[(s_num - s0) // 2]
-        if _layer_matches(num, t, k, v, fp):
+        if (np.all(reach <= fp.hi) and np.array_equal(_encode(zs, fp, lv), k)
+                and np.array_equal(vs, v)):
             continue
         rhs = _qz_decode(k, v, fp)
-        for j, lvl in enumerate(num):
-            sel = lvl.z[:, 0] == t
-            lift = dict(zip(map(tuple, lvl.z[sel, 1:].tolist()), lvl.v[sel].tolist()))
+        for j in range(q_aux + 1):
+            sel = lv == j
+            lift = dict(zip(map(tuple, zs[sel].tolist()), vs[sel].tolist()))
             z = _slice_first_diff(lift, rhs.get(j, {}))
             if z is not None:
                 f, E = exp_layers(key, j_max, q_aux)
@@ -336,9 +323,9 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
         "member": key,
         "q_depth": q_depth,
         "s_depth": s_depth,
-        "layers": [{"s_num": s, "order": o, "terms": int(n)}
-                   for (s, o), n in zip(layers, terms)],
-        "checked_terms": int(sum(terms)),
+        "layers": [{"s_num": s, "order": o, "terms": len(vs)}
+                   for (s, o), (_, _, vs, _) in zip(layers, num)],
+        "checked_terms": sum(len(vs) for *_, vs, _ in num),
         "first_mismatch": mismatch,
     }
 

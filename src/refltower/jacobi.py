@@ -335,9 +335,17 @@ def _member_rows(key: str, q_num: int) -> tuple:
     return levels[lvl]
 
 
+def _prefetch_block(key: str, q_num: int) -> None:
+    """Build an A2 block's rows through q_num at once, so a loop over its
+    dict slices multiplies it out once; other families need no rows."""
+    if MEMBERS[key].family == "A2":
+        _member_rows(key, q_num)
+
+
 def member_series(key: str, window: TruncationWindow) -> FourierSeries:
     meta = MEMBERS[key]
     f = FourierSeries(meta.r, meta.den_z, window)
+    _prefetch_block(key, meta.val_q + 24 * ((window.q_max - meta.val_q) // 24))
     for q in range(meta.val_q, window.q_max + 1, 24):
         sl = member_slice(key, q)
         if sl:
@@ -416,35 +424,29 @@ def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
 
 
 def hecke_levels(key: str, orders: list, depth: int) -> list:
-    """member_hecke_slice of each order (as ``lift_layers`` gives them) at
-    q_num = val + 24 j as one PackedLevel per j, the order's index first:
-    divisor d scales packed member slice rows by d and values by d^(k-1)
-    (python ints if a bound reaches 2^62), and equal keys are summed."""
+    """member_hecke_slice of each order (as ``lift_layers`` gives them) on
+    levels 0..depth, one ``series._qz_rows`` tuple (levels, z rows,
+    values, reach) per order, sorted by level and z: divisor d scales
+    packed member slice rows by d and values by d^(k-1) (python ints if
+    a bound reaches 2^62), and equal keys are summed in one reduce."""
     meta = MEMBERS[key]
     grid = meta.q_grid
     # the deepest slice first, so the packed block is built once
     _member_rows(key, grid * ((meta.val_q + 24 * depth) // grid) * max(orders, default=0))
     out = []
-    for j in range(depth + 1):
-        parts = [(t, d, d ** (meta.weight - 1), *_member_rows(key, grid * k))
-                 for t, m in enumerate(orders)
+    for m in orders:
+        parts = [(j, d, d ** (meta.weight - 1), *_member_rows(key, grid * k))
+                 for j in range(depth + 1)
                  for d, k in _divisor_terms((meta.val_q + 24 * j) // grid, m)]
         big = sum(w * int(np.abs(vr).max(initial=0)) for *_, w, _, vr in parts) >= _INT64_SAFE
-        n = sum(len(vr) for *_, vr in parts)
-        z = np.empty((n, 1 + meta.r), np.int64)
-        v = np.empty(n, object if big else np.int64)
-        a = 0
-        for t, d, w, zr, vr in parts:
-            b = a + len(vr)
-            z[a:b, 0] = t
-            z[a:b, 1:] = d * zr.astype(np.int64)
-            v[a:b] = vr.astype(v.dtype) * w
-            a = b
-        if len(parts) > len({p[0] for p in parts}):  # an order with several divisors
-            f = _frame(z.min(axis=0, initial=0), z.max(axis=0, initial=0))
-            k, v = _reduce_parts([(_encode(z, f), v)])
-            z = _decode(k, f)
-        out.append(PackedLevel(z, v))
+        lv = np.concatenate([np.full(len(vr), j) for j, *_, vr in parts])
+        z = np.concatenate([d * zr.astype(np.int64) for _, d, _, zr, _ in parts])
+        v = np.concatenate([vr.astype(object if big else np.int64) * w for *_, w, _, vr in parts])
+        if len(parts) > len({p[0] for p in parts}):  # a level with several divisors
+            f = _frame(z.min(axis=0, initial=0), z.max(axis=0, initial=0), depth)
+            k, v = _reduce_parts([(_encode(z, f, lv), v)])
+            lv, z = k // f.stq, _decode(k, f)
+        out.append((lv, z, v, np.abs(z).max(axis=0, initial=0)))
     return out
 
 
@@ -485,7 +487,7 @@ def _registry_corner(meta: MemberMeta) -> dict:
     return acc
 
 
-def _factor_stack(meta: MemberMeta, depth: int, lead: int = 0) -> list:
+def _factor_stack(meta: MemberMeta, depth: int) -> list:
     """The factors of a block, as (direction, {level: slice}) pairs.
 
     Every block is an eta power times one theta(tau, (d, z)) per corner
@@ -496,13 +498,12 @@ def _factor_stack(meta: MemberMeta, depth: int, lead: int = 0) -> list:
     frame): a theta factor's cell at level (m^2 - 1)/8 is chi4(m)
     (zeta^(m d) - zeta^(-m d)) for odd m >= 3.  All these cells are tiny,
     which is what makes dividing by the whole block factor by factor
-    cheap.  ``lead`` batch coordinates ahead of z are zero in all.
+    cheap.
     """
     eta = _eta_table(meta.eta_exp - (meta.copies if meta.family == "A2" else 0), depth)
-    stack = [(None, {lvl: {(0,) * (lead + meta.r): eta[lvl]}
+    stack = [(None, {lvl: {(0,) * meta.r: eta[lvl]}
                      for lvl in range(1, depth + 1) if eta[lvl]})]
     for d in _corner_dirs(meta):
-        d = (0,) * lead + d
         stack.append((d, {(m * m - 1) // 8: {tuple(m * a for a in d): chi4(m),
                                              tuple(-m * a for a in d): -chi4(m)}
                           for m in range(3, isqrt(8 * depth + 1) + 1, 2)}))
@@ -640,18 +641,15 @@ def divide_by_member(levels: list, key: str, depth: int) -> list:
     """Exact division of 24-grid levels by the whole theta block.
 
     ``levels[j]`` is the dividend PackedLevel at q_num = val + 24*j; the
-    result is the quotient on levels 0..depth.  Leading batch columns
-    (the order index of ``hecke_levels``) are zero in every direction
-    and correction of the block, so one call divides every entry.  Works
-    factor by factor on packed keys: each factor, the eta power first,
-    contributes a sparse correction per level, and each theta factor one
-    linear binomial pass in its direction.  Values are int64 unless some
-    step could reach 2^62, in which case the division is run again on
-    python ints.  Raises ArithmeticError when the division is not exact.
+    result is the quotient on levels 0..depth.  Works factor by factor
+    on packed keys: each factor, the eta power first, contributes a
+    sparse correction per level, and each theta factor one linear
+    binomial pass in its direction.  Values are int64 unless some step
+    could reach 2^62, in which case the division is run again on python
+    ints.  Raises ArithmeticError when the division is not exact.
     """
     meta = MEMBERS[key]
-    stack = _factor_stack(meta, depth, levels[0].z.shape[1] - meta.r)
-    return _int64_first(_divide_packed, levels, meta, depth, stack)
+    return _int64_first(_divide_packed, levels, meta, depth, _factor_stack(meta, depth))
 
 
 def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
@@ -708,7 +706,9 @@ def multiply_by_member(f, layers: list, key: str, depth: int) -> tuple:
 def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     """The weak weight-0 form as -(psi|V_p)/psi, solved slice by slice."""
     meta = MEMBERS[key]
-    num = hecke_levels(key, [meta.hecke_p], q_depth)
+    [(lv, z, v, _)] = hecke_levels(key, [meta.hecke_p], q_depth)
+    cuts = np.searchsorted(lv, np.arange(q_depth + 2)).tolist()
+    num = [PackedLevel(z[a:b], v[a:b]) for a, b in zip(cuts, cuts[1:])]
     z, v = _member_rows(key, meta.val_q)
     if dict(zip(map(tuple, z.tolist()), v.tolist())) != _registry_corner(meta):
         raise AssertionError("packed theta block corner differs from the registry's theta cells")
@@ -716,8 +716,7 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     out = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 0))
     for j, lvl in enumerate(quo):
         if len(lvl):
-            out.cells[(0, 24 * j)] = dict(zip(map(tuple, lvl.z[:, 1:].tolist()),
-                                              (-lvl.v).tolist()))
+            out.cells[(0, 24 * j)] = dict(zip(map(tuple, lvl.z.tolist()), (-lvl.v).tolist()))
     return JacobiForm("phi0_%s" % meta.lattice_name, out, 0, Fraction(1),
                       meta.lattice_name, meta.family, meta.copies)
 

@@ -26,6 +26,7 @@ from .jacobi import (
     MEMBERS,
     _eta_coeff,
     _odd_shell,
+    _prefetch_block,
     member_hecke_slice,
 )
 from .series import FourierSeries, TruncationWindow
@@ -49,7 +50,11 @@ def gritsenko_lift(key: str, window: TruncationWindow) -> OrthogonalModularForm:
     """The arithmetic lift as a materialised series over the window."""
     meta = MEMBERS[key]
     out = FourierSeries(meta.r, meta.den_z, window)
-    for s_num, order in lift_layers(key, window.s_max):
+    layers = lift_layers(key, window.s_max)
+    # the deepest slice first: the top q on the divisor grid times the top order
+    top = layers[-1][1] if layers else 0
+    _prefetch_block(key, meta.q_grid * (window.q_max // meta.q_grid) * top)
+    for s_num, order in layers:
         for q in range(meta.val_q, window.q_max + 1, 24):
             sl = member_hecke_slice(key, order, q)
             if sl:

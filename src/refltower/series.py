@@ -16,10 +16,12 @@ product ``_qz_mul`` and the theta-block division and multiplication
 ``_Frame`` packs (level, z) into a single int64 key, ``_qz_rows`` /
 ``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts,
 and ``_int64_first`` reruns a kernel on Python ints when int64 cannot
-carry its values.  A ``PackedLevel`` is one level as z rows beside
-their values, no dict: the division takes and returns them.  ``np``
-here, which ``jacobi`` and ``borcherds`` import, runs numpy's import on
-its first use, so work with no kernel never pays it.
+carry its values.  Unpacked, a series is rows (levels, z rows, values,
+reach) as ``_qz_rows`` lays them out, the lift layers' layout too.  A
+``PackedLevel`` is one level as z rows beside their values, no dict:
+the division takes and returns them.  ``np`` here, which ``jacobi`` and
+``borcherds`` import, runs numpy's import on its first use, so work with
+no kernel never pays it.
 """
 
 from __future__ import annotations
@@ -261,8 +263,8 @@ def _qz_rows(levels: dict, r: int, dtype):
 
 
 class PackedLevel:
-    """One level as z rows (n x c ints, any leading batch columns first)
-    beside n values; ``len`` is the term count, as for a z-slice dict."""
+    """One level as z rows (n x r ints) beside n values, as the division
+    takes and returns it; ``len`` is the term count, as for a z-slice dict."""
 
     __slots__ = ("z", "v")
 

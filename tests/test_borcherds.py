@@ -1,7 +1,6 @@
 """Borcherds products: exponential form, literal product, divisor scan."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from refltower.series import FourierSeries, TruncationWindow
 from refltower import borcherds, jacobi, lifting, series, verification
 
-from helpers import divide_slices, exp_series
+from helpers import exp_series
 import oracles
 from oracles import exp_s
 
@@ -163,10 +162,91 @@ def test_compare_equals_the_layer_by_layer_oracle_on_every_sweep_window():
 
 def test_compare_fails_loudly_when_arrays_and_dicts_disagree(monkeypatch):
     """A layer the array comparison rejects but whose dicts show no
-    differing key is an internal contradiction: it raises, never passes."""
-    monkeypatch.setattr(borcherds, "_layer_matches", lambda *args: False)
+    differing key is an internal contradiction: it raises, never passes.
+    Two rows of one level swapped leave the dicts equal and the keys out
+    of order."""
+    real = borcherds.hecke_levels
+
+    def swapped(key, orders, depth):
+        out = real(key, orders, depth)
+        lv, z, v, reach = out[-1]
+        i = int(np.flatnonzero(lv[1:] == lv[:-1])[0])
+        order = np.arange(len(v))
+        order[[i, i + 1]] = i + 1, i
+        out[-1] = (lv[order], z[order], v[order], reach)
+        return out
+
+    monkeypatch.setattr(borcherds, "hecke_levels", swapped)
     with pytest.raises(AssertionError, match="differs as arrays but not as dicts"):
         borcherds.compare_lift_product("psi_10_D2", 3, 2)
+
+
+def _compare_frame(key, q_depth, s_depth):
+    """The product frame and the lift rows ``compare_lift_product`` reads."""
+    meta = jacobi.MEMBERS[key]
+    layers = lifting.lift_layers(key, 2 * s_depth)
+    q_aux = max((24 * q_depth - meta.val_q) // 24, 0)
+    j_max = max((s - meta.s_step) // 2 for s, _ in layers)
+    fp, _ = borcherds.exp_layers(key, j_max, q_aux, psi=True)
+    return fp, q_aux, jacobi.hecke_levels(key, [m for _, m in layers], q_aux)
+
+
+def test_lift_rows_encode_to_strictly_increasing_product_keys():
+    """The array comparison needs no sort: every lift layer, encoded into
+    the product's frame, has strictly increasing keys."""
+    for key in jacobi.MEMBERS:
+        for window in _sweep_windows(key):
+            fp, _, num = _compare_frame(key, *window)
+            for lv, z, v, reach in num:
+                assert np.all(reach <= fp.hi), (key, window)
+                assert np.all(np.diff(series._encode(z, fp, lv)) > 0), (key, window)
+
+
+def _widen_layer(monkeypatch, change):
+    """Apply change(levels, z rows, values) to the s^4 lift layer."""
+    real = borcherds.hecke_levels
+
+    def widened(k, orders, depth):
+        out = real(k, orders, depth)
+        lv, z, v = change(*(a.copy() for a in out[1][:3]))
+        out[1] = (lv, z, v, np.abs(z).max(axis=0))
+        return out
+
+    monkeypatch.setattr(borcherds, "hecke_levels", widened)
+
+
+def test_lift_term_past_the_product_box_fails_without_raising(monkeypatch):
+    """A lift term one step past the product frame's box on one axis is
+    a mismatch, reported, never an error."""
+    key, window = "psi_8_D4", (4, 3)
+    fp, q_aux, _ = _compare_frame(key, *window)
+    far = (0,) * (len(fp.hi) - 1) + (int(fp.hi[-1]) + 1,)
+    _widen_layer(monkeypatch, lambda lv, z, v: (np.append(lv, q_aux), np.vstack([z, [far]]),
+                                                np.append(v, 1)))
+    got = borcherds.compare_lift_product(key, *window)
+    assert got["status"] == "fail"
+    assert got["first_mismatch"] == {
+        "s_num": 4, "q_num": jacobi.MEMBERS[key].val_q + 24 * q_aux, "z": far,
+        "lift": 1, "product": 0}
+
+
+def test_lift_term_that_aliases_a_product_key_past_the_box_fails(monkeypatch):
+    """z - e_(r-2) + (2 hi + 1) e_(r-1) leaves the box and encodes to the
+    key of z: only the box check tells the moved term from the real one."""
+    key, window = "psi_8_D4", (4, 3)
+    fp, _, num = _compare_frame(key, *window)
+    z0 = num[1][1][0]
+    alias = tuple(z0[:-2].tolist()) + (int(z0[-2]) - 1, int(z0[-1]) + 2 * int(fp.hi[-1]) + 1)
+
+    def move(lv, z, v):
+        z[0] = alias
+        return lv, z, v
+
+    _widen_layer(monkeypatch, move)
+    got = borcherds.compare_lift_product(key, *window)
+    assert got["status"] == "fail"
+    assert got["first_mismatch"] == {"s_num": 4, "q_num": jacobi.MEMBERS[key].val_q,
+                                     "z": alias, "lift": int(num[1][2][0]), "product": 0}
 
 
 def _spy_everywhere(monkeypatch, name, calls):
@@ -196,25 +276,23 @@ def test_warm_compare_neither_divides_nor_builds_layers(monkeypatch):
         assert calls == [], key
 
 
-def _level_dicts(lvl, count):
-    """A batched PackedLevel as one z-slice dict per batch entry."""
-    out = [{} for _ in range(count)]
-    for row, c in zip(lvl.z.tolist(), lvl.v.tolist()):
-        out[row[0]][tuple(row[1:])] = c
+def _rows_dicts(rows, depth):
+    """Lift rows (levels, z rows, values, reach) as one z-slice dict per level."""
+    out = [{} for _ in range(depth + 1)]
+    for j, z, c in zip(*(a.tolist() for a in rows[:3])):
+        out[j][tuple(z)] = c
     return out
 
 
-def _batch(dicts, r):
-    """z-slice dicts as one PackedLevel, the entry index as first column."""
-    rows = [(t,) + z for t, sl in enumerate(dicts) for z in sl]
-    vals = [c for sl in dicts for c in sl.values()]
-    return series.PackedLevel(np.array(rows, dtype=np.int64).reshape(len(rows), r + 1),
-                              np.array(vals, dtype=np.int64))
+def _rows(dicts, r):
+    """z-slice dicts, one per level, as lift rows sorted by level and z."""
+    return series._qz_rows({j: dict(sorted(sl.items())) for j, sl in enumerate(dicts)},
+                           r, np.int64)
 
 
 def _corrupt_layer(monkeypatch, key, order, change):
     """Apply change(level, slice) to one lift layer in both sources: the
-    dicts the oracle reads and the packed levels the program compares."""
+    dicts the oracle reads and the packed rows the program compares."""
     meta = jacobi.MEMBERS[key]
     real_dicts, real_packed = jacobi.member_hecke_slice, borcherds.hecke_levels
 
@@ -223,14 +301,12 @@ def _corrupt_layer(monkeypatch, key, order, change):
         return change((q - meta.val_q) // 24, dict(sl)) if (k, m) == (key, order) else sl
 
     def packed(k, orders, depth):
-        levels = real_packed(k, orders, depth)
+        out = real_packed(k, orders, depth)
         if k == key and order in orders:
             t = orders.index(order)
-            for j, lvl in enumerate(levels):
-                sls = _level_dicts(lvl, len(orders))
-                sls[t] = change(j, sls[t])
-                levels[j] = _batch(sls, meta.r)
-        return levels
+            sls = _rows_dicts(out[t], depth)
+            out[t] = _rows([change(j, sl) for j, sl in enumerate(sls)], meta.r)
+        return out
 
     monkeypatch.setattr(jacobi, "member_hecke_slice", dicts)
     monkeypatch.setattr(borcherds, "hecke_levels", packed)
@@ -277,43 +353,6 @@ def test_compare_equals_the_oracle_when_a_layer_does_not_divide(
     assert got["status"] == "fail"
     assert got["first_mismatch"]["q_num"] == jacobi.MEMBERS[key].val_q + 24 * level
     assert got == oracles.compare_lift_product(key, *window)
-
-
-def test_batch_with_one_layer_near_2_62_reruns_on_python_ints(monkeypatch):
-    """Mirrors the dict division test near 2^62: only the second layer of
-    the batch could pass 2^62, yet the whole batch reruns on python ints,
-    and both layers come out exact."""
-    key, depth = "psi_9_A2", 3
-    meta = jacobi.MEMBERS[key]
-    rng = random.Random(62)
-    quo = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * depth, 0))
-    for _ in range(20):
-        z = tuple(rng.randrange(-6, 7) for _ in range(meta.r))
-        quo.add_term(24 * rng.randrange(depth + 1), z, 0,
-                     rng.randrange(-2 ** 54, 2 ** 54))
-    psi = jacobi.member_series(key, TruncationWindow(meta.val_q + 24 * depth, 0))
-    num = psi.mul(quo)
-    lift = [jacobi.member_hecke_slice(key, 1, meta.val_q + 24 * j) for j in range(depth + 1)]
-    big = [dict(num.cells.get((0, meta.val_q + 24 * j), {})) for j in range(depth + 1)]
-    assert max(abs(c) for sl in lift for c in sl.values()) < 2 ** 40
-    assert 2 ** 61 <= max(abs(c) for sl in big for c in sl.values()) < 2 ** 62
-    batch = [_batch([a, b], meta.r) for a, b in zip(lift, big)]
-    dtypes = []
-    real = jacobi._divide_packed
-
-    def spy(*args):
-        dtypes.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(jacobi, "_divide_packed", spy)
-    got = jacobi.divide_by_member(batch, key, depth)
-    assert dtypes == [np.int64, object]
-    want = divide_slices(lift, key, depth)
-    for j in range(depth + 1):
-        small, large = _level_dicts(got[j], 2)
-        assert small == want[j]
-        assert large == quo.cells.get((0, 24 * j), {})
-        assert all(type(c) is int for c in got[j].v.tolist())
 
 
 def test_scan_d_family_single_class():

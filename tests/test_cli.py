@@ -296,6 +296,18 @@ def test_cache_hits_need_no_numpy(tmp_path, capsys):
         want = capsys.readouterr().out
         proc = _python(blocked, *argv, *cache)
         assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want, "")
+    # misses on the dict path need no numpy either: the D lift, the closed
+    # formula and a bare block are summed from odd shells
+    misses = [["expand", "lift:D6", "--qmax", "3", "--smax", "2"],
+              ["expand", "closedform:D7", "--qmax", "3", "--smax", "2"],
+              ["expand", "psi_8_D4"]]
+    for i, argv in enumerate(misses):
+        rc = main(argv + cache)
+        want = capsys.readouterr().out
+        fresh = tmp_path / ("miss%d" % i)
+        proc = _python(blocked, *argv, "--cache-dir", str(fresh))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want, "")
+        assert len(list(fresh.glob("*.json"))) == 1  # computed and written
     # the block is real: a miss needs numpy's kernels
     proc = _python(blocked, "expand", "borcherds:D3", "--qmax", "2", *cache)
     assert proc.returncode != 0

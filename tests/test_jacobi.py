@@ -27,7 +27,7 @@ from refltower.jacobi import (
     weak_weight0,
 )
 from refltower.lattices import lattice
-from refltower.lifting import lift_layers
+from refltower.lifting import gritsenko_lift, lift_layers
 from refltower.series import FourierSeries, TruncationWindow
 
 from helpers import divide_slices
@@ -306,6 +306,38 @@ def test_cold_hecke_levels_build_the_block_once(monkeypatch):
         orders = [m for _, m in lift_layers(key, 6)] + [meta.hecke_p]
         jacobi.hecke_levels(key, orders, 3 if meta.r <= 6 else 1)
     assert calls == list(MEMBERS)
+
+
+def test_cold_a2_dict_callers_build_the_block_once(monkeypatch):
+    """A cold lift or member_series of an A2 member multiplies its block
+    out once, for the deepest slice it reads; D, D1 and A1 dict slices
+    come from shells and read no packed rows."""
+    real_mul, real_rows, calls = jacobi.multiply_by_member, jacobi._member_rows, []
+
+    def spy(f, layers, key, depth):
+        calls.append((key, depth))
+        return real_mul(f, layers, key, depth)
+
+    def rows(key, q_num):
+        calls.append(key)
+        return real_rows(key, q_num)
+
+    monkeypatch.setattr(jacobi, "multiply_by_member", spy)
+    for run in (lambda: gritsenko_lift("psi_6_2A2", TruncationWindow(96, 6)),
+                lambda: gritsenko_lift("psi_3_3A2", TruncationWindow(72, 4)),
+                lambda: member_series("psi_9_A2", TruncationWindow(24 * 12, 0))):
+        monkeypatch.setattr(jacobi, "_PSI_LEVELS", {})
+        monkeypatch.setattr(jacobi, "_PSI_SLICES", {})
+        del calls[:]
+        run()
+        assert len(calls) == 1, calls
+    monkeypatch.setattr(jacobi, "_member_rows", rows)
+    del calls[:]
+    for key, meta in MEMBERS.items():
+        if meta.family != "A2":
+            gritsenko_lift(key, TruncationWindow(48, 4))
+            member_series(key, TruncationWindow(72, 0))
+    assert calls == []
 
 
 def test_member_series_matches_direct_product():
@@ -657,9 +689,9 @@ def test_hecke_on_half_grid_rules():
 def _hecke_levels_as_dicts(key, orders, depth):
     """jacobi.hecke_levels as {(order, j): slice dict}."""
     out = {}
-    for j, lvl in enumerate(jacobi.hecke_levels(key, orders, depth)):
-        for row, c in zip(lvl.z.tolist(), lvl.v.tolist()):
-            out.setdefault((orders[row[0]], j), {})[tuple(row[1:])] = c
+    for m, (lv, z, v, _) in zip(orders, jacobi.hecke_levels(key, orders, depth)):
+        for j, row, c in zip(lv.tolist(), z.tolist(), v.tolist()):
+            out.setdefault((m, j), {})[tuple(row)] = c
     return out
 
 

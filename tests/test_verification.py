@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 
 from refltower import borcherds, jacobi, lattices, verification
-from refltower.series import PackedLevel, TruncationWindow
+from refltower.series import TruncationWindow
 
 
 def hyper_norm_fraction(lat, q, z, index=1) -> Fraction:
@@ -149,21 +149,22 @@ def test_negative_control_catches_doubled_wall(monkeypatch):
 
 
 def test_negative_control_catches_corrupt_lift(monkeypatch):
-    # the lift layers reach the check as packed levels, one batch column
-    # per layer: corrupt the lex-first key of the m = 1 layer at the corner
+    # the lift layers reach the check as packed rows, one tuple per
+    # layer: corrupt the lex-first key of the m = 1 layer at the corner
     real = borcherds.hecke_levels
     for key in ("psi_5_A1", "psi_9_A2"):
 
         def crooked(k, orders, depth):
-            levels = real(k, orders, depth)
+            out = real(k, orders, depth)
             if 1 in orders:
-                lvl = levels[0]
-                rows = np.flatnonzero(lvl.z[:, 0] == orders.index(1))
-                first = rows[np.lexsort(lvl.z[rows, 1:].T[::-1])[0]]
-                v = lvl.v.copy()
+                t = orders.index(1)
+                lv, z, v, reach = out[t]
+                rows = np.flatnonzero(lv == 0)
+                first = rows[np.lexsort(z[rows].T[::-1])[0]]
+                v = v.copy()
                 v[first] += 1
-                levels[0] = PackedLevel(lvl.z, v)
-            return levels
+                out[t] = (lv, z, v, reach)
+            return out
 
         monkeypatch.setattr(borcherds, "hecke_levels", crooked)
         rep = verification.run("lift-equals-product:%s" % key,

@@ -19,11 +19,12 @@ One packed recursion (``exp_layers``) gives the exponential layers E_j;
 the product layers psi * E_j are E_j times the block, multiplied out
 factor by factor (``jacobi.multiply_by_member``).  Both are memoised per
 (member, j_max, q depth, psi or 1), with read-only arrays, and tied to
-the phi0 object they were built from: a replaced phi0 misses, so a
-corrupted one is never hidden by the memo.  The lift-versus-product
-check builds each lift layer from packed member slices as rows sorted
-by level and z, encodes them into psi * E_j's frame and compares keys
-and values as arrays; dicts appear only in a mismatch report.
+the phi0 object they were built from or another one ``weak_weight0``
+cached for the member (``jacobi.same_phi0``): any other phi0 misses, so
+a corrupted one is never hidden by the memo.  The lift-versus-product
+check has the lift layers built straight into psi * E_j's frame
+(``jacobi.hecke_levels``) and compares keys and values as arrays;
+dicts appear only in a mismatch report.
 
 The divisor scan walks the negative-norm support of phi0, reduces each
 Fourier index to a primitive wall vector, sums the coefficients along
@@ -46,11 +47,12 @@ from .jacobi import (
     hecke_levels,
     member_slice,
     multiply_by_member,
+    same_phi0,
     weak_weight0,
 )
 from .lattices import lattice
 from .lifting import lift_layers
-from .series import (FourierSeries, TruncationWindow, _encode, _frame, _int64_first,
+from .series import (FourierSeries, TruncationWindow, _decode, _encode, _frame, _int64_first,
                      _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _qz_pack, _qz_rows, np)
 
 
@@ -151,7 +153,7 @@ def exp_layers(key: str, j_max: int, q_depth: int, psi: bool = False) -> tuple:
     phi = weak_weight0(key, max(j_max * q_depth, 1)).series
     ck = (key, j_max, q_depth, psi)
     hit = _EXP_MEMO.get(ck)
-    if hit is not None and hit[0] is phi:
+    if hit is not None and (hit[0] is phi or same_phi0(key, hit[0], phi)):
         return hit[1]
     if psi:
         f, F = multiply_by_member(*exp_layers(key, j_max, q_depth), key, q_depth)
@@ -279,14 +281,16 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     The product layer at s0 + 2j is psi * E_j, from ``exp_layers``: the
     memoised E_j times the block, multiplied out factor by factor and
     memoised in turn.  All lift layers are built at once from packed
-    member slices (``jacobi.hecke_levels``), sorted by level and z; each
-    is encoded into the product's frame and compared with its psi * E_j
-    as keys and values, and a lift that leaves the frame's box differs.
-    At the first layer that differs, the first differing key is reported
-    from dicts, with the product coefficient recomputed directly from
-    E_j; a layer that differs as arrays but not as dicts raises
-    AssertionError.  Raises ValueError for q_depth < 0 or s_depth < 1,
-    which check nothing.
+    member slices straight into the product's frame
+    (``jacobi.hecke_levels``), keys sorted, so each is compared with its
+    psi * E_j as keys and values, two ``array_equal`` calls.  Should a
+    lift term leave the product's box, hecke_levels returns a wider
+    frame, and the product keys are moved into it first.  At the first
+    layer that differs, the first differing key is reported from dicts,
+    with the product coefficient recomputed directly from E_j; a layer
+    that differs as arrays but not as dicts raises AssertionError.
+    Raises ValueError for q_depth < 0 or s_depth < 1, which check
+    nothing.
     """
     if q_depth < 0 or s_depth < 1:
         raise ValueError("compare needs q_depth >= 0 and s_depth >= 1")
@@ -296,24 +300,24 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     q_aux = max((24 * q_depth - meta.val_q) // 24, 0)
     j_max = max(((s - s0) // 2) for s, _ in layers) if layers else 0
     fp, prod = exp_layers(key, j_max, q_aux, psi=True)
-    num = hecke_levels(key, [order for _, order in layers], q_aux)
+    f, num = hecke_levels(key, [order for _, order in layers], q_aux, fp)
     mismatch = None
-    for (s_num, _), (lv, zs, vs, reach) in zip(layers, num):
+    for (s_num, _), (kl, vl, _) in zip(layers, num):
         k, v, _ = prod[(s_num - s0) // 2]
-        if (np.all(reach <= fp.hi) and np.array_equal(_encode(zs, fp, lv), k)
-                and np.array_equal(vs, v)):
+        if f is not fp:  # a lift term past the product's box: compare in the wider frame
+            k = _encode(_decode(k, fp), f, k // fp.stq)
+        if np.array_equal(kl, k) and np.array_equal(vl, v):
             continue
-        rhs = _qz_decode(k, v, fp)
+        lift, rhs = _qz_decode(kl, vl, f), _qz_decode(k, v, f)
         for j in range(q_aux + 1):
-            sel = lv == j
-            lift = dict(zip(map(tuple, zs[sel].tolist()), vs[sel].tolist()))
-            z = _slice_first_diff(lift, rhs.get(j, {}))
+            z = _slice_first_diff(lift.get(j, {}), rhs.get(j, {}))
             if z is not None:
-                f, E = exp_layers(key, j_max, q_aux)
+                fe, E = exp_layers(key, j_max, q_aux)
                 q = meta.val_q + 24 * j
-                mismatch = {"s_num": s_num, "q_num": q, "z": z, "lift": lift.get(z, 0),
+                mismatch = {"s_num": s_num, "q_num": q, "z": z,
+                            "lift": lift.get(j, {}).get(z, 0),
                             "product": _product_coefficient(
-                                key, _qz_decode(*E[(s_num - s0) // 2][:2], f), q, z)}
+                                key, _qz_decode(*E[(s_num - s0) // 2][:2], fe), q, z)}
                 break
         else:
             raise AssertionError("layer s_num=%d differs as arrays but not as dicts" % s_num)
@@ -324,8 +328,8 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
         "q_depth": q_depth,
         "s_depth": s_depth,
         "layers": [{"s_num": s, "order": o, "terms": len(vs)}
-                   for (s, o), (_, _, vs, _) in zip(layers, num)],
-        "checked_terms": sum(len(vs) for *_, vs, _ in num),
+                   for (s, o), (_, vs, _) in zip(layers, num)],
+        "checked_terms": sum(len(vs) for _, vs, _ in num),
         "first_mismatch": mismatch,
     }
 

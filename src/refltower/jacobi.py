@@ -21,8 +21,11 @@ an eta^-1 per copy).  The packed division reads the block as that list
 of factors (``_factor_stack``), one frame and one binomial per theta
 factor; the packed multiply by the block reads the same list in one
 frame, each binomial two key shifts.  Applied to the unit, the multiply
-gives every block's packed rows (``_member_rows``); dict slices of the
-A2 blocks are decoded from them, the others summed from odd shells.
+gives every block's packed rows (``_member_rows``, with each level's
+reach and max|v|); dict slices of the A2 blocks are decoded from them,
+the others summed from odd shells.  The Hecke translates of the lift
+(``hecke_levels``) are built from the rows straight into a product's
+packed frame.
 
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
@@ -295,7 +298,7 @@ def member_slice(key: str, q_num: int) -> dict:
     if cached is not None:
         return cached
     if meta.family == "A2":
-        z, v = _member_rows(key, q_num)
+        z, v, *_ = _member_rows(key, q_num)
         out = dict(zip(map(tuple, z.tolist()), v.tolist()))
     else:
         out = {}
@@ -310,18 +313,21 @@ def member_slice(key: str, q_num: int) -> dict:
     return out
 
 
-_PSI_LEVELS: dict = {}  # key -> [(z rows, values)] on levels 0..depth
+_PSI_LEVELS: dict = {}  # key -> [(z rows, values, reach, max|v|)] on levels 0..depth
 
 
 def _member_rows(key: str, q_num: int) -> tuple:
-    """The block's slice at q_num as (z rows, values), no dict: the block
-    times the unit layer, factor by factor (``multiply_by_member``),
-    memoised per member and rebuilt only when a deeper level is asked
-    for.  Rows are int16 when they fit; the arrays are read-only."""
+    """The block's slice at q_num as (z rows, values, reach, max|v|), no
+    dict: the block times the unit layer, factor by factor
+    (``multiply_by_member``), memoised per member and rebuilt only when a
+    deeper level is asked for.  The reach (largest |z_i| per axis, int64)
+    and max|v| of each level are taken once, when the block is built.
+    Rows are int16 when they fit; the arrays are read-only."""
     meta = MEMBERS[key]
     lvl, off = divmod(q_num - meta.val_q, 24)
     if lvl < 0 or off:
-        return np.zeros((0, meta.r), np.int16), np.zeros(0, np.int64)
+        return (np.zeros((0, meta.r), np.int16), np.zeros(0, np.int64),
+                np.zeros(meta.r, np.int64), 0)
     levels = _PSI_LEVELS.get(key)
     if levels is None or len(levels) <= lvl:
         zero = np.zeros(meta.r, np.int64)
@@ -331,7 +337,11 @@ def _member_rows(key: str, q_num: int) -> tuple:
         z = z.astype(np.int16) if np.abs(z).max(initial=0) < 1 << 15 else z
         z.flags.writeable = v.flags.writeable = False
         cuts = np.searchsorted(k, np.arange(lvl + 2) * g.stq).tolist()
-        levels = _PSI_LEVELS[key] = [(z[a:b], v[a:b]) for a, b in zip(cuts, cuts[1:])]
+        levels = _PSI_LEVELS[key] = []
+        for a, b in zip(cuts, cuts[1:]):
+            rk = np.abs(z[a:b]).max(axis=0, initial=0).astype(np.int64)
+            rk.flags.writeable = False
+            levels.append((z[a:b], v[a:b], rk, int(np.abs(v[a:b]).max(initial=0))))
     return levels[lvl]
 
 
@@ -423,31 +433,79 @@ def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
                         lambda d: d ** (meta.weight - 1))
 
 
-def hecke_levels(key: str, orders: list, depth: int) -> list:
+def _in_box(reach, f) -> bool:
+    """Whether every z with |z_i| <= reach_i lies in an unsheared frame's box."""
+    return bool(np.all(reach <= f.hi) and np.all(-reach >= f.lo))
+
+
+def _encode_parts(parts: list, f, dtype) -> tuple:
+    """Sorted (keys, values) of one layer from its divisor parts (level j,
+    d, weight, block rows), in level order, in frame f: keys
+    d (z @ w) + zero + j stq and values times the weight, each in one
+    pass over the concatenated rows.  Levels with one part come sorted;
+    if some level has several, equal keys are summed in one reduce."""
+    js, ds, ws, rows = zip(*parts)
+    n = [len(b[1]) for b in rows]
+    k = ((np.concatenate([b[0] for b in rows]) @ f.w) * np.repeat(ds, n)
+         + np.repeat(np.array(js) * f.stq + f.zero, n))
+    v = (np.concatenate([b[1] for b in rows]).astype(dtype)
+         * np.repeat(np.array(ws, dtype=dtype), n))
+    return _reduce_parts([(k, v)]) if len(set(js)) < len(js) else (k, v)
+
+
+def hecke_levels(key: str, orders: list, depth: int, frame=None) -> tuple:
     """member_hecke_slice of each order (as ``lift_layers`` gives them) on
-    levels 0..depth, one ``series._qz_rows`` tuple (levels, z rows,
-    values, reach) per order, sorted by level and z: divisor d scales
-    packed member slice rows by d and values by d^(k-1) (python ints if
-    a bound reaches 2^62), and equal keys are summed in one reduce."""
+    levels 0..depth, packed as ``multiply_by_member`` returns a product:
+    (frame, [(keys, values, reach)]), one layer per order, keys sorted.
+
+    Divisor d sends a block row z (``_member_rows``) to d z and its value
+    to d^(wt-1) times it, wt the block's weight (python ints if the sum
+    of d^(wt-1) max|v| over a layer's parts reaches 2^62); each part is
+    encoded straight into the frame (``_encode_parts``).  A layer's reach
+    is the largest d * reach over its parts, an upper bound read from the
+    block's stored reaches.  Without a frame, the symmetric frame of the
+    largest reach is used; a given frame must be unsheared.  A layer
+    whose bound leaves the frame's box is settled exactly: built in the
+    frame of its own bound and decoded, it gives its true reach.  If that
+    fits the box the rows are encoded into the frame; otherwise every
+    layer goes into the symmetric frame that holds the box and every true
+    reach, and that frame is returned instead.  No key is ever formed
+    outside the box of the frame it is in.
+    """
     meta = MEMBERS[key]
     grid = meta.q_grid
     # the deepest slice first, so the packed block is built once
     _member_rows(key, grid * ((meta.val_q + 24 * depth) // grid) * max(orders, default=0))
-    out = []
+    specs = []
     for m in orders:
-        parts = [(j, d, d ** (meta.weight - 1), *_member_rows(key, grid * k))
+        parts = [(j, d, d ** (meta.weight - 1), _member_rows(key, grid * k))
                  for j in range(depth + 1)
                  for d, k in _divisor_terms((meta.val_q + 24 * j) // grid, m)]
-        big = sum(w * int(np.abs(vr).max(initial=0)) for *_, w, _, vr in parts) >= _INT64_SAFE
-        lv = np.concatenate([np.full(len(vr), j) for j, *_, vr in parts])
-        z = np.concatenate([d * zr.astype(np.int64) for _, d, _, zr, _ in parts])
-        v = np.concatenate([vr.astype(object if big else np.int64) * w for *_, w, _, vr in parts])
-        if len(parts) > len({p[0] for p in parts}):  # a level with several divisors
-            f = _frame(z.min(axis=0, initial=0), z.max(axis=0, initial=0), depth)
-            k, v = _reduce_parts([(_encode(z, f, lv), v)])
-            lv, z = k // f.stq, _decode(k, f)
-        out.append((lv, z, v, np.abs(z).max(axis=0, initial=0)))
-    return out
+        big = sum(w * b[3] for _, _, w, b in parts) >= _INT64_SAFE
+        reach = np.max([d * b[2] for _, d, _, b in parts], axis=0)
+        specs.append((parts, object if big else np.int64, reach))
+    f = frame
+    if f is None:
+        top = np.max([rk for *_, rk in specs] + [np.zeros(meta.r, np.int64)], axis=0)
+        f = _frame(-top, top, depth)
+    exact = {}  # layers whose bound leaves the box: (levels, z rows, values, true reach)
+    for i, (parts, dtype, reach) in enumerate(specs):
+        if not _in_box(reach, f):
+            g = _frame(-reach, reach, depth)
+            k, v = _encode_parts(parts, g, dtype)
+            z = _decode(k, g)
+            exact[i] = (k // g.stq, z, v, np.abs(z).max(axis=0, initial=0))
+    if not all(_in_box(e[3], f) for e in exact.values()):
+        top = np.max([f.hi, -f.lo] + [e[3] for e in exact.values()], axis=0)
+        f = _frame(-top, top, depth)
+    out = []
+    for i, (parts, dtype, reach) in enumerate(specs):
+        if i in exact:
+            lv, z, v, reach = exact[i]
+            out.append((_encode(z, f, lv), v, reach))
+        else:
+            out.append((*_encode_parts(parts, f, dtype), reach))
+    return f, out
 
 
 # ---------------------------------------------------------------------------
@@ -706,10 +764,11 @@ def multiply_by_member(f, layers: list, key: str, depth: int) -> tuple:
 def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     """The weak weight-0 form as -(psi|V_p)/psi, solved slice by slice."""
     meta = MEMBERS[key]
-    [(lv, z, v, _)] = hecke_levels(key, [meta.hecke_p], q_depth)
-    cuts = np.searchsorted(lv, np.arange(q_depth + 2)).tolist()
+    f, [(k, v, _)] = hecke_levels(key, [meta.hecke_p], q_depth)
+    z = _decode(k, f)
+    cuts = np.searchsorted(k, np.arange(q_depth + 2) * f.stq).tolist()
     num = [PackedLevel(z[a:b], v[a:b]) for a, b in zip(cuts, cuts[1:])]
-    z, v = _member_rows(key, meta.val_q)
+    z, v, *_ = _member_rows(key, meta.val_q)
     if dict(zip(map(tuple, z.tolist()), v.tolist())) != _registry_corner(meta):
         raise AssertionError("packed theta block corner differs from the registry's theta cells")
     quo = divide_by_member(num, key, q_depth)
@@ -721,7 +780,7 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
                       meta.lattice_name, meta.family, meta.copies)
 
 
-_PHI0_CACHE: dict = {}
+_PHI0_CACHE: dict = {}  # key -> (form, every phi0 series cached for the key)
 
 
 def weak_weight0(key: str, q_depth: int) -> JacobiForm:
@@ -730,14 +789,24 @@ def weak_weight0(key: str, q_depth: int) -> JacobiForm:
     Every member divides its own block: restricting a cached tower top
     instead reads the whole top form once per dropped variable, which
     costs far more than the member's own division.  That restriction
-    and direct division agree is a checked identity.
+    and direct division agree is a checked identity.  A deeper request
+    replaces the cached form; the replaced series stay on record for
+    ``same_phi0``.
     """
     cached = _PHI0_CACHE.get(key)
-    if cached is not None and cached.series.window.q_max >= 24 * q_depth:
-        return cached
+    if cached is not None and cached[0].series.window.q_max >= 24 * q_depth:
+        return cached[0]
     f = phi0_by_division(key, q_depth)
-    _PHI0_CACHE[key] = f
+    _PHI0_CACHE[key] = f, (cached[1] if cached else ()) + (f.series,)
     return f
+
+
+def same_phi0(key: str, a: FourierSeries, b: FourierSeries) -> bool:
+    """Whether a and b are both series that ``weak_weight0`` cached for the
+    member: exact quotients, so they agree on every level both hold.  A
+    series made anywhere else, a corrupted copy say, is never one."""
+    made = _PHI0_CACHE.get(key, (None, ()))[1]
+    return any(x is a for x in made) and any(x is b for x in made)
 
 
 def quasi_pullback(form: JacobiForm, coord: int) -> JacobiForm:

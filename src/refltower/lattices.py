@@ -127,6 +127,8 @@ class Lattice:
                 reps = [rep + list(t) for t in ((0, 0), (1, 0), (0, 1)) for rep in reps]
             reps = [[Fraction(a) for a in rep] for rep in reps]
         self._form = [(i, j, c) for i, row in enumerate(form) for j, c in enumerate(row) if c]
+        # c times the identity (D, D1, A1): grid norms are c times a sum of squares
+        self._diag = form[0][0] if form == [_unit(r, i, form[0][0]) for i in range(r)] else None
         self.norm_den = scale * self.den * self.den  # (z/den, z/den) = grid_norm(z) / norm_den
         self._pair_den = scale * self.den  # (z/den, b) = (z . row_b) / _pair_den
         self._pair_rows = [[_dot(row, b) for row in form] for b in basis]
@@ -176,6 +178,8 @@ class Lattice:
 
     def grid_norm(self, z: Vec) -> int:
         """(z/den, z/den) * norm_den for grid numerators z."""
+        if self._diag is not None:
+            return self._diag * _dot(z, z)
         return self._bilinear(z, z)
 
     # -- bilinear form -------------------------------------------------------

@@ -17,11 +17,10 @@ product ``_qz_mul`` and the theta-block division and multiplication
 ``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts,
 and ``_int64_first`` reruns a kernel on Python ints when int64 cannot
 carry its values.  Unpacked, a series is rows (levels, z rows, values,
-reach) as ``_qz_rows`` lays them out, the lift layers' layout too.  A
-``PackedLevel`` is one level as z rows beside their values, no dict:
-the division takes and returns them.  ``np`` here, which ``jacobi`` and
-``borcherds`` import, runs numpy's import on its first use, so work with
-no kernel never pays it.
+reach) as ``_qz_rows`` lays them out.  A ``PackedLevel`` is one level as
+z rows beside their values, no dict: the division takes and returns
+them.  ``np`` here, which ``jacobi`` and ``borcherds`` import, runs
+numpy's import on its first use, so work with no kernel never pays it.
 """
 
 from __future__ import annotations

@@ -163,18 +163,19 @@ def test_compare_equals_the_layer_by_layer_oracle_on_every_sweep_window():
 def test_compare_fails_loudly_when_arrays_and_dicts_disagree(monkeypatch):
     """A layer the array comparison rejects but whose dicts show no
     differing key is an internal contradiction: it raises, never passes.
-    Two rows of one level swapped leave the dicts equal and the keys out
+    Two keys of one level swapped leave the dicts equal and the keys out
     of order."""
     real = borcherds.hecke_levels
 
-    def swapped(key, orders, depth):
-        out = real(key, orders, depth)
-        lv, z, v, reach = out[-1]
+    def swapped(key, orders, depth, frame=None):
+        f, out = real(key, orders, depth, frame)
+        k, v, reach = out[-1]
+        lv = k // f.stq
         i = int(np.flatnonzero(lv[1:] == lv[:-1])[0])
         order = np.arange(len(v))
         order[[i, i + 1]] = i + 1, i
-        out[-1] = (lv[order], z[order], v[order], reach)
-        return out
+        out[-1] = (k[order], v[order], reach)
+        return f, out
 
     monkeypatch.setattr(borcherds, "hecke_levels", swapped)
     with pytest.raises(AssertionError, match="differs as arrays but not as dicts"):
@@ -182,47 +183,61 @@ def test_compare_fails_loudly_when_arrays_and_dicts_disagree(monkeypatch):
 
 
 def _compare_frame(key, q_depth, s_depth):
-    """The product frame and the lift rows ``compare_lift_product`` reads."""
+    """The product frame, the depth, and the lift layers and their frame
+    as ``compare_lift_product`` reads them."""
     meta = jacobi.MEMBERS[key]
     layers = lifting.lift_layers(key, 2 * s_depth)
     q_aux = max((24 * q_depth - meta.val_q) // 24, 0)
     j_max = max((s - meta.s_step) // 2 for s, _ in layers)
     fp, _ = borcherds.exp_layers(key, j_max, q_aux, psi=True)
-    return fp, q_aux, jacobi.hecke_levels(key, [m for _, m in layers], q_aux)
+    return fp, q_aux, jacobi.hecke_levels(key, [m for _, m in layers], q_aux, fp)
 
 
 def test_lift_rows_encode_to_strictly_increasing_product_keys():
-    """The array comparison needs no sort: every lift layer, encoded into
-    the product's frame, has strictly increasing keys."""
+    """The array comparison needs no sort: every lift layer comes in the
+    product's own frame, its reach inside the box, its keys strictly
+    increasing."""
     for key in jacobi.MEMBERS:
         for window in _sweep_windows(key):
-            fp, _, num = _compare_frame(key, *window)
-            for lv, z, v, reach in num:
+            fp, _, (f, num) = _compare_frame(key, *window)
+            assert f is fp, (key, window)
+            for k, v, reach in num:
                 assert np.all(reach <= fp.hi), (key, window)
-                assert np.all(np.diff(series._encode(z, fp, lv)) > 0), (key, window)
+                assert np.all(np.diff(k) > 0), (key, window)
 
 
-def _widen_layer(monkeypatch, change):
-    """Apply change(levels, z rows, values) to the s^4 lift layer."""
-    real = borcherds.hecke_levels
+def _edit_block_level(monkeypatch, key, q_num, change):
+    """Apply change(slice) to the packed block rows of one level, their
+    reach and max|v| rebuilt to match: every lift layer that reads the
+    level sees the change before it is encoded, while the product
+    (multiplied out from the unit) does not."""
+    real = jacobi._member_rows
 
-    def widened(k, orders, depth):
-        out = real(k, orders, depth)
-        lv, z, v = change(*(a.copy() for a in out[1][:3]))
-        out[1] = (lv, z, v, np.abs(z).max(axis=0))
-        return out
+    def rows(k, q):
+        got = real(k, q)
+        if (k, q) != (key, q_num):
+            return got
+        sl = change(dict(zip(map(tuple, got[0].tolist()), got[1].tolist())))
+        z = np.array(sorted(sl), dtype=np.int64).reshape(len(sl), got[0].shape[1])
+        v = np.array([sl[t] for t in sorted(sl)], dtype=np.int64)
+        return z, v, np.abs(z).max(axis=0, initial=0), int(np.abs(v).max(initial=0))
 
-    monkeypatch.setattr(borcherds, "hecke_levels", widened)
+    monkeypatch.setattr(jacobi, "_member_rows", rows)
+
+
+# psi_8_D4 at (4, 3): the lift layers run to level 3.  Block level 7 (q_num
+# 192) is read only by the order-2 layer (s^4), at level 3; block level 5
+# (q_num 144) by the order-2 layer at level 2 and by the later order-3 layer.
+BOX_CASE = ("psi_8_D4", (4, 3))
 
 
 def test_lift_term_past_the_product_box_fails_without_raising(monkeypatch):
     """A lift term one step past the product frame's box on one axis is
     a mismatch, reported, never an error."""
-    key, window = "psi_8_D4", (4, 3)
+    key, window = BOX_CASE
     fp, q_aux, _ = _compare_frame(key, *window)
     far = (0,) * (len(fp.hi) - 1) + (int(fp.hi[-1]) + 1,)
-    _widen_layer(monkeypatch, lambda lv, z, v: (np.append(lv, q_aux), np.vstack([z, [far]]),
-                                                np.append(v, 1)))
+    _edit_block_level(monkeypatch, key, 192, lambda sl: {**sl, far: 1})
     got = borcherds.compare_lift_product(key, *window)
     assert got["status"] == "fail"
     assert got["first_mismatch"] == {
@@ -230,28 +245,49 @@ def test_lift_term_past_the_product_box_fails_without_raising(monkeypatch):
         "lift": 1, "product": 0}
 
 
+def test_a_reach_bound_past_the_box_alone_decides_nothing(monkeypatch):
+    """Block reaches loosened past the product's box (still upper bounds)
+    send every lift layer through the exact path: each is decoded once in
+    the frame of its own bound, its true reach fits, and the layers come
+    in the product's frame with the report unchanged."""
+    key, window = BOX_CASE
+    want = borcherds.compare_lift_product(key, *window)
+    fp, _, _ = _compare_frame(key, *window)
+    real = jacobi._member_rows
+
+    def loose(k, q):
+        z, v, reach, vmax = real(k, q)
+        return z, v, reach + 2 * fp.hi, vmax
+
+    monkeypatch.setattr(jacobi, "_member_rows", loose)
+    calls = []
+    _spy_everywhere(monkeypatch, "_decode", calls, (jacobi,))
+    _, _, (f, num) = _compare_frame(key, *window)
+    assert f is fp and len(calls) == len(num)
+    assert borcherds.compare_lift_product(key, *window) == want
+
+
 def test_lift_term_that_aliases_a_product_key_past_the_box_fails(monkeypatch):
     """z - e_(r-2) + (2 hi + 1) e_(r-1) leaves the box and encodes to the
     key of z: only the box check tells the moved term from the real one."""
-    key, window = "psi_8_D4", (4, 3)
-    fp, _, num = _compare_frame(key, *window)
-    z0 = num[1][1][0]
-    alias = tuple(z0[:-2].tolist()) + (int(z0[-2]) - 1, int(z0[-1]) + 2 * int(fp.hi[-1]) + 1)
-
-    def move(lv, z, v):
-        z[0] = alias
-        return lv, z, v
-
-    _widen_layer(monkeypatch, move)
+    key, window = BOX_CASE
+    fp, _, _ = _compare_frame(key, *window)
+    zr, vr, _, _ = jacobi._member_rows(key, 144)
+    i = int(np.flatnonzero(zr[:, -2] > -fp.hi[-2])[0])
+    z0 = tuple(zr[i].tolist())
+    alias = z0[:-2] + (z0[-2] - 1, z0[-1] + 2 * int(fp.hi[-1]) + 1)
+    assert series._encode(np.array([alias]), fp) == series._encode(np.array([z0]), fp)
+    _edit_block_level(monkeypatch, key, 144,
+                      lambda sl: {alias if z == z0 else z: c for z, c in sl.items()})
     got = borcherds.compare_lift_product(key, *window)
     assert got["status"] == "fail"
-    assert got["first_mismatch"] == {"s_num": 4, "q_num": jacobi.MEMBERS[key].val_q,
-                                     "z": alias, "lift": int(num[1][2][0]), "product": 0}
+    assert got["first_mismatch"] == {"s_num": 4, "q_num": jacobi.MEMBERS[key].val_q + 48,
+                                     "z": alias, "lift": int(vr[i]), "product": 0}
 
 
-def _spy_everywhere(monkeypatch, name, calls):
+def _spy_everywhere(monkeypatch, name, calls, mods=(jacobi, borcherds)):
     """Count calls of a refltower function through every module that binds it."""
-    for mod in (jacobi, borcherds):
+    for mod in mods:
         real = getattr(mod, name, None)
         if real is not None:
             def spy(*args, real=real, **kw):
@@ -276,23 +312,48 @@ def test_warm_compare_neither_divides_nor_builds_layers(monkeypatch):
         assert calls == [], key
 
 
-def _rows_dicts(rows, depth):
-    """Lift rows (levels, z rows, values, reach) as one z-slice dict per level."""
-    out = [{} for _ in range(depth + 1)]
-    for j, z, c in zip(*(a.tolist() for a in rows[:3])):
-        out[j][tuple(z)] = c
-    return out
+def test_warm_compare_builds_no_frame_and_decodes_nothing(monkeypatch):
+    """Warm, the lift layers are encoded straight into the product's frame
+    and compared as arrays: no frame is built and no key decoded."""
+    for key in jacobi.MEMBERS:
+        window = _sweep_windows(key)[0]
+        first = borcherds.compare_lift_product(key, *window)
+        calls = []
+        with monkeypatch.context() as m:
+            for name in ("_decode", "_frame"):
+                _spy_everywhere(m, name, calls, (series, jacobi, borcherds))
+            assert borcherds.compare_lift_product(key, *window) == first
+        assert calls == [], key
 
 
-def _rows(dicts, r):
-    """z-slice dicts, one per level, as lift rows sorted by level and z."""
-    return series._qz_rows({j: dict(sorted(sl.items())) for j, sl in enumerate(dicts)},
-                           r, np.int64)
+def test_sweep_rounds_after_the_first_build_no_layers(monkeypatch):
+    """A member's larger sweep window deepens its cached phi0; the layers
+    built from the shallower phi0 stay served, since both are exact
+    quotients and agree on every level those layers read.  Three rounds,
+    every member's smaller window first in round one: only round one
+    runs the exponential recursion or the multiply by the block."""
+    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})
+    monkeypatch.setattr(jacobi, "_PHI0_CACHE", {})
+    jobs = [(key, window) for key in jacobi.MEMBERS for window in _sweep_windows(key)]
+    counts = []
+    for order in (jobs, jobs[::-1], jobs):
+        calls = []
+        with monkeypatch.context() as m:
+            for name in ("_exp_packed", "_multiply_packed"):
+                _spy_everywhere(m, name, calls)
+            for key, window in order:
+                assert borcherds.compare_lift_product(key, *window)["status"] == "pass"
+        counts.append((calls.count("_exp_packed"), calls.count("_multiply_packed")))
+    assert counts[0][0] == len(jobs) and counts[0][1] >= len(jobs)
+    assert counts[1:] == [(0, 0), (0, 0)]
+    phi = jacobi.weak_weight0("psi_10_D2", 1).series
+    assert jacobi.same_phi0("psi_10_D2", phi, phi)
+    assert not jacobi.same_phi0("psi_10_D2", phi, phi.scaled(1))
 
 
 def _corrupt_layer(monkeypatch, key, order, change):
     """Apply change(level, slice) to one lift layer in both sources: the
-    dicts the oracle reads and the packed rows the program compares."""
+    dicts the oracle reads and the packed layer the program compares."""
     meta = jacobi.MEMBERS[key]
     real_dicts, real_packed = jacobi.member_hecke_slice, borcherds.hecke_levels
 
@@ -300,13 +361,15 @@ def _corrupt_layer(monkeypatch, key, order, change):
         sl = real_dicts(k, m, q)
         return change((q - meta.val_q) // 24, dict(sl)) if (k, m) == (key, order) else sl
 
-    def packed(k, orders, depth):
-        out = real_packed(k, orders, depth)
+    def packed(k, orders, depth, frame=None):
+        f, out = real_packed(k, orders, depth, frame)
         if k == key and order in orders:
             t = orders.index(order)
-            sls = _rows_dicts(out[t], depth)
-            out[t] = _rows([change(j, sl) for j, sl in enumerate(sls)], meta.r)
-        return out
+            sls = series._qz_decode(*out[t][:2], f)
+            rows = series._qz_rows({j: change(j, dict(sls.get(j, {})))
+                                    for j in range(depth + 1)}, meta.r, np.int64)
+            out[t] = series._qz_pack(rows, f)
+        return f, out
 
     monkeypatch.setattr(jacobi, "member_hecke_slice", dicts)
     monkeypatch.setattr(borcherds, "hecke_levels", packed)

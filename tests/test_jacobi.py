@@ -271,9 +271,11 @@ def test_packed_block_rows_equal_the_dict_slices():
     for key, depth in SWEEP_PSI_DEPTHS.items():
         val = MEMBERS[key].val_q
         for lvl in range(depth + 1):
-            z, v = jacobi._member_rows(key, val + 24 * lvl)
+            z, v, reach, vmax = jacobi._member_rows(key, val + 24 * lvl)
             got = dict(zip(map(tuple, z.tolist()), v.tolist()))
             assert got == oracles.member_slice(key, val + 24 * lvl), (key, lvl)
+            assert reach.tolist() == np.abs(z).max(axis=0, initial=0).tolist(), (key, lvl)
+            assert vmax == int(np.abs(v).max(initial=0)), (key, lvl)
 
 
 @pytest.mark.parametrize("key, dirs", [
@@ -688,10 +690,12 @@ def test_hecke_on_half_grid_rules():
 
 def _hecke_levels_as_dicts(key, orders, depth):
     """jacobi.hecke_levels as {(order, j): slice dict}."""
+    f, layers = jacobi.hecke_levels(key, orders, depth)
     out = {}
-    for m, (lv, z, v, _) in zip(orders, jacobi.hecke_levels(key, orders, depth)):
-        for j, row, c in zip(lv.tolist(), z.tolist(), v.tolist()):
-            out.setdefault((m, j), {})[tuple(row)] = c
+    for m, (k, v, reach) in zip(orders, layers):
+        assert np.all(np.diff(k) > 0) and np.all(reach <= f.hi)
+        for j, sl in series._qz_decode(k, v, f).items():
+            out[(m, j)] = sl
     return out
 
 
@@ -719,8 +723,8 @@ def test_hecke_levels_past_2_62_run_on_python_ints(monkeypatch):
                         lambda key, q: {z: c << 60 for z, c in real(key, q).items()})
 
     def scaled_rows(key, q):
-        z, v = real_rows(key, q)
-        return z, v.astype(object) << 60
+        z, v, reach, vmax = real_rows(key, q)
+        return z, v.astype(object) << 60, reach, vmax << 60
 
     monkeypatch.setattr(jacobi, "_member_rows", scaled_rows)
     key, orders, depth = "psi_10_D2", [1, 2, 3, 4], 5

@@ -463,3 +463,15 @@ def test_integer_grid_matches_the_fraction_oracle():
             assert len(walls) <= 1000, key
         for n, z, m, _ in walls:
             _agree(lat, oracle, tuple(Fraction(a, lat.den) for a in z), [(n, m)])
+
+
+def test_grid_norm_equals_the_bilinear_form():
+    """The sum-of-squares path of the diagonal forms (D, D1, A1) and the
+    general pairing of A2 both equal the form on random grid vectors."""
+    rng = random.Random(7)
+    for name in CATALOGUE:
+        lat = lattice(name)
+        assert (lat._diag is None) == (lat.family == "A2"), name
+        for _ in range(200):
+            z = tuple(rng.randint(-40, 40) for _ in range(lat.rank))
+            assert lat.grid_norm(z) == lat._bilinear(z, z), (name, z)

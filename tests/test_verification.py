@@ -149,22 +149,22 @@ def test_negative_control_catches_doubled_wall(monkeypatch):
 
 
 def test_negative_control_catches_corrupt_lift(monkeypatch):
-    # the lift layers reach the check as packed rows, one tuple per
-    # layer: corrupt the lex-first key of the m = 1 layer at the corner
+    # the lift layers reach the check packed, one (keys, values, reach)
+    # per layer with sorted keys: the first key of the m = 1 layer is the
+    # lex-first z at the corner, and its value is corrupted
     real = borcherds.hecke_levels
     for key in ("psi_5_A1", "psi_9_A2"):
 
-        def crooked(k, orders, depth):
-            out = real(k, orders, depth)
+        def crooked(k, orders, depth, frame=None):
+            f, out = real(k, orders, depth, frame)
             if 1 in orders:
                 t = orders.index(1)
-                lv, z, v, reach = out[t]
-                rows = np.flatnonzero(lv == 0)
-                first = rows[np.lexsort(z[rows].T[::-1])[0]]
+                keys, v, reach = out[t]
+                assert keys[0] // f.stq == 0
                 v = v.copy()
-                v[first] += 1
-                out[t] = (lv, z, v, reach)
-            return out
+                v[0] += 1
+                out[t] = (keys, v, reach)
+            return f, out
 
         monkeypatch.setattr(borcherds, "hecke_levels", crooked)
         rep = verification.run("lift-equals-product:%s" % key,

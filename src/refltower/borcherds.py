@@ -18,10 +18,11 @@ differs from the corner cell on.
 One packed recursion (``exp_layers``) gives the exponential layers E_j;
 the product layers psi * E_j are E_j times the block, multiplied out
 factor by factor (``jacobi.multiply_by_member``).  Both are memoised per
-(member, j_max, q depth, psi or 1), with read-only arrays, and tied to
-the phi0 object they were built from or another one ``weak_weight0``
-cached for the member (``jacobi.same_phi0``): any other phi0 misses, so
-a corrupted one is never hidden by the memo.  The lift-versus-product
+(member, j_max, q depth, psi or 1), with read-only arrays, and the memo
+is read and written only while phi0 is the series ``weak_weight0`` holds
+(``jacobi.holds_phi0``).  Every series it held is an exact quotient, so
+entries stay valid as phi0 deepens; any other phi0, a corrupted one say,
+neither hits nor replaces an entry.  The lift-versus-product
 check has the lift layers built straight into psi * E_j's frame
 (``jacobi.hecke_levels``) and compares keys and values as arrays;
 dicts appear only in a mismatch report.
@@ -47,7 +48,7 @@ from .jacobi import (
     hecke_levels,
     member_slice,
     multiply_by_member,
-    same_phi0,
+    holds_phi0,
     weak_weight0,
 )
 from .lattices import lattice
@@ -131,7 +132,7 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
     return f, F
 
 
-_EXP_MEMO: dict = {}  # (key, j_max, q_depth, psi) -> (phi0 series, exp_layers result)
+_EXP_MEMO: dict = {}  # (key, j_max, q_depth, psi) -> exp_layers result
 
 
 def exp_layers(key: str, j_max: int, q_depth: int, psi: bool = False) -> tuple:
@@ -148,21 +149,24 @@ def exp_layers(key: str, j_max: int, q_depth: int, psi: bool = False) -> tuple:
     remainder (only a corrupted phi0 leaves one), reruns the recursion on
     python ints and Fractions.  psi * E_j is the memoised E_j times the
     block, factor by factor (``jacobi.multiply_by_member``).  The memo
-    (see the module docstring) is looked up first.
+    (see the module docstring) serves and stores an entry only for the
+    phi0 that ``weak_weight0`` holds.
     """
     phi = weak_weight0(key, max(j_max * q_depth, 1)).series
     ck = (key, j_max, q_depth, psi)
-    hit = _EXP_MEMO.get(ck)
-    if hit is not None and (hit[0] is phi or same_phi0(key, hit[0], phi)):
-        return hit[1]
+    held = holds_phi0(key, phi)
+    if held and ck in _EXP_MEMO:
+        return _EXP_MEMO[ck]
     if psi:
         f, F = multiply_by_member(*exp_layers(key, j_max, q_depth), key, q_depth)
     else:
         f, F = _int64_first(_exp_packed, key, j_max, q_depth, phi)
     for a in (x for layer in F for x in layer):
         a.flags.writeable = False
-    _EXP_MEMO[ck] = phi, (f, tuple(F))
-    return _EXP_MEMO[ck][1]
+    out = f, tuple(F)
+    if held:
+        _EXP_MEMO[ck] = out
+    return out
 
 
 def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
@@ -284,13 +288,13 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     member slices straight into the product's frame
     (``jacobi.hecke_levels``), keys sorted, so each is compared with its
     psi * E_j as keys and values, two ``array_equal`` calls.  Should a
-    lift term leave the product's box, hecke_levels returns a wider
-    frame, and the product keys are moved into it first.  At the first
-    layer that differs, the first differing key is reported from dicts,
-    with the product coefficient recomputed directly from E_j; a layer
-    that differs as arrays but not as dicts raises AssertionError.
-    Raises ValueError for q_depth < 0 or s_depth < 1, which check
-    nothing.
+    lift layer's reach bound leave the product's box, hecke_levels
+    returns a wider frame, and the product keys are moved into it first.
+    At the first layer that differs, the first differing key is reported
+    from dicts, with the product coefficient recomputed directly from
+    E_j; a layer that differs as arrays but not as dicts raises
+    AssertionError.  Raises ValueError for q_depth < 0 or s_depth < 1,
+    which check nothing.
     """
     if q_depth < 0 or s_depth < 1:
         raise ValueError("compare needs q_depth >= 0 and s_depth >= 1")
@@ -304,7 +308,7 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     mismatch = None
     for (s_num, _), (kl, vl, _) in zip(layers, num):
         k, v, _ = prod[(s_num - s0) // 2]
-        if f is not fp:  # a lift term past the product's box: compare in the wider frame
+        if f is not fp:  # a lift bound past the product's box: compare in the wider frame
             k = _encode(_decode(k, fp), f, k // fp.stq)
         if np.array_equal(kl, k) and np.array_equal(vl, v):
             continue

@@ -433,11 +433,6 @@ def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
                         lambda d: d ** (meta.weight - 1))
 
 
-def _in_box(reach, f) -> bool:
-    """Whether every z with |z_i| <= reach_i lies in an unsheared frame's box."""
-    return bool(np.all(reach <= f.hi) and np.all(-reach >= f.lo))
-
-
 def _encode_parts(parts: list, f, dtype) -> tuple:
     """Sorted (keys, values) of one layer from its divisor parts (level j,
     d, weight, block rows), in level order, in frame f: keys
@@ -463,14 +458,11 @@ def hecke_levels(key: str, orders: list, depth: int, frame=None) -> tuple:
     of d^(wt-1) max|v| over a layer's parts reaches 2^62); each part is
     encoded straight into the frame (``_encode_parts``).  A layer's reach
     is the largest d * reach over its parts, an upper bound read from the
-    block's stored reaches.  Without a frame, the symmetric frame of the
-    largest reach is used; a given frame must be unsheared.  A layer
-    whose bound leaves the frame's box is settled exactly: built in the
-    frame of its own bound and decoded, it gives its true reach.  If that
-    fits the box the rows are encoded into the frame; otherwise every
-    layer goes into the symmetric frame that holds the box and every true
-    reach, and that frame is returned instead.  No key is ever formed
-    outside the box of the frame it is in.
+    block's stored reaches.  A given frame (unsheared) is used if every
+    bound fits its box; otherwise, or without a frame, every layer goes
+    into the symmetric frame of the largest bound and the given box, and
+    that frame is returned.  No key is ever formed outside its frame's
+    box, and a bound alone decides no comparison.
     """
     meta = MEMBERS[key]
     grid = meta.q_grid
@@ -484,28 +476,12 @@ def hecke_levels(key: str, orders: list, depth: int, frame=None) -> tuple:
         big = sum(w * b[3] for _, _, w, b in parts) >= _INT64_SAFE
         reach = np.max([d * b[2] for _, d, _, b in parts], axis=0)
         specs.append((parts, object if big else np.int64, reach))
+    top = np.max([rk for *_, rk in specs] + [np.zeros(meta.r, np.int64)], axis=0)
     f = frame
-    if f is None:
-        top = np.max([rk for *_, rk in specs] + [np.zeros(meta.r, np.int64)], axis=0)
+    if f is None or np.any(top > f.hi) or np.any(-top < f.lo):
+        top = top if f is None else np.max([top, f.hi, -f.lo], axis=0)
         f = _frame(-top, top, depth)
-    exact = {}  # layers whose bound leaves the box: (levels, z rows, values, true reach)
-    for i, (parts, dtype, reach) in enumerate(specs):
-        if not _in_box(reach, f):
-            g = _frame(-reach, reach, depth)
-            k, v = _encode_parts(parts, g, dtype)
-            z = _decode(k, g)
-            exact[i] = (k // g.stq, z, v, np.abs(z).max(axis=0, initial=0))
-    if not all(_in_box(e[3], f) for e in exact.values()):
-        top = np.max([f.hi, -f.lo] + [e[3] for e in exact.values()], axis=0)
-        f = _frame(-top, top, depth)
-    out = []
-    for i, (parts, dtype, reach) in enumerate(specs):
-        if i in exact:
-            lv, z, v, reach = exact[i]
-            out.append((_encode(z, f, lv), v, reach))
-        else:
-            out.append((*_encode_parts(parts, f, dtype), reach))
-    return f, out
+    return f, [(*_encode_parts(parts, f, dtype), reach) for parts, dtype, reach in specs]
 
 
 # ---------------------------------------------------------------------------
@@ -780,7 +756,7 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
                       meta.lattice_name, meta.family, meta.copies)
 
 
-_PHI0_CACHE: dict = {}  # key -> (form, every phi0 series cached for the key)
+_PHI0_CACHE: dict = {}  # key -> form
 
 
 def weak_weight0(key: str, q_depth: int) -> JacobiForm:
@@ -790,23 +766,21 @@ def weak_weight0(key: str, q_depth: int) -> JacobiForm:
     instead reads the whole top form once per dropped variable, which
     costs far more than the member's own division.  That restriction
     and direct division agree is a checked identity.  A deeper request
-    replaces the cached form; the replaced series stay on record for
-    ``same_phi0``.
+    replaces the cached form; every form cached is an exact quotient, so
+    a deeper one agrees with the one it replaces on every level both hold.
     """
     cached = _PHI0_CACHE.get(key)
-    if cached is not None and cached[0].series.window.q_max >= 24 * q_depth:
-        return cached[0]
-    f = phi0_by_division(key, q_depth)
-    _PHI0_CACHE[key] = f, (cached[1] if cached else ()) + (f.series,)
-    return f
+    if cached is not None and cached.series.window.q_max >= 24 * q_depth:
+        return cached
+    _PHI0_CACHE[key] = phi0_by_division(key, q_depth)
+    return _PHI0_CACHE[key]
 
 
-def same_phi0(key: str, a: FourierSeries, b: FourierSeries) -> bool:
-    """Whether a and b are both series that ``weak_weight0`` cached for the
-    member: exact quotients, so they agree on every level both hold.  A
-    series made anywhere else, a corrupted copy say, is never one."""
-    made = _PHI0_CACHE.get(key, (None, ()))[1]
-    return any(x is a for x in made) and any(x is b for x in made)
+def holds_phi0(key: str, phi: FourierSeries) -> bool:
+    """Whether phi is the very series ``weak_weight0`` holds for the member;
+    a series made anywhere else, a corrupted copy say, never is."""
+    cached = _PHI0_CACHE.get(key)
+    return cached is not None and cached.series is phi
 
 
 def quasi_pullback(form: JacobiForm, coord: int) -> JacobiForm:

@@ -43,8 +43,6 @@ if "numpy" not in sys.modules:  # a module that runs numpy's import on first use
     _spec.loader.exec_module(sys.modules["numpy"])
 np = sys.modules["numpy"]
 
-QDEN = 24
-SDEN = 2
 INF = 1 << 60
 
 ZKey = tuple

@@ -14,7 +14,7 @@ generous caps instead.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .series import FourierSeries, TruncationWindow
+from .series import TruncationWindow
 from . import jacobi
 from . import lattices
 from . import lifting

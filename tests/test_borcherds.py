@@ -247,9 +247,8 @@ def test_lift_term_past_the_product_box_fails_without_raising(monkeypatch):
 
 def test_a_reach_bound_past_the_box_alone_decides_nothing(monkeypatch):
     """Block reaches loosened past the product's box (still upper bounds)
-    send every lift layer through the exact path: each is decoded once in
-    the frame of its own bound, its true reach fits, and the layers come
-    in the product's frame with the report unchanged."""
+    send the lift layers into the symmetric frame that holds the product's
+    box and every bound, with no key decoded, and the report unchanged."""
     key, window = BOX_CASE
     want = borcherds.compare_lift_product(key, *window)
     fp, _, _ = _compare_frame(key, *window)
@@ -263,7 +262,10 @@ def test_a_reach_bound_past_the_box_alone_decides_nothing(monkeypatch):
     calls = []
     _spy_everywhere(monkeypatch, "_decode", calls, (jacobi,))
     _, _, (f, num) = _compare_frame(key, *window)
-    assert f is fp and len(calls) == len(num)
+    assert calls == []
+    assert np.array_equal(f.lo, -f.hi) and np.all(f.hi >= fp.hi) and np.all(f.lo <= fp.lo)
+    assert all(np.all(reach <= f.hi) for _, _, reach in num)
+    assert np.any(np.max([reach for _, _, reach in num], axis=0) > fp.hi)
     assert borcherds.compare_lift_product(key, *window) == want
 
 
@@ -347,8 +349,8 @@ def test_sweep_rounds_after_the_first_build_no_layers(monkeypatch):
     assert counts[0][0] == len(jobs) and counts[0][1] >= len(jobs)
     assert counts[1:] == [(0, 0), (0, 0)]
     phi = jacobi.weak_weight0("psi_10_D2", 1).series
-    assert jacobi.same_phi0("psi_10_D2", phi, phi)
-    assert not jacobi.same_phi0("psi_10_D2", phi, phi.scaled(1))
+    assert jacobi.holds_phi0("psi_10_D2", phi)
+    assert not jacobi.holds_phi0("psi_10_D2", phi.scaled(1))
 
 
 def _corrupt_layer(monkeypatch, key, order, change):
@@ -689,8 +691,27 @@ def test_exp_layer_memo_repeats_add_no_entry():
     assert all(borcherds._EXP_MEMO[k] is v for k, v in memo.items())
 
 
+def test_a_phi0_weak_weight0_does_not_hold_leaves_the_memo_alone(monkeypatch):
+    """A comparison with a phi0 that ``weak_weight0`` does not hold (an
+    equal copy, as a negative control would pass a corrupted one) builds
+    its own layers and keeps every memo entry; the next genuine
+    comparison is served from the memo and builds no layer."""
+    key, window = "psi_8_D4", (4, 3)
+    assert borcherds.compare_lift_product(key, *window)["status"] == "pass"
+    memo = dict(borcherds._EXP_MEMO)
+    _corrupt_weight0(monkeypatch, key, 1)
+    assert borcherds.compare_lift_product(key, *window)["status"] == "pass"
+    monkeypatch.undo()
+    assert borcherds._EXP_MEMO.keys() == memo.keys()
+    assert all(borcherds._EXP_MEMO[k] is v for k, v in memo.items())
+    calls = []
+    _spy_everywhere(monkeypatch, "_exp_packed", calls)
+    assert borcherds.compare_lift_product(key, *window)["status"] == "pass"
+    assert calls == []
+
+
 def test_negative_control_corrupt_weight0_fails_after_a_warm_hit(monkeypatch):
-    """The memo serves only the phi0 object it was built from: with the
+    """The memo serves only the phi0 ``weak_weight0`` holds: with the
     layers warm, a doubled or halved phi0 is still seen."""
     key, window = "psi_10_D2", TruncationWindow(72, 4)
     assert borcherds.compare_lift_product(key, 3, 2)["status"] == "pass"

@@ -17,9 +17,9 @@ differs from the corner cell on.
 
 One packed recursion (``exp_layers``) gives the exponential layers E_j;
 the product layers psi * E_j are E_j times the block, multiplied out
-factor by factor (``jacobi.multiply_by_member``).  Both are memoised per
-(member, j_max, q depth, psi or 1), with read-only arrays, and the memo
-is read and written only while phi0 is the series ``weak_weight0`` holds
+factor by factor (``jacobi.multiply_by_member``), and memoised per
+(member, j_max, q depth), with read-only arrays; the memo is read and
+written only while phi0 is the series ``weak_weight0`` holds
 (``jacobi.holds_phi0``).  Every series it held is an exact quotient, so
 entries stay valid as phi0 deepens; any other phi0, a corrupted one say,
 neither hits nor replaces an entry.  The lift-versus-product
@@ -38,7 +38,6 @@ family.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _gcd
 from typing import NamedTuple
 
 from .jacobi import (
@@ -132,7 +131,7 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
     return f, F
 
 
-_EXP_MEMO: dict = {}  # (key, j_max, q_depth, psi) -> exp_layers result
+_EXP_MEMO: dict = {}  # (key, j_max, q_depth) -> exp_layers(..., psi=True)
 
 
 def exp_layers(key: str, j_max: int, q_depth: int, psi: bool = False) -> tuple:
@@ -147,20 +146,18 @@ def exp_layers(key: str, j_max: int, q_depth: int, psi: bool = False) -> tuple:
     factor expands with binomial coefficients: the products run on int64
     and the division by j is exact.  A bound reaching 2^62, or a
     remainder (only a corrupted phi0 leaves one), reruns the recursion on
-    python ints and Fractions.  psi * E_j is the memoised E_j times the
-    block, factor by factor (``jacobi.multiply_by_member``).  The memo
-    (see the module docstring) serves and stores an entry only for the
-    phi0 that ``weak_weight0`` holds.
+    python ints and Fractions.  psi * E_j is E_j times the block, factor
+    by factor (``jacobi.multiply_by_member``), and only it is memoised
+    (see the module docstring): E_j alone is read only in a mismatch report.
     """
     phi = weak_weight0(key, max(j_max * q_depth, 1)).series
-    ck = (key, j_max, q_depth, psi)
-    held = holds_phi0(key, phi)
+    ck = (key, j_max, q_depth)
+    held = psi and holds_phi0(key, phi)
     if held and ck in _EXP_MEMO:
         return _EXP_MEMO[ck]
+    f, F = _int64_first(_exp_packed, key, j_max, q_depth, phi)
     if psi:
-        f, F = multiply_by_member(*exp_layers(key, j_max, q_depth), key, q_depth)
-    else:
-        f, F = _int64_first(_exp_packed, key, j_max, q_depth, phi)
+        f, F = multiply_by_member(f, F, key, q_depth)
     for a in (x for layer in F for x in layer):
         a.flags.writeable = False
     out = f, tuple(F)
@@ -282,9 +279,9 @@ def _product_coefficient(key: str, Ej: dict, q_num: int, z: tuple) -> object:
 def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     """Check lift layers against product layers in one packed pass.
 
-    The product layer at s0 + 2j is psi * E_j, from ``exp_layers``: the
-    memoised E_j times the block, multiplied out factor by factor and
-    memoised in turn.  All lift layers are built at once from packed
+    The product layer at s0 + 2j is psi * E_j, from ``exp_layers``: E_j
+    times the block, multiplied out factor by factor and memoised.  All
+    lift layers are built at once from packed
     member slices straight into the product's frame
     (``jacobi.hecke_levels``), keys sorted, so each is compared with its
     psi * E_j as keys and values, two ``array_equal`` calls.  Should a
@@ -359,24 +356,7 @@ class WallClass(NamedTuple):
     example: tuple  # a primitive (n, z, m) realising the class
 
 
-def _primitive(lat, n: int, z: tuple, m: int):
-    """Divide (n, z, m) by the largest t | gcd(n, z, m) that keeps z / t in S^vee."""
-    g = _gcd(n, m, *z)
-    t = 1
-    rest = g
-    p = 2
-    while p * p <= rest:
-        while rest % p == 0:
-            if lat.in_dual(tuple(a // (t * p) for a in z), grid=True):
-                t *= p
-            rest //= p
-        p += 1
-    if rest > 1 and lat.in_dual(tuple(a // (t * rest) for a in z), grid=True):
-        t *= rest
-    return n // t, tuple(a // t for a in z), m // t
-
-
-def _scan_walls(key: str, q_depth: int, m_bound: int) -> list:
+def _scan_walls(key: str, q_depth: int) -> list:
     """Sorted (n, z, m, multiplicity) of the primitive walls of nonzero multiplicity."""
     meta = MEMBERS[key]
     lat = lattice(meta.lattice_name)
@@ -395,12 +375,12 @@ def _scan_walls(key: str, q_depth: int, m_bound: int) -> list:
             if nphi:
                 splits = [(a, nphi // a) for a in range(1, nphi + 1)
                           if nphi % a == 0 and a <= q_depth
-                          and nphi // a <= m_bound]
+                          and nphi // a <= q_depth]
             else:
-                splits = [(0, m) for m in range(m_bound + 1)]
+                splits = [(0, m) for m in range(q_depth + 1)]
                 splits += [(n, 0) for n in range(1, q_depth + 1)]
             for n, m in splits:
-                n0, z0, m0 = _primitive(lat, n, z, m)
+                n0, z0, m0 = lat._primitive(n, z, m)
                 if n0 == 0 and m0 == 0 and z0 < tuple(-a for a in z0):
                     z0 = tuple(-a for a in z0)
                 walls.add((n0, z0, m0))
@@ -420,39 +400,35 @@ def _scan_walls(key: str, q_depth: int, m_bound: int) -> list:
     return out
 
 
-def reflective_divisor_scan(key: str, q_depth: int, m_bound: int = None) -> dict:
+def reflective_divisor_scan(key: str, q_depth: int) -> dict:
     """Group the walls supporting the product divisor by reflection class.
 
-    Every index (n, l, m) of negative norm inside the window is reduced
-    to a primitive wall vector; the wall multiplicity is the sum of
-    coefficients along its multiples, finite because negative support
-    stops at the minimal norm of the family.
+    Every index (n, l, m) of negative norm inside the window, with n and m
+    at most q_depth, is reduced to a primitive wall vector; the wall
+    multiplicity is the sum of coefficients along its multiples, finite
+    because negative support stops at the minimal norm of the family.
+    Walls are grouped once, on (v^2, div, the class key of {kappa, -kappa});
+    a class reports the smaller kappa and its first wall.
     """
     lat = lattice(MEMBERS[key].lattice_name)
-    if m_bound is None:
-        m_bound = q_depth
-    by_key: dict = {}  # integer class key -> [multiplicities, walls, first wall]
-    for (n0, z0, m0, mult) in _scan_walls(key, q_depth, m_bound):
-        row = by_key.setdefault(lat._eichler_key(n0, z0, m0), [set(), 0, (n0, z0, m0)])
+    N = lat.norm_den
+    groups: dict = {}  # (v2, div, class key) -> [multiplicities, walls, first wall]
+    for (n0, z0, m0, mult) in _scan_walls(key, q_depth):
+        v2, dv, k = lat._eichler_key(n0, z0, m0)
+        row = groups.setdefault((v2, dv, min(k, tuple(-a % N for a in k))),
+                                [set(), 0, (n0, z0, m0)])
         row[0].add(mult)
         row[1] += 1
-    # merge kappa with -kappa; the first class seen keeps its example
-    classes: dict = {}
-    for mset, cnt, ex in by_key.values():
-        # one public eichler_invariant call per class, which the traced profile counts
-        ec = lat.eichler_invariant(*ex, grid=True)
-        neg = lat.disc_reduce(tuple(-a for a in ec.kappa))
-        row = classes.setdefault((ec.v2, ec.div, min(ec.kappa, neg)), [set(), 0, ex])
-        row[0] |= mset
-        row[1] += cnt
     out = []
-    for (v2, dv, kp) in sorted(classes):
-        mset, cnt, ex = classes[(v2, dv, kp)]
-        out.append(WallClass(v2, dv, kp, tuple(sorted(mset)), cnt, ex))
+    for mset, cnt, ex in groups.values():
+        # one eichler_invariant and one disc_reduce call per class, which the traced profile counts
+        ec = lat.eichler_invariant(*ex, grid=True)
+        kappa = min(ec.kappa, lat.disc_reduce(tuple(-a for a in ec.kappa)))
+        out.append(WallClass(ec.v2, ec.div, kappa, tuple(sorted(mset)), cnt, ex))
+    out.sort()
     return {
         "member": key,
         "q_depth": q_depth,
-        "m_bound": m_bound,
         "classes": out,
         "wall_count": sum(c.walls for c in out),
     }

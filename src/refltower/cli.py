@@ -290,11 +290,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Expand and verify the reflective tower forms.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_window(sp, qdef=4, sdef=2):
-        sp.add_argument("--qmax", type=_power, default=qdef,
-                        help="largest displayed q power (default %d)" % qdef)
-        sp.add_argument("--smax", type=_power, default=sdef,
-                        help="largest displayed s power (default %d)" % sdef)
+    def add_window(sp):
+        sp.add_argument("--qmax", type=_power, default=4,
+                        help="largest displayed q power (default 4)")
+        sp.add_argument("--smax", type=_power, default=2,
+                        help="largest displayed s power (default 2)")
 
     def add_io(sp):
         sp.add_argument("--format", choices=("text", "json"), default="text")

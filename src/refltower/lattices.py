@@ -242,6 +242,15 @@ class Lattice:
         # D ell / div(v) lies in S^vee, so the division is exact
         return v2, dv, self._key(tuple(a * D // dv for a in z))
 
+    def _primitive(self, n: int, z: Vec, m: int) -> tuple:
+        """(n, z, m) / t for the largest t | gcd(n, z, m) keeping z / t in S^vee,
+        that is with t * _pair_den dividing every pairing of z."""
+        t = gcd(n, m, *z)
+        if t > 1:
+            c, rem = divmod(gcd(*self._pairings(z)), self._pair_den)
+            t = 1 if rem else gcd(t, c)
+        return n // t, tuple(a // t for a in z), m // t
+
     def classify_reflective(self) -> list:
         """All reflective vector classes of 2U + S(-1), with group flags."""
         N = self.norm_den

@@ -234,6 +234,13 @@ _EXPECTED_CLASSES = {
 }
 
 
+def _all_reflective(name: str, classes) -> bool:
+    """Every scanned wall class (v^2, div, kappa) is a reflective class of the lattice."""
+    refl = {(c.v2, c.div, k) for c in lattices.lattice(name).classify_reflective()
+            for k in c.kappas}
+    return all((c.v2, c.div, c.kappa) in refl for c in classes)
+
+
 def _run_divisor_classes(win):
     ok = True
     checked = 0
@@ -246,7 +253,7 @@ def _run_divisor_classes(win):
         want = sorted(_EXPECTED_CLASSES[meta.family](meta))
         simple = all(set(c.multiplicities) == {1} for c in rep["classes"])
         details[key] = {"classes": got, "walls": rep["wall_count"], "simple": simple}
-        if got != want or not simple:
+        if got != want or not simple or not _all_reflective(meta.lattice_name, rep["classes"]):
             ok = False
     return ok, checked, details
 
@@ -426,7 +433,7 @@ def _run_delta11(win):
     rep = borcherds.reflective_divisor_scan("eta21_theta2z", max(depth + 2, 5))
     got = sorted((c.v2, c.div) for c in rep["classes"])
     simple = all(set(c.multiplicities) == {1} for c in rep["classes"])
-    ok = ok and got == [(-4, 2), (-4, 4)] and simple
+    ok = ok and got == [(-4, 2), (-4, 4)] and simple and _all_reflective("D1", rep["classes"])
     checked += rep["wall_count"]
     return ok, checked, {"restriction_difference": _jsonable(diff),
                          "classes": _jsonable(got), "simple": simple}

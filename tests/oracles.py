@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -87,6 +88,24 @@ def member_slice(key: str, q_num: int) -> dict:
         return jacobi.member_slice(key, q_num)
     n, off = divmod(q_num - meta.val_q, 24)
     return {} if n < 0 or off else a2_levels(meta.copies, meta.eta_exp, n)[n]
+
+
+def primitive_wall(lat, n: int, z: tuple, m: int) -> tuple:
+    """``Lattice._primitive`` by trial division: each prime p of
+    gcd(n, z, m) is taken out once more while z / (t p) stays in S^vee."""
+    g = gcd(n, m, *z)
+    t = 1
+    rest = g
+    p = 2
+    while p * p <= rest:
+        while rest % p == 0:
+            if lat.in_dual(tuple(a // (t * p) for a in z), grid=True):
+                t *= p
+            rest //= p
+        p += 1
+    if rest > 1 and lat.in_dual(tuple(a // (t * rest) for a in z), grid=True):
+        t *= rest
+    return n // t, tuple(a // t for a in z), m // t
 
 
 def to_json(f: FourierSeries) -> str:

@@ -77,3 +77,46 @@ def test_every_module_level_name_is_read_somewhere():
             dead += ["%s defines %s" % (os.path.basename(path), name) for name in names
                      if name not in reads and not _exempt(name, exports)]
     assert dead == []
+
+
+def _defaulted(fn) -> list:
+    """(position or None for keyword-only, name) of each parameter of fn
+    with a default; positions leave out a method's self or cls."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    skip = 1 if pos and pos[0].arg in ("self", "cls") else 0
+    out = [(i - skip, p.arg) for i, p in enumerate(pos) if i >= len(pos) - len(a.defaults)]
+    out += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _passed(call, pos, name) -> bool:
+    if any(isinstance(x, ast.Starred) for x in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return pos is not None and pos < len(call.args)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A parameter with a default that no call in ``src/``, ``tests/`` or
+    ``perfbench/`` passes, by keyword or by position, is a knob nothing
+    sets.  Calls match by name (``f(...)`` or ``x.f(...)``); one with
+    ``*args`` or ``**kw`` passes everything."""
+    trees = list(_trees("src", "tests", "perfbench"))
+    calls = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path, tree in trees:
+        if not path.startswith(PACKAGE + os.sep):
+            continue
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unset += ["%s(%s)" % (fn.name, name) for pos, name in _defaulted(fn)
+                          if not any(_passed(c, pos, name) for c in calls.get(fn.name, ()))]
+    assert unset == []

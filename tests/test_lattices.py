@@ -1,5 +1,6 @@
 from fractions import Fraction
 import functools
+import itertools
 import random
 from math import gcd, isqrt
 
@@ -7,8 +8,10 @@ import pytest
 
 from refltower import borcherds, jacobi
 from refltower.lattices import CATALOGUE, EichlerClass, lattice
+from refltower.series import TruncationWindow
 
 from helpers import discriminant_group, gram, is_reflective
+from oracles import primitive_wall
 
 
 def dual_vectors_up_to_norm(lat, bound) -> list:
@@ -456,13 +459,49 @@ def test_integer_grid_matches_the_fraction_oracle():
     for key, meta in jacobi.MEMBERS.items():
         lat = lattice(meta.lattice_name)
         oracle = FractionLattice(lat)
-        walls = borcherds._scan_walls(key, 2, 2)
+        walls = borcherds._scan_walls(key, 2)
         if key in ("psi_4_D8", "psi_5_D7", "psi_3_3A2"):
             walls = rng.sample(walls, 500)
         else:
             assert len(walls) <= 1000, key
         for n, z, m, _ in walls:
             _agree(lat, oracle, tuple(Fraction(a, lat.den) for a in z), [(n, m)])
+
+
+def test_primitive_wall_equals_the_trial_division_oracle():
+    """Every split (n, m) of every negative-norm phi0 index of all fifteen
+    members at depth 3, as the wall scan splits them, and its multiples."""
+    for key, meta in jacobi.MEMBERS.items():
+        lat = lattice(meta.lattice_name)
+        phi = jacobi.weak_weight0(key, 3).series.truncated(TruncationWindow(72, 0))
+        for (_, qn), sl in phi.cells.items():
+            nphi = qn // 24
+            if nphi:
+                splits = [(a, nphi // a) for a in range(1, nphi + 1) if nphi % a == 0]
+            else:
+                splits = [(0, m) for m in range(4)] + [(n, 0) for n in range(1, 4)]
+            for z in sl:
+                if 2 * nphi * lat.norm_den >= lat.grid_norm(z):
+                    continue
+                for (n, m), d in itertools.product(splits, (1, 2, 6)):
+                    w = (d * n, tuple(d * a for a in z), d * m)
+                    assert lat._primitive(*w) == primitive_wall(lat, *w), (key, w)
+
+
+def test_primitive_wall_outside_the_dual_and_on_part_of_a_prime_power():
+    # z / den = (7/3, 0) is not in S^vee, though 2 divides both gcd(n, z, m)
+    # and the pairing content 42 // _pair_den 18: nothing is taken out
+    assert lattice("A2")._primitive(2, (14, 0), 2) == (2, (14, 0), 2)
+    # gcd 24 = 2^3 * 3, but z / 24 = (1/2, 0, 0, 0) is not dual: t = 2^2 * 3
+    assert lattice("D4")._primitive(24, (24, 0, 0, 0), 48) == (2, (2, 0, 0, 0), 4)
+    rng = random.Random(11)
+    for name in CATALOGUE:
+        lat = lattice(name)
+        for _ in range(300):
+            k = rng.randint(1, 36)
+            z = tuple(k * rng.randint(-6, 6) for _ in range(lat.rank))
+            n, m = k * rng.randint(0, 4), k * rng.randint(1, 4)
+            assert lat._primitive(n, z, m) == primitive_wall(lat, n, z, m), (name, n, z, m)
 
 
 def test_grid_norm_equals_the_bilinear_form():

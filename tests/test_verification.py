@@ -148,6 +148,40 @@ def test_negative_control_catches_doubled_wall(monkeypatch):
     assert all(d["simple"] for k, d in rep.details.items() if k != "psi_10_D2")
 
 
+def _zero_kappa_of(monkeypatch, victim, div):
+    """The scan of victim with its class of div given kappa = 0."""
+    real = borcherds.reflective_divisor_scan
+
+    def crooked(key, q_depth):
+        rep = real(key, q_depth)
+        if key != victim:
+            return rep
+        classes = [c._replace(kappa=(Fraction(0),) * len(c.kappa)) if c.div == div else c
+                   for c in rep["classes"]]
+        assert classes != rep["classes"]
+        return dict(rep, classes=classes)
+
+    monkeypatch.setattr(borcherds, "reflective_divisor_scan", crooked)
+
+
+def test_negative_control_catches_a_class_the_lattice_does_not_reflect(monkeypatch):
+    """(-4, 2) with kappa = 0 is no reflective class of D4, nor (-4, 4)
+    with kappa = 0 of D1: each identity fails, though its details, the
+    (v^2, div) table and the multiplicities, are those of a passing run."""
+    for name, victim, lat, div in (("reflective-divisor-classes", "psi_8_D4", "D4", 2),
+                                   ("delta11-block", "eta21_theta2z", "D1", 4)):
+        refl = lattices.lattice(lat).classify_reflective()
+        assert (-4, div) in {(c.v2, c.div) for c in refl}
+        assert all(any(k) for c in refl if (c.v2, c.div) == (-4, div) for k in c.kappas)
+        good = verification.run(name)
+        assert good.status == "pass"
+        with monkeypatch.context() as m:
+            _zero_kappa_of(m, victim, div)
+            rep = verification.run(name)
+        assert rep.status == "fail", name
+        assert rep.details == good.details and rep.checked_terms == good.checked_terms
+
+
 def test_negative_control_catches_corrupt_lift(monkeypatch):
     # the lift layers reach the check packed, one (keys, values, reach)
     # per layer with sorted keys: the first key of the m = 1 layer is the

@@ -105,9 +105,7 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
     rows = [_qz_rows({0: {(0,) * meta.r: 1}}, meta.r, dtype)]
     for i in range(1, j_max + 1):
         # W_i = -i phi|V_i, integral unless phi0 is corrupt
-        wi = {q // 24: {z: c * -i if type(c) is int else _norm_coeff(c * -i)
-                        for z, c in sl.items()}
-              for (_, q), sl in hecke_v0(phi, i, q_depth).cells.items()}
+        wi = {q // 24: sl for (_, q), sl in hecke_v0(phi, i, q_depth).scaled(-i).cells.items()}
         rows.append(_qz_rows(wi, meta.r, dtype))
     reach = [rows[0][3]]
     for j in range(1, j_max + 1):

@@ -44,7 +44,6 @@ from .series import (
     _INT64_SAFE,
     _NP_CHUNK,
     FourierSeries,
-    PackedLevel,
     TruncationWindow,
     _decode,
     _encode,
@@ -610,13 +609,14 @@ def _pad(stack: list, depth: int, r: int) -> list:
     return pad
 
 
-def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
-                   dtype) -> list:
+def _divide_packed(keys: list, vals: list, f, meta: MemberMeta, depth: int,
+                   stack: list, dtype) -> tuple:
     """The factored division on packed keys with values of one dtype.
 
-    One loop over the factors of ``_factor_stack``, the eta power first.
-    Each theta factor re-encodes the levels once, into the frame of its
-    direction (``series._frame``); then per level it subtracts its
+    One loop over the factors of ``_factor_stack``.  The eta power comes
+    first and runs in f: its corrections only shift levels.  Each theta
+    factor re-encodes the levels once, into the frame of its direction
+    over f's box widened by ``_pad``; then per level it subtracts its
     correction terms (key offsets of lower quotient levels) and divides
     out its binomial in one pass.  With int64 values every step first
     bounds its output from the actual maxima of its inputs; a bound
@@ -625,17 +625,13 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
     when the keys do not fit int64.
     """
     checked = dtype is not object
-    levels = levels[:depth + 1]
-    if checked and any(x.v.dtype == object for x in levels):
+    vals = vals[:depth + 1]
+    if checked and any(v.dtype == object for v in vals):
         raise _NotInt64
-    vs = [x.v.astype(dtype, copy=False) for x in levels]
+    vs = [v.astype(dtype, copy=False) for v in vals]
     if not checked and set().union(*(map(type, v.tolist()) for v in vs)) - {int}:
         raise TypeError("packed division needs plain integers")
-    pad = np.array(_pad(stack, depth, levels[0].z.shape[1]), dtype=np.int64)
-    L = np.min([x.z.min(axis=0, initial=0) for x in levels], axis=0) - pad
-    H = np.max([x.z.max(axis=0, initial=0) for x in levels], axis=0) + pad
-    frames = [_frame(L, H, 0, d) if d else None for d, _ in stack]
-    cur = next(f for f in frames if f)
+    pad = np.array(_pad(stack, depth, meta.r), dtype=np.int64)
 
     def amax(v):
         return int(np.abs(v).max()) if checked and len(v) else 0
@@ -644,13 +640,15 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
         if checked and bound >= _INT64_SAFE:
             raise _NotInt64
 
-    work = [(_encode(x.z, cur), v) for x, v in zip(levels, vs)]
+    work = list(zip(keys, vs))
     work += [(np.zeros(0, np.int64), np.zeros(0, dtype))] * (depth + 1 - len(work))
     mx = [amax(v) for _, v in work]
-    for (d, cells), f in zip(stack, frames):
-        if f and f is not cur:
-            work = [(_encode(_decode(k, cur), f), v) for k, v in work]
-            cur = f
+    cur = f
+    for d, cells in stack:
+        if d:
+            g = _frame(f.lo - pad, f.hi + pad, 0, d)
+            work = [(_encode(_decode(k, cur), g), v) for k, v in work]
+            cur = g
         terms = [(lvl, int(np.dot(zc, cur.w)), cc)
                  for lvl, t in sorted(cells.items()) if lvl <= depth
                  for zc, cc in t.items()]
@@ -668,22 +666,24 @@ def _divide_packed(levels: list, meta: MemberMeta, depth: int, stack: list,
                 k, v = _binomial_packed(k, v, w_ax, d[ax])
             work[j] = (k, v)
             mx[j] = amax(v)
-    return [PackedLevel(_decode(k, cur), v) for k, v in work]
+    return cur, work
 
 
-def divide_by_member(levels: list, key: str, depth: int) -> list:
+def divide_by_member(keys: list, vals: list, f, key: str, depth: int) -> tuple:
     """Exact division of 24-grid levels by the whole theta block.
 
-    ``levels[j]`` is the dividend PackedLevel at q_num = val + 24*j; the
-    result is the quotient on levels 0..depth.  Works factor by factor
-    on packed keys: each factor, the eta power first, contributes a
-    sparse correction per level, and each theta factor one linear
-    binomial pass in its direction.  Values are int64 unless some step
-    could reach 2^62, in which case the division is run again on python
-    ints.  Raises ArithmeticError when the division is not exact.
+    ``keys[j]`` and ``vals[j]`` are the dividend at q_num = val + 24*j,
+    packed in the unsheared frame f without the level digit, as
+    ``hecke_levels`` lays them out; the result is (frame, [(keys,
+    values)]), the quotient on levels 0..depth in the frame of the last
+    factor.  Works factor by factor: each factor, the eta power first,
+    contributes a sparse correction per level, and each theta factor one
+    linear binomial pass in its direction.  Values are int64 unless some
+    step could reach 2^62, in which case the division is run again on
+    python ints.  Raises ArithmeticError when the division is not exact.
     """
     meta = MEMBERS[key]
-    return _int64_first(_divide_packed, levels, meta, depth, _factor_stack(meta, depth))
+    return _int64_first(_divide_packed, keys, vals, f, meta, depth, _factor_stack(meta, depth))
 
 
 def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
@@ -738,20 +738,21 @@ def multiply_by_member(f, layers: list, key: str, depth: int) -> tuple:
 
 
 def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
-    """The weak weight-0 form as -(psi|V_p)/psi, solved slice by slice."""
+    """The weak weight-0 form as -(psi|V_p)/psi: the Hecke levels go to
+    the division as packed keys, and only the quotient is decoded."""
     meta = MEMBERS[key]
     f, [(k, v, _)] = hecke_levels(key, [meta.hecke_p], q_depth)
-    z = _decode(k, f)
     cuts = np.searchsorted(k, np.arange(q_depth + 2) * f.stq).tolist()
-    num = [PackedLevel(z[a:b], v[a:b]) for a, b in zip(cuts, cuts[1:])]
-    z, v, *_ = _member_rows(key, meta.val_q)
-    if dict(zip(map(tuple, z.tolist()), v.tolist())) != _registry_corner(meta):
+    spans = list(zip(cuts, cuts[1:]))
+    z, v0, *_ = _member_rows(key, meta.val_q)
+    if dict(zip(map(tuple, z.tolist()), v0.tolist())) != _registry_corner(meta):
         raise AssertionError("packed theta block corner differs from the registry's theta cells")
-    quo = divide_by_member(num, key, q_depth)
+    g, quo = divide_by_member([k[a:b] - j * f.stq for j, (a, b) in enumerate(spans)],
+                              [v[a:b] for a, b in spans], f, key, q_depth)
     out = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 0))
-    for j, lvl in enumerate(quo):
-        if len(lvl):
-            out.cells[(0, 24 * j)] = dict(zip(map(tuple, lvl.z.tolist()), (-lvl.v).tolist()))
+    for j, (qk, qv) in enumerate(quo):
+        if len(qk):
+            out.cells[(0, 24 * j)] = dict(zip(map(tuple, _decode(qk, g).tolist()), (-qv).tolist()))
     return JacobiForm("phi0_%s" % meta.lattice_name, out, 0, Fraction(1),
                       meta.lattice_name, meta.family, meta.copies)
 

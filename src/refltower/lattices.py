@@ -182,45 +182,17 @@ class Lattice:
             return self._diag * _dot(z, z)
         return self._bilinear(z, z)
 
-    # -- bilinear form -------------------------------------------------------
-
-    def inner(self, u: Vec, v: Vec) -> Fraction:
-        zu, zv = self._grid(u), self._grid(v)
-        if zu is None or zv is None:
-            raise ValueError("vector is off the 1/%d grid" % self.den)
-        return Fraction(self._bilinear(zu, zv), self.norm_den)
-
-    def norm(self, v: Vec) -> Fraction:
-        return self.inner(v, v)
-
-    # -- membership, basis and divisor ---------------------------------------------
+    # -- membership ------------------------------------------------------------
 
     def in_dual(self, v: Vec, grid: bool = False) -> bool:
         z = v if grid else self._grid(v)
         return z is not None and not any(p % self._pair_den for p in self._pairings(z))
-
-    def basis(self) -> tuple:
-        """A Z-basis of S in ambient coordinates (the root basis)."""
-        return self._basis
-
-    def content(self, v: Vec) -> int:
-        """Positive generator of the pairing ideal (v, S)."""
-        return gcd(*self._pairings(self._dual(v))) // self._pair_den
-
-    def divisor(self, v: Vec) -> int:
-        """div(v) for v in S."""
-        if self.disc_order(v) != 1:
-            raise ValueError("divisor is defined for lattice vectors")
-        return self.content(v)
 
     # -- discriminant group -----------------------------------------------------
 
     def disc_reduce(self, v: Vec, grid: bool = False) -> Vec:
         """Canonical representative of v + S in the discriminant group."""
         return self._class_of[self._key(self._dual(v, grid))]
-
-    def disc_order(self, v: Vec) -> int:
-        return self._order(self._dual(v))
 
     # -- Eichler data ----------------------------------------------------------
 

@@ -17,10 +17,10 @@ product ``_qz_mul`` and the theta-block division and multiplication
 ``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts,
 and ``_int64_first`` reruns a kernel on Python ints when int64 cannot
 carry its values.  Unpacked, a series is rows (levels, z rows, values,
-reach) as ``_qz_rows`` lays them out.  A ``PackedLevel`` is one level as
-z rows beside their values, no dict: the division takes and returns
-them.  ``np`` here, which ``jacobi`` and ``borcherds`` import, runs
-numpy's import on its first use, so work with no kernel never pays it.
+reach) as ``_qz_rows`` lays them out.  The division takes and returns
+one level per (keys, values) pair, the level digit left out.  ``np``
+here, which ``jacobi`` and ``borcherds`` import, runs numpy's import on
+its first use, so work with no kernel never pays it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import importlib.util
 import json
 import sys
 from fractions import Fraction
-from hashlib import sha256
 from itertools import chain
 from typing import Iterator, NamedTuple
 
@@ -259,19 +258,6 @@ def _qz_rows(levels: dict, r: int, dtype):
             np.abs(z).max(axis=0, initial=0))
 
 
-class PackedLevel:
-    """One level as z rows (n x r ints) beside n values, as the division
-    takes and returns it; ``len`` is the term count, as for a z-slice dict."""
-
-    __slots__ = ("z", "v")
-
-    def __init__(self, z, v):
-        self.z, self.v = z, v
-
-    def __len__(self) -> int:
-        return len(self.v)
-
-
 def _qz_pack(rows, f: _Frame) -> tuple:
     """Packed (keys, values, reach) of _qz_rows output, keys sorted."""
     lv, z, v, reach = rows
@@ -472,12 +458,6 @@ class FourierSeries:
     def is_zero(self) -> bool:
         return not self.cells
 
-    def coefficient(self, q_num: int, z: ZKey, s_num: int = 0):
-        cell = self.cells.get((s_num, q_num))
-        if not cell:
-            return 0
-        return cell.get(tuple(z), 0)
-
     def terms(self) -> Iterator[tuple]:
         """Yield (q_num, z, s_num, coeff) in canonical (s, q, z) order,
         skipping stored zeros and cells outside the window."""
@@ -517,11 +497,6 @@ class FourierSeries:
         raise TypeError("unhashable")
 
     # -- linear structure ----------------------------------------------------
-
-    def copy(self) -> "FourierSeries":
-        f = FourierSeries(self.r, self.den_z, self.window)
-        f.cells = {cq: dict(sl) for cq, sl in self.cells.items()}
-        return f
 
     def _check_compatible(self, other: "FourierSeries") -> None:
         if self.r != other.r or self.den_z != other.den_z:
@@ -801,6 +776,3 @@ class FourierSeries:
         if not {int} >= set(map(type, chain.from_iterable(chain.from_iterable(f.cells.values())))):
             raise ValueError("bad term: a z entry is not an integer")
         return f
-
-    def digest(self) -> str:
-        return sha256(self.to_json().encode()).hexdigest()

@@ -12,6 +12,7 @@ generous caps instead.
 """
 
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .series import TruncationWindow
@@ -234,10 +235,16 @@ _EXPECTED_CLASSES = {
 }
 
 
+@cache
+def _reflective_keys(name: str) -> frozenset:
+    """(v^2, div, kappa) of every reflective class of a lattice, once per process."""
+    return frozenset((c.v2, c.div, k) for c in lattices.lattice(name).classify_reflective()
+                     for k in c.kappas)
+
+
 def _all_reflective(name: str, classes) -> bool:
     """Every scanned wall class (v^2, div, kappa) is a reflective class of the lattice."""
-    refl = {(c.v2, c.div, k) for c in lattices.lattice(name).classify_reflective()
-            for k in c.kappas}
+    refl = _reflective_keys(name)
     return all((c.v2, c.div, c.kappa) in refl for c in classes)
 
 

@@ -1,12 +1,16 @@
-"""Helpers only the tests use: small views of program data, and the
-packed theta-block division on z-slice dicts."""
+"""Helpers only the tests use: small views of program data, lattice
+arithmetic in ambient coordinates, series lookups, and the packed
+theta-block division on z-slice dicts."""
 
+from fractions import Fraction
+from hashlib import sha256
+from math import gcd
 from typing import NamedTuple
 
 from refltower import borcherds, jacobi
 from refltower.lattices import Lattice, _dot
-from refltower.series import (FourierSeries, PackedLevel, TruncationWindow, _int64_first,
-                              _qz_decode, _qz_rows)
+from refltower.series import (FourierSeries, TruncationWindow, _decode, _encode, _frame,
+                              _int64_first, _qz_decode, _qz_rows, np)
 
 
 class DiscGroup(NamedTuple):
@@ -25,6 +29,40 @@ def gram(lat: Lattice) -> tuple:
                  for row in lat._pair_rows)
 
 
+def inner(lat: Lattice, u, v) -> Fraction:
+    """(u, v) for ambient coordinates on the lattice's grid."""
+    zu, zv = lat._grid(u), lat._grid(v)
+    if zu is None or zv is None:
+        raise ValueError("vector is off the 1/%d grid" % lat.den)
+    return Fraction(lat._bilinear(zu, zv), lat.norm_den)
+
+
+def norm(lat: Lattice, v) -> Fraction:
+    return inner(lat, v, v)
+
+
+def basis(lat: Lattice) -> tuple:
+    """A Z-basis of S in ambient coordinates (the root basis)."""
+    return lat._basis
+
+
+def content(lat: Lattice, v) -> int:
+    """Positive generator of the pairing ideal (v, S) of a dual vector."""
+    return gcd(*lat._pairings(lat._dual(v))) // lat._pair_den
+
+
+def disc_order(lat: Lattice, v) -> int:
+    """The order of a dual vector in the discriminant group."""
+    return lat._order(lat._dual(v))
+
+
+def divisor(lat: Lattice, v) -> int:
+    """div(v) for v in S."""
+    if disc_order(lat, v) != 1:
+        raise ValueError("divisor is defined for lattice vectors")
+    return content(lat, v)
+
+
 def is_reflective(cls) -> bool:
     """Whether an EichlerClass has the invariants of a reflective vector."""
     a = -cls.v2
@@ -39,16 +77,38 @@ def lowest_term(f) -> tuple:
     return q0, z, s0, cell[z]
 
 
-def divide_slices(levels: list, key: str, depth: int) -> list:
+def coefficient(f: FourierSeries, q_num: int, z, s_num: int = 0):
+    """The coefficient of one term, 0 where the series has none."""
+    return f.cells.get((s_num, q_num), {}).get(tuple(z), 0)
+
+
+def copy(f: FourierSeries) -> FourierSeries:
+    """A copy whose cells can change without touching f."""
+    out = FourierSeries(f.r, f.den_z, f.window)
+    out.cells = {cq: dict(sl) for cq, sl in f.cells.items()}
+    return out
+
+
+def digest(f: FourierSeries) -> str:
+    return sha256(f.to_json().encode()).hexdigest()
+
+
+def divide_slices(levels: list, key: str, depth: int, frame=None) -> list:
     """``jacobi.divide_by_member`` on z-slice dicts, quotients as dicts.
 
-    A slice goes in as int64 rows where its values fit, else as python
-    ints or Fractions, as the program's own dividends do.
+    Level j goes in as packed keys in ``frame`` (unsheared), by default
+    the tight symmetric frame of the dividend's reach, with the level
+    digit left out.  Its values are int64 where they fit, else python
+    ints or Fractions, as the program's own dividends are.
     """
     r = jacobi.MEMBERS[key].r
-    packed = [PackedLevel(*_int64_first(_qz_rows, {0: sl}, r)[1:3]) for sl in levels]
-    return [dict(zip(map(tuple, q.z.tolist()), q.v.tolist()))
-            for q in jacobi.divide_by_member(packed, key, depth)]
+    rows = [_int64_first(_qz_rows, {0: sl}, r) for sl in levels]
+    if frame is None:
+        top = np.max([x[3] for x in rows] + [np.zeros(r, np.int64)], axis=0)
+        frame = _frame(-top, top, depth)
+    g, quo = jacobi.divide_by_member([_encode(x[1], frame) for x in rows],
+                                     [x[2] for x in rows], frame, key, depth)
+    return [dict(zip(map(tuple, _decode(k, g).tolist()), v.tolist())) for k, v in quo]
 
 
 def exp_series(key: str, j_max: int, q_depth: int, psi: bool = False) -> list:

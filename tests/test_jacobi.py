@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from refltower.lattices import lattice
 from refltower.lifting import gritsenko_lift, lift_layers
 from refltower.series import FourierSeries, TruncationWindow
 
-from helpers import divide_slices
+from helpers import coefficient, divide_slices, norm
 import oracles
 from oracles import eta_product
 
@@ -182,7 +183,7 @@ def test_eta_cube_from_theta_pullback():
     assert qp.series.first_difference(cube) is None
     # closed form: coefficient at q^(N^2/8) is (-4/N) N, nothing else
     for n in range(1, 1201):
-        c = cube.coefficient(n, ())
+        c = coefficient(cube, n, ())
         root = 0
         for m in range(1, 21):
             if 3 * m * m == n:
@@ -226,7 +227,7 @@ def test_theta_a2_support_is_null():
         assert q % 24 == 8
         for z in sl:
             ell = dual_from_z("A2", z)
-            assert 2 * Fraction(q, 24) == lat.norm(ell)
+            assert 2 * Fraction(q, 24) == norm(lat, ell)
 
 
 def test_registry_keys_and_metadata():
@@ -377,7 +378,7 @@ def test_member_support_norms():
         for (s, q), sl in ser.cells.items():
             for z in sl:
                 ell = dual_from_z(meta.family, z)
-                norms.add(2 * Fraction(q, 24) * meta.index - lat.norm(ell))
+                norms.add(2 * Fraction(q, 24) * meta.index - norm(lat, ell))
         if key in ("psi_4_D8", "psi_3_3A2", "psi_2_4A1"):
             assert norms == {0}
         else:
@@ -392,7 +393,7 @@ def test_phi0_constant_terms():
                 "psi_4_2A1": 8, "psi_3_3A1": 6, "psi_2_4A1": 4}
     for key, meta in MEMBERS.items():
         f = weak_weight0(key, 0)
-        assert f.series.coefficient(0, (0,) * meta.r) == expected[key]
+        assert coefficient(f.series, 0, (0,) * meta.r) == expected[key]
 
 
 def test_phi0_q0_slices():
@@ -443,15 +444,15 @@ def test_phi0_negative_support_is_minimal_norm():
         seen = {}
         for (s, q), sl in f.series.cells.items():
             for z, c in sl.items():
-                norm = 2 * Fraction(q, 24) - lat.norm(dual_from_z(meta.family, z))
-                if norm < 0:
-                    seen.setdefault(norm, set()).add(c)
+                hyper = 2 * Fraction(q, 24) - norm(lat, dual_from_z(meta.family, z))
+                if hyper < 0:
+                    seen.setdefault(hyper, set()).add(c)
         assert set(seen) == {minimal[meta.family]}
         assert seen[minimal[meta.family]] == {1}
 
 
 def test_phi0_d8_first_slice_values():
-    c = weak_weight0("psi_4_D8", 1).series.coefficient
+    c = partial(coefficient, weak_weight0("psi_4_D8", 1).series)
     assert c(24, (0,) * 8) == 128
     assert c(24, (2, 0, 0, 0, 0, 0, 0, 0)) == 36
     assert c(24, (2, 2, 0, 0, 0, 0, 0, 0)) == 8
@@ -462,10 +463,10 @@ def test_phi0_d8_first_slice_values():
 
 def test_phi0_class_invariance_samples():
     """c(n, l) depends only on the norm 2n - l^2 and on l modulo the lattice."""
-    f1 = weak_weight0("eta21_theta2z", 6).series.coefficient
+    f1 = partial(coefficient, weak_weight0("eta21_theta2z", 6).series)
     assert f1(24, (4,)) == 232 and f1(120, (12,)) == 232
     assert f1(48, (0,)) == 33044 and f1(96, (8,)) == 33044
-    f8 = weak_weight0("psi_4_D8", 5).series.coefficient
+    f8 = partial(coefficient, weak_weight0("psi_4_D8", 5).series)
     assert f8(24, (2, 0, 0, 0, 0, 0, 0, 0)) == 36
     assert f8(120, (6, 0, 0, 0, 0, 0, 0, 0)) == 36
     assert f8(24, (1,) * 8) == -8
@@ -558,6 +559,37 @@ def test_division_quotient_wider_than_its_dividend():
         assert got[depth]
         for j in range(depth + 1):
             assert got[j] == want.cells.get((0, 24 * j), {})
+
+
+@pytest.mark.parametrize("key", ["psi_8_D4", "eta21_theta2z", "psi_6_2A2", "psi_3_3A1"])
+def test_quotient_does_not_depend_on_the_dividend_frame(key):
+    """The same dividend levels packed in their tight symmetric frame and
+    in a wider, asymmetric, unsheared one give the quotient of the
+    ``FourierSeries.div`` oracle, and a dividend with a remainder is
+    refused in both."""
+    meta = MEMBERS[key]
+    depth = 3
+    rng = random.Random("frame " + key)
+    quo = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * depth, 0))
+    for j in range(depth + 1):
+        quo.cells[(0, 24 * j)] = {tuple(rng.randint(-3, 3) for _ in range(meta.r)):
+                                  rng.choice([-5, -2, 1, 3, 7]) for _ in range(4)}
+    psi = member_series(key, TruncationWindow(meta.val_q + 24 * depth, 0))
+    num = psi.mul(quo)
+    want = num.div(psi)
+    levels = [num.cells.get((0, meta.val_q + 24 * j), {}) for j in range(depth + 1)]
+    reach = np.abs([z for sl in levels for z in sl]).max(axis=0)
+    skew = np.arange(1, meta.r + 1)
+    wide = series._frame(-reach - skew, reach + 3 * skew + 2, depth)
+    bad = [dict(sl) for sl in levels]
+    z = sorted(bad[1])[len(bad[1]) // 2]
+    bad[1][z] += 1
+    for frame in (None, wide):
+        got = divide_slices(levels, key, depth, frame)
+        assert got == [want.cells.get((0, 24 * j), {}) for j in range(depth + 1)]
+        assert got == [quo.cells[(0, 24 * j)] for j in range(depth + 1)]
+        with pytest.raises(ArithmeticError):
+            divide_slices(bad, key, depth, frame)
 
 
 def test_division_input_errors_are_loud():

@@ -71,11 +71,11 @@ def test_cache_counters_read_one_real_call(tmp_path):
 
 
 def test_division_counter_reads_packed_levels():
-    """The ``jacobi.divide_by_member`` pre-counter sums ``len`` over the
-    items of its first argument; packed dividend levels answer ``len``
-    with their term count.  A lift-versus-product check divides nothing,
-    so a traced comparison beside one phi0 division counts that division
-    alone."""
+    """The ``jacobi.divide_by_member`` pre-counter sums ``len`` over its
+    first argument, the dividend's packed keys one array per level, so it
+    counts the dividend's terms.  A lift-versus-product check divides
+    nothing, so a traced comparison beside one phi0 division counts that
+    division alone."""
     from refltower import borcherds, jacobi
 
     key = "psi_10_D2"

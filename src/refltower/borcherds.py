@@ -15,8 +15,9 @@ windows; on A2 it keeps the wrong half of the z-only walls (the
 lexicographic half, where the corner directions need the other one) and
 differs from the corner cell on.
 
-One packed recursion (``exp_layers``) gives the exponential layers E_j;
-the product layers psi * E_j are E_j times the block, multiplied out
+One packed recursion (``exp_layers``) gives the exponential layers E_j
+from phi0's translates (``hecke_v0``), encoded as the lift's are; the
+product layers psi * E_j are E_j times the block, multiplied out
 factor by factor (``jacobi.multiply_by_member``), and memoised per
 (member, j_max, q depth), with read-only arrays; the memo is read and
 written only while phi0 is the series ``weak_weight0`` holds
@@ -43,7 +44,9 @@ from typing import NamedTuple
 from .jacobi import (
     MEMBERS,
     _corner_dirs,
-    _divisor_sum,
+    _divisor_terms,
+    _encode_parts,
+    _part_specs,
     hecke_levels,
     member_slice,
     multiply_by_member,
@@ -53,7 +56,7 @@ from .jacobi import (
 from .lattices import lattice
 from .lifting import lift_layers
 from .series import (FourierSeries, TruncationWindow, _decode, _encode, _frame, _int64_first,
-                     _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _qz_pack, _qz_rows, np)
+                     _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _qz_rows, np)
 
 
 class WeylData(NamedTuple):
@@ -74,21 +77,24 @@ def weyl_data(key: str) -> WeylData:
 # weight-0 Hecke translates and the exponential layers
 
 
-def hecke_v0(phi: FourierSeries, m: int, q_depth: int) -> FourierSeries:
-    """phi|V_m^(0) on the integral grid, with 1/d weights."""
+def hecke_v0(phi: FourierSeries, m: int, q_depth: int, dtype) -> list:
+    """W_m = -m phi|V_m^(0) on levels 0..q_depth as divisor parts (level n,
+    d, weight -(m/d), rows of phi at level n m / d^2) for d | (n, m): the
+    1/d weights of V_m^(0) cancel against m.  Each level of phi is read
+    once, as rows (z rows, values, reach, max|v|); with int64 values a
+    coefficient that is not an int below 2^62 raises _NotInt64."""
     if m < 1:
         raise ValueError("translate order must be positive")
-    need = 24 * q_depth * m
-    if phi.window.q_max < need:
+    if phi.window.q_max < 24 * q_depth * m:
         raise ValueError("weight-0 form is too shallow for this translate")
-    out = FourierSeries(phi.r, phi.den_z, TruncationWindow(24 * q_depth, 0))
+    rows, parts = {}, []  # rows: level of phi -> its rows
     for n in range(q_depth + 1):
-        # m times the translate, so the weights m/d are integers
-        acc = _divisor_sum(lambda k: phi.cells.get((0, 24 * k)), n, m, lambda d: m // d)
-        cell = {z: v // m if v % m == 0 else Fraction(v, m) for z, v in acc.items()}
-        if cell:
-            out.cells[(0, 24 * n)] = cell
-    return out
+        for d, k in _divisor_terms(n, m):
+            if k not in rows:
+                _, z, v, reach = _qz_rows({0: phi.cells.get((0, 24 * k), {})}, phi.r, dtype)
+                rows[k] = (z, v, reach, int(np.abs(v).max(initial=0)))
+            parts.append((n, d, -(m // d), rows[k]))
+    return parts
 
 
 def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
@@ -97,23 +103,23 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
 
     The frame bounds every layer: E_j is a sum of products of W_i whose
     orders add up to j, so its reach per axis is at most the largest
-    reach(W_i) + reach(E_{j-i}).  With int64 values a quotient by j that
-    leaves a remainder raises _NotInt64; object values keep it as a
-    Fraction.
+    reach(W_i) + reach(E_{j-i}), W_i's bound from ``jacobi._part_specs``.
+    E_0 is the unit key; each W_i, parts from ``hecke_v0``, is encoded
+    straight into the frame (``jacobi._encode_parts``).  With int64 values
+    a W_i whose bound reaches 2^62, or a quotient by j that leaves a
+    remainder, raises _NotInt64; object values keep it as a Fraction.
     """
     meta = MEMBERS[key]
-    rows = [_qz_rows({0: {(0,) * meta.r: 1}}, meta.r, dtype)]
-    for i in range(1, j_max + 1):
-        # W_i = -i phi|V_i, integral unless phi0 is corrupt
-        wi = {q // 24: sl for (_, q), sl in hecke_v0(phi, i, q_depth).scaled(-i).cells.items()}
-        rows.append(_qz_rows(wi, meta.r, dtype))
-    reach = [rows[0][3]]
+    specs = _part_specs([hecke_v0(phi, i, q_depth, dtype) for i in range(1, j_max + 1)])
+    if dtype is not object and any(dt is object for _, dt, _ in specs):
+        raise _NotInt64
+    reach = [np.zeros(meta.r, np.int64)]
     for j in range(1, j_max + 1):
-        reach.append(np.max([rows[i][3] + reach[j - i]
-                             for i in range(1, j + 1)], axis=0))
+        reach.append(np.max([specs[i - 1][2] + reach[j - i] for i in range(1, j + 1)], axis=0))
     box = np.max(reach, axis=0)
     f = _frame(-box, box, q_depth)
-    W = [_qz_pack(rw, f) for rw in rows]
+    W = [(np.array([f.zero], np.int64), np.ones(1, dtype), reach[0])]
+    W += [(*_encode_parts(parts, f, dtype), rk) for parts, _, rk in specs]
     F = W[:1]
     for j in range(1, j_max + 1):
         k, v, rj = _qz_mul([(W[i], F[j - i]) for i in range(1, j + 1)],

@@ -25,7 +25,7 @@ gives every block's packed rows (``_member_rows``, with each level's
 reach and max|v|); dict slices of the A2 blocks are decoded from them,
 the others summed from odd shells.  The Hecke translates of the lift
 (``hecke_levels``) are built from the rows straight into a product's
-packed frame.
+packed frame by ``_encode_parts``, which packs phi0's translates too.
 
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
@@ -387,32 +387,9 @@ def build(name: str, window: TruncationWindow) -> JacobiForm:
 # Hecke translates
 
 
-def _divisor_sum(slice_at, n: int, m: int, weight) -> dict:
-    """Sum over d | (n, m) of weight(d) * slice_at(n m / d^2), keys scaled by d.
-
-    Sums that cancel are dropped.
-    """
-    out: dict = {}
-    for d, k in _divisor_terms(n, m):
-        src = slice_at(k)
-        if not src:
-            continue
-        w = weight(d)
-        if d == 1:  # the first divisor: no key to rebuild, nothing to add to
-            out = dict(src) if w == 1 else {z: w * c for z, c in src.items()}
-            continue
-        for z, c in src.items():
-            zz = tuple([d * a for a in z])
-            v = out.get(zz, 0) + w * c
-            if v:
-                out[zz] = v
-            else:
-                out.pop(zz, None)
-    return out
-
-
 def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
-    """z-slice of psi|V_m at q_num, by the divisor-sum formula.
+    """z-slice of psi|V_m at q_num, by the divisor-sum formula on dicts
+    (no numpy; ``hecke_levels`` packs the same sum).
 
     The A1 family runs in display coordinates on the half grid (q in
     steps of 12, doubled exponents, odd translate orders, so every
@@ -428,23 +405,42 @@ def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
         raise ValueError("translate order must be odd on the half grid")
     if q_num % grid:
         return {}
-    return _divisor_sum(lambda k: member_slice(key, grid * k), q_num // grid, m,
-                        lambda d: d ** (meta.weight - 1))
+    n = q_num // grid
+    out = dict(member_slice(key, grid * n * m))  # d = 1: weight 1, no key to rebuild
+    for d, k in _divisor_terms(n, m)[1:]:
+        w = d ** (meta.weight - 1)
+        for z, c in member_slice(key, grid * k).items():
+            zz = tuple([d * a for a in z])
+            out[zz] = out.get(zz, 0) + w * c
+            if not out[zz]:  # a sum that cancels
+                del out[zz]
+    return out
 
 
 def _encode_parts(parts: list, f, dtype) -> tuple:
     """Sorted (keys, values) of one layer from its divisor parts (level j,
-    d, weight, block rows), in level order, in frame f: keys
-    d (z @ w) + zero + j stq and values times the weight, each in one
-    pass over the concatenated rows.  Levels with one part come sorted;
-    if some level has several, equal keys are summed in one reduce."""
+    d, weight, rows) in frame f: keys d (z @ w) + zero + j stq, values
+    times the weight, one pass over the concatenated rows.  Keys that do
+    not come out strictly increasing are summed and sorted in one reduce,
+    which adds unchecked: ``_part_specs`` picks the dtype first."""
     js, ds, ws, rows = zip(*parts)
     n = [len(b[1]) for b in rows]
     k = ((np.concatenate([b[0] for b in rows]) @ f.w) * np.repeat(ds, n)
          + np.repeat(np.array(js) * f.stq + f.zero, n))
     v = (np.concatenate([b[1] for b in rows]).astype(dtype)
          * np.repeat(np.array(ws, dtype=dtype), n))
-    return _reduce_parts([(k, v)]) if len(set(js)) < len(js) else (k, v)
+    return (k, v) if np.all(k[1:] > k[:-1]) else _reduce_parts([(k, v)])
+
+
+def _part_specs(layers: list) -> list:
+    """(parts, dtype, reach) per layer of divisor parts (level j, d, w,
+    rows (z rows, values, reach, max|v|)): python ints if the sum of
+    |w| max|v| reaches 2^62, else int64; the reach bound is the largest
+    d * reach over the parts."""
+    return [(parts,
+             object if sum(abs(w) * b[3] for _, _, w, b in parts) >= _INT64_SAFE else np.int64,
+             np.max([d * b[2] for _, d, _, b in parts], axis=0))
+            for parts in layers]
 
 
 def hecke_levels(key: str, orders: list, depth: int, frame=None) -> tuple:
@@ -453,11 +449,10 @@ def hecke_levels(key: str, orders: list, depth: int, frame=None) -> tuple:
     (frame, [(keys, values, reach)]), one layer per order, keys sorted.
 
     Divisor d sends a block row z (``_member_rows``) to d z and its value
-    to d^(wt-1) times it, wt the block's weight (python ints if the sum
-    of d^(wt-1) max|v| over a layer's parts reaches 2^62); each part is
-    encoded straight into the frame (``_encode_parts``).  A layer's reach
-    is the largest d * reach over its parts, an upper bound read from the
-    block's stored reaches.  A given frame (unsheared) is used if every
+    to d^(wt-1) times it, wt the block's weight; dtype and reach bound
+    come from ``_part_specs`` on the block's stored reaches, and each part
+    is encoded straight into the frame (``_encode_parts``).  A given
+    frame (unsheared) is used if every
     bound fits its box; otherwise, or without a frame, every layer goes
     into the symmetric frame of the largest bound and the given box, and
     that frame is returned.  No key is ever formed outside its frame's
@@ -467,14 +462,10 @@ def hecke_levels(key: str, orders: list, depth: int, frame=None) -> tuple:
     grid = meta.q_grid
     # the deepest slice first, so the packed block is built once
     _member_rows(key, grid * ((meta.val_q + 24 * depth) // grid) * max(orders, default=0))
-    specs = []
-    for m in orders:
-        parts = [(j, d, d ** (meta.weight - 1), _member_rows(key, grid * k))
-                 for j in range(depth + 1)
-                 for d, k in _divisor_terms((meta.val_q + 24 * j) // grid, m)]
-        big = sum(w * b[3] for _, _, w, b in parts) >= _INT64_SAFE
-        reach = np.max([d * b[2] for _, d, _, b in parts], axis=0)
-        specs.append((parts, object if big else np.int64, reach))
+    specs = _part_specs([[(j, d, d ** (meta.weight - 1), _member_rows(key, grid * k))
+                          for j in range(depth + 1)
+                          for d, k in _divisor_terms((meta.val_q + 24 * j) // grid, m)]
+                         for m in orders])
     top = np.max([rk for *_, rk in specs] + [np.zeros(meta.r, np.int64)], axis=0)
     f = frame
     if f is None or np.any(top > f.hi) or np.any(-top < f.lo):

@@ -1,6 +1,7 @@
 """Helpers only the tests use: small views of program data, lattice
-arithmetic in ambient coordinates, series lookups, and the packed
-theta-block division on z-slice dicts."""
+arithmetic in ambient coordinates, series lookups, the packed
+theta-block division on z-slice dicts, and the packed weight-0 Hecke
+translate as a series."""
 
 from fractions import Fraction
 from hashlib import sha256
@@ -10,7 +11,7 @@ from typing import NamedTuple
 from refltower import borcherds, jacobi
 from refltower.lattices import Lattice, _dot
 from refltower.series import (FourierSeries, TruncationWindow, _decode, _encode, _frame,
-                              _int64_first, _qz_decode, _qz_rows, np)
+                              _int64_first, _norm_coeff, _qz_decode, _qz_rows, np)
 
 
 class DiscGroup(NamedTuple):
@@ -122,4 +123,25 @@ def exp_series(key: str, j_max: int, q_depth: int, psi: bool = False) -> list:
         layer = FourierSeries(meta.r, meta.den_z, TruncationWindow(q0 + 24 * q_depth, 0))
         layer.cells = {(0, q0 + 24 * lvl): sl for lvl, sl in _qz_decode(k, v, f).items()}
         out.append(layer)
+    return out
+
+
+def packed_translate(phi: FourierSeries, m: int, q_depth: int, dtype) -> tuple:
+    """(frame, keys, values) of W_m = -m phi|V_m^(0) through level q_depth:
+    the parts ``borcherds.hecke_v0`` gives, encoded as
+    ``borcherds._exp_packed`` encodes them, in the symmetric frame of the
+    reach ``jacobi._part_specs`` gives them."""
+    [(parts, _, reach)] = jacobi._part_specs([borcherds.hecke_v0(phi, m, q_depth, dtype)])
+    f = _frame(-reach, reach, q_depth)
+    return (f, *jacobi._encode_parts(parts, f, dtype))
+
+
+def translate(phi: FourierSeries, m: int, q_depth: int) -> FourierSeries:
+    """phi|V_m^(0) as a series on levels 0..q_depth: the packed W_m
+    (``packed_translate``, int64 where phi's values allow it) decoded and
+    divided by -m."""
+    f, k, v = _int64_first(packed_translate, phi, m, q_depth)
+    out = FourierSeries(phi.r, phi.den_z, TruncationWindow(24 * q_depth, 0))
+    out.cells = {(0, 24 * lvl): {z: _norm_coeff(Fraction(-c, m)) for z, c in sl.items()}
+                 for lvl, sl in _qz_decode(k, v, f).items()}
     return out

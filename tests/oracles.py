@@ -90,6 +90,29 @@ def member_slice(key: str, q_num: int) -> dict:
     return {} if n < 0 or off else a2_levels(meta.copies, meta.eta_exp, n)[n]
 
 
+def hecke_v0(phi: FourierSeries, m: int, q_depth: int) -> FourierSeries:
+    """phi|V_m^(0) on levels 0..q_depth by the divisor sum on dicts, with
+    1/d weights: the sum over d | (n, m) (every d | m when n = 0) of
+    phi at level n m / d^2 over d, keys scaled by d, sums that cancel
+    dropped.  The reference for the packed ``borcherds.hecke_v0``."""
+    if m < 1:
+        raise ValueError("translate order must be positive")
+    if phi.window.q_max < 24 * q_depth * m:
+        raise ValueError("weight-0 form is too shallow for this translate")
+    out = FourierSeries(phi.r, phi.den_z, TruncationWindow(24 * q_depth, 0))
+    for n in range(q_depth + 1):
+        g = gcd(n, m)
+        acc: dict = {}  # m times the translate, so the weights m/d are integers
+        for d in (d for d in range(1, g + 1) if g % d == 0):
+            for z, c in phi.cells.get((0, 24 * (n * m // (d * d))), {}).items():
+                zz = tuple(d * a for a in z)
+                acc[zz] = acc.get(zz, 0) + (m // d) * c
+        cell = {z: v // m if v % m == 0 else Fraction(v, m) for z, v in acc.items() if v}
+        if cell:
+            out.cells[(0, 24 * n)] = cell
+    return out
+
+
 def primitive_wall(lat, n: int, z: tuple, m: int) -> tuple:
     """``Lattice._primitive`` by trial division: each prime p of
     gcd(n, z, m) is taken out once more while z / (t p) stays in S^vee."""

@@ -9,7 +9,7 @@ import pytest
 from refltower.series import FourierSeries, TruncationWindow
 from refltower import borcherds, jacobi, lifting, series, verification
 
-from helpers import coefficient, digest, exp_series
+from helpers import coefficient, copy, digest, exp_series, packed_translate, translate
 import oracles
 from oracles import exp_s
 
@@ -28,7 +28,7 @@ def test_weyl_data():
 
 def test_hecke_v0_relabels_towards_longer_vectors():
     phi = jacobi.weak_weight0("psi_5_A1", 4).series
-    v2 = borcherds.hecke_v0(phi, 2, 2)
+    v2 = translate(phi, 2, 2)
     assert v2.cells[(0, 0)] == {
         (-4,): Fraction(1, 2), (-2,): 1, (0,): 15,
         (2,): 1, (4,): Fraction(1, 2)}
@@ -44,7 +44,7 @@ def test_exp_layers_match_direct_formulas():
         assert E[0].term_count() == 1 and coefficient(E[0], 0, (0,) * E[0].r) == 1
         assert E[1].first_difference((-phi).truncated(win)) is None
         direct = phi.mul(phi, win).scaled(Fraction(1, 2)) \
-            - borcherds.hecke_v0(phi, 2, 3)
+            - translate(phi, 2, 3)
         assert E[2].first_difference(direct) is None
 
 
@@ -466,17 +466,87 @@ def test_scan_rank_one_block_has_two_components():
 def test_hecke_v0_rejects_shallow_windows():
     # phi0 divided afresh: the memoised form may already be deeper
     with pytest.raises(ValueError):
-        borcherds.hecke_v0(jacobi.phi0_by_division("psi_5_A1", 2).series, 3, 4)
+        borcherds.hecke_v0(jacobi.phi0_by_division("psi_5_A1", 2).series, 3, 4, np.int64)
 
 
-def _exp_oracle(key, j_max, q_depth):
-    """The s^j layers, j <= j_max, of exp(-X) for X = sum_j (phi0|V_j) s^j,
-    expanded by the exp_s oracle, as q-z series."""
+def _by_level(f):
+    """{level: slice} of a series on the 24-grid, as ``_qz_decode`` gives it."""
+    return {q // 24: sl for (_, q), sl in f.cells.items()}
+
+
+def test_packed_translate_equals_the_dict_reference():
+    """W_m = -m phi|V_m^(0) from ``hecke_v0``'s parts, encoded as the
+    exponential layers encode it, is -m times the dict reference
+    ``oracles.hecke_v0``: every member, orders 1..3, at the q depths of
+    its sweep windows.  The keys come out sorted and the same when phi's
+    slices hold their terms in reversed order (the encoder skips its
+    reduce only for keys that arrive strictly increasing), and phi / 2
+    runs on object values and gives Fractions."""
+    for key in jacobi.MEMBERS:
+        depths = sorted({q for _, q in _exp_windows(key)})
+        phi = borcherds.weak_weight0(key, 3 * depths[-1]).series
+        rev = FourierSeries(phi.r, phi.den_z, phi.window)
+        rev.cells = {cq: dict(reversed(sl.items())) for cq, sl in phi.cells.items()}
+        half = phi.scaled(Fraction(1, 2))
+        for q_depth, m in itertools.product(depths, (1, 2, 3)):
+            f, k, v = packed_translate(phi, m, q_depth, np.int64)
+            assert v.dtype == np.int64 and np.all(k[1:] > k[:-1]), (key, m)
+            assert series._qz_decode(k, v, f) == _by_level(
+                oracles.hecke_v0(phi, m, q_depth).scaled(-m)), (key, q_depth, m)
+            _, kr, vr = packed_translate(rev, m, q_depth, np.int64)
+            assert np.array_equal(kr, k) and np.array_equal(vr, v), (key, q_depth, m)
+            with pytest.raises(series._NotInt64):
+                borcherds.hecke_v0(half, m, q_depth, np.int64)
+            f, k, v = packed_translate(half, m, q_depth, object)
+            assert v.dtype == object and np.all(k[1:] > k[:-1])
+            assert any(type(c) is Fraction and c.denominator > 1 for c in v.tolist())
+            assert series._qz_decode(k, v, f) == _by_level(
+                oracles.hecke_v0(half, m, q_depth).scaled(-m)), (key, q_depth, m)
+
+
+def test_translate_bound_past_2_62_reruns_on_python_ints(monkeypatch):
+    """A phi0 entry v near 2^61 on level 0: W_1 stays below 2^62, but W_2
+    reads that level twice, with weights -2 and -1, so its bound
+    sigma(2) |v| reaches 2^62 (2 |v|, the bound without the weights,
+    would not).  The int64 recursion raises _NotInt64 before anything is
+    encoded, and the rerun on python ints equals the exp_s oracle of the
+    same phi."""
+    key, j_max, q_depth = "psi_9_D3", 2, 2
+    phi = copy(borcherds.weak_weight0(key, j_max * q_depth).series)
+    sl = phi.cells[(0, 0)]
+    sl[min(sl)] += 2 ** 61 - 2 ** 58  # an even change: every layer stays integral
+    encoded = []
+    real = borcherds._encode_parts
+
+    def spy(parts, f, dtype):
+        encoded.append(dtype)
+        return real(parts, f, dtype)
+
+    monkeypatch.setattr(borcherds, "_encode_parts", spy)
+    with pytest.raises(series._NotInt64):
+        borcherds._exp_packed(key, j_max, q_depth, phi, np.int64)
+    assert encoded == []
+    f, F = series._int64_first(borcherds._exp_packed, key, j_max, q_depth, phi)
+    assert encoded == [object] * j_max
+    assert all(v.dtype == object for _, v, _ in F)
+    want = _exp_oracle(key, j_max, q_depth, phi)
+    for (k, v, _), layer in zip(F, want):
+        assert series._qz_decode(k, v, f) == _by_level(layer)
+    values = [c for _, v, _ in F for c in v.tolist()]
+    assert all(type(c) is int for c in values) and max(map(abs, values)) >= 2 ** 119
+
+
+def _exp_oracle(key, j_max, q_depth, phi=None):
+    """The s^j layers, j <= j_max, of exp(-X) for X = sum_j (phi|V_j) s^j,
+    phi the member's phi0 unless given, with the translates of the dict
+    reference ``oracles.hecke_v0``, expanded by the exp_s oracle, as q-z
+    series."""
     meta = jacobi.MEMBERS[key]
-    phi = borcherds.weak_weight0(key, max(j_max * q_depth, 1)).series
+    if phi is None:
+        phi = borcherds.weak_weight0(key, max(j_max * q_depth, 1)).series
     X = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 2 * j_max))
     for j in range(1, j_max + 1):
-        for (_, q), sl in borcherds.hecke_v0(phi, j, q_depth).cells.items():
+        for (_, q), sl in oracles.hecke_v0(phi, j, q_depth).cells.items():
             X.cells[(2 * j, q)] = dict(sl)
     want = exp_s(-X)
     out = []
@@ -528,21 +598,32 @@ def test_exp_layers_started_at_psi_are_psi_times_the_exponential():
             assert [layer.cells for layer in got] == want, (key, window)
 
 
+def _with_part(parts, level, z, value, dtype):
+    """Divisor parts with one more: ``value`` at z on ``level``, weight -1."""
+    _, zr, v, reach = series._qz_rows({0: {z: value}}, len(z), dtype)
+    return parts + [(level, 1, -1, (zr, v, reach, abs(value)))]
+
+
 def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch):
     """A translate with one entry near 2^61 leaves E_1 on int64, but
     multiplying it by the block could pass 2^62 before it wraps: the
     multiply reruns on python ints and still equals psi times the exp_s
-    oracle."""
+    oracle, whose translate carries the same entry."""
     key, j_max, q_depth = "psi_8_D4", 1, 2
-    real = borcherds.hecke_v0
+    real, real_dict = borcherds.hecke_v0, oracles.hecke_v0
 
-    def crooked(phi, m, depth):
-        v = real(phi, m, depth)
+    def crooked(phi, m, depth, dtype):
+        # -2^61 on the W_1 key at level 1 where phi's z is least
+        return _with_part(real(phi, m, depth, dtype), 1, min(phi.cells[(0, 24)]), 2 ** 61, dtype)
+
+    def crooked_dict(phi, m, depth):
+        v = real_dict(phi, m, depth)
         sl = v.cells[(0, 24)]
         sl[min(sl)] += 2 ** 61
         return v
 
     monkeypatch.setattr(borcherds, "hecke_v0", crooked)
+    monkeypatch.setattr(oracles, "hecke_v0", crooked_dict)
     monkeypatch.setattr(borcherds, "_EXP_MEMO", {})  # the memo cannot see hecke_v0
     dtypes = {"exp": [], "mul": []}
     for name, mod, attr in (("exp", borcherds, "_exp_packed"),
@@ -611,12 +692,12 @@ def test_exp_layer_remainder_stays_exact(monkeypatch):
     2 E_2 by 2 leaves a remainder, which stays an exact Fraction."""
     real = borcherds.hecke_v0
 
-    def crooked(phi, m, q_depth):
-        v = real(phi, m, q_depth)
-        if m == 2:
-            sl = v.cells[(0, 0)]
-            sl[min(sl)] += Fraction(1, 2)
-        return v
+    def crooked(phi, m, q_depth, dtype):
+        parts = real(phi, m, q_depth, dtype)
+        if m == 2:  # -1 on the W_2 key at level 0 where phi|V_2's z is least
+            z = min(oracles.hecke_v0(phi, 2, q_depth).cells[(0, 0)])
+            parts = _with_part(parts, 0, z, 1, dtype)
+        return parts
 
     monkeypatch.setattr(borcherds, "hecke_v0", crooked)
     monkeypatch.setattr(borcherds, "_EXP_MEMO", {})  # the memo cannot see hecke_v0

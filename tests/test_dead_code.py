@@ -1,9 +1,11 @@
 """Dead names in ``src/refltower``: an import the importing module never
-reads, and a module-level name nothing in ``src/``, ``tests/`` or
-``perfbench/`` reads.  A name counts as read where it is loaded, taken
-as an attribute, or spelled as a string (``monkeypatch.setattr`` and the
-tracer's targets name functions that way).  Dunders, ``annotations``
-and the package's ``__all__`` re-exports are exempt."""
+reads, a module-level name nothing in ``src/``, ``tests/`` or
+``perfbench/`` reads, a defaulted parameter no call passes, and a public
+method or property nothing outside ``tests/`` reads.  A name counts as
+read where it is loaded, taken as an attribute, or spelled as a string
+(``monkeypatch.setattr`` and the tracer's targets name functions that
+way).  Dunders, ``annotations`` and the package's ``__all__`` re-exports
+are exempt."""
 
 import ast
 import os
@@ -120,3 +122,21 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 unset += ["%s(%s)" % (fn.name, name) for pos, name in _defaulted(fn)
                           if not any(_passed(c, pos, name) for c in calls.get(fn.name, ()))]
     assert unset == []
+
+
+def test_every_public_method_is_read_by_the_program():
+    """A public method or property of a ``src/refltower`` class whose name
+    nothing in ``src/`` or ``perfbench/`` reads serves the tests alone;
+    it belongs in ``tests/helpers.py`` as a function."""
+    trees = list(_trees("src", "perfbench"))
+    reads = set().union(*(_reads(tree) for _, tree in trees))
+    unread = []
+    for path, tree in trees:
+        if not path.startswith(PACKAGE + os.sep):
+            continue
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                unread += ["%s.%s" % (cls.name, fn.name) for fn in cls.body
+                           if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and not fn.name.startswith("_") and fn.name not in reads]
+    assert unread == []

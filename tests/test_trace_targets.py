@@ -101,12 +101,15 @@ def test_product_paths_keep_the_bindings_the_benchmark_pins(monkeypatch):
     """The traced benchmark expects every binding to record calls on some
     workload, except ``borcherds.member_slice``, which only a mismatch
     report reads: the product must reach psi through ``jacobi`` and its
-    layers through ``borcherds.exp_layers``, and a cold A2 phi0 checks its
-    packed corner against ``theta_A2`` with ``_slice_mul_into``."""
+    layers through ``borcherds.exp_layers``, whose recursion, built from
+    an empty memo, reads the weight-0 translates through
+    ``borcherds.hecke_v0``, and a cold A2 phi0 checks its packed corner
+    against ``theta_A2`` with ``_slice_mul_into``."""
     from refltower import borcherds, jacobi
     from refltower.series import TruncationWindow
 
     monkeypatch.setattr(jacobi, "_PSI_LEVELS", {})
+    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})
 
     tracer = _tracer()
     t = tracer.Tracer()
@@ -114,6 +117,7 @@ def test_product_paths_keep_the_bindings_the_benchmark_pins(monkeypatch):
     try:
         borcherds.borcherds_exp("psi_8_D4", TruncationWindow(48, 4))
         product_calls = t.binding_calls["borcherds.exp_layers"]
+        translate_calls = t.binding_calls["borcherds.hecke_v0"]
         rep = borcherds.compare_lift_product("psi_10_D2", 3, 2)
         before = dict(t.binding_calls)
         jacobi.phi0_by_division("psi_9_A2", 2)
@@ -122,5 +126,6 @@ def test_product_paths_keep_the_bindings_the_benchmark_pins(monkeypatch):
     assert rep["status"] == "pass"
     assert t.binding_calls["borcherds.member_slice"] == 0
     assert product_calls >= 1
+    assert translate_calls >= 1
     for name in ("jacobi.theta_A2", "jacobi._slice_mul_into"):
         assert t.binding_calls[name] > before[name], name

@@ -31,14 +31,16 @@ dicts appear only in a mismatch report.
 The divisor scan walks the negative-norm support of phi0, reduces each
 Fourier index to a primitive wall vector, sums the coefficients along
 multiples of the wall, and groups the results by the invariants of the
-reflection.  Termination of the multiplicity sum rests on the checked
-fact that negative-norm support sits only at the minimal norm of the
-family.
+reflection, all on z-row arrays through the lattice's batched kernel.
+Termination of the multiplicity sum rests on the checked fact that
+negative-norm support sits only at the minimal norm of the family; a
+wall whose multiples leave the window raises ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 from typing import NamedTuple
 
 from .jacobi import (
@@ -360,48 +362,52 @@ class WallClass(NamedTuple):
     example: tuple  # a primitive (n, z, m) realising the class
 
 
-def _scan_walls(key: str, q_depth: int) -> list:
-    """Sorted (n, z, m, multiplicity) of the primitive walls of nonzero multiplicity."""
+def _scan_walls(key: str, q_depth: int) -> tuple:
+    """(n, z rows, m, multiplicity) arrays of the primitive walls of nonzero
+    multiplicity, the walls (n, z, m) in increasing order."""
     meta = MEMBERS[key]
     lat = lattice(meta.lattice_name)
-    N = lat.norm_den  # grid norms are numerators over N
-    floor = _FAMILY_MIN[meta.family] * N
     # truncate so the report does not depend on how deep a cached
     # weight-0 form happens to be
     phi = weak_weight0(key, q_depth).series.truncated(
         TruncationWindow(24 * q_depth, 0))
-    walls: set = set()
-    for (_, qn), sl in phi.cells.items():
-        nphi = qn // 24
-        for z in sl:
-            if 2 * nphi * N >= lat.grid_norm(z):
-                continue
-            if nphi:
-                splits = [(a, nphi // a) for a in range(1, nphi + 1)
-                          if nphi % a == 0 and a <= q_depth
-                          and nphi // a <= q_depth]
-            else:
-                splits = [(0, m) for m in range(q_depth + 1)]
-                splits += [(n, 0) for n in range(1, q_depth + 1)]
-            for n, m in splits:
-                n0, z0, m0 = lat._primitive(n, z, m)
-                if n0 == 0 and m0 == 0 and z0 < tuple(-a for a in z0):
-                    z0 = tuple(-a for a in z0)
-                walls.add((n0, z0, m0))
-    out = []
-    for (n0, z0, m0) in sorted(walls):
-        mu2 = 2 * n0 * m0 * N - lat.grid_norm(z0)
-        mult = 0
-        d = 1
-        while d * d * mu2 >= floor:
-            qn = 24 * d * d * n0 * m0
-            if qn > phi.window.q_max:
-                raise ValueError("window too small for the multiplicity sum")
-            mult += phi.cells.get((0, qn), {}).get(tuple(d * a for a in z0), 0)
-            d += 1
-        if mult:
-            out.append((n0, z0, m0, mult))
-    return out
+    lv, z, v, _ = _qz_rows({q // 24: sl for (_, q), sl in phi.cells.items()}, meta.r, object)
+    neg = lat._wall_norms(lv, z, 1) < 0  # the negative-norm support
+    lv, z, v = lv[neg], z[neg], v[neg]
+    # each term at level l splits as (n, m) for every n, m <= q_depth with n m = l
+    n, m = np.divmod(np.arange((q_depth + 1) ** 2), q_depth + 1)
+    i, j = np.nonzero(lv[:, None] == n * m)
+    n0, z0, m0 = lat._primitive(n[j], z[i], m[j])
+    # of each +-pair of z-only walls keep the z lexicographically above zero
+    lead = z0[np.arange(len(z0)), (z0 != 0).argmax(axis=1)]
+    z0[(n0 == 0) & (m0 == 0) & (lead < 0)] *= -1
+    # np.unique sorts rows as sorted() sorts the (n, z, m) tuples
+    walls = np.unique(np.column_stack([n0, z0, m0]), axis=0)
+    n0, z0, m0 = walls[:, 0], walls[:, 1:-1], walls[:, -1]
+    # the multiplicity sums the coefficients at the multiples d (n, z, m),
+    # searched for in the negative-norm support packed and sorted
+    box = np.abs(z).max(axis=0, initial=0)
+    f = _frame(-box, box, q_depth)
+    keys = _encode(z, f, lv)
+    order = np.argsort(keys)
+    keys, v = keys[order], v[order]
+    mu2 = lat._wall_norms(n0, z0, m0)
+    floor = ceil(_FAMILY_MIN[meta.family] * lat.norm_den)
+    mult = np.zeros(len(walls), object)
+    act, d = np.flatnonzero(mu2 >= floor), 1
+    while len(act):
+        lvl, zd = d * d * n0[act] * m0[act], d * z0[act]
+        if (24 * lvl > phi.window.q_max).any():
+            raise ValueError("window too small for the multiplicity sum")
+        inside = (np.abs(zd) <= box).all(axis=1)
+        k = _encode(zd[inside], f, lvl[inside])
+        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+        hit = keys[pos] == k
+        mult[act[inside][hit]] += v[pos[hit]]
+        d += 1
+        act = act[d * d * mu2[act] >= floor]
+    keep = mult != 0
+    return n0[keep], z0[keep], m0[keep], mult[keep]
 
 
 def reflective_divisor_scan(key: str, q_depth: int) -> dict:
@@ -415,20 +421,21 @@ def reflective_divisor_scan(key: str, q_depth: int) -> dict:
     a class reports the smaller kappa and its first wall.
     """
     lat = lattice(MEMBERS[key].lattice_name)
-    N = lat.norm_den
-    groups: dict = {}  # (v2, div, class key) -> [multiplicities, walls, first wall]
-    for (n0, z0, m0, mult) in _scan_walls(key, q_depth):
-        v2, dv, k = lat._eichler_key(n0, z0, m0)
-        row = groups.setdefault((v2, dv, min(k, tuple(-a % N for a in k))),
-                                [set(), 0, (n0, z0, m0)])
-        row[0].add(mult)
-        row[1] += 1
+    n0, z0, m0, mult = _scan_walls(key, q_depth)
+    v2, dv, k = lat._eichler_rows(n0, z0, m0)
+    # the class key of {kappa, -kappa}: the smaller of k and -k mod N as base-N numbers
+    w = lat.norm_den ** np.arange(k.shape[1])[::-1]
+    k = np.minimum(k @ w, (-k % lat.norm_den) @ w)
+    _, first, group, walls = np.unique(np.column_stack([v2, dv, k]), axis=0, return_index=True,
+                                       return_inverse=True, return_counts=True)
     out = []
-    for mset, cnt, ex in groups.values():
+    for g, (i, cnt) in enumerate(zip(first.tolist(), walls.tolist())):
+        ex = (int(n0[i]), tuple(z0[i].tolist()), int(m0[i]))  # the class's first wall
         # one eichler_invariant and one disc_reduce call per class, which the traced profile counts
         ec = lat.eichler_invariant(*ex, grid=True)
         kappa = min(ec.kappa, lat.disc_reduce(tuple(-a for a in ec.kappa)))
-        out.append(WallClass(ec.v2, ec.div, kappa, tuple(sorted(mset)), cnt, ex))
+        mults = tuple(sorted(set(mult[group == g].tolist())))
+        out.append(WallClass(ec.v2, ec.div, kappa, mults, cnt, ex))
     out.sort()
     return {
         "member": key,

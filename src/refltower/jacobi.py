@@ -780,8 +780,19 @@ def quasi_pullback(form: JacobiForm, coord: int) -> JacobiForm:
 
     Sends a block vanishing on z_coord = 0 to a block in one variable
     fewer; theta goes to eta^3, and each D-family block to its neighbour.
+    One integer pass: each restricted key sums c z_coord over its terms
+    and is divided by den_z once, a Fraction only where that leaves a
+    remainder.
     """
-    ser = form.series.derivative_z(coord).restrict_z(coord)
+    f, d = form.series, form.series.den_z
+    if not 0 <= coord < f.r:
+        raise ValueError("coordinate out of range")
+    grad = FourierSeries(f.r, d, f.window)  # den_z times the derivative in z_coord
+    grad.cells = {cq: {z: c * z[coord] for z, c in sl.items() if z[coord]}
+                  for cq, sl in f.cells.items()}
+    ser = grad.restrict_z(coord)
+    ser.cells = {cq: {z: Fraction(v, d) if v % d else v // d for z, v in sl.items()}
+                 for cq, sl in ser.cells.items()}
     new_lat = None
     if form.family == "D" and form.lattice_name and form.lattice_name != "D2":
         k = int(form.lattice_name[1:])

@@ -10,18 +10,20 @@ All arithmetic runs on the integer z grid that the Jacobi forms store: a
 vector is a tuple of integer numerators over the lattice's grid
 denominator ``den`` (2 for D_n with n >= 2, 4 for D_1 and the A_1
 family, 6 for the A_2 family), so the stored exponent z of a member is
-the dual vector z / den.  Each lattice builds its integer tables once:
-the ambient form scaled to integers (a grid norm is a numerator over
-``norm_den``), the pairing of each basis vector (S^vee membership and
-content), and the pairing of each generator of the discriminant group,
-whose residues name the class of a dual vector.  The public methods take
-ambient int or Fraction coordinates and convert them to the grid on
-entry; a vector off the grid or outside S^vee raises ValueError where
-the method needs a dual vector, and ``in_dual`` answers False.  With
-``grid=True``, ``in_dual``, ``disc_reduce`` and ``eichler_invariant``
-take the numerators directly, as the wall scan does.  Discriminant
-representatives and kappa values are Fraction tuples in ambient
-coordinates.
+the dual vector z / den.  Each lattice builds its integer tables once,
+as int64 arrays: the ambient form scaled to integers (a grid norm is a
+numerator over ``norm_den``), the pairing of each basis vector (S^vee
+membership and content), and the pairing of each generator of the
+discriminant group, whose residues name the class of a dual vector.  The
+public methods take ambient int or Fraction coordinates and convert them
+to the grid on entry; a vector off the grid or outside S^vee raises
+ValueError where the method needs a dual vector, and ``in_dual``
+answers False.  With ``grid=True`` they take the
+numerators directly.  Discriminant representatives and kappa values are
+Fraction tuples in ambient coordinates.  The wall arithmetic runs in one
+batched kernel on z rows (n x r int64 arrays), which ``in_dual``, ``_key``
+and ``eichler_invariant`` apply to one row; a kernel step whose int64
+bound reaches 2^62 raises ValueError.
 
 Reflective vectors live in the even lattice L = 2U + S(-1).  A Fourier
 index (n, l, m) of a weight-0 form corresponds to w = m e' + n f' + l
@@ -37,6 +39,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
+
+from .series import _INT64_SAFE, np
 
 Vec = tuple
 
@@ -65,6 +69,16 @@ class ReflectiveClass(NamedTuple):
 
 def _dot(u, v) -> int:
     return sum(map(mul, u, v))
+
+
+def _fit(bound: int) -> None:
+    """Reject an int64 step whose bound reaches 2^62 rather than let it wrap."""
+    if bound >= _INT64_SAFE:
+        raise ValueError("lattice arithmetic too wide for int64")
+
+
+def _amax(a) -> int:
+    return int(np.abs(a).max(initial=0))
 
 
 def _unit(rank: int, i: int, c: int = 1) -> list:
@@ -131,8 +145,14 @@ class Lattice:
         self._diag = form[0][0] if form == [_unit(r, i, form[0][0]) for i in range(r)] else None
         self.norm_den = scale * self.den * self.den  # (z/den, z/den) = grid_norm(z) / norm_den
         self._pair_den = scale * self.den  # (z/den, b) = (z . row_b) / _pair_den
-        self._pair_rows = [[_dot(row, b) for row in form] for b in basis]
-        self._gen_rows = [[_dot(row, g) for row in form] for g in gens]
+        # z @ _P pairs z with the basis, z @ _K with the generators
+        self._P = np.array(form, np.int64) @ np.array(basis, np.int64).T
+        self._K = np.array(form, np.int64) @ np.array(gens, np.int64).T
+        # the kernel's int64 bounds: l1 norms of the columns and the form, the largest order
+        self._pair_l1 = int(np.abs(self._P).sum(axis=0).max())
+        self._gen_l1 = int(np.abs(self._K).sum(axis=0).max())
+        self._form_l1 = sum(abs(c) for _, _, c in self._form)
+        self._exponent = lcm(*self.invariants)
         self._basis = tuple(tuple(b) for b in basis)
         self._reps = tuple(sorted(tuple(rep) for rep in reps))
         self._class_of = {self._key(self._grid(rep)): rep for rep in self._reps}
@@ -156,9 +176,6 @@ class Lattice:
             out.append(num)
         return tuple(out)
 
-    def _pairings(self, z: Vec) -> list:
-        return [_dot(z, row) for row in self._pair_rows]
-
     def _dual(self, v: Vec, grid: bool = False) -> Vec:
         """Grid numerators of v, which must lie in S^vee."""
         z = v if grid else self._grid(v)
@@ -168,7 +185,7 @@ class Lattice:
 
     def _key(self, z: Vec) -> tuple:
         """The discriminant class of a dual vector as pairings with generators."""
-        return tuple(_dot(z, row) % self.norm_den for row in self._gen_rows)
+        return tuple(self._keys(np.array([z], np.int64))[0].tolist())
 
     def _order(self, z: Vec) -> int:
         return lcm(*(self.norm_den // gcd(self.norm_den, k) for k in self._key(z)))
@@ -180,13 +197,64 @@ class Lattice:
         """(z/den, z/den) * norm_den for grid numerators z."""
         if self._diag is not None:
             return self._diag * _dot(z, z)
-        return self._bilinear(z, z)
+        return 2 * sum(a * a + a * b + b * b for a, b in zip(z[::2], z[1::2]))
+
+    # -- the batched kernel on z rows -------------------------------------------
+
+    def _wall_norms(self, n, Z, m):
+        """(2 n m - (z/den, z/den)) * norm_den per row (n, z, m)."""
+        _fit(2 * _amax(n) * _amax(m) * self.norm_den + _amax(Z) ** 2 * self._form_l1)
+        if self._diag is not None:
+            g = self._diag * (Z * Z).sum(axis=1)
+        else:
+            a, b = Z[:, ::2], Z[:, 1::2]
+            g = 2 * (a * a + a * b + b * b).sum(axis=1)
+        return 2 * self.norm_den * n * m - g
+
+    def _pair_gcd(self, Z):
+        """gcd over the basis of the pairings z . row_b of each row."""
+        _fit(_amax(Z) * self._pair_l1)
+        return np.gcd.reduce(Z @ self._P, axis=1)
+
+    def _content(self, Z):
+        """The pairing content of each row; a row outside S^vee raises."""
+        c, rem = np.divmod(self._pair_gcd(Z), self._pair_den)
+        if rem.any():
+            raise ValueError("vector is not in the dual lattice")
+        return c
+
+    def _keys(self, Z):
+        """``_key`` of each row."""
+        _fit(_amax(Z) * self._gen_l1)
+        return Z @ self._K % self.norm_den
+
+    def _primitive(self, n, Z, m):
+        """(n, z, m) / t per row, t the largest divisor of gcd(n, z, m) with
+        t * _pair_den dividing every pairing of z (z / t in S^vee)."""
+        c, rem = np.divmod(self._pair_gcd(Z), self._pair_den)
+        t = np.gcd(np.gcd(n, m), np.gcd.reduce(Z, axis=1))
+        t = np.where(rem, 1, np.gcd(t, c))
+        return n // t, Z // t[:, None], m // t
+
+    def _eichler_rows(self, n, Z, m) -> tuple:
+        """(v^2, div, class key) of the primitive vector on each row's line."""
+        c = self._content(Z)
+        N = self.norm_den
+        D = np.lcm.reduce(N // np.gcd(self._keys(Z), N), axis=1)
+        h = self._wall_norms(n, Z, m)
+        _fit(max(_amax(h), _amax(Z)) * self._exponent ** 2)
+        v2, rem = np.divmod(D * D * h, N)
+        if rem.any():
+            raise ValueError("non-integral vector norm")
+        dv = D * np.gcd(np.gcd(n, m), c)
+        # D ell / div(v) lies in S^vee, so the division is exact
+        return v2, dv, self._keys(Z * D[:, None] // dv[:, None])
 
     # -- membership ------------------------------------------------------------
 
     def in_dual(self, v: Vec, grid: bool = False) -> bool:
         z = v if grid else self._grid(v)
-        return z is not None and not any(p % self._pair_den for p in self._pairings(z))
+        return z is not None and not self._pair_gcd(np.array([z], np.int64))[0] % self._pair_den
 
     # -- discriminant group -----------------------------------------------------
 
@@ -198,30 +266,11 @@ class Lattice:
 
     def eichler_invariant(self, n: int, ell: Vec, m: int, grid: bool = False) -> EichlerClass:
         """Orbit data of the primitive vector on the line of m e' + n f' + ell."""
-        v2, dv, key = self._eichler_key(n, ell if grid else self._grid(ell), m)
-        return EichlerClass(v2, dv, self._class_of[key])
-
-    def _eichler_key(self, n: int, z, m: int) -> tuple:
-        """eichler_invariant on grid numerators, kappa as its integer ``_key``."""
-        pairs = None if z is None else self._pairings(z)
-        if pairs is None or any(p % self._pair_den for p in pairs):
-            raise ValueError("ell must be a dual vector")
-        D = self._order(z)
-        v2, rem = divmod(D * D * (2 * n * m * self.norm_den - self.grid_norm(z)), self.norm_den)
-        if rem:
-            raise ValueError("non-integral vector norm")
-        dv = D * gcd(n, m, gcd(*pairs) // self._pair_den)
-        # D ell / div(v) lies in S^vee, so the division is exact
-        return v2, dv, self._key(tuple(a * D // dv for a in z))
-
-    def _primitive(self, n: int, z: Vec, m: int) -> tuple:
-        """(n, z, m) / t for the largest t | gcd(n, z, m) keeping z / t in S^vee,
-        that is with t * _pair_den dividing every pairing of z."""
-        t = gcd(n, m, *z)
-        if t > 1:
-            c, rem = divmod(gcd(*self._pairings(z)), self._pair_den)
-            t = 1 if rem else gcd(t, c)
-        return n // t, tuple(a // t for a in z), m // t
+        z = ell if grid else self._grid(ell)
+        if z is None:
+            raise ValueError("vector is not in the dual lattice")
+        v2, dv, key = self._eichler_rows(np.array([n]), np.array([z], np.int64), np.array([m]))
+        return EichlerClass(int(v2[0]), int(dv[0]), self._class_of[tuple(key[0].tolist())])
 
     def classify_reflective(self) -> list:
         """All reflective vector classes of 2U + S(-1), with group flags."""

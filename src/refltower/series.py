@@ -689,27 +689,6 @@ class FourierSeries:
                 out.cells[cq] = acc
         return out
 
-    def derivative_z(self, i: int) -> "FourierSeries":
-        """Apply (2 pi i)^-1 d/dz_i, i.e. multiply each term by its z_i exponent."""
-        if not 0 <= i < self.r:
-            raise ValueError("coordinate out of range")
-        out = FourierSeries(self.r, self.den_z, self.window)
-        d = self.den_z
-        for (s, q), sl in self.cells.items():
-            acc = {}
-            for z, c in sl.items():
-                if type(c) is int:
-                    v, rem = divmod(c * z[i], d)
-                    if rem:
-                        v = Fraction(c * z[i], d)
-                else:
-                    v = _norm_coeff(c * Fraction(z[i], d))
-                if v:
-                    acc[z] = v
-            if acc:
-                out.cells[(s, q)] = acc
-        return out
-
     def truncated(self, window: TruncationWindow) -> "FourierSeries":
         w = self.window.meet(window)
         out = FourierSeries(self.r, self.den_z, w)

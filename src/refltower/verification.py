@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .series import TruncationWindow
+from .series import TruncationWindow, _qz_rows, np
 from . import jacobi
 from . import lattices
 from . import lifting
@@ -338,9 +338,18 @@ def _run_weyl_symmetry(win):
 _CLASS_REPS = ["psi_4_D8", "psi_10_D2", "eta21_theta2z", "psi_9_A2", "psi_5_A1", "psi_2_4A1"]
 
 
+def _class_rows(lat, phi):
+    """(norms, class keys, values) of the terms of a weight-0 series, one row
+    per term in the series' order: norms as (2 n - (l, l)) * norm_den, keys
+    as ``Lattice._key``; a term off S^vee raises ValueError."""
+    lv, z, v, _ = _qz_rows({q // 24: sl for (_, q), sl in phi.cells.items()}, lat.rank, object)
+    lat._content(z)  # the S^vee check
+    return lat._wall_norms(lv, z, 1), lat._keys(z), v
+
+
 def _run_class_invariance(win):
-    # group weight-0 coefficients by (hyperbolic norm numerator,
-    # discriminant class, as its integer key); each group must be constant
+    # group weight-0 coefficients by (hyperbolic norm, discriminant class
+    # as its integer key); each group must be constant
     ok = True
     checked = 0
     details = {}
@@ -349,14 +358,13 @@ def _run_class_invariance(win):
         meta = jacobi.MEMBERS[key]
         lat = lattices.lattice(meta.lattice_name)
         phi = jacobi.weak_weight0(key, depth).series.truncated(TruncationWindow(24 * depth, 0))
-        groups = {}
-        for (s, q), sl in phi.cells.items():
-            for z, c in sl.items():
-                nrm = _hyper_norm(lat, q, z)
-                groups.setdefault((nrm, lat._key(lat._dual(z, grid=True))), set()).add(c)
-                checked += 1
-        broken = sum(1 for vals in groups.values() if len(vals) != 1)
-        details[key] = {"groups": len(groups), "broken": broken}
+        nrm, cls, v = _class_rows(lat, phi)
+        _, group = np.unique(np.column_stack([nrm, cls]), axis=0, return_inverse=True)
+        # groups holding more than one distinct coefficient
+        seen = np.bincount([g for g, _ in set(zip(group.tolist(), v.tolist()))])
+        broken = int(np.count_nonzero(seen > 1))
+        checked += len(v)
+        details[key] = {"groups": len(seen), "broken": broken}
         if broken:
             ok = False
     return ok, checked, details

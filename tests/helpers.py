@@ -1,11 +1,10 @@
 """Helpers only the tests use: small views of program data, lattice
-arithmetic in ambient coordinates, series lookups, the packed
-theta-block division on z-slice dicts, and the packed weight-0 Hecke
-translate as a series."""
+arithmetic in ambient coordinates, the primitive wall of one index,
+series lookups, the z derivative, the packed theta-block division on
+z-slice dicts, and the packed weight-0 Hecke translate as a series."""
 
 from fractions import Fraction
 from hashlib import sha256
-from math import gcd
 from typing import NamedTuple
 
 from refltower import borcherds, jacobi
@@ -27,7 +26,7 @@ def discriminant_group(lat: Lattice) -> DiscGroup:
 def gram(lat: Lattice) -> tuple:
     """The Gram matrix of the root basis."""
     return tuple(tuple(_dot(row, y) * lat.den // lat._pair_den for y in lat._basis)
-                 for row in lat._pair_rows)
+                 for row in lat._P.T.tolist())
 
 
 def inner(lat: Lattice, u, v) -> Fraction:
@@ -49,7 +48,7 @@ def basis(lat: Lattice) -> tuple:
 
 def content(lat: Lattice, v) -> int:
     """Positive generator of the pairing ideal (v, S) of a dual vector."""
-    return gcd(*lat._pairings(lat._dual(v))) // lat._pair_den
+    return int(lat._content(np.array([lat._dual(v)], np.int64))[0])
 
 
 def disc_order(lat: Lattice, v) -> int:
@@ -62,6 +61,12 @@ def divisor(lat: Lattice, v) -> int:
     if disc_order(lat, v) != 1:
         raise ValueError("divisor is defined for lattice vectors")
     return content(lat, v)
+
+
+def primitive(lat: Lattice, n: int, z: tuple, m: int) -> tuple:
+    """``Lattice._primitive`` on the one row (n, z, m), as python ints."""
+    n0, z0, m0 = lat._primitive(np.array([n]), np.array([z], np.int64), np.array([m]))
+    return int(n0[0]), tuple(z0[0].tolist()), int(m0[0])
 
 
 def is_reflective(cls) -> bool:
@@ -87,6 +92,28 @@ def copy(f: FourierSeries) -> FourierSeries:
     """A copy whose cells can change without touching f."""
     out = FourierSeries(f.r, f.den_z, f.window)
     out.cells = {cq: dict(sl) for cq, sl in f.cells.items()}
+    return out
+
+
+def derivative_z(f: FourierSeries, i: int) -> FourierSeries:
+    """Apply (2 pi i)^-1 d/dz_i, i.e. multiply each term by its z_i exponent."""
+    if not 0 <= i < f.r:
+        raise ValueError("coordinate out of range")
+    out = FourierSeries(f.r, f.den_z, f.window)
+    d = f.den_z
+    for (s, q), sl in f.cells.items():
+        acc = {}
+        for z, c in sl.items():
+            if type(c) is int:
+                v, rem = divmod(c * z[i], d)
+                if rem:
+                    v = Fraction(c * z[i], d)
+            else:
+                v = _norm_coeff(c * Fraction(z[i], d))
+            if v:
+                acc[z] = v
+        if acc:
+            out.cells[(s, q)] = acc
     return out
 
 

@@ -7,6 +7,7 @@ from math import gcd
 import numpy as np
 
 from refltower import borcherds, jacobi, lifting
+from refltower.lattices import _dot, lattice
 from refltower.series import FourierSeries, TruncationWindow
 
 from helpers import divide_slices, exp_series
@@ -129,6 +130,88 @@ def primitive_wall(lat, n: int, z: tuple, m: int) -> tuple:
     if rest > 1 and lat.in_dual(tuple(a // (t * rest) for a in z), grid=True):
         t *= rest
     return n // t, tuple(a // t for a in z), m // t
+
+
+def eichler_key(lat, n: int, z: tuple, m: int) -> tuple:
+    """(v^2, div, class key) of the primitive vector on the line of
+    (n, z / den, m), one wall at a time by the lattice's scalar tables:
+    the reference for ``Lattice._eichler_rows``."""
+    pairs = [_dot(z, p) for p in lat._P.T.tolist()]
+    if any(p % lat._pair_den for p in pairs):
+        raise ValueError("ell must be a dual vector")
+    D = lat._order(z)
+    v2, rem = divmod(D * D * (2 * n * m * lat.norm_den - lat.grid_norm(z)), lat.norm_den)
+    if rem:
+        raise ValueError("non-integral vector norm")
+    dv = D * gcd(n, m, gcd(*pairs) // lat._pair_den)
+    return v2, dv, lat._key(tuple(a * D // dv for a in z))
+
+
+def scan_walls(key: str, q_depth: int) -> list:
+    """Sorted (n, z, m, multiplicity) of the primitive walls of nonzero
+    multiplicity, one phi0 term and one wall at a time on dicts, walls
+    made primitive by ``primitive_wall``: the reference for
+    ``borcherds._scan_walls``."""
+    meta = jacobi.MEMBERS[key]
+    lat = lattice(meta.lattice_name)
+    N = lat.norm_den
+    floor = borcherds._FAMILY_MIN[meta.family] * N
+    phi = jacobi.weak_weight0(key, q_depth).series.truncated(
+        TruncationWindow(24 * q_depth, 0))
+    walls: set = set()
+    for (_, qn), sl in phi.cells.items():
+        nphi = qn // 24
+        for z in sl:
+            if 2 * nphi * N >= lat.grid_norm(z):
+                continue
+            if nphi:
+                splits = [(a, nphi // a) for a in range(1, nphi + 1)
+                          if nphi % a == 0 and a <= q_depth and nphi // a <= q_depth]
+            else:
+                splits = [(0, m) for m in range(q_depth + 1)]
+                splits += [(n, 0) for n in range(1, q_depth + 1)]
+            for n, m in splits:
+                n0, z0, m0 = primitive_wall(lat, n, z, m)
+                if n0 == 0 and m0 == 0 and z0 < tuple(-a for a in z0):
+                    z0 = tuple(-a for a in z0)
+                walls.add((n0, z0, m0))
+    out = []
+    for (n0, z0, m0) in sorted(walls):
+        mu2 = 2 * n0 * m0 * N - lat.grid_norm(z0)
+        mult = 0
+        d = 1
+        while d * d * mu2 >= floor:
+            qn = 24 * d * d * n0 * m0
+            if qn > phi.window.q_max:
+                raise ValueError("window too small for the multiplicity sum")
+            mult += phi.cells.get((0, qn), {}).get(tuple(d * a for a in z0), 0)
+            d += 1
+        if mult:
+            out.append((n0, z0, m0, mult))
+    return out
+
+
+def reflective_divisor_scan(key: str, q_depth: int) -> dict:
+    """``borcherds.reflective_divisor_scan`` on ``scan_walls``, grouped one
+    wall at a time by ``eichler_key`` on (v^2, div, the smaller of the
+    keys of kappa and -kappa)."""
+    lat = lattice(jacobi.MEMBERS[key].lattice_name)
+    N = lat.norm_den
+    groups: dict = {}  # (v2, div, class key) -> [multiplicities, walls, first wall]
+    for (n0, z0, m0, mult) in scan_walls(key, q_depth):
+        v2, dv, k = eichler_key(lat, n0, z0, m0)
+        row = groups.setdefault((v2, dv, min(k, tuple(-a % N for a in k))),
+                                [set(), 0, (n0, z0, m0)])
+        row[0].add(mult)
+        row[1] += 1
+    out = []
+    for mset, cnt, ex in groups.values():
+        ec = lat.eichler_invariant(*ex, grid=True)
+        kappa = min(ec.kappa, lat.disc_reduce(tuple(-a for a in ec.kappa)))
+        out.append(borcherds.WallClass(ec.v2, ec.div, kappa, tuple(sorted(mset)), cnt, ex))
+    out.sort()
+    return {"member": key, "q_depth": q_depth, "classes": out,
+            "wall_count": sum(c.walls for c in out)}
 
 
 def to_json(f: FourierSeries) -> str:

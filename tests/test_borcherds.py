@@ -463,6 +463,36 @@ def test_scan_rank_one_block_has_two_components():
     assert phi.cells[(0, 0)][(4,)] == 1
 
 
+def test_scan_equals_the_per_wall_oracle():
+    """The batched scan and grouping give the reports of the per-wall scan
+    on dicts: classes, multiplicities, wall counts and first walls, for
+    every member at depths 2 to 4 and for the rank-one member at 5."""
+    runs = [(key, d) for key in jacobi.MEMBERS for d in (2, 3, 4)] + [("eta21_theta2z", 5)]
+    for key, d in runs:
+        assert borcherds.reflective_divisor_scan(key, d) == \
+            oracles.reflective_divisor_scan(key, d), (key, d)
+
+
+def test_scan_rejects_a_window_too_small_for_the_multiplicity_sum(monkeypatch):
+    """A planted term c(1, 6/4) of the rank-one member makes (1, 6, 1) a
+    wall of norm -1/4, whose double still lies above the floor -1 but
+    sits at level 4, past a depth-1 scan."""
+    real = jacobi.weak_weight0
+
+    def crooked(key, depth):
+        form = real(key, depth)
+        series = copy(form.series)
+        assert coefficient(series, 24, (6,)) == 0
+        series.add_term(24, (6,), 0, 1)
+        return form._replace(series=series)
+
+    monkeypatch.setattr(borcherds, "weak_weight0", crooked)
+    monkeypatch.setattr(jacobi, "weak_weight0", crooked)
+    for scan in (borcherds._scan_walls, oracles.scan_walls):
+        with pytest.raises(ValueError, match="window too small for the multiplicity sum"):
+            scan("eta21_theta2z", 1)
+
+
 def test_hecke_v0_rejects_shallow_windows():
     # phi0 divided afresh: the memoised form may already be deeper
     with pytest.raises(ValueError):

@@ -4,15 +4,16 @@ import itertools
 import random
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 
-from refltower import borcherds, jacobi
-from refltower.lattices import CATALOGUE, EichlerClass, lattice
+from refltower import jacobi
+from refltower.lattices import CATALOGUE, EichlerClass, _dot, lattice
 from refltower.series import TruncationWindow
 
 from helpers import (basis, content, disc_order, discriminant_group, divisor, gram, inner,
-                     is_reflective, norm)
-from oracles import primitive_wall
+                     is_reflective, norm, primitive)
+from oracles import eichler_key, primitive_wall, scan_walls
 
 
 def dual_vectors_up_to_norm(lat, bound) -> list:
@@ -460,7 +461,7 @@ def test_integer_grid_matches_the_fraction_oracle():
     for key, meta in jacobi.MEMBERS.items():
         lat = lattice(meta.lattice_name)
         oracle = FractionLattice(lat)
-        walls = borcherds._scan_walls(key, 2)
+        walls = scan_walls(key, 2)
         if key in ("psi_4_D8", "psi_5_D7", "psi_3_3A2"):
             walls = rng.sample(walls, 500)
         else:
@@ -486,15 +487,15 @@ def test_primitive_wall_equals_the_trial_division_oracle():
                     continue
                 for (n, m), d in itertools.product(splits, (1, 2, 6)):
                     w = (d * n, tuple(d * a for a in z), d * m)
-                    assert lat._primitive(*w) == primitive_wall(lat, *w), (key, w)
+                    assert primitive(lat, *w) == primitive_wall(lat, *w), (key, w)
 
 
 def test_primitive_wall_outside_the_dual_and_on_part_of_a_prime_power():
     # z / den = (7/3, 0) is not in S^vee, though 2 divides both gcd(n, z, m)
     # and the pairing content 42 // _pair_den 18: nothing is taken out
-    assert lattice("A2")._primitive(2, (14, 0), 2) == (2, (14, 0), 2)
+    assert primitive(lattice("A2"), 2, (14, 0), 2) == (2, (14, 0), 2)
     # gcd 24 = 2^3 * 3, but z / 24 = (1/2, 0, 0, 0) is not dual: t = 2^2 * 3
-    assert lattice("D4")._primitive(24, (24, 0, 0, 0), 48) == (2, (2, 0, 0, 0), 4)
+    assert primitive(lattice("D4"), 24, (24, 0, 0, 0), 48) == (2, (2, 0, 0, 0), 4)
     rng = random.Random(11)
     for name in CATALOGUE:
         lat = lattice(name)
@@ -502,7 +503,7 @@ def test_primitive_wall_outside_the_dual_and_on_part_of_a_prime_power():
             k = rng.randint(1, 36)
             z = tuple(k * rng.randint(-6, 6) for _ in range(lat.rank))
             n, m = k * rng.randint(0, 4), k * rng.randint(1, 4)
-            assert lat._primitive(n, z, m) == primitive_wall(lat, n, z, m), (name, n, z, m)
+            assert primitive(lat, n, z, m) == primitive_wall(lat, n, z, m), (name, n, z, m)
 
 
 def test_grid_norm_equals_the_bilinear_form():
@@ -515,3 +516,97 @@ def test_grid_norm_equals_the_bilinear_form():
         for _ in range(200):
             z = tuple(rng.randint(-40, 40) for _ in range(lat.rank))
             assert lat.grid_norm(z) == lat._bilinear(z, z), (name, z)
+
+
+def test_kernel_rejects_a_row_outside_the_dual():
+    """One non-dual row among dual ones fails the whole array, in the
+    S^vee check and in the Eichler data, as ``_dual`` does for one vector."""
+    a2 = lattice("A2")
+    z = np.array([[6, 0], [3, 0], [0, 6]], np.int64)  # (1/2, 0) is not in S^vee
+    one = np.ones(3, np.int64)
+    with pytest.raises(ValueError):
+        a2._content(z)
+    with pytest.raises(ValueError):
+        a2._eichler_rows(one, z, one)
+    with pytest.raises(ValueError):
+        a2._dual((3, 0), grid=True)
+    assert a2._content(z[[0, 2]]).tolist() == [1, 1]
+
+
+def test_kernel_rejects_a_non_integral_vector_norm(monkeypatch):
+    """D^2 (2 n m - (l, l)) is an integer for every dual l, so the test
+    bypasses the S^vee check to let the non-dual (1/2, 0) of A2 reach the
+    norm check: its key has order 3, and D^2 (l, l) = 3/2."""
+    a2 = lattice("A2")
+    monkeypatch.setattr(a2, "_content", lambda Z: a2._pair_gcd(Z) // a2._pair_den)
+    one = np.ones(1, np.int64)
+    with pytest.raises(ValueError, match="non-integral vector norm"):
+        a2._eichler_rows(one, np.array([[3, 0]], np.int64), one)
+
+
+def test_kernel_bounds_every_int64_step():
+    """A row whose bound reaches 2^62 raises ValueError in every kernel step
+    and never wraps; just below the bound the kernel equals the python-int
+    scalar arithmetic."""
+    d8, a2 = lattice("D8"), lattice("3A2")
+    zero, one = np.zeros(1, np.int64), np.ones(1, np.int64)
+    # grid norms 8 a^2 and 18 a^2 of the constant rows a: (fine, wide) on
+    # either side of 2^62, the wide rows dual
+    for lat, fine, wide in ((d8, 2 ** 29, 2 ** 30), (a2, 2 ** 28, 3 * 2 ** 29)):
+        z = tuple([fine] * lat.rank)
+        assert lat._wall_norms(zero, np.array([z], np.int64), zero).tolist() == [-lat.grid_norm(z)]
+        z = np.full((1, lat.rank), wide, np.int64)
+        with pytest.raises(ValueError, match="too wide"):
+            lat._wall_norms(zero, z, zero)
+        lat._content(z)
+        with pytest.raises(ValueError, match="too wide"):
+            lat._eichler_rows(one, z, one)
+    for lat in (d8, a2):
+        top = np.full((1, lat.rank), 2 ** 61, np.int64)
+        for step in (lat._pair_gcd, lat._keys):
+            with pytest.raises(ValueError, match="too wide"):
+                step(top)
+        with pytest.raises(ValueError, match="too wide"):
+            lat._primitive(zero, top, zero)
+    # the largest n m the norm allows, and one step past it
+    n = np.array([2 ** 29], np.int64)
+    assert d8._wall_norms(n, np.zeros((1, 8), np.int64), n).tolist() == [2 ** 61]
+    with pytest.raises(ValueError, match="too wide"):
+        d8._wall_norms(2 * n, np.zeros((1, 8), np.int64), n)
+    # z / den = (1/2, ..., 1/2) has order D = 2: D^2 (2 n m - (l, l)) norm_den
+    # passes 2^62 at n = m = 2^29, though the norm itself fits
+    z = np.ones((1, 8), np.int64)
+    with pytest.raises(ValueError, match="too wide"):
+        d8._eichler_rows(n, z, n)
+    v2, dv, k = d8._eichler_rows(n // 2, z, n // 2)
+    assert (v2[0], dv[0], tuple(k[0].tolist())) == eichler_key(d8, 2 ** 28, (1,) * 8, 2 ** 28)
+
+
+def test_kernel_equals_the_scalar_tables():
+    """Norms, keys, contents and primitive walls of random rows, and Eichler
+    data of the dual ones among them (every row of 6 Z^r is dual), equal
+    the scalar methods row by row."""
+    rng = random.Random(19)
+    for name in CATALOGUE:
+        lat = lattice(name)
+        rows = [tuple(rng.randint(-30, 30) for _ in range(lat.rank)) for _ in range(200)]
+        rows += [tuple(6 * rng.randint(-5, 5) for _ in range(lat.rank)) for _ in range(50)]
+        z = np.array(rows, np.int64)
+        n = np.array([rng.randint(0, 5) for _ in rows], np.int64)
+        m = np.array([rng.randint(1, 5) for _ in rows], np.int64)
+        h = lat._wall_norms(n, z, m).tolist()
+        keys = lat._keys(z).tolist()
+        g = lat._pair_gcd(z).tolist()
+        n0, z0, m0 = lat._primitive(n, z, m)
+        for i, row in enumerate(rows):
+            ni, mi = int(n[i]), int(m[i])
+            assert h[i] == 2 * ni * mi * lat.norm_den - lat.grid_norm(row)
+            assert tuple(keys[i]) == lat._key(row)
+            assert g[i] == gcd(*(_dot(row, p) for p in lat._P.T.tolist()))
+            assert (int(n0[i]), tuple(z0[i].tolist()), int(m0[i])) == \
+                primitive_wall(lat, ni, row, mi)
+        dual = [i for i, row in enumerate(rows) if lat.in_dual(row, grid=True)]
+        assert len(dual) > 5, name
+        v2, dv, k = lat._eichler_rows(n[dual], z[dual], m[dual])
+        for i, a, b, c in zip(dual, v2.tolist(), dv.tolist(), k.tolist()):
+            assert (a, b, tuple(c)) == eichler_key(lat, int(n[i]), rows[i], int(m[i]))

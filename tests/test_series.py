@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from refltower.jacobi import eta_power
+from refltower.jacobi import JacobiForm, eta_power, quasi_pullback
 from refltower.series import (
     FourierSeries,
     TruncationWindow,
@@ -16,7 +16,7 @@ from refltower.series import (
     _slice_mul_py,
 )
 
-from helpers import coefficient, copy, lowest_term
+from helpers import coefficient, copy, derivative_z, lowest_term
 import oracles
 from oracles import exp_s
 
@@ -246,7 +246,7 @@ def test_restrict_and_derivative():
     g = f.restrict_z(0)
     assert g.r == 1
     assert coefficient(g, 1, (2,)) == 9
-    d = f.derivative_z(0)
+    d = derivative_z(f, 0)
     assert coefficient(d, 1, (1, 2)) == Fraction(5, 2)
     assert coefficient(d, 1, (-1, 2)) == -2
 
@@ -278,7 +278,7 @@ def test_restrict_and_derivative_match_the_general_formulas():
         got, want = f.restrict_z(i), f.map_z(proj)
         assert got == want and _canonical(got)
         assert got.den_z == (den_z if r > 1 else 1)
-        d = f.derivative_z(i)
+        d = derivative_z(f, i)
         want = {}
         for cq, sl in f.cells.items():
             cell = {z: c * Fraction(z[i], den_z) for z, c in sl.items()}
@@ -287,6 +287,23 @@ def test_restrict_and_derivative_match_the_general_formulas():
                 want[cq] = cell
         assert d.cells == want and _canonical(d)
         assert (d.r, d.den_z, d.window) == (f.r, f.den_z, f.window)
+
+
+def test_quasi_pullback_is_the_derivative_restricted():
+    """quasi_pullback's one integer pass equals derivative_z followed by
+    restrict_z on seeded series, with Fraction coefficients and sums that
+    leave a remainder mod den_z, r = 1 -> 0 included; a coordinate out of
+    range raises ValueError."""
+    rng = random.Random(47)
+    for trial in range(60):
+        r, den_z = rng.randrange(1, 4), rng.choice((1, 2, 4, 6))
+        f = rand_series(rng, r, den_z, 30, 3, 25, fractions=trial % 2 == 0)
+        form = JacobiForm("f", f, 1, Fraction(1), None, None, 0)
+        i = rng.randrange(r)
+        got = quasi_pullback(form, i).series
+        assert got == derivative_z(f, i).restrict_z(i) and _canonical(got)
+        with pytest.raises(ValueError):
+            quasi_pullback(form, r)
 
 
 def test_map_z_relabel():

@@ -129,3 +129,27 @@ def test_product_paths_keep_the_bindings_the_benchmark_pins(monkeypatch):
     assert translate_calls >= 1
     for name in ("jacobi.theta_A2", "jacobi._slice_mul_into"):
         assert t.binding_calls[name] > before[name], name
+
+
+def test_divisor_scan_keeps_one_eichler_and_one_disc_reduce_call_per_class():
+    """The wall scan runs on arrays, but the traced benchmark pins
+    ``Lattice.eichler_invariant``, ``Lattice.disc_reduce`` and
+    ``Lattice.in_dual``: one reflective-divisor-classes run calls the
+    first two exactly once per reported class, and ``in_dual`` (through
+    ``disc_reduce``) at least once."""
+    from refltower import verification
+    from refltower.series import TruncationWindow
+
+    tracer = _tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        rep = verification.run("reflective-divisor-classes", TruncationWindow(48, 0))
+    finally:
+        t.uninstall()
+    assert rep.status == "pass"
+    classes = sum(len(d["classes"]) for d in rep.details.values())
+    assert classes >= len(rep.details)
+    assert t.binding_calls["Lattice.eichler_invariant"] == classes
+    assert t.binding_calls["Lattice.disc_reduce"] == classes
+    assert t.binding_calls["Lattice.in_dual"] >= 1

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from refltower import borcherds, jacobi, lattices, verification
 from refltower.series import TruncationWindow
@@ -229,6 +230,31 @@ def test_integer_hyper_norm_matches_the_fraction_oracle():
                 assert Fraction(got, den) == hyper_norm_fraction(lat, q, z, index), (key, q, z)
                 checked += 1
     assert checked > 50000
+
+
+def test_class_rows_equal_the_per_term_keys_and_norms():
+    """The batched norms and class keys of coefficient-class-invariance
+    equal ``_hyper_norm`` and ``_key(_dual(z))`` on every term it reads,
+    row by row in the series' order."""
+    checked = 0
+    for key in verification._CLASS_REPS:
+        lat = lattices.lattice(jacobi.MEMBERS[key].lattice_name)
+        phi = jacobi.weak_weight0(key, 3).series.truncated(TruncationWindow(72, 0))
+        nrm, cls, v = verification._class_rows(lat, phi)
+        terms = [(q, z, c) for (_, q), sl in phi.cells.items() for z, c in sl.items()]
+        assert len(terms) == len(nrm) == len(cls) == len(v)
+        for (q, z, c), a, k, b in zip(terms, nrm.tolist(), cls.tolist(), v.tolist()):
+            assert Fraction(a, lat.norm_den) == Fraction(verification._hyper_norm(lat, q, z),
+                                                         verification._norm_den(lat))
+            assert tuple(k) == lat._key(lat._dual(z, grid=True))
+            assert b == c
+        checked += len(terms)
+    assert checked == verification.run("coefficient-class-invariance").checked_terms
+    # a term off S^vee raises, as _dual does: (1/2, 0, ..., 0) is not in D8^vee
+    phi = copy(jacobi.weak_weight0("psi_4_D8", 1).series)
+    phi.add_term(24, (1,) + (0,) * 7, 0, 1)
+    with pytest.raises(ValueError):
+        verification._class_rows(lattices.lattice("D8"), phi)
 
 
 def _add_slice_term(monkeypatch, key, q, z):

@@ -201,15 +201,19 @@ class Lattice:
 
     # -- the batched kernel on z rows -------------------------------------------
 
+    def _grid_norms(self, Z):
+        """``grid_norm`` of each row of Z, as int64 (int16 rows are widened)."""
+        _fit(_amax(Z) ** 2 * self._form_l1)
+        Z = Z.astype(np.int64, copy=False)
+        if self._diag is not None:
+            return self._diag * (Z * Z).sum(axis=1)
+        a, b = Z[:, ::2], Z[:, 1::2]
+        return 2 * (a * a + a * b + b * b).sum(axis=1)
+
     def _wall_norms(self, n, Z, m):
         """(2 n m - (z/den, z/den)) * norm_den per row (n, z, m)."""
         _fit(2 * _amax(n) * _amax(m) * self.norm_den + _amax(Z) ** 2 * self._form_l1)
-        if self._diag is not None:
-            g = self._diag * (Z * Z).sum(axis=1)
-        else:
-            a, b = Z[:, ::2], Z[:, 1::2]
-            g = 2 * (a * a + a * b + b * b).sum(axis=1)
-        return 2 * self.norm_den * n * m - g
+        return 2 * self.norm_den * n * m - self._grid_norms(Z)
 
     def _pair_gcd(self, Z):
         """gcd over the basis of the pairings z . row_b of each row."""

@@ -574,13 +574,6 @@ class FourierSeries:
         out.cells = {cq: sl for cq, sl in out.cells.items() if sl}
         return out
 
-    def __mul__(self, other):
-        if isinstance(other, FourierSeries):
-            return self.mul(other)
-        return self.scaled(other)
-
-    __rmul__ = __mul__
-
     # -- division ------------------------------------------------------------
 
     def div(self, other: "FourierSeries") -> "FourierSeries":
@@ -624,11 +617,6 @@ class FourierSeries:
                     if Q:
                         out.cells[(cs, cq)] = Q
         return out
-
-    def __truediv__(self, other):
-        if isinstance(other, FourierSeries):
-            return self.div(other)
-        return self.scaled(Fraction(1, other) if isinstance(other, int) else 1 / other)
 
     # -- variable changes ------------------------------------------------------
 

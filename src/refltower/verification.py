@@ -104,64 +104,71 @@ def _run_q0_terms(win):
     return ok, checked, {"constants": {k: _Q0_CONST[m.family](m) for k, m in jacobi.MEMBERS.items()}, "mismatches": bad}
 
 
-def _hyper_norm(lat, q, z, index=1) -> int:
-    """2 (q/24) index - (l, l) for the index (q, z) of a form on the grid of
-    lat, as a numerator over ``_norm_den(lat, index)``."""
-    return q * index.numerator * lat.norm_den - 12 * index.denominator * lat.grid_norm(z)
+def _hyper_norms(lat, q, Z, index=1):
+    """2 (q/24) index - (l, l) of each row (q, z) of a form on the grid of
+    lat, l = z / den, as int64 numerators over ``_norm_den(lat, index)``;
+    q is one int or one per row."""
+    g = lat._grid_norms(Z)
+    a, b = index.numerator * lat.norm_den, 12 * index.denominator
+    lattices._fit(lattices._amax(q) * a + b * lattices._amax(g))
+    return q * a - b * g
 
 
 def _norm_den(lat, index=1) -> int:
     return 12 * index.denominator * lat.norm_den
 
 
+def _block_rows(key, q_max: int, depth: int) -> list:
+    """(q, z rows) of the block's slices on levels 0..depth through q_max,
+    from ``jacobi._member_rows``; the deepest level is read first, so a
+    cold block is multiplied out once."""
+    val_q = jacobi.MEMBERS[key].val_q
+    top = min(depth, (q_max - val_q) // 24)
+    jacobi._member_rows(key, val_q + 24 * top)
+    return [(val_q + 24 * j, jacobi._member_rows(key, val_q + 24 * j)[0]) for j in range(top + 1)]
+
+
 def _run_support_bounds(win):
-    # two-sided support control: block coefficients never sit below the
-    # cone, weight-0 coefficients never drop below the family floor, and
-    # every below-cone weight-0 term sits exactly on the floor with
-    # coefficient one
+    """Two-sided support control: block coefficients never sit below the
+    cone, and every below-cone weight-0 term sits exactly on the family
+    floor (never below it) with coefficient one.  The norms of each block
+    slice and of the phi0 terms are one array expression each; violations
+    are listed in row order."""
     ok = True
     checked = 0
     bad = {}
     depth = max(win.q_max // 24, 1)
     for key, meta in jacobi.MEMBERS.items():
         lat = lattices.lattice(meta.lattice_name)
-        for j in range(depth + 1):
-            q = meta.val_q + 24 * j
-            if q > win.q_max:
-                break
-            for z in jacobi.member_slice(key, q):
-                checked += 1
-                if _hyper_norm(lat, q, z, meta.index) < 0:
-                    ok = False
-                    bad.setdefault(key, []).append(_jsonable((q, z)))
+        for q, z in _block_rows(key, win.q_max, depth):
+            checked += len(z)
+            for row in z[_hyper_norms(lat, q, z, meta.index) < 0].tolist():
+                ok = False
+                bad.setdefault(key, []).append([q, row])
         floor = borcherds._FAMILY_MIN[meta.family] * _norm_den(lat)
         assert floor.denominator == 1, "family floor off the norm grid"
         floor = floor.numerator
         pdepth = min(depth, 4)
         phi = jacobi.weak_weight0(key, pdepth).series.truncated(TruncationWindow(24 * pdepth, 0))
-        for (s, q), sl in phi.cells.items():
-            for z, c in sl.items():
-                checked += 1
-                nrm = _hyper_norm(lat, q, z)
-                if nrm < floor or (nrm < 0 and (nrm != floor or c != 1)):
-                    ok = False
-                    bad.setdefault(key, []).append(_jsonable((q, z, c)))
+        lv, z, v, _ = _qz_rows({q // 24: sl for (_, q), sl in phi.cells.items()}, lat.rank, object)
+        nrm = _hyper_norms(lat, 24 * lv, z)
+        checked += len(v)
+        for i in np.flatnonzero((nrm < 0) & ((nrm != floor) | (v != 1))).tolist():
+            ok = False
+            bad.setdefault(key, []).append([24 * int(lv[i]), z[i].tolist(), _jsonable(v[i])])
     return ok, checked, {"violations": bad}
 
 
 def _support_norms(key, win):
+    """The distinct norms 2 (q/24) index - (l, l) of the block's terms
+    through the window, as Fractions, and the number of terms: one array
+    pass per slice over the rows of ``jacobi._member_rows``."""
     meta = jacobi.MEMBERS[key]
     lat = lattices.lattice(meta.lattice_name)
-    depth = max(win.q_max // 24, 1)
-    norms = set()
-    count = 0
-    for j in range(depth + 1):
-        q = meta.val_q + 24 * j
-        if q > win.q_max:
-            break
-        for z in jacobi.member_slice(key, q):
-            norms.add(_hyper_norm(lat, q, z, meta.index))
-            count += 1
+    norms, count = set(), 0
+    for q, z in _block_rows(key, win.q_max, max(win.q_max // 24, 1)):
+        norms.update(np.unique(_hyper_norms(lat, q, z, meta.index)).tolist())
+        count += len(z)
     den = _norm_den(lat, meta.index)
     return {Fraction(n, den) for n in norms}, count
 
@@ -437,11 +444,12 @@ def _run_fj1(win):
 
 def _run_delta11(win):
     depth = min(max(win.q_max // 24, 1), 3)
-    top = jacobi.phi0_by_division("psi_4_D8", depth).series
+    held = TruncationWindow(24 * depth, 0)
+    top = jacobi.weak_weight0("psi_4_D8", depth).series.truncated(held)
     while top.r > 1:
         top = top.restrict_z(top.r - 1)
     doubled = top.scale_variables(1, 2)
-    own = jacobi.phi0_by_division("eta21_theta2z", depth).series
+    own = jacobi.weak_weight0("eta21_theta2z", depth).series.truncated(held)
     diff = doubled.first_difference(own)
     ok = diff is None
     checked = own.term_count()

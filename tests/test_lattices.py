@@ -555,9 +555,11 @@ def test_kernel_bounds_every_int64_step():
     for lat, fine, wide in ((d8, 2 ** 29, 2 ** 30), (a2, 2 ** 28, 3 * 2 ** 29)):
         z = tuple([fine] * lat.rank)
         assert lat._wall_norms(zero, np.array([z], np.int64), zero).tolist() == [-lat.grid_norm(z)]
+        assert lat._grid_norms(np.array([z], np.int64)).tolist() == [lat.grid_norm(z)]
         z = np.full((1, lat.rank), wide, np.int64)
-        with pytest.raises(ValueError, match="too wide"):
-            lat._wall_norms(zero, z, zero)
+        for step in (lat._grid_norms, lambda z: lat._wall_norms(zero, z, zero)):
+            with pytest.raises(ValueError, match="too wide"):
+                step(z)
         lat._content(z)
         with pytest.raises(ValueError, match="too wide"):
             lat._eichler_rows(one, z, one)
@@ -583,9 +585,10 @@ def test_kernel_bounds_every_int64_step():
 
 
 def test_kernel_equals_the_scalar_tables():
-    """Norms, keys, contents and primitive walls of random rows, and Eichler
-    data of the dual ones among them (every row of 6 Z^r is dual), equal
-    the scalar methods row by row."""
+    """Grid norms (of int64 and int16 rows), wall norms, keys, contents and
+    primitive walls of random rows, and Eichler data of the dual ones among
+    them (every row of 6 Z^r is dual), equal the scalar methods row by
+    row."""
     rng = random.Random(19)
     for name in CATALOGUE:
         lat = lattice(name)
@@ -595,12 +598,15 @@ def test_kernel_equals_the_scalar_tables():
         n = np.array([rng.randint(0, 5) for _ in rows], np.int64)
         m = np.array([rng.randint(1, 5) for _ in rows], np.int64)
         h = lat._wall_norms(n, z, m).tolist()
+        gn = lat._grid_norms(z).tolist()
+        assert lat._grid_norms(z.astype(np.int16)).tolist() == gn
         keys = lat._keys(z).tolist()
         g = lat._pair_gcd(z).tolist()
         n0, z0, m0 = lat._primitive(n, z, m)
         for i, row in enumerate(rows):
             ni, mi = int(n[i]), int(m[i])
             assert h[i] == 2 * ni * mi * lat.norm_den - lat.grid_norm(row)
+            assert gn[i] == lat.grid_norm(row)
             assert tuple(keys[i]) == lat._key(row)
             assert g[i] == gcd(*(_dot(row, p) for p in lat._P.T.tolist()))
             assert (int(n0[i]), tuple(z0[i].tolist()), int(m0[i])) == \

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from refltower import borcherds, jacobi, lattices, verification
-from refltower.series import TruncationWindow
+from refltower.series import TruncationWindow, _qz_rows
 
 from helpers import coefficient, copy
 
 
 def hyper_norm_fraction(lat, q, z, index=1) -> Fraction:
     """2 (q/24) index - (l, l) in Fraction arithmetic: the oracle of
-    verification._hyper_norm."""
+    verification._hyper_norms."""
     return Fraction(q, 12) * index - Fraction(lat.grid_norm(z), lat.norm_den)
 
 
@@ -211,30 +211,39 @@ def test_negative_control_catches_corrupt_lift(monkeypatch):
 
 
 def test_integer_hyper_norm_matches_the_fraction_oracle():
-    """The numerator over _norm_den is the Fraction norm on every member
-    slice through q = 96 and every phi0 term through depth 2, the
-    identity-mix windows of the support and class checks, for all 15
-    members (the index-1/2 A1 family included)."""
+    """The batched numerators over _norm_den are the Fraction norm, row by
+    row, on every block slice through q = 96 (the rows are the slice's
+    terms) and every phi0 term through depth 2, the identity-mix windows
+    of the support and class checks, for all 15 members (the index-1/2 A1
+    family included)."""
     checked = 0
     for key, meta in jacobi.MEMBERS.items():
         lat = lattices.lattice(meta.lattice_name)
-        cells = [(meta.index, q, jacobi.member_slice(key, q))
-                 for q in range(meta.val_q, 97, 24)]
+        cells = []
+        rows = verification._block_rows(key, 96, 4)
+        assert [q for q, _ in rows] == list(range(meta.val_q, 97, 24))
+        for q, z in rows:
+            assert sorted(map(tuple, z.tolist())) == sorted(jacobi.member_slice(key, q))
+            cells.append((meta.index, q, z, verification._hyper_norms(lat, q, z, meta.index)))
         phi = jacobi.weak_weight0(key, 2).series.truncated(TruncationWindow(48, 0))
-        cells += [(Fraction(1), q, sl) for (_, q), sl in phi.cells.items()]
-        for index, q, sl in cells:
+        lv, z, _, _ = _qz_rows({q // 24: sl for (_, q), sl in phi.cells.items()}, lat.rank, object)
+        assert len(z) == phi.term_count()
+        cells.append((Fraction(1), 24 * lv, z, verification._hyper_norms(lat, 24 * lv, z)))
+        for index, q, z, got in cells:
             den = verification._norm_den(lat, index)
-            for z in sl:
-                got = verification._hyper_norm(lat, q, z, index)
-                assert type(got) is int
-                assert Fraction(got, den) == hyper_norm_fraction(lat, q, z, index), (key, q, z)
+            assert got.dtype == np.int64 and len(got) == len(z)
+            for qi, row, num in zip(np.broadcast_to(q, len(z)).tolist(), z.tolist(), got.tolist()):
+                assert Fraction(num, den) == hyper_norm_fraction(lat, qi, row, index), (key, qi, row)
                 checked += 1
     assert checked > 50000
+    # a numerator too wide for int64 raises instead of wrapping
+    with pytest.raises(ValueError, match="too wide"):
+        verification._hyper_norms(lattices.lattice("D8"), 2 ** 60, np.zeros((1, 8), np.int64))
 
 
 def test_class_rows_equal_the_per_term_keys_and_norms():
     """The batched norms and class keys of coefficient-class-invariance
-    equal ``_hyper_norm`` and ``_key(_dual(z))`` on every term it reads,
+    equal the Fraction norm and ``_key(_dual(z))`` on every term it reads,
     row by row in the series' order."""
     checked = 0
     for key in verification._CLASS_REPS:
@@ -244,8 +253,7 @@ def test_class_rows_equal_the_per_term_keys_and_norms():
         terms = [(q, z, c) for (_, q), sl in phi.cells.items() for z, c in sl.items()]
         assert len(terms) == len(nrm) == len(cls) == len(v)
         for (q, z, c), a, k, b in zip(terms, nrm.tolist(), cls.tolist(), v.tolist()):
-            assert Fraction(a, lat.norm_den) == Fraction(verification._hyper_norm(lat, q, z),
-                                                         verification._norm_den(lat))
+            assert Fraction(a, lat.norm_den) == hyper_norm_fraction(lat, q, z)
             assert tuple(k) == lat._key(lat._dual(z, grid=True))
             assert b == c
         checked += len(terms)
@@ -258,16 +266,19 @@ def test_class_rows_equal_the_per_term_keys_and_norms():
 
 
 def _add_slice_term(monkeypatch, key, q, z):
-    real = jacobi.member_slice
+    """Append z, with coefficient one, to the block rows at q that the
+    support checks read."""
+    real = jacobi._member_rows
 
     def crooked(k, q_num):
-        sl = real(k, q_num)
+        rows = real(k, q_num)
         if (k, q_num) == (key, q):
-            sl = dict(sl)
-            sl[z] = 1
-        return sl
+            zs, v, reach, vmax = rows
+            rows = (np.vstack([zs, np.array([z], zs.dtype)]), np.append(v, 1),
+                    np.maximum(reach, np.abs(z)), max(vmax, 1))
+        return rows
 
-    monkeypatch.setattr(jacobi, "member_slice", crooked)
+    monkeypatch.setattr(jacobi, "_member_rows", crooked)
 
 
 def _bump_phi0_term(monkeypatch, key, q, z):
@@ -305,6 +316,14 @@ def test_negative_control_phi0_term_below_the_floor(monkeypatch):
     assert rep.details["violations"] == {"psi_10_D2": [[0, [4, 0], 1]]}
 
 
+def test_negative_control_floor_term_off_coefficient_one(monkeypatch):
+    # l = e_1 at q^0 sits on the D floor -1 with coefficient one
+    _bump_phi0_term(monkeypatch, "psi_10_D2", 0, (2, 0))
+    rep = verification.run("lemma13-support-bounds", TruncationWindow(48, 4))
+    assert rep.status == "fail"
+    assert rep.details["violations"] == {"psi_10_D2": [[0, [2, 0], 2]]}
+
+
 def test_negative_control_cone_term_below_a_top(monkeypatch):
     # 48/12 - 16/4 = 0: on the cone
     _add_slice_term(monkeypatch, "psi_8_D4", 48, (2, 2, 2, 2))
@@ -312,6 +331,46 @@ def test_negative_control_cone_term_below_a_top(monkeypatch):
     assert rep.status == "fail"
     assert rep.details["psi_8_D4"] == 0
     assert all(Fraction(low) > 0 for k, low in rep.details.items() if k != "psi_8_D4")
+
+
+def test_negative_control_d8_phi0_term_off_the_restriction(monkeypatch):
+    # the D8 term at q^1, z = 2 e_1 is one of those the restriction sums
+    # into z = 2, doubled to z = 4 on the rank-one grid: 232 there becomes 233
+    _bump_phi0_term(monkeypatch, "psi_4_D8", 24, (2, 0, 0, 0, 0, 0, 0, 0))
+    rep = verification.run("delta11-block")
+    assert rep.status == "fail"
+    assert rep.details["restriction_difference"] == [0, 24, [4], 233, 232]
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Patch owner.name with a spy that records each call's arguments."""
+    real, calls = getattr(owner, name), []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_warm_delta11_divides_nothing(monkeypatch):
+    """Once weak_weight0 holds both quotients, delta11-block reads them."""
+    verification.run("delta11-block")
+    calls = _count_calls(monkeypatch, jacobi, "phi0_by_division")
+    rep = verification.run("delta11-block")
+    assert rep.status == "pass" and rep.checked_terms > 0
+    assert calls == []
+
+
+def test_support_checks_read_block_rows_not_slices(monkeypatch):
+    """The three support checks take their norms from the block rows in
+    array passes: no scalar grid norm and no dict slice."""
+    norms = _count_calls(monkeypatch, lattices.Lattice, "grid_norm")
+    slices = _count_calls(monkeypatch, jacobi, "member_slice")
+    for name in ("lemma13-support-bounds", "singular-support", "cusp-support"):
+        assert verification.run(name).status == "pass"
+    assert norms == [] and slices == []
 
 
 def test_negative_control_coefficient_off_its_class(monkeypatch):

@@ -40,7 +40,7 @@ wall whose multiples leave the window raises ValueError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, prod
 from typing import NamedTuple
 
 from .jacobi import (
@@ -54,11 +54,12 @@ from .jacobi import (
     multiply_by_member,
     holds_phi0,
     weak_weight0,
+    weight0_rows,
 )
 from .lattices import lattice
 from .lifting import lift_layers
-from .series import (FourierSeries, TruncationWindow, _decode, _encode, _frame, _int64_first,
-                     _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _qz_rows, np)
+from .series import (_INT64_SAFE, FourierSeries, TruncationWindow, _decode, _encode, _frame,
+                     _int64_first, _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _qz_rows, np)
 
 
 class WeylData(NamedTuple):
@@ -172,26 +173,36 @@ def exp_layers(key: str, j_max: int, q_depth: int, psi: bool = False) -> tuple:
     return out
 
 
-def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
-    """The Borcherds product as a materialised series over a window."""
+def product_layers(key: str, window: TruncationWindow):
+    """(s_num, frame, keys, values) of each packed product layer inside the
+    window, from ``exp_layers``; a layer holding a coefficient that is not
+    an int (only the Fraction rerun leaves one) raises ArithmeticError at
+    its first such level."""
     meta = MEMBERS[key]
     s0 = meta.s_step
-    j_max = max((window.s_max - s0) // 2, 0)
-    q_depth = max((window.q_max - meta.val_q) // 24, 0)
-    out = FourierSeries(meta.r, meta.den_z, window)
     if window.q_max < meta.val_q:
-        return out
-    f, F = exp_layers(key, j_max, q_depth, psi=True)
+        return
+    f, F = exp_layers(key, max((window.s_max - s0) // 2, 0), (window.q_max - meta.val_q) // 24,
+                      psi=True)
     for j, (k, v, _) in enumerate(F):
         s_num = s0 + 2 * j
         if s_num > window.s_max:
             break
+        # int64 layers are integral; a remainder reruns as a Fraction
+        bad = v.dtype == object and [i for i, c in enumerate(v.tolist()) if type(c) is not int]
+        if bad:
+            cq = (s_num, meta.val_q + 24 * int(k[bad[0]] // f.stq))
+            raise ArithmeticError("non-integral product coefficient at %r" % (cq,))
+        yield s_num, f, k, v
+
+
+def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
+    """The Borcherds product as a materialised series over a window."""
+    meta = MEMBERS[key]
+    out = FourierSeries(meta.r, meta.den_z, window)
+    for s_num, f, k, v in product_layers(key, window):
         for lvl, sl in _qz_decode(k, v, f).items():
-            cq = (s_num, meta.val_q + 24 * lvl)
-            # int64 layers are integral; a remainder reruns as a Fraction
-            if v.dtype == object and any(type(c) is not int for c in sl.values()):
-                raise ArithmeticError("non-integral product coefficient at %r" % (cq,))
-            out.cells[cq] = sl
+            out.cells[(s_num, meta.val_q + 24 * lvl)] = sl
     return out
 
 
@@ -362,6 +373,17 @@ class WallClass(NamedTuple):
     example: tuple  # a primitive (n, z, m) realising the class
 
 
+def _row_unique(rows) -> tuple:
+    """(first index, inverse, count) of each distinct int64 row, as
+    np.unique(rows, axis=0) orders them, sorted on one packed key per row
+    (the rows' lexicographic order) rather than on the rows."""
+    lo = rows.min(axis=0, initial=0)
+    span = [int(a) + 1 for a in rows.max(axis=0, initial=0) - lo]
+    if prod(span) < _INT64_SAFE:
+        rows = (rows - lo) @ np.array([prod(span[i + 1:]) for i in range(len(span))], np.int64)
+    return np.unique(rows, axis=0, return_index=True, return_inverse=True, return_counts=True)[1:]
+
+
 def _scan_walls(key: str, q_depth: int) -> tuple:
     """(n, z rows, m, multiplicity) arrays of the primitive walls of nonzero
     multiplicity, the walls (n, z, m) in increasing order."""
@@ -369,9 +391,9 @@ def _scan_walls(key: str, q_depth: int) -> tuple:
     lat = lattice(meta.lattice_name)
     # truncate so the report does not depend on how deep a cached
     # weight-0 form happens to be
-    phi = weak_weight0(key, q_depth).series.truncated(
-        TruncationWindow(24 * q_depth, 0))
-    lv, z, v, _ = _qz_rows({q // 24: sl for (_, q), sl in phi.cells.items()}, meta.r, object)
+    phi = weak_weight0(key, q_depth).series
+    q_top = min(phi.window.q_max, 24 * q_depth)
+    lv, z, v = weight0_rows(key, phi, q_depth)
     neg = lat._wall_norms(lv, z, 1) < 0  # the negative-norm support
     lv, z, v = lv[neg], z[neg], v[neg]
     # each term at level l splits as (n, m) for every n, m <= q_depth with n m = l
@@ -381,8 +403,9 @@ def _scan_walls(key: str, q_depth: int) -> tuple:
     # of each +-pair of z-only walls keep the z lexicographically above zero
     lead = z0[np.arange(len(z0)), (z0 != 0).argmax(axis=1)]
     z0[(n0 == 0) & (m0 == 0) & (lead < 0)] *= -1
-    # np.unique sorts rows as sorted() sorts the (n, z, m) tuples
-    walls = np.unique(np.column_stack([n0, z0, m0]), axis=0)
+    # sorted as sorted() sorts the (n, z, m) tuples
+    walls = np.column_stack([n0, z0, m0])
+    walls = walls[_row_unique(walls)[0]]
     n0, z0, m0 = walls[:, 0], walls[:, 1:-1], walls[:, -1]
     # the multiplicity sums the coefficients at the multiples d (n, z, m),
     # searched for in the negative-norm support packed and sorted
@@ -397,7 +420,7 @@ def _scan_walls(key: str, q_depth: int) -> tuple:
     act, d = np.flatnonzero(mu2 >= floor), 1
     while len(act):
         lvl, zd = d * d * n0[act] * m0[act], d * z0[act]
-        if (24 * lvl > phi.window.q_max).any():
+        if (24 * lvl > q_top).any():
             raise ValueError("window too small for the multiplicity sum")
         inside = (np.abs(zd) <= box).all(axis=1)
         k = _encode(zd[inside], f, lvl[inside])
@@ -426,8 +449,7 @@ def reflective_divisor_scan(key: str, q_depth: int) -> dict:
     # the class key of {kappa, -kappa}: the smaller of k and -k mod N as base-N numbers
     w = lat.norm_den ** np.arange(k.shape[1])[::-1]
     k = np.minimum(k @ w, (-k % lat.norm_den) @ w)
-    _, first, group, walls = np.unique(np.column_stack([v2, dv, k]), axis=0, return_index=True,
-                                       return_inverse=True, return_counts=True)
+    first, group, walls = _row_unique(np.column_stack([v2, dv, k]))
     out = []
     for g, (i, cnt) in enumerate(zip(first.tolist(), walls.tolist())):
         ex = (int(n0[i]), tuple(z0[i].tolist()), int(m0[i]))  # the class's first wall

@@ -50,6 +50,7 @@ from .series import (
     _frame,
     _int64_first,
     _NotInt64,
+    _qz_rows,
     _reduce_parts,
     _slice_mul_into,
     np,
@@ -773,6 +774,26 @@ def holds_phi0(key: str, phi: FourierSeries) -> bool:
     a series made anywhere else, a corrupted copy say, never is."""
     cached = _PHI0_CACHE.get(key)
     return cached is not None and cached.series is phi
+
+
+_PHI0_ROWS: dict = {}  # key -> (the held series, {q_depth: rows})
+
+
+def weight0_rows(key: str, phi: FourierSeries, q_depth: int) -> tuple:
+    """(levels, z rows, values) of a member's weight-0 series phi through
+    level q_depth, a row per term in the series' order, object values,
+    read-only; memoised while phi is the series ``weak_weight0`` holds."""
+    memo = _PHI0_ROWS.get(key)
+    if memo is None or memo[0] is not phi:
+        memo = (phi, {})
+        if holds_phi0(key, phi):
+            _PHI0_ROWS[key] = memo
+    if q_depth not in memo[1]:
+        levels = {q // 24: sl for (_, q), sl in phi.cells.items() if q <= 24 * q_depth}
+        rows = memo[1][q_depth] = _qz_rows(levels, phi.r, object)[:3]
+        for a in rows:
+            a.flags.writeable = False
+    return memo[1][q_depth]
 
 
 def quasi_pullback(form: JacobiForm, coord: int) -> JacobiForm:

@@ -89,10 +89,13 @@ def closed_form_slice(k: int, n: int, m: int) -> dict:
             if rest < p:
                 break
             e = _eta_coeff(p, rest)
-            if e:
+            if e and d == 1:  # distinct shells of one divisor share no vector
+                shell = _odd_shell(k, ssq)
+                acc.update(zip(shell, [e * kr for kr in shell.values()]))
+            elif e:
                 pe = pw * e
                 for w, kr in _odd_shell(k, ssq).items():
-                    z = w if d == 1 else tuple(d * a for a in w)
+                    z = tuple(d * a for a in w)
                     v = acc.get(z, 0) + pe * kr
                     if v:
                         acc[z] = v

@@ -620,26 +620,6 @@ class FourierSeries:
 
     # -- variable changes ------------------------------------------------------
 
-    def scale_variables(self, q_factor=1, z_factor=1) -> "FourierSeries":
-        """Substitute tau -> a*tau (a > 0), z -> b*z; errors if a key leaves
-        the grid.  The result is exact through floor(a * q_max)."""
-        qf = Fraction(q_factor)
-        zf = Fraction(z_factor)
-        if qf <= 0:
-            raise ValueError("q factor must be positive")
-        wq = self.window.q_max * qf.numerator // qf.denominator
-        out = FourierSeries(self.r, self.den_z, TruncationWindow(wq, self.window.s_max))
-        for (s, q), sl in self.cells.items():
-            qn = q * qf
-            if qn.denominator != 1:
-                raise ValueError("q exponent leaves the 1/24 grid")
-            for z, c in sl.items():
-                zn = tuple(a * zf for a in z)
-                if any(a.denominator != 1 for a in zn):
-                    raise ValueError("z exponent leaves the 1/den_z grid")
-                out.add_term(int(qn), tuple(int(a) for a in zn), s, c)
-        return out
-
     def map_z(self, matrix, den_z_new: int = None) -> "FourierSeries":
         """Relabel elliptic exponents by z_new = z @ matrix (integer matrix)."""
         rows = len(matrix)

@@ -95,6 +95,27 @@ def copy(f: FourierSeries) -> FourierSeries:
     return out
 
 
+def scale_variables(f: FourierSeries, q_factor=1, z_factor=1) -> FourierSeries:
+    """Substitute tau -> a*tau (a > 0), z -> b*z; errors if a key leaves
+    the grid.  The result is exact through floor(a * q_max)."""
+    qf = Fraction(q_factor)
+    zf = Fraction(z_factor)
+    if qf <= 0:
+        raise ValueError("q factor must be positive")
+    wq = f.window.q_max * qf.numerator // qf.denominator
+    out = FourierSeries(f.r, f.den_z, TruncationWindow(wq, f.window.s_max))
+    for (s, q), sl in f.cells.items():
+        qn = q * qf
+        if qn.denominator != 1:
+            raise ValueError("q exponent leaves the 1/24 grid")
+        for z, c in sl.items():
+            zn = tuple(a * zf for a in z)
+            if any(a.denominator != 1 for a in zn):
+                raise ValueError("z exponent leaves the 1/den_z grid")
+            out.add_term(int(qn), tuple(int(a) for a in zn), s, c)
+    return out
+
+
 def derivative_z(f: FourierSeries, i: int) -> FourierSeries:
     """Apply (2 pi i)^-1 d/dz_i, i.e. multiply each term by its z_i exponent."""
     if not 0 <= i < f.r:

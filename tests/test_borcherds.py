@@ -840,3 +840,19 @@ def test_negative_control_corrupt_weight0_fails_after_a_warm_hit(monkeypatch):
     monkeypatch.undo()
     assert borcherds.compare_lift_product(key, 3, 2)["status"] == "pass"
     assert borcherds.borcherds_exp(key, window).first_difference(good) is None
+
+
+def test_row_unique_orders_rows_as_numpy_unique_does():
+    """The packed-key grouping of the divisor scan returns np.unique's
+    first indices, inverse and counts, signed rows and rows too wide for
+    one int64 key (which fall back to np.unique on the rows) included."""
+    rng = np.random.default_rng(7)
+    for rows in (rng.integers(-4, 5, (300, 4)), rng.integers(0, 3, (50, 1)),
+                 np.zeros((0, 3), np.int64),
+                 np.array([[2 ** 40, -3], [-2 ** 40, 5], [2 ** 40, -3]], np.int64),
+                 rng.integers(-2 ** 20, 2 ** 20, (40, 4))):
+        _, first, inverse, counts = np.unique(rows, axis=0, return_index=True,
+                                              return_inverse=True, return_counts=True)
+        got = borcherds._row_unique(rows)
+        for a, b in zip(got, (first, inverse, counts)):
+            assert np.array_equal(a, b.reshape(-1))

@@ -31,7 +31,7 @@ from refltower.lattices import lattice
 from refltower.lifting import gritsenko_lift, lift_layers
 from refltower.series import FourierSeries, TruncationWindow
 
-from helpers import coefficient, divide_slices, norm
+from helpers import coefficient, divide_slices, norm, scale_variables
 import oracles
 from oracles import eta_product
 
@@ -487,7 +487,7 @@ def test_phi0_d1_is_doubled_restriction():
     ser = top.series
     while ser.r > 1:
         ser = ser.restrict_z(ser.r - 1)
-    doubled = ser.scale_variables(1, 2)
+    doubled = scale_variables(ser, 1, 2)
     own = phi0_by_division("eta21_theta2z", 3)
     assert doubled.first_difference(own.series) is None
 

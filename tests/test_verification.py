@@ -373,6 +373,43 @@ def test_support_checks_read_block_rows_not_slices(monkeypatch):
     assert norms == [] and slices == []
 
 
+def test_warm_identity_checks_read_held_rows(monkeypatch):
+    """Warm, delta11-block restricts the held D8 rows in one pass (no
+    restrict_z), the support and divisor checks reuse the held phi0 rows,
+    and borcherds-integrality counts packed layer keys without decoding
+    them into a series."""
+    names = ("delta11-block", "lemma13-support-bounds", "reflective-divisor-classes",
+             "borcherds-integrality")
+    want = [verification.run(n) for n in names]
+    restrict = _count_calls(monkeypatch, verification.FourierSeries, "restrict_z")
+    rows = _count_calls(monkeypatch, jacobi, "_qz_rows")
+    decode = _count_calls(monkeypatch, borcherds, "_qz_decode")
+    assert [verification.run(n) for n in names] == want
+    assert all(rep.status == "pass" for rep in want)
+    assert restrict == [] and rows == [] and decode == []
+
+
+def test_integrality_counts_the_terms_of_the_materialised_product():
+    win = TruncationWindow(72, 4)
+    want = sum(borcherds.borcherds_exp(key, win).term_count() for key in jacobi.MEMBERS)
+    assert verification.run("borcherds-integrality", win).checked_terms == want
+
+
+def test_weight0_rows_are_memoised_only_for_the_held_series():
+    key, depth = "psi_8_D4", 2
+    phi = jacobi.weak_weight0(key, depth).series
+    rows = jacobi.weight0_rows(key, phi, depth)
+    assert jacobi.weight0_rows(key, phi, depth) is rows
+    lv, z, v, _ = _qz_rows({q // 24: sl for (_, q), sl in
+                            phi.truncated(TruncationWindow(24 * depth, 0)).cells.items()},
+                           phi.r, object)
+    assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(rows, (lv, z, v)))
+    other = copy(phi)
+    got = jacobi.weight0_rows(key, other, depth)
+    assert got is not rows and all(np.array_equal(a, b) for a, b in zip(got, rows))
+    assert jacobi._PHI0_ROWS[key][0] is phi
+
+
 def test_negative_control_coefficient_off_its_class(monkeypatch):
     # c(1, 2 e_1) = 36 is shared by every permutation and sign change
     _bump_phi0_term(monkeypatch, "psi_4_D8", 24, (2, 0, 0, 0, 0, 0, 0, 0))

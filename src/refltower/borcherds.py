@@ -16,22 +16,22 @@ lexicographic half, where the corner directions need the other one) and
 differs from the corner cell on.
 
 One packed recursion (``exp_layers``) gives the exponential layers E_j
-from phi0's translates (``hecke_v0``), encoded as the lift's are; the
-product layers psi * E_j are E_j times the block, multiplied out
-factor by factor (``jacobi.multiply_by_member``), and memoised per
-(member, j_max, q depth), with read-only arrays; the memo is read and
-written only while phi0 is the series ``weak_weight0`` holds
+from phi0's translates (``hecke_v0`` on phi0's held rows), encoded as
+the lift's are; the product layers psi * E_j are E_j times the block,
+multiplied out factor by factor (``jacobi.multiply_by_member``), and
+memoised per (member, j_max, q depth), with read-only arrays; the memo
+is read and written only while phi0 is the series ``weak_weight0`` holds
 (``jacobi.holds_phi0``).  Every series it held is an exact quotient, so
 entries stay valid as phi0 deepens; any other phi0, a corrupted one say,
-neither hits nor replaces an entry.  The lift-versus-product
-check has the lift layers built straight into psi * E_j's frame
-(``jacobi.hecke_levels``) and compares keys and values as arrays;
-dicts appear only in a mismatch report.
+neither hits nor replaces an entry.  The lift-versus-product check has
+the lift layers built straight into psi * E_j's frame
+(``jacobi.hecke_levels``) and compares keys and values as arrays; dicts
+appear only in a mismatch report.
 
 The divisor scan walks the negative-norm support of phi0, reduces each
 Fourier index to a primitive wall vector, sums the coefficients along
 multiples of the wall, and groups the results by the invariants of the
-reflection, all on z-row arrays through the lattice's batched kernel.
+reflection, all on phi0's held rows through the lattice's batched kernel.
 Termination of the multiplicity sum rests on the checked fact that
 negative-norm support sits only at the minimal norm of the family; a
 wall whose multiples leave the window raises ValueError.
@@ -59,7 +59,7 @@ from .jacobi import (
 from .lattices import lattice
 from .lifting import lift_layers
 from .series import (_INT64_SAFE, FourierSeries, TruncationWindow, _decode, _encode, _frame,
-                     _int64_first, _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _qz_rows, np)
+                     _int64_first, _norm_coeff, _NotInt64, _qz_decode, _qz_mul, np)
 
 
 class WeylData(NamedTuple):
@@ -80,23 +80,24 @@ def weyl_data(key: str) -> WeylData:
 # weight-0 Hecke translates and the exponential layers
 
 
-def hecke_v0(phi: FourierSeries, m: int, q_depth: int, dtype) -> list:
+def hecke_v0(rows: tuple, m: int, q_depth: int, dtype) -> list:
     """W_m = -m phi|V_m^(0) on levels 0..q_depth as divisor parts (level n,
-    d, weight -(m/d), rows of phi at level n m / d^2) for d | (n, m): the
-    1/d weights of V_m^(0) cancel against m.  Each level of phi is read
-    once, as rows (z rows, values, reach, max|v|); with int64 values a
-    coefficient that is not an int below 2^62 raises _NotInt64."""
+    d, weight -(m/d), rows of phi at level n m / d^2) for d | (n, m), from
+    phi's rows through level q_depth m (``jacobi.weight0_rows``): the 1/d
+    weights of V_m^(0) cancel against m.  With int64 values a coefficient
+    that is not an int below 2^62 raises _NotInt64; a cast would truncate."""
     if m < 1:
         raise ValueError("translate order must be positive")
-    if phi.window.q_max < 24 * q_depth * m:
-        raise ValueError("weight-0 form is too shallow for this translate")
-    rows, parts = {}, []  # rows: level of phi -> its rows
+    lv, z, v = rows
+    cuts, parts = np.searchsorted(lv, np.arange(q_depth * m + 2)).tolist(), []
     for n in range(q_depth + 1):
         for d, k in _divisor_terms(n, m):
-            if k not in rows:
-                _, z, v, reach = _qz_rows({0: phi.cells.get((0, 24 * k), {})}, phi.r, dtype)
-                rows[k] = (z, v, reach, int(np.abs(v).max(initial=0)))
-            parts.append((n, d, -(m // d), rows[k]))
+            zk, vk = z[cuts[k]:cuts[k + 1]], v[cuts[k]:cuts[k + 1]].tolist()
+            top = max(map(abs, vk), default=0)
+            if dtype is not object and (set(map(type, vk)) - {int} or top >= _INT64_SAFE):
+                raise _NotInt64
+            parts.append((n, d, -(m // d),
+                          (zk, np.array(vk, dtype), np.abs(zk).max(axis=0, initial=0), int(top))))
     return parts
 
 
@@ -113,7 +114,8 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
     remainder, raises _NotInt64; object values keep it as a Fraction.
     """
     meta = MEMBERS[key]
-    specs = _part_specs([hecke_v0(phi, i, q_depth, dtype) for i in range(1, j_max + 1)])
+    rows = weight0_rows(key, phi, j_max * q_depth)
+    specs = _part_specs([hecke_v0(rows, i, q_depth, dtype) for i in range(1, j_max + 1)])
     if dtype is not object and any(dt is object for _, dt, _ in specs):
         raise _NotInt64
     reach = [np.zeros(meta.r, np.int64)]
@@ -389,11 +391,8 @@ def _scan_walls(key: str, q_depth: int) -> tuple:
     multiplicity, the walls (n, z, m) in increasing order."""
     meta = MEMBERS[key]
     lat = lattice(meta.lattice_name)
-    # truncate so the report does not depend on how deep a cached
-    # weight-0 form happens to be
-    phi = weak_weight0(key, q_depth).series
-    q_top = min(phi.window.q_max, 24 * q_depth)
-    lv, z, v = weight0_rows(key, phi, q_depth)
+    # rows through q_depth only, so the report does not depend on the cached depth
+    lv, z, v = weight0_rows(key, weak_weight0(key, q_depth).series, q_depth)
     neg = lat._wall_norms(lv, z, 1) < 0  # the negative-norm support
     lv, z, v = lv[neg], z[neg], v[neg]
     # each term at level l splits as (n, m) for every n, m <= q_depth with n m = l
@@ -420,7 +419,7 @@ def _scan_walls(key: str, q_depth: int) -> tuple:
     act, d = np.flatnonzero(mu2 >= floor), 1
     while len(act):
         lvl, zd = d * d * n0[act] * m0[act], d * z0[act]
-        if (24 * lvl > q_top).any():
+        if (lvl > q_depth).any():
             raise ValueError("window too small for the multiplicity sum")
         inside = (np.abs(zd) <= box).all(axis=1)
         k = _encode(zd[inside], f, lvl[inside])

@@ -25,7 +25,7 @@ gives every block's packed rows (``_member_rows``, with each level's
 reach and max|v|); dict slices of the A2 blocks are decoded from them,
 the others summed from odd shells.  The Hecke translates of the lift
 (``hecke_levels``) are built from the rows straight into a product's
-packed frame by ``_encode_parts``, which packs phi0's translates too.
+packed frame by ``_encode_parts``, as phi0's are from ``weight0_rows``.
 
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
@@ -749,7 +749,7 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
                       meta.lattice_name, meta.family, meta.copies)
 
 
-_PHI0_CACHE: dict = {}  # key -> form
+_PHI0_CACHE: dict = {}  # key -> [form, its series' rows or None] (see ``weight0_rows``)
 
 
 def weak_weight0(key: str, q_depth: int) -> JacobiForm:
@@ -763,37 +763,37 @@ def weak_weight0(key: str, q_depth: int) -> JacobiForm:
     a deeper one agrees with the one it replaces on every level both hold.
     """
     cached = _PHI0_CACHE.get(key)
-    if cached is not None and cached.series.window.q_max >= 24 * q_depth:
-        return cached
-    _PHI0_CACHE[key] = phi0_by_division(key, q_depth)
-    return _PHI0_CACHE[key]
+    if cached is None or cached[0].series.window.q_max < 24 * q_depth:
+        cached = _PHI0_CACHE[key] = [phi0_by_division(key, q_depth), None]
+    return cached[0]
 
 
 def holds_phi0(key: str, phi: FourierSeries) -> bool:
     """Whether phi is the very series ``weak_weight0`` holds for the member;
     a series made anywhere else, a corrupted copy say, never is."""
     cached = _PHI0_CACHE.get(key)
-    return cached is not None and cached.series is phi
-
-
-_PHI0_ROWS: dict = {}  # key -> (the held series, {q_depth: rows})
+    return cached is not None and cached[0].series is phi
 
 
 def weight0_rows(key: str, phi: FourierSeries, q_depth: int) -> tuple:
     """(levels, z rows, values) of a member's weight-0 series phi through
-    level q_depth, a row per term in the series' order, object values,
-    read-only; memoised while phi is the series ``weak_weight0`` holds."""
-    memo = _PHI0_ROWS.get(key)
-    if memo is None or memo[0] is not phi:
-        memo = (phi, {})
-        if holds_phi0(key, phi):
-            _PHI0_ROWS[key] = memo
-    if q_depth not in memo[1]:
-        levels = {q // 24: sl for (_, q), sl in phi.cells.items() if q <= 24 * q_depth}
-        rows = memo[1][q_depth] = _qz_rows(levels, phi.r, object)[:3]
+    level q_depth, in level and slice order, object values, read-only: a
+    prefix of phi's rows, converted once and kept beside the series
+    ``weak_weight0`` holds (and dropped with it), afresh for any other phi.
+    A depth past phi's window raises ValueError."""
+    if phi.window.q_max < 24 * q_depth:
+        raise ValueError("weight-0 form is too shallow for rows through level %d" % q_depth)
+    held = holds_phi0(key, phi)
+    rows = _PHI0_CACHE[key][1] if held else None
+    if rows is None:
+        levels = {j: phi.cells.get((0, 24 * j), {}) for j in range(phi.window.q_max // 24 + 1)}
+        rows = _qz_rows(levels, phi.r, object)[:3]
         for a in rows:
             a.flags.writeable = False
-    return memo[1][q_depth]
+        if held:
+            _PHI0_CACHE[key][1] = rows
+    end = np.searchsorted(rows[0], q_depth + 1)
+    return tuple(a[:end] for a in rows)
 
 
 def quasi_pullback(form: JacobiForm, coord: int) -> JacobiForm:

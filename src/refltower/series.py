@@ -17,10 +17,11 @@ product ``_qz_mul`` and the theta-block division and multiplication
 ``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts,
 and ``_int64_first`` reruns a kernel on Python ints when int64 cannot
 carry its values.  Unpacked, a series is rows (levels, z rows, values,
-reach) as ``_qz_rows`` lays them out.  The division takes and returns
-one level per (keys, values) pair, the level digit left out.  ``np``
-here, which ``jacobi`` and ``borcherds`` import, runs numpy's import on
-its first use, so work with no kernel never pays it.
+reach) as ``_qz_rows`` lays them out; phi0's are held by
+``jacobi.weight0_rows``.  The division takes and returns one level per
+(keys, values) pair, the level digit left out.  ``np`` here, which
+``jacobi`` and ``borcherds`` import, runs numpy's import on its first
+use, so work with no kernel never pays it.
 """
 
 from __future__ import annotations

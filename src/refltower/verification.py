@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .series import FourierSeries, TruncationWindow, _qz_rows, np
+from .series import FourierSeries, TruncationWindow, np
 from . import jacobi
 from . import lattices
 from . import lifting
@@ -194,9 +194,9 @@ def _run_cusp_support(win):
             continue
         norms, count = _support_norms(key, win)
         checked += count
-        low = min(norms)
+        low = min(norms, default=None)  # None: no term inside the window
         details[key] = _jsonable(low)
-        if low <= 0:
+        if low is None or low <= 0:
             ok = False
     return ok, checked, details
 
@@ -344,11 +344,10 @@ def _run_weyl_symmetry(win):
 _CLASS_REPS = ["psi_4_D8", "psi_10_D2", "eta21_theta2z", "psi_9_A2", "psi_5_A1", "psi_2_4A1"]
 
 
-def _class_rows(lat, phi):
-    """(norms, class keys, values) of the terms of a weight-0 series, one row
-    per term in the series' order: norms as (2 n - (l, l)) * norm_den, keys
-    as ``Lattice._key``; a term off S^vee raises ValueError."""
-    lv, z, v, _ = _qz_rows({q // 24: sl for (_, q), sl in phi.cells.items()}, lat.rank, object)
+def _class_rows(lat, lv, z, v):
+    """(norms, class keys, values) of weight-0 rows (``jacobi.weight0_rows``),
+    row for row: norms as (2 n - (l, l)) * norm_den, keys as
+    ``Lattice._key``; a term off S^vee raises ValueError."""
     lat._content(z)  # the S^vee check
     return lat._wall_norms(lv, z, 1), lat._keys(z), v
 
@@ -361,11 +360,10 @@ def _run_class_invariance(win):
     details = {}
     depth = min(max(win.q_max // 24, 1), 3)
     for key in _CLASS_REPS:
-        meta = jacobi.MEMBERS[key]
-        lat = lattices.lattice(meta.lattice_name)
-        phi = jacobi.weak_weight0(key, depth).series.truncated(TruncationWindow(24 * depth, 0))
-        nrm, cls, v = _class_rows(lat, phi)
-        _, group = np.unique(np.column_stack([nrm, cls]), axis=0, return_inverse=True)
+        lat = lattices.lattice(jacobi.MEMBERS[key].lattice_name)
+        rows = jacobi.weight0_rows(key, jacobi.weak_weight0(key, depth).series, depth)
+        nrm, cls, v = _class_rows(lat, *rows)
+        _, group, _ = borcherds._row_unique(np.column_stack([nrm, cls]))
         # groups holding more than one distinct coefficient
         seen = np.bincount([g for g, _ in set(zip(group.tolist(), v.tolist()))])
         broken = int(np.count_nonzero(seen > 1))

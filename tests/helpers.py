@@ -174,21 +174,23 @@ def exp_series(key: str, j_max: int, q_depth: int, psi: bool = False) -> list:
     return out
 
 
-def packed_translate(phi: FourierSeries, m: int, q_depth: int, dtype) -> tuple:
-    """(frame, keys, values) of W_m = -m phi|V_m^(0) through level q_depth:
-    the parts ``borcherds.hecke_v0`` gives, encoded as
+def packed_translate(key: str, phi: FourierSeries, m: int, q_depth: int, dtype) -> tuple:
+    """(frame, keys, values) of W_m = -m phi|V_m^(0) through level q_depth,
+    phi a weight-0 series of the member: the parts ``borcherds.hecke_v0``
+    gives from phi's rows (``jacobi.weight0_rows``), encoded as
     ``borcherds._exp_packed`` encodes them, in the symmetric frame of the
     reach ``jacobi._part_specs`` gives them."""
-    [(parts, _, reach)] = jacobi._part_specs([borcherds.hecke_v0(phi, m, q_depth, dtype)])
+    rows = jacobi.weight0_rows(key, phi, m * q_depth)
+    [(parts, _, reach)] = jacobi._part_specs([borcherds.hecke_v0(rows, m, q_depth, dtype)])
     f = _frame(-reach, reach, q_depth)
     return (f, *jacobi._encode_parts(parts, f, dtype))
 
 
-def translate(phi: FourierSeries, m: int, q_depth: int) -> FourierSeries:
+def translate(key: str, phi: FourierSeries, m: int, q_depth: int) -> FourierSeries:
     """phi|V_m^(0) as a series on levels 0..q_depth: the packed W_m
     (``packed_translate``, int64 where phi's values allow it) decoded and
     divided by -m."""
-    f, k, v = _int64_first(packed_translate, phi, m, q_depth)
+    f, k, v = _int64_first(packed_translate, key, phi, m, q_depth)
     out = FourierSeries(phi.r, phi.den_z, TruncationWindow(24 * q_depth, 0))
     out.cells = {(0, 24 * lvl): {z: _norm_coeff(Fraction(-c, m)) for z, c in sl.items()}
                  for lvl, sl in _qz_decode(k, v, f).items()}

@@ -28,7 +28,7 @@ def test_weyl_data():
 
 def test_hecke_v0_relabels_towards_longer_vectors():
     phi = jacobi.weak_weight0("psi_5_A1", 4).series
-    v2 = translate(phi, 2, 2)
+    v2 = translate("psi_5_A1", phi, 2, 2)
     assert v2.cells[(0, 0)] == {
         (-4,): Fraction(1, 2), (-2,): 1, (0,): 15,
         (2,): 1, (4,): Fraction(1, 2)}
@@ -44,7 +44,7 @@ def test_exp_layers_match_direct_formulas():
         assert E[0].term_count() == 1 and coefficient(E[0], 0, (0,) * E[0].r) == 1
         assert E[1].first_difference((-phi).truncated(win)) is None
         direct = phi.mul(phi, win).scaled(Fraction(1, 2)) \
-            - translate(phi, 2, 3)
+            - translate(key, phi, 2, 3)
         assert E[2].first_difference(direct) is None
 
 
@@ -494,9 +494,11 @@ def test_scan_rejects_a_window_too_small_for_the_multiplicity_sum(monkeypatch):
 
 
 def test_hecke_v0_rejects_shallow_windows():
-    # phi0 divided afresh: the memoised form may already be deeper
-    with pytest.raises(ValueError):
-        borcherds.hecke_v0(jacobi.phi0_by_division("psi_5_A1", 2).series, 3, 4, np.int64)
+    # phi0 divided afresh: the memoised form may already be deeper; its
+    # rows through level 3 * 4 are asked for, deeper than its window
+    with pytest.raises(ValueError, match="too shallow"):
+        borcherds.hecke_v0(jacobi.weight0_rows(
+            "psi_5_A1", jacobi.phi0_by_division("psi_5_A1", 2).series, 12), 3, 4, np.int64)
 
 
 def _by_level(f):
@@ -519,15 +521,16 @@ def test_packed_translate_equals_the_dict_reference():
         rev.cells = {cq: dict(reversed(sl.items())) for cq, sl in phi.cells.items()}
         half = phi.scaled(Fraction(1, 2))
         for q_depth, m in itertools.product(depths, (1, 2, 3)):
-            f, k, v = packed_translate(phi, m, q_depth, np.int64)
+            f, k, v = packed_translate(key, phi, m, q_depth, np.int64)
             assert v.dtype == np.int64 and np.all(k[1:] > k[:-1]), (key, m)
             assert series._qz_decode(k, v, f) == _by_level(
                 oracles.hecke_v0(phi, m, q_depth).scaled(-m)), (key, q_depth, m)
-            _, kr, vr = packed_translate(rev, m, q_depth, np.int64)
+            _, kr, vr = packed_translate(key, rev, m, q_depth, np.int64)
             assert np.array_equal(kr, k) and np.array_equal(vr, v), (key, q_depth, m)
             with pytest.raises(series._NotInt64):
-                borcherds.hecke_v0(half, m, q_depth, np.int64)
-            f, k, v = packed_translate(half, m, q_depth, object)
+                borcherds.hecke_v0(jacobi.weight0_rows(key, half, m * q_depth), m, q_depth,
+                                   np.int64)
+            f, k, v = packed_translate(key, half, m, q_depth, object)
             assert v.dtype == object and np.all(k[1:] > k[:-1])
             assert any(type(c) is Fraction and c.denominator > 1 for c in v.tolist())
             assert series._qz_decode(k, v, f) == _by_level(
@@ -642,9 +645,11 @@ def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch):
     key, j_max, q_depth = "psi_8_D4", 1, 2
     real, real_dict = borcherds.hecke_v0, oracles.hecke_v0
 
-    def crooked(phi, m, depth, dtype):
+    def crooked(rows, m, depth, dtype):
         # -2^61 on the W_1 key at level 1 where phi's z is least
-        return _with_part(real(phi, m, depth, dtype), 1, min(phi.cells[(0, 24)]), 2 ** 61, dtype)
+        lv, z, _ = rows
+        return _with_part(real(rows, m, depth, dtype), 1, min(map(tuple, z[lv == 1].tolist())),
+                          2 ** 61, dtype)
 
     def crooked_dict(phi, m, depth):
         v = real_dict(phi, m, depth)
@@ -717,13 +722,37 @@ def test_negative_control_corrupt_weight0_fails_the_comparison(monkeypatch):
         borcherds.borcherds_exp("psi_10_D2", TruncationWindow(72, 4))
 
 
+def test_a_fraction_in_phi0_sends_the_recursion_to_the_object_path(monkeypatch):
+    """phi0 / 2 holds Fractions, which a cast to int64 would truncate
+    without a word: the int64 try stops at ``hecke_v0``'s int check and
+    the recursion reruns on objects.  With one layer no remainder could
+    catch the truncation later, and E_1 = -phi0 / 2 keeps its halves."""
+    key, q_depth = "psi_10_D2", 2
+    _corrupt_weight0(monkeypatch, key, Fraction(1, 2))
+    dtypes = []
+    real = borcherds._exp_packed
+
+    def spy(*args):
+        dtypes.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(borcherds, "_exp_packed", spy)
+    f, F = borcherds.exp_layers(key, 1, q_depth)
+    assert dtypes == [np.int64, object]
+    half = borcherds.weak_weight0(key, q_depth).series
+    for (k, v, _), layer in zip(F, _exp_oracle(key, 1, q_depth, half)):
+        assert series._qz_decode(k, v, f) == _by_level(layer)
+    assert any(type(c) is Fraction and c.denominator == 2 for c in F[1][1].tolist())
+
+
 def test_exp_layer_remainder_stays_exact(monkeypatch):
     """A translate with 2 V_2 integral but off by one: the quotient of
     2 E_2 by 2 leaves a remainder, which stays an exact Fraction."""
     real = borcherds.hecke_v0
+    phi = jacobi.weak_weight0("psi_10_D2", 4).series
 
-    def crooked(phi, m, q_depth, dtype):
-        parts = real(phi, m, q_depth, dtype)
+    def crooked(rows, m, q_depth, dtype):
+        parts = real(rows, m, q_depth, dtype)
         if m == 2:  # -1 on the W_2 key at level 0 where phi|V_2's z is least
             z = min(oracles.hecke_v0(phi, 2, q_depth).cells[(0, 0)])
             parts = _with_part(parts, 0, z, 1, dtype)

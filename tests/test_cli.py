@@ -313,6 +313,14 @@ def test_cache_hits_need_no_numpy(tmp_path, capsys):
     assert proc.returncode != 0
 
 
+def test_verify_below_every_block_fails_without_a_traceback():
+    proc = _python("import sys\nfrom refltower.cli import main\nraise SystemExit(main(sys.argv[1:]))",
+                   "verify", "cusp-support", "--qmax", "0")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("fail cusp-support") and "checked=0 " in proc.stdout
+
+
 def test_negative_window_is_usage_error(capsys):
     for flag in ("--qmax", "--smax"):
         for argv in (["expand", "lift:D2", flag, "-1"],

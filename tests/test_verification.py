@@ -248,9 +248,10 @@ def test_class_rows_equal_the_per_term_keys_and_norms():
     checked = 0
     for key in verification._CLASS_REPS:
         lat = lattices.lattice(jacobi.MEMBERS[key].lattice_name)
-        phi = jacobi.weak_weight0(key, 3).series.truncated(TruncationWindow(72, 0))
-        nrm, cls, v = verification._class_rows(lat, phi)
-        terms = [(q, z, c) for (_, q), sl in phi.cells.items() for z, c in sl.items()]
+        phi = jacobi.weak_weight0(key, 3).series
+        nrm, cls, v = verification._class_rows(lat, *jacobi.weight0_rows(key, phi, 3))
+        terms = [(q, z, c) for (_, q), sl in phi.truncated(TruncationWindow(72, 0)).cells.items()
+                 for z, c in sl.items()]
         assert len(terms) == len(nrm) == len(cls) == len(v)
         for (q, z, c), a, k, b in zip(terms, nrm.tolist(), cls.tolist(), v.tolist()):
             assert Fraction(a, lat.norm_den) == hyper_norm_fraction(lat, q, z)
@@ -262,7 +263,7 @@ def test_class_rows_equal_the_per_term_keys_and_norms():
     phi = copy(jacobi.weak_weight0("psi_4_D8", 1).series)
     phi.add_term(24, (1,) + (0,) * 7, 0, 1)
     with pytest.raises(ValueError):
-        verification._class_rows(lattices.lattice("D8"), phi)
+        verification._class_rows(lattices.lattice("D8"), *jacobi.weight0_rows("psi_4_D8", phi, 1))
 
 
 def _add_slice_term(monkeypatch, key, q, z):
@@ -324,6 +325,23 @@ def test_negative_control_floor_term_off_coefficient_one(monkeypatch):
     assert rep.details["violations"] == {"psi_10_D2": [[0, [2, 0], 2]]}
 
 
+@pytest.mark.parametrize("q_max", [0, 11, 23])
+def test_support_checks_fail_below_a_block_without_raising(q_max):
+    """Below q = 24 a member whose block has no term inside the window is
+    reported as null (cusp-support) or no norms (singular-support), and
+    the check fails: a window that checks a member nothing never passes.
+    Below q = 12 no block has a term, so nothing is checked at all."""
+    below = [k for k, meta in jacobi.MEMBERS.items() if meta.val_q > q_max]
+    for name, tops, none in (("singular-support", True, []), ("cusp-support", False, None)):
+        rep = verification.run(name, TruncationWindow(q_max, 4))
+        assert rep.status == "fail"
+        assert sorted(rep.details) == sorted(k for k in jacobi.MEMBERS
+                                             if (k in jacobi.TOWER_TOPS) == tops)
+        assert sorted(k for k, d in rep.details.items() if d == none) == \
+            sorted(k for k in rep.details if k in below), name
+        assert (rep.checked_terms == 0) == (q_max < 12)
+
+
 def test_negative_control_cone_term_below_a_top(monkeypatch):
     # 48/12 - 16/4 = 0: on the cone
     _add_slice_term(monkeypatch, "psi_8_D4", 48, (2, 2, 2, 2))
@@ -373,20 +391,40 @@ def test_support_checks_read_block_rows_not_slices(monkeypatch):
     assert norms == [] and slices == []
 
 
+def _count_rows_calls(monkeypatch) -> list:
+    """Spy on ``_qz_rows`` in every module of the program that binds it."""
+    calls = []
+    for mod in (jacobi, borcherds, verification):
+        if hasattr(mod, "_qz_rows"):
+            calls.append(_count_calls(monkeypatch, mod, "_qz_rows"))
+    return calls
+
+
 def test_warm_identity_checks_read_held_rows(monkeypatch):
     """Warm, delta11-block restricts the held D8 rows in one pass (no
-    restrict_z), the support and divisor checks reuse the held phi0 rows,
-    and borcherds-integrality counts packed layer keys without decoding
-    them into a series."""
+    restrict_z), the support, divisor and class checks reuse the held phi0
+    rows (coefficient-class-invariance with no truncated copy), and
+    borcherds-integrality counts packed layer keys without decoding them
+    into a series.  A cold exponential recursion for a member whose rows
+    are held converts no phi0 either."""
     names = ("delta11-block", "lemma13-support-bounds", "reflective-divisor-classes",
-             "borcherds-integrality")
+             "borcherds-integrality", "coefficient-class-invariance")
     want = [verification.run(n) for n in names]
     restrict = _count_calls(monkeypatch, verification.FourierSeries, "restrict_z")
-    rows = _count_calls(monkeypatch, jacobi, "_qz_rows")
+    rows = _count_rows_calls(monkeypatch)
     decode = _count_calls(monkeypatch, borcherds, "_qz_decode")
+    truncated = _count_calls(monkeypatch, verification.FourierSeries, "truncated")
+    assert verification.run("coefficient-class-invariance") == want[-1]
+    assert truncated == []
     assert [verification.run(n) for n in names] == want
     assert all(rep.status == "pass" for rep in want)
-    assert restrict == [] and rows == [] and decode == []
+    assert restrict == [] and all(c == [] for c in rows) and decode == []
+    key, j_max, q_depth = "psi_8_D4", 2, 2
+    jacobi.weight0_rows(key, jacobi.weak_weight0(key, j_max * q_depth).series, j_max * q_depth)
+    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})
+    exp = _count_calls(monkeypatch, borcherds, "_exp_packed")
+    borcherds.exp_layers(key, j_max, q_depth, psi=True)
+    assert len(exp) == 1 and all(c == [] for c in rows)
 
 
 def test_integrality_counts_the_terms_of_the_materialised_product():
@@ -395,19 +433,42 @@ def test_integrality_counts_the_terms_of_the_materialised_product():
     assert verification.run("borcherds-integrality", win).checked_terms == want
 
 
-def test_weight0_rows_are_memoised_only_for_the_held_series():
+def _refers_to(obj, target, seen) -> bool:
+    """Whether target is obj or sits inside it through dicts, lists and tuples."""
+    if obj is target:
+        return True
+    if not isinstance(obj, (dict, list, tuple)) or id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    items = obj.values() if isinstance(obj, dict) else obj
+    return any(_refers_to(x, target, seen) for x in items)
+
+
+def test_weight0_rows_are_held_once_beside_the_held_series(monkeypatch):
+    """The held series is converted once: every depth up to its own is a
+    read-only prefix equal to ``_qz_rows`` of the series truncated there.
+    Another phi is converted afresh and leaves the held rows alone, and a
+    deeper division drops the replaced series together with its rows."""
+    monkeypatch.setattr(jacobi, "_PHI0_CACHE", {})
     key, depth = "psi_8_D4", 2
     phi = jacobi.weak_weight0(key, depth).series
-    rows = jacobi.weight0_rows(key, phi, depth)
-    assert jacobi.weight0_rows(key, phi, depth) is rows
-    lv, z, v, _ = _qz_rows({q // 24: sl for (_, q), sl in
-                            phi.truncated(TruncationWindow(24 * depth, 0)).cells.items()},
-                           phi.r, object)
-    assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(rows, (lv, z, v)))
-    other = copy(phi)
-    got = jacobi.weight0_rows(key, other, depth)
-    assert got is not rows and all(np.array_equal(a, b) for a, b in zip(got, rows))
-    assert jacobi._PHI0_ROWS[key][0] is phi
+    conversions = _count_calls(monkeypatch, jacobi, "_qz_rows")
+    for d in range(depth + 1):
+        rows = jacobi.weight0_rows(key, phi, d)
+        want = _qz_rows({q // 24: sl for (_, q), sl in
+                         phi.truncated(TruncationWindow(24 * d, 0)).cells.items()}, phi.r, object)
+        assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(rows, want))
+    assert len(conversions) == 1
+    with pytest.raises(ValueError, match="too shallow"):
+        jacobi.weight0_rows(key, phi, depth + 1)
+    got = jacobi.weight0_rows(key, copy(phi), depth)
+    assert len(conversions) == 2
+    assert all(np.array_equal(a, b) and not a.flags.writeable for a, b in zip(got, rows))
+    assert not any(np.shares_memory(a, b) for a, b in zip(got, rows))
+    again = jacobi.weight0_rows(key, phi, depth)
+    assert len(conversions) == 2 and all(np.shares_memory(a, b) for a, b in zip(again, rows))
+    jacobi.weak_weight0(key, depth + 1)
+    assert not any(_refers_to(x, phi, set()) for x in vars(jacobi).values())
 
 
 def test_negative_control_coefficient_off_its_class(monkeypatch):

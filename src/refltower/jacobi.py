@@ -30,6 +30,8 @@ packed frame by ``_encode_parts``, as phi0's are from ``weight0_rows``.
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
 constant term positive and the exponential lift reproduce the block.
+The quotient is held as rows, and its dict cells are decoded only for a
+dict reader (``_RowSeries``).
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ from .series import (
     _encode,
     _frame,
     _int64_first,
+    _level_runs,
     _NotInt64,
     _qz_rows,
     _reduce_parts,
+    _restride,
     _slice_mul_into,
     np,
 )
@@ -538,66 +542,62 @@ def _factor_stack(meta: MemberMeta, depth: int) -> list:
 def _binomial_packed(keys, vals, span: int, s: int):
     """Divide packed (line*span + d) data by (zeta^s - zeta^-s) on the digit.
 
-    Keys must come in sorted, so a "new line" mask numbers the lines.
-    Per line and residue class mod 2|s| the quotient is the descending
-    running sum, shifted down by |s| (and negated when s < 0); a nonzero
-    class total means a remainder.  A block of lines is laid out dense as
-    (class, line, column), its width padded to a multiple of 2|s|, so one
-    running sum and one ``flatnonzero`` serve every class; the output
-    comes class by class.  Values keep their dtype, int64 or object.
+    Keys must come in sorted.  Per line and residue class mod 2|s| the
+    quotient at e - |s| is the sum of the class's inputs at digits >= e
+    (negated when s < 0): constant between consecutive inputs.  In blocks
+    of (1 << 21) // span lines, ordered by class, then by line (a dense
+    (class, line, column) pass's order, kept in the output), one running
+    sum serves every (line, class) group: a nonzero group total is a
+    remainder, else the sum before an input is minus the quotient down
+    to the group's previous input, one ``np.repeat`` for all, in
+    O(input + output).  Values keep their dtype, int64 or object.
     """
     n = len(keys)
     if n == 0:
         return keys, vals
-    sign = 1 if s > 0 else -1
-    s = abs(s)
+    s, neg = abs(s), s < 0
     step = 2 * s
-    out_k, out_v = [], []
-    lines = keys // span
-    new = np.concatenate(([True], lines[1:] != lines[:-1]))
-    starts = np.append(np.flatnonzero(new), n)
-    uniq = lines[new]
-    line_of = new.cumsum() - 1
-    # cap the dense block at a few million cells
-    limit = max(1, (1 << 21) // span)
-    for b0 in range(0, len(uniq), limit):
-        b1 = min(b0 + limit, len(uniq))
-        lo, hi = starts[b0], starts[b1]
-        dg = keys[lo:hi] - lines[lo:hi] * span
-        dmin = int(dg.min())
-        col, rho = np.divmod(dg - dmin, step)
-        dense = np.zeros((step, b1 - b0, int(col.max()) + 1), dtype=vals.dtype)
-        dense[rho, line_of[lo:hi] - b0, col] = vals[lo:hi]
-        rev = dense[:, :, ::-1]
-        np.cumsum(rev, axis=2, out=rev)
-        if dense[:, :, 0].any():
+    lim = max(1, (1 << 21) // span)  # lines per block; n <= lim keys fill one
+    cuts = (np.flatnonzero(np.diff(keys // span))[lim - 1::lim] + 1).tolist() if n > lim else []
+    out = []
+    for a, b in zip([0, *cuts], [*cuts, n]):
+        ln, dg = np.divmod(keys[a:b], span)
+        order = np.argsort(((dg - dg.min()) % step).astype(np.int16), kind="stable")
+        k, ln = keys[a:b][order], ln[order]
+        gap, off = np.divmod(k[1:] - k[:-1], step)
+        same = (ln[1:] == ln[:-1]) & (off == 0)  # one line, one class
+        # int64 may wrap inside the running sum, but each group's partial
+        # sums stay below 2^62 (the caller's bound) once earlier totals are 0
+        run = np.cumsum(vals[a:b][order])
+        if run[-1] or run[:-1][~same].any():
             raise ArithmeticError("binomial division left a remainder")
-        flat = np.flatnonzero(dense)
-        rho, rows, col = np.unravel_index(flat, dense.shape)
-        out_k.append(uniq[b0:b1][rows] * span + (dmin - s + rho + step * col))
-        out_v.append(dense.ravel()[flat] * sign)
-    return np.concatenate(out_k), np.concatenate(out_v)
+        cnt = np.where(same & (run[:-1] != 0), gap, 0)
+        ends = np.cumsum(cnt)
+        out.append((np.repeat(k[:-1] + (step - s) - step * (ends - cnt), cnt)
+                    + step * np.arange(int(cnt.sum())),
+                    np.repeat(run[:-1] if neg else -run[:-1], cnt)))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 def _pad(stack: list, depth: int, r: int) -> list:
     """Margin per axis that every intermediate of the division stays in.
 
-    An exact quotient line of the binomial in direction d reaches |d_i|
-    inside its dividend at both ends, and a level-l correction term
-    reaches b_l beyond the quotient it shifts; so a factor moves the data
-    of level j at most j * g past its input box, g = max over l of
-    (b_l - |d_i|)/l.  The margins of the factors add up.
+    A theta factor in direction d has level-l cells reaching b_l <= |d_i|
+    + l g on axis i, g = max over l of (b_l - |d_i|)/l.  The block's
+    level-0 slice reaches exactly the sum of the |d_i| (its extreme face
+    cannot cancel), so the quotient, and every intermediate (the quotient
+    times the factors still to divide by), reaches at most j * (largest
+    g) past the dividend's box at level j: the three factors of an A2
+    copy share one margin rather than adding theirs.
     """
     pad = [0] * r
     for d, cells in stack:
         for i in range(r):
             half = abs(d[i]) if d else 0
-            reach = 0
             for lvl, t in cells.items():
                 b = max(abs(zc[i]) for zc in t)
                 if lvl <= depth and b > half:
-                    reach = max(reach, depth * (b - half) // lvl)
-            pad[i] += reach
+                    pad[i] = max(pad[i], depth * (b - half) // lvl)
     return pad
 
 
@@ -607,12 +607,12 @@ def _divide_packed(keys: list, vals: list, f, meta: MemberMeta, depth: int,
 
     One loop over the factors of ``_factor_stack``.  The eta power comes
     first and runs in f: its corrections only shift levels.  Each theta
-    factor re-encodes the levels once, into the frame of its direction
-    over f's box widened by ``_pad``; then per level it subtracts its
-    correction terms (key offsets of lower quotient levels) and divides
-    out its binomial in one pass.  With int64 values every step first
-    bounds its output from the actual maxima of its inputs; a bound
-    reaching 2^62 raises _NotInt64.  Raises ArithmeticError when
+    factor moves the levels once (``_restride``) into the frame of its
+    direction over f's box widened by ``_pad``; then per level it
+    subtracts its correction terms (key offsets of lower quotient
+    levels) and divides out its binomial in one pass.  With int64 values
+    every step first bounds its output from the actual maxima of its
+    inputs; a bound reaching 2^62 raises _NotInt64.  Raises ArithmeticError when
     division is not exact, TypeError on non-int coefficients, ValueError
     when the keys do not fit int64.
     """
@@ -639,7 +639,7 @@ def _divide_packed(keys: list, vals: list, f, meta: MemberMeta, depth: int,
     for d, cells in stack:
         if d:
             g = _frame(f.lo - pad, f.hi + pad, 0, d)
-            work = [(_encode(_decode(k, cur), g), v) for k, v in work]
+            work = [(_restride(k, cur, g), v) for k, v in work]
             cur = g
         terms = [(lvl, int(np.dot(zc, cur.w)), cc)
                  for lvl, t in sorted(cells.items()) if lvl <= depth
@@ -729,9 +729,28 @@ def multiply_by_member(f, layers: list, key: str, depth: int) -> tuple:
     return _int64_first(_multiply_packed, f, layers, meta, depth, _factor_stack(meta, depth))
 
 
+class _RowSeries(FourierSeries):
+    """A weight-0 series held as read-only rows (levels, z rows, values):
+    its cells (level j at q_num 24 j) are decoded on their first read."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, r: int, den_z: int, window: TruncationWindow, rows: tuple):
+        self.r, self.den_z, self.window, self.rows = r, den_z, window, rows
+
+    def __getattr__(self, name):  # reached only while the cells slot is unset
+        if name != "cells":
+            raise AttributeError(name)
+        lv, z, v = self.rows
+        zt, vl = list(map(tuple, z.tolist())), v.tolist()
+        self.cells = {(0, 24 * j): dict(zip(zt[a:b], vl[a:b])) for j, a, b in _level_runs(lv, 1)}
+        return self.cells
+
+
 def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     """The weak weight-0 form as -(psi|V_p)/psi: the Hecke levels go to
-    the division as packed keys, and only the quotient is decoded."""
+    the division as packed keys, and the quotient's keys, in its order,
+    become the rows a ``_RowSeries`` holds, with one decode."""
     meta = MEMBERS[key]
     f, [(k, v, _)] = hecke_levels(key, [meta.hecke_p], q_depth)
     cuts = np.searchsorted(k, np.arange(q_depth + 2) * f.stq).tolist()
@@ -741,15 +760,17 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
         raise AssertionError("packed theta block corner differs from the registry's theta cells")
     g, quo = divide_by_member([k[a:b] - j * f.stq for j, (a, b) in enumerate(spans)],
                               [v[a:b] for a, b in spans], f, key, q_depth)
-    out = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 0))
-    for j, (qk, qv) in enumerate(quo):
-        if len(qk):
-            out.cells[(0, 24 * j)] = dict(zip(map(tuple, _decode(qk, g).tolist()), (-qv).tolist()))
-    return JacobiForm("phi0_%s" % meta.lattice_name, out, 0, Fraction(1),
-                      meta.lattice_name, meta.family, meta.copies)
+    qk, qv = zip(*quo)
+    rows = (np.repeat(np.arange(q_depth + 1), [len(a) for a in qk]),
+            _decode(np.concatenate(qk), g), (-np.concatenate(qv)).astype(object))
+    for a in rows:
+        a.flags.writeable = False
+    return JacobiForm("phi0_%s" % meta.lattice_name,
+                      _RowSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 0), rows),
+                      0, Fraction(1), meta.lattice_name, meta.family, meta.copies)
 
 
-_PHI0_CACHE: dict = {}  # key -> [form, its series' rows or None] (see ``weight0_rows``)
+_PHI0_CACHE: dict = {}  # key -> the form; its series holds the rows (``weight0_rows``)
 
 
 def weak_weight0(key: str, q_depth: int) -> JacobiForm:
@@ -761,37 +782,35 @@ def weak_weight0(key: str, q_depth: int) -> JacobiForm:
     and direct division agree is a checked identity.  A deeper request
     replaces the cached form; every form cached is an exact quotient, so
     a deeper one agrees with the one it replaces on every level both hold.
+    Its series is held as rows; only a dict read decodes cells.
     """
     cached = _PHI0_CACHE.get(key)
-    if cached is None or cached[0].series.window.q_max < 24 * q_depth:
-        cached = _PHI0_CACHE[key] = [phi0_by_division(key, q_depth), None]
-    return cached[0]
+    if cached is None or cached.series.window.q_max < 24 * q_depth:
+        cached = _PHI0_CACHE[key] = phi0_by_division(key, q_depth)
+    return cached
 
 
 def holds_phi0(key: str, phi: FourierSeries) -> bool:
     """Whether phi is the very series ``weak_weight0`` holds for the member;
     a series made anywhere else, a corrupted copy say, never is."""
     cached = _PHI0_CACHE.get(key)
-    return cached is not None and cached[0].series is phi
+    return cached is not None and cached.series is phi
 
 
 def weight0_rows(key: str, phi: FourierSeries, q_depth: int) -> tuple:
     """(levels, z rows, values) of a member's weight-0 series phi through
     level q_depth, in level and slice order, object values, read-only: a
-    prefix of phi's rows, converted once and kept beside the series
-    ``weak_weight0`` holds (and dropped with it), afresh for any other phi.
-    A depth past phi's window raises ValueError."""
+    prefix of the held series' own rows, or rows converted afresh for any
+    other phi.  A depth past phi's window raises ValueError."""
     if phi.window.q_max < 24 * q_depth:
         raise ValueError("weight-0 form is too shallow for rows through level %d" % q_depth)
-    held = holds_phi0(key, phi)
-    rows = _PHI0_CACHE[key][1] if held else None
-    if rows is None:
+    if holds_phi0(key, phi):
+        rows = phi.rows
+    else:
         levels = {j: phi.cells.get((0, 24 * j), {}) for j in range(phi.window.q_max // 24 + 1)}
         rows = _qz_rows(levels, phi.r, object)[:3]
         for a in rows:
             a.flags.writeable = False
-        if held:
-            _PHI0_CACHE[key][1] = rows
     end = np.searchsorted(rows[0], q_depth + 1)
     return tuple(a[:end] for a in rows)
 

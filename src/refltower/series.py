@@ -15,9 +15,10 @@ product ``_qz_mul`` and the theta-block division and multiplication
 (``jacobi.divide_by_member``, ``jacobi.multiply_by_member``): one
 ``_Frame`` packs (level, z) into a single int64 key, ``_qz_rows`` /
 ``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts,
-and ``_int64_first`` reruns a kernel on Python ints when int64 cannot
-carry its values.  Unpacked, a series is rows (levels, z rows, values,
-reach) as ``_qz_rows`` lays them out; phi0's are held by
+``_restride`` moves keys between frames, and ``_int64_first`` reruns a
+kernel on Python ints when int64 cannot carry its values.  Unpacked, a
+series is rows (levels, z rows, values, reach) as ``_qz_rows`` lays
+them out; phi0's come from the quotient's keys and are read through
 ``jacobi.weight0_rows``.  The division takes and returns one level per
 (keys, values) pair, the level digit left out.  ``np`` here, which
 ``jacobi`` and ``borcherds`` import, runs numpy's import on its first
@@ -237,6 +238,20 @@ def _decode(keys, f: _Frame):
     z[:, f.order[-1]] = rem
     z += f.lo
     return z if f.minv is None else z @ f.minv.T
+
+
+def _restride(keys, a: _Frame, b: _Frame):
+    """Keys of one level (no level digit) in frame a moved into frame b:
+    unsheared frames over one box differ only in strides, so a digit
+    moves by digit * (new - old stride); other pairs decode and encode."""
+    if (a.minv is not None or b.minv is not None or a.stq != b.stq
+            or not ((a.lo == b.lo).all() and (a.hi == b.hi).all())):
+        return _encode(_decode(keys, a), b)
+    out = keys
+    for sa, sb, w in zip(a.st.tolist(), b.st.tolist(), (a.hi - a.lo + 1).tolist()):
+        if sa != sb:
+            out = out + keys // sa % w * (sb - sa)
+    return out
 
 
 def _qz_rows(levels: dict, r: int, dtype):

@@ -353,6 +353,21 @@ def test_sweep_rounds_after_the_first_build_no_layers(monkeypatch):
     assert not jacobi.holds_phi0("psi_10_D2", phi.scaled(1))
 
 
+def test_cold_compare_leaves_the_held_phi0_undecoded(monkeypatch):
+    """A cold sweep job reads phi0 only as rows: the held series never
+    decodes its cells, and a later dict read gives the cells the division
+    gave when it built dicts directly (their digest at depth 6)."""
+    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})
+    monkeypatch.setattr(jacobi, "_PHI0_CACHE", {})
+    assert borcherds.compare_lift_product("psi_8_D4", 4, 3)["status"] == "pass"
+    phi = jacobi.weak_weight0("psi_8_D4", 1).series
+    assert jacobi.holds_phi0("psi_8_D4", phi) and phi.window.q_max == 144
+    with pytest.raises(AttributeError):
+        object.__getattribute__(phi, "cells")
+    assert digest(phi) == "e1f300ccfe233d11852da1a17ff05099ed1669a1398d4b260db249de36786dea"
+    assert object.__getattribute__(phi, "cells") is phi.cells
+
+
 def _corrupt_layer(monkeypatch, key, order, change):
     """Apply change(level, slice) to one lift layer in both sources: the
     dicts the oracle reads and the packed layer the program compares."""
@@ -644,6 +659,7 @@ def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch):
     oracle, whose translate carries the same entry."""
     key, j_max, q_depth = "psi_8_D4", 1, 2
     real, real_dict = borcherds.hecke_v0, oracles.hecke_v0
+    jacobi.weak_weight0(key, j_max * q_depth)  # builds the block before the spies
 
     def crooked(rows, m, depth, dtype):
         # -2^61 on the W_1 key at level 1 where phi's z is least

@@ -642,6 +642,86 @@ def test_binomial_packed_equals_the_per_class_oracle(s, dtype):
                 div(keys, bad, span, s)
 
 
+@pytest.mark.parametrize("s, dtype", [(1, np.int64), (-3, np.int64), (2, object)])
+def test_binomial_packed_on_ragged_lines_equals_the_oracle(s, dtype):
+    """Lines of very different lengths, most a few digits wide at scattered
+    offsets and a few across the whole span, where a dense (class, line,
+    column) block is mostly padding: keys, order and dtype equal the
+    oracle's, and a +1 anywhere leaves a remainder."""
+    rng = random.Random("ragged %d" % s)
+    span, step = 1 << 10, 2 * abs(s)
+    keys, vals = [], []
+    for line in sorted(rng.sample(range(400), 120)):
+        lo = rng.randrange(abs(s), span - abs(s) - 4 * step)
+        hi = span - abs(s) if line % 40 == 0 else lo + 4 * step
+        acc = {}
+        for _ in range(rng.randint(1, 4)):
+            d = rng.randrange(lo, hi)
+            c = rng.choice([-3, -1, 1, 2, 5]) * (2 ** 70 if dtype is object else 1)
+            acc[d + s] = acc.get(d + s, 0) + c
+            acc[d - s] = acc.get(d - s, 0) - c
+        keys += [line * span + d for d in sorted(acc) if acc[d]]
+        vals += [acc[d] for d in sorted(acc) if acc[d]]
+    keys, vals = np.array(keys, dtype=np.int64), np.array(vals, dtype=dtype)
+    got = jacobi._binomial_packed(keys, vals, span, s)
+    want = oracles.binomial_packed(keys, vals, span, s)
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+    assert got[1].dtype == want[1].dtype == np.dtype(dtype)
+    dense = len(np.unique(keys // span)) * (int(np.ptp(keys % span)) + 1)  # the old block's cells
+    assert dense > 20 * len(got[0])
+    bad = vals.copy()
+    bad[rng.randrange(len(bad))] += 1
+    with pytest.raises(ArithmeticError, match="remainder"):
+        jacobi._binomial_packed(keys, bad, span, s)
+
+
+@pytest.mark.parametrize("key", list(MEMBERS))
+def test_restride_equals_decode_and_encode_on_the_division_frames(monkeypatch, key):
+    """Every frame move of a depth-3 division gives, on seeded keys, what
+    ``_encode(_decode(...))`` gives; only the move out of the dividend's
+    frame and the moves into and out of a sheared A2 frame decode, and
+    every A2 member has such moves."""
+    moves = {}
+    real = jacobi._restride
+
+    def spy(k, a, b):
+        moves.setdefault((id(a), id(b)), (a, b))
+        return real(k, a, b)
+
+    monkeypatch.setattr(jacobi, "_restride", spy)
+    phi0_by_division(key, 3)
+    real_decode, decodes = series._decode, []
+
+    def count(*args):
+        decodes.append(1)
+        return real_decode(*args)
+
+    monkeypatch.setattr(series, "_decode", count)
+    rng = np.random.default_rng(len(key))
+    sheared = 0
+    for i, (a, b) in enumerate(moves.values()):
+        k = rng.integers(0, a.stq, 2000)
+        before = len(decodes)
+        got = series._restride(k, a, b)
+        shear = a.minv is not None or b.minv is not None
+        sheared += shear
+        assert (len(decodes) > before) == (i == 0 or shear), (key, i)
+        assert np.array_equal(got, series._encode(real_decode(k, a), b)), (key, i)
+    assert len(moves) == len(jacobi._corner_dirs(MEMBERS[key]))
+    assert (sheared > 0) == (MEMBERS[key].family == "A2")
+
+
+@pytest.mark.parametrize("key, per_level", [("psi_9_A2", 6), ("psi_4_D8", 2)])
+def test_division_margin_per_axis(key, per_level):
+    """The division's margin grows by the largest per-level growth of the
+    factors on an axis: 2 per level on D8, and 6 on A2, where the three
+    factors of a copy share one margin rather than adding to 12."""
+    meta = MEMBERS[key]
+    for depth in range(1, 5):
+        pad = jacobi._pad(jacobi._factor_stack(meta, depth), depth, meta.r)
+        assert pad == [per_level * depth] * meta.r
+
+
 def test_division_near_2_62_reruns_on_python_ints(monkeypatch):
     """Dividend entries below 2^62 whose steps could pass it: the int64
     pass gives up and the object-dtype rerun is exact."""

@@ -58,8 +58,8 @@ from .jacobi import (
 )
 from .lattices import lattice
 from .lifting import lift_layers
-from .series import (_INT64_SAFE, FourierSeries, TruncationWindow, _decode, _encode, _frame,
-                     _int64_first, _norm_coeff, _NotInt64, _qz_decode, _qz_mul, np)
+from .series import (_INT64_SAFE, FourierSeries, TruncationWindow, _encode, _frame,
+                     _int64_first, _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _restride, np)
 
 
 class WeylData(NamedTuple):
@@ -325,7 +325,7 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     for (s_num, _), (kl, vl, _) in zip(layers, num):
         k, v, _ = prod[(s_num - s0) // 2]
         if f is not fp:  # a lift bound past the product's box: compare in the wider frame
-            k = _encode(_decode(k, fp), f, k // fp.stq)
+            k = _restride(k, fp, f)
         if np.array_equal(kl, k) and np.array_equal(vl, v):
             continue
         lift, rhs = _qz_decode(kl, vl, f), _qz_decode(k, v, f)
@@ -407,12 +407,10 @@ def _scan_walls(key: str, q_depth: int) -> tuple:
     walls = walls[_row_unique(walls)[0]]
     n0, z0, m0 = walls[:, 0], walls[:, 1:-1], walls[:, -1]
     # the multiplicity sums the coefficients at the multiples d (n, z, m),
-    # searched for in the negative-norm support packed and sorted
+    # searched for in the negative-norm support packed and sorted (its rows are in key order)
     box = np.abs(z).max(axis=0, initial=0)
     f = _frame(-box, box, q_depth)
     keys = _encode(z, f, lv)
-    order = np.argsort(keys)
-    keys, v = keys[order], v[order]
     mu2 = lat._wall_norms(n0, z0, m0)
     floor = ceil(_FAMILY_MIN[meta.family] * lat.norm_den)
     mult = np.zeros(len(walls), object)

@@ -20,7 +20,8 @@ direction d (``_corner_dirs``; Theta_A2 contributes three directions and
 an eta^-1 per copy).  The packed division reads the block as that list
 of factors (``_factor_stack``), one frame and one binomial per theta
 factor; the packed multiply by the block reads the same list in one
-frame, each binomial two key shifts.  Applied to the unit, the multiply
+frame, each binomial two key shifts.  Keys enter every frame by digit
+arithmetic (``series._restride``).  Applied to the unit, the multiply
 gives every block's packed rows (``_member_rows``, with each level's
 reach and max|v|); dict slices of the A2 blocks are decoded from them,
 the others summed from odd shells.  The Hecke translates of the lift
@@ -30,8 +31,8 @@ packed frame by ``_encode_parts``, as phi0's are from ``weight0_rows``.
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
 constant term positive and the exponential lift reproduce the block.
-The quotient is held as rows, and its dict cells are decoded only for a
-dict reader (``_RowSeries``).
+The quotient is held as rows in packed-key order (level, then z
+lexicographic); a dict reader alone decodes its cells (``_RowSeries``).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .series import (
     FourierSeries,
     TruncationWindow,
     _decode,
-    _encode,
     _frame,
     _int64_first,
     _level_runs,
@@ -224,7 +224,6 @@ for _c, _key in ((1, "psi_5_A1"), (2, "psi_4_2A1"), (3, "psi_3_3A1"),
                                Fraction(1, 2), 3)
 
 TOWER_TOPS = {"psi_4_D8", "psi_3_3A2", "psi_2_4A1"}
-REGISTRY_KEYS = ("theta", "Theta_A2") + tuple(MEMBERS)
 
 
 class JacobiForm(NamedTuple):
@@ -607,14 +606,14 @@ def _divide_packed(keys: list, vals: list, f, meta: MemberMeta, depth: int,
 
     One loop over the factors of ``_factor_stack``.  The eta power comes
     first and runs in f: its corrections only shift levels.  Each theta
-    factor moves the levels once (``_restride``) into the frame of its
-    direction over f's box widened by ``_pad``; then per level it
-    subtracts its correction terms (key offsets of lower quotient
-    levels) and divides out its binomial in one pass.  With int64 values
-    every step first bounds its output from the actual maxima of its
-    inputs; a bound reaching 2^62 raises _NotInt64.  Raises ArithmeticError when
-    division is not exact, TypeError on non-int coefficients, ValueError
-    when the keys do not fit int64.
+    factor moves the levels once, by digit arithmetic (``_restride``),
+    into the frame of its direction over f's box widened by ``_pad``;
+    then per level it subtracts its correction terms (key offsets of
+    lower quotient levels) and divides out its binomial in one pass.
+    With int64 values every step first bounds its output from the actual
+    maxima of its inputs; a bound reaching 2^62 raises _NotInt64.  Raises
+    ArithmeticError when division is not exact, TypeError on non-int
+    coefficients, ValueError when the keys do not fit int64.
     """
     checked = dtype is not object
     vals = vals[:depth + 1]
@@ -697,7 +696,7 @@ def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
     for k, v, rk in layers:
         if dtype is not object and v.dtype == object:
             raise _NotInt64
-        k, v = _encode(_decode(k, f), g, k // f.stq), v.astype(dtype, copy=False)
+        k, v = _restride(k, f, g), v.astype(dtype, copy=False)
         for fac in factors:
             if (dtype is not object and len(v)
                     and int(np.abs(v).max()) * sum(abs(c) for *_, c in fac) >= _INT64_SAFE):
@@ -749,8 +748,8 @@ class _RowSeries(FourierSeries):
 
 def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     """The weak weight-0 form as -(psi|V_p)/psi: the Hecke levels go to
-    the division as packed keys, and the quotient's keys, in its order,
-    become the rows a ``_RowSeries`` holds, with one decode."""
+    the division as packed keys; the quotient's, sorted per level in its
+    unsheared frame (packed-key order), become a ``_RowSeries``' rows."""
     meta = MEMBERS[key]
     f, [(k, v, _)] = hecke_levels(key, [meta.hecke_p], q_depth)
     cuts = np.searchsorted(k, np.arange(q_depth + 2) * f.stq).tolist()
@@ -760,7 +759,7 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
         raise AssertionError("packed theta block corner differs from the registry's theta cells")
     g, quo = divide_by_member([k[a:b] - j * f.stq for j, (a, b) in enumerate(spans)],
                               [v[a:b] for a, b in spans], f, key, q_depth)
-    qk, qv = zip(*quo)
+    qk, qv = zip(*((k[o], v[o]) for k, v in quo for o in [np.argsort(k)]))
     rows = (np.repeat(np.arange(q_depth + 1), [len(a) for a in qk]),
             _decode(np.concatenate(qk), g), (-np.concatenate(qv)).astype(object))
     for a in rows:
@@ -799,16 +798,19 @@ def holds_phi0(key: str, phi: FourierSeries) -> bool:
 
 def weight0_rows(key: str, phi: FourierSeries, q_depth: int) -> tuple:
     """(levels, z rows, values) of a member's weight-0 series phi through
-    level q_depth, in level and slice order, object values, read-only: a
-    prefix of the held series' own rows, or rows converted afresh for any
-    other phi.  A depth past phi's window raises ValueError."""
+    level q_depth, in packed-key order (level, then z lexicographic),
+    object values, read-only: a prefix of the held series' own rows, or
+    rows converted and sorted afresh for any other phi.  A depth past
+    phi's window raises ValueError."""
     if phi.window.q_max < 24 * q_depth:
         raise ValueError("weight-0 form is too shallow for rows through level %d" % q_depth)
     if holds_phi0(key, phi):
         rows = phi.rows
     else:
-        levels = {j: phi.cells.get((0, 24 * j), {}) for j in range(phi.window.q_max // 24 + 1)}
-        rows = _qz_rows(levels, phi.r, object)[:3]
+        levels = {j: phi.cells.get((0, 24 * j), {}) for j in range(q_depth + 1)}
+        lv, z, v = _qz_rows(levels, phi.r, object)[:3]
+        o = np.lexsort(np.column_stack([lv, z]).T[::-1])
+        rows = lv[o], z[o], v[o]
         for a in rows:
             a.flags.writeable = False
     end = np.searchsorted(rows[0], q_depth + 1)

@@ -15,14 +15,14 @@ product ``_qz_mul`` and the theta-block division and multiplication
 (``jacobi.divide_by_member``, ``jacobi.multiply_by_member``): one
 ``_Frame`` packs (level, z) into a single int64 key, ``_qz_rows`` /
 ``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts,
-``_restride`` moves keys between frames, and ``_int64_first`` reruns a
-kernel on Python ints when int64 cannot carry its values.  Unpacked, a
-series is rows (levels, z rows, values, reach) as ``_qz_rows`` lays
-them out; phi0's come from the quotient's keys and are read through
-``jacobi.weight0_rows``.  The division takes and returns one level per
-(keys, values) pair, the level digit left out.  ``np`` here, which
-``jacobi`` and ``borcherds`` import, runs numpy's import on its first
-use, so work with no kernel never pays it.
+``_restride`` moves keys between any two frames by digit arithmetic,
+and ``_int64_first`` reruns a kernel on Python ints when int64 cannot
+carry its values.  Unpacked, a series is rows (levels, z rows, values,
+reach) as ``_qz_rows`` lays them out; phi0's (``jacobi.weight0_rows``)
+are in packed-key order, level then z lexicographic.  The division
+takes and returns one level per (keys, values) pair, the level digit
+left out.  ``np`` here, which ``jacobi`` and ``borcherds`` import, runs
+numpy's import on its first use, so work with no kernel never pays it.
 """
 
 from __future__ import annotations
@@ -241,16 +241,19 @@ def _decode(keys, f: _Frame):
 
 
 def _restride(keys, a: _Frame, b: _Frame):
-    """Keys of one level (no level digit) in frame a moved into frame b:
-    unsheared frames over one box differ only in strides, so a digit
-    moves by digit * (new - old stride); other pairs decode and encode."""
-    if (a.minv is not None or b.minv is not None or a.stq != b.stq
-            or not ((a.lo == b.lo).all() and (a.hi == b.hi).all())):
-        return _encode(_decode(keys, a), b)
-    out = keys
-    for sa, sb, w in zip(a.st.tolist(), b.st.tolist(), (a.hi - a.lo + 1).tolist()):
-        if sa != sb:
-            out = out + keys // sa % w * (sb - sa)
+    """Packed keys in frame a moved into frame b by digit arithmetic, no
+    decode: a unit digit on axis i steps b's key by c_i, c = b.w, or
+    a.minv.T @ b.w out of a sheared frame, so key_b = key_a + sum digit_i
+    (c_i - a.st_i) + lv (b.stq - a.stq) + (a.lo @ c + b.zero), reading
+    only the axes with c_i != a.st_i.  Every target key fits int64, so a
+    partial sum that wraps is still exact mod 2^64."""
+    c = b.w if a.minv is None else a.minv.T @ b.w
+    out = keys + (int(a.lo @ c) + b.zero)
+    for sa, cb, w in zip(a.st.tolist(), c.tolist(), (a.hi - a.lo + 1).tolist()):
+        if sa != cb:
+            out += keys // sa % w * (cb - sa)
+    if a.stq != b.stq:
+        out += keys // a.stq * (b.stq - a.stq)
     return out
 
 

@@ -1,13 +1,17 @@
 """Helpers only the tests use: small views of program data, lattice
 arithmetic in ambient coordinates, the primitive wall of one index,
 series lookups, the z derivative, the packed theta-block division on
-z-slice dicts, and the packed weight-0 Hecke translate as a series."""
+z-slice dicts, the packed weight-0 Hecke translate as a series, and
+every process-wide memo swapped for an empty one."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from hashlib import sha256
 from typing import NamedTuple
 
-from refltower import borcherds, jacobi
+import pytest
+
+from refltower import borcherds, cli, jacobi, lattices, verification
 from refltower.lattices import Lattice, _dot
 from refltower.series import (FourierSeries, TruncationWindow, _decode, _encode, _frame,
                               _int64_first, _norm_coeff, _qz_decode, _qz_rows, np)
@@ -195,3 +199,28 @@ def translate(key: str, phi: FourierSeries, m: int, q_depth: int) -> FourierSeri
     out.cells = {(0, 24 * lvl): {z: _norm_coeff(Fraction(-c, m)) for z, c in sl.items()}
                  for lvl, sl in _qz_decode(k, v, f).items()}
     return out
+
+
+# every process-wide memo of the program, as (module, name), and every
+# function cache; test_dead_code checks both lists against the source
+MEMOS = ((jacobi, "_SIGMA"), (jacobi, "_ETA_TABLES"), (jacobi, "_SHELL_CACHE"),
+         (jacobi, "_PSI_SLICES"), (jacobi, "_PSI_LEVELS"), (jacobi, "_PHI0_CACHE"),
+         (borcherds, "_EXP_MEMO"), (lattices, "_cache"))
+CACHED = ((verification, "_reflective_keys"), (cli, "_code_digest"))
+
+
+@contextmanager
+def cold_memos():
+    """Every memo of MEMOS swapped for an empty one of its type and the
+    CACHED caches cleared, as in a fresh process; the memos come back on
+    exit, and the caches are cleared again."""
+    with pytest.MonkeyPatch.context() as mp:
+        for mod, name in MEMOS:
+            mp.setattr(mod, name, type(getattr(mod, name))())
+        try:
+            for mod, name in CACHED:
+                getattr(mod, name).cache_clear()
+            yield
+        finally:
+            for mod, name in CACHED:
+                getattr(mod, name).cache_clear()

@@ -328,14 +328,12 @@ def test_warm_compare_builds_no_frame_and_decodes_nothing(monkeypatch):
         assert calls == [], key
 
 
-def test_sweep_rounds_after_the_first_build_no_layers(monkeypatch):
+def test_sweep_rounds_after_the_first_build_no_layers(monkeypatch, fresh_memos):
     """A member's larger sweep window deepens its cached phi0; the layers
     built from the shallower phi0 stay served, since both are exact
     quotients and agree on every level those layers read.  Three rounds,
     every member's smaller window first in round one: only round one
     runs the exponential recursion or the multiply by the block."""
-    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})
-    monkeypatch.setattr(jacobi, "_PHI0_CACHE", {})
     jobs = [(key, window) for key in jacobi.MEMBERS for window in _sweep_windows(key)]
     counts = []
     for order in (jobs, jobs[::-1], jobs):
@@ -353,12 +351,10 @@ def test_sweep_rounds_after_the_first_build_no_layers(monkeypatch):
     assert not jacobi.holds_phi0("psi_10_D2", phi.scaled(1))
 
 
-def test_cold_compare_leaves_the_held_phi0_undecoded(monkeypatch):
+def test_cold_compare_leaves_the_held_phi0_undecoded(fresh_memos):
     """A cold sweep job reads phi0 only as rows: the held series never
     decodes its cells, and a later dict read gives the cells the division
     gave when it built dicts directly (their digest at depth 6)."""
-    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})
-    monkeypatch.setattr(jacobi, "_PHI0_CACHE", {})
     assert borcherds.compare_lift_product("psi_8_D4", 4, 3)["status"] == "pass"
     phi = jacobi.weak_weight0("psi_8_D4", 1).series
     assert jacobi.holds_phi0("psi_8_D4", phi) and phi.window.q_max == 144
@@ -652,7 +648,7 @@ def _with_part(parts, level, z, value, dtype):
     return parts + [(level, 1, -1, (zr, v, reach, abs(value)))]
 
 
-def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch):
+def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch, fresh_memos):
     """A translate with one entry near 2^61 leaves E_1 on int64, but
     multiplying it by the block could pass 2^62 before it wraps: the
     multiply reruns on python ints and still equals psi times the exp_s
@@ -673,9 +669,8 @@ def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch):
         sl[min(sl)] += 2 ** 61
         return v
 
-    monkeypatch.setattr(borcherds, "hecke_v0", crooked)
+    monkeypatch.setattr(borcherds, "hecke_v0", crooked)  # unseen by a warm layer memo
     monkeypatch.setattr(oracles, "hecke_v0", crooked_dict)
-    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})  # the memo cannot see hecke_v0
     dtypes = {"exp": [], "mul": []}
     for name, mod, attr in (("exp", borcherds, "_exp_packed"),
                             ("mul", jacobi, "_multiply_packed")):
@@ -761,7 +756,7 @@ def test_a_fraction_in_phi0_sends_the_recursion_to_the_object_path(monkeypatch):
     assert any(type(c) is Fraction and c.denominator == 2 for c in F[1][1].tolist())
 
 
-def test_exp_layer_remainder_stays_exact(monkeypatch):
+def test_exp_layer_remainder_stays_exact(monkeypatch, fresh_memos):
     """A translate with 2 V_2 integral but off by one: the quotient of
     2 E_2 by 2 leaves a remainder, which stays an exact Fraction."""
     real = borcherds.hecke_v0
@@ -774,8 +769,7 @@ def test_exp_layer_remainder_stays_exact(monkeypatch):
             parts = _with_part(parts, 0, z, 1, dtype)
         return parts
 
-    monkeypatch.setattr(borcherds, "hecke_v0", crooked)
-    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})  # the memo cannot see hecke_v0
+    monkeypatch.setattr(borcherds, "hecke_v0", crooked)  # unseen by a warm layer memo
     E = exp_series("psi_10_D2", 2, 2)
     assert [c for sl in E[2].cells.values() for c in sl.values()
             if isinstance(c, Fraction)] == [Fraction(-1, 2)]

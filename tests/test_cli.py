@@ -321,6 +321,22 @@ def test_verify_below_every_block_fails_without_a_traceback():
     assert proc.stdout.startswith("fail cusp-support") and "checked=0 " in proc.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["borcherds-integrality", "--qmax", "0"],
+    ["fj1-recovery", "--qmax", "0"],
+    ["nm-symmetry", "--qmax", "0"],
+    ["weyl-symmetry", "--qmax", "0"],
+    ["closed-form-vs-lift", "--smax", "0"],
+    ["lift-equals-product:psi_5_A1", "--smax", "0"],
+])
+def test_verify_of_a_window_that_checks_nothing_fails(capsys, argv):
+    """A check that examined no term fails, exit 1, and raises nothing;
+    no runner reads a layer past --smax 0."""
+    assert main(["verify", *argv]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("fail %s " % argv[0]) and "checked=0 " in out
+
+
 def test_negative_window_is_usage_error(capsys):
     for flag in ("--qmax", "--smax"):
         for argv in (["expand", "lift:D2", flag, "-1"],

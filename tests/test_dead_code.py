@@ -140,3 +140,58 @@ def test_every_public_method_is_read_by_the_program():
                            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                            and not fn.name.startswith("_") and fn.name not in reads]
     assert unread == []
+
+
+_MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear",
+             "setdefault", "update", "add", "discard", "sort", "reverse"}
+
+
+def _process_state(tree) -> tuple:
+    """(memos, caches) of one module: each module-level name some function
+    body mutates (an item stored or deleted, an augmented assignment, a
+    mutating method called) or rebinds as a ``global``, and each function
+    under ``functools`` ``cache`` or ``lru_cache``."""
+    names = {n.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             for n in ast.walk(t) if isinstance(n, ast.Name)}
+    memos, caches = set(), set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for d in fn.decorator_list:
+            d = d.func if isinstance(d, ast.Call) else d
+            if (getattr(d, "id", None) or getattr(d, "attr", None)) in ("cache", "lru_cache"):
+                caches.add(fn.name)
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                memos.update(n for n in node.names if n in names)
+                continue
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                target = node.value
+            elif isinstance(node, ast.AugAssign):
+                target = node.target
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _MUTATORS):
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in names:
+                memos.add(target.id)
+    return memos, caches
+
+
+def test_the_cold_state_helper_lists_every_process_wide_memo():
+    """``helpers.MEMOS`` (which the ``fresh_memos`` fixture empties) is
+    exactly the module-level containers of ``src/refltower`` that a
+    function body mutates, and ``helpers.CACHED`` exactly the functions
+    under a functools cache, so neither list can go stale."""
+    from helpers import CACHED, MEMOS
+
+    memos, caches = set(), set()
+    for path, tree in _trees(PACKAGE):
+        mod = os.path.basename(path)[:-3]
+        got = _process_state(tree)
+        memos |= {(mod, name) for name in got[0]}
+        caches |= {(mod, name) for name in got[1]}
+    assert memos == {(m.__name__.rsplit(".", 1)[1], name) for m, name in MEMOS}
+    assert caches == {(m.__name__.rsplit(".", 1)[1], name) for m, name in CACHED}

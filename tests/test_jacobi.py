@@ -10,7 +10,6 @@ import pytest
 from refltower import jacobi, series
 from refltower.jacobi import (
     MEMBERS,
-    REGISTRY_KEYS,
     JacobiForm,
     _divisors,
     _eta_coeff,
@@ -31,7 +30,7 @@ from refltower.lattices import lattice
 from refltower.lifting import gritsenko_lift, lift_layers
 from refltower.series import FourierSeries, TruncationWindow
 
-from helpers import coefficient, divide_slices, norm, scale_variables
+from helpers import coefficient, cold_memos, divide_slices, norm, scale_variables
 import oracles
 from oracles import eta_product
 
@@ -232,10 +231,12 @@ def test_theta_a2_support_is_null():
 
 def test_registry_keys_and_metadata():
     assert len(MEMBERS) == 15
-    assert set(REGISTRY_KEYS) == {"theta", "Theta_A2"} | set(MEMBERS)
     w = TruncationWindow(96, 0)
+    for name in ("theta", "Theta_A2"):
+        assert build(name, w).name == name
     for key, meta in MEMBERS.items():
         form = build(key, w)
+        assert form.name == key
         assert form.weight == meta.weight
         assert form.lattice_name == meta.lattice_name
         n_theta = {"D": meta.copies, "D1": 1, "A1": meta.copies,
@@ -284,17 +285,17 @@ def test_packed_block_rows_equal_the_dict_slices():
     ("psi_10_D2", [(1, 0), (0, -1)]),
     ("eta21_theta2z", [(1,)]),
 ])
-def test_phi0_rejects_a_block_whose_corner_differs_from_the_registry(monkeypatch, key, dirs):
+def test_phi0_rejects_a_block_whose_corner_differs_from_the_registry(monkeypatch, fresh_memos,
+                                                                    key, dirs):
     """Corner directions that build a different block (a Theta_A2 direction
     flipped, a D2 sign flipped, the D1 scale lost) fail the corner check
     against the registry's theta cells."""
     monkeypatch.setattr(jacobi, "_corner_dirs", lambda meta: dirs)
-    monkeypatch.setattr(jacobi, "_PSI_LEVELS", {})
     with pytest.raises(AssertionError, match="corner"):
         phi0_by_division(key, 2)
 
 
-def test_cold_hecke_levels_build_the_block_once(monkeypatch):
+def test_cold_hecke_levels_build_the_block_once(monkeypatch, fresh_memos):
     """hecke_levels asks for its deepest slice first, so a cold call
     multiplies the block out once, not once per level."""
     real, calls = jacobi.multiply_by_member, []
@@ -304,7 +305,6 @@ def test_cold_hecke_levels_build_the_block_once(monkeypatch):
         return real(f, layers, key, depth)
 
     monkeypatch.setattr(jacobi, "multiply_by_member", spy)
-    monkeypatch.setattr(jacobi, "_PSI_LEVELS", {})
     for key, meta in MEMBERS.items():
         orders = [m for _, m in lift_layers(key, 6)] + [meta.hecke_p]
         jacobi.hecke_levels(key, orders, 3 if meta.r <= 6 else 1)
@@ -329,10 +329,9 @@ def test_cold_a2_dict_callers_build_the_block_once(monkeypatch):
     for run in (lambda: gritsenko_lift("psi_6_2A2", TruncationWindow(96, 6)),
                 lambda: gritsenko_lift("psi_3_3A2", TruncationWindow(72, 4)),
                 lambda: member_series("psi_9_A2", TruncationWindow(24 * 12, 0))):
-        monkeypatch.setattr(jacobi, "_PSI_LEVELS", {})
-        monkeypatch.setattr(jacobi, "_PSI_SLICES", {})
-        del calls[:]
-        run()
+        with cold_memos():
+            del calls[:]
+            run()
         assert len(calls) == 1, calls
     monkeypatch.setattr(jacobi, "_member_rows", rows)
     del calls[:]
@@ -677,38 +676,64 @@ def test_binomial_packed_on_ragged_lines_equals_the_oracle(s, dtype):
 
 @pytest.mark.parametrize("key", list(MEMBERS))
 def test_restride_equals_decode_and_encode_on_the_division_frames(monkeypatch, key):
-    """Every frame move of a depth-3 division gives, on seeded keys, what
-    ``_encode(_decode(...))`` gives; only the move out of the dividend's
-    frame and the moves into and out of a sheared A2 frame decode, and
-    every A2 member has such moves."""
-    moves = {}
-    real = jacobi._restride
-
-    def spy(k, a, b):
-        moves.setdefault((id(a), id(b)), (a, b))
-        return real(k, a, b)
-
-    monkeypatch.setattr(jacobi, "_restride", spy)
-    phi0_by_division(key, 3)
+    """Every frame move of a depth-3 division, the entry of the multiply
+    by the block into its frame, and a move into a product frame widened
+    as ``compare_lift_product`` widens it: each pair, both ways, gives on
+    seeded keys (with a level digit where the frames carry levels) what
+    ``_encode(_decode(...))`` gives, and no move calls ``_decode``.  Every
+    A2 member moves into and out of a sheared frame, and no other does."""
+    depth = 3
+    f, layers = jacobi.hecke_levels(key, [1], depth)
+    phi0_by_division(key, depth)  # the block's rows built: below, only the division moves
     real_decode, decodes = series._decode, []
 
     def count(*args):
         decodes.append(1)
         return real_decode(*args)
 
+    moves, real = {}, jacobi._restride
+
+    def spy(k, a, b):
+        moves.setdefault((id(a), id(b)), (a, b))
+        return real(k, a, b)
+
     monkeypatch.setattr(series, "_decode", count)
+    monkeypatch.setattr(jacobi, "_restride", spy)
+    phi0_by_division(key, depth)
+    division = [(a, b, 0) for a, b in moves.values()]
+    moves.clear()
+    g, _ = jacobi.multiply_by_member(f, layers, key, depth)
+    assert [(a is f, b is g) for a, b in moves.values()] == [(True, True)]
+    assert decodes == []
+    wide = series._frame(-g.hi - 1, g.hi + 1, depth)
     rng = np.random.default_rng(len(key))
-    sheared = 0
-    for i, (a, b) in enumerate(moves.values()):
-        k = rng.integers(0, a.stq, 2000)
-        before = len(decodes)
-        got = series._restride(k, a, b)
-        shear = a.minv is not None or b.minv is not None
-        sheared += shear
-        assert (len(decodes) > before) == (i == 0 or shear), (key, i)
-        assert np.array_equal(got, series._encode(real_decode(k, a), b)), (key, i)
-    assert len(moves) == len(jacobi._corner_dirs(MEMBERS[key]))
-    assert (sheared > 0) == (MEMBERS[key].family == "A2")
+    for i, (a, b, top) in enumerate(division + [(f, g, depth), (g, wide, depth)]):
+        for x, y in ((a, b), (b, a)):
+            k = rng.integers(0, (top + 1) * x.stq, 2000)
+            got = series._restride(k, x, y)
+            assert decodes == [], (key, i)
+            assert np.array_equal(got, series._encode(real_decode(k, x), y, k // x.stq)), (key, i)
+    assert len(division) == len(jacobi._corner_dirs(MEMBERS[key]))
+    assert any(b.minv is not None for _, b, _ in division) == (MEMBERS[key].family == "A2")
+
+
+@pytest.mark.parametrize("key", list(MEMBERS))
+def test_phi0_rows_come_in_packed_key_order(key):
+    """The held phi0 rows, and the rows ``weight0_rows`` converts for a
+    copy of phi0 whose cells were inserted in reverse, are equal and
+    strictly increasing in packed-key order, (level, z lexicographic)."""
+    depth = 3
+    phi = weak_weight0(key, depth).series
+    held = jacobi.weight0_rows(key, phi, depth)
+    rev = FourierSeries(phi.r, phi.den_z, TruncationWindow(24 * depth, 0))
+    for lv, z, c in reversed(list(zip(held[0].tolist(), map(tuple, held[1].tolist()),
+                                      held[2].tolist()))):
+        rev.cells.setdefault((0, 24 * lv), {})[z] = c
+    conv = jacobi.weight0_rows(key, rev, depth)
+    assert all(np.array_equal(a, b) for a, b in zip(held, conv))
+    for lv, z, _ in (held, conv):
+        box = np.abs(z).max(axis=0)
+        assert np.all(np.diff(series._encode(z, series._frame(-box, box, depth), lv)) > 0)
 
 
 @pytest.mark.parametrize("key, per_level", [("psi_9_A2", 6), ("psi_4_D8", 2)])

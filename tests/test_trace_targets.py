@@ -97,7 +97,7 @@ def test_division_counter_reads_packed_levels():
     assert stats["terms_in"] == phi0_terms
 
 
-def test_product_paths_keep_the_bindings_the_benchmark_pins(monkeypatch):
+def test_product_paths_keep_the_bindings_the_benchmark_pins(fresh_memos):
     """The traced benchmark expects every binding to record calls on some
     workload, except ``borcherds.member_slice``, which only a mismatch
     report reads: the product must reach psi through ``jacobi`` and its
@@ -107,9 +107,6 @@ def test_product_paths_keep_the_bindings_the_benchmark_pins(monkeypatch):
     against ``theta_A2`` with ``_slice_mul_into``."""
     from refltower import borcherds, jacobi
     from refltower.series import TruncationWindow
-
-    monkeypatch.setattr(jacobi, "_PSI_LEVELS", {})
-    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})
 
     tracer = _tracer()
     t = tracer.Tracer()

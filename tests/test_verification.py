@@ -402,7 +402,7 @@ def _count_rows_calls(monkeypatch) -> list:
     return calls
 
 
-def test_warm_identity_checks_read_held_rows(monkeypatch):
+def test_warm_identity_checks_read_held_rows(monkeypatch, fresh_memos):
     """Warm, delta11-block restricts the held D8 rows in one pass (no
     restrict_z), the support, divisor and class checks reuse the held phi0
     rows (coefficient-class-invariance with no truncated copy), and
@@ -423,7 +423,7 @@ def test_warm_identity_checks_read_held_rows(monkeypatch):
     assert restrict == [] and all(c == [] for c in rows) and decode == []
     key, j_max, q_depth = "psi_8_D4", 2, 2
     jacobi.weight0_rows(key, jacobi.weak_weight0(key, j_max * q_depth).series, j_max * q_depth)
-    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})
+    # the checks above read layers of j_max 1 only: these are still cold
     exp = _count_calls(monkeypatch, borcherds, "_exp_packed")
     borcherds.exp_layers(key, j_max, q_depth, psi=True)
     assert len(exp) == 1 and all(c == [] for c in rows)
@@ -446,13 +446,12 @@ def _refers_to(obj, target, seen) -> bool:
     return any(_refers_to(x, target, seen) for x in items)
 
 
-def test_weight0_rows_are_held_once_beside_the_held_series(monkeypatch):
+def test_weight0_rows_are_held_once_beside_the_held_series(monkeypatch, fresh_memos):
     """The held series is built from its rows, so reading them converts
     nothing: every depth up to its own is a read-only prefix equal to
     ``_qz_rows`` of the series truncated there.  Another phi is converted
     afresh and leaves the held rows alone, and a deeper division drops the
     replaced series together with its rows."""
-    monkeypatch.setattr(jacobi, "_PHI0_CACHE", {})
     key, depth = "psi_8_D4", 2
     phi = jacobi.weak_weight0(key, depth).series
     conversions = _count_calls(monkeypatch, jacobi, "_qz_rows")

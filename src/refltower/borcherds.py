@@ -46,7 +46,7 @@ from typing import NamedTuple
 from .jacobi import (
     MEMBERS,
     _corner_dirs,
-    _divisor_terms,
+    _divisor_plan,
     _encode_parts,
     _part_specs,
     hecke_levels,
@@ -80,25 +80,26 @@ def weyl_data(key: str) -> WeylData:
 # weight-0 Hecke translates and the exponential layers
 
 
-def hecke_v0(rows: tuple, m: int, q_depth: int, dtype) -> list:
-    """W_m = -m phi|V_m^(0) on levels 0..q_depth as divisor parts (level n,
-    d, weight -(m/d), rows of phi at level n m / d^2) for d | (n, m), from
-    phi's rows through level q_depth m (``jacobi.weight0_rows``): the 1/d
-    weights of V_m^(0) cancel against m.  With int64 values a coefficient
-    that is not an int below 2^62 raises _NotInt64; a cast would truncate."""
-    if m < 1:
+def hecke_v0(rows: tuple, orders, q_depth: int, dtype) -> tuple:
+    """W_m = -m phi|V_m^(0) on levels 0..q_depth for each order m, as a
+    divisor plan (``jacobi._divisor_plan``: on level n, weight -(m/d) on
+    phi's level n m / d^2 for d | (n, m)) and the rows (z rows, values,
+    reach, max|v|) of each level of phi it reads, from phi's rows through
+    level q_depth max(orders) (``jacobi.weight0_rows``): the 1/d weights
+    of V_m^(0) cancel against m.  With int64 values a coefficient that
+    is not an int below 2^62 raises _NotInt64; a cast would truncate."""
+    if any(m < 1 for m in orders):
         raise ValueError("translate order must be positive")
+    plan = _divisor_plan(orders, range(q_depth + 1), lambda m, d: -(m // d))
     lv, z, v = rows
-    cuts, parts = np.searchsorted(lv, np.arange(q_depth * m + 2)).tolist(), []
-    for n in range(q_depth + 1):
-        for d, k in _divisor_terms(n, m):
-            zk, vk = z[cuts[k]:cuts[k + 1]], v[cuts[k]:cuts[k + 1]].tolist()
-            top = max(map(abs, vk), default=0)
-            if dtype is not object and (set(map(type, vk)) - {int} or top >= _INT64_SAFE):
-                raise _NotInt64
-            parts.append((n, d, -(m // d),
-                          (zk, np.array(vk, dtype), np.abs(zk).max(axis=0, initial=0), int(top))))
-    return parts
+    cuts, src = np.searchsorted(lv, np.arange(max(plan.levels, default=0) + 2)).tolist(), []
+    for k in plan.levels:
+        zk, vk = z[cuts[k]:cuts[k + 1]], v[cuts[k]:cuts[k + 1]].tolist()
+        top = max(map(abs, vk), default=0)
+        if dtype is not object and (set(map(type, vk)) - {int} or top >= _INT64_SAFE):
+            raise _NotInt64
+        src.append((zk, np.array(vk, dtype), np.abs(zk).max(axis=0, initial=0), int(top)))
+    return plan, src
 
 
 def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
@@ -108,23 +109,25 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
     The frame bounds every layer: E_j is a sum of products of W_i whose
     orders add up to j, so its reach per axis is at most the largest
     reach(W_i) + reach(E_{j-i}), W_i's bound from ``jacobi._part_specs``.
-    E_0 is the unit key; each W_i, parts from ``hecke_v0``, is encoded
-    straight into the frame (``jacobi._encode_parts``).  With int64 values
-    a W_i whose bound reaches 2^62, or a quotient by j that leaves a
-    remainder, raises _NotInt64; object values keep it as a Fraction.
+    E_0 is the unit key; W_1..W_jmax, from ``hecke_v0``'s plan and rows,
+    are encoded straight into the frame together (``jacobi._encode_parts``).
+    With int64 values a W_i whose bound reaches 2^62, or a quotient by j
+    that leaves a remainder, raises _NotInt64; object values keep it as a
+    Fraction.
     """
     meta = MEMBERS[key]
     rows = weight0_rows(key, phi, j_max * q_depth)
-    specs = _part_specs([hecke_v0(rows, i, q_depth, dtype) for i in range(1, j_max + 1)])
-    if dtype is not object and any(dt is object for _, dt, _ in specs):
+    plan, src = hecke_v0(rows, range(1, j_max + 1), q_depth, dtype)
+    dtypes, rks = _part_specs(plan, src)
+    if dtype is not object and object in dtypes:
         raise _NotInt64
     reach = [np.zeros(meta.r, np.int64)]
     for j in range(1, j_max + 1):
-        reach.append(np.max([specs[i - 1][2] + reach[j - i] for i in range(1, j + 1)], axis=0))
+        reach.append(np.max([rks[i - 1] + reach[j - i] for i in range(1, j + 1)], axis=0))
     box = np.max(reach, axis=0)
     f = _frame(-box, box, q_depth)
     W = [(np.array([f.zero], np.int64), np.ones(1, dtype), reach[0])]
-    W += [(*_encode_parts(parts, f, dtype), rk) for parts, _, rk in specs]
+    W += [(k, v, rk) for (k, v), rk in zip(_encode_parts(plan, src, f, [dtype] * j_max), rks)]
     F = W[:1]
     for j in range(1, j_max + 1):
         k, v, rj = _qz_mul([(W[i], F[j - i]) for i in range(1, j + 1)],

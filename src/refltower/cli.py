@@ -164,13 +164,14 @@ def _render_text(desc: str, window, series: FourierSeries, digest: str) -> str:
         "terms: %d" % series.term_count(),
         "digest: %s" % digest,
     ]
-    for (s, q) in sorted(series.cells, key=lambda c: (c[0], c[1])):
+    term = "  (%s) %%s" % ",".join(["%d"] * series.r)  # one template for every term
+    for (s, q) in sorted(series.cells):
         sl = series.cells[(s, q)]
         if not sl:
             continue
         lines.append("s^%s q^%s: %d terms" % (_pow_str(s, 2), _pow_str(q, 24), len(sl)))
-        for z in sorted(sl):
-            lines.append("  (%s) %s" % (",".join(map(str, z)), sl[z]))
+        # the z are distinct, so the sort never compares two coefficients
+        lines.extend(map(term.__mod__, sorted([(*z, c) for z, c in sl.items()])))
     return "\n".join(lines) + "\n"
 
 

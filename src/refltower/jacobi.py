@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from math import gcd as _gcd
 from typing import NamedTuple
@@ -53,6 +54,7 @@ from .series import (
     _int64_first,
     _level_runs,
     _NotInt64,
+    _packed_reduce,
     _qz_rows,
     _reduce_parts,
     _restride,
@@ -69,7 +71,11 @@ def chi4(m: int) -> int:
 
 
 def _divisors(n: int) -> list:
-    return [d for d in range(1, abs(n) + 1) if n % d == 0]
+    """The positive divisors of |n| in increasing order, found below its
+    square root; none for n = 0."""
+    n = abs(n)
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
 
 
 def _divisor_terms(n: int, m: int) -> list:
@@ -193,35 +199,34 @@ class MemberMeta(NamedTuple):
     val_q: int  # q_num of the lowest slice
     index: Fraction
     hecke_p: int  # the Hecke translate used for the weight-0 form
-
-    @property
-    def s_step(self) -> int:
-        """s_num of the first layer, 2 * index: 1 on the A1 half grid."""
-        return int(2 * self.index)
-
-    @property
-    def q_grid(self) -> int:
-        """q_num step of the Hecke divisor sums, 24 * index."""
-        return 12 * self.s_step
+    s_step: int  # s_num of the first layer, 2 * index: 1 on the A1 half grid
+    q_grid: int  # q_num step of the Hecke divisor sums, 24 * index
 
 
 MEMBERS: dict = {}
 
+
+def _member(*fields) -> MemberMeta:
+    """A registry entry; its s_step and q_grid are worked out from its index once."""
+    index = fields[-2]
+    return MemberMeta(*fields, int(2 * index), int(24 * index))
+
+
 for _k in range(2, 9):
     _key = "psi_%d_D%d" % (12 - _k, _k)
-    MEMBERS[_key] = MemberMeta(_key, "D", "D%d" % _k, _k, 24 - 3 * _k,
-                               12 - _k, _k, 2, 24, Fraction(1), 2)
-MEMBERS["eta21_theta2z"] = MemberMeta("eta21_theta2z", "D1", "D1", 1, 21,
-                                      11, 1, 2, 24, Fraction(1), 2)
+    MEMBERS[_key] = _member(_key, "D", "D%d" % _k, _k, 24 - 3 * _k,
+                            12 - _k, _k, 2, 24, Fraction(1), 2)
+MEMBERS["eta21_theta2z"] = _member("eta21_theta2z", "D1", "D1", 1, 21,
+                                   11, 1, 2, 24, Fraction(1), 2)
 for _c, _key in ((1, "psi_9_A2"), (2, "psi_6_2A2"), (3, "psi_3_3A2")):
-    MEMBERS[_key] = MemberMeta(_key, "A2", ("%dA2" % _c) if _c > 1 else "A2",
-                               _c, 24 - 8 * _c, 12 - 3 * _c, 2 * _c, 6, 24,
-                               Fraction(1), 2)
+    MEMBERS[_key] = _member(_key, "A2", ("%dA2" % _c) if _c > 1 else "A2",
+                            _c, 24 - 8 * _c, 12 - 3 * _c, 2 * _c, 6, 24,
+                            Fraction(1), 2)
 for _c, _key in ((1, "psi_5_A1"), (2, "psi_4_2A1"), (3, "psi_3_3A1"),
                  (4, "psi_2_4A1")):
-    MEMBERS[_key] = MemberMeta(_key, "A1", ("%dA1" % _c) if _c > 1 else "A1",
-                               _c, 12 - 3 * _c, 6 - _c, _c, 2, 12,
-                               Fraction(1, 2), 3)
+    MEMBERS[_key] = _member(_key, "A1", ("%dA1" % _c) if _c > 1 else "A1",
+                            _c, 12 - 3 * _c, 6 - _c, _c, 2, 12,
+                            Fraction(1, 2), 3)
 
 TOWER_TOPS = {"psi_4_D8", "psi_3_3A2", "psi_2_4A1"}
 
@@ -421,30 +426,98 @@ def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
     return out
 
 
-def _encode_parts(parts: list, f, dtype) -> tuple:
-    """Sorted (keys, values) of one layer from its divisor parts (level j,
-    d, weight, rows) in frame f: keys d (z @ w) + zero + j stq, values
-    times the weight, one pass over the concatenated rows.  Keys that do
-    not come out strictly increasing are summed and sorted in one reduce,
-    which adds unchecked: ``_part_specs`` picks the dtype first."""
-    js, ds, ws, rows = zip(*parts)
-    n = [len(b[1]) for b in rows]
-    k = ((np.concatenate([b[0] for b in rows]) @ f.w) * np.repeat(ds, n)
-         + np.repeat(np.array(js) * f.stq + f.zero, n))
-    v = (np.concatenate([b[1] for b in rows]).astype(dtype)
-         * np.repeat(np.array(ws, dtype=dtype), n))
-    return (k, v) if np.all(k[1:] > k[:-1]) else _reduce_parts([(k, v)])
+class _Plan(NamedTuple):
+    """The divisor parts of several layers, integers only.  Part i reads
+    source level ``levels[src[i]]``, scales its z rows by d[i] and its
+    values by w[i], and lands on output level j[i]; layer t holds the
+    parts edges[t]:edges[t + 1], in (j, d) order."""
+
+    levels: tuple  # the distinct source levels, deepest first
+    j: object  # int64 arrays, one entry per part
+    d: object
+    src: object
+    w: object  # object array of python ints
+    wsum: int  # sum of |w| over all parts
+    edges: object  # int64: each layer's first part, then the part count
 
 
-def _part_specs(layers: list) -> list:
-    """(parts, dtype, reach) per layer of divisor parts (level j, d, w,
-    rows (z rows, values, reach, max|v|)): python ints if the sum of
-    |w| max|v| reaches 2^62, else int64; the reach bound is the largest
-    d * reach over the parts."""
-    return [(parts,
-             object if sum(abs(w) * b[3] for _, _, w, b in parts) >= _INT64_SAFE else np.int64,
-             np.max([d * b[2] for _, d, _, b in parts], axis=0))
-            for parts in layers]
+def _divisor_plan(orders, ns, weight) -> _Plan:
+    """One layer per order m over output levels j, n = ns[j]: a part
+    (j, d, weight(m, d), source level k) per (d, k) of
+    ``_divisor_terms(n, m)``."""
+    parts = [(t, j, d, weight(m, d), k) for t, m in enumerate(orders)
+             for j, n in enumerate(ns) for d, k in _divisor_terms(n, m)]
+    t, j, d, w, k = map(list, zip(*parts)) if parts else ([],) * 5
+    levels = sorted(set(k), reverse=True)
+    at = {lvl: i for i, lvl in enumerate(levels)}
+    plan = _Plan(tuple(levels), np.array(j, np.int64), np.array(d, np.int64),
+                 np.array([at[x] for x in k], np.int64), np.array(w, object),
+                 sum(map(abs, w)), np.searchsorted(t, np.arange(len(orders) + 1)))
+    for a in (plan.j, plan.d, plan.src, plan.w, plan.edges):
+        a.flags.writeable = False
+    return plan
+
+
+def _part_specs(plan: _Plan, rows: list) -> tuple:
+    """(dtypes, reach bounds) of the plan's layers from its source rows
+    (z rows, values, reach, max|v|), each rule applied to all parts at
+    once: a layer is python ints if the sum of |w| max|v| over its parts
+    reaches 2^62, else int64; its reach bound is the largest d * reach
+    over its parts."""
+    if not rows:
+        return [], []
+    starts = plan.edges[:-1]
+    vmax = [b[3] for b in rows]
+    if max(vmax) * plan.wsum < _INT64_SAFE:  # no layer's sum can reach it
+        dtypes = [np.int64] * len(starts)
+    else:
+        bound = np.add.reduceat(np.abs(plan.w) * np.array(vmax, object)[plan.src], starts)
+        dtypes = [object if b >= _INT64_SAFE else np.int64 for b in bound.tolist()]
+    reach = np.array([b[2] for b in rows])[plan.src] * plan.d[:, None]
+    return dtypes, list(np.maximum.reduceat(reach, starts, axis=0))
+
+
+def _encode_parts(plan: _Plan, rows: list, f, dtypes: list) -> list:
+    """Sorted (keys, values) of every layer of the plan in frame f, in one
+    pass: the source rows (z rows, values) are concatenated and keyed
+    once (z @ w), and each part gathers its source's run, keys times d
+    plus zero + j stq and values times w, by ``np.repeat``.  One diff
+    finds the layers whose keys do not come out strictly increasing
+    (several divisors on a level); those alone are summed and sorted in
+    one reduce, which adds unchecked: ``_part_specs`` picks the dtypes
+    first.  Layers on python ints get object values, the others int64."""
+    if not rows:
+        return []
+    size = np.array([len(b[1]) for b in rows])
+    cnt = size[plan.src]
+    end = np.cumsum(cnt)
+    at = np.repeat((np.cumsum(size) - size)[plan.src] - (end - cnt), cnt) + np.arange(end[-1])
+    k = ((np.concatenate([b[0] for b in rows]) @ f.w)[at] * np.repeat(plan.d, cnt)
+         + np.repeat(plan.j * f.stq + f.zero, cnt))
+    v, wide = np.concatenate([b[1] for b in rows])[at], object in dtypes
+    v = (v.astype(object) * np.repeat(plan.w, cnt) if wide
+         else v.astype(np.int64, copy=False) * np.repeat(plan.w.astype(np.int64), cnt))
+    cut = np.concatenate(([0], end))[plan.edges]
+    drop = np.flatnonzero(k[1:] <= k[:-1])  # key i + 1 not above key i
+    lay = np.searchsorted(cut, drop, side="right") - 1
+    unsorted = set(lay[drop + 1 < cut[lay + 1]].tolist())  # both keys in one layer
+    out = []
+    for t, (a, b) in enumerate(zip(cut.tolist(), cut[1:].tolist())):
+        kt, vt = k[a:b], v[a:b]
+        if wide and dtypes[t] is not object:
+            vt = vt.astype(np.int64)
+        out.append(_packed_reduce(kt, vt) if t in unsorted else (kt, vt))
+    return out
+
+
+@lru_cache(maxsize=256)
+def _hecke_plan(key: str, orders: tuple, depth: int) -> _Plan:
+    """``hecke_levels``' divisor plan, memoised: it follows from the
+    member's grid and weight, never from its rows."""
+    meta = MEMBERS[key]
+    wt = meta.weight - 1
+    return _divisor_plan(orders, [(meta.val_q + 24 * j) // meta.q_grid for j in range(depth + 1)],
+                         lambda m, d: d ** wt)
 
 
 def hecke_levels(key: str, orders: list, depth: int, frame=None) -> tuple:
@@ -452,30 +525,28 @@ def hecke_levels(key: str, orders: list, depth: int, frame=None) -> tuple:
     levels 0..depth, packed as ``multiply_by_member`` returns a product:
     (frame, [(keys, values, reach)]), one layer per order, keys sorted.
 
-    Divisor d sends a block row z (``_member_rows``) to d z and its value
-    to d^(wt-1) times it, wt the block's weight; dtype and reach bound
-    come from ``_part_specs`` on the block's stored reaches, and each part
-    is encoded straight into the frame (``_encode_parts``).  A given
-    frame (unsheared) is used if every
-    bound fits its box; otherwise, or without a frame, every layer goes
-    into the symmetric frame of the largest bound and the given box, and
-    that frame is returned.  No key is ever formed outside its frame's
-    box, and a bound alone decides no comparison.
+    Divisor d sends a block row z to d z and its value to d^(wt-1) times
+    it, wt the block's weight.  The divisor plan (``_hecke_plan``) lists
+    the parts; each distinct block level it reads is read once through
+    ``_member_rows``, the deepest first, so a cold block is built once.
+    Dtypes and reach bounds come from ``_part_specs`` on the levels'
+    stored reaches and max|v|, and every layer is encoded straight into
+    the frame in one pass (``_encode_parts``).  A given frame (unsheared)
+    is used if every bound fits its box; otherwise, or without a frame,
+    every layer goes into the symmetric frame of the largest bound and
+    the given box, and that frame is returned.  No key is ever formed
+    outside its frame's box, and a bound alone decides no comparison.
     """
     meta = MEMBERS[key]
-    grid = meta.q_grid
-    # the deepest slice first, so the packed block is built once
-    _member_rows(key, grid * ((meta.val_q + 24 * depth) // grid) * max(orders, default=0))
-    specs = _part_specs([[(j, d, d ** (meta.weight - 1), _member_rows(key, grid * k))
-                          for j in range(depth + 1)
-                          for d, k in _divisor_terms((meta.val_q + 24 * j) // grid, m)]
-                         for m in orders])
-    top = np.max([rk for *_, rk in specs] + [np.zeros(meta.r, np.int64)], axis=0)
+    plan = _hecke_plan(key, tuple(orders), depth)
+    rows = [_member_rows(key, meta.q_grid * k) for k in plan.levels]
+    dtypes, reach = _part_specs(plan, rows)
+    top = np.max(reach + [np.zeros(meta.r, np.int64)], axis=0)
     f = frame
     if f is None or np.any(top > f.hi) or np.any(-top < f.lo):
         top = top if f is None else np.max([top, f.hi, -f.lo], axis=0)
         f = _frame(-top, top, depth)
-    return f, [(*_encode_parts(parts, f, dtype), reach) for parts, dtype, reach in specs]
+    return f, [(k, v, rk) for (k, v), rk in zip(_encode_parts(plan, rows, f, dtypes), reach)]
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,9 @@ def _packed_reduce(keys, vals):
     starts[0] = True
     np.not_equal(ks[1:], ks[:-1], out=starts[1:])
     idx = np.flatnonzero(starts)
+    if len(idx) == len(ks):  # every key once: a sort, nothing to sum
+        keep = vs != 0
+        return (ks, vs) if keep.all() else (ks[keep], vs[keep])
     sums = np.add.reduceat(vs, idx)
     keep = sums != 0
     return ks[idx][keep], sums[keep]

@@ -180,14 +180,15 @@ def exp_series(key: str, j_max: int, q_depth: int, psi: bool = False) -> list:
 
 def packed_translate(key: str, phi: FourierSeries, m: int, q_depth: int, dtype) -> tuple:
     """(frame, keys, values) of W_m = -m phi|V_m^(0) through level q_depth,
-    phi a weight-0 series of the member: the parts ``borcherds.hecke_v0``
-    gives from phi's rows (``jacobi.weight0_rows``), encoded as
-    ``borcherds._exp_packed`` encodes them, in the symmetric frame of the
-    reach ``jacobi._part_specs`` gives them."""
-    rows = jacobi.weight0_rows(key, phi, m * q_depth)
-    [(parts, _, reach)] = jacobi._part_specs([borcherds.hecke_v0(rows, m, q_depth, dtype)])
+    phi a weight-0 series of the member: the divisor plan and rows
+    ``borcherds.hecke_v0`` gives from phi's rows (``jacobi.weight0_rows``),
+    encoded as ``borcherds._exp_packed`` encodes them, in the symmetric
+    frame of the reach ``jacobi._part_specs`` gives them."""
+    plan, src = borcherds.hecke_v0(jacobi.weight0_rows(key, phi, m * q_depth), [m], q_depth, dtype)
+    _, [reach] = jacobi._part_specs(plan, src)
     f = _frame(-reach, reach, q_depth)
-    return (f, *jacobi._encode_parts(parts, f, dtype))
+    [(k, v)] = jacobi._encode_parts(plan, src, f, [dtype])
+    return f, k, v
 
 
 def translate(key: str, phi: FourierSeries, m: int, q_depth: int) -> FourierSeries:
@@ -206,7 +207,7 @@ def translate(key: str, phi: FourierSeries, m: int, q_depth: int) -> FourierSeri
 MEMOS = ((jacobi, "_SIGMA"), (jacobi, "_ETA_TABLES"), (jacobi, "_SHELL_CACHE"),
          (jacobi, "_PSI_SLICES"), (jacobi, "_PSI_LEVELS"), (jacobi, "_PHI0_CACHE"),
          (borcherds, "_EXP_MEMO"), (lattices, "_cache"))
-CACHED = ((verification, "_reflective_keys"), (cli, "_code_digest"))
+CACHED = ((verification, "_reflective_keys"), (cli, "_code_digest"), (jacobi, "_hecke_plan"))
 
 
 @contextmanager

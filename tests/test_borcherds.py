@@ -328,6 +328,37 @@ def test_warm_compare_builds_no_frame_and_decodes_nothing(monkeypatch):
         assert calls == [], key
 
 
+@pytest.mark.parametrize("key, window", [BOX_CASE, ("psi_5_A1", (4, 3)), ("psi_6_2A2", (3, 3))])
+def test_warm_compare_encodes_once_and_reads_each_block_level_once(monkeypatch, key, window):
+    """Warm, one ``hecke_levels`` call builds every lift layer with one
+    encode and reads each block level its divisor sums reach once through
+    ``_member_rows``, the deepest first.  No plan holds block data: a
+    term added to the deepest level afterwards fails the next compare
+    there."""
+    meta = jacobi.MEMBERS[key]
+    orders = [m for _, m in lifting.lift_layers(key, 2 * window[1])]
+    q_aux = (24 * window[0] - meta.val_q) // 24
+    levels = {meta.q_grid * n * m // (d * d) for m in orders for j in range(q_aux + 1)
+              for n in [(meta.val_q + 24 * j) // meta.q_grid]
+              for d in range(1, m + 1) if n % d == 0 and m % d == 0}
+    assert borcherds.compare_lift_product(key, *window)["status"] == "pass"
+    calls = []
+    with monkeypatch.context() as m:
+        _spy_everywhere(m, "hecke_levels", calls, (borcherds,))
+        _spy_everywhere(m, "_encode_parts", calls, (jacobi,))
+        real = jacobi._member_rows
+        m.setattr(jacobi, "_member_rows", lambda k, q: calls.append(q) or real(k, q))
+        assert borcherds.compare_lift_product(key, *window)["status"] == "pass"
+    assert calls == ["hecke_levels", *sorted(levels, reverse=True), "_encode_parts"]
+    deep = max(levels)
+    held = set(map(tuple, jacobi._member_rows(key, deep)[0].tolist()))
+    new = next(z for z in itertools.product(range(-1, 2), repeat=meta.r) if z not in held)
+    _edit_block_level(monkeypatch, key, deep, lambda sl: {**sl, new: 1})
+    got = borcherds.compare_lift_product(key, *window)
+    assert got["status"] == "fail"
+    assert got["first_mismatch"]["q_num"] == meta.val_q + 24 * q_aux
+
+
 def test_sweep_rounds_after_the_first_build_no_layers(monkeypatch, fresh_memos):
     """A member's larger sweep window deepens its cached phi0; the layers
     built from the shallower phi0 stay served, since both are exact
@@ -509,7 +540,7 @@ def test_hecke_v0_rejects_shallow_windows():
     # rows through level 3 * 4 are asked for, deeper than its window
     with pytest.raises(ValueError, match="too shallow"):
         borcherds.hecke_v0(jacobi.weight0_rows(
-            "psi_5_A1", jacobi.phi0_by_division("psi_5_A1", 2).series, 12), 3, 4, np.int64)
+            "psi_5_A1", jacobi.phi0_by_division("psi_5_A1", 2).series, 12), [3], 4, np.int64)
 
 
 def _by_level(f):
@@ -539,7 +570,7 @@ def test_packed_translate_equals_the_dict_reference():
             _, kr, vr = packed_translate(key, rev, m, q_depth, np.int64)
             assert np.array_equal(kr, k) and np.array_equal(vr, v), (key, q_depth, m)
             with pytest.raises(series._NotInt64):
-                borcherds.hecke_v0(jacobi.weight0_rows(key, half, m * q_depth), m, q_depth,
+                borcherds.hecke_v0(jacobi.weight0_rows(key, half, m * q_depth), [m], q_depth,
                                    np.int64)
             f, k, v = packed_translate(key, half, m, q_depth, object)
             assert v.dtype == object and np.all(k[1:] > k[:-1])
@@ -553,8 +584,8 @@ def test_translate_bound_past_2_62_reruns_on_python_ints(monkeypatch):
     reads that level twice, with weights -2 and -1, so its bound
     sigma(2) |v| reaches 2^62 (2 |v|, the bound without the weights,
     would not).  The int64 recursion raises _NotInt64 before anything is
-    encoded, and the rerun on python ints equals the exp_s oracle of the
-    same phi."""
+    encoded, and the rerun encodes every W_i in one call on python ints
+    and equals the exp_s oracle of the same phi."""
     key, j_max, q_depth = "psi_9_D3", 2, 2
     phi = copy(borcherds.weak_weight0(key, j_max * q_depth).series)
     sl = phi.cells[(0, 0)]
@@ -562,16 +593,16 @@ def test_translate_bound_past_2_62_reruns_on_python_ints(monkeypatch):
     encoded = []
     real = borcherds._encode_parts
 
-    def spy(parts, f, dtype):
-        encoded.append(dtype)
-        return real(parts, f, dtype)
+    def spy(plan, rows, f, dtypes):
+        encoded.append(dtypes)
+        return real(plan, rows, f, dtypes)
 
     monkeypatch.setattr(borcherds, "_encode_parts", spy)
     with pytest.raises(series._NotInt64):
         borcherds._exp_packed(key, j_max, q_depth, phi, np.int64)
     assert encoded == []
     f, F = series._int64_first(borcherds._exp_packed, key, j_max, q_depth, phi)
-    assert encoded == [object] * j_max
+    assert encoded == [[object] * j_max]
     assert all(v.dtype == object for _, v, _ in F)
     want = _exp_oracle(key, j_max, q_depth, phi)
     for (k, v, _), layer in zip(F, want):
@@ -642,10 +673,17 @@ def test_exp_layers_started_at_psi_are_psi_times_the_exponential():
             assert [layer.cells for layer in got] == want, (key, window)
 
 
-def _with_part(parts, level, z, value, dtype):
-    """Divisor parts with one more: ``value`` at z on ``level``, weight -1."""
+def _with_part(got, layer, level, z, value, dtype):
+    """``hecke_v0``'s plan and rows with one more part, last in its layer:
+    ``value`` at z on ``level``, d = 1, weight -1, from rows of its own."""
+    plan, rows = got
     _, zr, v, reach = series._qz_rows({0: {z: value}}, len(z), dtype)
-    return parts + [(level, 1, -1, (zr, v, reach, abs(value)))]
+    at = int(plan.edges[layer + 1])
+    plan = plan._replace(j=np.insert(plan.j, at, level), d=np.insert(plan.d, at, 1),
+                         src=np.insert(plan.src, at, len(rows)), w=np.insert(plan.w, at, -1),
+                         wsum=plan.wsum + 1,
+                         edges=plan.edges + (np.arange(len(plan.edges)) > layer))
+    return plan, rows + [(zr, v, reach, abs(value))]
 
 
 def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch, fresh_memos):
@@ -657,11 +695,11 @@ def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch, fresh_memos)
     real, real_dict = borcherds.hecke_v0, oracles.hecke_v0
     jacobi.weak_weight0(key, j_max * q_depth)  # builds the block before the spies
 
-    def crooked(rows, m, depth, dtype):
+    def crooked(rows, orders, depth, dtype):
         # -2^61 on the W_1 key at level 1 where phi's z is least
         lv, z, _ = rows
-        return _with_part(real(rows, m, depth, dtype), 1, min(map(tuple, z[lv == 1].tolist())),
-                          2 ** 61, dtype)
+        return _with_part(real(rows, orders, depth, dtype), 0, 1,
+                          min(map(tuple, z[lv == 1].tolist())), 2 ** 61, dtype)
 
     def crooked_dict(phi, m, depth):
         v = real_dict(phi, m, depth)
@@ -762,12 +800,12 @@ def test_exp_layer_remainder_stays_exact(monkeypatch, fresh_memos):
     real = borcherds.hecke_v0
     phi = jacobi.weak_weight0("psi_10_D2", 4).series
 
-    def crooked(rows, m, q_depth, dtype):
-        parts = real(rows, m, q_depth, dtype)
-        if m == 2:  # -1 on the W_2 key at level 0 where phi|V_2's z is least
+    def crooked(rows, orders, q_depth, dtype):
+        got = real(rows, orders, q_depth, dtype)
+        if 2 in orders:  # -1 on the W_2 key at level 0 where phi|V_2's z is least
             z = min(oracles.hecke_v0(phi, 2, q_depth).cells[(0, 0)])
-            parts = _with_part(parts, 0, z, 1, dtype)
-        return parts
+            got = _with_part(got, list(orders).index(2), 0, z, 1, dtype)
+        return got
 
     monkeypatch.setattr(borcherds, "hecke_v0", crooked)  # unseen by a warm layer memo
     E = exp_series("psi_10_D2", 2, 2)

@@ -870,6 +870,37 @@ def test_hecke_levels_past_2_62_run_on_python_ints(monkeypatch):
     assert max(abs(c) for sl in got.values() for c in sl.values()) >= 2 ** 63
 
 
+def test_hecke_levels_mix_dtypes_per_layer(monkeypatch):
+    """Block rows scaled by 2^48 stay int64 and keep every order-1 bound
+    below 2^62; the order-2 layer weighs its d = 2 parts 2^9 = 2^(wt-1)
+    and passes it.  Only that layer comes back on python ints, the
+    order-1 layer stays int64, and both equal the dict translates of the
+    scaled slices."""
+    real, real_rows = jacobi.member_slice, jacobi._member_rows
+    monkeypatch.setattr(jacobi, "member_slice",
+                        lambda key, q: {z: c << 48 for z, c in real(key, q).items()})
+
+    def scaled_rows(key, q):
+        z, v, reach, vmax = real_rows(key, q)
+        return z, v << 48, reach, vmax << 48
+
+    monkeypatch.setattr(jacobi, "_member_rows", scaled_rows)
+    key, orders, depth = "psi_10_D2", [1, 2], 3
+    _, layers = jacobi.hecke_levels(key, orders, depth)
+    assert [v.dtype for _, v, _ in layers] == [np.int64, object]
+    assert _hecke_levels_as_dicts(key, orders, depth) == _hecke_dicts(key, orders, depth)
+
+
+def test_divisor_terms_equal_a_brute_force_oracle():
+    """(d, n m / d^2) for every common divisor d of n and m, increasing,
+    for 0 <= n, m <= 60: every divisor of m when n = 0, none for n = m = 0."""
+    for n in range(61):
+        for m in range(61):
+            want = [(d, n * m // (d * d)) for d in range(1, max(n, m) + 1)
+                    if n % d == 0 and m % d == 0]
+            assert jacobi._divisor_terms(n, m) == want, (n, m)
+
+
 def test_hecke_slice_matches_series_operator():
     key, m = "psi_9_A2", 2
     f = build(key, TruncationWindow(24 * 8, 0))

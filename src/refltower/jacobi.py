@@ -21,7 +21,10 @@ an eta^-1 per copy).  The packed division reads the block as that list
 of factors (``_factor_stack``), one frame and one binomial per theta
 factor; the packed multiply by the block reads the same list in one
 frame, each binomial two key shifts.  Keys enter every frame by digit
-arithmetic (``series._restride``).  Applied to the unit, the multiply
+arithmetic (``series._restride``).  theta(tau, -z) = -theta(tau, z), so
+a D, D1 or A1 dividend odd in every coordinate, as psi|V_p is, is
+divided on one sign orthant (``_sign_axes``, ``_fold_odd``) and its even
+quotient mirrored out once.  Applied to the unit, the multiply
 gives every block's packed rows (``_member_rows``, with each level's
 reach and max|v|); dict slices of the A2 blocks are decoded from them,
 the others summed from odd shells.  The Hecke translates of the lift
@@ -49,6 +52,7 @@ from .series import (
     _NP_CHUNK,
     FourierSeries,
     TruncationWindow,
+    _coord,
     _decode,
     _frame,
     _int64_first,
@@ -322,6 +326,7 @@ def member_slice(key: str, q_num: int) -> dict:
 
 
 _PSI_LEVELS: dict = {}  # key -> [(z rows, values, reach, max|v|)] on levels 0..depth
+_BAND = 1 << 15  # keys decoded at a time into the block's rows
 
 
 def _member_rows(key: str, q_num: int) -> tuple:
@@ -330,7 +335,8 @@ def _member_rows(key: str, q_num: int) -> tuple:
     (``multiply_by_member``), memoised per member and rebuilt only when a
     deeper level is asked for.  The reach (largest |z_i| per axis, int64)
     and max|v| of each level are taken once, when the block is built.
-    Rows are int16 when they fit; the arrays are read-only."""
+    Rows are int16 when the product's frame fits them, decoded straight
+    into place band by band; the arrays are read-only."""
     meta = MEMBERS[key]
     lvl, off = divmod(q_num - meta.val_q, 24)
     if lvl < 0 or off:
@@ -341,8 +347,9 @@ def _member_rows(key: str, q_num: int) -> tuple:
         zero = np.zeros(meta.r, np.int64)
         unit = (np.zeros(1, np.int64), np.ones(1, np.int64), zero)
         g, [(k, v, _)] = multiply_by_member(_frame(zero, zero, lvl), [unit], key, lvl)
-        z = _decode(k, g)
-        z = z.astype(np.int16) if np.abs(z).max(initial=0) < 1 << 15 else z
+        z = np.empty((len(k), meta.r), np.int16 if g.hi.max() < 1 << 15 else np.int64)
+        for a in range(0, len(k), _BAND):  # no int64 copy of all rows at once
+            z[a:a + _BAND] = _decode(k[a:a + _BAND], g)
         z.flags.writeable = v.flags.writeable = False
         cuts = np.searchsorted(k, np.arange(lvl + 2) * g.stq).tolist()
         levels = _PSI_LEVELS[key] = []
@@ -671,6 +678,59 @@ def _pad(stack: list, depth: int, r: int) -> list:
     return pad
 
 
+def _sign_axes(meta: MemberMeta, f, stack: list) -> list:
+    """The coordinates whose sign the division may fold: each lies on
+    exactly one theta factor, whose direction touches no other axis, and
+    f's box is symmetric on it.  All of D, D1 and A1; none of A2."""
+    dirs = [d for d, _ in stack if d]
+    return [i for i in range(meta.r)
+            if [sum(map(bool, d)) for d in dirs if d[i]] == [1] and f.lo[i] == -f.hi[i]]
+
+
+def _fold_odd(work: list, f, axes: list):
+    """Each level (keys, values) cut to z_i > 0 on the axes, if it is odd
+    in every one of them, else None.  Checked, not assumed: no key
+    repeats, a level holds 2^len(axes) keys per key with every z_i >= 0
+    (it keeps those), and each key's image with every z_i made positive is
+    a kept key whose value is the key's, negated once per sign it flips.
+    The map from a key to (kept key, signs flipped) is then one to one and
+    onto, so no kept key has z_i = 0: it would have fewer than 2^len(axes)
+    images."""
+    out = []
+    for k, v in work:
+        if np.any(k[1:] <= k[:-1]):  # sorted keys come from hecke_levels; others are sorted here
+            o = np.argsort(k)
+            k, v = k[o], v[o]
+            if np.any(k[1:] == k[:-1]):
+                return None
+        rep, flip, cut = k.copy(), np.zeros(len(k), bool), np.ones(len(k), bool)
+        for i in axes:
+            z = _coord(k, f, i)
+            neg = z < 0
+            rep -= 2 * int(f.st[i]) * np.minimum(z, 0)
+            flip ^= neg
+            cut &= ~neg
+        kc, vc = k[cut], v[cut]
+        if len(k) != len(kc) << len(axes):
+            return None
+        if len(k):
+            at = np.minimum(np.searchsorted(kc, rep), len(kc) - 1)
+            if not (np.array_equal(kc[at], rep)
+                    and np.array_equal(np.where(flip, -vc[at], vc[at]), v)):
+                return None
+        out.append((kc, vc))
+    return out
+
+
+def _mirror(k, v, f, i: int, sign: int) -> tuple:
+    """A level held on z_i >= 0 completed by its image under z_i -> -z_i,
+    values times sign (-1 odd, 1 even); a key with z_i = 0 is its own."""
+    z = _coord(k, f, i)
+    m = z > 0
+    return (np.concatenate((k, k[m] - 2 * int(f.st[i]) * z[m])),
+            np.concatenate((v, -v[m] if sign < 0 else v[m])))
+
+
 def _divide_packed(keys: list, vals: list, f, meta: MemberMeta, depth: int,
                    stack: list, dtype) -> tuple:
     """The factored division on packed keys with values of one dtype.
@@ -681,10 +741,20 @@ def _divide_packed(keys: list, vals: list, f, meta: MemberMeta, depth: int,
     into the frame of its direction over f's box widened by ``_pad``;
     then per level it subtracts its correction terms (key offsets of
     lower quotient levels) and divides out its binomial in one pass.
+
+    Every theta factor is odd, so a dividend odd in a coordinate of
+    ``_sign_axes`` (checked by ``_fold_odd``) is divided on one sign
+    orthant: it is cut to z_i > 0 there, the eta power divides the cut
+    levels as they are, and the theta factor on axis i mirrors its levels
+    (odd) so that its lines are whole, divides as above, and keeps
+    z_i >= 0 of the even quotient.  The quotient is mirrored out once at
+    the end.  Levels come back with sorted keys.
+
     With int64 values every step first bounds its output from the actual
-    maxima of its inputs; a bound reaching 2^62 raises _NotInt64.  Raises
-    ArithmeticError when division is not exact, TypeError on non-int
-    coefficients, ValueError when the keys do not fit int64.
+    maxima of its inputs (a mirror keeps them); a bound reaching 2^62
+    raises _NotInt64.  Raises ArithmeticError when division is not exact,
+    TypeError on non-int coefficients, ValueError when the keys do not
+    fit int64.
     """
     checked = dtype is not object
     vals = vals[:depth + 1]
@@ -704,6 +774,9 @@ def _divide_packed(keys: list, vals: list, f, meta: MemberMeta, depth: int,
 
     work = list(zip(keys, vs))
     work += [(np.zeros(0, np.int64), np.zeros(0, dtype))] * (depth + 1 - len(work))
+    axes = _sign_axes(meta, f, stack)
+    half = _fold_odd(work, f, axes) if axes else None
+    axes, work = ([], work) if half is None else (axes, half)
     mx = [amax(v) for _, v in work]
     cur = f
     for d, cells in stack:
@@ -711,10 +784,13 @@ def _divide_packed(keys: list, vals: list, f, meta: MemberMeta, depth: int,
             g = _frame(f.lo - pad, f.hi + pad, 0, d)
             work = [(_restride(k, cur, g), v) for k, v in work]
             cur = g
+        ax = cur.order[-1]
+        folded = d and ax in axes
+        if folded:
+            work = [_mirror(k, v, cur, ax, -1) for k, v in work]
         terms = [(lvl, int(np.dot(zc, cur.w)), cc)
                  for lvl, t in sorted(cells.items()) if lvl <= depth
                  for zc, cc in t.items()]
-        ax = cur.order[-1]
         w_ax = int(cur.hi[ax] - cur.lo[ax]) + 1
         for j in range(depth + 1):
             guard(mx[j] + sum(abs(cc) * mx[j - lvl]
@@ -728,7 +804,11 @@ def _divide_packed(keys: list, vals: list, f, meta: MemberMeta, depth: int,
                 k, v = _binomial_packed(k, v, w_ax, d[ax])
             work[j] = (k, v)
             mx[j] = amax(v)
-    return cur, work
+        if folded:
+            work = [(k[m], v[m]) for k, v in work for m in [_coord(k, cur, ax) >= 0]]
+    for i in axes:
+        work = [_mirror(k, v, cur, i, 1) for k, v in work]
+    return cur, [(k[o], v[o]) for k, v in work for o in [np.argsort(k)]]
 
 
 def divide_by_member(keys: list, vals: list, f, key: str, depth: int) -> tuple:
@@ -738,11 +818,15 @@ def divide_by_member(keys: list, vals: list, f, key: str, depth: int) -> tuple:
     packed in the unsheared frame f without the level digit, as
     ``hecke_levels`` lays them out; the result is (frame, [(keys,
     values)]), the quotient on levels 0..depth in the frame of the last
-    factor.  Works factor by factor: each factor, the eta power first,
-    contributes a sparse correction per level, and each theta factor one
-    linear binomial pass in its direction.  Values are int64 unless some
-    step could reach 2^62, in which case the division is run again on
-    python ints.  Raises ArithmeticError when the division is not exact.
+    factor, each level's keys sorted.  Works factor by factor: each
+    factor, the eta power first, contributes a sparse correction per
+    level, and each theta factor one linear binomial pass in its
+    direction.  A dividend odd in each coordinate of a D, D1 or A1 block
+    (as every psi|V_p is) is divided on one sign orthant and its quotient
+    mirrored out; any other goes through every key.  Values are int64
+    unless some step could reach 2^62, in which case the division is run
+    again on python ints.  Raises ArithmeticError when the division is
+    not exact.
     """
     meta = MEMBERS[key]
     return _int64_first(_divide_packed, keys, vals, f, meta, depth, _factor_stack(meta, depth))
@@ -830,7 +914,7 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
         raise AssertionError("packed theta block corner differs from the registry's theta cells")
     g, quo = divide_by_member([k[a:b] - j * f.stq for j, (a, b) in enumerate(spans)],
                               [v[a:b] for a, b in spans], f, key, q_depth)
-    qk, qv = zip(*((k[o], v[o]) for k, v in quo for o in [np.argsort(k)]))
+    qk, qv = zip(*quo)
     rows = (np.repeat(np.arange(q_depth + 1), [len(a) for a in qk]),
             _decode(np.concatenate(qk), g), (-np.concatenate(qv)).astype(object))
     for a in rows:

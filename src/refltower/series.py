@@ -15,9 +15,10 @@ product ``_qz_mul`` and the theta-block division and multiplication
 (``jacobi.divide_by_member``, ``jacobi.multiply_by_member``): one
 ``_Frame`` packs (level, z) into a single int64 key, ``_qz_rows`` /
 ``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts,
-``_restride`` moves keys between any two frames by digit arithmetic,
-and ``_int64_first`` reruns a kernel on Python ints when int64 cannot
-carry its values.  Unpacked, a series is rows (levels, z rows, values,
+``_restride`` moves keys between any two frames by digit arithmetic
+(``_coord`` reads one axis of an unsheared frame the same way), and
+``_int64_first`` reruns a kernel on Python ints when int64 cannot carry
+its values.  Unpacked, a series is rows (levels, z rows, values,
 reach) as ``_qz_rows`` lays them out; phi0's (``jacobi.weight0_rows``)
 are in packed-key order, level then z lexicographic.  The division
 takes and returns one level per (keys, values) pair, the level digit
@@ -94,22 +95,34 @@ _NP_MERGE_CAP = 1 << 22
 
 
 def _packed_reduce(keys, vals):
-    """Sum vals over equal keys; sorted keys and nonzero sums come back."""
+    """Sum vals over equal keys; sorted keys and nonzero sums come back.
+
+    Each group's sum is the difference of one running sum at the group's
+    last key and at the previous group's.  An int64 running sum may wrap,
+    but it stays exact mod 2^64, so every difference is exact: the callers
+    bound each group sum below 2^62 before they reduce.  Object values
+    (python ints, Fractions) sum exactly as they are.  The running sum
+    takes the place of the sorted values, and each array of all the keys
+    is dropped as soon as it is read, which keeps the peak at the sort's."""
     order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    vs = vals[order]
+    ks, vs = keys[order], vals[order]
+    del order
     if len(ks) == 0:
         return ks, vs
-    starts = np.empty(len(ks), dtype=bool)
-    starts[0] = True
-    np.not_equal(ks[1:], ks[:-1], out=starts[1:])
-    idx = np.flatnonzero(starts)
+    last = np.empty(len(ks), dtype=bool)
+    last[-1] = True
+    np.not_equal(ks[1:], ks[:-1], out=last[:-1])
+    idx = np.flatnonzero(last)
+    del last
     if len(idx) == len(ks):  # every key once: a sort, nothing to sum
         keep = vs != 0
         return (ks, vs) if keep.all() else (ks[keep], vs[keep])
-    sums = np.add.reduceat(vs, idx)
+    ks = ks[idx]
+    sums = np.cumsum(vs, out=vs)[idx]
+    del vs
+    sums[1:] -= sums[:-1].copy()
     keep = sums != 0
-    return ks[idx][keep], sums[keep]
+    return ks[keep], sums[keep]
 
 
 def _reduce_parts(parts):
@@ -258,6 +271,13 @@ def _restride(keys, a: _Frame, b: _Frame):
     if a.stq != b.stq:
         out += keys // a.stq * (b.stq - a.stq)
     return out
+
+
+def _coord(keys, f: _Frame, i: int):
+    """z_i of packed keys in an unsheared frame, by digit arithmetic; a
+    key's image under z_i -> -z_i is 2 z_i st_i below it."""
+    q, w = keys // int(f.st[i]), int(f.hi[i] - f.lo[i]) + 1
+    return q - q // w * w + int(f.lo[i])  # q % w, by the faster floor division
 
 
 def _qz_rows(levels: dict, r: int, dtype):

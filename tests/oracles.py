@@ -335,3 +335,16 @@ def binomial_packed(keys, vals, span: int, s: int):
     if not out_k:
         return keys[:0], vals[:0]
     return np.concatenate(out_k), np.concatenate(out_v)
+
+
+def packed_reduce(keys, vals):
+    """``series._packed_reduce`` with one ``np.add.reduceat`` over the
+    sorted groups."""
+    order = np.argsort(keys, kind="stable")
+    ks, vs = keys[order], vals[order]
+    if len(ks) == 0:
+        return ks, vs
+    idx = np.flatnonzero(np.concatenate(([True], ks[1:] != ks[:-1])))
+    sums = np.add.reduceat(vs, idx)
+    keep = sums != 0
+    return ks[idx][keep], sums[keep]

@@ -1,5 +1,6 @@
 """Tests for theta blocks, Hecke translates, and the weight-0 quotients."""
 
+import itertools
 import random
 from fractions import Fraction
 from functools import partial
@@ -514,12 +515,21 @@ def test_division_rejects_a_corrupt_a2_dividend():
             divide_slices(bad, key, 3)
 
 
+def _spy_mirrors(monkeypatch) -> list:
+    """Record every ``jacobi._mirror`` call: none means the full loop ran."""
+    calls, real = [], jacobi._mirror
+    monkeypatch.setattr(jacobi, "_mirror", lambda *a: calls.append(a[4]) or real(*a))
+    return calls
+
+
 @pytest.mark.parametrize("key", list(MEMBERS))
-def test_division_recovers_a_random_quotient(key):
+def test_division_recovers_a_random_quotient(monkeypatch, key):
     """psi * Q divided by psi gives Q back exactly, and one unit added at
     the deepest level of the dividend leaves a remainder.  The packed
     multiply of Q by the block equals psi * Q from ``FourierSeries.mul``,
-    so division and multiply invert each other."""
+    so division and multiply invert each other.  A random Q is not even,
+    so psi * Q is not odd: no coordinate is folded."""
+    mirrors = _spy_mirrors(monkeypatch)
     meta = MEMBERS[key]
     depth = 3 if meta.r >= 7 else 4
     rng = random.Random(key)
@@ -541,6 +551,7 @@ def test_division_recovers_a_random_quotient(key):
     levels[depth][z] += 1
     with pytest.raises(ArithmeticError):
         divide_slices(levels, key, depth)
+    assert mirrors == []
 
 
 def test_division_quotient_wider_than_its_dividend():
@@ -561,11 +572,13 @@ def test_division_quotient_wider_than_its_dividend():
 
 
 @pytest.mark.parametrize("key", ["psi_8_D4", "eta21_theta2z", "psi_6_2A2", "psi_3_3A1"])
-def test_quotient_does_not_depend_on_the_dividend_frame(key):
+def test_quotient_does_not_depend_on_the_dividend_frame(monkeypatch, key):
     """The same dividend levels packed in their tight symmetric frame and
     in a wider, asymmetric, unsheared one give the quotient of the
     ``FourierSeries.div`` oracle, and a dividend with a remainder is
-    refused in both."""
+    refused in both.  Neither folds a coordinate: the dividend is not
+    odd, and the wide frame is not symmetric on any axis."""
+    mirrors = _spy_mirrors(monkeypatch)
     meta = MEMBERS[key]
     depth = 3
     rng = random.Random("frame " + key)
@@ -589,6 +602,167 @@ def test_quotient_does_not_depend_on_the_dividend_frame(key):
         assert got == [quo.cells[(0, 24 * j)] for j in range(depth + 1)]
         with pytest.raises(ArithmeticError):
             divide_slices(bad, key, depth, frame)
+    assert jacobi._sign_axes(meta, wide, jacobi._factor_stack(meta, depth)) == []
+    assert mirrors == []
+
+
+SIGN_MEMBERS = [key for key, meta in MEMBERS.items() if meta.family != "A2"]
+
+
+def _hecke_dividend(key: str, depth: int) -> tuple:
+    """(frame, keys, values) that ``phi0_by_division`` divides: psi|V_p on
+    levels 0..depth, packed, level digit left out, keys sorted."""
+    f, [(k, v, _)] = jacobi.hecke_levels(key, [MEMBERS[key].hecke_p], depth)
+    spans = list(itertools.pairwise(np.searchsorted(k, np.arange(depth + 2) * f.stq).tolist()))
+    return f, [k[a:b] - j * f.stq for j, (a, b) in enumerate(spans)], [v[a:b] for a, b in spans]
+
+
+@pytest.mark.parametrize("key", SIGN_MEMBERS)
+def test_orthant_division_equals_the_full_loop(monkeypatch, key):
+    """psi|V_p is odd in every coordinate of a D, D1 or A1 block, so it is
+    divided on one sign orthant, every coordinate folded.  At depths 0-4
+    that quotient equals the full loop's (``_sign_axes`` made to fold
+    nothing): frame, sorted keys, values and dtype, on int64 and on the
+    python-int rerun that a 2^62 bound lowered to 1 forces on both."""
+    meta = MEMBERS[key]
+    for depth in range(5):
+        f, keys, vals = _hecke_dividend(key, depth)
+        out = {}
+        for full, safe in itertools.product((False, True), (series._INT64_SAFE, 1)):
+            with monkeypatch.context() as m:
+                mirrors = _spy_mirrors(m)
+                if full:
+                    m.setattr(jacobi, "_sign_axes", lambda *a: [])
+                m.setattr(jacobi, "_INT64_SAFE", safe)
+                out[full, safe] = jacobi.divide_by_member(keys, vals, f, key, depth)
+            # each axis mirrored once before its theta factor and once at the end
+            assert sorted(set(mirrors)) == ([] if full else [-1, 1]), (key, depth)
+            assert len(mirrors) == (0 if full else 2 * meta.r * (depth + 1))
+        for safe, dtype in ((series._INT64_SAFE, np.int64), (1, object)):
+            (g, quo), (g_full, quo_full) = out[False, safe], out[True, safe]
+            assert all(np.array_equal(a, b) for a, b in zip(g, g_full)), (key, depth)
+            assert len(quo) == len(quo_full) == depth + 1
+            for (k, v), (k_full, v_full) in zip(quo, quo_full):
+                assert np.array_equal(k, k_full) and np.all(np.diff(k) > 0), (key, depth)
+                assert np.array_equal(v, v_full) and v.dtype == v_full.dtype == dtype
+        assert any(len(k) for k, _ in quo)
+
+
+def test_fold_odd_checks_every_key():
+    """A level odd in both axes is cut to z_1, z_2 > 0, and its keys may
+    come in any order; a key missing its image, a value not negated, a
+    key on an axis, or a key given twice refuses the fold."""
+    f = series._frame(np.array([-3, -3]), np.array([3, 3]))
+    odd = {(1, 2): 5, (-1, 2): -5, (1, -2): -5, (-1, -2): 5, (3, 1): 2, (-3, 1): -2,
+           (3, -1): -2, (-3, -1): 2}
+
+    def fold(cells, dup=False):
+        z = np.array(list(cells), dtype=np.int64)
+        k, v = series._encode(z, f), np.array(list(cells.values()), dtype=np.int64)
+        if dup:
+            k, v = np.append(k, k[:1]), np.append(v, v[:1])
+        return jacobi._fold_odd([(k[::-1], v[::-1]), (k[:0], v[:0])], f, [0, 1])
+
+    [(k, v), (k1, _)] = fold(odd)
+    assert series._decode(k, f).tolist() == [[1, 2], [3, 1]] and v.tolist() == [5, 2]
+    assert len(k1) == 0
+    assert fold({z: c for z, c in odd.items() if z != (-3, -1)}) is None
+    assert fold({**odd, (-3, -1): -2}) is None
+    assert fold({**odd, (0, 1): 1, (0, -1): -1}) is None
+    assert fold(odd, dup=True) is None
+    assert jacobi._fold_odd([(series._encode(np.array([[1, 1]]), f), np.array([1]))], f, [0]) is None
+
+
+def test_orthant_binomial_passes_see_a_twentieth_of_the_keys(monkeypatch):
+    """psi_4_D8's depth-2 division: its binomial passes, summed over every
+    theta factor and level, see at most 1/20 of the keys the full loop's
+    see."""
+    key, depth = "psi_4_D8", 2
+    f, keys, vals = _hecke_dividend(key, depth)
+    seen = {}
+    for full in (False, True):
+        with monkeypatch.context() as m:
+            calls, real = [], jacobi._binomial_packed
+            m.setattr(jacobi, "_binomial_packed", lambda k, *a: calls.append(len(k)) or real(k, *a))
+            if full:
+                m.setattr(jacobi, "_sign_axes", lambda *a: [])
+            jacobi.divide_by_member(keys, vals, f, key, depth)
+        seen[full] = sum(calls)
+    assert 20 * seen[False] <= seen[True]
+
+
+def test_division_rejects_a_corrupt_d_dividend(monkeypatch):
+    """The D twin of the A2 test: a unit added to one key of psi|V_2 leaves
+    a remainder at level 0 and at level 2.  The dividend is then not odd,
+    so the full loop finds it."""
+    key = "psi_8_D4"
+    val = MEMBERS[key].val_q
+    levels = [member_hecke_slice(key, 2, val + 24 * j) for j in range(4)]
+    assert divide_slices([dict(sl) for sl in levels], key, 3)[3]
+    mirrors = _spy_mirrors(monkeypatch)
+    for j in (0, 2):
+        bad = [dict(sl) for sl in levels]
+        z = sorted(bad[j])[len(bad[j]) // 2]
+        bad[j][z] += 1
+        with pytest.raises(ArithmeticError):
+            divide_slices(bad, key, 3)
+    assert mirrors == []
+
+
+@pytest.mark.parametrize("key", ["psi_8_D4", "psi_3_3A1", "eta21_theta2z"])
+def test_an_odd_corruption_is_divided_on_the_orthant(monkeypatch, key):
+    """A unit added at a key together with all its sign images, negated
+    once per flipped sign, keeps psi|V_2 odd, so the orthant path divides
+    it.  Every odd Laurent polynomial is divisible by zeta - zeta^-1, so
+    on the D and A1 blocks the corrupted dividend still has an exact
+    quotient, and it is the ``FourierSeries.div`` oracle's.  On the
+    doubled rank-one block an odd exponent is not divisible by
+    zeta^2 - zeta^-2: the corruption leaves a remainder."""
+    meta = MEMBERS[key]
+    depth = 3
+    w = TruncationWindow(meta.val_q + 24 * depth, 0)
+    num = FourierSeries(meta.r, meta.den_z, w)
+    for j in range(depth + 1):
+        num.cells[(0, meta.val_q + 24 * j)] = member_hecke_slice(key, meta.hecke_p,
+                                                                 meta.val_q + 24 * j)
+    z0 = (1,) if meta.family == "D1" else max(num.cells[(0, meta.val_q + 48)])
+    assert all(z0)
+    for signs in itertools.product((1, -1), repeat=meta.r):
+        num.add_term(meta.val_q + 48, tuple(s * a for s, a in zip(signs, z0)), 0,
+                     int(np.prod(signs)))
+    levels = [num.cells.get((0, meta.val_q + 24 * j), {}) for j in range(depth + 1)]
+    mirrors = _spy_mirrors(monkeypatch)
+    if meta.family == "D1":
+        with pytest.raises(ArithmeticError):
+            divide_slices(levels, key, depth)
+    else:
+        want = num.div(member_series(key, w))
+        assert divide_slices(levels, key, depth) == [want.cells.get((0, 24 * j), {})
+                                                      for j in range(depth + 1)]
+    assert -1 in mirrors
+
+
+# the deepest block level that c05 and the sweep windows read, per member
+READ_DEPTH = {"psi_10_D2": 31, "eta21_theta2z": 31, "psi_9_A2": 31, "psi_5_A1": 46,
+              "psi_4_2A1": 46, "psi_3_3A1": 25, "psi_2_4A1": 25}
+
+
+@pytest.mark.parametrize("key", list(MEMBERS))
+def test_block_rows_stay_int16_where_they_are_read(key):
+    """The block's rows are decoded into int16 through the deepest level
+    that the benchmark windows and c05 read (c05 builds them too), as they
+    were when the choice followed the rows' own max |z|; each level's
+    reach and max |v| are those of its rows."""
+    meta = MEMBERS[key]
+    depth = READ_DEPTH.get(key, 17)
+    jacobi._member_rows(key, meta.val_q + 24 * depth)
+    levels = jacobi._PSI_LEVELS[key][:depth + 1]
+    assert len(levels) == depth + 1
+    for z, v, reach, vmax in levels:
+        assert z.dtype == np.int16 and not z.flags.writeable
+        top = np.maximum(z.max(axis=0, initial=0), -z.min(axis=0, initial=0).astype(np.int64))
+        assert np.array_equal(reach, top) and reach.max(initial=0) < 1 << 15
+        assert vmax == int(np.abs(v).max(initial=0))
 
 
 def test_division_input_errors_are_loud():

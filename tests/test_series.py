@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from refltower.series import (
     TruncationWindow,
     _decode,
     _encode,
+    _coord,
     _frame,
+    _packed_reduce,
     _peel_divide,
     _slice_mul_py,
 )
@@ -158,6 +161,48 @@ def test_peel_and_binomial_division_agree():
         R = {}
         _slice_mul_py(R, Q, binom)
         assert _peel_divide(dict(R), binom, 2) == Q
+
+
+@pytest.mark.parametrize("kind", ["wrapping int64", "big ints", "fractions"])
+def test_packed_reduce_equals_reduceat(kind):
+    """Group sums as differences of one running sum equal ``np.add.reduceat``
+    on seeded keys in many small groups, with groups that cancel dropped:
+    on int64 values whose running sum wraps past 2^63 many times (each
+    group sum still below 2^62), and on python ints and Fractions."""
+    rng = random.Random(kind)
+    n, groups = 6000, 2500
+    keys = np.array([rng.randrange(groups) for _ in range(n)], dtype=np.int64)
+    if kind == "wrapping int64":
+        raw = [rng.choice([1, -1]) * rng.randrange(2 ** 58, 2 ** 59) for _ in range(n)]
+        for i in range(0, n, 3):  # positive runs: the running sum wraps
+            raw[i] = abs(raw[i])
+        vals = np.array(raw, dtype=np.int64)
+        run = accumulate(vals[np.argsort(keys, kind="stable")].tolist())
+        assert max(map(abs, run)) >= 2 ** 63
+    elif kind == "big ints":
+        vals = np.array([rng.randrange(-2 ** 80, 2 ** 80) for _ in range(n)], dtype=object)
+    else:
+        vals = np.array([Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(n)],
+                        dtype=object)
+    # cancelling groups: a key whose values sum to zero must be dropped
+    for g in range(groups, groups + 200):
+        keys = np.append(keys, [g, g])
+        vals = np.append(vals, [vals[g % n], -vals[g % n]]).astype(vals.dtype)
+    got, want = _packed_reduce(keys, vals), oracles.packed_reduce(keys, vals)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tolist() == want[1].tolist() and got[1].dtype == want[1].dtype
+    assert not set(range(groups, groups + 200)) & set(got[0].tolist())
+    assert len(got[0]) < len(set(keys.tolist()))
+
+
+def test_coord_reads_each_axis_of_an_unsheared_frame():
+    rng = np.random.default_rng(5)
+    lo, hi = np.array([-4, -7, 0]), np.array([5, 3, 9])
+    z, lv = _box_rows(rng, lo, hi, 300), rng.integers(0, 4, 300)
+    f = _frame(lo, hi, 3)
+    keys = _encode(z, f, lv)
+    for i in range(3):
+        assert np.array_equal(_coord(keys, f, i), z[:, i])
 
 
 def _box_rows(rng, lo, hi, n):

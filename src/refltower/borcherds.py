@@ -15,10 +15,10 @@ windows; on A2 it keeps the wrong half of the z-only walls (the
 lexicographic half, where the corner directions need the other one) and
 differs from the corner cell on.
 
-One packed recursion (``exp_layers``) gives the exponential layers E_j
+One packed recursion (``_exp_packed``) gives the exponential layers E_j
 from phi0's translates (``hecke_v0`` on phi0's held rows), encoded as
-the lift's are; the product layers psi * E_j are E_j times the block,
-multiplied out factor by factor (``jacobi.multiply_by_member``), and
+the lift's are, in one dtype; ``exp_layers`` gives psi * E_j, E_j times
+the block multiplied out factor by factor (``jacobi.multiply_by_member``),
 memoised per (member, j_max, q depth), with read-only arrays; the memo
 is read and written only while phi0 is the series ``weak_weight0`` holds
 (``jacobi.holds_phi0``).  Every series it held is an exact quotient, so
@@ -86,19 +86,19 @@ def hecke_v0(rows: tuple, orders, q_depth: int, dtype) -> tuple:
     phi's level n m / d^2 for d | (n, m)) and the rows (z rows, values,
     reach, max|v|) of each level of phi it reads, from phi's rows through
     level q_depth max(orders) (``jacobi.weight0_rows``): the 1/d weights
-    of V_m^(0) cancel against m.  With int64 values a coefficient that
-    is not an int below 2^62 raises _NotInt64; a cast would truncate."""
+    of V_m^(0) cancel against m.  With int64 values, object rows raise
+    _NotInt64: a cast would truncate a Fraction."""
     if any(m < 1 for m in orders):
         raise ValueError("translate order must be positive")
     plan = _divisor_plan(orders, range(q_depth + 1), lambda m, d: -(m // d))
     lv, z, v = rows
+    if dtype is not object and v.dtype == object:
+        raise _NotInt64
     cuts, src = np.searchsorted(lv, np.arange(max(plan.levels, default=0) + 2)).tolist(), []
     for k in plan.levels:
-        zk, vk = z[cuts[k]:cuts[k + 1]], v[cuts[k]:cuts[k + 1]].tolist()
-        top = max(map(abs, vk), default=0)
-        if dtype is not object and (set(map(type, vk)) - {int} or top >= _INT64_SAFE):
-            raise _NotInt64
-        src.append((zk, np.array(vk, dtype), np.abs(zk).max(axis=0, initial=0), int(top)))
+        zk, vk = z[cuts[k]:cuts[k + 1]], v[cuts[k]:cuts[k + 1]].astype(dtype, copy=False)
+        src.append((zk, vk, np.abs(zk).max(axis=0, initial=0),
+                    int(max(vk.max(initial=0), -vk.min(initial=0)))))
     return plan, src
 
 
@@ -111,23 +111,21 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
     reach(W_i) + reach(E_{j-i}), W_i's bound from ``jacobi._part_specs``.
     E_0 is the unit key; W_1..W_jmax, from ``hecke_v0``'s plan and rows,
     are encoded straight into the frame together (``jacobi._encode_parts``).
-    With int64 values a W_i whose bound reaches 2^62, or a quotient by j
-    that leaves a remainder, raises _NotInt64; object values keep it as a
-    Fraction.
+    With int64 values object rows of phi, a W_i whose bound reaches 2^62,
+    or a quotient by j that leaves a remainder raise _NotInt64; object
+    values keep the remainder as a Fraction.
     """
     meta = MEMBERS[key]
     rows = weight0_rows(key, phi, j_max * q_depth)
     plan, src = hecke_v0(rows, range(1, j_max + 1), q_depth, dtype)
-    dtypes, rks = _part_specs(plan, src)
-    if dtype is not object and object in dtypes:
-        raise _NotInt64
+    rks = _part_specs(plan, src, dtype)
     reach = [np.zeros(meta.r, np.int64)]
     for j in range(1, j_max + 1):
         reach.append(np.max([rks[i - 1] + reach[j - i] for i in range(1, j + 1)], axis=0))
     box = np.max(reach, axis=0)
     f = _frame(-box, box, q_depth)
     W = [(np.array([f.zero], np.int64), np.ones(1, dtype), reach[0])]
-    W += [(k, v, rk) for (k, v), rk in zip(_encode_parts(plan, src, f, [dtype] * j_max), rks)]
+    W += [(k, v, rk) for (k, v), rk in zip(_encode_parts(plan, src, f, dtype), rks)]
     F = W[:1]
     for j in range(1, j_max + 1):
         k, v, rj = _qz_mul([(W[i], F[j - i]) for i in range(1, j + 1)],
@@ -143,33 +141,32 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
     return f, F
 
 
-_EXP_MEMO: dict = {}  # (key, j_max, q_depth) -> exp_layers(..., psi=True)
+_EXP_MEMO: dict = {}  # (key, j_max, q_depth) -> exp_layers(...)
 
 
-def exp_layers(key: str, j_max: int, q_depth: int, psi: bool = False) -> tuple:
-    """Layers E_0..E_j of exp(X), X = -sum (phi0|V_j^(0)) s^j, or psi * E_j
-    with ``psi`` (level l at q_num val + 24 l), as packed
-    (frame, ((keys, values, reach), ...)) through level q_depth.
+def exp_layers(key: str, j_max: int, q_depth: int) -> tuple:
+    """Layers psi * E_0..psi * E_j, E_j those of exp(X),
+    X = -sum (phi0|V_j^(0)) s^j, as packed (frame, ((keys, values,
+    reach), ...)) through level q_depth, level l at q_num val + 24 l.
 
     s d/ds exp(X) = (s dX/ds) exp(X) is the first-order recursion
     j E_j = sum i X_i E_{j-i}, each step one packed product over whole
-    layers.  The combinations i X_i are integral (the 1/d weights of
-    V_i^(0) cancel against i), and so are the layers, as every product
-    factor expands with binomial coefficients: the products run on int64
-    and the division by j is exact.  A bound reaching 2^62, or a
-    remainder (only a corrupted phi0 leaves one), reruns the recursion on
-    python ints and Fractions.  psi * E_j is E_j times the block, factor
-    by factor (``jacobi.multiply_by_member``), and only it is memoised
-    (see the module docstring): E_j alone is read only in a mismatch report.
+    layers (``_exp_packed``).  The combinations i X_i are integral (the
+    1/d weights of V_i^(0) cancel against i), and so are the layers, as
+    every product factor expands with binomial coefficients: the products
+    run on int64 and the division by j is exact.  A bound reaching 2^62,
+    or a remainder (only a corrupted phi0 leaves one), reruns the
+    recursion on python ints and Fractions.  psi * E_j is E_j times the
+    block, factor by factor (``jacobi.multiply_by_member``), memoised
+    (see the module docstring).
     """
     phi = weak_weight0(key, max(j_max * q_depth, 1)).series
     ck = (key, j_max, q_depth)
-    held = psi and holds_phi0(key, phi)
+    held = holds_phi0(key, phi)
     if held and ck in _EXP_MEMO:
         return _EXP_MEMO[ck]
     f, F = _int64_first(_exp_packed, key, j_max, q_depth, phi)
-    if psi:
-        f, F = multiply_by_member(f, F, key, q_depth)
+    f, F = multiply_by_member(f, F, key, q_depth)
     for a in (x for layer in F for x in layer):
         a.flags.writeable = False
     out = f, tuple(F)
@@ -187,8 +184,7 @@ def product_layers(key: str, window: TruncationWindow):
     s0 = meta.s_step
     if window.q_max < meta.val_q:
         return
-    f, F = exp_layers(key, max((window.s_max - s0) // 2, 0), (window.q_max - meta.val_q) // 24,
-                      psi=True)
+    f, F = exp_layers(key, max((window.s_max - s0) // 2, 0), (window.q_max - meta.val_q) // 24)
     for j, (k, v, _) in enumerate(F):
         s_num = s0 + 2 * j
         if s_num > window.s_max:
@@ -311,9 +307,9 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     returns a wider frame, and the product keys are moved into it first.
     At the first layer that differs, the first differing key is reported
     from dicts, with the product coefficient recomputed directly from
-    E_j; a layer that differs as arrays but not as dicts raises
-    AssertionError.  Raises ValueError for q_depth < 0 or s_depth < 1,
-    which check nothing.
+    E_j (``_exp_packed`` on the same phi0); a layer that differs as
+    arrays but not as dicts raises AssertionError.  Raises ValueError
+    for q_depth < 0 or s_depth < 1, which check nothing.
     """
     if q_depth < 0 or s_depth < 1:
         raise ValueError("compare needs q_depth >= 0 and s_depth >= 1")
@@ -322,7 +318,7 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     layers = lift_layers(key, 2 * s_depth)
     q_aux = max((24 * q_depth - meta.val_q) // 24, 0)
     j_max = max(((s - s0) // 2) for s, _ in layers) if layers else 0
-    fp, prod = exp_layers(key, j_max, q_aux, psi=True)
+    fp, prod = exp_layers(key, j_max, q_aux)
     f, num = hecke_levels(key, [order for _, order in layers], q_aux, fp)
     mismatch = None
     for (s_num, _), (kl, vl, _) in zip(layers, num):
@@ -335,7 +331,8 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
         for j in range(q_aux + 1):
             z = _slice_first_diff(lift.get(j, {}), rhs.get(j, {}))
             if z is not None:
-                fe, E = exp_layers(key, j_max, q_aux)
+                phi = weak_weight0(key, max(j_max * q_aux, 1)).series
+                fe, E = _int64_first(_exp_packed, key, j_max, q_aux, phi)
                 q = meta.val_q + 24 * j
                 mismatch = {"s_num": s_num, "q_num": q, "z": z,
                             "lift": lift.get(j, {}).get(z, 0),

@@ -259,21 +259,23 @@ def _cmd_compare(args) -> int:
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2
-    (_, digest_a, _, a, terms), (_, digest_b, _, b, _) = sides
+    (_, digest_a, _, a, terms_a), (_, digest_b, _, b, terms_b) = sides
+    upto = "through q^%s s^%s" % (_pow_str(window.q_max, 24), _pow_str(window.s_max, 2))
+    if digest_a != digest_b and (a.r, a.den_z) != (b.r, b.den_z):
+        print("error: incompatible grids r=%d,den_z=%d vs r=%d,den_z=%d"
+              % (a.r, a.den_z, b.r, b.den_z), file=sys.stderr)
+        return 2
+    if not terms_a and not terms_b:  # a check that examines no term fails
+        print("nothing compared: neither %s nor %s has a term %s" % (args.left, args.right, upto))
+        return 1
     if digest_a != digest_b:
-        if (a.r, a.den_z) != (b.r, b.den_z):
-            print("error: incompatible grids r=%d,den_z=%d vs r=%d,den_z=%d"
-                  % (a.r, a.den_z, b.r, b.den_z), file=sys.stderr)
-            return 2
         diff = a.first_difference(b)
         if diff is not None:
             s, q, z, ca, cb = diff
             print("difference at s^%s q^%s z=(%s): %s vs %s" % (
                 _pow_str(s, 2), _pow_str(q, 24), ",".join(str(v) for v in z), ca, cb))
             return 1
-    print("equal: %s == %s through q^%s s^%s (%d terms)" % (
-        args.left, args.right, _pow_str(window.q_max, 24),
-        _pow_str(window.s_max, 2), terms))
+    print("equal: %s == %s %s (%d terms)" % (args.left, args.right, upto, terms_a))
     return 0
 
 

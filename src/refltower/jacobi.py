@@ -29,7 +29,8 @@ gives every block's packed rows (``_member_rows``, with each level's
 reach and max|v|); dict slices of the A2 blocks are decoded from them,
 the others summed from odd shells.  The Hecke translates of the lift
 (``hecke_levels``) are built from the rows straight into a product's
-packed frame by ``_encode_parts``, as phi0's are from ``weight0_rows``.
+packed frame by ``_encode_parts``, as phi0's are from ``weight0_rows``;
+each kernel picks its result's one dtype under ``series._int64_first``.
 
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
@@ -443,7 +444,7 @@ class _Plan(NamedTuple):
     j: object  # int64 arrays, one entry per part
     d: object
     src: object
-    w: object  # object array of python ints
+    w: tuple  # python ints, one per part
     wsum: int  # sum of |w| over all parts
     edges: object  # int64: each layer's first part, then the part count
 
@@ -458,41 +459,40 @@ def _divisor_plan(orders, ns, weight) -> _Plan:
     levels = sorted(set(k), reverse=True)
     at = {lvl: i for i, lvl in enumerate(levels)}
     plan = _Plan(tuple(levels), np.array(j, np.int64), np.array(d, np.int64),
-                 np.array([at[x] for x in k], np.int64), np.array(w, object),
+                 np.array([at[x] for x in k], np.int64), tuple(w),
                  sum(map(abs, w)), np.searchsorted(t, np.arange(len(orders) + 1)))
-    for a in (plan.j, plan.d, plan.src, plan.w, plan.edges):
+    for a in (plan.j, plan.d, plan.src, plan.edges):
         a.flags.writeable = False
     return plan
 
 
-def _part_specs(plan: _Plan, rows: list) -> tuple:
-    """(dtypes, reach bounds) of the plan's layers from its source rows
-    (z rows, values, reach, max|v|), each rule applied to all parts at
-    once: a layer is python ints if the sum of |w| max|v| over its parts
-    reaches 2^62, else int64; its reach bound is the largest d * reach
-    over its parts."""
+def _part_specs(plan: _Plan, rows: list, dtype) -> list:
+    """The reach bound of each layer of the plan, the largest d * reach
+    over its parts, from its source rows (z rows, values, reach, max|v|).
+    With int64 values, object rows or a layer whose sum of |w| max|v|
+    over its parts reaches 2^62 raise _NotInt64."""
     if not rows:
-        return [], []
+        return []
     starts = plan.edges[:-1]
-    vmax = [b[3] for b in rows]
-    if max(vmax) * plan.wsum < _INT64_SAFE:  # no layer's sum can reach it
-        dtypes = [np.int64] * len(starts)
-    else:
-        bound = np.add.reduceat(np.abs(plan.w) * np.array(vmax, object)[plan.src], starts)
-        dtypes = [object if b >= _INT64_SAFE else np.int64 for b in bound.tolist()]
+    vmax = np.array([b[3] for b in rows], object)
+    if dtype is not object and (any(b[1].dtype == object for b in rows) or (
+            max(vmax) * plan.wsum >= _INT64_SAFE  # else no layer's sum can reach it
+            and max(np.add.reduceat(np.abs(np.array(plan.w, object)) * vmax[plan.src],
+                                    starts)) >= _INT64_SAFE)):
+        raise _NotInt64
     reach = np.array([b[2] for b in rows])[plan.src] * plan.d[:, None]
-    return dtypes, list(np.maximum.reduceat(reach, starts, axis=0))
+    return list(np.maximum.reduceat(reach, starts, axis=0))
 
 
-def _encode_parts(plan: _Plan, rows: list, f, dtypes: list) -> list:
+def _encode_parts(plan: _Plan, rows: list, f, dtype) -> list:
     """Sorted (keys, values) of every layer of the plan in frame f, in one
     pass: the source rows (z rows, values) are concatenated and keyed
     once (z @ w), and each part gathers its source's run, keys times d
-    plus zero + j stq and values times w, by ``np.repeat``.  One diff
-    finds the layers whose keys do not come out strictly increasing
-    (several divisors on a level); those alone are summed and sorted in
-    one reduce, which adds unchecked: ``_part_specs`` picks the dtypes
-    first.  Layers on python ints get object values, the others int64."""
+    plus zero + j stq and values times w, by ``np.repeat``, the values
+    cast to dtype once.  One diff finds the layers whose keys do not come
+    out strictly increasing (several divisors on a level); those alone
+    are summed and sorted in one reduce, which adds unchecked:
+    ``_part_specs`` bounds int64 sums first."""
     if not rows:
         return []
     size = np.array([len(b[1]) for b in rows])
@@ -501,20 +501,14 @@ def _encode_parts(plan: _Plan, rows: list, f, dtypes: list) -> list:
     at = np.repeat((np.cumsum(size) - size)[plan.src] - (end - cnt), cnt) + np.arange(end[-1])
     k = ((np.concatenate([b[0] for b in rows]) @ f.w)[at] * np.repeat(plan.d, cnt)
          + np.repeat(plan.j * f.stq + f.zero, cnt))
-    v, wide = np.concatenate([b[1] for b in rows])[at], object in dtypes
-    v = (v.astype(object) * np.repeat(plan.w, cnt) if wide
-         else v.astype(np.int64, copy=False) * np.repeat(plan.w.astype(np.int64), cnt))
+    v = (np.concatenate([b[1] for b in rows])[at].astype(dtype, copy=False)
+         * np.repeat(np.array(plan.w, dtype), cnt))
     cut = np.concatenate(([0], end))[plan.edges]
     drop = np.flatnonzero(k[1:] <= k[:-1])  # key i + 1 not above key i
     lay = np.searchsorted(cut, drop, side="right") - 1
     unsorted = set(lay[drop + 1 < cut[lay + 1]].tolist())  # both keys in one layer
-    out = []
-    for t, (a, b) in enumerate(zip(cut.tolist(), cut[1:].tolist())):
-        kt, vt = k[a:b], v[a:b]
-        if wide and dtypes[t] is not object:
-            vt = vt.astype(np.int64)
-        out.append(_packed_reduce(kt, vt) if t in unsorted else (kt, vt))
-    return out
+    return [_packed_reduce(k[a:b], v[a:b]) if t in unsorted else (k[a:b], v[a:b])
+            for t, (a, b) in enumerate(zip(cut.tolist(), cut[1:].tolist()))]
 
 
 @lru_cache(maxsize=256)
@@ -527,6 +521,19 @@ def _hecke_plan(key: str, orders: tuple, depth: int) -> _Plan:
                          lambda m, d: d ** wt)
 
 
+def _hecke_packed(key: str, orders: tuple, depth: int, f, dtype) -> tuple:
+    """``hecke_levels`` with values of one dtype."""
+    meta = MEMBERS[key]
+    plan = _hecke_plan(key, orders, depth)
+    rows = [_member_rows(key, meta.q_grid * k) for k in plan.levels]
+    reach = _part_specs(plan, rows, dtype)
+    top = np.max(reach + [np.zeros(meta.r, np.int64)], axis=0)
+    if f is None or np.any(top > f.hi) or np.any(-top < f.lo):
+        top = top if f is None else np.max([top, f.hi, -f.lo], axis=0)
+        f = _frame(-top, top, depth)
+    return f, [(k, v, rk) for (k, v), rk in zip(_encode_parts(plan, rows, f, dtype), reach)]
+
+
 def hecke_levels(key: str, orders: list, depth: int, frame=None) -> tuple:
     """member_hecke_slice of each order (as ``lift_layers`` gives them) on
     levels 0..depth, packed as ``multiply_by_member`` returns a product:
@@ -536,24 +543,16 @@ def hecke_levels(key: str, orders: list, depth: int, frame=None) -> tuple:
     it, wt the block's weight.  The divisor plan (``_hecke_plan``) lists
     the parts; each distinct block level it reads is read once through
     ``_member_rows``, the deepest first, so a cold block is built once.
-    Dtypes and reach bounds come from ``_part_specs`` on the levels'
-    stored reaches and max|v|, and every layer is encoded straight into
-    the frame in one pass (``_encode_parts``).  A given frame (unsheared)
-    is used if every bound fits its box; otherwise, or without a frame,
-    every layer goes into the symmetric frame of the largest bound and
-    the given box, and that frame is returned.  No key is ever formed
-    outside its frame's box, and a bound alone decides no comparison.
+    Reach bounds come from ``_part_specs`` on the levels' stored reaches,
+    and every layer is encoded straight into the frame in one pass
+    (``_encode_parts``).  A given frame (unsheared) is used if every
+    bound fits its box; otherwise, or without a frame, every layer goes
+    into the symmetric frame of the largest bound and the given box, and
+    that frame is returned.  No key is ever formed outside its frame's
+    box, and a bound alone decides no comparison.  Every layer is int64,
+    or all are python ints if some layer's sum could reach 2^62.
     """
-    meta = MEMBERS[key]
-    plan = _hecke_plan(key, tuple(orders), depth)
-    rows = [_member_rows(key, meta.q_grid * k) for k in plan.levels]
-    dtypes, reach = _part_specs(plan, rows)
-    top = np.max(reach + [np.zeros(meta.r, np.int64)], axis=0)
-    f = frame
-    if f is None or np.any(top > f.hi) or np.any(-top < f.lo):
-        top = top if f is None else np.max([top, f.hi, -f.lo], axis=0)
-        f = _frame(-top, top, depth)
-    return f, [(k, v, rk) for (k, v), rk in zip(_encode_parts(plan, rows, f, dtypes), reach)]
+    return _int64_first(_hecke_packed, key, tuple(orders), depth, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -689,20 +688,17 @@ def _sign_axes(meta: MemberMeta, f, stack: list) -> list:
 
 def _fold_odd(work: list, f, axes: list):
     """Each level (keys, values) cut to z_i > 0 on the axes, if it is odd
-    in every one of them, else None.  Checked, not assumed: no key
-    repeats, a level holds 2^len(axes) keys per key with every z_i >= 0
-    (it keeps those), and each key's image with every z_i made positive is
-    a kept key whose value is the key's, negated once per sign it flips.
-    The map from a key to (kept key, signs flipped) is then one to one and
-    onto, so no kept key has z_i = 0: it would have fewer than 2^len(axes)
-    images."""
+    in every one of them, else None.  Checked, not assumed: keys strictly
+    increase (as ``hecke_levels`` gives them), a level holds 2^len(axes)
+    keys per key with every z_i >= 0 (it keeps those), and each key's
+    image with every z_i made positive is a kept key whose value is the
+    key's, negated once per sign it flips.  The map from a key to (kept
+    key, signs flipped) is then one to one and onto, so no kept key has
+    z_i = 0: it would have fewer than 2^len(axes) images."""
     out = []
     for k, v in work:
-        if np.any(k[1:] <= k[:-1]):  # sorted keys come from hecke_levels; others are sorted here
-            o = np.argsort(k)
-            k, v = k[o], v[o]
-            if np.any(k[1:] == k[:-1]):
-                return None
+        if np.any(k[1:] <= k[:-1]):
+            return None
         rep, flip, cut = k.copy(), np.zeros(len(k), bool), np.ones(len(k), bool)
         for i in axes:
             z = _coord(k, f, i)
@@ -822,11 +818,11 @@ def divide_by_member(keys: list, vals: list, f, key: str, depth: int) -> tuple:
     factor, the eta power first, contributes a sparse correction per
     level, and each theta factor one linear binomial pass in its
     direction.  A dividend odd in each coordinate of a D, D1 or A1 block
-    (as every psi|V_p is) is divided on one sign orthant and its quotient
-    mirrored out; any other goes through every key.  Values are int64
-    unless some step could reach 2^62, in which case the division is run
-    again on python ints.  Raises ArithmeticError when the division is
-    not exact.
+    (as every psi|V_p is), keys sorted, is divided on one sign orthant
+    and its quotient mirrored out; any other goes through every key.
+    Values are int64 unless some step could reach 2^62, in which case
+    the division is run again on python ints.  Raises ArithmeticError
+    when the division is not exact.
     """
     meta = MEMBERS[key]
     return _int64_first(_divide_packed, keys, vals, f, meta, depth, _factor_stack(meta, depth))
@@ -904,7 +900,8 @@ class _RowSeries(FourierSeries):
 def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     """The weak weight-0 form as -(psi|V_p)/psi: the Hecke levels go to
     the division as packed keys; the quotient's, sorted per level in its
-    unsheared frame (packed-key order), become a ``_RowSeries``' rows."""
+    unsheared frame (packed-key order), become a ``_RowSeries``' rows,
+    values in the division's dtype."""
     meta = MEMBERS[key]
     f, [(k, v, _)] = hecke_levels(key, [meta.hecke_p], q_depth)
     cuts = np.searchsorted(k, np.arange(q_depth + 2) * f.stq).tolist()
@@ -916,7 +913,7 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
                               [v[a:b] for a, b in spans], f, key, q_depth)
     qk, qv = zip(*quo)
     rows = (np.repeat(np.arange(q_depth + 1), [len(a) for a in qk]),
-            _decode(np.concatenate(qk), g), (-np.concatenate(qv)).astype(object))
+            _decode(np.concatenate(qk), g), -np.concatenate(qv))
     for a in rows:
         a.flags.writeable = False
     return JacobiForm("phi0_%s" % meta.lattice_name,
@@ -954,16 +951,16 @@ def holds_phi0(key: str, phi: FourierSeries) -> bool:
 def weight0_rows(key: str, phi: FourierSeries, q_depth: int) -> tuple:
     """(levels, z rows, values) of a member's weight-0 series phi through
     level q_depth, in packed-key order (level, then z lexicographic),
-    object values, read-only: a prefix of the held series' own rows, or
-    rows converted and sorted afresh for any other phi.  A depth past
-    phi's window raises ValueError."""
+    read-only: a prefix of the held series' own rows, or rows converted
+    (int64 where every value allows) and sorted afresh for any other phi.
+    A depth past phi's window raises ValueError."""
     if phi.window.q_max < 24 * q_depth:
         raise ValueError("weight-0 form is too shallow for rows through level %d" % q_depth)
     if holds_phi0(key, phi):
         rows = phi.rows
     else:
         levels = {j: phi.cells.get((0, 24 * j), {}) for j in range(q_depth + 1)}
-        lv, z, v = _qz_rows(levels, phi.r, object)[:3]
+        lv, z, v = _int64_first(_qz_rows, levels, phi.r)[:3]
         o = np.lexsort(np.column_stack([lv, z]).T[::-1])
         rows = lv[o], z[o], v[o]
         for a in rows:

@@ -152,9 +152,10 @@ def _run_support_bounds(win):
         lv, z, v = jacobi.weight0_rows(key, jacobi.weak_weight0(key, pdepth).series, pdepth)
         nrm = _hyper_norms(lat, 24 * lv, z)
         checked += len(v)
-        for i in np.flatnonzero((nrm < 0) & ((nrm != floor) | (v != 1))).tolist():
+        off = np.flatnonzero((nrm < 0) & ((nrm != floor) | (v != 1)))
+        for lvl, row, c in zip(lv[off].tolist(), z[off].tolist(), v[off].tolist()):
             ok = False
-            bad.setdefault(key, []).append([24 * int(lv[i]), z[i].tolist(), _jsonable(v[i])])
+            bad.setdefault(key, []).append([24 * lvl, row, _jsonable(c)])
     return ok, checked, {"violations": bad}
 
 
@@ -449,7 +450,8 @@ def _run_delta11(win):
     z0 = z[:, 0]
     cuts = np.flatnonzero(np.diff(lv, prepend=-1) | np.diff(z0, prepend=z0[:1] - 1))
     doubled = FourierSeries(1, top.den_z, top.window.meet(held))
-    for l, a, c in zip(lv[cuts].tolist(), z0[cuts].tolist(), np.add.reduceat(v, cuts).tolist()):
+    sums = np.add.reduceat(v.astype(object), cuts)  # exact, whatever the rows' dtype
+    for l, a, c in zip(lv[cuts].tolist(), z0[cuts].tolist(), sums.tolist()):
         if c:
             doubled.cells.setdefault((0, 24 * l), {})[(2 * a,)] = c
     own = jacobi.weak_weight0("eta21_theta2z", depth).series.truncated(held)

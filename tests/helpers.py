@@ -151,25 +151,35 @@ def divide_slices(levels: list, key: str, depth: int, frame=None) -> list:
 
     Level j goes in as packed keys in ``frame`` (unsheared), by default
     the tight symmetric frame of the dividend's reach, with the level
-    digit left out.  Its values are int64 where they fit, else python
-    ints or Fractions, as the program's own dividends are.
+    digit left out, sorted as ``jacobi.hecke_levels`` gives them.  Its
+    values are int64 where they fit, else python ints or Fractions, as
+    the program's own dividends are.
     """
     r = jacobi.MEMBERS[key].r
     rows = [_int64_first(_qz_rows, {0: sl}, r) for sl in levels]
     if frame is None:
         top = np.max([x[3] for x in rows] + [np.zeros(r, np.int64)], axis=0)
         frame = _frame(-top, top, depth)
-    g, quo = jacobi.divide_by_member([_encode(x[1], frame) for x in rows],
-                                     [x[2] for x in rows], frame, key, depth)
+    keys = [_encode(x[1], frame) for x in rows]
+    order = [np.argsort(k) for k in keys]
+    g, quo = jacobi.divide_by_member([k[o] for k, o in zip(keys, order)],
+                                     [x[2][o] for x, o in zip(rows, order)], frame, key, depth)
     return [dict(zip(map(tuple, _decode(k, g).tolist()), v.tolist())) for k, v in quo]
 
 
 def exp_series(key: str, j_max: int, q_depth: int, psi: bool = False) -> list:
-    """``borcherds.exp_layers`` decoded, one q-z series per layer: level l
-    at q_num 24 l, or val + 24 l with ``psi``, exact through level q_depth."""
+    """The layers E_j, or psi * E_j with ``psi`` (``borcherds.exp_layers``),
+    decoded, one q-z series per layer: level l at q_num 24 l, or val + 24 l
+    with ``psi``, exact through level q_depth.  E_j comes from
+    ``borcherds._exp_packed`` on the series ``weak_weight0`` gives, as
+    ``compare_lift_product``'s mismatch report reads it."""
     meta = jacobi.MEMBERS[key]
     q0 = meta.val_q if psi else 0
-    f, layers = borcherds.exp_layers(key, j_max, q_depth, psi)
+    if psi:
+        f, layers = borcherds.exp_layers(key, j_max, q_depth)
+    else:
+        phi = borcherds.weak_weight0(key, max(j_max * q_depth, 1)).series
+        f, layers = _int64_first(borcherds._exp_packed, key, j_max, q_depth, phi)
     out = []
     for k, v, _ in layers:
         layer = FourierSeries(meta.r, meta.den_z, TruncationWindow(q0 + 24 * q_depth, 0))
@@ -185,9 +195,9 @@ def packed_translate(key: str, phi: FourierSeries, m: int, q_depth: int, dtype) 
     encoded as ``borcherds._exp_packed`` encodes them, in the symmetric
     frame of the reach ``jacobi._part_specs`` gives them."""
     plan, src = borcherds.hecke_v0(jacobi.weight0_rows(key, phi, m * q_depth), [m], q_depth, dtype)
-    _, [reach] = jacobi._part_specs(plan, src)
+    [reach] = jacobi._part_specs(plan, src, dtype)
     f = _frame(-reach, reach, q_depth)
-    [(k, v)] = jacobi._encode_parts(plan, src, f, [dtype])
+    [(k, v)] = jacobi._encode_parts(plan, src, f, dtype)
     return f, k, v
 
 

@@ -189,7 +189,7 @@ def _compare_frame(key, q_depth, s_depth):
     layers = lifting.lift_layers(key, 2 * s_depth)
     q_aux = max((24 * q_depth - meta.val_q) // 24, 0)
     j_max = max((s - meta.s_step) // 2 for s, _ in layers)
-    fp, _ = borcherds.exp_layers(key, j_max, q_aux, psi=True)
+    fp, _ = borcherds.exp_layers(key, j_max, q_aux)
     return fp, q_aux, jacobi.hecke_levels(key, [m for _, m in layers], q_aux, fp)
 
 
@@ -584,8 +584,8 @@ def test_translate_bound_past_2_62_reruns_on_python_ints(monkeypatch):
     reads that level twice, with weights -2 and -1, so its bound
     sigma(2) |v| reaches 2^62 (2 |v|, the bound without the weights,
     would not).  The int64 recursion raises _NotInt64 before anything is
-    encoded, and the rerun encodes every W_i in one call on python ints
-    and equals the exp_s oracle of the same phi."""
+    encoded, and the rerun encodes every W_i in one call, one dtype for
+    all, python ints, and equals the exp_s oracle of the same phi."""
     key, j_max, q_depth = "psi_9_D3", 2, 2
     phi = copy(borcherds.weak_weight0(key, j_max * q_depth).series)
     sl = phi.cells[(0, 0)]
@@ -593,16 +593,16 @@ def test_translate_bound_past_2_62_reruns_on_python_ints(monkeypatch):
     encoded = []
     real = borcherds._encode_parts
 
-    def spy(plan, rows, f, dtypes):
-        encoded.append(dtypes)
-        return real(plan, rows, f, dtypes)
+    def spy(plan, rows, f, dtype):
+        encoded.append(dtype)
+        return real(plan, rows, f, dtype)
 
     monkeypatch.setattr(borcherds, "_encode_parts", spy)
     with pytest.raises(series._NotInt64):
         borcherds._exp_packed(key, j_max, q_depth, phi, np.int64)
     assert encoded == []
     f, F = series._int64_first(borcherds._exp_packed, key, j_max, q_depth, phi)
-    assert encoded == [[object] * j_max]
+    assert encoded == [object]
     assert all(v.dtype == object for _, v, _ in F)
     want = _exp_oracle(key, j_max, q_depth, phi)
     for (k, v, _), layer in zip(F, want):
@@ -680,7 +680,8 @@ def _with_part(got, layer, level, z, value, dtype):
     _, zr, v, reach = series._qz_rows({0: {z: value}}, len(z), dtype)
     at = int(plan.edges[layer + 1])
     plan = plan._replace(j=np.insert(plan.j, at, level), d=np.insert(plan.d, at, 1),
-                         src=np.insert(plan.src, at, len(rows)), w=np.insert(plan.w, at, -1),
+                         src=np.insert(plan.src, at, len(rows)),
+                         w=plan.w[:at] + (-1,) + plan.w[at:],
                          wsum=plan.wsum + 1,
                          edges=plan.edges + (np.arange(len(plan.edges)) > layer))
     return plan, rows + [(zr, v, reach, abs(value))]
@@ -773,8 +774,9 @@ def test_negative_control_corrupt_weight0_fails_the_comparison(monkeypatch):
 
 def test_a_fraction_in_phi0_sends_the_recursion_to_the_object_path(monkeypatch):
     """phi0 / 2 holds Fractions, which a cast to int64 would truncate
-    without a word: the int64 try stops at ``hecke_v0``'s int check and
-    the recursion reruns on objects.  With one layer no remainder could
+    without a word: ``weight0_rows`` converts it to object rows, the int64
+    try stops at ``hecke_v0``, which takes no object rows, and the
+    recursion reruns on objects.  With one layer no remainder could
     catch the truncation later, and E_1 = -phi0 / 2 keeps its halves."""
     key, q_depth = "psi_10_D2", 2
     _corrupt_weight0(monkeypatch, key, Fraction(1, 2))
@@ -786,12 +788,13 @@ def test_a_fraction_in_phi0_sends_the_recursion_to_the_object_path(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(borcherds, "_exp_packed", spy)
-    f, F = borcherds.exp_layers(key, 1, q_depth)
+    E = exp_series(key, 1, q_depth)
     assert dtypes == [np.int64, object]
     half = borcherds.weak_weight0(key, q_depth).series
-    for (k, v, _), layer in zip(F, _exp_oracle(key, 1, q_depth, half)):
-        assert series._qz_decode(k, v, f) == _by_level(layer)
-    assert any(type(c) is Fraction and c.denominator == 2 for c in F[1][1].tolist())
+    assert [layer.cells for layer in E] == [
+        layer.cells for layer in _exp_oracle(key, 1, q_depth, half)]
+    assert any(type(c) is Fraction and c.denominator == 2
+               for sl in E[1].cells.values() for c in sl.values())
 
 
 def test_exp_layer_remainder_stays_exact(monkeypatch, fresh_memos):
@@ -835,10 +838,9 @@ def _arrays(layers):
 
 
 def test_exp_layer_memo_hits_equal_a_fresh_build_and_are_read_only(monkeypatch):
-    """Every exp_layers window of the sweep, E_j and psi * E_j, for all
-    fifteen members: a warm psi * E_j hit is the stored object (E_j is
-    not memoised), each result equals a build from an empty memo, and
-    none of its arrays takes a write."""
+    """Every exp_layers window of the sweep, for all fifteen members: a
+    warm hit is the stored object, each result equals a build from an
+    empty memo, and none of its arrays takes a write."""
     calls = []
     real = borcherds.exp_layers
 
@@ -852,12 +854,12 @@ def test_exp_layer_memo_hits_equal_a_fresh_build_and_are_read_only(monkeypatch):
             borcherds.compare_lift_product(key, *window)
     monkeypatch.undo()
     assert {args[0] for args in calls} == set(jacobi.MEMBERS)
-    for args, psi in itertools.product(set(calls), (False, True)):
-        hit = borcherds.exp_layers(*args, psi=psi)
-        assert (borcherds.exp_layers(*args, psi=psi) is hit) == psi
+    for args in set(calls):
+        hit = borcherds.exp_layers(*args)
+        assert borcherds.exp_layers(*args) is hit
         with monkeypatch.context() as m:
             m.setattr(borcherds, "_EXP_MEMO", {})
-            fresh = borcherds.exp_layers(*args, psi=psi)
+            fresh = borcherds.exp_layers(*args)
         assert fresh is not hit
         assert all(np.array_equal(a, b) for a, b in zip(hit[0], fresh[0]))
         got, want = _arrays(hit), _arrays(fresh)
@@ -870,11 +872,11 @@ def test_exp_layer_memo_hits_equal_a_fresh_build_and_are_read_only(monkeypatch):
 
 
 def test_exp_layer_memo_repeats_add_no_entry():
-    borcherds.exp_layers("psi_5_A1", 3, 4, psi=True)
+    borcherds.exp_layers("psi_5_A1", 3, 4)
     borcherds.compare_lift_product("psi_5_A1", 4, 3)
     memo = dict(borcherds._EXP_MEMO)
     for _ in range(3):
-        borcherds.exp_layers("psi_5_A1", 3, 4, psi=True)
+        borcherds.exp_layers("psi_5_A1", 3, 4)
         borcherds.compare_lift_product("psi_5_A1", 4, 3)
     assert borcherds._EXP_MEMO.keys() == memo.keys()
     assert all(borcherds._EXP_MEMO[k] is v for k, v in memo.items())

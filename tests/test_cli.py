@@ -381,6 +381,31 @@ def test_compare_reports_first_difference(capsys):
     assert "difference at s^0" in out
 
 
+def test_compare_of_a_window_without_terms_fails(tmp_path, capsys, monkeypatch):
+    """Below both sides' first term nothing is compared, which fails as
+    ``verify`` fails a check of no term: on the equal-digest path, miss
+    and hit, and on the parsed path, here two empty series whose windows,
+    and so digests, differ."""
+    argv = ["compare", "lift:D4", "borcherds:D4", "--qmax", "0", "--smax", "1"]
+    want = "nothing compared: neither lift:D4 nor borcherds:D4 has a term through q^0 s^1\n"
+    for _ in range(2):  # a miss, then a hit that parses neither body
+        assert main(argv + ["--cache-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().out == want
+    real = cli.expand_descriptor
+
+    def narrowed(desc, window):
+        got = real(desc, window)
+        if desc.startswith("borcherds:"):
+            return got.truncated(TruncationWindow(window.q_max, 0))
+        return got
+
+    monkeypatch.setattr(cli, "expand_descriptor", narrowed)
+    monkeypatch.setattr(cli.FourierSeries, "first_difference",
+                        lambda a, b: pytest.fail("compared an empty pair"))
+    assert main(argv) == 1
+    assert capsys.readouterr().out == want
+
+
 def test_compare_incompatible_grids_is_usage_error(capsys):
     assert main(["compare", "theta", "eta^3", "--qmax", "2"]) == 2
     assert "incompatible grids" in capsys.readouterr().err

@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from refltower import jacobi, series
+from refltower import borcherds, jacobi, series
 from refltower.jacobi import (
     MEMBERS,
     JacobiForm,
@@ -31,7 +31,7 @@ from refltower.lattices import lattice
 from refltower.lifting import gritsenko_lift, lift_layers
 from refltower.series import FourierSeries, TruncationWindow
 
-from helpers import coefficient, cold_memos, divide_slices, norm, scale_variables
+from helpers import coefficient, cold_memos, divide_slices, exp_series, norm, scale_variables
 import oracles
 from oracles import eta_product
 
@@ -649,23 +649,29 @@ def test_orthant_division_equals_the_full_loop(monkeypatch, key):
 
 
 def test_fold_odd_checks_every_key():
-    """A level odd in both axes is cut to z_1, z_2 > 0, and its keys may
-    come in any order; a key missing its image, a value not negated, a
-    key on an axis, or a key given twice refuses the fold."""
+    """A level odd in both axes, its keys strictly increasing, is cut to
+    z_1, z_2 > 0; an unsorted level refuses the fold, as do a key missing
+    its image, a value not negated, a key on an axis, or a key given
+    twice."""
     f = series._frame(np.array([-3, -3]), np.array([3, 3]))
     odd = {(1, 2): 5, (-1, 2): -5, (1, -2): -5, (-1, -2): 5, (3, 1): 2, (-3, 1): -2,
            (3, -1): -2, (-3, -1): 2}
 
-    def fold(cells, dup=False):
+    def fold(cells, dup=False, unsorted=False):
         z = np.array(list(cells), dtype=np.int64)
         k, v = series._encode(z, f), np.array(list(cells.values()), dtype=np.int64)
         if dup:
             k, v = np.append(k, k[:1]), np.append(v, v[:1])
-        return jacobi._fold_odd([(k[::-1], v[::-1]), (k[:0], v[:0])], f, [0, 1])
+        o = np.argsort(k, kind="stable")
+        k, v = k[o], v[o]
+        if unsorted:
+            k, v = k[::-1], v[::-1]
+        return jacobi._fold_odd([(k, v), (k[:0], v[:0])], f, [0, 1])
 
     [(k, v), (k1, _)] = fold(odd)
     assert series._decode(k, f).tolist() == [[1, 2], [3, 1]] and v.tolist() == [5, 2]
     assert len(k1) == 0
+    assert fold(odd, unsorted=True) is None
     assert fold({z: c for z, c in odd.items() if z != (-3, -1)}) is None
     assert fold({**odd, (-3, -1): -2}) is None
     assert fold({**odd, (0, 1): 1, (0, -1): -1}) is None
@@ -910,6 +916,31 @@ def test_phi0_rows_come_in_packed_key_order(key):
         assert np.all(np.diff(series._encode(z, series._frame(-box, box, depth), lv)) > 0)
 
 
+def test_held_phi0_rows_keep_their_division_dtype(monkeypatch, fresh_memos):
+    """Every member's held phi0 rows are int64, as its division's quotient
+    is.  A division forced onto python ints (the 2^62 bound lowered to 1,
+    the block built before) holds object rows of the same values, and
+    held in their place they give the same E_j and psi * E_j as the int64
+    rows."""
+    for key in MEMBERS:
+        assert weak_weight0(key, 2).series.rows[2].dtype == np.int64, key
+    key, j_max, q_depth = "psi_8_D4", 2, 2
+    held = weak_weight0(key, j_max * q_depth)
+    want = [exp_series(key, j_max, q_depth, psi) for psi in (False, True)]
+    with monkeypatch.context() as m:
+        m.setattr(jacobi, "_INT64_SAFE", 1)
+        wide = phi0_by_division(key, j_max * q_depth)
+    assert wide.series.rows[2].dtype == object
+    assert all(type(c) is int for c in wide.series.rows[2].tolist())
+    assert all(np.array_equal(a, b) for a, b in zip(wide.series.rows, held.series.rows))
+    monkeypatch.setitem(jacobi._PHI0_CACHE, key, wide)
+    monkeypatch.setattr(borcherds, "_EXP_MEMO", {})
+    got = [exp_series(key, j_max, q_depth, psi) for psi in (False, True)]
+    assert all(v.dtype == object for _, v, _ in borcherds.exp_layers(key, j_max, q_depth)[1])
+    assert [[layer.cells for layer in e] for e in got] == [[layer.cells for layer in e]
+                                                            for e in want]
+
+
 @pytest.mark.parametrize("key, per_level", [("psi_9_A2", 6), ("psi_4_D8", 2)])
 def test_division_margin_per_axis(key, per_level):
     """The division's margin grows by the largest per-level growth of the
@@ -1044,12 +1075,12 @@ def test_hecke_levels_past_2_62_run_on_python_ints(monkeypatch):
     assert max(abs(c) for sl in got.values() for c in sl.values()) >= 2 ** 63
 
 
-def test_hecke_levels_mix_dtypes_per_layer(monkeypatch):
+def test_hecke_levels_past_2_62_in_one_layer_run_every_layer_on_python_ints(monkeypatch):
     """Block rows scaled by 2^48 stay int64 and keep every order-1 bound
     below 2^62; the order-2 layer weighs its d = 2 parts 2^9 = 2^(wt-1)
-    and passes it.  Only that layer comes back on python ints, the
-    order-1 layer stays int64, and both equal the dict translates of the
-    scaled slices."""
+    and passes it.  That one layer puts every layer on python ints, one
+    dtype for the whole result, and both layers equal the dict translates
+    of the scaled slices; the order-1 layer alone stays on int64."""
     real, real_rows = jacobi.member_slice, jacobi._member_rows
     monkeypatch.setattr(jacobi, "member_slice",
                         lambda key, q: {z: c << 48 for z, c in real(key, q).items()})
@@ -1061,8 +1092,11 @@ def test_hecke_levels_mix_dtypes_per_layer(monkeypatch):
     monkeypatch.setattr(jacobi, "_member_rows", scaled_rows)
     key, orders, depth = "psi_10_D2", [1, 2], 3
     _, layers = jacobi.hecke_levels(key, orders, depth)
-    assert [v.dtype for _, v, _ in layers] == [np.int64, object]
+    assert [v.dtype for _, v, _ in layers] == [object, object]
+    assert all(type(c) is int for _, v, _ in layers for c in v.tolist())
     assert _hecke_levels_as_dicts(key, orders, depth) == _hecke_dicts(key, orders, depth)
+    _, [(_, v, _)] = jacobi.hecke_levels(key, [1], depth)
+    assert v.dtype == np.int64
 
 
 def test_divisor_terms_equal_a_brute_force_oracle():

@@ -425,7 +425,7 @@ def test_warm_identity_checks_read_held_rows(monkeypatch, fresh_memos):
     jacobi.weight0_rows(key, jacobi.weak_weight0(key, j_max * q_depth).series, j_max * q_depth)
     # the checks above read layers of j_max 1 only: these are still cold
     exp = _count_calls(monkeypatch, borcherds, "_exp_packed")
-    borcherds.exp_layers(key, j_max, q_depth, psi=True)
+    borcherds.exp_layers(key, j_max, q_depth)
     assert len(exp) == 1 and all(c == [] for c in rows)
 
 

@@ -17,7 +17,8 @@ differs from the corner cell on.
 
 One packed recursion (``_exp_packed``) gives the exponential layers E_j
 from phi0's translates (``hecke_v0`` on phi0's held rows), encoded as
-the lift's are, in one dtype; ``exp_layers`` gives psi * E_j, E_j times
+the lift's are, in one dtype, each (keys, values) in one frame;
+``exp_layers`` gives psi * E_j, E_j times
 the block multiplied out factor by factor (``jacobi.multiply_by_member``),
 memoised per (member, j_max, q depth), with read-only arrays; the memo
 is read and written only while phi0 is the series ``weak_weight0`` holds
@@ -40,7 +41,7 @@ wall whose multiples leave the window raises ValueError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, prod
+from math import prod
 from typing import NamedTuple
 
 from .jacobi import (
@@ -103,12 +104,12 @@ def hecke_v0(rows: tuple, orders, q_depth: int, dtype) -> tuple:
 
 
 def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
-    """(frame, packed E_0..E_j) from the weight-0 form phi, with values of
-    one dtype.
+    """(frame, [(keys, values)] of E_0..E_j) from the weight-0 form phi,
+    with values of one dtype.
 
-    The frame bounds every layer: E_j is a sum of products of W_i whose
-    orders add up to j, so its reach per axis is at most the largest
-    reach(W_i) + reach(E_{j-i}), W_i's bound from ``jacobi._part_specs``.
+    The reach list only sizes the frame's box: E_j is a sum of products
+    of W_i whose orders add up to j, so its reach per axis is at most the
+    largest reach(W_i) + reach(E_{j-i}), W_i's from ``jacobi._part_specs``.
     E_0 is the unit key; W_1..W_jmax, from ``hecke_v0``'s plan and rows,
     are encoded straight into the frame together (``jacobi._encode_parts``).
     With int64 values object rows of phi, a W_i whose bound reaches 2^62,
@@ -124,12 +125,10 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
         reach.append(np.max([rks[i - 1] + reach[j - i] for i in range(1, j + 1)], axis=0))
     box = np.max(reach, axis=0)
     f = _frame(-box, box, q_depth)
-    W = [(np.array([f.zero], np.int64), np.ones(1, dtype), reach[0])]
-    W += [(k, v, rk) for (k, v), rk in zip(_encode_parts(plan, src, f, dtype), rks)]
+    W = [(np.array([f.zero], np.int64), np.ones(1, dtype))] + _encode_parts(plan, src, f, dtype)
     F = W[:1]
     for j in range(1, j_max + 1):
-        k, v, rj = _qz_mul([(W[i], F[j - i]) for i in range(1, j + 1)],
-                           f, q_depth)
+        k, v = _qz_mul([(W[i], F[j - i]) for i in range(1, j + 1)], f, q_depth)
         if dtype is object:
             v = np.array([_norm_coeff(Fraction(c, j)) for c in v.tolist()],
                          dtype=object)
@@ -137,7 +136,7 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
             v, rem = np.divmod(v, j)
             if rem.any():
                 raise _NotInt64
-        F.append((k, v, rj))
+        F.append((k, v))
     return f, F
 
 
@@ -146,8 +145,8 @@ _EXP_MEMO: dict = {}  # (key, j_max, q_depth) -> exp_layers(...)
 
 def exp_layers(key: str, j_max: int, q_depth: int) -> tuple:
     """Layers psi * E_0..psi * E_j, E_j those of exp(X),
-    X = -sum (phi0|V_j^(0)) s^j, as packed (frame, ((keys, values,
-    reach), ...)) through level q_depth, level l at q_num val + 24 l.
+    X = -sum (phi0|V_j^(0)) s^j, as packed (frame, ((keys, values), ...))
+    through level q_depth, level l at q_num val + 24 l.
 
     s d/ds exp(X) = (s dX/ds) exp(X) is the first-order recursion
     j E_j = sum i X_i E_{j-i}, each step one packed product over whole
@@ -185,7 +184,7 @@ def product_layers(key: str, window: TruncationWindow):
     if window.q_max < meta.val_q:
         return
     f, F = exp_layers(key, max((window.s_max - s0) // 2, 0), (window.q_max - meta.val_q) // 24)
-    for j, (k, v, _) in enumerate(F):
+    for j, (k, v) in enumerate(F):
         s_num = s0 + 2 * j
         if s_num > window.s_max:
             break
@@ -321,8 +320,8 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     fp, prod = exp_layers(key, j_max, q_aux)
     f, num = hecke_levels(key, [order for _, order in layers], q_aux, fp)
     mismatch = None
-    for (s_num, _), (kl, vl, _) in zip(layers, num):
-        k, v, _ = prod[(s_num - s0) // 2]
+    for (s_num, _), (kl, vl) in zip(layers, num):
+        k, v = prod[(s_num - s0) // 2]
         if f is not fp:  # a lift bound past the product's box: compare in the wider frame
             k = _restride(k, fp, f)
         if np.array_equal(kl, k) and np.array_equal(vl, v):
@@ -337,7 +336,7 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
                 mismatch = {"s_num": s_num, "q_num": q, "z": z,
                             "lift": lift.get(j, {}).get(z, 0),
                             "product": _product_coefficient(
-                                key, _qz_decode(*E[(s_num - s0) // 2][:2], fe), q, z)}
+                                key, _qz_decode(*E[(s_num - s0) // 2], fe), q, z)}
                 break
         else:
             raise AssertionError("layer s_num=%d differs as arrays but not as dicts" % s_num)
@@ -348,8 +347,8 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
         "q_depth": q_depth,
         "s_depth": s_depth,
         "layers": [{"s_num": s, "order": o, "terms": len(vs)}
-                   for (s, o), (_, vs, _) in zip(layers, num)],
-        "checked_terms": sum(len(vs) for _, vs, _ in num),
+                   for (s, o), (_, vs) in zip(layers, num)],
+        "checked_terms": sum(len(vs) for _, vs in num),
         "first_mismatch": mismatch,
     }
 
@@ -364,6 +363,14 @@ _FAMILY_MIN = {
     "A2": Fraction(-2, 3),
     "A1": Fraction(-1, 2),
 }
+
+
+def _norm_floor(family: str, lat) -> int:
+    """The family's minimal norm on the grid of ``Lattice._wall_norms``,
+    (2 n m - (l, l)) * norm_den, which must be an integer."""
+    floor = _FAMILY_MIN[family] * lat.norm_den
+    assert floor.denominator == 1, "family floor off the norm grid"
+    return floor.numerator
 
 
 class WallClass(NamedTuple):
@@ -412,7 +419,7 @@ def _scan_walls(key: str, q_depth: int) -> tuple:
     f = _frame(-box, box, q_depth)
     keys = _encode(z, f, lv)
     mu2 = lat._wall_norms(n0, z0, m0)
-    floor = ceil(_FAMILY_MIN[meta.family] * lat.norm_den)
+    floor = _norm_floor(meta.family, lat)
     mult = np.zeros(len(walls), object)
     act, d = np.flatnonzero(mu2 >= floor), 1
     while len(act):

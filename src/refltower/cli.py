@@ -33,6 +33,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import groupby
 
 from .series import FourierSeries, TruncationWindow
 from . import jacobi
@@ -109,10 +110,12 @@ def _cache_path(cache_dir: str, desc: str, window: TruncationWindow) -> str:
 
 def _cached_expand(desc: str, window: TruncationWindow, cache_dir, *,
                    parse: bool = True) -> tuple:
-    """Return (series_json, digest, hit, series, terms).  A hit parses the
-    body only if ``parse``; an entry of other code, with a wrong payload
-    digest, without the term count of its body or with a body
-    ``from_json`` rejects is a miss and rewritten."""
+    """Return (series_json, digest, hit, series, terms), terms counted in
+    the body.  A hit parses the body only if ``parse``; a miss returns the
+    series as built, which readers read only as far as the body holds it.
+    An entry of other code, with a wrong payload digest, without the term
+    count of its body or with a body ``from_json`` rejects is a miss and
+    rewritten."""
     path = _cache_path(cache_dir, desc, window) if cache_dir else None
     if path:
         try:
@@ -128,12 +131,8 @@ def _cached_expand(desc: str, window: TruncationWindow, cache_dir, *,
             pass  # missing, unreadable or malformed entry: a miss, rewritten below
     series = expand_descriptor(desc, window)
     body = series.to_json()
-    w = series.window
-    if any(s > w.s_max or q > w.q_max or not all(sl.values())
-           for (s, q), sl in series.cells.items()):
-        series = FourierSeries.from_json(body)  # only the terms a hit reads back
     digest = hashlib.sha256(body.encode()).hexdigest()
-    terms = series.term_count()
+    terms = body.count('"c":')
     if path:
         os.makedirs(cache_dir, exist_ok=True)
         doc = {"schema": _SCHEMA, "code": _code_digest(), "descriptor": desc,
@@ -156,22 +155,20 @@ def _pow_str(num: int, den: int) -> str:
     return str(f)
 
 
-def _render_text(desc: str, window, series: FourierSeries, digest: str) -> str:
+def _render_text(desc: str, window, series: FourierSeries, digest: str, terms: int) -> str:
+    """The terms ``to_json`` writes (``FourierSeries.terms``), per cell."""
     lines = [
         "descriptor: %s" % desc,
         "window: q^%s s^%s" % (_pow_str(window.q_max, 24), _pow_str(window.s_max, 2)),
         "grid: r=%d den_z=%d" % (series.r, series.den_z),
-        "terms: %d" % series.term_count(),
+        "terms: %d" % terms,
         "digest: %s" % digest,
     ]
     term = "  (%s) %%s" % ",".join(["%d"] * series.r)  # one template for every term
-    for (s, q) in sorted(series.cells):
-        sl = series.cells[(s, q)]
-        if not sl:
-            continue
-        lines.append("s^%s q^%s: %d terms" % (_pow_str(s, 2), _pow_str(q, 24), len(sl)))
-        # the z are distinct, so the sort never compares two coefficients
-        lines.extend(map(term.__mod__, sorted([(*z, c) for z, c in sl.items()])))
+    for (s, q), cell in groupby(series.terms(), lambda t: (t[2], t[0])):
+        rows = [term % (*z, c) for _, z, _, c in cell]
+        lines.append("s^%s q^%s: %d terms" % (_pow_str(s, 2), _pow_str(q, 24), len(rows)))
+        lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 
@@ -202,8 +199,8 @@ def _cmd_expand(args) -> int:
     window = _window_from(args)
     cache_dir = args.cache_dir or os.environ.get("CACHE_DIR")
     try:
-        body, digest, _, series, _ = _cached_expand(args.descriptor, window, cache_dir,
-                                                    parse=args.format != "json")
+        body, digest, _, series, terms = _cached_expand(args.descriptor, window, cache_dir,
+                                                        parse=args.format != "json")
     except (ValueError, ArithmeticError) as exc:
         # ArithmeticError: an exactness check failed, e.g. integrality
         print("error: %s" % exc, file=sys.stderr)
@@ -211,7 +208,7 @@ def _cmd_expand(args) -> int:
     if args.format == "json":
         text = _render_json(args.descriptor, window, body, digest)
     else:
-        text = _render_text(args.descriptor, window, series, digest)
+        text = _render_text(args.descriptor, window, series, digest, terms)
     _emit(text, args.out)
     return 0
 

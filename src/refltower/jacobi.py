@@ -23,14 +23,16 @@ factor; the packed multiply by the block reads the same list in one
 frame, each binomial two key shifts.  Keys enter every frame by digit
 arithmetic (``series._restride``).  theta(tau, -z) = -theta(tau, z), so
 a D, D1 or A1 dividend odd in every coordinate, as psi|V_p is, is
-divided on one sign orthant (``_sign_axes``, ``_fold_odd``) and its even
-quotient mirrored out once.  Applied to the unit, the multiply
-gives every block's packed rows (``_member_rows``, with each level's
-reach and max|v|); dict slices of the A2 blocks are decoded from them,
-the others summed from odd shells.  The Hecke translates of the lift
-(``hecke_levels``) are built from the rows straight into a product's
-packed frame by ``_encode_parts``, as phi0's are from ``weight0_rows``;
-each kernel picks its result's one dtype under ``series._int64_first``.
+divided on one sign orthant (``_sign_axes``, ``_fold_odd``, checked by
+its own inverse) and its even quotient mirrored out once.  Applied to
+the unit, the multiply gives every block's packed rows (``_member_rows``,
+with each level's reach and max|v|); dict slices of the A2 blocks are
+decoded from them, the others summed from odd shells.  The Hecke
+translates of the lift (``hecke_levels``) are built from the rows
+straight into a product's packed frame by ``_encode_parts``, as phi0's
+are from ``weight0_rows``; each kernel picks its result's one dtype
+under ``series._int64_first``.  A packed layer is (keys, values); a
+reach bound (``_part_specs``) only chooses a frame.
 
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
@@ -346,8 +348,8 @@ def _member_rows(key: str, q_num: int) -> tuple:
     levels = _PSI_LEVELS.get(key)
     if levels is None or len(levels) <= lvl:
         zero = np.zeros(meta.r, np.int64)
-        unit = (np.zeros(1, np.int64), np.ones(1, np.int64), zero)
-        g, [(k, v, _)] = multiply_by_member(_frame(zero, zero, lvl), [unit], key, lvl)
+        unit = (np.zeros(1, np.int64), np.ones(1, np.int64))
+        g, [(k, v)] = multiply_by_member(_frame(zero, zero, lvl), [unit], key, lvl)
         z = np.empty((len(k), meta.r), np.int16 if g.hi.max() < 1 << 15 else np.int64)
         for a in range(0, len(k), _BAND):  # no int64 copy of all rows at once
             z[a:a + _BAND] = _decode(k[a:a + _BAND], g)
@@ -531,13 +533,13 @@ def _hecke_packed(key: str, orders: tuple, depth: int, f, dtype) -> tuple:
     if f is None or np.any(top > f.hi) or np.any(-top < f.lo):
         top = top if f is None else np.max([top, f.hi, -f.lo], axis=0)
         f = _frame(-top, top, depth)
-    return f, [(k, v, rk) for (k, v), rk in zip(_encode_parts(plan, rows, f, dtype), reach)]
+    return f, _encode_parts(plan, rows, f, dtype)
 
 
 def hecke_levels(key: str, orders: list, depth: int, frame=None) -> tuple:
     """member_hecke_slice of each order (as ``lift_layers`` gives them) on
     levels 0..depth, packed as ``multiply_by_member`` returns a product:
-    (frame, [(keys, values, reach)]), one layer per order, keys sorted.
+    (frame, [(keys, values)]), one layer per order, keys sorted.
 
     Divisor d sends a block row z to d z and its value to d^(wt-1) times
     it, wt the block's weight.  The divisor plan (``_hecke_plan``) lists
@@ -621,7 +623,7 @@ def _binomial_packed(keys, vals, span: int, s: int):
     Keys must come in sorted.  Per line and residue class mod 2|s| the
     quotient at e - |s| is the sum of the class's inputs at digits >= e
     (negated when s < 0): constant between consecutive inputs.  In blocks
-    of (1 << 21) // span lines, ordered by class, then by line (a dense
+    of _NP_CHUNK // span lines, ordered by class, then by line (a dense
     (class, line, column) pass's order, kept in the output), one running
     sum serves every (line, class) group: a nonzero group total is a
     remainder, else the sum before an input is minus the quotient down
@@ -633,7 +635,7 @@ def _binomial_packed(keys, vals, span: int, s: int):
         return keys, vals
     s, neg = abs(s), s < 0
     step = 2 * s
-    lim = max(1, (1 << 21) // span)  # lines per block; n <= lim keys fill one
+    lim = max(1, _NP_CHUNK // span)  # lines per block; n <= lim keys fill one
     cuts = (np.flatnonzero(np.diff(keys // span))[lim - 1::lim] + 1).tolist() if n > lim else []
     out = []
     for a, b in zip([0, *cuts], [*cuts, n]):
@@ -688,32 +690,23 @@ def _sign_axes(meta: MemberMeta, f, stack: list) -> list:
 
 def _fold_odd(work: list, f, axes: list):
     """Each level (keys, values) cut to z_i > 0 on the axes, if it is odd
-    in every one of them, else None.  Checked, not assumed: keys strictly
-    increase (as ``hecke_levels`` gives them), a level holds 2^len(axes)
-    keys per key with every z_i >= 0 (it keeps those), and each key's
-    image with every z_i made positive is a kept key whose value is the
-    key's, negated once per sign it flips.  The map from a key to (kept
-    key, signs flipped) is then one to one and onto, so no kept key has
-    z_i = 0: it would have fewer than 2^len(axes) images."""
+    in every one of them, else None.  Checked, not assumed, by the fold's
+    own inverse: the cut, mirrored back out axis by axis (odd), must give
+    the level again, keys and values, once sorted.  That one equality
+    holds only if the level's keys are sorted, each kept key has all its
+    2^len(axes) images, no key has z_i = 0 (no mirrored key has), and each
+    image's value is the kept key's, negated once per sign it flips."""
     out = []
     for k, v in work:
-        if np.any(k[1:] <= k[:-1]):
-            return None
-        rep, flip, cut = k.copy(), np.zeros(len(k), bool), np.ones(len(k), bool)
+        cut = np.ones(len(k), bool)
         for i in axes:
-            z = _coord(k, f, i)
-            neg = z < 0
-            rep -= 2 * int(f.st[i]) * np.minimum(z, 0)
-            flip ^= neg
-            cut &= ~neg
-        kc, vc = k[cut], v[cut]
-        if len(k) != len(kc) << len(axes):
+            cut &= _coord(k, f, i) > 0
+        mk, mv = kc, vc = k[cut], v[cut]
+        for i in axes:
+            mk, mv = _mirror(mk, mv, f, i, -1)
+        o = np.argsort(mk)
+        if not (np.array_equal(mk[o], k) and np.array_equal(mv[o], v)):
             return None
-        if len(k):
-            at = np.minimum(np.searchsorted(kc, rep), len(kc) - 1)
-            if not (np.array_equal(kc[at], rep)
-                    and np.array_equal(np.where(flip, -vc[at], vc[at]), v)):
-                return None
         out.append((kc, vc))
     return out
 
@@ -844,7 +837,7 @@ def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
     g = _frame(-(f.hi + reach), f.hi + reach, depth)
     factors = [[(lvl, lvl * g.stq + int(np.dot(zc, g.w)), c) for lvl, zc, c in t] for t in terms]
     out = []
-    for k, v, rk in layers:
+    for k, v in layers:
         if dtype is not object and v.dtype == object:
             raise _NotInt64
         k, v = _restride(k, f, g), v.astype(dtype, copy=False)
@@ -859,19 +852,20 @@ def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
                 src = [(at[max(lo - lvl, 0)], at[max(hi - lvl, 0)], off, c) for lvl, off, c in fac]
                 bands.append(_reduce_parts([(k[a:b] + off, v[a:b] * c) for a, b, off, c in src]))
             k, v = map(np.concatenate, zip(*bands))
-        out.append((k, v, rk + reach))
+        out.append((k, v))
     return g, out
 
 
 def multiply_by_member(f, layers: list, key: str, depth: int) -> tuple:
     """The theta block times packed layers, the inverse of ``divide_by_member``.
 
-    ``layers`` are (keys, values, reach) with the level as the top key
-    digit in the symmetric frame f, as ``borcherds.exp_layers`` returns
-    (f, layers); level l of a product is at q_num val + 24 l.  Returns
-    (frame, [(keys, values, reach)]) through level depth, keys sorted,
-    the frame symmetric.  Works factor by factor over ``_factor_stack``:
-    the eta power, then one theta per corner direction, whose binomial
+    ``layers`` are (keys, values) with the level as the top key digit in
+    the symmetric frame f, as ``borcherds._exp_packed`` returns (f,
+    layers); level l of a product is at q_num val + 24 l.  Returns
+    (frame, [(keys, values)]) through level depth, keys sorted, in f's
+    box widened by the factors' summed reach.  Works factor by factor
+    over ``_factor_stack``: the eta power, then one theta per corner
+    direction, whose binomial
     is two key shifts.  Values are int64 unless some factor could reach
     2^62, in which case the product is run again on python ints.
     """
@@ -903,7 +897,7 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     unsheared frame (packed-key order), become a ``_RowSeries``' rows,
     values in the division's dtype."""
     meta = MEMBERS[key]
-    f, [(k, v, _)] = hecke_levels(key, [meta.hecke_p], q_depth)
+    f, [(k, v)] = hecke_levels(key, [meta.hecke_p], q_depth)
     cuts = np.searchsorted(k, np.arange(q_depth + 2) * f.stq).tolist()
     spans = list(zip(cuts, cuts[1:]))
     z, v0, *_ = _member_rows(key, meta.val_q)

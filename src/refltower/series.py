@@ -20,10 +20,12 @@ product ``_qz_mul`` and the theta-block division and multiplication
 ``_int64_first`` reruns a kernel on Python ints when int64 cannot carry
 its values.  Unpacked, a series is rows (levels, z rows, values,
 reach) as ``_qz_rows`` lays them out; phi0's (``jacobi.weight0_rows``)
-are in packed-key order, level then z lexicographic.  The division
-takes and returns one level per (keys, values) pair, the level digit
-left out.  ``np`` here, which ``jacobi`` and ``borcherds`` import, runs
-numpy's import on its first use, so work with no kernel never pays it.
+are in packed-key order, level then z lexicographic.  Packed, a layer
+is (keys, values), keys sorted, in a frame whose box its producer sized
+from a reach (largest |z_i| per axis).  The division takes and returns
+one level per (keys, values) pair, the level digit left out.  ``np``
+here, which ``jacobi`` and ``borcherds`` import, runs numpy's import on
+its first use, so work with no kernel never pays it.
 """
 
 from __future__ import annotations
@@ -180,8 +182,8 @@ def _abs_sum(v) -> int:
 
 # ---------------------------------------------------------------------------
 # packed (level, z) series: sorted int64 keys with the level as the top
-# digit, values of one dtype (int64, or object for big ints and
-# Fractions), and the reach, the largest |z_k| per axis
+# digit and values of one dtype (int64, or object for big ints and
+# Fractions), in a frame whose box the producer sized
 
 
 class _Frame(NamedTuple):
@@ -301,13 +303,11 @@ def _qz_rows(levels: dict, r: int, dtype):
 
 
 def _qz_pack(rows, f: _Frame) -> tuple:
-    """Packed (keys, values, reach) of _qz_rows output, keys sorted."""
-    lv, z, v, reach = rows
-    if np.any(reach > f.hi):
-        raise ValueError("series leaves its packing frame")
+    """Packed (keys, values) of _qz_rows output in f, keys sorted."""
+    lv, z, v, _ = rows
     keys = _encode(z, f, lv)
     order = np.argsort(keys, kind="stable")
-    return keys[order], v[order], reach
+    return keys[order], v[order]
 
 
 def _level_runs(keys, stq: int) -> list:
@@ -334,7 +334,8 @@ def _qz_decode(keys, vals, f: _Frame) -> dict:
 
 
 def _qz_mul(pairs: list, f: _Frame, top: int) -> tuple:
-    """Sum of the products a * b over pairs of packed series, through level top.
+    """Sum of the products a * b over pairs of packed (keys, values) in f,
+    whose box the caller sized to hold them, through level top.
 
     Each level of a pairs only with the prefix of b whose levels keep
     the sum at or below top, so no pair past the cut is formed.  With
@@ -344,14 +345,11 @@ def _qz_mul(pairs: list, f: _Frame, top: int) -> tuple:
     maximum of |values| on one level; _NotInt64 is raised when a bound
     reaches 2^62.
     """
-    reach = np.max([a[2] + b[2] for a, b in pairs], axis=0)
-    if np.any(reach > f.hi):
-        raise ValueError("product leaves its packing frame")
     dtype = np.result_type(*[x[1] for pair in pairs for x in pair])
     runs = [(_level_runs(a[0], f.stq), _level_runs(b[0], f.stq)) for a, b in pairs]
     if dtype != object:
         bound = [0] * (top + 1)
-        for ((_, va, _), (_, vb, _)), (ra, rb) in zip(pairs, runs):
+        for ((_, va), (_, vb)), (ra, rb) in zip(pairs, runs):
             (sa, ma), (sb, mb) = _level_abs(va, ra, top), _level_abs(vb, rb, top)
             for n in range(top + 1):
                 bound[n] += sum(min(sa[i] * mb[n - i], ma[i] * sb[n - i])
@@ -361,7 +359,7 @@ def _qz_mul(pairs: list, f: _Frame, top: int) -> tuple:
 
     def blocks():
         yield np.zeros(0, np.int64), np.zeros(0, dtype)
-        for ((ka, va, _), (kb, vb, _)), (ra, _) in zip(pairs, runs):
+        for ((ka, va), (kb, vb)), (ra, _) in zip(pairs, runs):
             for lvl, s, e in ra:
                 nb = int(np.searchsorted(kb, (top - lvl + 1) * f.stq))
                 if not nb:
@@ -373,7 +371,7 @@ def _qz_mul(pairs: list, f: _Frame, top: int) -> tuple:
                            (va[r0:r1, None] * vb[None, :nb]).ravel())
 
     keys, vals = _merge_sums(blocks())
-    return keys - f.zero, vals, reach
+    return keys - f.zero, vals
 
 
 def _qz_product(a: dict, b: dict, r: int, top: int, dtype) -> dict:
@@ -381,7 +379,7 @@ def _qz_product(a: dict, b: dict, r: int, top: int, dtype) -> dict:
     ra, rb = _qz_rows(a, r, dtype), _qz_rows(b, r, dtype)
     reach = ra[3] + rb[3]
     f = _frame(-reach, reach, top)
-    k, v, _ = _qz_mul([(_qz_pack(ra, f), _qz_pack(rb, f))], f, top)
+    k, v = _qz_mul([(_qz_pack(ra, f), _qz_pack(rb, f))], f, top)
     return _qz_decode(k, v, f)
 
 

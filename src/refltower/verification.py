@@ -104,17 +104,18 @@ def _run_q0_terms(win):
     return ok, checked, {"constants": {k: _Q0_CONST[m.family](m) for k, m in jacobi.MEMBERS.items()}, "mismatches": bad}
 
 
-def _hyper_norms(lat, q, Z, index=1):
-    """2 (q/24) index - (l, l) of each row (q, z) of a form on the grid of
-    lat, l = z / den, as int64 numerators over ``_norm_den(lat, index)``;
-    q is one int or one per row."""
+def _hyper_norms(lat, q, Z, index):
+    """2 (q/24) index - (l, l) of each row (q, z) of a block slice on the
+    grid of lat, l = z / den, as int64 numerators over
+    ``_norm_den(lat, index)``; q is one int or one per row.  Weight-0 rows
+    take ``Lattice._wall_norms`` instead."""
     g = lat._grid_norms(Z)
     a, b = index.numerator * lat.norm_den, 12 * index.denominator
     lattices._fit(lattices._amax(q) * a + b * lattices._amax(g))
     return q * a - b * g
 
 
-def _norm_den(lat, index=1) -> int:
+def _norm_den(lat, index) -> int:
     return 12 * index.denominator * lat.norm_den
 
 
@@ -145,12 +146,10 @@ def _run_support_bounds(win):
             for row in z[_hyper_norms(lat, q, z, meta.index) < 0].tolist():
                 ok = False
                 bad.setdefault(key, []).append([q, row])
-        floor = borcherds._FAMILY_MIN[meta.family] * _norm_den(lat)
-        assert floor.denominator == 1, "family floor off the norm grid"
-        floor = floor.numerator
+        floor = borcherds._norm_floor(meta.family, lat)
         pdepth = min(depth, 4)
         lv, z, v = jacobi.weight0_rows(key, jacobi.weak_weight0(key, pdepth).series, pdepth)
-        nrm = _hyper_norms(lat, 24 * lv, z)
+        nrm = lat._wall_norms(lv, z, 1)
         checked += len(v)
         off = np.flatnonzero((nrm < 0) & ((nrm != floor) | (v != 1)))
         for lvl, row, c in zip(lv[off].tolist(), z[off].tolist(), v[off].tolist()):

@@ -1,7 +1,8 @@
 """Helpers only the tests use: small views of program data, lattice
 arithmetic in ambient coordinates, the primitive wall of one index,
 series lookups, the z derivative, the packed theta-block division on
-z-slice dicts, the packed weight-0 Hecke translate as a series, and
+z-slice dicts, the reach bounds of the lift layers, the packed weight-0
+Hecke translate as a series, and
 every process-wide memo swapped for an empty one."""
 
 from contextlib import contextmanager
@@ -167,6 +168,15 @@ def divide_slices(levels: list, key: str, depth: int, frame=None) -> list:
     return [dict(zip(map(tuple, _decode(k, g).tolist()), v.tolist())) for k, v in quo]
 
 
+def hecke_reach(key: str, orders, depth: int) -> list:
+    """The reach bound of each layer ``jacobi.hecke_levels`` builds, the
+    bound that picks its frame: ``jacobi._part_specs`` on the block rows
+    its divisor plan reads."""
+    plan = jacobi._hecke_plan(key, tuple(orders), depth)
+    rows = [jacobi._member_rows(key, jacobi.MEMBERS[key].q_grid * k) for k in plan.levels]
+    return jacobi._part_specs(plan, rows, object)
+
+
 def exp_series(key: str, j_max: int, q_depth: int, psi: bool = False) -> list:
     """The layers E_j, or psi * E_j with ``psi`` (``borcherds.exp_layers``),
     decoded, one q-z series per layer: level l at q_num 24 l, or val + 24 l
@@ -181,7 +191,7 @@ def exp_series(key: str, j_max: int, q_depth: int, psi: bool = False) -> list:
         phi = borcherds.weak_weight0(key, max(j_max * q_depth, 1)).series
         f, layers = _int64_first(borcherds._exp_packed, key, j_max, q_depth, phi)
     out = []
-    for k, v, _ in layers:
+    for k, v in layers:
         layer = FourierSeries(meta.r, meta.den_z, TruncationWindow(q0 + 24 * q_depth, 0))
         layer.cells = {(0, q0 + 24 * lvl): sl for lvl, sl in _qz_decode(k, v, f).items()}
         out.append(layer)

@@ -11,7 +11,8 @@ over all of them, for:
   at its benchmark windows;
 * the stdout of each ``cli-cold`` request, first as a cache miss, then as
   a hit, each in a fresh ``python3 -m refltower.cli`` process sharing one
-  temporary cache directory;
+  temporary cache directory (``cli_in_process`` runs them through
+  ``cli.main`` instead, with the same bytes);
 * each member's phi0 (``jacobi.phi0_by_division``) at depth 6, depth 4
   for rank > 4, as ``to_json``;
 * each member's ``borcherds.borcherds_exp`` at (q_max, s_max) = (48, 4),
@@ -26,18 +27,26 @@ root:
 
     PYTHONPATH=src python tests/output_digests.py [--c05] > digests.txt
 
-Run it on two commits and ``diff`` the outputs.
+Run it on two commits and ``diff`` the outputs.  ``golden_digests.txt``
+holds its ``--c05`` lines without the total, which the tier-1 test
+``test_golden.py`` checks; after a change meant to alter an output,
+regenerate it with
+
+    PYTHONPATH=src python tests/output_digests.py --c05 | head -n -1 > tests/golden_digests.txt
 """
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden_digests.txt")
 
 
 def _workloads():
@@ -49,11 +58,35 @@ def _workloads():
     return mod
 
 
-def _sha(data) -> str:
+def sha(data) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
 
-def outputs(c05: bool):
+def golden() -> dict:
+    """{name: digest} of every line of ``golden_digests.txt``."""
+    with open(GOLDEN) as fh:
+        return {name: d for d, name in (line.rstrip("\n").split(" ", 1) for line in fh)}
+
+
+def cli_subprocess(argv: list, cache: str) -> tuple:
+    """(exit code, stdout) of one request in a fresh ``refltower.cli`` process."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-m", "refltower.cli", *argv, "--cache-dir", cache],
+                          capture_output=True, env=env, cwd=cache)
+    return proc.returncode, proc.stdout
+
+
+def cli_in_process(argv: list, cache: str) -> tuple:
+    """(exit code, stdout) of one request through ``cli.main`` in this process."""
+    from refltower import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main([*argv, "--cache-dir", cache])
+    return code, out.getvalue().encode()
+
+
+def outputs(c05: bool, run_cli=cli_subprocess):
     """(name, bytes or str) of every output, in a fixed order."""
     from refltower import borcherds, jacobi, verification
     from refltower.series import TruncationWindow
@@ -65,14 +98,11 @@ def outputs(c05: bool):
     for job in wl.identity_menu():
         rep = verification.run(job["identity"], TruncationWindow(job["q_max"], job["s_max"]))
         yield "identity " + job["ref"], repr(rep)
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     with tempfile.TemporaryDirectory() as cache:
         for job in wl.cli_menu():
             for kind in ("miss", "hit"):
-                proc = subprocess.run([sys.executable, "-m", "refltower.cli", *job["argv"],
-                                       "--cache-dir", cache],
-                                      capture_output=True, env=env, cwd=cache)
-                yield "cli %s [exit %d] %s" % (kind, proc.returncode, job["ref"]), proc.stdout
+                code, out = run_cli(job["argv"], cache)
+                yield "cli %s [exit %d] %s" % (kind, code, job["ref"]), out
     for key, meta in jacobi.MEMBERS.items():
         depth = 6 if meta.r <= 4 else 4
         yield "phi0 %s d%d" % (key, depth), jacobi.phi0_by_division(key, depth).series.to_json()
@@ -92,7 +122,7 @@ def main(argv: list) -> int:
     total = hashlib.sha256()
     count = 0
     for name, data in outputs(args.c05):
-        line = "%s %s" % (_sha(data), name)
+        line = "%s %s" % (sha(data), name)
         total.update(line.encode() + b"\n")
         count += 1
         print(line, flush=True)

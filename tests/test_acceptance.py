@@ -14,6 +14,7 @@ from refltower import borcherds, jacobi, lattices, verification
 from refltower.series import FourierSeries, TruncationWindow
 
 from helpers import discriminant_group
+from output_digests import golden, sha
 
 
 def _ok(rep):
@@ -73,9 +74,11 @@ def test_c05_lift_equals_product_all_members():
     order = ["psi_4_D8", "psi_3_3A2", "psi_2_4A1", "eta21_theta2z"]
     order += [k for k in jacobi.MEMBERS if k not in order]
     total = 0
+    want = golden()
     for key in order:
         rep = borcherds.compare_lift_product(key, 5, 3)
         assert rep["status"] == "pass", (key, rep["first_mismatch"])
+        assert sha(repr(rep)) == want["c05 %s q5 s3" % key], key
         total += rep["checked_terms"]
     dt = time.perf_counter() - t0
     assert dt < 600.0, dt

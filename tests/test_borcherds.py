@@ -9,7 +9,8 @@ import pytest
 from refltower.series import FourierSeries, TruncationWindow
 from refltower import borcherds, jacobi, lifting, series, verification
 
-from helpers import coefficient, copy, digest, exp_series, packed_translate, translate
+from helpers import (coefficient, copy, digest, exp_series, hecke_reach, packed_translate,
+                     translate)
 import oracles
 from oracles import exp_s
 
@@ -169,12 +170,12 @@ def test_compare_fails_loudly_when_arrays_and_dicts_disagree(monkeypatch):
 
     def swapped(key, orders, depth, frame=None):
         f, out = real(key, orders, depth, frame)
-        k, v, reach = out[-1]
+        k, v = out[-1]
         lv = k // f.stq
         i = int(np.flatnonzero(lv[1:] == lv[:-1])[0])
         order = np.arange(len(v))
         order[[i, i + 1]] = i + 1, i
-        out[-1] = (k[order], v[order], reach)
+        out[-1] = (k[order], v[order])
         return f, out
 
     monkeypatch.setattr(borcherds, "hecke_levels", swapped)
@@ -193,15 +194,21 @@ def _compare_frame(key, q_depth, s_depth):
     return fp, q_aux, jacobi.hecke_levels(key, [m for _, m in layers], q_aux, fp)
 
 
+def _lift_reach(key, q_aux, s_depth):
+    """The reach bound of each lift layer of ``_compare_frame``
+    (``helpers.hecke_reach``)."""
+    return hecke_reach(key, [m for _, m in lifting.lift_layers(key, 2 * s_depth)], q_aux)
+
+
 def test_lift_rows_encode_to_strictly_increasing_product_keys():
     """The array comparison needs no sort: every lift layer comes in the
-    product's own frame, its reach inside the box, its keys strictly
-    increasing."""
+    product's own frame, its reach bound inside the box, its keys
+    strictly increasing."""
     for key in jacobi.MEMBERS:
         for window in _sweep_windows(key):
-            fp, _, (f, num) = _compare_frame(key, *window)
+            fp, q_aux, (f, num) = _compare_frame(key, *window)
             assert f is fp, (key, window)
-            for k, v, reach in num:
+            for (k, v), reach in zip(num, _lift_reach(key, q_aux, window[1])):
                 assert np.all(reach <= fp.hi), (key, window)
                 assert np.all(np.diff(k) > 0), (key, window)
 
@@ -261,11 +268,13 @@ def test_a_reach_bound_past_the_box_alone_decides_nothing(monkeypatch):
     monkeypatch.setattr(jacobi, "_member_rows", loose)
     calls = []
     _spy_everywhere(monkeypatch, "_decode", calls, (jacobi,))
-    _, _, (f, num) = _compare_frame(key, *window)
+    _, q_aux, (f, num) = _compare_frame(key, *window)
     assert calls == []
     assert np.array_equal(f.lo, -f.hi) and np.all(f.hi >= fp.hi) and np.all(f.lo <= fp.lo)
-    assert all(np.all(reach <= f.hi) for _, _, reach in num)
-    assert np.any(np.max([reach for _, _, reach in num], axis=0) > fp.hi)
+    reach = _lift_reach(key, q_aux, window[1])
+    assert len(reach) == len(num)
+    assert all(np.all(rk <= f.hi) for rk in reach)
+    assert np.any(np.max(reach, axis=0) > fp.hi)
     assert borcherds.compare_lift_product(key, *window) == want
 
 
@@ -409,7 +418,7 @@ def _corrupt_layer(monkeypatch, key, order, change):
         f, out = real_packed(k, orders, depth, frame)
         if k == key and order in orders:
             t = orders.index(order)
-            sls = series._qz_decode(*out[t][:2], f)
+            sls = series._qz_decode(*out[t], f)
             rows = series._qz_rows({j: change(j, dict(sls.get(j, {})))
                                     for j in range(depth + 1)}, meta.r, np.int64)
             out[t] = series._qz_pack(rows, f)
@@ -603,11 +612,11 @@ def test_translate_bound_past_2_62_reruns_on_python_ints(monkeypatch):
     assert encoded == []
     f, F = series._int64_first(borcherds._exp_packed, key, j_max, q_depth, phi)
     assert encoded == [object]
-    assert all(v.dtype == object for _, v, _ in F)
+    assert all(v.dtype == object for _, v in F)
     want = _exp_oracle(key, j_max, q_depth, phi)
-    for (k, v, _), layer in zip(F, want):
+    for (k, v), layer in zip(F, want):
         assert series._qz_decode(k, v, f) == _by_level(layer)
-    values = [c for _, v, _ in F for c in v.tolist()]
+    values = [c for _, v in F for c in v.tolist()]
     assert all(type(c) is int for c in values) and max(map(abs, values)) >= 2 ** 119
 
 
@@ -833,7 +842,7 @@ def test_compare_rejects_windows_that_check_nothing(monkeypatch, q_depth, s_dept
 
 
 def _arrays(layers):
-    """Keys, values and reach of every layer of an exp_layers result."""
+    """Keys and values of every layer of an exp_layers result."""
     return [a for layer in layers[1] for a in layer]
 
 

@@ -31,7 +31,8 @@ from refltower.lattices import lattice
 from refltower.lifting import gritsenko_lift, lift_layers
 from refltower.series import FourierSeries, TruncationWindow
 
-from helpers import coefficient, cold_memos, divide_slices, exp_series, norm, scale_variables
+from helpers import (coefficient, cold_memos, divide_slices, exp_series, hecke_reach, norm,
+                     scale_variables)
 import oracles
 from oracles import eta_product
 
@@ -516,9 +517,23 @@ def test_division_rejects_a_corrupt_a2_dividend():
 
 
 def _spy_mirrors(monkeypatch) -> list:
-    """Record every ``jacobi._mirror`` call: none means the full loop ran."""
+    """Record the sign of every ``jacobi._mirror`` call."""
     calls, real = [], jacobi._mirror
     monkeypatch.setattr(jacobi, "_mirror", lambda *a: calls.append(a[4]) or real(*a))
+    return calls
+
+
+def _spy_folds(monkeypatch) -> list:
+    """Record whether each ``jacobi._fold_odd`` call folded: no True means
+    the full loop ran."""
+    calls, real = [], jacobi._fold_odd
+
+    def spy(*a):
+        out = real(*a)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(jacobi, "_fold_odd", spy)
     return calls
 
 
@@ -529,7 +544,7 @@ def test_division_recovers_a_random_quotient(monkeypatch, key):
     multiply of Q by the block equals psi * Q from ``FourierSeries.mul``,
     so division and multiply invert each other.  A random Q is not even,
     so psi * Q is not odd: no coordinate is folded."""
-    mirrors = _spy_mirrors(monkeypatch)
+    folds = _spy_folds(monkeypatch)
     meta = MEMBERS[key]
     depth = 3 if meta.r >= 7 else 4
     rng = random.Random(key)
@@ -543,7 +558,7 @@ def test_division_recovers_a_random_quotient(monkeypatch, key):
     rows = series._qz_rows({j: quo.cells[(0, 24 * j)] for j in range(depth + 1)},
                            meta.r, np.int64)
     f = series._frame(-rows[3], rows[3], depth)
-    g, [(k, v, _)] = jacobi.multiply_by_member(f, [series._qz_pack(rows, f)], key, depth)
+    g, [(k, v)] = jacobi.multiply_by_member(f, [series._qz_pack(rows, f)], key, depth)
     assert series._qz_decode(k, v, g) == {j: sl for j, sl in enumerate(levels) if sl}
     assert divide_slices(levels, key, depth) == [quo.cells[(0, 24 * j)]
                                                  for j in range(depth + 1)]
@@ -551,7 +566,7 @@ def test_division_recovers_a_random_quotient(monkeypatch, key):
     levels[depth][z] += 1
     with pytest.raises(ArithmeticError):
         divide_slices(levels, key, depth)
-    assert mirrors == []
+    assert True not in folds
 
 
 def test_division_quotient_wider_than_its_dividend():
@@ -578,7 +593,7 @@ def test_quotient_does_not_depend_on_the_dividend_frame(monkeypatch, key):
     ``FourierSeries.div`` oracle, and a dividend with a remainder is
     refused in both.  Neither folds a coordinate: the dividend is not
     odd, and the wide frame is not symmetric on any axis."""
-    mirrors = _spy_mirrors(monkeypatch)
+    folds = _spy_folds(monkeypatch)
     meta = MEMBERS[key]
     depth = 3
     rng = random.Random("frame " + key)
@@ -603,7 +618,7 @@ def test_quotient_does_not_depend_on_the_dividend_frame(monkeypatch, key):
         with pytest.raises(ArithmeticError):
             divide_slices(bad, key, depth, frame)
     assert jacobi._sign_axes(meta, wide, jacobi._factor_stack(meta, depth)) == []
-    assert mirrors == []
+    assert True not in folds
 
 
 SIGN_MEMBERS = [key for key, meta in MEMBERS.items() if meta.family != "A2"]
@@ -612,7 +627,7 @@ SIGN_MEMBERS = [key for key, meta in MEMBERS.items() if meta.family != "A2"]
 def _hecke_dividend(key: str, depth: int) -> tuple:
     """(frame, keys, values) that ``phi0_by_division`` divides: psi|V_p on
     levels 0..depth, packed, level digit left out, keys sorted."""
-    f, [(k, v, _)] = jacobi.hecke_levels(key, [MEMBERS[key].hecke_p], depth)
+    f, [(k, v)] = jacobi.hecke_levels(key, [MEMBERS[key].hecke_p], depth)
     spans = list(itertools.pairwise(np.searchsorted(k, np.arange(depth + 2) * f.stq).tolist()))
     return f, [k[a:b] - j * f.stq for j, (a, b) in enumerate(spans)], [v[a:b] for a, b in spans]
 
@@ -635,9 +650,12 @@ def test_orthant_division_equals_the_full_loop(monkeypatch, key):
                     m.setattr(jacobi, "_sign_axes", lambda *a: [])
                 m.setattr(jacobi, "_INT64_SAFE", safe)
                 out[full, safe] = jacobi.divide_by_member(keys, vals, f, key, depth)
-            # each axis mirrored once before its theta factor and once at the end
+            # each axis mirrored once to check the fold (in the int64 run
+            # that the lowered bound stops too), once before its theta
+            # factor and once at the end
+            folds = 1 if safe == series._INT64_SAFE else 2
             assert sorted(set(mirrors)) == ([] if full else [-1, 1]), (key, depth)
-            assert len(mirrors) == (0 if full else 2 * meta.r * (depth + 1))
+            assert len(mirrors) == (0 if full else (folds + 2) * meta.r * (depth + 1))
         for safe, dtype in ((series._INT64_SAFE, np.int64), (1, object)):
             (g, quo), (g_full, quo_full) = out[False, safe], out[True, safe]
             assert all(np.array_equal(a, b) for a, b in zip(g, g_full)), (key, depth)
@@ -705,14 +723,14 @@ def test_division_rejects_a_corrupt_d_dividend(monkeypatch):
     val = MEMBERS[key].val_q
     levels = [member_hecke_slice(key, 2, val + 24 * j) for j in range(4)]
     assert divide_slices([dict(sl) for sl in levels], key, 3)[3]
-    mirrors = _spy_mirrors(monkeypatch)
+    folds = _spy_folds(monkeypatch)
     for j in (0, 2):
         bad = [dict(sl) for sl in levels]
         z = sorted(bad[j])[len(bad[j]) // 2]
         bad[j][z] += 1
         with pytest.raises(ArithmeticError):
             divide_slices(bad, key, 3)
-    assert mirrors == []
+    assert folds == [False, False]
 
 
 @pytest.mark.parametrize("key", ["psi_8_D4", "psi_3_3A1", "eta21_theta2z"])
@@ -737,7 +755,7 @@ def test_an_odd_corruption_is_divided_on_the_orthant(monkeypatch, key):
         num.add_term(meta.val_q + 48, tuple(s * a for s, a in zip(signs, z0)), 0,
                      int(np.prod(signs)))
     levels = [num.cells.get((0, meta.val_q + 24 * j), {}) for j in range(depth + 1)]
-    mirrors = _spy_mirrors(monkeypatch)
+    folds = _spy_folds(monkeypatch)
     if meta.family == "D1":
         with pytest.raises(ArithmeticError):
             divide_slices(levels, key, depth)
@@ -745,7 +763,7 @@ def test_an_odd_corruption_is_divided_on_the_orthant(monkeypatch, key):
         want = num.div(member_series(key, w))
         assert divide_slices(levels, key, depth) == [want.cells.get((0, 24 * j), {})
                                                       for j in range(depth + 1)]
-    assert -1 in mirrors
+    assert folds == [True]
 
 
 # the deepest block level that c05 and the sweep windows read, per member
@@ -936,7 +954,7 @@ def test_held_phi0_rows_keep_their_division_dtype(monkeypatch, fresh_memos):
     monkeypatch.setitem(jacobi._PHI0_CACHE, key, wide)
     monkeypatch.setattr(borcherds, "_EXP_MEMO", {})
     got = [exp_series(key, j_max, q_depth, psi) for psi in (False, True)]
-    assert all(v.dtype == object for _, v, _ in borcherds.exp_layers(key, j_max, q_depth)[1])
+    assert all(v.dtype == object for _, v in borcherds.exp_layers(key, j_max, q_depth)[1])
     assert [[layer.cells for layer in e] for e in got] == [[layer.cells for layer in e]
                                                             for e in want]
 
@@ -1031,10 +1049,12 @@ def test_hecke_on_half_grid_rules():
 
 
 def _hecke_levels_as_dicts(key, orders, depth):
-    """jacobi.hecke_levels as {(order, j): slice dict}."""
+    """jacobi.hecke_levels as {(order, j): slice dict}; every layer's keys
+    strictly increase and its reach bound (``jacobi._part_specs``) fits
+    the frame."""
     f, layers = jacobi.hecke_levels(key, orders, depth)
     out = {}
-    for m, (k, v, reach) in zip(orders, layers):
+    for m, (k, v), reach in zip(orders, layers, hecke_reach(key, orders, depth)):
         assert np.all(np.diff(k) > 0) and np.all(reach <= f.hi)
         for j, sl in series._qz_decode(k, v, f).items():
             out[(m, j)] = sl
@@ -1092,10 +1112,10 @@ def test_hecke_levels_past_2_62_in_one_layer_run_every_layer_on_python_ints(monk
     monkeypatch.setattr(jacobi, "_member_rows", scaled_rows)
     key, orders, depth = "psi_10_D2", [1, 2], 3
     _, layers = jacobi.hecke_levels(key, orders, depth)
-    assert [v.dtype for _, v, _ in layers] == [object, object]
-    assert all(type(c) is int for _, v, _ in layers for c in v.tolist())
+    assert [v.dtype for _, v in layers] == [object, object]
+    assert all(type(c) is int for _, v in layers for c in v.tolist())
     assert _hecke_levels_as_dicts(key, orders, depth) == _hecke_dicts(key, orders, depth)
-    _, [(_, v, _)] = jacobi.hecke_levels(key, [1], depth)
+    _, [(_, v)] = jacobi.hecke_levels(key, [1], depth)
     assert v.dtype == np.int64
 
 

@@ -186,8 +186,8 @@ def test_negative_control_catches_a_class_the_lattice_does_not_reflect(monkeypat
 
 
 def test_negative_control_catches_corrupt_lift(monkeypatch):
-    # the lift layers reach the check packed, one (keys, values, reach)
-    # per layer with sorted keys: the first key of the m = 1 layer is the
+    # the lift layers reach the check packed, one (keys, values) per
+    # layer with sorted keys: the first key of the m = 1 layer is the
     # lex-first z at the corner, and its value is corrupted
     real = borcherds.hecke_levels
     for key in ("psi_5_A1", "psi_9_A2"):
@@ -196,11 +196,11 @@ def test_negative_control_catches_corrupt_lift(monkeypatch):
             f, out = real(k, orders, depth, frame)
             if 1 in orders:
                 t = orders.index(1)
-                keys, v, reach = out[t]
+                keys, v = out[t]
                 assert keys[0] // f.stq == 0
                 v = v.copy()
                 v[0] += 1
-                out[t] = (keys, v, reach)
+                out[t] = (keys, v)
             return f, out
 
         monkeypatch.setattr(borcherds, "hecke_levels", crooked)
@@ -211,11 +211,12 @@ def test_negative_control_catches_corrupt_lift(monkeypatch):
 
 
 def test_integer_hyper_norm_matches_the_fraction_oracle():
-    """The batched numerators over _norm_den are the Fraction norm, row by
-    row, on every block slice through q = 96 (the rows are the slice's
-    terms) and every phi0 term through depth 2, the identity-mix windows
-    of the support and class checks, for all 15 members (the index-1/2 A1
-    family included)."""
+    """The batched numerators are the Fraction norm, row by row: over
+    _norm_den on every block slice through q = 96 (the rows are the
+    slice's terms), and over norm_den (``Lattice._wall_norms``, as
+    lemma13-support-bounds reads them) on every phi0 term through depth
+    2, the identity-mix windows of the support and class checks, for all
+    15 members (the index-1/2 A1 family included)."""
     checked = 0
     for key, meta in jacobi.MEMBERS.items():
         lat = lattices.lattice(meta.lattice_name)
@@ -224,13 +225,13 @@ def test_integer_hyper_norm_matches_the_fraction_oracle():
         assert [q for q, _ in rows] == list(range(meta.val_q, 97, 24))
         for q, z in rows:
             assert sorted(map(tuple, z.tolist())) == sorted(jacobi.member_slice(key, q))
-            cells.append((meta.index, q, z, verification._hyper_norms(lat, q, z, meta.index)))
+            cells.append((meta.index, q, z, verification._hyper_norms(lat, q, z, meta.index),
+                          verification._norm_den(lat, meta.index)))
         phi = jacobi.weak_weight0(key, 2).series.truncated(TruncationWindow(48, 0))
         lv, z, _, _ = _qz_rows({q // 24: sl for (_, q), sl in phi.cells.items()}, lat.rank, object)
         assert len(z) == phi.term_count()
-        cells.append((Fraction(1), 24 * lv, z, verification._hyper_norms(lat, 24 * lv, z)))
-        for index, q, z, got in cells:
-            den = verification._norm_den(lat, index)
+        cells.append((Fraction(1), 24 * lv, z, lat._wall_norms(lv, z, 1), lat.norm_den))
+        for index, q, z, got, den in cells:
             assert got.dtype == np.int64 and len(got) == len(z)
             for qi, row, num in zip(np.broadcast_to(q, len(z)).tolist(), z.tolist(), got.tolist()):
                 assert Fraction(num, den) == hyper_norm_fraction(lat, qi, row, index), (key, qi, row)
@@ -238,7 +239,8 @@ def test_integer_hyper_norm_matches_the_fraction_oracle():
     assert checked > 50000
     # a numerator too wide for int64 raises instead of wrapping
     with pytest.raises(ValueError, match="too wide"):
-        verification._hyper_norms(lattices.lattice("D8"), 2 ** 60, np.zeros((1, 8), np.int64))
+        verification._hyper_norms(lattices.lattice("D8"), 2 ** 60, np.zeros((1, 8), np.int64),
+                                  Fraction(1))
 
 
 def test_class_rows_equal_the_per_term_keys_and_norms():

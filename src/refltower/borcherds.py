@@ -18,30 +18,31 @@ differs from the corner cell on.
 One packed recursion (``_exp_packed``) gives the exponential layers E_j
 from phi0's translates (``hecke_v0`` on phi0's held rows), encoded as
 the lift's are, in one dtype, each (keys, values) in one frame;
-``exp_layers`` gives psi * E_j, E_j times
-the block multiplied out factor by factor (``jacobi.multiply_by_member``),
-memoised per (member, j_max, q depth), with read-only arrays; the memo
-is read and written only while phi0 is the series ``weak_weight0`` holds
+``exp_layers`` gives psi * E_j, E_j times the block multiplied out
+factor by factor (``jacobi.multiply_by_member``), memoised per (member,
+j_max, q depth), with read-only arrays; the memo is read and written
+only while phi0 is the series ``weak_weight0`` holds
 (``jacobi.holds_phi0``).  Every series it held is an exact quotient, so
 entries stay valid as phi0 deepens; any other phi0, a corrupted one say,
 neither hits nor replaces an entry.  The lift-versus-product check has
 the lift layers built straight into psi * E_j's frame
-(``jacobi.hecke_levels``) and compares keys and values as arrays; dicts
-appear only in a mismatch report.
+(``jacobi.hecke_levels``) and compares keys and values as arrays; only a
+mismatch report decodes them, into series cells as ``borcherds_exp``
+does (``_layer_cells``), for ``FourierSeries.first_difference``.
 
 The divisor scan walks the negative-norm support of phi0, reduces each
 Fourier index to a primitive wall vector, sums the coefficients along
 multiples of the wall, and groups the results by the invariants of the
-reflection, all on phi0's held rows through the lattice's batched kernel.
-Termination of the multiplicity sum rests on the checked fact that
-negative-norm support sits only at the minimal norm of the family; a
-wall whose multiples leave the window raises ValueError.
+reflection, all on phi0's held rows through the lattice's batched
+kernel, grouped by packed row keys (``series._frame``).  Termination of
+the multiplicity sum rests on the checked fact that negative-norm
+support sits only at the minimal norm of the family; a wall whose
+multiples leave the window raises ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
 from typing import NamedTuple
 
 from .jacobi import (
@@ -59,8 +60,8 @@ from .jacobi import (
 )
 from .lattices import lattice
 from .lifting import lift_layers
-from .series import (_INT64_SAFE, FourierSeries, TruncationWindow, _encode, _frame,
-                     _int64_first, _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _restride, np)
+from .series import (FourierSeries, TruncationWindow, _encode, _frame, _int64_first,
+                     _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _restride, np)
 
 
 class WeylData(NamedTuple):
@@ -196,13 +197,20 @@ def product_layers(key: str, window: TruncationWindow):
         yield s_num, f, k, v
 
 
+def _layer_cells(out: FourierSeries, s_num: int, q0: int, f, k, v) -> FourierSeries:
+    """out with the packed layer (keys k, values v in frame f) decoded into
+    its cells at s_num, level l at q_num q0 + 24 l."""
+    for lvl, sl in _qz_decode(k, v, f).items():
+        out.cells[(s_num, q0 + 24 * lvl)] = sl
+    return out
+
+
 def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
     """The Borcherds product as a materialised series over a window."""
     meta = MEMBERS[key]
     out = FourierSeries(meta.r, meta.den_z, window)
     for s_num, f, k, v in product_layers(key, window):
-        for lvl, sl in _qz_decode(k, v, f).items():
-            out.cells[(s_num, meta.val_q + 24 * lvl)] = sl
+        _layer_cells(out, s_num, meta.val_q, f, k, v)
     return out
 
 
@@ -271,13 +279,6 @@ def borcherds_product_form(key: str, window: TruncationWindow) -> FourierSeries:
 # lift versus product, layer by layer
 
 
-def _slice_first_diff(a: dict, b: dict):
-    for z in sorted(set(a) | set(b)):
-        if a.get(z, 0) != b.get(z, 0):
-            return z
-    return None
-
-
 def _product_coefficient(key: str, Ej: dict, q_num: int, z: tuple) -> object:
     """One coefficient of psi * E_j ({level: slice}), by direct convolution."""
     meta = MEMBERS[key]
@@ -304,10 +305,10 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     psi * E_j as keys and values, two ``array_equal`` calls.  Should a
     lift layer's reach bound leave the product's box, hecke_levels
     returns a wider frame, and the product keys are moved into it first.
-    At the first layer that differs, the first differing key is reported
-    from dicts, with the product coefficient recomputed directly from
-    E_j (``_exp_packed`` on the same phi0); a layer that differs as
-    arrays but not as dicts raises AssertionError.  Raises ValueError
+    The first differing key of the first layer that differs is reported
+    (``FourierSeries.first_difference`` on both layers as cells), the
+    product coefficient recomputed from E_j (``_exp_packed`` on the same
+    phi0); layers equal as cells raise AssertionError.  Raises ValueError
     for q_depth < 0 or s_depth < 1, which check nothing.
     """
     if q_depth < 0 or s_depth < 1:
@@ -326,20 +327,18 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
             k = _restride(k, fp, f)
         if np.array_equal(kl, k) and np.array_equal(vl, v):
             continue
-        lift, rhs = _qz_decode(kl, vl, f), _qz_decode(k, v, f)
-        for j in range(q_aux + 1):
-            z = _slice_first_diff(lift.get(j, {}), rhs.get(j, {}))
-            if z is not None:
-                phi = weak_weight0(key, max(j_max * q_aux, 1)).series
-                fe, E = _int64_first(_exp_packed, key, j_max, q_aux, phi)
-                q = meta.val_q + 24 * j
-                mismatch = {"s_num": s_num, "q_num": q, "z": z,
-                            "lift": lift.get(j, {}).get(z, 0),
-                            "product": _product_coefficient(
-                                key, _qz_decode(*E[(s_num - s0) // 2], fe), q, z)}
-                break
-        else:
+        w = TruncationWindow(meta.val_q + 24 * q_aux, s_num)
+        lift, rhs = (_layer_cells(FourierSeries(meta.r, meta.den_z, w), s_num, meta.val_q, f, *kv)
+                     for kv in ((kl, vl), (k, v)))
+        diff = lift.first_difference(rhs)
+        if diff is None:
             raise AssertionError("layer s_num=%d differs as arrays but not as dicts" % s_num)
+        _, q, z, c, _ = diff
+        phi = weak_weight0(key, max(j_max * q_aux, 1)).series
+        fe, E = _int64_first(_exp_packed, key, j_max, q_aux, phi)
+        mismatch = {"s_num": s_num, "q_num": q, "z": z, "lift": c,
+                    "product": _product_coefficient(
+                        key, _qz_decode(*E[(s_num - s0) // 2], fe), q, z)}
         break
     return {
         "status": "pass" if mismatch is None else "fail",
@@ -385,11 +384,11 @@ class WallClass(NamedTuple):
 def _row_unique(rows) -> tuple:
     """(first index, inverse, count) of each distinct int64 row, as
     np.unique(rows, axis=0) orders them, sorted on one packed key per row
-    (the rows' lexicographic order) rather than on the rows."""
-    lo = rows.min(axis=0, initial=0)
-    span = [int(a) + 1 for a in rows.max(axis=0, initial=0) - lo]
-    if prod(span) < _INT64_SAFE:
-        rows = (rows - lo) @ np.array([prod(span[i + 1:]) for i in range(len(span))], np.int64)
+    (``series._frame``, lexicographic) unless the box is too wide to pack."""
+    try:
+        rows = _encode(rows, _frame(rows.min(axis=0, initial=0), rows.max(axis=0, initial=0)))
+    except ValueError:  # packed span too wide
+        pass
     return np.unique(rows, axis=0, return_index=True, return_inverse=True, return_counts=True)[1:]
 
 

@@ -150,16 +150,11 @@ def _cached_expand(desc: str, window: TruncationWindow, cache_dir, *,
 # ---------------------------------------------------------------------------
 # rendering
 
-def _pow_str(num: int, den: int) -> str:
-    f = Fraction(num, den)
-    return str(f)
-
-
 def _render_text(desc: str, window, series: FourierSeries, digest: str, terms: int) -> str:
     """The terms ``to_json`` writes (``FourierSeries.terms``), per cell."""
     lines = [
         "descriptor: %s" % desc,
-        "window: q^%s s^%s" % (_pow_str(window.q_max, 24), _pow_str(window.s_max, 2)),
+        "window: q^%s s^%s" % (Fraction(window.q_max, 24), Fraction(window.s_max, 2)),
         "grid: r=%d den_z=%d" % (series.r, series.den_z),
         "terms: %d" % terms,
         "digest: %s" % digest,
@@ -167,7 +162,7 @@ def _render_text(desc: str, window, series: FourierSeries, digest: str, terms: i
     term = "  (%s) %%s" % ",".join(["%d"] * series.r)  # one template for every term
     for (s, q), cell in groupby(series.terms(), lambda t: (t[2], t[0])):
         rows = [term % (*z, c) for _, z, _, c in cell]
-        lines.append("s^%s q^%s: %d terms" % (_pow_str(s, 2), _pow_str(q, 24), len(rows)))
+        lines.append("s^%s q^%s: %d terms" % (Fraction(s, 2), Fraction(q, 24), len(rows)))
         lines.extend(rows)
     return "\n".join(lines) + "\n"
 
@@ -235,7 +230,7 @@ def _cmd_verify(args) -> int:
         for r in reports:
             lines.append("%-4s %-34s checked=%-9d window=q^%s,s^%s" % (
                 r.status, r.identity, r.checked_terms,
-                _pow_str(r.window[0], 24), _pow_str(r.window[1], 2)))
+                Fraction(r.window[0], 24), Fraction(r.window[1], 2)))
             if r.status != "pass":
                 lines.append("     claim: %s" % r.claim)
                 lines.append("     details: %s" % json.dumps(r.details, sort_keys=True))
@@ -257,7 +252,7 @@ def _cmd_compare(args) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2
     (_, digest_a, _, a, terms_a), (_, digest_b, _, b, terms_b) = sides
-    upto = "through q^%s s^%s" % (_pow_str(window.q_max, 24), _pow_str(window.s_max, 2))
+    upto = "through q^%s s^%s" % (Fraction(window.q_max, 24), Fraction(window.s_max, 2))
     if digest_a != digest_b and (a.r, a.den_z) != (b.r, b.den_z):
         print("error: incompatible grids r=%d,den_z=%d vs r=%d,den_z=%d"
               % (a.r, a.den_z, b.r, b.den_z), file=sys.stderr)
@@ -270,7 +265,7 @@ def _cmd_compare(args) -> int:
         if diff is not None:
             s, q, z, ca, cb = diff
             print("difference at s^%s q^%s z=(%s): %s vs %s" % (
-                _pow_str(s, 2), _pow_str(q, 24), ",".join(str(v) for v in z), ca, cb))
+                Fraction(s, 2), Fraction(q, 24), ",".join(str(v) for v in z), ca, cb))
             return 1
     print("equal: %s == %s %s (%d terms)" % (args.left, args.right, upto, terms_a))
     return 0

@@ -25,14 +25,15 @@ arithmetic (``series._restride``).  theta(tau, -z) = -theta(tau, z), so
 a D, D1 or A1 dividend odd in every coordinate, as psi|V_p is, is
 divided on one sign orthant (``_sign_axes``, ``_fold_odd``, checked by
 its own inverse) and its even quotient mirrored out once.  Applied to
-the unit, the multiply gives every block's packed rows (``_member_rows``,
-with each level's reach and max|v|); dict slices of the A2 blocks are
-decoded from them, the others summed from odd shells.  The Hecke
-translates of the lift (``hecke_levels``) are built from the rows
-straight into a product's packed frame by ``_encode_parts``, as phi0's
-are from ``weight0_rows``; each kernel picks its result's one dtype
-under ``series._int64_first``.  A packed layer is (keys, values); a
-reach bound (``_part_specs``) only chooses a frame.
+the unit, the multiply gives every block's packed rows
+(``_member_rows``, with each level's reach and max|v|); dict slices of
+the A2 blocks are decoded from them, the others summed from odd shells
+(``_odd_shell``, one memoised recursion).  The Hecke translates of the
+lift (``hecke_levels``) are built from the rows straight into a
+product's packed frame by ``_encode_parts``, as phi0's are from
+``weight0_rows``; each kernel picks its result's one dtype under
+``series._int64_first``.  A packed layer is (keys, values); a reach
+bound (``_part_specs``) only chooses a frame.
 
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
@@ -257,39 +258,25 @@ _SHELL_CACHE_MAX_U = 9
 
 
 def _odd_shell(r: int, total: int) -> dict:
-    """Odd vectors with sum of squares == total, mapped to prod chi4(m_i)."""
+    """Odd vectors with sum of squares == total, mapped to prod chi4(m_i):
+    each odd m, and -m, in front of every vector of shell(r - 1, total - m^2)."""
     if total < r or (total - r) % 8:
         return {}
-    key = (r, total)
-    cached = _SHELL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out: dict = {}
-    vec = [0] * r
-
-    def rec(i, rem, sign):
-        left = r - i
-        if left == 1:
-            m = isqrt(rem)
-            if m * m == rem and m % 2:
-                s = sign * chi4(m)
-                vec[i] = m
-                out[tuple(vec)] = s
-                vec[i] = -m
-                out[tuple(vec)] = -s
-            return
-        m = 1
-        while m * m <= rem - (left - 1):
-            s = sign * chi4(m)
-            vec[i] = m
-            rec(i + 1, rem - m * m, s)
-            vec[i] = -m
-            rec(i + 1, rem - m * m, -s)
-            m += 2
-
-    rec(0, total, 1)
+    out = _SHELL_CACHE.get((r, total))
+    if out is not None:
+        return out
+    if r == 1:
+        m = isqrt(total)
+        out = {(m,): chi4(m), (-m,): -chi4(m)} if m * m == total else {}
+    else:
+        out = {}
+        for m in range(1, isqrt(total - r + 1) + 1, 2):
+            tail = _odd_shell(r - 1, total - m * m).items()
+            for head, c in ((m, chi4(m)), (-m, -chi4(m))):
+                for v, s in tail:
+                    out[(head, *v)] = c * s
     if total <= r + 8 * _SHELL_CACHE_MAX_U:
-        _SHELL_CACHE[key] = out
+        _SHELL_CACHE[r, total] = out
     return out
 
 
@@ -720,7 +707,7 @@ def _mirror(k, v, f, i: int, sign: int) -> tuple:
             np.concatenate((v, -v[m] if sign < 0 else v[m])))
 
 
-def _divide_packed(keys: list, vals: list, f, meta: MemberMeta, depth: int,
+def _divide_packed(work: list, axes: list, f, meta: MemberMeta, depth: int,
                    stack: list, dtype) -> tuple:
     """The factored division on packed keys with values of one dtype.
 
@@ -731,27 +718,24 @@ def _divide_packed(keys: list, vals: list, f, meta: MemberMeta, depth: int,
     then per level it subtracts its correction terms (key offsets of
     lower quotient levels) and divides out its binomial in one pass.
 
-    Every theta factor is odd, so a dividend odd in a coordinate of
-    ``_sign_axes`` (checked by ``_fold_odd``) is divided on one sign
-    orthant: it is cut to z_i > 0 there, the eta power divides the cut
-    levels as they are, and the theta factor on axis i mirrors its levels
-    (odd) so that its lines are whole, divides as above, and keeps
-    z_i >= 0 of the even quotient.  The quotient is mirrored out once at
-    the end.  Levels come back with sorted keys.
+    Every theta factor is odd, so a dividend odd in the coordinates of
+    ``_sign_axes`` comes in folded (``_fold_odd``, in ``divide_by_member``):
+    cut to z_i > 0 on the axes, which the eta power divides as they are.
+    The theta factor on axis i mirrors its levels (odd) so that its lines
+    are whole, divides as above, and keeps z_i >= 0 of the even quotient.
+    The quotient is mirrored out once at the end.  Levels come back with
+    sorted keys.
 
     With int64 values every step first bounds its output from the actual
     maxima of its inputs (a mirror keeps them); a bound reaching 2^62
     raises _NotInt64.  Raises ArithmeticError when division is not exact,
-    TypeError on non-int coefficients, ValueError when the keys do not
-    fit int64.
+    ValueError when the keys do not fit int64.
     """
     checked = dtype is not object
-    vals = vals[:depth + 1]
-    if checked and any(v.dtype == object for v in vals):
+    if checked and any(v.dtype == object for _, v in work):
         raise _NotInt64
-    vs = [v.astype(dtype, copy=False) for v in vals]
-    if not checked and set().union(*(map(type, v.tolist()) for v in vs)) - {int}:
-        raise TypeError("packed division needs plain integers")
+    work = [(k, v.astype(dtype, copy=False)) for k, v in work]
+    work += [(np.zeros(0, np.int64), np.zeros(0, dtype))] * (depth + 1 - len(work))
     pad = np.array(_pad(stack, depth, meta.r), dtype=np.int64)
 
     def amax(v):
@@ -761,11 +745,6 @@ def _divide_packed(keys: list, vals: list, f, meta: MemberMeta, depth: int,
         if checked and bound >= _INT64_SAFE:
             raise _NotInt64
 
-    work = list(zip(keys, vs))
-    work += [(np.zeros(0, np.int64), np.zeros(0, dtype))] * (depth + 1 - len(work))
-    axes = _sign_axes(meta, f, stack)
-    half = _fold_odd(work, f, axes) if axes else None
-    axes, work = ([], work) if half is None else (axes, half)
     mx = [amax(v) for _, v in work]
     cur = f
     for d, cells in stack:
@@ -813,12 +792,20 @@ def divide_by_member(keys: list, vals: list, f, key: str, depth: int) -> tuple:
     direction.  A dividend odd in each coordinate of a D, D1 or A1 block
     (as every psi|V_p is), keys sorted, is divided on one sign orthant
     and its quotient mirrored out; any other goes through every key.
-    Values are int64 unless some step could reach 2^62, in which case
-    the division is run again on python ints.  Raises ArithmeticError
-    when the division is not exact.
+    The fold is made and checked once, ahead of both runs.  Values are
+    int64 unless some step could reach 2^62, in which case the division
+    is run again on python ints.  Raises ArithmeticError when the
+    division is not exact, TypeError on non-int coefficients.
     """
     meta = MEMBERS[key]
-    return _int64_first(_divide_packed, keys, vals, f, meta, depth, _factor_stack(meta, depth))
+    work = list(zip(keys, vals[:depth + 1]))
+    if set().union(*(map(type, v.tolist()) for _, v in work if v.dtype == object)) - {int}:
+        raise TypeError("packed division needs plain integers")
+    stack = _factor_stack(meta, depth)
+    axes = _sign_axes(meta, f, stack)
+    half = _fold_odd(work, f, axes) if axes else None
+    axes, work = ([], work) if half is None else (axes, half)
+    return _int64_first(_divide_packed, work, axes, f, meta, depth, stack)
 
 
 def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,

@@ -10,20 +10,21 @@ All arithmetic runs on the integer z grid that the Jacobi forms store: a
 vector is a tuple of integer numerators over the lattice's grid
 denominator ``den`` (2 for D_n with n >= 2, 4 for D_1 and the A_1
 family, 6 for the A_2 family), so the stored exponent z of a member is
-the dual vector z / den.  Each lattice builds its integer tables once,
-as int64 arrays: the ambient form scaled to integers (a grid norm is a
+the dual vector z / den.  Each lattice, built once per process
+(``lattice``, a ``functools.cache``), builds its integer tables once, as
+int64 arrays: the ambient form scaled to integers (a grid norm is a
 numerator over ``norm_den``), the pairing of each basis vector (S^vee
 membership and content), and the pairing of each generator of the
 discriminant group, whose residues name the class of a dual vector.  The
 public methods take ambient int or Fraction coordinates and convert them
 to the grid on entry; a vector off the grid or outside S^vee raises
-ValueError where the method needs a dual vector, and ``in_dual``
-answers False.  With ``grid=True`` they take the
-numerators directly.  Discriminant representatives and kappa values are
-Fraction tuples in ambient coordinates.  The wall arithmetic runs in one
-batched kernel on z rows (n x r int64 arrays), which ``in_dual``, ``_key``
-and ``eichler_invariant`` apply to one row; a kernel step whose int64
-bound reaches 2^62 raises ValueError.
+ValueError where the method needs a dual vector, and ``in_dual`` answers
+False.  With ``grid=True`` they take the numerators directly.
+Discriminant representatives and kappa values are Fraction tuples in
+ambient coordinates.  The wall arithmetic runs in one batched kernel on
+z rows (n x r int64 arrays), which ``in_dual``, ``_key`` and
+``eichler_invariant`` apply to one row; a kernel step whose int64 bound
+reaches 2^62 raises ValueError.
 
 Reflective vectors live in the even lattice L = 2U + S(-1).  A Fourier
 index (n, l, m) of a weight-0 form corresponds to w = m e' + n f' + l
@@ -36,6 +37,7 @@ group.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
@@ -312,10 +314,6 @@ class Lattice:
                                negid and self.rank % 2 == 1, (mt // D, kappa, 1))
 
 
-_cache: dict = {}
-
-
+@cache
 def lattice(name: str) -> Lattice:
-    if name not in _cache:
-        _cache[name] = Lattice(name)
-    return _cache[name]
+    return Lattice(name)

@@ -467,10 +467,6 @@ class FourierSeries:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def zero(cls, r: int, den_z: int, window: TruncationWindow) -> "FourierSeries":
-        return cls(r, den_z, window)
-
-    @classmethod
     def monomial(cls, coeff, q_num: int, z: ZKey, s_num: int, den_z: int,
                  window: TruncationWindow) -> "FourierSeries":
         f = cls(len(z), den_z, window)
@@ -595,7 +591,7 @@ class FourierSeries:
         if self.is_zero() or other.is_zero():
             wq = min(self.window.q_max, other.window.q_max)
             ws = min(self.window.s_max, other.window.s_max)
-            return FourierSeries.zero(self.r, self.den_z, TruncationWindow(wq, ws))
+            return FourierSeries(self.r, self.den_z, TruncationWindow(wq, ws))
         wq = min(self.window.q_max + other.q_valuation(),
                  other.window.q_max + self.q_valuation())
         ws = min(self.window.s_max + other.s_valuation(),
@@ -634,7 +630,7 @@ class FourierSeries:
                 raise ValueError("divisor support must lie in its corner quadrant")
         if self.is_zero():
             w = TruncationWindow(self.window.q_max - bq, self.window.s_max - bs)
-            return FourierSeries.zero(self.r, self.den_z, w)
+            return FourierSeries(self.r, self.den_z, w)
         avs, avq = self.s_valuation(), self.q_valuation()
         wq = min(self.window.q_max, other.window.q_max + avq - bq) - bq
         ws = min(self.window.s_max, other.window.s_max + avs - bs) - bs

@@ -226,8 +226,9 @@ def translate(key: str, phi: FourierSeries, m: int, q_depth: int) -> FourierSeri
 # function cache; test_dead_code checks both lists against the source
 MEMOS = ((jacobi, "_SIGMA"), (jacobi, "_ETA_TABLES"), (jacobi, "_SHELL_CACHE"),
          (jacobi, "_PSI_SLICES"), (jacobi, "_PSI_LEVELS"), (jacobi, "_PHI0_CACHE"),
-         (borcherds, "_EXP_MEMO"), (lattices, "_cache"))
-CACHED = ((verification, "_reflective_keys"), (cli, "_code_digest"), (jacobi, "_hecke_plan"))
+         (borcherds, "_EXP_MEMO"))
+CACHED = ((verification, "_reflective_keys"), (cli, "_code_digest"), (jacobi, "_hecke_plan"),
+          (lattices, "lattice"))
 
 
 @contextmanager

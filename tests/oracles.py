@@ -276,7 +276,9 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
             if rhs is None:
                 rhs = psi.mul(Ej)
             q = meta.val_q + 24 * j
-            z = borcherds._slice_first_diff(lifts[j], rhs.cells.get((0, q), {}))
+            cell = rhs.cells.get((0, q), {})
+            z = next((k for k in sorted(lifts[j].keys() | cell.keys())
+                      if lifts[j].get(k, 0) != cell.get(k, 0)), None)
             if z is not None:
                 levels = {qe // 24: sl for (_, qe), sl in Ej.cells.items()}
                 mismatch = {

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import partial
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -265,6 +266,18 @@ SWEEP_PSI_DEPTHS = {
     "psi_6_2A2": 13, "psi_2_4A1": 13, "psi_7_D5": 9, "psi_6_D6": 9,
     "psi_5_D7": 16, "psi_4_D8": 5, "psi_3_3A2": 5,
 }
+
+
+def test_odd_shell_equals_a_brute_force_enumeration(fresh_memos):
+    """Each shell, built by the recursion from cold memos, is every odd
+    vector with the given sum of squares, signed prod chi4(m_i), for
+    r <= 4 and totals r..r+40 (those off r mod 8 are empty)."""
+    for r in range(1, 5):
+        for t in range(r, r + 41):
+            odd = [m for m in range(-isqrt(t), isqrt(t) + 1) if m % 2]
+            want = {v: prod(map(chi4, v)) for v in itertools.product(odd, repeat=r)
+                    if sum(m * m for m in v) == t}
+            assert jacobi._odd_shell(r, t) == want, (r, t)
 
 
 def test_packed_block_rows_equal_the_dict_slices():
@@ -650,12 +663,11 @@ def test_orthant_division_equals_the_full_loop(monkeypatch, key):
                     m.setattr(jacobi, "_sign_axes", lambda *a: [])
                 m.setattr(jacobi, "_INT64_SAFE", safe)
                 out[full, safe] = jacobi.divide_by_member(keys, vals, f, key, depth)
-            # each axis mirrored once to check the fold (in the int64 run
-            # that the lowered bound stops too), once before its theta
-            # factor and once at the end
-            folds = 1 if safe == series._INT64_SAFE else 2
+            # each axis mirrored once to check the fold (once per division,
+            # ahead of the int64 run that the lowered bound stops), once
+            # before its theta factor and once at the end
             assert sorted(set(mirrors)) == ([] if full else [-1, 1]), (key, depth)
-            assert len(mirrors) == (0 if full else (folds + 2) * meta.r * (depth + 1))
+            assert len(mirrors) == (0 if full else 3 * meta.r * (depth + 1))
         for safe, dtype in ((series._INT64_SAFE, np.int64), (1, object)):
             (g, quo), (g_full, quo_full) = out[False, safe], out[True, safe]
             assert all(np.array_equal(a, b) for a, b in zip(g, g_full)), (key, depth)

@@ -5,6 +5,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refltower.jacobi import JacobiForm, eta_power, quasi_pullback
 from refltower.series import (
@@ -16,6 +17,7 @@ from refltower.series import (
     _frame,
     _packed_reduce,
     _peel_divide,
+    _restride,
     _slice_mul_py,
 )
 
@@ -241,6 +243,48 @@ def test_packed_frame_round_trips_and_stays_additive():
     assert _encode(np.zeros((1, 3), np.int64), f)[0] == f.zero
     with pytest.raises(ValueError, match="packed span too wide"):
         _frame(np.full(4, -2 ** 15), np.full(4, 2 ** 15))
+
+
+@st.composite
+def _frames_and_rows(draw):
+    """A frame (a box, maybe an A2 shear, a top level), rows and levels
+    inside it, and a second frame at least as wide, maybe sheared."""
+    r = draw(st.integers(1, 4))
+    lo = np.array(draw(st.lists(st.integers(-6, 0), min_size=r, max_size=r)))
+    hi = np.array(draw(st.lists(st.integers(0, 6), min_size=r, max_size=r)))
+    top = draw(st.integers(0, 3))
+
+    def shear():
+        if r < 2 or not draw(st.booleans()):
+            return None
+        c = draw(st.integers(0, r - 2))
+        d = draw(st.sampled_from([(-3, 3), (3, 0), (0, 3)]))
+        return (0,) * c + d + (0,) * (r - c - 2)
+
+    f = _frame(lo, hi, top, shear())
+    n = draw(st.integers(0, 20))
+    z = np.array([[draw(st.integers(a, b)) for a, b in zip(lo, hi)] for _ in range(n)],
+                 np.int64).reshape(n, r)
+    lv = np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), np.int64)
+    grow = st.lists(st.integers(0, 3), min_size=r, max_size=r)
+    g = _frame(lo - draw(grow), hi + draw(grow), top + draw(st.integers(0, 2)), shear())
+    return f, g, z, lv
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_frames_and_rows())
+def test_packed_keys_round_trip_and_move_between_frames(case):
+    """On random boxes, A2 shears and levels: ``_decode`` inverts
+    ``_encode`` (the level being the top digit), ``_restride`` into a
+    wider frame equals decode-then-encode, and ``_coord`` reads each axis
+    of an unsheared frame."""
+    f, g, z, lv = case
+    keys = _encode(z, f, lv)
+    assert np.array_equal(_decode(keys, f), z) and np.array_equal(keys // f.stq, lv)
+    assert np.array_equal(_restride(keys, f, g), _encode(_decode(keys, f), g, lv))
+    if f.minv is None:
+        for i in range(z.shape[1]):
+            assert np.array_equal(_coord(keys, f, i), z[:, i])
 
 
 def test_exp_s_inverse():

@@ -24,11 +24,15 @@ j_max, q depth), with read-only arrays; the memo is read and written
 only while phi0 is the series ``weak_weight0`` holds
 (``jacobi.holds_phi0``).  Every series it held is an exact quotient, so
 entries stay valid as phi0 deepens; any other phi0, a corrupted one say,
-neither hits nor replaces an entry.  The lift-versus-product check has
-the lift layers built straight into psi * E_j's frame
-(``jacobi.hecke_levels``) and compares keys and values as arrays; only a
-mismatch report decodes them, into series cells as ``borcherds_exp``
-does (``_layer_cells``), for ``FourierSeries.first_difference``.
+neither hits nor replaces an entry, and its rows must be even in the
+block's sign axes (``jacobi._check_even``).  E_j is then even, and for
+D, D1 and A1 psi * E_j is held on z_i > 0 of those axes alone, as the
+lift layers are (``jacobi.hecke_levels``); ``borcherds_exp`` mirrors
+each out whole.  The lift-versus-product check
+compares the two orthants as arrays of keys and values in psi * E_j's
+frame; only a mismatch report mirrors them out and decodes them, into
+series cells as ``borcherds_exp`` does (``_layer_cells``), for
+``FourierSeries.first_difference``.
 
 The divisor scan walks the negative-norm support of phi0, reduces each
 Fourier index to a primitive wall vector, sums the coefficients along
@@ -47,10 +51,13 @@ from typing import NamedTuple
 
 from .jacobi import (
     MEMBERS,
+    _check_even,
     _corner_dirs,
     _divisor_plan,
     _encode_parts,
+    _mirror_out,
     _part_specs,
+    _sign_axes,
     hecke_levels,
     member_slice,
     multiply_by_member,
@@ -113,12 +120,17 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
     largest reach(W_i) + reach(E_{j-i}), W_i's from ``jacobi._part_specs``.
     E_0 is the unit key; W_1..W_jmax, from ``hecke_v0``'s plan and rows,
     are encoded straight into the frame together (``jacobi._encode_parts``).
-    With int64 values object rows of phi, a W_i whose bound reaches 2^62,
-    or a quotient by j that leaves a remainder raise _NotInt64; object
-    values keep the remainder as a Fraction.
+    phi must be even in z_i on the block's sign axes, so that E_j is and
+    psi * E_j is odd there: the rows of a phi ``weak_weight0`` does not
+    hold are checked (``jacobi._check_even``, ValueError).  With int64
+    values object rows of phi, a W_i whose bound reaches 2^62, or a
+    quotient by j that leaves a remainder raise _NotInt64; object values
+    keep the remainder as a Fraction.
     """
     meta = MEMBERS[key]
     rows = weight0_rows(key, phi, j_max * q_depth)
+    if not holds_phi0(key, phi):  # the held rows are even by construction
+        _check_even(rows, _sign_axes(meta))
     plan, src = hecke_v0(rows, range(1, j_max + 1), q_depth, dtype)
     rks = _part_specs(plan, src, dtype)
     reach = [np.zeros(meta.r, np.int64)]
@@ -177,9 +189,10 @@ def exp_layers(key: str, j_max: int, q_depth: int) -> tuple:
 
 def product_layers(key: str, window: TruncationWindow):
     """(s_num, frame, keys, values) of each packed product layer inside the
-    window, from ``exp_layers``; a layer holding a coefficient that is not
-    an int (only the Fraction rerun leaves one) raises ArithmeticError at
-    its first such level."""
+    window as ``exp_layers`` holds it, on z_i > 0 of the sign axes for D,
+    D1 and A1; a layer holding a coefficient that is not an int (only
+    the Fraction rerun leaves one) raises ArithmeticError at its first
+    such level."""
     meta = MEMBERS[key]
     s0 = meta.s_step
     if window.q_max < meta.val_q:
@@ -206,11 +219,13 @@ def _layer_cells(out: FourierSeries, s_num: int, q0: int, f, k, v) -> FourierSer
 
 
 def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
-    """The Borcherds product as a materialised series over a window."""
+    """The Borcherds product as a materialised series over a window, each
+    layer mirrored out whole (odd) from the sign orthant."""
     meta = MEMBERS[key]
     out = FourierSeries(meta.r, meta.den_z, window)
+    axes = _sign_axes(meta)
     for s_num, f, k, v in product_layers(key, window):
-        _layer_cells(out, s_num, meta.val_q, f, k, v)
+        _layer_cells(out, s_num, meta.val_q, f, *_mirror_out(k, v, f, axes, -1))
     return out
 
 
@@ -305,11 +320,19 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     psi * E_j as keys and values, two ``array_equal`` calls.  Should a
     lift layer's reach bound leave the product's box, hecke_levels
     returns a wider frame, and the product keys are moved into it first.
-    The first differing key of the first layer that differs is reported
-    (``FourierSeries.first_difference`` on both layers as cells), the
-    product coefficient recomputed from E_j (``_exp_packed`` on the same
-    phi0); layers equal as cells raise AssertionError.  Raises ValueError
-    for q_depth < 0 or s_depth < 1, which check nothing.
+
+    For D, D1 and A1 both sides are held on z_i > 0 of every sign axis
+    (``jacobi._sign_axes``).  The lift is odd there by construction (the
+    block's rows, scaled by d > 0), and so is the product, since
+    ``_exp_packed`` reads phi0 rows that are even (held, or checked), so
+    equal orthants are equal layers.  An odd layer has no key with
+    z_i = 0, so each layer's ``terms`` is 2^len(axes) times its orthant
+    count.  The first differing key of the first layer that differs is
+    reported (``FourierSeries.first_difference`` on both layers, mirrored
+    out whole, as cells), the product coefficient recomputed from E_j
+    (``_exp_packed`` on the same phi0); layers equal as cells raise
+    AssertionError.  Raises ValueError for q_depth < 0 or s_depth < 1,
+    which check nothing.
     """
     if q_depth < 0 or s_depth < 1:
         raise ValueError("compare needs q_depth >= 0 and s_depth >= 1")
@@ -320,6 +343,7 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     j_max = max(((s - s0) // 2) for s, _ in layers) if layers else 0
     fp, prod = exp_layers(key, j_max, q_aux)
     f, num = hecke_levels(key, [order for _, order in layers], q_aux, fp)
+    axes = _sign_axes(meta)
     mismatch = None
     for (s_num, _), (kl, vl) in zip(layers, num):
         k, v = prod[(s_num - s0) // 2]
@@ -328,7 +352,8 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
         if np.array_equal(kl, k) and np.array_equal(vl, v):
             continue
         w = TruncationWindow(meta.val_q + 24 * q_aux, s_num)
-        lift, rhs = (_layer_cells(FourierSeries(meta.r, meta.den_z, w), s_num, meta.val_q, f, *kv)
+        lift, rhs = (_layer_cells(FourierSeries(meta.r, meta.den_z, w), s_num, meta.val_q, f,
+                                  *_mirror_out(*kv, f, axes, -1))
                      for kv in ((kl, vl), (k, v)))
         diff = lift.first_difference(rhs)
         if diff is None:
@@ -345,9 +370,9 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
         "member": key,
         "q_depth": q_depth,
         "s_depth": s_depth,
-        "layers": [{"s_num": s, "order": o, "terms": len(vs)}
+        "layers": [{"s_num": s, "order": o, "terms": len(vs) << len(axes)}
                    for (s, o), (_, vs) in zip(layers, num)],
-        "checked_terms": sum(len(vs) for _, vs in num),
+        "checked_terms": sum(len(vs) for _, vs in num) << len(axes),
         "first_mismatch": mismatch,
     }
 

@@ -30,6 +30,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -150,8 +151,29 @@ def _cached_expand(desc: str, window: TruncationWindow, cache_dir, *,
 # ---------------------------------------------------------------------------
 # rendering
 
-def _render_text(desc: str, window, series: FourierSeries, digest: str, terms: int) -> str:
-    """The terms ``to_json`` writes (``FourierSeries.terms``), per cell."""
+# one term as ``FourierSeries.to_json`` writes it: c, q, s and the z entries
+_TERM = re.compile(r'\{"c":"([^"]*)","q":(-?\d+),"s":(-?\d+),"z":\[([^\]]*)\]\}')
+
+
+def _body_cells(body: str, series: FourierSeries, hit: bool):
+    """((s, q), printed rows) of each cell of a stored body, in its
+    strictly increasing (s, q, z) order.  On a hit the rows come from the
+    cells of the series ``from_json`` parsed from the body, which it
+    fills in that order; on a miss straight from the text of the body
+    ``to_json`` just wrote, so the series is walked only by ``to_json``."""
+    if hit:
+        term = "  (%s) %%s" % ",".join(["%d"] * series.r)  # one template for every term
+        for cq, cell in series.cells.items():
+            yield cq, [term % (*z, c) for z, c in cell.items()]
+        return
+    for (s, q), cell in groupby(_TERM.finditer(body), lambda m: m.group(3, 2)):
+        yield (int(s), int(q)), ["  (%s) %s" % m.group(4, 1) for m in cell]
+
+
+def _render_text(desc: str, window, series: FourierSeries, digest: str, terms: int,
+                 cells) -> str:
+    """The terms of the body, per cell (``_body_cells``); the series gives
+    only r and den_z."""
     lines = [
         "descriptor: %s" % desc,
         "window: q^%s s^%s" % (Fraction(window.q_max, 24), Fraction(window.s_max, 2)),
@@ -159,9 +181,7 @@ def _render_text(desc: str, window, series: FourierSeries, digest: str, terms: i
         "terms: %d" % terms,
         "digest: %s" % digest,
     ]
-    term = "  (%s) %%s" % ",".join(["%d"] * series.r)  # one template for every term
-    for (s, q), cell in groupby(series.terms(), lambda t: (t[2], t[0])):
-        rows = [term % (*z, c) for _, z, _, c in cell]
+    for (s, q), rows in cells:
         lines.append("s^%s q^%s: %d terms" % (Fraction(s, 2), Fraction(q, 24), len(rows)))
         lines.extend(rows)
     return "\n".join(lines) + "\n"
@@ -194,8 +214,8 @@ def _cmd_expand(args) -> int:
     window = _window_from(args)
     cache_dir = args.cache_dir or os.environ.get("CACHE_DIR")
     try:
-        body, digest, _, series, terms = _cached_expand(args.descriptor, window, cache_dir,
-                                                        parse=args.format != "json")
+        body, digest, hit, series, terms = _cached_expand(args.descriptor, window, cache_dir,
+                                                          parse=args.format != "json")
     except (ValueError, ArithmeticError) as exc:
         # ArithmeticError: an exactness check failed, e.g. integrality
         print("error: %s" % exc, file=sys.stderr)
@@ -203,7 +223,8 @@ def _cmd_expand(args) -> int:
     if args.format == "json":
         text = _render_json(args.descriptor, window, body, digest)
     else:
-        text = _render_text(args.descriptor, window, series, digest, terms)
+        text = _render_text(args.descriptor, window, series, digest, terms,
+                            _body_cells(body, series, hit))
     _emit(text, args.out)
     return 0
 

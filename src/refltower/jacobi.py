@@ -21,19 +21,26 @@ an eta^-1 per copy).  The packed division reads the block as that list
 of factors (``_factor_stack``), one frame and one binomial per theta
 factor; the packed multiply by the block reads the same list in one
 frame, each binomial two key shifts.  Keys enter every frame by digit
-arithmetic (``series._restride``).  theta(tau, -z) = -theta(tau, z), so
-a D, D1 or A1 dividend odd in every coordinate, as psi|V_p is, is
-divided on one sign orthant (``_sign_axes``, ``_fold_odd``, checked by
-its own inverse) and its even quotient mirrored out once.  Applied to
-the unit, the multiply gives every block's packed rows
-(``_member_rows``, with each level's reach and max|v|); dict slices of
-the A2 blocks are decoded from them, the others summed from odd shells
-(``_odd_shell``, one memoised recursion).  The Hecke translates of the
-lift (``hecke_levels``) are built from the rows straight into a
-product's packed frame by ``_encode_parts``, as phi0's are from
-``weight0_rows``; each kernel picks its result's one dtype under
-``series._int64_first``.  A packed layer is (keys, values); a reach
-bound (``_part_specs``) only chooses a frame.
+arithmetic (``series._restride``).
+
+theta(tau, -z) = -theta(tau, z), so every D, D1 and A1 block is odd in
+each coordinate (``_sign_axes``; A2 has none), and so are its Hecke
+translates and its product with an even series: all of them are held
+on the orthant z_i > 0 alone.  The multiply keeps z_i > 0 right after
+the theta factor of axis i, which no later factor moves, so applied to
+the unit it gives the block's rows on the orthant exactly
+(``_member_rows``, with each level's reach and max|v|), and applied to
+an even E_j the orthant of psi * E_j.  The Hecke translates of the lift
+(``hecke_levels``) are built from those rows straight into a product's
+packed frame by ``_encode_parts`` (d > 0 keeps them on the orthant), as
+phi0's are from ``weight0_rows``; the division takes psi|V_p as it
+comes, on the orthant, and mirrors its even quotient out whole once.
+Readers that need every term mirror on demand (``_mirror_rows``,
+``_mirror_out``); nothing holds both forms.  Dict slices of the A2
+blocks are decoded from the rows, the others summed from odd shells
+(``_odd_shell``, one memoised recursion).  Each kernel picks its
+result's one dtype under ``series._int64_first``.  A packed layer is
+(keys, values); a reach bound (``_part_specs``) only chooses a frame.
 
 Each weight-0 form is minus the quotient of a Hecke translate of its
 theta block by the block itself; the minus sign is what makes the
@@ -58,6 +65,7 @@ from .series import (
     TruncationWindow,
     _coord,
     _decode,
+    _encode,
     _frame,
     _int64_first,
     _level_runs,
@@ -323,10 +331,14 @@ def _member_rows(key: str, q_num: int) -> tuple:
     """The block's slice at q_num as (z rows, values, reach, max|v|), no
     dict: the block times the unit layer, factor by factor
     (``multiply_by_member``), memoised per member and rebuilt only when a
-    deeper level is asked for.  The reach (largest |z_i| per axis, int64)
-    and max|v| of each level are taken once, when the block is built.
-    Rows are int16 when the product's frame fits them, decoded straight
-    into place band by band; the arrays are read-only."""
+    deeper level is asked for.  The block is odd in every coordinate of
+    ``_sign_axes``, so for D, D1 and A1 the rows are its part on
+    z_i > 0, which the multiply gives exactly (``_mirror_rows`` mirrors
+    them out); A2 rows are whole.  The reach (largest |z_i| per axis,
+    int64) and max|v| of each level, the same on the orthant as whole,
+    are taken once, when the block is built.  Rows are int16 when the
+    product's frame fits them, decoded straight into place band by band;
+    the arrays are read-only."""
     meta = MEMBERS[key]
     lvl, off = divmod(q_num - meta.val_q, 24)
     if lvl < 0 or off:
@@ -348,6 +360,19 @@ def _member_rows(key: str, q_num: int) -> tuple:
             rk.flags.writeable = False
             levels.append((z[a:b], v[a:b], rk, int(np.abs(v[a:b]).max(initial=0))))
     return levels[lvl]
+
+
+def _mirror_rows(z, v, axes: list) -> tuple:
+    """Odd (z rows, values) held on z_i > 0 of the axes, as
+    ``_member_rows`` holds a block's slice, completed by their images
+    under z_i -> -z_i, values negated once per flip, in no particular
+    order.  Built on demand for the readers that need every term."""
+    for i in axes:
+        m = z[:, i] > 0
+        zm = z[m]
+        zm[:, i] = -zm[:, i]
+        z, v = np.concatenate((z, zm)), np.concatenate((v, -v[m]))
+    return z, v
 
 
 def _prefetch_block(key: str, q_num: int) -> None:
@@ -526,7 +551,9 @@ def _hecke_packed(key: str, orders: tuple, depth: int, f, dtype) -> tuple:
 def hecke_levels(key: str, orders: list, depth: int, frame=None) -> tuple:
     """member_hecke_slice of each order (as ``lift_layers`` gives them) on
     levels 0..depth, packed as ``multiply_by_member`` returns a product:
-    (frame, [(keys, values)]), one layer per order, keys sorted.
+    (frame, [(keys, values)]), one layer per order, keys sorted.  Built
+    from the block's held rows, each layer is its part on z_i > 0 of the
+    sign axes (D, D1, A1; d > 0 keeps a row there), whole for A2.
 
     Divisor d sends a block row z to d z and its value to d^(wt-1) times
     it, wt the block's weight.  The divisor plan (``_hecke_plan``) lists
@@ -562,10 +589,11 @@ def _corner_dirs(meta: MemberMeta) -> list:
             for c in range(meta.copies) for d in base]
 
 
+@lru_cache(maxsize=None)
 def _registry_corner(meta: MemberMeta) -> dict:
     """The block's lowest slice from the registry forms: the lowest cell of
     theta (exponents scaled as in the block) or of Theta_A2, one per copy,
-    multiplied over the copies."""
+    multiplied over the copies; once per member (callers only read it)."""
     if meta.family == "A2":
         cell = theta_A2(8).cells[(0, 8)]
     else:
@@ -666,36 +694,42 @@ def _pad(stack: list, depth: int, r: int) -> list:
     return pad
 
 
-def _sign_axes(meta: MemberMeta, f, stack: list) -> list:
-    """The coordinates whose sign the division may fold: each lies on
-    exactly one theta factor, whose direction touches no other axis, and
-    f's box is symmetric on it.  All of D, D1 and A1; none of A2."""
-    dirs = [d for d, _ in stack if d]
-    return [i for i in range(meta.r)
-            if [sum(map(bool, d)) for d in dirs if d[i]] == [1] and f.lo[i] == -f.hi[i]]
+@lru_cache(maxsize=None)
+def _sign_axes(meta: MemberMeta) -> tuple:
+    """The coordinates that lie on exactly one theta factor, whose
+    direction touches no other axis: all of D, D1 and A1, none of A2.
+    theta(tau, -z) = -theta(tau, z), so the block, its Hecke translates
+    and its product with an even series are odd in each, and are held on
+    z_i > 0 alone.  Once per member."""
+    dirs = _corner_dirs(meta)
+    return tuple(i for i in range(meta.r) if [sum(map(bool, d)) for d in dirs if d[i]] == [1])
 
 
-def _fold_odd(work: list, f, axes: list):
-    """Each level (keys, values) cut to z_i > 0 on the axes, if it is odd
-    in every one of them, else None.  Checked, not assumed, by the fold's
-    own inverse: the cut, mirrored back out axis by axis (odd), must give
-    the level again, keys and values, once sorted.  That one equality
-    holds only if the level's keys are sorted, each kept key has all its
-    2^len(axes) images, no key has z_i = 0 (no mirrored key has), and each
-    image's value is the kept key's, negated once per sign it flips."""
-    out = []
-    for k, v in work:
-        cut = np.ones(len(k), bool)
-        for i in axes:
-            cut &= _coord(k, f, i) > 0
-        mk, mv = kc, vc = k[cut], v[cut]
-        for i in axes:
-            mk, mv = _mirror(mk, mv, f, i, -1)
-        o = np.argsort(mk)
-        if not (np.array_equal(mk[o], k) and np.array_equal(mv[o], v)):
-            return None
-        out.append((kc, vc))
-    return out
+def _orthant(keys, f, axes: list, low: int):
+    """Whether each packed key of an unsheared frame has z_i >= low on
+    every axis: the axes' digits, read in one pass over the keys."""
+    ax = np.array(axes, dtype=np.int64)
+    return (keys[:, None] // f.st[ax] % (f.hi[ax] - f.lo[ax] + 1) >= low - f.lo[ax]).all(axis=1)
+
+
+def _check_even(rows: tuple, axes: list) -> None:
+    """Raise ValueError unless weight-0 rows (levels, z rows, values) in
+    packed-key order are even in z_i on every axis.  Checked by the cut's
+    own inverse, in the symmetric frame of their reach: their part on
+    z_i >= 0 (``_orthant``), mirrored back out (``_mirror_out``), must
+    give them again, keys and values.  That one equality holds only if
+    the rows are sorted, each key has all its sign images and each image
+    holds the kept key's value."""
+    lv, z, v = rows
+    if not axes:
+        return
+    box = np.abs(z).max(axis=0, initial=0)
+    f = _frame(-box, box, int(lv[-1]) if len(lv) else 0)
+    k = _encode(z, f, lv)
+    cut = _orthant(k, f, axes, 0)
+    mk, mv = _mirror_out(k[cut], v[cut], f, axes, 1)
+    if not (np.array_equal(mk, k) and np.array_equal(mv, v)):
+        raise ValueError("weight-0 form is not even in the block's sign axes")
 
 
 def _mirror(k, v, f, i: int, sign: int) -> tuple:
@@ -705,6 +739,15 @@ def _mirror(k, v, f, i: int, sign: int) -> tuple:
     m = z > 0
     return (np.concatenate((k, k[m] - 2 * int(f.st[i]) * z[m])),
             np.concatenate((v, -v[m] if sign < 0 else v[m])))
+
+
+def _mirror_out(k, v, f, axes: list, sign: int) -> tuple:
+    """A level held on z_i >= 0 of every axis completed by all its sign
+    images (``_mirror`` axis by axis), keys sorted."""
+    for i in axes:
+        k, v = _mirror(k, v, f, i, sign)
+    o = np.argsort(k)
+    return k[o], v[o]
 
 
 def _divide_packed(work: list, axes: list, f, meta: MemberMeta, depth: int,
@@ -718,13 +761,12 @@ def _divide_packed(work: list, axes: list, f, meta: MemberMeta, depth: int,
     then per level it subtracts its correction terms (key offsets of
     lower quotient levels) and divides out its binomial in one pass.
 
-    Every theta factor is odd, so a dividend odd in the coordinates of
-    ``_sign_axes`` comes in folded (``_fold_odd``, in ``divide_by_member``):
-    cut to z_i > 0 on the axes, which the eta power divides as they are.
-    The theta factor on axis i mirrors its levels (odd) so that its lines
-    are whole, divides as above, and keeps z_i >= 0 of the even quotient.
-    The quotient is mirrored out once at the end.  Levels come back with
-    sorted keys.
+    Every theta factor is odd, so a dividend odd in the given axes comes
+    in as its part on z_i > 0 there, which the eta power divides as it
+    is.  The theta factor on axis i mirrors its levels (odd) so that its
+    lines are whole, divides as above, and keeps z_i >= 0 of the even
+    quotient.  The quotient is mirrored out once at the end
+    (``_mirror_out``).  Levels come back with sorted keys.
 
     With int64 values every step first bounds its output from the actual
     maxima of its inputs (a mirror keeps them); a bound reaching 2^62
@@ -774,9 +816,7 @@ def _divide_packed(work: list, axes: list, f, meta: MemberMeta, depth: int,
             mx[j] = amax(v)
         if folded:
             work = [(k[m], v[m]) for k, v in work for m in [_coord(k, cur, ax) >= 0]]
-    for i in axes:
-        work = [_mirror(k, v, cur, i, 1) for k, v in work]
-    return cur, [(k[o], v[o]) for k, v in work for o in [np.argsort(k)]]
+    return cur, [_mirror_out(k, v, cur, axes, 1) for k, v in work]
 
 
 def divide_by_member(keys: list, vals: list, f, key: str, depth: int) -> tuple:
@@ -789,23 +829,27 @@ def divide_by_member(keys: list, vals: list, f, key: str, depth: int) -> tuple:
     factor, each level's keys sorted.  Works factor by factor: each
     factor, the eta power first, contributes a sparse correction per
     level, and each theta factor one linear binomial pass in its
-    direction.  A dividend odd in each coordinate of a D, D1 or A1 block
-    (as every psi|V_p is), keys sorted, is divided on one sign orthant
-    and its quotient mirrored out; any other goes through every key.
-    The fold is made and checked once, ahead of both runs.  Values are
-    int64 unless some step could reach 2^62, in which case the division
-    is run again on python ints.  Raises ArithmeticError when the
-    division is not exact, TypeError on non-int coefficients.
+    direction.
+
+    The orthant contract: on each coordinate of ``_sign_axes`` (all of
+    a D, D1 or A1 block) on which f's box is symmetric, the dividend is
+    odd and comes as its part on z_i > 0, as ``hecke_levels`` and
+    ``multiply_by_member`` give it; it is divided there as it is and its
+    even quotient mirrored out whole.  On any other coordinate (all of
+    A2, or an axis f holds asymmetrically) the dividend is whole.  A key
+    off that orthant raises ValueError.  Values are int64 unless some
+    step could reach 2^62, in which case the division is run again on
+    python ints.  Raises ArithmeticError when the division is not exact,
+    TypeError on non-int coefficients.
     """
     meta = MEMBERS[key]
     work = list(zip(keys, vals[:depth + 1]))
     if set().union(*(map(type, v.tolist()) for _, v in work if v.dtype == object)) - {int}:
         raise TypeError("packed division needs plain integers")
-    stack = _factor_stack(meta, depth)
-    axes = _sign_axes(meta, f, stack)
-    half = _fold_odd(work, f, axes) if axes else None
-    axes, work = ([], work) if half is None else (axes, half)
-    return _int64_first(_divide_packed, work, axes, f, meta, depth, stack)
+    axes = [i for i in _sign_axes(meta) if f.lo[i] == -f.hi[i]]
+    if axes and not all(_orthant(k, f, axes, 1).all() for k, _ in work):
+        raise ValueError("dividend key off the z_i > 0 orthant of the sign axes")
+    return _int64_first(_divide_packed, work, axes, f, meta, depth, _factor_stack(meta, depth))
 
 
 def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
@@ -815,20 +859,24 @@ def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
     offset lvl * stq + zc @ w in one frame, E's box plus the factors'
     summed reaches.  A term moves a key up exactly lvl levels, so no key
     past level ``depth`` is formed, and a factor with more than _NP_CHUNK
-    pairs reduces them one output level at a time.  With int64 values a
-    bound max|v| sum|c| reaching 2^62 raises _NotInt64."""
+    pairs reduces them one output level at a time.  Right after the theta
+    factor of a sign axis i each band keeps z_i > 0 alone: no later factor
+    moves z_i, so that is the exact z_i > 0 part of the product.  With
+    int64 values a bound max|v| sum|c| reaching 2^62 raises _NotInt64."""
     terms = [([(0, d, 1), (0, tuple(-a for a in d), -1)] if d else [(0, (0,) * meta.r, 1)])
              + [(lvl, zc, c) for lvl, t in cells.items() for zc, c in t.items()]
              for d, cells in stack]
     reach = np.sum([np.abs([zc for _, zc, _ in t]).max(axis=0) for t in terms], axis=0)
     g = _frame(-(f.hi + reach), f.hi + reach, depth)
     factors = [[(lvl, lvl * g.stq + int(np.dot(zc, g.w)), c) for lvl, zc, c in t] for t in terms]
+    axes = _sign_axes(meta)
+    cut = [[i for i in axes if d[i]] if d else [] for d, _ in stack]
     out = []
     for k, v in layers:
         if dtype is not object and v.dtype == object:
             raise _NotInt64
         k, v = _restride(k, f, g), v.astype(dtype, copy=False)
-        for fac in factors:
+        for fac, ax in zip(factors, cut):
             if (dtype is not object and len(v)
                     and int(np.abs(v).max()) * sum(abs(c) for *_, c in fac) >= _INT64_SAFE):
                 raise _NotInt64
@@ -837,7 +885,11 @@ def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
             bands = []
             for lo, hi in zip(cuts, cuts[1:]):  # output levels lo..hi-1
                 src = [(at[max(lo - lvl, 0)], at[max(hi - lvl, 0)], off, c) for lvl, off, c in fac]
-                bands.append(_reduce_parts([(k[a:b] + off, v[a:b] * c) for a, b, off, c in src]))
+                kb, vb = _reduce_parts([(k[a:b] + off, v[a:b] * c) for a, b, off, c in src])
+                if ax:
+                    keep = _orthant(kb, g, ax, 1)
+                    kb, vb = kb[keep], vb[keep]
+                bands.append((kb, vb))
             k, v = map(np.concatenate, zip(*bands))
         out.append((k, v))
     return g, out
@@ -850,11 +902,14 @@ def multiply_by_member(f, layers: list, key: str, depth: int) -> tuple:
     the symmetric frame f, as ``borcherds._exp_packed`` returns (f,
     layers); level l of a product is at q_num val + 24 l.  Returns
     (frame, [(keys, values)]) through level depth, keys sorted, in f's
-    box widened by the factors' summed reach.  Works factor by factor
-    over ``_factor_stack``: the eta power, then one theta per corner
-    direction, whose binomial
-    is two key shifts.  Values are int64 unless some factor could reach
-    2^62, in which case the product is run again on python ints.
+    box widened by the factors' summed reach: for D, D1 and A1 the
+    product's exact part on z_i > 0 of every sign axis, which is the
+    whole odd product when the layers are even (as E_j and the unit are),
+    and the divisor's orthant contract.  Works factor by factor over
+    ``_factor_stack``: the eta power, then one theta per corner
+    direction, whose binomial is two key shifts.  Values are int64 unless
+    some factor could reach 2^62, in which case the product is run again
+    on python ints.
     """
     meta = MEMBERS[key]
     return _int64_first(_multiply_packed, f, layers, meta, depth, _factor_stack(meta, depth))
@@ -880,14 +935,17 @@ class _RowSeries(FourierSeries):
 
 def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     """The weak weight-0 form as -(psi|V_p)/psi: the Hecke levels go to
-    the division as packed keys; the quotient's, sorted per level in its
+    the division as packed keys, on the orthant z_i > 0 of the sign axes
+    as ``hecke_levels`` builds them from the block's rows; the quotient's,
+    mirrored out whole (even by construction) and sorted per level in its
     unsheared frame (packed-key order), become a ``_RowSeries``' rows,
-    values in the division's dtype."""
+    values in the division's dtype.  The block's level 0, mirrored out,
+    must be the registry's corner (``_registry_corner``)."""
     meta = MEMBERS[key]
     f, [(k, v)] = hecke_levels(key, [meta.hecke_p], q_depth)
     cuts = np.searchsorted(k, np.arange(q_depth + 2) * f.stq).tolist()
     spans = list(zip(cuts, cuts[1:]))
-    z, v0, *_ = _member_rows(key, meta.val_q)
+    z, v0 = _mirror_rows(*_member_rows(key, meta.val_q)[:2], _sign_axes(meta))
     if dict(zip(map(tuple, z.tolist()), v0.tolist())) != _registry_corner(meta):
         raise AssertionError("packed theta block corner differs from the registry's theta cells")
     g, quo = divide_by_member([k[a:b] - j * f.stq for j, (a, b) in enumerate(spans)],

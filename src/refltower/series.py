@@ -734,8 +734,10 @@ class FourierSeries:
 
     @classmethod
     def from_json(cls, text: str) -> "FourierSeries":
-        """Parse ``to_json`` output.  A malformed, duplicate, zero or
-        out-of-window term raises ValueError."""
+        """Parse ``to_json`` output.  A malformed, zero or out-of-window
+        term, or one not strictly after the term before it in (s, q, z)
+        order (as ``to_json`` writes them, so no term comes twice), raises
+        ValueError.  Cells and their terms are filled in that order."""
         doc = json.loads(text)
         if doc.get("schema") != 1:
             raise ValueError("unknown schema version")
@@ -744,17 +746,19 @@ class FourierSeries:
         if not (type(f.r) is type(f.den_z) is type(w.q_max) is type(w.s_max) is int
                 and f.r >= 0 and f.den_z >= 1):
             raise ValueError("bad header: r, den_z or window")
+        last = None
         for t in doc["terms"]:
             try:
                 q, s, z, c = t["q"], t["s"], tuple(t["z"]), _coeff_from_str(t["c"])
+                ok = (c and q <= w.q_max and s <= w.s_max and len(z) == f.r
+                      and type(q) is type(s) is int and (last is None or (s, q, z) > last))
                 cell = f.cells.setdefault((s, q), {})
-                ok = (c and q <= w.q_max and s <= w.s_max and z not in cell
-                      and len(z) == f.r and type(q) is type(s) is int)
             except (LookupError, TypeError, ValueError, ZeroDivisionError):
                 ok = False
             if not ok:
                 raise ValueError("bad term %s" % (t,))
             cell[z] = c
+            last = (s, q, z)
         # the z entries are typed at once: a test per term would cost more
         if not {int} >= set(map(type, chain.from_iterable(chain.from_iterable(f.cells.values())))):
             raise ValueError("bad term: a z entry is not an integer")

@@ -9,6 +9,13 @@ The caps exist because some identities are expensive: the lift-vs-product
 comparisons walk every Fourier cell of both sides, and the deep D-tower
 members have millions of terms per slice.  Cheap scalar identities carry
 generous caps instead.
+
+The D, D1 and A1 blocks and their product layers are held on the sign
+orthant z_i > 0 (``jacobi._sign_axes``).  A norm does not see the signs,
+and an odd slice has no key with z_i = 0, so the support checks read the
+held rows, each standing for 2^len(axes) terms, and mirror out only the
+rows a report lists (``_block_rows``, ``jacobi._mirror_rows``); the
+integrality check counts the held product layers the same way.
 """
 
 from fractions import Fraction
@@ -120,13 +127,15 @@ def _norm_den(lat, index) -> int:
 
 
 def _block_rows(key, q_max: int, depth: int) -> list:
-    """(q, z rows) of the block's slices on levels 0..depth through q_max,
-    from ``jacobi._member_rows``; the deepest level is read first, so a
-    cold block is multiplied out once."""
+    """(q, z rows, values) of the block's slices on levels 0..depth through
+    q_max as ``jacobi._member_rows`` holds them, on the sign orthant for
+    D, D1 and A1; the deepest level is read first, so a cold block is
+    multiplied out once."""
     val_q = jacobi.MEMBERS[key].val_q
     top = min(depth, (q_max - val_q) // 24)
     jacobi._member_rows(key, val_q + 24 * top)
-    return [(val_q + 24 * j, jacobi._member_rows(key, val_q + 24 * j)[0]) for j in range(top + 1)]
+    return [(val_q + 24 * j, *jacobi._member_rows(key, val_q + 24 * j)[:2])
+            for j in range(top + 1)]
 
 
 def _run_support_bounds(win):
@@ -141,11 +150,15 @@ def _run_support_bounds(win):
     depth = max(win.q_max // 24, 1)
     for key, meta in jacobi.MEMBERS.items():
         lat = lattices.lattice(meta.lattice_name)
-        for q, z in _block_rows(key, win.q_max, depth):
-            checked += len(z)
-            for row in z[_hyper_norms(lat, q, z, meta.index) < 0].tolist():
-                ok = False
-                bad.setdefault(key, []).append([q, row])
+        axes = jacobi._sign_axes(meta)
+        for q, z, v in _block_rows(key, win.q_max, depth):
+            checked += len(z) << len(axes)
+            below = _hyper_norms(lat, q, z, meta.index) < 0
+            if below.any():  # the whole rows below the cone, in row order
+                zb = jacobi._mirror_rows(z[below], v[below], axes)[0]
+                for row in zb[np.lexsort(zb.T[::-1])].tolist():
+                    ok = False
+                    bad.setdefault(key, []).append([q, row])
         floor = borcherds._norm_floor(meta.family, lat)
         pdepth = min(depth, 4)
         lv, z, v = jacobi.weight0_rows(key, jacobi.weak_weight0(key, pdepth).series, pdepth)
@@ -161,13 +174,15 @@ def _run_support_bounds(win):
 def _support_norms(key, win):
     """The distinct norms 2 (q/24) index - (l, l) of the block's terms
     through the window, as Fractions, and the number of terms: one array
-    pass per slice over the rows of ``jacobi._member_rows``."""
+    pass per slice over the held rows of ``jacobi._member_rows``, each
+    2^len(axes) terms of one norm."""
     meta = jacobi.MEMBERS[key]
     lat = lattices.lattice(meta.lattice_name)
+    shift = len(jacobi._sign_axes(meta))
     norms, count = set(), 0
-    for q, z in _block_rows(key, win.q_max, max(win.q_max // 24, 1)):
+    for q, z, _ in _block_rows(key, win.q_max, max(win.q_max // 24, 1)):
         norms.update(np.unique(_hyper_norms(lat, q, z, meta.index)).tolist())
-        count += len(z)
+        count += len(z) << shift
     den = _norm_den(lat, meta.index)
     return {Fraction(n, den) for n in norms}, count
 
@@ -418,9 +433,10 @@ def _run_integrality(win):
     ok = True
     checked = 0
     details = {}
-    for key in jacobi.MEMBERS:
-        try:  # the packed layers, never decoded: one term per key
-            checked += sum(len(k) for _, _, k, _ in borcherds.product_layers(key, win))
+    for key, meta in jacobi.MEMBERS.items():
+        shift = len(jacobi._sign_axes(meta))  # the held layers, never decoded: 2^shift terms a key
+        try:
+            checked += sum(len(k) for _, _, k, _ in borcherds.product_layers(key, win)) << shift
         except ArithmeticError as exc:
             ok = False
             details[key] = str(exc)

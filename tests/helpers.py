@@ -147,20 +147,37 @@ def digest(f: FourierSeries) -> str:
     return sha256(f.to_json().encode()).hexdigest()
 
 
-def divide_slices(levels: list, key: str, depth: int, frame=None) -> list:
-    """``jacobi.divide_by_member`` on z-slice dicts, quotients as dicts.
+def is_odd(levels: list, axes: list) -> bool:
+    """Whether z-slice dicts are odd in z_i on every axis: no key with
+    z_i = 0, and each image under z_i -> -z_i holds the value negated."""
+    return all(z[i] and sl.get(z[:i] + (-z[i],) + z[i + 1:]) == -c
+               for sl in levels for z, c in sl.items() for i in axes)
 
-    Level j goes in as packed keys in ``frame`` (unsheared), by default
-    the tight symmetric frame of the dividend's reach, with the level
-    digit left out, sorted as ``jacobi.hecke_levels`` gives them.  Its
+
+def divide_slices(levels: list, key: str, depth: int, frame=None) -> list:
+    """``jacobi.divide_by_member`` on whole z-slice dicts, quotients as
+    dicts, under its orthant contract.
+
+    Level j goes in as packed keys in ``frame`` (unsheared), with the
+    level digit left out, sorted as ``jacobi.hecke_levels`` gives them.
+    A dividend odd in every sign axis of the member (as psi|V_p is) goes
+    in as its part on z_i > 0, by default in the tight symmetric frame of
+    its reach; any other goes in whole, by default in that frame widened
+    by one at the top of every axis, which is symmetric on none.  Its
     values are int64 where they fit, else python ints or Fractions, as
     the program's own dividends are.
     """
     r = jacobi.MEMBERS[key].r
+    axes = jacobi._sign_axes(jacobi.MEMBERS[key])
     rows = [_int64_first(_qz_rows, {0: sl}, r) for sl in levels]
+    odd = bool(axes) and is_odd(levels, axes)
     if frame is None:
         top = np.max([x[3] for x in rows] + [np.zeros(r, np.int64)], axis=0)
-        frame = _frame(-top, top, depth)
+        frame = _frame(-top, top + (0 if odd else 1), depth)
+    if odd and all(frame.lo[i] == -frame.hi[i] for i in axes):
+        rows = [_int64_first(_qz_rows, {0: {z: c for z, c in sl.items()
+                                            if all(z[i] > 0 for i in axes)}}, r)
+                for sl in levels]
     keys = [_encode(x[1], frame) for x in rows]
     order = [np.argsort(k) for k in keys]
     g, quo = jacobi.divide_by_member([k[o] for k, o in zip(keys, order)],
@@ -178,15 +195,17 @@ def hecke_reach(key: str, orders, depth: int) -> list:
 
 
 def exp_series(key: str, j_max: int, q_depth: int, psi: bool = False) -> list:
-    """The layers E_j, or psi * E_j with ``psi`` (``borcherds.exp_layers``),
-    decoded, one q-z series per layer: level l at q_num 24 l, or val + 24 l
-    with ``psi``, exact through level q_depth.  E_j comes from
+    """The layers E_j, or psi * E_j with ``psi`` (``borcherds.exp_layers``,
+    mirrored out whole from the sign orthant), decoded, one q-z series per
+    layer: level l at q_num 24 l, or val + 24 l with ``psi``, exact
+    through level q_depth.  E_j comes from
     ``borcherds._exp_packed`` on the series ``weak_weight0`` gives, as
     ``compare_lift_product``'s mismatch report reads it."""
     meta = jacobi.MEMBERS[key]
     q0 = meta.val_q if psi else 0
     if psi:
         f, layers = borcherds.exp_layers(key, j_max, q_depth)
+        layers = [jacobi._mirror_out(k, v, f, jacobi._sign_axes(meta), -1) for k, v in layers]
     else:
         phi = borcherds.weak_weight0(key, max(j_max * q_depth, 1)).series
         f, layers = _int64_first(borcherds._exp_packed, key, j_max, q_depth, phi)
@@ -228,7 +247,7 @@ MEMOS = ((jacobi, "_SIGMA"), (jacobi, "_ETA_TABLES"), (jacobi, "_SHELL_CACHE"),
          (jacobi, "_PSI_SLICES"), (jacobi, "_PSI_LEVELS"), (jacobi, "_PHI0_CACHE"),
          (borcherds, "_EXP_MEMO"))
 CACHED = ((verification, "_reflective_keys"), (cli, "_code_digest"), (jacobi, "_hecke_plan"),
-          (lattices, "lattice"))
+          (jacobi, "_registry_corner"), (jacobi, "_sign_axes"), (lattices, "lattice"))
 
 
 @contextmanager

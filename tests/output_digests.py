@@ -27,7 +27,15 @@ root:
 
     PYTHONPATH=src python tests/output_digests.py [--c05] > digests.txt
 
-Run it on two commits and ``diff`` the outputs.  ``golden_digests.txt``
+Run it on two commits and ``diff`` the outputs, or let it do both:
+
+    PYTHONPATH=src python tests/output_digests.py [--c05] --against REV
+
+extracts REV's ``src/`` with ``git archive`` into a temporary directory,
+computes the same digests there in a child process (``--src DIR``
+digests the package under DIR), and prints only the lines that differ,
+``-`` for REV's and ``+`` for this tree's; it exits 1 if any do.
+``golden_digests.txt``
 holds its ``--c05`` lines without the total, which the tier-1 test
 ``test_golden.py`` checks; after a change meant to alter an output,
 regenerate it with
@@ -40,12 +48,14 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import os
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")  # the package digested; ``--src`` moves it
 GOLDEN = os.path.join(ROOT, "tests", "golden_digests.txt")
 
 
@@ -70,7 +80,7 @@ def golden() -> dict:
 
 def cli_subprocess(argv: list, cache: str) -> tuple:
     """(exit code, stdout) of one request in a fresh ``refltower.cli`` process."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-m", "refltower.cli", *argv, "--cache-dir", cache],
                           capture_output=True, env=env, cwd=cache)
     return proc.returncode, proc.stdout
@@ -114,19 +124,53 @@ def outputs(c05: bool, run_cli=cli_subprocess):
             yield "c05 %s q5 s3" % key, repr(borcherds.compare_lift_product(key, 5, 3))
 
 
-def main(argv: list) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--c05", action="store_true",
-                    help="add compare_lift_product(key, 5, 3) for every member")
-    args = ap.parse_args(argv)
+def lines(c05: bool):
+    """Every ``digest name`` line, then the ``digest total`` line."""
     total = hashlib.sha256()
     count = 0
-    for name, data in outputs(args.c05):
+    for name, data in outputs(c05):
         line = "%s %s" % (sha(data), name)
         total.update(line.encode() + b"\n")
         count += 1
+        yield line
+    yield "%s total (%d outputs)" % (total.hexdigest(), count)
+
+
+def against(rev: str, c05: bool) -> int:
+    """Print the lines of this tree and of REV's ``src/`` that differ."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=tar, check=True)
+        child = subprocess.run([sys.executable, os.path.abspath(__file__),
+                                *(["--c05"] if c05 else []), "--src", os.path.join(tmp, "src")],
+                               capture_output=True, text=True, check=True)
+    differ = 0
+    for a, b in itertools.zip_longest(child.stdout.splitlines(), lines(c05)):
+        if a != b:
+            differ = 1
+            for sign, line in (("-", a), ("+", b)):
+                if line is not None:
+                    print(sign, line, flush=True)
+    return differ
+
+
+def main(argv: list) -> int:
+    global SRC
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--c05", action="store_true",
+                    help="add compare_lift_product(key, 5, 3) for every member")
+    ap.add_argument("--src", help="digest the refltower package under this directory")
+    ap.add_argument("--against", metavar="REV",
+                    help="print only the lines that differ from REV's src/")
+    args = ap.parse_args(argv)
+    if args.src:
+        SRC = os.path.abspath(args.src)
+    sys.path.insert(0, SRC)
+    if args.against:
+        return against(args.against, args.c05)
+    for line in lines(args.c05):
         print(line, flush=True)
-    print("%s total (%d outputs)" % (total.hexdigest(), count))
     return 0
 
 

@@ -9,8 +9,8 @@ import pytest
 from refltower.series import FourierSeries, TruncationWindow
 from refltower import borcherds, jacobi, lifting, series, verification
 
-from helpers import (coefficient, copy, digest, exp_series, hecke_reach, packed_translate,
-                     translate)
+from helpers import (coefficient, cold_memos, copy, digest, exp_series, hecke_reach,
+                     packed_translate, translate)
 import oracles
 from oracles import exp_s
 
@@ -213,6 +213,85 @@ def test_lift_rows_encode_to_strictly_increasing_product_keys():
                 assert np.all(np.diff(k) > 0), (key, window)
 
 
+SIGN_MEMBERS = [key for key, meta in jacobi.MEMBERS.items() if jacobi._sign_axes(meta)]
+
+
+def _sweep_sides(key, window):
+    """(block rows as {q_num: slice}, frame and lift layers, frame and
+    psi * E_j) of one sweep window, as ``compare_lift_product`` reads
+    them, the block at every level the lift layers read."""
+    meta = jacobi.MEMBERS[key]
+    layers = lifting.lift_layers(key, 2 * window[1])
+    q_aux = max((24 * window[0] - meta.val_q) // 24, 0)
+    orders = [m for _, m in layers]
+    fp, prod = borcherds.exp_layers(key, max((s - meta.s_step) // 2 for s, _ in layers), q_aux)
+    f, num = jacobi.hecke_levels(key, orders, q_aux, fp)
+    block = {}
+    for lvl in jacobi._hecke_plan(key, tuple(orders), q_aux).levels:
+        z, v = jacobi._mirror_rows(*jacobi._member_rows(key, meta.q_grid * lvl)[:2],
+                                   jacobi._sign_axes(meta))
+        block[meta.q_grid * lvl] = dict(zip(map(tuple, z.tolist()), v.tolist()))
+    return block, (f, num), (fp, prod)
+
+
+@pytest.mark.parametrize("key", SIGN_MEMBERS)
+def test_orthant_sides_mirror_out_to_the_all_signs_build(monkeypatch, key):
+    """On every sweep window of a D, D1 or A1 member, the block held on
+    z_i > 0 of its sign axes, the lift layers built from it and the cut
+    psi * E_j, mirrored out whole, equal what the same code builds from
+    cold memos with no axis held on an orthant (``_sign_axes`` made to
+    give none): the all-signs multiply of the unit, its lift layers and
+    the uncut product, in the same frames, keys, values and dtypes."""
+    axes = jacobi._sign_axes(jacobi.MEMBERS[key])
+    for window in _sweep_windows(key):
+        held = _sweep_sides(key, window)
+        with cold_memos(), monkeypatch.context() as m:
+            for mod in (jacobi, borcherds):
+                m.setattr(mod, "_sign_axes", lambda meta: [])
+            whole = _sweep_sides(key, window)
+        assert held[0] == whole[0] and all(whole[0].values()), (key, window)
+        for (f, got), (g, want) in zip(held[1:], whole[1:]):
+            assert np.array_equal(f.lo, g.lo) and np.array_equal(f.hi, g.hi), (key, window)
+            assert len(got) == len(want)
+            for (k, v), (wk, wv) in zip(got, want):
+                assert jacobi._orthant(k, f, axes, 1).all()
+                mk, mv = jacobi._mirror_out(k, v, f, axes, -1)
+                assert np.array_equal(mk, wk) and np.array_equal(mv, wv), (key, window)
+                assert mv.dtype == wv.dtype and len(wk) == len(k) << len(axes)
+
+
+def test_negative_control_phi0_off_the_orthant_raises(monkeypatch):
+    """The product side holds psi * E_j on z_i > 0 alone, sound only for
+    an even phi0.  A phi0 with one coefficient changed at a key with
+    negative coordinates is not even: ``_exp_packed`` checks the rows it
+    reads, and the comparison and the product raise rather than pass.
+    The same change on every sign image keeps phi0 even, and the
+    comparison reports the failure."""
+    key, window = "psi_8_D4", (4, 3)
+    real = jacobi.weak_weight0
+
+    def bump(images):
+        def crooked(k, depth):
+            form = real(k, depth)
+            series = copy(form.series)
+            sl = series.cells[(0, 24)]
+            z = min(sl)
+            assert all(a < 0 for a in z if a)
+            for signs in itertools.product((1, -1), repeat=len(z) if images else 0):
+                sl[tuple(a * sg for a, sg in zip(z, signs)) if images else z] += 1
+            return form._replace(series=series)
+        monkeypatch.setattr(borcherds, "weak_weight0", crooked)
+
+    bump(images=False)
+    with pytest.raises(ValueError, match="not even"):
+        borcherds.compare_lift_product(key, *window)
+    with pytest.raises(ValueError, match="not even"):
+        borcherds.borcherds_exp(key, TruncationWindow(72, 4))
+    bump(images=True)
+    rep = borcherds.compare_lift_product(key, *window)
+    assert rep["status"] == "fail" and rep["first_mismatch"]["q_num"] == 24 + 24
+
+
 def _edit_block_level(monkeypatch, key, q_num, change):
     """Apply change(slice) to the packed block rows of one level, their
     reach and max|v| rebuilt to match: every lift layer that reads the
@@ -240,16 +319,18 @@ BOX_CASE = ("psi_8_D4", (4, 3))
 
 def test_lift_term_past_the_product_box_fails_without_raising(monkeypatch):
     """A lift term one step past the product frame's box on one axis is
-    a mismatch, reported, never an error."""
+    a mismatch, reported, never an error.  The block rows are held on
+    z_i > 0, so the term goes in there, and the report names its first
+    sign image in (s, q, z) order, all signs flipped."""
     key, window = BOX_CASE
     fp, q_aux, _ = _compare_frame(key, *window)
-    far = (0,) * (len(fp.hi) - 1) + (int(fp.hi[-1]) + 1,)
+    far = (1,) * (len(fp.hi) - 1) + (int(fp.hi[-1]) + 1,)
     _edit_block_level(monkeypatch, key, 192, lambda sl: {**sl, far: 1})
     got = borcherds.compare_lift_product(key, *window)
     assert got["status"] == "fail"
     assert got["first_mismatch"] == {
-        "s_num": 4, "q_num": jacobi.MEMBERS[key].val_q + 24 * q_aux, "z": far,
-        "lift": 1, "product": 0}
+        "s_num": 4, "q_num": jacobi.MEMBERS[key].val_q + 24 * q_aux,
+        "z": tuple(-a for a in far), "lift": (-1) ** len(far), "product": 0}
 
 
 def test_a_reach_bound_past_the_box_alone_decides_nothing(monkeypatch):
@@ -280,11 +361,15 @@ def test_a_reach_bound_past_the_box_alone_decides_nothing(monkeypatch):
 
 def test_lift_term_that_aliases_a_product_key_past_the_box_fails(monkeypatch):
     """z - e_(r-2) + (2 hi + 1) e_(r-1) leaves the box and encodes to the
-    key of z: only the box check tells the moved term from the real one."""
+    key of z: only the box check tells the moved term from the real one.
+    The block rows are held on z_i > 0, so z is taken with z_(r-2) >= 2
+    and the alias stays there; the first differing key in (s, q, z)
+    order is then z with every sign flipped, where the moved term is
+    missing from the lift."""
     key, window = BOX_CASE
     fp, _, _ = _compare_frame(key, *window)
     zr, vr, _, _ = jacobi._member_rows(key, 144)
-    i = int(np.flatnonzero(zr[:, -2] > -fp.hi[-2])[0])
+    i = int(np.flatnonzero(zr[:, -2] >= 2)[0])
     z0 = tuple(zr[i].tolist())
     alias = z0[:-2] + (z0[-2] - 1, z0[-1] + 2 * int(fp.hi[-1]) + 1)
     assert series._encode(np.array([alias]), fp) == series._encode(np.array([z0]), fp)
@@ -292,8 +377,10 @@ def test_lift_term_that_aliases_a_product_key_past_the_box_fails(monkeypatch):
                       lambda sl: {alias if z == z0 else z: c for z, c in sl.items()})
     got = borcherds.compare_lift_product(key, *window)
     assert got["status"] == "fail"
-    assert got["first_mismatch"] == {"s_num": 4, "q_num": jacobi.MEMBERS[key].val_q + 48,
-                                     "z": alias, "lift": int(vr[i]), "product": 0}
+    bad = got["first_mismatch"]
+    assert (bad["s_num"], bad["q_num"], bad["z"]) == (4, jacobi.MEMBERS[key].val_q + 48,
+                                                      tuple(-a for a in z0))
+    assert bad["product"] - bad["lift"] == (-1) ** len(z0) * int(vr[i])
 
 
 def _spy_everywhere(monkeypatch, name, calls, mods=(jacobi, borcherds)):
@@ -342,8 +429,8 @@ def test_warm_compare_encodes_once_and_reads_each_block_level_once(monkeypatch, 
     """Warm, one ``hecke_levels`` call builds every lift layer with one
     encode and reads each block level its divisor sums reach once through
     ``_member_rows``, the deepest first.  No plan holds block data: a
-    term added to the deepest level afterwards fails the next compare
-    there."""
+    term added to the deepest level afterwards (on z_i > 0, where the rows
+    of D, D1 and A1 are held) fails the next compare there."""
     meta = jacobi.MEMBERS[key]
     orders = [m for _, m in lifting.lift_layers(key, 2 * window[1])]
     q_aux = (24 * window[0] - meta.val_q) // 24
@@ -361,7 +448,7 @@ def test_warm_compare_encodes_once_and_reads_each_block_level_once(monkeypatch, 
     assert calls == ["hecke_levels", *sorted(levels, reverse=True), "_encode_parts"]
     deep = max(levels)
     held = set(map(tuple, jacobi._member_rows(key, deep)[0].tolist()))
-    new = next(z for z in itertools.product(range(-1, 2), repeat=meta.r) if z not in held)
+    new = next(z for z in itertools.product(range(1, 4), repeat=meta.r) if z not in held)
     _edit_block_level(monkeypatch, key, deep, lambda sl: {**sl, new: 1})
     got = borcherds.compare_lift_product(key, *window)
     assert got["status"] == "fail"
@@ -406,8 +493,12 @@ def test_cold_compare_leaves_the_held_phi0_undecoded(fresh_memos):
 
 def _corrupt_layer(monkeypatch, key, order, change):
     """Apply change(level, slice) to one lift layer in both sources: the
-    dicts the oracle reads and the packed layer the program compares."""
+    dicts the oracle reads and the packed layer the program compares,
+    mirrored out whole, changed and cut back to z_i > 0 of the sign axes,
+    where the program holds it (so the change must keep the layer odd
+    there)."""
     meta = jacobi.MEMBERS[key]
+    axes = jacobi._sign_axes(meta)
     real_dicts, real_packed = jacobi.member_hecke_slice, borcherds.hecke_levels
 
     def dicts(k, m, q):
@@ -418,8 +509,9 @@ def _corrupt_layer(monkeypatch, key, order, change):
         f, out = real_packed(k, orders, depth, frame)
         if k == key and order in orders:
             t = orders.index(order)
-            sls = series._qz_decode(*out[t], f)
-            rows = series._qz_rows({j: change(j, dict(sls.get(j, {})))
+            sls = series._qz_decode(*jacobi._mirror_out(*out[t], f, axes, -1), f)
+            rows = series._qz_rows({j: {z: c for z, c in change(j, dict(sls.get(j, {}))).items()
+                                        if all(z[i] > 0 for i in axes)}
                                     for j in range(depth + 1)}, meta.r, np.int64)
             out[t] = series._qz_pack(rows, f)
         return f, out
@@ -456,12 +548,21 @@ def test_compare_equals_the_oracle_when_a_layer_gains_a_block_multiple(
 @pytest.mark.parametrize("key,window,order,level", CORRUPTIONS)
 def test_compare_equals_the_oracle_when_a_layer_does_not_divide(
         monkeypatch, key, window, order, level):
-    """One coefficient off by one: that layer is not divisible by the
-    block, and differs from psi * E_j at that level."""
+    """One coefficient off by one: the layer differs from psi * E_j at
+    that level.  On the A2 member it is not divisible by the block.  The
+    D and A1 lift layers are odd by construction, so there the change
+    comes with every sign image of the key, negated once per flipped
+    sign."""
+    axes = jacobi._sign_axes(jacobi.MEMBERS[key])
 
     def change(j, sl):
         if j == level:
-            sl[min(sl)] += 1
+            z = min(sl)
+            for signs in itertools.product((1, -1), repeat=len(axes)):
+                img = list(z)
+                for i, sg in zip(axes, signs):
+                    img[i] *= sg
+                sl[tuple(img)] += int(np.prod(signs))
         return sl
 
     _corrupt_layer(monkeypatch, key, order, change)
@@ -598,7 +699,10 @@ def test_translate_bound_past_2_62_reruns_on_python_ints(monkeypatch):
     key, j_max, q_depth = "psi_9_D3", 2, 2
     phi = copy(borcherds.weak_weight0(key, j_max * q_depth).series)
     sl = phi.cells[(0, 0)]
-    sl[min(sl)] += 2 ** 61 - 2 ** 58  # an even change: every layer stays integral
+    # (-2, 0, 0) and its image: the rows stay even in z, as ``_exp_packed``
+    # checks, and the change is even, so every layer stays integral
+    for z in (min(sl), tuple(-a for a in min(sl))):
+        sl[z] += 2 ** 61 - 2 ** 58
     encoded = []
     real = borcherds._encode_parts
 
@@ -697,24 +801,36 @@ def _with_part(got, layer, level, z, value, dtype):
 
 
 def test_block_product_near_2_62_reruns_on_python_ints(monkeypatch, fresh_memos):
-    """A translate with one entry near 2^61 leaves E_1 on int64, but
+    """A translate with entries near 2^61 leaves E_1 on int64, but
     multiplying it by the block could pass 2^62 before it wraps: the
     multiply reruns on python ints and still equals psi times the exp_s
-    oracle, whose translate carries the same entry."""
+    oracle, whose translate carries the same entries.  They sit on one
+    key and its sign images, so E_1 stays even, as psi * E_1 on the sign
+    orthant needs."""
     key, j_max, q_depth = "psi_8_D4", 1, 2
     real, real_dict = borcherds.hecke_v0, oracles.hecke_v0
     jacobi.weak_weight0(key, j_max * q_depth)  # builds the block before the spies
 
+    def images(z):
+        return sorted({tuple(s * a for s, a in zip(signs, z))
+                       for signs in itertools.product((1, -1), repeat=len(z))})
+
+    def axis_key(zs):  # the least key with one nonzero coordinate: two images
+        return min(z for z in zs if sum(map(bool, z)) == 1)
+
     def crooked(rows, orders, depth, dtype):
-        # -2^61 on the W_1 key at level 1 where phi's z is least
+        # -(2^61 - 2^58) on that W_1 key at level 1 and on its image
         lv, z, _ = rows
-        return _with_part(real(rows, orders, depth, dtype), 0, 1,
-                          min(map(tuple, z[lv == 1].tolist())), 2 ** 61, dtype)
+        got = real(rows, orders, depth, dtype)
+        for img in images(axis_key(map(tuple, z[lv == 1].tolist()))):
+            got = _with_part(got, 0, 1, img, 2 ** 61 - 2 ** 58, dtype)
+        return got
 
     def crooked_dict(phi, m, depth):
         v = real_dict(phi, m, depth)
         sl = v.cells[(0, 24)]
-        sl[min(sl)] += 2 ** 61
+        for img in images(axis_key(sl)):
+            sl[img] += 2 ** 61 - 2 ** 58
         return v
 
     monkeypatch.setattr(borcherds, "hecke_v0", crooked)  # unseen by a warm layer memo

@@ -11,7 +11,7 @@ import pytest
 import refltower
 from refltower import borcherds, cli, jacobi
 from refltower.cli import main
-from refltower.series import TruncationWindow
+from refltower.series import FourierSeries, TruncationWindow
 
 
 def test_expand_theta_text(capsys):
@@ -133,13 +133,14 @@ def test_two_writers_of_one_entry_both_store_it(tmp_path, monkeypatch):
     assert (again, hit) == (body, True)
 
 
-def _corrupt_body(path) -> None:
-    """Give an entry a body with one term twice, under a sound digest and
-    term count, so that only ``from_json`` can reject it."""
+def _corrupt_body(path, change=lambda terms: terms.append(terms[0])) -> None:
+    """Give an entry a body whose terms ``change`` edits in place (by
+    default one term twice), under a sound digest and term count, so that
+    only ``from_json`` can reject it."""
     doc = json.loads(path.read_text())
     series = json.loads(doc["series"])
-    series["terms"].append(series["terms"][0])
-    doc["terms"] += 1
+    change(series["terms"])
+    doc["terms"] = len(series["terms"])
     doc["series"] = json.dumps(series, separators=(",", ":"), sort_keys=True)
     doc["digest"] = hashlib.sha256(doc["series"].encode()).hexdigest()
     path.write_text(json.dumps(doc))
@@ -153,6 +154,29 @@ def test_cache_entry_rejected_by_from_json_is_a_miss(tmp_path):
     body, _, hit, _, _ = cli._cached_expand(desc, win, cache)
     assert (body, hit) == (want, False)
     assert json.loads(path.read_text())["series"] == want
+
+def test_cache_entry_with_two_terms_swapped_is_a_miss(tmp_path, capsys):
+    """Two terms of a stored body swapped, under a sound digest and term
+    count: ``from_json`` takes terms only in strictly increasing (s, q, z)
+    order, so the text hit is a miss, prints what the first miss printed,
+    and rewrites the entry, which the next request hits."""
+    argv = ["expand", "theta", "--qmax", "2", "--smax", "0", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    (path,) = tmp_path.glob("*.json")
+    stored = json.loads(path.read_text())
+
+    def swap(terms):
+        terms[0], terms[1] = terms[1], terms[0]
+
+    _corrupt_body(path, swap)
+    with pytest.raises(ValueError, match="bad term"):
+        FourierSeries.from_json(json.loads(path.read_text())["series"])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert json.loads(path.read_text()) == stored
+    assert cli._cached_expand("theta", TruncationWindow(48, 0), str(tmp_path))[2]
+
 
 def _no_parse(text):
     raise AssertionError("a body was parsed")

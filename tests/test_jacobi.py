@@ -8,6 +8,7 @@ from math import isqrt, prod
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from refltower import borcherds, jacobi, series
 from refltower.jacobi import (
@@ -281,16 +282,25 @@ def test_odd_shell_equals_a_brute_force_enumeration(fresh_memos):
 
 
 def test_packed_block_rows_equal_the_dict_slices():
-    """The block multiplied out factor by factor from the unit equals the
-    odd-shell slices (D, D1, A1) and the Theta_A2 convolution (A2) at every
-    level the sweep reaches, and D7 to level 16."""
+    """The block multiplied out factor by factor from the unit, held on
+    z_i > 0 of its sign axes (all of D, D1 and A1, none of A2) and
+    mirrored out (``_mirror_rows``), equals the odd-shell slices (D, D1,
+    A1) and the Theta_A2 convolution (A2) at every level the sweep
+    reaches, and D7 to level 16: the held rows, all on the orthant, are
+    the slice's terms there (mirrored out they are all of them, and
+    2^len(axes) times as many), with the slice's reach and max |v|."""
     assert set(SWEEP_PSI_DEPTHS) == set(MEMBERS)
     for key, depth in SWEEP_PSI_DEPTHS.items():
         val = MEMBERS[key].val_q
+        axes = jacobi._sign_axes(MEMBERS[key])
+        assert list(axes) == ([] if MEMBERS[key].family == "A2" else list(range(MEMBERS[key].r)))
         for lvl in range(depth + 1):
-            z, v, reach, vmax = jacobi._member_rows(key, val + 24 * lvl)
-            got = dict(zip(map(tuple, z.tolist()), v.tolist()))
-            assert got == oracles.member_slice(key, val + 24 * lvl), (key, lvl)
+            zh, vh, reach, vmax = jacobi._member_rows(key, val + 24 * lvl)
+            z, v = jacobi._mirror_rows(zh, vh, axes)
+            assert len(z) == len(zh) << len(axes) and np.all(zh[:, list(axes)] > 0), (key, lvl)
+            want = oracles.member_slice(key, val + 24 * lvl)
+            assert len(z) == len(want), (key, lvl)
+            assert dict(zip(map(tuple, z.tolist()), v.tolist())) == want, (key, lvl)
             assert reach.tolist() == np.abs(z).max(axis=0, initial=0).tolist(), (key, lvl)
             assert vmax == int(np.abs(v).max(initial=0)), (key, lvl)
 
@@ -537,16 +547,15 @@ def _spy_mirrors(monkeypatch) -> list:
 
 
 def _spy_folds(monkeypatch) -> list:
-    """Record whether each ``jacobi._fold_odd`` call folded: no True means
-    the full loop ran."""
-    calls, real = [], jacobi._fold_odd
+    """Record whether each ``jacobi._divide_packed`` run divided on a sign
+    orthant (some axis given): no True means the full loop ran."""
+    calls, real = [], jacobi._divide_packed
 
     def spy(*a):
-        out = real(*a)
-        calls.append(out is not None)
-        return out
+        calls.append(bool(a[1]))
+        return real(*a)
 
-    monkeypatch.setattr(jacobi, "_fold_odd", spy)
+    monkeypatch.setattr(jacobi, "_divide_packed", spy)
     return calls
 
 
@@ -554,9 +563,10 @@ def _spy_folds(monkeypatch) -> list:
 def test_division_recovers_a_random_quotient(monkeypatch, key):
     """psi * Q divided by psi gives Q back exactly, and one unit added at
     the deepest level of the dividend leaves a remainder.  The packed
-    multiply of Q by the block equals psi * Q from ``FourierSeries.mul``,
-    so division and multiply invert each other.  A random Q is not even,
-    so psi * Q is not odd: no coordinate is folded."""
+    multiply of Q by the block equals psi * Q from ``FourierSeries.mul``
+    on z_i > 0 of the sign axes (all of it for A2), the part it forms.  A
+    random Q is not even, so psi * Q is not odd: it is divided whole, in
+    a frame symmetric on no axis, and no coordinate is folded."""
     folds = _spy_folds(monkeypatch)
     meta = MEMBERS[key]
     depth = 3 if meta.r >= 7 else 4
@@ -572,7 +582,9 @@ def test_division_recovers_a_random_quotient(monkeypatch, key):
                            meta.r, np.int64)
     f = series._frame(-rows[3], rows[3], depth)
     g, [(k, v)] = jacobi.multiply_by_member(f, [series._qz_pack(rows, f)], key, depth)
-    assert series._qz_decode(k, v, g) == {j: sl for j, sl in enumerate(levels) if sl}
+    axes = jacobi._sign_axes(meta)
+    orthant = [{z: c for z, c in sl.items() if all(z[i] > 0 for i in axes)} for sl in levels]
+    assert series._qz_decode(k, v, g) == {j: sl for j, sl in enumerate(orthant) if sl}
     assert divide_slices(levels, key, depth) == [quo.cells[(0, 24 * j)]
                                                  for j in range(depth + 1)]
     z = sorted(levels[depth])[len(levels[depth]) // 2]
@@ -605,7 +617,9 @@ def test_quotient_does_not_depend_on_the_dividend_frame(monkeypatch, key):
     in a wider, asymmetric, unsheared one give the quotient of the
     ``FourierSeries.div`` oracle, and a dividend with a remainder is
     refused in both.  Neither folds a coordinate: the dividend is not
-    odd, and the wide frame is not symmetric on any axis."""
+    odd, so it goes in whole, and the wide frame is not symmetric on any
+    axis (the orthant contract folds only axes a frame holds
+    symmetrically)."""
     folds = _spy_folds(monkeypatch)
     meta = MEMBERS[key]
     depth = 3
@@ -630,7 +644,7 @@ def test_quotient_does_not_depend_on_the_dividend_frame(monkeypatch, key):
         assert got == [quo.cells[(0, 24 * j)] for j in range(depth + 1)]
         with pytest.raises(ArithmeticError):
             divide_slices(bad, key, depth, frame)
-    assert jacobi._sign_axes(meta, wide, jacobi._factor_stack(meta, depth)) == []
+    assert not np.any(wide.lo == -wide.hi)
     assert True not in folds
 
 
@@ -639,7 +653,8 @@ SIGN_MEMBERS = [key for key, meta in MEMBERS.items() if meta.family != "A2"]
 
 def _hecke_dividend(key: str, depth: int) -> tuple:
     """(frame, keys, values) that ``phi0_by_division`` divides: psi|V_p on
-    levels 0..depth, packed, level digit left out, keys sorted."""
+    levels 0..depth, packed, level digit left out, keys sorted, on z_i > 0
+    of the sign axes as ``hecke_levels`` builds it from the block rows."""
     f, [(k, v)] = jacobi.hecke_levels(key, [MEMBERS[key].hecke_p], depth)
     spans = list(itertools.pairwise(np.searchsorted(k, np.arange(depth + 2) * f.stq).tolist()))
     return f, [k[a:b] - j * f.stq for j, (a, b) in enumerate(spans)], [v[a:b] for a, b in spans]
@@ -648,13 +663,16 @@ def _hecke_dividend(key: str, depth: int) -> tuple:
 @pytest.mark.parametrize("key", SIGN_MEMBERS)
 def test_orthant_division_equals_the_full_loop(monkeypatch, key):
     """psi|V_p is odd in every coordinate of a D, D1 or A1 block, so it is
-    divided on one sign orthant, every coordinate folded.  At depths 0-4
-    that quotient equals the full loop's (``_sign_axes`` made to fold
-    nothing): frame, sorted keys, values and dtype, on int64 and on the
-    python-int rerun that a 2^62 bound lowered to 1 forces on both."""
+    built and divided on one sign orthant, every coordinate folded.  At
+    depths 0-4 that quotient equals the full loop's on the dividend
+    mirrored out whole (``_sign_axes`` made to fold nothing): frame,
+    sorted keys, values and dtype, on int64 and on the python-int rerun
+    that a 2^62 bound lowered to 1 forces on both."""
     meta = MEMBERS[key]
+    axes = list(range(meta.r))
     for depth in range(5):
         f, keys, vals = _hecke_dividend(key, depth)
+        whole = [jacobi._mirror_out(k, v, f, axes, -1) for k, v in zip(keys, vals)]
         out = {}
         for full, safe in itertools.product((False, True), (series._INT64_SAFE, 1)):
             with monkeypatch.context() as m:
@@ -662,12 +680,13 @@ def test_orthant_division_equals_the_full_loop(monkeypatch, key):
                 if full:
                     m.setattr(jacobi, "_sign_axes", lambda *a: [])
                 m.setattr(jacobi, "_INT64_SAFE", safe)
-                out[full, safe] = jacobi.divide_by_member(keys, vals, f, key, depth)
-            # each axis mirrored once to check the fold (once per division,
-            # ahead of the int64 run that the lowered bound stops), once
-            # before its theta factor and once at the end
+                out[full, safe] = jacobi.divide_by_member(
+                    *(zip(*whole) if full else (keys, vals)), f, key, depth)
+            # each axis mirrored once before its theta factor and once at
+            # the end, in the run that finishes (the lowered bound stops
+            # the int64 run before its first theta factor)
             assert sorted(set(mirrors)) == ([] if full else [-1, 1]), (key, depth)
-            assert len(mirrors) == (0 if full else 3 * meta.r * (depth + 1))
+            assert len(mirrors) == (0 if full else 2 * meta.r * (depth + 1))
         for safe, dtype in ((series._INT64_SAFE, np.int64), (1, object)):
             (g, quo), (g_full, quo_full) = out[False, safe], out[True, safe]
             assert all(np.array_equal(a, b) for a, b in zip(g, g_full)), (key, depth)
@@ -678,35 +697,54 @@ def test_orthant_division_equals_the_full_loop(monkeypatch, key):
         assert any(len(k) for k, _ in quo)
 
 
-def test_fold_odd_checks_every_key():
-    """A level odd in both axes, its keys strictly increasing, is cut to
-    z_1, z_2 > 0; an unsorted level refuses the fold, as do a key missing
-    its image, a value not negated, a key on an axis, or a key given
-    twice."""
-    f = series._frame(np.array([-3, -3]), np.array([3, 3]))
-    odd = {(1, 2): 5, (-1, 2): -5, (1, -2): -5, (-1, -2): 5, (3, 1): 2, (-3, 1): -2,
-           (3, -1): -2, (-3, -1): 2}
+@pytest.mark.parametrize("key", ["psi_8_D4", "eta21_theta2z", "psi_3_3A1"])
+def test_division_refuses_a_whole_dividend_in_a_symmetric_frame(key):
+    """Under the orthant contract a dividend in a frame symmetric on the
+    sign axes is the z_i > 0 part of an odd one: psi|V_p mirrored out
+    whole there is refused (a ValueError, not a wrong quotient), and in a
+    frame symmetric on no axis the same whole dividend gives the quotient
+    of its orthant."""
+    depth = 2
+    f, keys, vals = _hecke_dividend(key, depth)
+    axes = jacobi._sign_axes(MEMBERS[key])
+    whole = [jacobi._mirror_out(k, v, f, axes, -1) for k, v in zip(keys, vals)]
+    with pytest.raises(ValueError, match="orthant"):
+        jacobi.divide_by_member(*zip(*whole), f, key, depth)
+    g, want = jacobi.divide_by_member(keys, vals, f, key, depth)
+    wide = series._frame(f.lo, f.hi + 1, 0)
+    h, got = jacobi.divide_by_member([series._restride(k, f, wide) for k, _ in whole],
+                                     [v for _, v in whole], wide, key, depth)
+    assert [series._qz_decode(k, v, h) for k, v in got] == \
+        [series._qz_decode(k, v, g) for k, v in want]
 
-    def fold(cells, dup=False, unsorted=False):
-        z = np.array(list(cells), dtype=np.int64)
-        k, v = series._encode(z, f), np.array(list(cells.values()), dtype=np.int64)
+
+def test_even_check_refuses_every_asymmetry():
+    """Weight-0 rows even in both axes, in packed-key order, pass
+    ``jacobi._check_even``, keys on an axis included; a key missing its
+    image, an image with another value or negated, rows out of order and
+    a key given twice are refused, and with no axis nothing is checked."""
+    even = {(0, 0): 7, (0, 1): 4, (0, -1): 4, (2, 0): 3, (-2, 0): 3}
+    for a, b in ((1, 2), (3, 1)):
+        even.update({(s * a, t * b): 5 * a + b for s in (1, -1) for t in (1, -1)})
+
+    def check(cells, level=1, unsorted=False, dup=False):
+        rows = sorted((level, z, c) for z, c in cells.items())
         if dup:
-            k, v = np.append(k, k[:1]), np.append(v, v[:1])
-        o = np.argsort(k, kind="stable")
-        k, v = k[o], v[o]
+            rows.append(rows[-1])
         if unsorted:
-            k, v = k[::-1], v[::-1]
-        return jacobi._fold_odd([(k, v), (k[:0], v[:0])], f, [0, 1])
+            rows = rows[::-1]
+        lv, z, v = zip(*rows)
+        return jacobi._check_even((np.array(lv), np.array(z, dtype=np.int64), np.array(v)), [0, 1])
 
-    [(k, v), (k1, _)] = fold(odd)
-    assert series._decode(k, f).tolist() == [[1, 2], [3, 1]] and v.tolist() == [5, 2]
-    assert len(k1) == 0
-    assert fold(odd, unsorted=True) is None
-    assert fold({z: c for z, c in odd.items() if z != (-3, -1)}) is None
-    assert fold({**odd, (-3, -1): -2}) is None
-    assert fold({**odd, (0, 1): 1, (0, -1): -1}) is None
-    assert fold(odd, dup=True) is None
-    assert jacobi._fold_odd([(series._encode(np.array([[1, 1]]), f), np.array([1]))], f, [0]) is None
+    check(even)
+    for bad in ({z: c for z, c in even.items() if z != (-3, -1)}, {**even, (-3, -1): 1},
+                {**even, (-1, 2): -even[(-1, 2)]}, {**even, (0, -1): -4}):
+        with pytest.raises(ValueError, match="not even"):
+            check(bad)
+    for kw in ({"unsorted": True}, {"dup": True}):
+        with pytest.raises(ValueError, match="not even"):
+            check(even, **kw)
+    jacobi._check_even((np.zeros(1, np.int64), np.array([[1, 0]]), np.array([1])), [])
 
 
 def test_orthant_binomial_passes_see_a_twentieth_of_the_keys(monkeypatch):
@@ -715,6 +753,7 @@ def test_orthant_binomial_passes_see_a_twentieth_of_the_keys(monkeypatch):
     see."""
     key, depth = "psi_4_D8", 2
     f, keys, vals = _hecke_dividend(key, depth)
+    whole = [jacobi._mirror_out(k, v, f, list(range(8)), -1) for k, v in zip(keys, vals)]
     seen = {}
     for full in (False, True):
         with monkeypatch.context() as m:
@@ -722,7 +761,7 @@ def test_orthant_binomial_passes_see_a_twentieth_of_the_keys(monkeypatch):
             m.setattr(jacobi, "_binomial_packed", lambda k, *a: calls.append(len(k)) or real(k, *a))
             if full:
                 m.setattr(jacobi, "_sign_axes", lambda *a: [])
-            jacobi.divide_by_member(keys, vals, f, key, depth)
+            jacobi.divide_by_member(*(zip(*whole) if full else (keys, vals)), f, key, depth)
         seen[full] = sum(calls)
     assert 20 * seen[False] <= seen[True]
 
@@ -776,6 +815,64 @@ def test_an_odd_corruption_is_divided_on_the_orthant(monkeypatch, key):
         assert divide_slices(levels, key, depth) == [want.cells.get((0, 24 * j), {})
                                                       for j in range(depth + 1)]
     assert folds == [True]
+
+
+@st.composite
+def _even_quotients(draw):
+    """(member, depth, [{z: value} per level], dtype): sparse terms of a
+    random member's quotient at depth 0-3, values small or within 2^10 of
+    +-2^62 (which sends the multiply, and so the division, to python
+    ints), to be held as int64 or as python ints."""
+    key = draw(st.sampled_from(list(MEMBERS)))
+    r, depth = MEMBERS[key].r, draw(st.integers(0, 3))
+    big = st.integers(2 ** 62 - 2 ** 10, 2 ** 62)
+    value = st.one_of(st.integers(-9, 9).filter(bool), big, big.map(lambda v: -v))
+    cell = st.dictionaries(st.tuples(*[st.integers(-3, 3)] * r), value, max_size=3)
+    return key, depth, draw(st.lists(cell, min_size=depth + 1, max_size=depth + 1)), \
+        draw(st.sampled_from([np.int64, object]))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_even_quotients())
+@example(("psi_4_D8", 3, [{}, {}, {(1, -1, 2, 0, 0, 3, -2, 1): 7}, {}], np.int64))
+@example(("psi_3_3A2", 2, [{(3, -3, 0, 0, 6, 6): 2 ** 62}, {}, {}], object))
+def test_division_inverts_the_multiply_under_the_orthant_contract(case):
+    """``divide_by_member(multiply_by_member(x)) == x`` for a sparse x even
+    in the member's sign axes (each drawn term completed by its sign
+    images, one value, later terms first): the multiply gives the odd
+    product's part on z_i > 0 of those axes in a symmetric frame, which
+    is exactly the dividend the division takes, and the division gives x
+    back whole, keys sorted, on int64 or, past 2^62, on python ints."""
+    key, depth, terms, dtype = case
+    meta = MEMBERS[key]
+    axes = jacobi._sign_axes(meta)
+    levels = [{} for _ in terms]
+    for sl, cell in zip(levels, terms):
+        for z, c in cell.items():
+            for signs in itertools.product((1, -1), repeat=len(axes)):
+                img = list(z)
+                for i, sg in zip(axes, signs):
+                    img[i] *= sg
+                sl.setdefault(tuple(img), c)
+    if not any(levels):
+        levels[0][(0,) * meta.r] = 1
+    lv, z, v = zip(*[(j, t, c) for j, sl in enumerate(levels) for t, c in sl.items()])
+    z, lv = np.array(z, dtype=np.int64).reshape(-1, meta.r), np.array(lv)
+    box = np.abs(z).max(axis=0)
+    f = series._frame(-box, box, depth)
+    k = series._encode(z, f, lv)
+    o = np.argsort(k)
+    big = max(map(abs, v)) >= 2 ** 62 - 2 ** 10
+    g, [(pk, pv)] = jacobi.multiply_by_member(f, [(k[o], np.array(v, dtype=dtype)[o])], key, depth)
+    assert pv.dtype == (object if big or dtype is object else np.int64)
+    assert jacobi._orthant(pk, g, axes, 1).all()
+    spans = list(itertools.pairwise(np.searchsorted(pk, np.arange(depth + 2) * g.stq).tolist()))
+    h, quo = jacobi.divide_by_member([pk[a:b] - j * g.stq for j, (a, b) in enumerate(spans)],
+                                     [pv[a:b] for a, b in spans], g, key, depth)
+    assert len(quo) == depth + 1
+    for (qk, qv), sl in zip(quo, levels):
+        assert np.all(np.diff(qk) > 0)
+        assert dict(zip(map(tuple, series._decode(qk, h).tolist()), qv.tolist())) == sl
 
 
 # the deepest block level that c05 and the sweep windows read, per member
@@ -1061,14 +1158,17 @@ def test_hecke_on_half_grid_rules():
 
 
 def _hecke_levels_as_dicts(key, orders, depth):
-    """jacobi.hecke_levels as {(order, j): slice dict}; every layer's keys
-    strictly increase and its reach bound (``jacobi._part_specs``) fits
-    the frame."""
+    """jacobi.hecke_levels as {(order, j): slice dict}, each layer mirrored
+    out whole from z_i > 0 of the sign axes, where every key of it lies;
+    every layer's keys strictly increase and its reach bound
+    (``jacobi._part_specs``) fits the frame."""
     f, layers = jacobi.hecke_levels(key, orders, depth)
+    axes = jacobi._sign_axes(MEMBERS[key])
     out = {}
     for m, (k, v), reach in zip(orders, layers, hecke_reach(key, orders, depth)):
         assert np.all(np.diff(k) > 0) and np.all(reach <= f.hi)
-        for j, sl in series._qz_decode(k, v, f).items():
+        assert jacobi._orthant(k, f, axes, 1).all()
+        for j, sl in series._qz_decode(*jacobi._mirror_out(k, v, f, axes, -1), f).items():
             out[(m, j)] = sl
     return out
 

@@ -73,16 +73,17 @@ def test_cache_counters_read_one_real_call(tmp_path):
 def test_division_counter_reads_packed_levels():
     """The ``jacobi.divide_by_member`` pre-counter sums ``len`` over its
     first argument, the dividend's packed keys one array per level, so it
-    counts the dividend's terms.  A lift-versus-product check divides
-    nothing, so a traced comparison beside one phi0 division counts that
-    division alone."""
+    counts the dividend's terms: those of psi|V_p on the sign orthant
+    z_i > 0, as the division takes them.  A lift-versus-product check
+    divides nothing, so a traced comparison beside one phi0 division
+    counts that division alone."""
     from refltower import borcherds, jacobi
 
     key = "psi_10_D2"
     meta = jacobi.MEMBERS[key]
     jacobi.weak_weight0(key, 8)  # cached, so the comparison divides nothing
-    phi0_terms = sum(len(jacobi.member_hecke_slice(key, meta.hecke_p, meta.val_q + 24 * j))
-                     for j in range(4))
+    phi0_terms = sum(min(z) > 0 for j in range(4)
+                     for z in jacobi.member_hecke_slice(key, meta.hecke_p, meta.val_q + 24 * j))
     tracer = _tracer()
     t = tracer.Tracer()
     t.install()

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -212,8 +213,9 @@ def test_negative_control_catches_corrupt_lift(monkeypatch):
 
 def test_integer_hyper_norm_matches_the_fraction_oracle():
     """The batched numerators are the Fraction norm, row by row: over
-    _norm_den on every block slice through q = 96 (the rows are the
-    slice's terms), and over norm_den (``Lattice._wall_norms``, as
+    _norm_den on every block slice through q = 96 (the held rows,
+    mirrored out, are the slice's terms), and over norm_den
+    (``Lattice._wall_norms``, as
     lemma13-support-bounds reads them) on every phi0 term through depth
     2, the identity-mix windows of the support and class checks, for all
     15 members (the index-1/2 A1 family included)."""
@@ -222,8 +224,9 @@ def test_integer_hyper_norm_matches_the_fraction_oracle():
         lat = lattices.lattice(meta.lattice_name)
         cells = []
         rows = verification._block_rows(key, 96, 4)
-        assert [q for q, _ in rows] == list(range(meta.val_q, 97, 24))
-        for q, z in rows:
+        assert [q for q, *_ in rows] == list(range(meta.val_q, 97, 24))
+        for q, z, v in rows:  # held on the sign orthant: mirrored out, the slice's terms
+            z = jacobi._mirror_rows(z, v, jacobi._sign_axes(meta))[0]
             assert sorted(map(tuple, z.tolist())) == sorted(jacobi.member_slice(key, q))
             cells.append((meta.index, q, z, verification._hyper_norms(lat, q, z, meta.index),
                           verification._norm_den(lat, meta.index)))
@@ -306,7 +309,11 @@ def test_negative_control_below_cone_slice_term(monkeypatch):
     _add_slice_term(monkeypatch, "psi_4_D8", 24, z)
     rep = verification.run("lemma13-support-bounds", TruncationWindow(48, 4))
     assert rep.status == "fail"
-    assert rep.details["violations"] == {"psi_4_D8": [[24, list(z)]]}
+    # the rows are held on z_i > 0 and read mirrored out: z and its 2^7 sign images
+    images = {tuple(s * a for s, a in zip(signs, z))
+              for signs in itertools.product((1, -1), repeat=8)}
+    assert len(images) == 128 and list(rep.details["violations"]) == ["psi_4_D8"]
+    assert sorted(rep.details["violations"]["psi_4_D8"]) == sorted([24, list(w)] for w in images)
     rep = verification.run("singular-support", TruncationWindow(96, 4))
     assert rep.status == "fail"
     assert rep.details["psi_4_D8"] == ["-7/4", 0]

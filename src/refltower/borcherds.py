@@ -55,7 +55,7 @@ from .jacobi import (
     _corner_dirs,
     _divisor_plan,
     _encode_parts,
-    _mirror_out,
+    _mirror_rows,
     _part_specs,
     _sign_axes,
     hecke_levels,
@@ -67,8 +67,8 @@ from .jacobi import (
 )
 from .lattices import lattice
 from .lifting import lift_layers
-from .series import (FourierSeries, TruncationWindow, _encode, _frame, _int64_first,
-                     _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _restride, np)
+from .series import (FourierSeries, TruncationWindow, _decode, _encode, _frame, _int64_first,
+                     _level_runs, _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _restride, np)
 
 
 class WeylData(NamedTuple):
@@ -210,11 +210,15 @@ def product_layers(key: str, window: TruncationWindow):
         yield s_num, f, k, v
 
 
-def _layer_cells(out: FourierSeries, s_num: int, q0: int, f, k, v) -> FourierSeries:
-    """out with the packed layer (keys k, values v in frame f) decoded into
-    its cells at s_num, level l at q_num q0 + 24 l."""
-    for lvl, sl in _qz_decode(k, v, f).items():
-        out.cells[(s_num, q0 + 24 * lvl)] = sl
+def _layer_cells(out: FourierSeries, s_num: int, q0: int, f, k, v, axes) -> FourierSeries:
+    """out with the packed layer (keys k, values v in frame f, held on
+    z_i > 0 of the axes) decoded and mirrored out whole, level by level
+    (``jacobi._mirror_rows``), into its cells at s_num, level l at q_num
+    q0 + 24 l."""
+    z = _decode(k, f)
+    for lvl, a, b in _level_runs(k, f.stq):
+        zs, vs = _mirror_rows(z[a:b], v[a:b], axes)
+        out.cells[(s_num, q0 + 24 * lvl)] = dict(zip(map(tuple, zs.tolist()), vs.tolist()))
     return out
 
 
@@ -225,7 +229,7 @@ def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
     out = FourierSeries(meta.r, meta.den_z, window)
     axes = _sign_axes(meta)
     for s_num, f, k, v in product_layers(key, window):
-        _layer_cells(out, s_num, meta.val_q, f, *_mirror_out(k, v, f, axes, -1))
+        _layer_cells(out, s_num, meta.val_q, f, k, v, axes)
     return out
 
 
@@ -353,7 +357,7 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
             continue
         w = TruncationWindow(meta.val_q + 24 * q_aux, s_num)
         lift, rhs = (_layer_cells(FourierSeries(meta.r, meta.den_z, w), s_num, meta.val_q, f,
-                                  *_mirror_out(*kv, f, axes, -1))
+                                  *kv, axes)
                      for kv in ((kl, vl), (k, v)))
         diff = lift.first_difference(rhs)
         if diff is None:

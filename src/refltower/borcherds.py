@@ -7,9 +7,12 @@ computable shapes.  The exponential form
 
 is the workhorse: every layer is a finite convolution and the result
 must come out integral, which the constructor asserts.  The literal
-product form multiplies factors (1 - q^n s^m zeta^l) with exponents
-read off phi0 at n*m, times a Weyl monomial, the factors of one (n, m)
-together before they meet the running product.  It agrees with the
+product form is the Weyl monomial times factors (1 - q^n s^m zeta^l)
+with exponents read off phi0 at n*m: the running product starts at the
+monomial, each factor is expanded only inside the window less the
+monomial's exponents, where its terms can still land inside the window,
+and the factors of one (n, m) are multiplied together before they meet
+the running product.  It agrees with the
 exponential form on the D, D1 and A1 families and is kept for modest
 windows; on A2 it keeps the wrong half of the z-only walls (the
 lexicographic half, where the corner directions need the other one) and
@@ -27,11 +30,11 @@ entries stay valid as phi0 deepens; any other phi0, a corrupted one say,
 neither hits nor replaces an entry, and its rows must be even in the
 block's sign axes (``jacobi._check_even``).  E_j is then even, and for
 D, D1 and A1 psi * E_j is held on z_i > 0 of those axes alone, as the
-lift layers are (``jacobi.hecke_levels``); ``borcherds_exp`` mirrors
-each out whole.  The lift-versus-product check
-compares the two orthants as arrays of keys and values in psi * E_j's
-frame; only a mismatch report mirrors them out and decodes them, into
-series cells as ``borcherds_exp`` does (``_layer_cells``), for
+lift layers are (``jacobi.hecke_levels``); ``borcherds_exp`` decodes
+each and mirrors it out whole level by level (``series._qz_decode``).
+The lift-versus-product check compares the two orthants as arrays of
+keys and values in psi * E_j's frame; only a mismatch report decodes
+them, into series cells as ``borcherds_exp`` does, for
 ``FourierSeries.first_difference``.
 
 The divisor scan walks the negative-norm support of phi0, reduces each
@@ -55,7 +58,6 @@ from .jacobi import (
     _corner_dirs,
     _divisor_plan,
     _encode_parts,
-    _mirror_rows,
     _part_specs,
     _sign_axes,
     hecke_levels,
@@ -67,8 +69,8 @@ from .jacobi import (
 )
 from .lattices import lattice
 from .lifting import lift_layers
-from .series import (FourierSeries, TruncationWindow, _decode, _encode, _frame, _int64_first,
-                     _level_runs, _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _restride, np)
+from .series import (FourierSeries, TruncationWindow, _encode, _frame, _int64_first,
+                     _norm_coeff, _NotInt64, _qz_decode, _qz_mul, _restride, np)
 
 
 class WeylData(NamedTuple):
@@ -210,18 +212,6 @@ def product_layers(key: str, window: TruncationWindow):
         yield s_num, f, k, v
 
 
-def _layer_cells(out: FourierSeries, s_num: int, q0: int, f, k, v, axes) -> FourierSeries:
-    """out with the packed layer (keys k, values v in frame f, held on
-    z_i > 0 of the axes) decoded and mirrored out whole, level by level
-    (``jacobi._mirror_rows``), into its cells at s_num, level l at q_num
-    q0 + 24 l."""
-    z = _decode(k, f)
-    for lvl, a, b in _level_runs(k, f.stq):
-        zs, vs = _mirror_rows(z[a:b], v[a:b], axes)
-        out.cells[(s_num, q0 + 24 * lvl)] = dict(zip(map(tuple, zs.tolist()), vs.tolist()))
-    return out
-
-
 def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
     """The Borcherds product as a materialised series over a window, each
     layer mirrored out whole (odd) from the sign orthant."""
@@ -229,7 +219,8 @@ def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
     out = FourierSeries(meta.r, meta.den_z, window)
     axes = _sign_axes(meta)
     for s_num, f, k, v in product_layers(key, window):
-        _layer_cells(out, s_num, meta.val_q, f, k, v, axes)
+        for lvl, sl in _qz_decode(k, v, f, axes).items():
+            out.cells[(s_num, meta.val_q + 24 * lvl)] = sl
     return out
 
 
@@ -261,22 +252,29 @@ def _binom_factor(c: int, q_num: int, z: tuple, s_num: int,
 def borcherds_product_form(key: str, window: TruncationWindow) -> FourierSeries:
     """The product over positive indices, for modest windows.
 
-    Factor exponents at (n, l, m) are phi0 coefficients at (nm, l); the
-    m = 0 factors rebuild the theta block itself, so the only input
-    beyond the member data is the weight-0 form.  The factors of one
-    (n, m) share their q and s steps, so their product stays small; the
-    running product is multiplied once per (n, m), not once per factor.
-    Of each +-pair of z-only walls the z lexicographically above zero is
-    kept, which is wrong for the A2 family (see the module docstring).
+    The running product starts at the Weyl monomial, sign included, and
+    each factor is built only inside the window less that monomial's q
+    and s exponents: a factor term has both exponents >= 0, so a term
+    past that smaller window lands past the asked one.  A monomial past
+    the window leaves the empty series.  Factor exponents at (n, l, m)
+    are phi0 coefficients at (nm, l); the m = 0 factors rebuild the theta
+    block itself, so the only input beyond the member data is the
+    weight-0 form.  The factors of one (n, m) share their q and s steps,
+    so their product stays small; the running product is multiplied once
+    per (n, m), not once per factor.  Of each +-pair of z-only walls the
+    z lexicographically above zero is kept, which is wrong for the A2
+    family (see the module docstring).
     """
     meta = MEMBERS[key]
     wd = weyl_data(key)
     s0 = wd.s_num
-    m_max = max((window.s_max - s0) // 2, 0)
-    q_depth = max((window.q_max - meta.val_q) // 24, 0)
+    out = FourierSeries.monomial(wd.sign, wd.q_num, wd.z, s0, meta.den_z, window)
+    if out.is_zero():
+        return out
+    fw = TruncationWindow(window.q_max - wd.q_num, window.s_max - s0)
+    m_max, q_depth = fw.s_max // 2, fw.q_max // 24
     phi = weak_weight0(key, max(q_depth * max(m_max, 1), 1)).series
     zero = (0,) * meta.r
-    out = FourierSeries.monomial(1, 0, zero, 0, meta.den_z, window)
     for m in range(m_max + 1):
         for n in range(q_depth + 1):
             sl = phi.cells.get((0, 24 * n * m))
@@ -285,12 +283,10 @@ def borcherds_product_form(key: str, window: TruncationWindow) -> FourierSeries:
                 c = sl[z]
                 if not c or (n == 0 and m == 0 and z <= zero):
                     continue  # no factor, or the other half of a +-pair of z-only walls
-                fac = _binom_factor(c, 24 * n, z, 2 * m,
-                                    meta.r, meta.den_z, window)
-                group = fac if group is None else group.mul(fac, window)
+                fac = _binom_factor(c, 24 * n, z, 2 * m, meta.r, meta.den_z, fw)
+                group = fac if group is None else group.mul(fac, fw)
             if group is not None:
                 out = out.mul(group, window)
-    out = out.shifted(wd.q_num, wd.z, s0).scaled(wd.sign).truncated(window)
     return out
 
 
@@ -356,9 +352,10 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
         if np.array_equal(kl, k) and np.array_equal(vl, v):
             continue
         w = TruncationWindow(meta.val_q + 24 * q_aux, s_num)
-        lift, rhs = (_layer_cells(FourierSeries(meta.r, meta.den_z, w), s_num, meta.val_q, f,
-                                  *kv, axes)
-                     for kv in ((kl, vl), (k, v)))
+        lift, rhs = FourierSeries(meta.r, meta.den_z, w), FourierSeries(meta.r, meta.den_z, w)
+        for out, kv in ((lift, (kl, vl)), (rhs, (k, v))):
+            out.cells = {(s_num, meta.val_q + 24 * lvl): sl
+                         for lvl, sl in _qz_decode(*kv, f, axes).items()}
         diff = lift.first_difference(rhs)
         if diff is None:
             raise AssertionError("layer s_num=%d differs as arrays but not as dicts" % s_num)
@@ -367,7 +364,7 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
         fe, E = _int64_first(_exp_packed, key, j_max, q_aux, phi)
         mismatch = {"s_num": s_num, "q_num": q, "z": z, "lift": c,
                     "product": _product_coefficient(
-                        key, _qz_decode(*E[(s_num - s0) // 2], fe), q, z)}
+                        key, _qz_decode(*E[(s_num - s0) // 2], fe, ()), q, z)}
         break
     return {
         "status": "pass" if mismatch is None else "fail",

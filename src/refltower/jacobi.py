@@ -35,7 +35,7 @@ an even E_j the orthant of psi * E_j.  The Hecke translates of the lift
 packed frame by ``_encode_parts`` (d > 0 keeps them on the orthant), as
 phi0's are from ``weight0_rows``; the division takes psi|V_p as it
 comes, on the orthant, and mirrors its even quotient out whole once.
-Readers that need every term mirror on demand (``_mirror_rows``,
+Readers that need every term mirror on demand (``series._mirror_rows``,
 ``_mirror_out``); nothing holds both forms.  Dict slices of the A2
 blocks are decoded from the rows, the others summed from odd shells
 (``_odd_shell``, one memoised recursion).  Each kernel picks its
@@ -69,6 +69,7 @@ from .series import (
     _frame,
     _int64_first,
     _level_runs,
+    _mirror_rows,
     _NotInt64,
     _packed_reduce,
     _qz_rows,
@@ -333,7 +334,7 @@ def _member_rows(key: str, q_num: int) -> tuple:
     (``multiply_by_member``), memoised per member and rebuilt only when a
     deeper level is asked for.  The block is odd in every coordinate of
     ``_sign_axes``, so for D, D1 and A1 the rows are its part on
-    z_i > 0, which the multiply gives exactly (``_mirror_rows`` mirrors
+    z_i > 0, which the multiply gives exactly (``series._mirror_rows`` mirrors
     them out); A2 rows are whole.  The reach (largest |z_i| per axis,
     int64) and max|v| of each level, the same on the orthant as whole,
     are taken once, when the block is built.  Rows are int16 when the
@@ -360,19 +361,6 @@ def _member_rows(key: str, q_num: int) -> tuple:
             rk.flags.writeable = False
             levels.append((z[a:b], v[a:b], rk, int(np.abs(v[a:b]).max(initial=0))))
     return levels[lvl]
-
-
-def _mirror_rows(z, v, axes: list) -> tuple:
-    """Odd (z rows, values) held on z_i > 0 of the axes, as
-    ``_member_rows`` holds a block's slice, completed by their images
-    under z_i -> -z_i, values negated once per flip, in no particular
-    order.  Built on demand for the readers that need every term."""
-    for i in axes:
-        m = z[:, i] > 0
-        zm = z[m]
-        zm[:, i] = -zm[:, i]
-        z, v = np.concatenate((z, zm)), np.concatenate((v, -v[m]))
-    return z, v
 
 
 def _prefetch_block(key: str, q_num: int) -> None:

@@ -14,7 +14,8 @@ This module also owns the packed form of the int64 kernels, the (q, z)
 product ``_qz_mul`` and the theta-block division and multiplication
 (``jacobi.divide_by_member``, ``jacobi.multiply_by_member``): one
 ``_Frame`` packs (level, z) into a single int64 key, ``_qz_rows`` /
-``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts,
+``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts
+(``_qz_decode`` mirroring a layer held on one sign orthant out whole),
 ``_restride`` moves keys between any two frames by digit arithmetic
 (``_coord`` reads one axis of an unsheared frame the same way), and
 ``_int64_first`` reruns a kernel on Python ints when int64 cannot carry
@@ -326,11 +327,30 @@ def _level_abs(vals, runs: list, top: int) -> tuple:
     return s, m
 
 
-def _qz_decode(keys, vals, f: _Frame) -> dict:
-    """{level: {z: coefficient}} of packed keys and values, sorted by level."""
-    zt = list(map(tuple, _decode(keys, f).tolist()))
-    vl = vals.tolist()
-    return {lvl: dict(zip(zt[a:b], vl[a:b])) for lvl, a, b in _level_runs(keys, f.stq)}
+def _mirror_rows(z, v, axes) -> tuple:
+    """Odd (z rows, values) held on z_i > 0 of the axes, as
+    ``jacobi._member_rows`` holds a block's slice, completed by their
+    images under z_i -> -z_i, values negated once per flip, in no
+    particular order.  Built on demand for the readers that need every
+    term."""
+    for i in axes:
+        m = z[:, i] > 0
+        zm = z[m]
+        zm[:, i] = -zm[:, i]
+        z, v = np.concatenate((z, zm)), np.concatenate((v, -v[m]))
+    return z, v
+
+
+def _qz_decode(keys, vals, f: _Frame, axes) -> dict:
+    """{level: {z: coefficient}} of packed keys and values, sorted by
+    level, each level held on z_i > 0 of the axes (none: held whole)
+    mirrored out whole (``_mirror_rows``); the keys are decoded once."""
+    z = _decode(keys, f)
+    out = {}
+    for lvl, a, b in _level_runs(keys, f.stq):
+        zs, vs = _mirror_rows(z[a:b], vals[a:b], axes)
+        out[lvl] = dict(zip(map(tuple, zs.tolist()), vs.tolist()))
+    return out
 
 
 def _qz_mul(pairs: list, f: _Frame, top: int) -> tuple:
@@ -380,7 +400,7 @@ def _qz_product(a: dict, b: dict, r: int, top: int, dtype) -> dict:
     reach = ra[3] + rb[3]
     f = _frame(-reach, reach, top)
     k, v = _qz_mul([(_qz_pack(ra, f), _qz_pack(rb, f))], f, top)
-    return _qz_decode(k, v, f)
+    return _qz_decode(k, v, f, ())
 
 
 def _slice_mul_into(acc: dict, A: dict, B: dict, r: int) -> None:
@@ -557,26 +577,6 @@ class FourierSeries:
 
     def __sub__(self, other: "FourierSeries") -> "FourierSeries":
         return self + (-other)
-
-    def scaled(self, c) -> "FourierSeries":
-        c = _norm_coeff(c)
-        out = FourierSeries(self.r, self.den_z, self.window)
-        if not c:
-            return out
-        for cq, sl in self.cells.items():
-            out.cells[cq] = {z: _norm_coeff(v * c) for z, v in sl.items()}
-        return out
-
-    def shifted(self, q_num: int = 0, z: ZKey = None, s_num: int = 0) -> "FourierSeries":
-        """Multiply by the monomial q^(q_num/24) zeta^z s^(s_num/2)."""
-        if z is None:
-            z = (0,) * self.r
-        w = TruncationWindow(self.window.q_max + q_num, self.window.s_max + s_num)
-        out = FourierSeries(self.r, self.den_z, w)
-        for (s, q), sl in self.cells.items():
-            out.cells[(s + s_num, q + q_num)] = {
-                tuple(a + b for a, b in zip(zz, z)): c for zz, c in sl.items()}
-        return out
 
     # -- multiplication ------------------------------------------------------
 

@@ -14,7 +14,7 @@ The D, D1 and A1 blocks and their product layers are held on the sign
 orthant z_i > 0 (``jacobi._sign_axes``).  A norm does not see the signs,
 and an odd slice has no key with z_i = 0, so the support checks read the
 held rows, each standing for 2^len(axes) terms, and mirror out only the
-rows a report lists (``_block_rows``, ``jacobi._mirror_rows``); the
+rows a report lists (``_block_rows``, ``series._mirror_rows``); the
 integrality check counts the held product layers the same way.
 """
 
@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .series import FourierSeries, TruncationWindow, np
+from .series import FourierSeries, TruncationWindow, _mirror_rows, np
 from . import jacobi
 from . import lattices
 from . import lifting
@@ -73,16 +73,17 @@ def _run_eta3(win):
             want[3 * n * n] = c
         n += 1
     got = {q: sl[()] for (s, q), sl in table.cells.items() if sl}
-    ok = got == want
-    checked = len(want)
     # and the table really is the gradient of the theta function at z = 0
-    qmax = win.q_max
-    th = jacobi.build("theta", TruncationWindow(qmax, 0))
-    qp = jacobi.quasi_pullback(th, 0)
-    diff = qp.series.first_difference(jacobi.eta_power(3, qmax))
-    ok = ok and diff is None
-    checked += qp.series.term_count()
-    return ok, checked, {"law_terms": len(want), "pullback_difference": _jsonable(diff)}
+    diff, terms = _theta_to_eta3(win.q_max)
+    return (got == want and diff is None, len(want) + terms,
+            {"law_terms": len(want), "pullback_difference": _jsonable(diff)})
+
+
+def _theta_to_eta3(q_max: int) -> tuple:
+    """(first difference, terms) of theta's quasi-pullback at z = 0
+    against eta^3, through q_max."""
+    qp = jacobi.quasi_pullback(jacobi.build("theta", TruncationWindow(q_max, 0)), 0)
+    return qp.series.first_difference(jacobi.eta_power(3, q_max)), qp.series.term_count()
 
 
 _Q0_CONST = {
@@ -155,7 +156,7 @@ def _run_support_bounds(win):
             checked += len(z) << len(axes)
             below = _hyper_norms(lat, q, z, meta.index) < 0
             if below.any():  # the whole rows below the cone, in row order
-                zb = jacobi._mirror_rows(z[below], v[below], axes)[0]
+                zb = _mirror_rows(z[below], v[below], axes)[0]
                 for row in zb[np.lexsort(zb.T[::-1])].tolist():
                     ok = False
                     bad.setdefault(key, []).append([q, row])
@@ -406,14 +407,9 @@ def _run_pullback_chain(win):
         ok = ok and good
         checked += tgt.series.term_count()
         cur = tgt
-    th = jacobi.build("theta", w)
-    qp = jacobi.quasi_pullback(th, 0)
-    diff = qp.series.first_difference(jacobi.eta_power(3, w.q_max))
-    good = diff is None
-    steps.append({"from": "theta", "to": "eta^3", "ok": good})
-    ok = ok and good
-    checked += qp.series.term_count()
-    return ok, checked, {"steps": steps}
+    diff, terms = _theta_to_eta3(w.q_max)
+    steps.append({"from": "theta", "to": "eta^3", "ok": diff is None})
+    return ok and diff is None, checked + terms, {"steps": steps}
 
 
 def _run_weight_constant(win):

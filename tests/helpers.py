@@ -1,9 +1,9 @@
 """Helpers only the tests use: small views of program data, lattice
 arithmetic in ambient coordinates, the primitive wall of one index,
-series lookups, the z derivative, the packed theta-block division on
-z-slice dicts, the reach bounds of the lift layers, the packed weight-0
-Hecke translate as a series, and
-every process-wide memo swapped for an empty one."""
+series lookups, a series scaled or shifted by a monomial, the z
+derivative, the packed theta-block division on z-slice dicts, the reach
+bounds of the lift layers, the packed weight-0 Hecke translate as a
+series, and every process-wide memo swapped for an empty one."""
 
 from contextlib import contextmanager
 from fractions import Fraction
@@ -97,6 +97,27 @@ def copy(f: FourierSeries) -> FourierSeries:
     """A copy whose cells can change without touching f."""
     out = FourierSeries(f.r, f.den_z, f.window)
     out.cells = {cq: dict(sl) for cq, sl in f.cells.items()}
+    return out
+
+
+def scaled(f: FourierSeries, c) -> FourierSeries:
+    """c times f, integral Fractions collapsed to int."""
+    c = _norm_coeff(c)
+    out = FourierSeries(f.r, f.den_z, f.window)
+    if c:
+        out.cells = {cq: {z: _norm_coeff(v * c) for z, v in sl.items()}
+                     for cq, sl in f.cells.items()}
+    return out
+
+
+def shifted(f: FourierSeries, q_num: int, z, s_num: int) -> FourierSeries:
+    """f times the monomial q^(q_num/24) zeta^z s^(s_num/2), the window
+    moved with it."""
+    out = FourierSeries(f.r, f.den_z, TruncationWindow(f.window.q_max + q_num,
+                                                       f.window.s_max + s_num))
+    out.cells = {(s + s_num, q + q_num): {tuple(a + b for a, b in zip(zz, z)): c
+                                          for zz, c in sl.items()}
+                 for (s, q), sl in f.cells.items()}
     return out
 
 
@@ -205,14 +226,15 @@ def exp_series(key: str, j_max: int, q_depth: int, psi: bool = False) -> list:
     q0 = meta.val_q if psi else 0
     if psi:
         f, layers = borcherds.exp_layers(key, j_max, q_depth)
-        layers = [jacobi._mirror_out(k, v, f, jacobi._sign_axes(meta), -1) for k, v in layers]
+        axes = jacobi._sign_axes(meta)
     else:
         phi = borcherds.weak_weight0(key, max(j_max * q_depth, 1)).series
         f, layers = _int64_first(borcherds._exp_packed, key, j_max, q_depth, phi)
+        axes = ()
     out = []
     for k, v in layers:
         layer = FourierSeries(meta.r, meta.den_z, TruncationWindow(q0 + 24 * q_depth, 0))
-        layer.cells = {(0, q0 + 24 * lvl): sl for lvl, sl in _qz_decode(k, v, f).items()}
+        layer.cells = {(0, q0 + 24 * lvl): sl for lvl, sl in _qz_decode(k, v, f, axes).items()}
         out.append(layer)
     return out
 
@@ -237,7 +259,7 @@ def translate(key: str, phi: FourierSeries, m: int, q_depth: int) -> FourierSeri
     f, k, v = _int64_first(packed_translate, key, phi, m, q_depth)
     out = FourierSeries(phi.r, phi.den_z, TruncationWindow(24 * q_depth, 0))
     out.cells = {(0, 24 * lvl): {z: _norm_coeff(Fraction(-c, m)) for z, c in sl.items()}
-                 for lvl, sl in _qz_decode(k, v, f).items()}
+                 for lvl, sl in _qz_decode(k, v, f, ()).items()}
     return out
 
 

@@ -10,7 +10,7 @@ from refltower import borcherds, jacobi, lifting
 from refltower.lattices import _dot, lattice
 from refltower.series import FourierSeries, TruncationWindow
 
-from helpers import divide_slices, exp_series
+from helpers import divide_slices, exp_series, scaled, shifted
 
 
 def exp_s(x: FourierSeries) -> FourierSeries:
@@ -25,7 +25,7 @@ def exp_s(x: FourierSeries) -> FourierSeries:
     term = one
     j = 1
     while j * sval <= x.window.s_max:
-        term = term.mul(x, x.window).scaled(Fraction(1, j))
+        term = scaled(term.mul(x, x.window), Fraction(1, j))
         if term.is_zero():
             break
         out = out + term
@@ -240,7 +240,7 @@ def product_form(key: str, window) -> FourierSeries:
                 if sl[z] and not (n == 0 and m == 0 and z <= zero):
                     out = out.mul(borcherds._binom_factor(
                         sl[z], 24 * n, z, 2 * m, meta.r, meta.den_z, window), window)
-    return out.shifted(wd.q_num, wd.z, wd.s_num).scaled(wd.sign).truncated(window)
+    return scaled(shifted(out, wd.q_num, wd.z, wd.s_num), wd.sign).truncated(window)
 
 
 def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:

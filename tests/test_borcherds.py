@@ -10,7 +10,7 @@ from refltower.series import FourierSeries, TruncationWindow
 from refltower import borcherds, jacobi, lifting, series, verification
 
 from helpers import (coefficient, cold_memos, copy, digest, exp_series, hecke_reach,
-                     packed_translate, translate)
+                     packed_translate, scaled, translate)
 import oracles
 from oracles import exp_s
 
@@ -44,7 +44,7 @@ def test_exp_layers_match_direct_formulas():
         win = E[1].window
         assert E[0].term_count() == 1 and coefficient(E[0], 0, (0,) * E[0].r) == 1
         assert E[1].first_difference((-phi).truncated(win)) is None
-        direct = phi.mul(phi, win).scaled(Fraction(1, 2)) \
+        direct = scaled(phi.mul(phi, win), Fraction(1, 2)) \
             - translate(key, phi, 2, 3)
         assert E[2].first_difference(direct) is None
 
@@ -98,6 +98,45 @@ def test_grouped_product_equals_one_factor_at_a_time():
         w = TruncationWindow(48, 4 if meta.r <= 4 else 2)
         assert (digest(borcherds.borcherds_product_form(key, w))
                 == digest(oracles.product_form(key, w))), key
+
+
+def test_product_factors_are_built_inside_the_window_less_the_weyl_monomial(monkeypatch):
+    """Every factor of the literal product is expanded only where its
+    terms can still land inside the window: in the window less the Weyl
+    monomial's q and s exponents, one member per family."""
+    real = borcherds._binom_factor
+    seen = []
+    monkeypatch.setattr(borcherds, "_binom_factor",
+                        lambda *a: seen.append(a[-1]) or real(*a))
+    w = TruncationWindow(72, 5)
+    for key in ("psi_8_D4", "eta21_theta2z", "psi_9_A2", "psi_3_3A1"):
+        wd = borcherds.weyl_data(key)
+        seen.clear()
+        borcherds.borcherds_product_form(key, w)
+        assert seen and set(seen) == {TruncationWindow(w.q_max - wd.q_num,
+                                                        w.s_max - wd.s_num)}, key
+
+
+# every window below a member's Weyl monomial (q < 24, or s < s_step) and
+# some above it; (48, 4) is left out for rank >= 6, where the reference,
+# which expands each factor to the whole window, takes minutes
+PRODUCT_GRID = list(itertools.product((0, 12, 23, 24, 36, 48), range(5)))
+
+
+@pytest.mark.parametrize("key", list(jacobi.MEMBERS))
+def test_product_form_equals_the_shift_after_reference_on_small_windows(key):
+    """The product started at the Weyl monomial equals the reference that
+    multiplies every factor to the whole window and shifts afterwards,
+    window and JSON included, on every window of the grid; a window that
+    the monomial lies past gives the empty series with that window."""
+    for q_max, s_max in PRODUCT_GRID:
+        if (q_max, s_max) == (48, 4) and jacobi.MEMBERS[key].r >= 6:
+            continue
+        w = TruncationWindow(q_max, s_max)
+        got, want = borcherds.borcherds_product_form(key, w), oracles.product_form(key, w)
+        assert got == want and got.to_json() == want.to_json(), (key, w)
+        wd = borcherds.weyl_data(key)
+        assert got.window == w and got.is_zero() == (q_max < wd.q_num or s_max < wd.s_num)
 
 
 def test_product_block_factors_rebuild_the_block():
@@ -228,7 +267,7 @@ def _sweep_sides(key, window):
     f, num = jacobi.hecke_levels(key, orders, q_aux, fp)
     block = {}
     for lvl in jacobi._hecke_plan(key, tuple(orders), q_aux).levels:
-        z, v = jacobi._mirror_rows(*jacobi._member_rows(key, meta.q_grid * lvl)[:2],
+        z, v = series._mirror_rows(*jacobi._member_rows(key, meta.q_grid * lvl)[:2],
                                    jacobi._sign_axes(meta))
         block[meta.q_grid * lvl] = dict(zip(map(tuple, z.tolist()), v.tolist()))
     return block, (f, num), (fp, prod)
@@ -475,7 +514,7 @@ def test_sweep_rounds_after_the_first_build_no_layers(monkeypatch, fresh_memos):
     assert counts[1:] == [(0, 0), (0, 0)]
     phi = jacobi.weak_weight0("psi_10_D2", 1).series
     assert jacobi.holds_phi0("psi_10_D2", phi)
-    assert not jacobi.holds_phi0("psi_10_D2", phi.scaled(1))
+    assert not jacobi.holds_phi0("psi_10_D2", scaled(phi, 1))
 
 
 def test_cold_compare_leaves_the_held_phi0_undecoded(fresh_memos):
@@ -509,7 +548,7 @@ def _corrupt_layer(monkeypatch, key, order, change):
         f, out = real_packed(k, orders, depth, frame)
         if k == key and order in orders:
             t = orders.index(order)
-            sls = series._qz_decode(*jacobi._mirror_out(*out[t], f, axes, -1), f)
+            sls = series._qz_decode(*out[t], f, axes)
             rows = series._qz_rows({j: {z: c for z, c in change(j, dict(sls.get(j, {}))).items()
                                         if all(z[i] > 0 for i in axes)}
                                     for j in range(depth + 1)}, meta.r, np.int64)
@@ -671,12 +710,12 @@ def test_packed_translate_equals_the_dict_reference():
         phi = borcherds.weak_weight0(key, 3 * depths[-1]).series
         rev = FourierSeries(phi.r, phi.den_z, phi.window)
         rev.cells = {cq: dict(reversed(sl.items())) for cq, sl in phi.cells.items()}
-        half = phi.scaled(Fraction(1, 2))
+        half = scaled(phi, Fraction(1, 2))
         for q_depth, m in itertools.product(depths, (1, 2, 3)):
             f, k, v = packed_translate(key, phi, m, q_depth, np.int64)
             assert v.dtype == np.int64 and np.all(k[1:] > k[:-1]), (key, m)
-            assert series._qz_decode(k, v, f) == _by_level(
-                oracles.hecke_v0(phi, m, q_depth).scaled(-m)), (key, q_depth, m)
+            assert series._qz_decode(k, v, f, ()) == _by_level(
+                scaled(oracles.hecke_v0(phi, m, q_depth), -m)), (key, q_depth, m)
             _, kr, vr = packed_translate(key, rev, m, q_depth, np.int64)
             assert np.array_equal(kr, k) and np.array_equal(vr, v), (key, q_depth, m)
             with pytest.raises(series._NotInt64):
@@ -685,8 +724,8 @@ def test_packed_translate_equals_the_dict_reference():
             f, k, v = packed_translate(key, half, m, q_depth, object)
             assert v.dtype == object and np.all(k[1:] > k[:-1])
             assert any(type(c) is Fraction and c.denominator > 1 for c in v.tolist())
-            assert series._qz_decode(k, v, f) == _by_level(
-                oracles.hecke_v0(half, m, q_depth).scaled(-m)), (key, q_depth, m)
+            assert series._qz_decode(k, v, f, ()) == _by_level(
+                scaled(oracles.hecke_v0(half, m, q_depth), -m)), (key, q_depth, m)
 
 
 def test_translate_bound_past_2_62_reruns_on_python_ints(monkeypatch):
@@ -719,7 +758,7 @@ def test_translate_bound_past_2_62_reruns_on_python_ints(monkeypatch):
     assert all(v.dtype == object for _, v in F)
     want = _exp_oracle(key, j_max, q_depth, phi)
     for (k, v), layer in zip(F, want):
-        assert series._qz_decode(k, v, f) == _by_level(layer)
+        assert series._qz_decode(k, v, f, ()) == _by_level(layer)
     values = [c for _, v in F for c in v.tolist()]
     assert all(type(c) is int for c in values) and max(map(abs, values)) >= 2 ** 119
 
@@ -868,7 +907,7 @@ def _corrupt_weight0(monkeypatch, victim, factor):
     def crooked(key, depth):
         form = real(key, depth)
         if key == victim:
-            return form._replace(series=form.series.scaled(factor))
+            return form._replace(series=scaled(form.series, factor))
         return form
 
     monkeypatch.setattr(borcherds, "weak_weight0", crooked)

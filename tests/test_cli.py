@@ -13,6 +13,8 @@ from refltower import borcherds, cli, jacobi
 from refltower.cli import main
 from refltower.series import FourierSeries, TruncationWindow
 
+from helpers import scaled
+
 
 def test_expand_theta_text(capsys):
     assert main(["expand", "theta", "--qmax", "2", "--smax", "0"]) == 0
@@ -460,7 +462,7 @@ def test_verify_unknown_identity_is_usage_error(capsys):
 def test_verify_failure_exits_one(monkeypatch, capsys):
     real = jacobi.theta_product_form
     monkeypatch.setattr(jacobi, "theta_product_form",
-                        lambda q_max: real(q_max).scaled(3))
+                        lambda q_max: scaled(real(q_max), 3))
     assert main(["verify", "theta-triple-product", "--qmax", "2"]) == 1
     out = capsys.readouterr().out
     assert "fail" in out
@@ -472,7 +474,7 @@ def test_non_integral_product_is_a_reported_error(monkeypatch, capsys):
 
     def crooked(key, depth):
         form = real(key, depth)
-        return form._replace(series=form.series.scaled(Fraction(1, 2)))
+        return form._replace(series=scaled(form.series, Fraction(1, 2)))
 
     monkeypatch.setattr(borcherds, "weak_weight0", crooked)
     for argv in (["expand", "borcherds:D2", "--qmax", "3", "--smax", "2"],

@@ -296,7 +296,7 @@ def test_packed_block_rows_equal_the_dict_slices():
         assert list(axes) == ([] if MEMBERS[key].family == "A2" else list(range(MEMBERS[key].r)))
         for lvl in range(depth + 1):
             zh, vh, reach, vmax = jacobi._member_rows(key, val + 24 * lvl)
-            z, v = jacobi._mirror_rows(zh, vh, axes)
+            z, v = series._mirror_rows(zh, vh, axes)
             assert len(z) == len(zh) << len(axes) and np.all(zh[:, list(axes)] > 0), (key, lvl)
             want = oracles.member_slice(key, val + 24 * lvl)
             assert len(z) == len(want), (key, lvl)
@@ -584,7 +584,7 @@ def test_division_recovers_a_random_quotient(monkeypatch, key):
     g, [(k, v)] = jacobi.multiply_by_member(f, [series._qz_pack(rows, f)], key, depth)
     axes = jacobi._sign_axes(meta)
     orthant = [{z: c for z, c in sl.items() if all(z[i] > 0 for i in axes)} for sl in levels]
-    assert series._qz_decode(k, v, g) == {j: sl for j, sl in enumerate(orthant) if sl}
+    assert series._qz_decode(k, v, g, ()) == {j: sl for j, sl in enumerate(orthant) if sl}
     assert divide_slices(levels, key, depth) == [quo.cells[(0, 24 * j)]
                                                  for j in range(depth + 1)]
     z = sorted(levels[depth])[len(levels[depth]) // 2]
@@ -714,8 +714,8 @@ def test_division_refuses_a_whole_dividend_in_a_symmetric_frame(key):
     wide = series._frame(f.lo, f.hi + 1, 0)
     h, got = jacobi.divide_by_member([series._restride(k, f, wide) for k, _ in whole],
                                      [v for _, v in whole], wide, key, depth)
-    assert [series._qz_decode(k, v, h) for k, v in got] == \
-        [series._qz_decode(k, v, g) for k, v in want]
+    assert [series._qz_decode(k, v, h, ()) for k, v in got] == \
+        [series._qz_decode(k, v, g, ()) for k, v in want]
 
 
 def test_even_check_refuses_every_asymmetry():
@@ -1168,7 +1168,7 @@ def _hecke_levels_as_dicts(key, orders, depth):
     for m, (k, v), reach in zip(orders, layers, hecke_reach(key, orders, depth)):
         assert np.all(np.diff(k) > 0) and np.all(reach <= f.hi)
         assert jacobi._orthant(k, f, axes, 1).all()
-        for j, sl in series._qz_decode(*jacobi._mirror_out(k, v, f, axes, -1), f).items():
+        for j, sl in series._qz_decode(k, v, f, axes).items():
             out[(m, j)] = sl
     return out
 

@@ -21,7 +21,8 @@ from refltower.series import (
     _slice_mul_py,
 )
 
-from helpers import coefficient, copy, derivative_z, lowest_term, scale_variables
+from helpers import (coefficient, copy, derivative_z, lowest_term, scale_variables, scaled,
+                     shifted)
 import oracles
 from oracles import exp_s
 
@@ -285,6 +286,51 @@ def test_packed_keys_round_trip_and_move_between_frames(case):
     if f.minv is None:
         for i in range(z.shape[1]):
             assert np.array_equal(_coord(keys, f, i), z[:, i])
+
+
+@st.composite
+def _monomial_and_factors(draw):
+    """A window, a monomial c q^a zeta^z s^b inside it (c != 0), and up to
+    three sparse factors with q, s >= 0, each built in the window less
+    (a, b): some empty, some with no constant term."""
+    r = draw(st.integers(1, 2))
+    zs = st.lists(st.integers(-2, 2), min_size=r, max_size=r).map(tuple)
+    w = TruncationWindow(draw(st.integers(0, 72)), draw(st.integers(0, 6)))
+    c = draw(st.sampled_from([-2, -1, 1, 3, Fraction(1, 2)]))
+    qa, z, sa = draw(st.integers(0, w.q_max)), draw(zs), draw(st.integers(0, w.s_max))
+    fw = TruncationWindow(w.q_max - qa, w.s_max - sa)
+    factors = []
+    for _ in range(draw(st.integers(0, 3))):
+        f = FourierSeries(r, 2, fw)
+        for term in draw(st.lists(st.tuples(st.integers(0, fw.q_max), zs,
+                                            st.integers(0, fw.s_max), st.integers(-3, 3)),
+                                  max_size=4)):
+            f.add_term(*term)
+        factors.append(f)
+    return w, (c, qa, z, sa), fw, factors
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_monomial_and_factors())
+def test_factors_multiplied_into_a_monomial_equal_their_product_shifted(case):
+    """Factors with q, s >= 0 built in the window less a monomial's
+    exponents, multiplied one by one into the monomial at the window,
+    give the cells of their product at the smaller window, shifted and
+    scaled by the monomial, and its window, the whole one, for as long
+    as no step multiplies by an empty series: ``FourierSeries.mul``
+    takes the meet of the windows there, the factors' window, which is
+    why ``borcherds_product_form`` returns a monomial past the window at
+    once and multiplies in only groups with constant term 1."""
+    w, (c, qa, z, sa), fw, factors = case
+    lhs = FourierSeries.monomial(c, qa, z, sa, 2, w)
+    rhs = FourierSeries.monomial(1, 0, (0,) * len(z), 0, 2, fw)
+    met_empty = False
+    for f in factors:
+        met_empty = met_empty or lhs.is_zero() or f.is_zero()
+        lhs, rhs = lhs.mul(f, w), rhs.mul(f, fw)
+    rhs = scaled(shifted(rhs, qa, z, sa), c)
+    assert lhs.cells == rhs.cells
+    assert rhs.window == w and lhs.window == (fw if met_empty else w)
 
 
 def test_exp_s_inverse():

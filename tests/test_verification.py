@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from refltower import borcherds, jacobi, lattices, verification
-from refltower.series import TruncationWindow, _qz_rows
+from refltower.series import TruncationWindow, _mirror_rows, _qz_rows
 
-from helpers import coefficient, copy
+from helpers import coefficient, copy, scaled
 
 
 def hyper_norm_fraction(lat, q, z, index=1) -> Fraction:
@@ -109,7 +109,7 @@ def test_unknown_identity_raises():
 def test_negative_control_catches_corrupt_product(monkeypatch):
     real = jacobi.theta_product_form
     monkeypatch.setattr(jacobi, "theta_product_form",
-                        lambda q_max: real(q_max).scaled(3))
+                        lambda q_max: scaled(real(q_max), 3))
     rep = verification.run("theta-triple-product", TruncationWindow(48, 0))
     assert rep.status == "fail"
     assert rep.details["first_difference"] is not None
@@ -121,7 +121,7 @@ def test_negative_control_catches_corrupt_weight0(monkeypatch):
     def crooked(key, depth):
         form = real(key, depth)
         if key == "psi_5_A1":
-            return form._replace(series=form.series.scaled(2))
+            return form._replace(series=scaled(form.series, 2))
         return form
 
     monkeypatch.setattr(jacobi, "weak_weight0", crooked)
@@ -226,7 +226,7 @@ def test_integer_hyper_norm_matches_the_fraction_oracle():
         rows = verification._block_rows(key, 96, 4)
         assert [q for q, *_ in rows] == list(range(meta.val_q, 97, 24))
         for q, z, v in rows:  # held on the sign orthant: mirrored out, the slice's terms
-            z = jacobi._mirror_rows(z, v, jacobi._sign_axes(meta))[0]
+            z = _mirror_rows(z, v, jacobi._sign_axes(meta))[0]
             assert sorted(map(tuple, z.tolist())) == sorted(jacobi.member_slice(key, q))
             cells.append((meta.index, q, z, verification._hyper_norms(lat, q, z, meta.index),
                           verification._norm_den(lat, meta.index)))

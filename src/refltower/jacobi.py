@@ -334,10 +334,10 @@ def _member_rows(key: str, q_num: int) -> tuple:
     (``multiply_by_member``), memoised per member and rebuilt only when a
     deeper level is asked for.  The block is odd in every coordinate of
     ``_sign_axes``, so for D, D1 and A1 the rows are its part on
-    z_i > 0, which the multiply gives exactly (``series._mirror_rows`` mirrors
-    them out); A2 rows are whole.  The reach (largest |z_i| per axis,
-    int64) and max|v| of each level, the same on the orthant as whole,
-    are taken once, when the block is built.  Rows are int16 when the
+    z_i > 0, which the multiply gives exactly (``series._mirror_rows``
+    mirrors them out); A2 rows are whole.  The reach (largest |z_i| per
+    axis, int64) and max|v| of each level, the same on the orthant as
+    whole, are taken once, when the block is built.  Rows are int16 when the
     product's frame fits them, decoded straight into place band by band;
     the arrays are read-only."""
     meta = MEMBERS[key]

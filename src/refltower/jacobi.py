@@ -266,26 +266,29 @@ _SHELL_CACHE: dict = {}
 _SHELL_CACHE_MAX_U = 9
 
 
-def _odd_shell(r: int, total: int) -> dict:
-    """Odd vectors with sum of squares == total, mapped to prod chi4(m_i):
-    each odd m, and -m, in front of every vector of shell(r - 1, total - m^2)."""
+def _odd_shell(r: int, total: int, signs: tuple) -> dict:
+    """Odd vectors with sum of squares == total and every coordinate's
+    sign in signs, mapped to prod chi4(m_i): each g m, g in signs and m
+    odd, in front of every vector of shell(r - 1, total - m^2).  Signs
+    (1,) give the orthant m_i > 0, (1, -1) every vector."""
     if total < r or (total - r) % 8:
         return {}
-    out = _SHELL_CACHE.get((r, total))
+    out = _SHELL_CACHE.get((r, total, signs))
     if out is not None:
         return out
     if r == 1:
         m = isqrt(total)
-        out = {(m,): chi4(m), (-m,): -chi4(m)} if m * m == total else {}
+        out = {(g * m,): chi4(g * m) for g in signs} if m * m == total else {}
     else:
         out = {}
         for m in range(1, isqrt(total - r + 1) + 1, 2):
-            tail = _odd_shell(r - 1, total - m * m).items()
-            for head, c in ((m, chi4(m)), (-m, -chi4(m))):
+            tail = _odd_shell(r - 1, total - m * m, signs).items()
+            for head in [g * m for g in signs]:
+                c = chi4(head)
                 for v, s in tail:
                     out[(head, *v)] = c * s
     if total <= r + 8 * _SHELL_CACHE_MAX_U:
-        _SHELL_CACHE[r, total] = out
+        _SHELL_CACHE[r, total, signs] = out
     return out
 
 
@@ -317,7 +320,7 @@ def member_slice(key: str, q_num: int) -> dict:
         for ssq in range(meta.copies, (q_num - meta.eta_exp) // 3 + 1, 8):
             e = _eta_coeff(meta.eta_exp, q_num - 3 * ssq)
             if e:
-                for z, s in _odd_shell(meta.copies, ssq).items():
+                for z, s in _odd_shell(meta.copies, ssq, (1, -1)).items():
                     out[z if scale == 1 else tuple([scale * a for a in z])] = e * s
     if (q_num - meta.val_q) // 24 <= _PSI_SLICE_CACHE_DEPTH:
         _PSI_SLICES[ck] = out

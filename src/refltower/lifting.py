@@ -14,7 +14,10 @@ eta coefficient table: the coefficient at (n, l, m) is
 where z = 2l in e-coordinates, p = 24 - 3k and e_p picks coefficients
 of eta^p.  The Kronecker factor kills every vector that is not odd in
 all coordinates, which is what confines the support to the right
-cosets.
+cosets.  Each chi4 factor is odd, so every coefficient is odd in each
+z_i: ``closed_form_slice`` gives a whole slice, or its part on the
+orthant z_i > 0, where the ``closed-form-vs-lift`` check compares it
+with the lift layers as ``jacobi.hecke_levels`` holds them.
 """
 
 from __future__ import annotations
@@ -66,13 +69,17 @@ def gritsenko_lift(key: str, window: TruncationWindow) -> OrthogonalModularForm:
 # closed coefficient formula for the D family
 
 
-def closed_form_slice(k: int, n: int, m: int) -> dict:
-    """The (q^n, s^m) slice of the D_k lift from the eta table.
+def closed_form_slice(k: int, n: int, m: int, signs: tuple) -> dict:
+    """The (q^n, s^m) slice of the D_k lift from the eta table, on the
+    vectors whose coordinates have their signs in signs (``_odd_shell``):
+    (1,) gives its part on the orthant z_i > 0, (1, -1) all of it.
 
     The d-th divisor term lives on d times the odd vectors, so the
     support is walked shell by shell for each divisor and the value is
     assembled from the eta coefficient and the per-coordinate Kronecker
-    symbol at the rescaled index.
+    symbol at the rescaled index.  Each chi4 factor is odd, so the slice
+    is odd in every coordinate and has no term with z_i = 0: the orthant
+    part holds every value, each standing for its 2^k sign images.
     """
     p = 24 - 3 * k
     acc: dict = {}
@@ -90,11 +97,11 @@ def closed_form_slice(k: int, n: int, m: int) -> dict:
                 break
             e = _eta_coeff(p, rest)
             if e and d == 1:  # distinct shells of one divisor share no vector
-                shell = _odd_shell(k, ssq)
+                shell = _odd_shell(k, ssq, signs)
                 acc.update(zip(shell, [e * kr for kr in shell.values()]))
             elif e:
                 pe = pw * e
-                for w, kr in _odd_shell(k, ssq).items():
+                for w, kr in _odd_shell(k, ssq, signs).items():
                     z = tuple(d * a for a in w)
                     v = acc.get(z, 0) + pe * kr
                     if v:
@@ -110,7 +117,7 @@ def closed_form_Dk(k: int, window: TruncationWindow) -> OrthogonalModularForm:
     out = FourierSeries(k, 2, window)
     for m in range(1, window.s_max // 2 + 1):
         for n in range(1, window.q_max // 24 + 1):
-            sl = closed_form_slice(k, n, m)
+            sl = closed_form_slice(k, n, m, (1, -1))
             if sl:
                 out.cells[(2 * m, 24 * n)] = sl
     key = "psi_%d_D%d" % (12 - k, k)

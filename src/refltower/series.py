@@ -558,26 +558,6 @@ class FourierSeries:
         if self.r != other.r or self.den_z != other.den_z:
             raise ValueError("incompatible series shapes")
 
-    def __add__(self, other: "FourierSeries") -> "FourierSeries":
-        self._check_compatible(other)
-        w = self.window.meet(other.window)
-        out = FourierSeries(self.r, self.den_z, w)
-        for src in (self, other):
-            for (s, q), sl in src.cells.items():
-                if s > w.s_max or q > w.q_max:
-                    continue
-                for z, c in sl.items():
-                    out.add_term(q, z, s, c)
-        return out
-
-    def __neg__(self) -> "FourierSeries":
-        out = FourierSeries(self.r, self.den_z, self.window)
-        out.cells = {cq: {z: -c for z, c in sl.items()} for cq, sl in self.cells.items()}
-        return out
-
-    def __sub__(self, other: "FourierSeries") -> "FourierSeries":
-        return self + (-other)
-
     # -- multiplication ------------------------------------------------------
 
     def mul(self, other: "FourierSeries", window: TruncationWindow = None) -> "FourierSeries":
@@ -585,7 +565,10 @@ class FourierSeries:
 
         With valuations v and windows W the product of A and B is exact for
         q <= min(W_A.q + v_B.q, W_B.q + v_A.q), and likewise in s; an
-        explicit window argument intersects with that bound.
+        explicit window argument intersects with that bound.  An empty
+        operand has no valuation: the product is empty, with the meet of
+        the two windows (even where the other operand's valuation would
+        allow more, and whatever the window argument).
         """
         self._check_compatible(other)
         if self.is_zero() or other.is_zero():

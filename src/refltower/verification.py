@@ -15,14 +15,17 @@ orthant z_i > 0 (``jacobi._sign_axes``).  A norm does not see the signs,
 and an odd slice has no key with z_i = 0, so the support checks read the
 held rows, each standing for 2^len(axes) terms, and mirror out only the
 rows a report lists (``_block_rows``, ``series._mirror_rows``); the
-integrality check counts the held product layers the same way.
+integrality check counts the held product layers the same way.  The
+closed formula is odd too (each chi4 factor is), so ``closed-form-vs-lift``
+compares it on the orthant with the held lift layers
+(``jacobi.hecke_levels``), each term standing for 2^k.
 """
 
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .series import FourierSeries, TruncationWindow, _mirror_rows, np
+from .series import FourierSeries, TruncationWindow, _mirror_rows, _qz_decode, np
 from . import jacobi
 from . import lattices
 from . import lifting
@@ -218,18 +221,25 @@ def _run_cusp_support(win):
 
 
 def _run_closed_form(win):
+    """Each D_k lift layer psi|V_m, as ``jacobi.hecke_levels`` holds it
+    on the orthant z_i > 0 (level j is q^n, n = j + 1), against the
+    closed formula on the same orthant; both are odd in every z_i and
+    have no term with z_i = 0, so each held term stands for 2^k."""
     ok = True
     checked = 0
     bad = {}
     q_depth = max(win.q_max // 24, 1)
     s_depth = win.s_max // 2
+    orders = list(range(1, s_depth + 1))
     for k in range(2, 9):
         key = "psi_%d_D%d" % (12 - k, k)
-        for m in range(1, s_depth + 1):
+        f, layers = jacobi.hecke_levels(key, orders, q_depth - 1)
+        for m, (keys, vals) in zip(orders, layers):
+            lift = _qz_decode(keys, vals, f, ())
             for n in range(1, q_depth + 1):
-                want = jacobi.member_hecke_slice(key, m, 24 * n)
-                got = lifting.closed_form_slice(k, n, m)
-                checked += len(want)
+                want = lift.get(n - 1, {})
+                got = lifting.closed_form_slice(k, n, m, (1,))
+                checked += len(want) << k
                 if got != want:
                     ok = False
                     bad.setdefault(key, []).append((n, m))

@@ -100,6 +100,32 @@ def copy(f: FourierSeries) -> FourierSeries:
     return out
 
 
+def add(f: FourierSeries, g: FourierSeries) -> FourierSeries:
+    """f + g, exact through the meet of their windows."""
+    f._check_compatible(g)
+    w = f.window.meet(g.window)
+    out = FourierSeries(f.r, f.den_z, w)
+    for src in (f, g):
+        for (s, q), sl in src.cells.items():
+            if s > w.s_max or q > w.q_max:
+                continue
+            for z, c in sl.items():
+                out.add_term(q, z, s, c)
+    return out
+
+
+def neg(f: FourierSeries) -> FourierSeries:
+    """-f."""
+    out = FourierSeries(f.r, f.den_z, f.window)
+    out.cells = {cq: {z: -c for z, c in sl.items()} for cq, sl in f.cells.items()}
+    return out
+
+
+def sub(f: FourierSeries, g: FourierSeries) -> FourierSeries:
+    """f - g, exact through the meet of their windows."""
+    return add(f, neg(g))
+
+
 def scaled(f: FourierSeries, c) -> FourierSeries:
     """c times f, integral Fractions collapsed to int."""
     c = _norm_coeff(c)

@@ -10,7 +10,7 @@ from refltower import borcherds, jacobi, lifting
 from refltower.lattices import _dot, lattice
 from refltower.series import FourierSeries, TruncationWindow
 
-from helpers import divide_slices, exp_series, scaled, shifted
+from helpers import add, divide_slices, exp_series, scaled, shifted
 
 
 def exp_s(x: FourierSeries) -> FourierSeries:
@@ -28,7 +28,7 @@ def exp_s(x: FourierSeries) -> FourierSeries:
         term = scaled(term.mul(x, x.window), Fraction(1, j))
         if term.is_zero():
             break
-        out = out + term
+        out = add(out, term)
         j += 1
     return out
 

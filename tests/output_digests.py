@@ -18,7 +18,9 @@ over all of them, for:
 * each member's ``borcherds.borcherds_exp`` at (q_max, s_max) = (48, 4),
   as ``to_json``;
 * with ``--c05``, the reports of ``compare_lift_product(key, 5, 3)``, the
-  window of the acceptance test ``c05`` (about a minute of CPU more).
+  window of the acceptance test ``c05`` (about a minute of CPU more),
+  and the report of ``closed-form-vs-lift`` at its cap (120, 6), which
+  the acceptance test ``c06`` checks.
 
 A report is digested as its ``repr``, so a value whose type changes (a
 numpy integer for a Python int, say) shows as a change.  Nothing is
@@ -122,6 +124,7 @@ def outputs(c05: bool, run_cli=cli_subprocess):
     if c05:
         for key in jacobi.MEMBERS:
             yield "c05 %s q5 s3" % key, repr(borcherds.compare_lift_product(key, 5, 3))
+        yield "c06 closed-form-vs-lift q120 s6", repr(verification.run("closed-form-vs-lift"))
 
 
 def lines(c05: bool):
@@ -159,7 +162,8 @@ def main(argv: list) -> int:
     global SRC
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--c05", action="store_true",
-                    help="add compare_lift_product(key, 5, 3) for every member")
+                    help="add compare_lift_product(key, 5, 3) for every member and "
+                         "closed-form-vs-lift at its cap")
     ap.add_argument("--src", help="digest the refltower package under this directory")
     ap.add_argument("--against", metavar="REV",
                     help="print only the lines that differ from REV's src/")

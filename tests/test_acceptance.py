@@ -13,7 +13,7 @@ from fractions import Fraction
 from refltower import borcherds, jacobi, lattices, verification
 from refltower.series import FourierSeries, TruncationWindow
 
-from helpers import discriminant_group
+from helpers import add, discriminant_group
 from output_digests import golden, sha
 
 
@@ -89,6 +89,8 @@ def test_c05_lift_equals_product_all_members():
 def test_c06_closed_formula_matches_lift():
     rep = _ok(verification.run("closed-form-vs-lift"))
     assert rep.window == (120, 6)
+    assert rep.checked_terms == 3644588
+    assert sha(repr(rep)) == golden()["c06 closed-form-vs-lift q120 s6"]
     print("PASS c06 divisor-sum formula = lift for D2..D8 at depth (5,3), "
           "%d coefficients" % rep.checked_terms)
 
@@ -168,8 +170,8 @@ def test_c12_property_suites_fast():
         b = _random_series(rng, 2, 2, w, 14)
         c = _random_series(rng, 2, 2, w, 14)
         assert a.mul(b, w).first_difference(b.mul(a, w)) is None
-        lhs = a.mul(b + c, w)
-        rhs = a.mul(b, w) + a.mul(c, w)
+        lhs = a.mul(add(b, c), w)
+        rhs = add(a.mul(b, w), a.mul(c, w))
         assert lhs.first_difference(rhs) is None
         assert a.mul(b, w).mul(c, w).first_difference(a.mul(b.mul(c, w), w)) is None
     for rep in verification.run_suite([

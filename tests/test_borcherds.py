@@ -9,8 +9,8 @@ import pytest
 from refltower.series import FourierSeries, TruncationWindow
 from refltower import borcherds, jacobi, lifting, series, verification
 
-from helpers import (coefficient, cold_memos, copy, digest, exp_series, hecke_reach,
-                     packed_translate, scaled, translate)
+from helpers import (coefficient, cold_memos, copy, digest, exp_series, hecke_reach, neg,
+                     packed_translate, scaled, sub, translate)
 import oracles
 from oracles import exp_s
 
@@ -43,9 +43,8 @@ def test_exp_layers_match_direct_formulas():
         phi = jacobi.weak_weight0(key, 6).series
         win = E[1].window
         assert E[0].term_count() == 1 and coefficient(E[0], 0, (0,) * E[0].r) == 1
-        assert E[1].first_difference((-phi).truncated(win)) is None
-        direct = scaled(phi.mul(phi, win), Fraction(1, 2)) \
-            - translate(key, phi, 2, 3)
+        assert E[1].first_difference(neg(phi).truncated(win)) is None
+        direct = sub(scaled(phi.mul(phi, win), Fraction(1, 2)), translate(key, phi, 2, 3))
         assert E[2].first_difference(direct) is None
 
 
@@ -770,7 +769,7 @@ def _exp_oracle(key, j_max, q_depth, phi=None):
     for j in range(1, j_max + 1):
         for (_, q), sl in oracles.hecke_v0(phi, j, q_depth).cells.items():
             X.cells[(2 * j, q)] = dict(sl)
-    want = exp_s(-X)
+    want = exp_s(neg(X))
     out = []
     for j in range(j_max + 1):
         layer = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 0))

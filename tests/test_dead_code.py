@@ -5,7 +5,7 @@ method or property nothing outside ``tests/`` reads.  A name counts as
 read where it is loaded, taken as an attribute, or spelled as a string
 (``monkeypatch.setattr`` and the tracer's targets name functions that
 way).  Dunders, ``annotations`` and the package's ``__all__`` re-exports
-are exempt."""
+are exempt, but ``FourierSeries`` may define no arithmetic operator."""
 
 import ast
 import os
@@ -140,6 +140,24 @@ def test_every_public_method_is_read_by_the_program():
                            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                            and not fn.name.startswith("_") and fn.name not in reads]
     assert unread == []
+
+
+_BINARY = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow",
+           "lshift", "rshift", "and", "or", "xor")
+_ARITHMETIC = ({"__%s%s__" % (p, op) for op in _BINARY for p in ("", "r", "i")}
+               | {"__neg__", "__pos__", "__abs__", "__invert__"})
+
+
+def test_fourier_series_defines_no_arithmetic_operator():
+    """Series arithmetic in ``src/`` is named (``mul``, ``div``), so the
+    public-method scan above sees whether the program calls it; sums and
+    negations serve the tests alone and are ``tests/helpers`` functions
+    (``add``, ``neg``, ``sub``).  An operator dunder, which that scan
+    exempts, would bring back a test-only path unseen."""
+    ops = [fn.name for path, tree in _trees(PACKAGE) for cls in ast.walk(tree)
+           if isinstance(cls, ast.ClassDef) and cls.name == "FourierSeries"
+           for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in _ARITHMETIC]
+    assert ops == []
 
 
 _MUTATORS = {"append", "extend", "insert", "pop", "popitem", "remove", "clear",

@@ -33,8 +33,8 @@ from refltower.lattices import lattice
 from refltower.lifting import gritsenko_lift, lift_layers
 from refltower.series import FourierSeries, TruncationWindow
 
-from helpers import (coefficient, cold_memos, divide_slices, exp_series, hecke_reach, norm,
-                     scale_variables)
+from helpers import (coefficient, cold_memos, divide_slices, exp_series, hecke_reach, neg,
+                     norm, scale_variables)
 import oracles
 from oracles import eta_product
 
@@ -122,7 +122,7 @@ def phi0_by_general_division(key: str, q_depth: int) -> JacobiForm:
         if den:
             w_den.cells[(0, q)] = dict(den)
     quo = w_num.div(w_den)
-    ser = (-quo).truncated(TruncationWindow(24 * q_depth, 0))
+    ser = neg(quo).truncated(TruncationWindow(24 * q_depth, 0))
     return JacobiForm("phi0_%s" % meta.lattice_name, ser, 0, Fraction(1),
                       meta.lattice_name, meta.family, meta.copies)
 
@@ -272,13 +272,15 @@ SWEEP_PSI_DEPTHS = {
 def test_odd_shell_equals_a_brute_force_enumeration(fresh_memos):
     """Each shell, built by the recursion from cold memos, is every odd
     vector with the given sum of squares, signed prod chi4(m_i), for
-    r <= 4 and totals r..r+40 (those off r mod 8 are empty)."""
-    for r in range(1, 5):
-        for t in range(r, r + 41):
-            odd = [m for m in range(-isqrt(t), isqrt(t) + 1) if m % 2]
-            want = {v: prod(map(chi4, v)) for v in itertools.product(odd, repeat=r)
-                    if sum(m * m for m in v) == t}
-            assert jacobi._odd_shell(r, t) == want, (r, t)
+    r <= 4 and totals r..r+40 (those off r mod 8 are empty): with signs
+    (1, -1) all of them, with (1,) those with every m_i > 0."""
+    for signs in ((1, -1), (1,)):
+        for r in range(1, 5):
+            for t in range(r, r + 41):
+                odd = [m for m in range(-isqrt(t), isqrt(t) + 1) if m % 2 and (m > 0 or -1 in signs)]
+                want = {v: prod(map(chi4, v)) for v in itertools.product(odd, repeat=r)
+                        if sum(m * m for m in v) == t}
+                assert jacobi._odd_shell(r, t, signs) == want, (r, t, signs)
 
 
 def test_packed_block_rows_equal_the_dict_slices():
@@ -1126,7 +1128,7 @@ def test_phi0_weight0_tautology():
     depth = 3
     phi = weak_weight0(key, depth)
     psi = member_series(key, TruncationWindow(meta.val_q + 24 * depth, 0))
-    rhs = -psi.mul(phi.series)
+    rhs = neg(psi.mul(phi.series))
     lhs = FourierSeries(meta.r, meta.den_z, rhs.window)
     for j in range(depth + 1):
         q = meta.val_q + 24 * j

@@ -1,8 +1,9 @@
 """Lift assembly and the closed D-family coefficient formula."""
 
+import itertools
 from fractions import Fraction
 
-from refltower.series import FourierSeries, TruncationWindow
+from refltower.series import FourierSeries, TruncationWindow, _mirror_rows, np
 from refltower import jacobi, lifting
 
 
@@ -64,9 +65,9 @@ def test_closed_form_agrees_with_lift():
 def test_closed_form_divisor_term():
     # at n = m = 2, z = (2, 2) only d = 2 contributes: the d = 1 eta index
     # falls off the 24-grid, the rescaled one hits the constant term
-    assert lifting.closed_form_slice(2, 2, 2)[(2, 2)] == 512
-    assert lifting.closed_form_slice(2, 2, 4)[(2, 2)] == -9216
-    assert lifting.closed_form_slice(2, 3, 3)[(3, 3)] == 12645
+    assert lifting.closed_form_slice(2, 2, 2, (1, -1))[(2, 2)] == 512
+    assert lifting.closed_form_slice(2, 2, 4, (1, -1))[(2, 2)] == -9216
+    assert lifting.closed_form_slice(2, 3, 3, (1, -1))[(3, 3)] == 12645
 
 
 def test_closed_form_support_is_odd_for_coprime_indices():
@@ -74,14 +75,14 @@ def test_closed_form_support_is_odd_for_coprime_indices():
     # factor keeps exactly the odd vectors; d > 1 terms such as the
     # 512 above live on rescaled, even support
     for n, m in [(2, 1), (3, 2), (4, 3)]:
-        for z in lifting.closed_form_slice(3, n, m):
+        for z in lifting.closed_form_slice(3, n, m, (1, -1)):
             assert all(a % 2 for a in z)
 
 
 def test_closed_form_nm_symmetry():
     for n, m in [(1, 2), (2, 3), (1, 4)]:
-        assert lifting.closed_form_slice(4, n, m) == \
-            lifting.closed_form_slice(4, m, n)
+        assert lifting.closed_form_slice(4, n, m, (1, -1)) == \
+            lifting.closed_form_slice(4, m, n, (1, -1))
 
 
 def test_closed_form_reads_the_shell_sign_as_the_kronecker_product(monkeypatch):
@@ -90,22 +91,54 @@ def test_closed_form_reads_the_shell_sign_as_the_kronecker_product(monkeypatch):
     exactly that sign."""
     real, seen = lifting._odd_shell, set()
 
-    def spy(r, total):
-        seen.add((r, total))
-        return real(r, total)
+    def spy(r, total, signs):
+        seen.add((r, total, signs))
+        return real(r, total, signs)
 
     monkeypatch.setattr(lifting, "_odd_shell", spy)
     for k in range(2, 9):
         for m in (1, 2):
             for n in (1, 2, 3):
-                lifting.closed_form_slice(k, n, m)
-    assert {r for r, _ in seen} == set(range(2, 9))
+                lifting.closed_form_slice(k, n, m, (1, -1))
+    assert {r for r, _, _ in seen} == set(range(2, 9))
     entries = 0
-    for r, total in seen:
-        for w, sign in real(r, total).items():
+    for r, total, signs in seen:
+        for w, sign in real(r, total, signs).items():
             want = 1
             for a in w:
                 want *= jacobi.chi4(a)
             assert sign == want, (r, total, w)
             entries += 1
     assert entries > 10000
+
+
+def _sorted_rows(z, v):
+    """(keys, values) of int64 z rows (|z_i| < 32) and values, one
+    integer key per row, in key order."""
+    keys = (z + 32) @ 64 ** np.arange(z.shape[1])
+    order = np.argsort(keys)
+    return keys[order], v[order]
+
+
+def test_orthant_closed_form_is_the_whole_slice_on_z_positive():
+    """For D2..D8 at every (n, m) of the ``closed-form-vs-lift`` cap
+    (120, 6), the closed form on the orthant (signs (1,)) is the whole
+    slice restricted to z_i > 0, and the whole slice is the orthant
+    slice's sign images, each value times (-1)^flips: so each orthant
+    term stands for exactly 2^k terms, the check's count."""
+    for k in range(2, 9):
+        for m in range(1, 4):
+            for n in range(1, 6):
+                rows = []
+                for signs in ((1,), (1, -1)):
+                    sl = lifting.closed_form_slice(k, n, m, signs)
+                    z = np.fromiter(itertools.chain.from_iterable(sl), np.int64, len(sl) * k)
+                    rows.append((z.reshape(-1, k), np.fromiter(sl.values(), np.int64, len(sl))))
+                (zh, vh), (z, v) = rows
+                assert np.all(zh > 0) and np.abs(z).max(initial=0) < 32, (k, n, m)
+                held = _sorted_rows(zh, vh)
+                on = np.all(z > 0, axis=1)
+                for got, want in ((_sorted_rows(z[on], v[on]), held),
+                                  (_sorted_rows(z, v), _sorted_rows(*_mirror_rows(zh, vh, range(k))))):
+                    assert all(map(np.array_equal, got, want)), (k, n, m)
+                assert len(z) == len(zh) << k, (k, n, m)

@@ -21,8 +21,8 @@ from refltower.series import (
     _slice_mul_py,
 )
 
-from helpers import (coefficient, copy, derivative_z, lowest_term, scale_variables, scaled,
-                     shifted)
+from helpers import (add, coefficient, copy, derivative_z, lowest_term, neg, scale_variables,
+                     scaled, shifted, sub)
 import oracles
 from oracles import exp_s
 
@@ -58,7 +58,7 @@ def test_add_sub_roundtrip():
     for _ in range(20):
         a = rand_series(rng, 2, 2, 30, 4, 25)
         b = rand_series(rng, 2, 2, 30, 4, 25)
-        c = (a + b) - b
+        c = sub(add(a, b), b)
         assert c.first_difference(a) is None
 
 
@@ -90,8 +90,8 @@ def test_mul_distributes():
         a = rand_series(rng, 2, 2, 16, 2, 12)
         b = rand_series(rng, 2, 2, 16, 2, 12)
         c = rand_series(rng, 2, 2, 16, 2, 12)
-        lhs = a.mul(b + c)
-        rhs = a.mul(b) + a.mul(c)
+        lhs = a.mul(add(b, c))
+        rhs = add(a.mul(b), a.mul(c))
         assert lhs.first_difference(rhs) is None
 
 
@@ -333,6 +333,16 @@ def test_factors_multiplied_into_a_monomial_equal_their_product_shifted(case):
     assert rhs.window == w and lhs.window == (fw if met_empty else w)
 
 
+def test_a_product_with_an_empty_operand_gets_the_meet_of_the_windows():
+    """A monomial at q^1 exact through (1, 0) times an empty factor exact
+    through (0, 0) is empty through (0, 0), either way round, although
+    the monomial's valuation alone would make it exact through (1, 0)."""
+    mono = FourierSeries.monomial(1, 1, (0,), 0, 2, TruncationWindow(1, 0))
+    empty = FourierSeries(1, 2, TruncationWindow(0, 0))
+    for prod in (mono.mul(empty, mono.window), empty.mul(mono)):
+        assert prod.is_zero() and prod.window == TruncationWindow(0, 0)
+
+
 def test_exp_s_inverse():
     rng = random.Random(37)
     for _ in range(6):
@@ -341,7 +351,7 @@ def test_exp_s_inverse():
             x.add_term(rng.randrange(0, 10), (rng.randrange(-2, 3),),
                        rng.randrange(1, 4), rng.randrange(-4, 5))
         e = exp_s(x)
-        einv = exp_s(-x)
+        einv = exp_s(neg(x))
         prod = e.mul(einv)
         one = FourierSeries.monomial(1, 0, (0,), 0, 2, prod.window)
         assert prod.first_difference(one) is None

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from refltower import borcherds, jacobi, lattices, verification
+from refltower import borcherds, jacobi, lattices, lifting, verification
 from refltower.series import TruncationWindow, _mirror_rows, _qz_rows
 
 from helpers import coefficient, copy, scaled
@@ -209,6 +209,56 @@ def test_negative_control_catches_corrupt_lift(monkeypatch):
                                TruncationWindow(48, 2))
         assert rep.status == "fail", key
         assert rep.details["first_mismatch"] is not None
+
+
+def _closed_form_failures(monkeypatch, mod, name, crooked):
+    """``closed-form-vs-lift`` at (72, 4) with mod.name made crooked: the
+    report passes before and fails after, with the same count."""
+    win = TruncationWindow(72, 4)
+    good = verification.run("closed-form-vs-lift", win)
+    assert good.status == "pass"
+    monkeypatch.setattr(mod, name, crooked)
+    rep = verification.run("closed-form-vs-lift", win)
+    assert rep.status == "fail" and rep.checked_terms == good.checked_terms
+    return rep.details["mismatched_slices"]
+
+
+def test_negative_control_catches_a_corrupt_orthant_closed_form(monkeypatch):
+    """+1 on one orthant coefficient of the closed formula, D5 at
+    (n, m) = (2, 2), fails exactly that slice."""
+    real = lifting.closed_form_slice
+
+    def crooked(k, n, m, signs):
+        sl = dict(real(k, n, m, signs))
+        if (k, n, m) == (5, 2, 2):
+            assert signs == (1,)
+            z = next(iter(sl))
+            sl[z] += 1
+        return sl
+
+    assert _closed_form_failures(monkeypatch, lifting, "closed_form_slice", crooked) == {
+        "psi_7_D5": [(2, 2)]}
+
+
+def test_negative_control_catches_a_corrupt_held_lift_row(monkeypatch):
+    """+1 on one held row of the D5 lift layer m = 2, the first key of
+    level 1 (q^2), fails exactly (n, m) = (2, 2)."""
+    real = jacobi.hecke_levels
+
+    def crooked(key, orders, depth, frame=None):
+        f, out = real(key, orders, depth, frame)
+        if key == "psi_7_D5":
+            t = orders.index(2)
+            keys, v = out[t]
+            i = int(np.searchsorted(keys, f.stq))
+            assert keys[i] // f.stq == 1
+            v = v.copy()
+            v[i] += 1
+            out[t] = (keys, v)
+        return f, out
+
+    assert _closed_form_failures(monkeypatch, jacobi, "hecke_levels", crooked) == {
+        "psi_7_D5": [(2, 2)]}
 
 
 def test_integer_hyper_norm_matches_the_fraction_oracle():

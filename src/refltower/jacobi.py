@@ -297,13 +297,30 @@ def _theta_scale(meta: MemberMeta) -> int:
     return 2 if meta.family == "D1" else 1
 
 
+def _shell_slice(meta: MemberMeta, q_num: int, signs: tuple) -> dict:
+    """A D, D1 or A1 block's z-slice at q_num on the 24-grid above its
+    valuation, from odd shells: the eta coefficient at q_num - 3 ssq
+    times each vector of ``_odd_shell(copies, ssq, signs)``, exponents
+    scaled for D1.  Signs (1,) give its part on z_i > 0, (1, -1) every
+    term; no numpy, no memo of its own."""
+    out = {}
+    scale = _theta_scale(meta)
+    for ssq in range(meta.copies, (q_num - meta.eta_exp) // 3 + 1, 8):
+        e = _eta_coeff(meta.eta_exp, q_num - 3 * ssq)
+        if e:
+            for z, s in _odd_shell(meta.copies, ssq, signs).items():
+                out[z if scale == 1 else tuple([scale * a for a in z])] = e * s
+    return out
+
+
 _PSI_SLICES: dict = {}
 _PSI_SLICE_CACHE_DEPTH = 6
 
 
 def member_slice(key: str, q_num: int) -> dict:
     """The z-slice of a registry theta block at the given q_num: decoded
-    from the packed rows for A2, else summed from odd shells (no numpy)."""
+    from the packed rows for A2, else summed from odd shells
+    (``_shell_slice``, no numpy)."""
     meta = MEMBERS[key]
     if q_num < meta.val_q or (q_num - meta.val_q) % 24:
         return {}
@@ -315,13 +332,7 @@ def member_slice(key: str, q_num: int) -> dict:
         z, v, *_ = _member_rows(key, q_num)
         out = dict(zip(map(tuple, z.tolist()), v.tolist()))
     else:
-        out = {}
-        scale = _theta_scale(meta)
-        for ssq in range(meta.copies, (q_num - meta.eta_exp) // 3 + 1, 8):
-            e = _eta_coeff(meta.eta_exp, q_num - 3 * ssq)
-            if e:
-                for z, s in _odd_shell(meta.copies, ssq, (1, -1)).items():
-                    out[z if scale == 1 else tuple([scale * a for a in z])] = e * s
+        out = _shell_slice(meta, q_num, (1, -1))
     if (q_num - meta.val_q) // 24 <= _PSI_SLICE_CACHE_DEPTH:
         _PSI_SLICES[ck] = out
     return out

@@ -568,18 +568,17 @@ class FourierSeries:
         explicit window argument intersects with that bound.  An empty
         operand has no valuation: the product is empty, with the meet of
         the two windows (even where the other operand's valuation would
-        allow more, and whatever the window argument).
+        allow more).
         """
         self._check_compatible(other)
         if self.is_zero() or other.is_zero():
-            wq = min(self.window.q_max, other.window.q_max)
-            ws = min(self.window.s_max, other.window.s_max)
-            return FourierSeries(self.r, self.den_z, TruncationWindow(wq, ws))
-        wq = min(self.window.q_max + other.q_valuation(),
-                 other.window.q_max + self.q_valuation())
-        ws = min(self.window.s_max + other.s_valuation(),
-                 other.window.s_max + self.s_valuation())
-        w = TruncationWindow(min(wq, INF), min(ws, INF))
+            w = self.window.meet(other.window)
+        else:
+            wq = min(self.window.q_max + other.q_valuation(),
+                     other.window.q_max + self.q_valuation())
+            ws = min(self.window.s_max + other.s_valuation(),
+                     other.window.s_max + self.s_valuation())
+            w = TruncationWindow(min(wq, INF), min(ws, INF))
         if window is not None:
             w = w.meet(window)
         out = FourierSeries(self.r, self.den_z, w)

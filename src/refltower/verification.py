@@ -18,14 +18,17 @@ rows a report lists (``_block_rows``, ``series._mirror_rows``); the
 integrality check counts the held product layers the same way.  The
 closed formula is odd too (each chi4 factor is), so ``closed-form-vs-lift``
 compares it on the orthant with the held lift layers
-(``jacobi.hecke_levels``), each term standing for 2^k.
+(``jacobi.hecke_levels``), each term standing for 2^k.  ``fj1-recovery``
+compares the lift's layer 1 there with the orthant shell sum
+(``jacobi._shell_slice``), and ``quasi-pullback-chain`` steps down the D
+tower on the held rows themselves; neither builds a dict slice.
 """
 
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .series import FourierSeries, TruncationWindow, _mirror_rows, _qz_decode, np
+from .series import FourierSeries, TruncationWindow, _encode, _mirror_rows, _qz_decode, np
 from . import jacobi
 from . import lattices
 from . import lifting
@@ -403,21 +406,33 @@ def _run_class_invariance(win):
 
 
 def _run_pullback_chain(win):
+    """D8 -> D7 -> ... -> D2 on the held block rows (``_block_rows``: on
+    z_i > 0, lexicographic in z per level, so each run of one z[:-1] is
+    contiguous).  The quasi-pullback of an odd block at z' is 2 sum
+    c z_last over its run (z_last > 0, the images z_last < 0 doubling
+    it) over den_z = 2, one ``np.add.reduceat``; odd in z' again, it must
+    equal the next member's held rows, keys and values, each of those
+    standing for 2^(k-1) terms.  theta -> eta^3 ends the chain."""
     ok = True
     checked = 0
     steps = []
-    w = TruncationWindow(win.q_max, 0)
-    cur = jacobi.build("psi_4_D8", w)
+    depth = win.q_max // 24
     for k in range(8, 2, -1):
-        tgt = jacobi.build("psi_%d_D%d" % (12 - (k - 1), k - 1), w)
-        qp = jacobi.quasi_pullback(cur, k - 1)
-        diff = qp.series.first_difference(tgt.series)
-        good = diff is None and qp.weight == tgt.weight
-        steps.append({"from": cur.name, "to": tgt.name, "ok": good})
+        src, tgt = "psi_%d_D%d" % (12 - k, k), "psi_%d_D%d" % (13 - k, k - 1)
+        good = jacobi.MEMBERS[src].weight + 1 == jacobi.MEMBERS[tgt].weight
+        for (_, z, v), (_, zt, vt) in zip(_block_rows(src, win.q_max, depth),
+                                          _block_rows(tgt, win.q_max, depth)):
+            head = z[:, :-1]
+            first = np.ones(len(z), bool)  # the first row of each run of one z'
+            first[1:] = np.any(head[1:] != head[:-1], axis=1)
+            cuts = np.flatnonzero(first)
+            sums = np.add.reduceat(v.astype(object) * z[:, -1], cuts)  # exact, whatever the rows' dtype
+            keep = sums != 0
+            good = good and np.array_equal(head[cuts][keep], zt) and np.array_equal(sums[keep], vt)
+            checked += len(zt) << (k - 1)
+        steps.append({"from": src, "to": tgt, "ok": good})
         ok = ok and good
-        checked += tgt.series.term_count()
-        cur = tgt
-    diff, terms = _theta_to_eta3(w.q_max)
+    diff, terms = _theta_to_eta3(win.q_max)
     steps.append({"from": "theta", "to": "eta^3", "ok": diff is None})
     return ok and diff is None, checked + terms, {"steps": steps}
 
@@ -450,14 +465,36 @@ def _run_integrality(win):
 
 
 def _run_fj1(win):
+    """Layer 1 of each lift, psi|V_1 as ``jacobi.hecke_levels`` encodes it
+    from the block's held rows (the layer ``compare_lift_product``
+    reads), against the block's other construction.  For D, D1 and A1
+    that is the odd-shell sum on the orthant z_i > 0
+    (``jacobi._shell_slice``); both are odd with no key at z_i = 0, so
+    each held term stands for 2^len(axes).  A2 has no second
+    construction: its layer is checked against its own rows
+    (``jacobi._member_rows``) as packed keys, which covers the encoder
+    alone."""
     checked = 0
     bad = []
     for key, meta in jacobi.MEMBERS.items():
-        for q in range(meta.val_q, win.q_max + 1, 24):
-            a = jacobi.member_hecke_slice(key, 1, q)
-            checked += len(a)
-            if a != jacobi.member_slice(key, q) and key not in bad:
-                bad.append(key)
+        top = (win.q_max - meta.val_q) // 24
+        if top < 0:
+            continue
+        axes = jacobi._sign_axes(meta)
+        f, [(keys, vals)] = jacobi.hecke_levels(key, [1], top)
+        checked += len(keys) << len(axes)
+        if axes:
+            lift = _qz_decode(keys, vals, f, ())
+            good = all(lift.get(j, {}) == jacobi._shell_slice(meta, meta.val_q + 24 * j, (1,))
+                       for j in range(top + 1))
+        else:
+            rows = _block_rows(key, win.q_max, top)
+            lv = np.repeat(np.arange(top + 1), [len(v) for _, _, v in rows])
+            z = np.concatenate([z for _, z, _ in rows])
+            v = np.concatenate([v for _, _, v in rows])
+            good = np.array_equal(keys, _encode(z, f, lv)) and np.array_equal(vals, v)
+        if not good:
+            bad.append(key)
     return not bad, checked, {"mismatches": bad}
 
 

@@ -17,6 +17,9 @@ over all of them, for:
   for rank > 4, as ``to_json``;
 * each member's ``borcherds.borcherds_exp`` at (q_max, s_max) = (48, 4),
   as ``to_json``;
+* the report of ``verification.run`` for every identity at its registry
+  cap, except ``lift-equals-product:*`` and ``closed-form-vs-lift``
+  (the ``c05`` and ``c06`` outputs below);
 * with ``--c05``, the reports of ``compare_lift_product(key, 5, 3)``, the
   window of the acceptance test ``c05`` (about a minute of CPU more),
   and the report of ``closed-form-vs-lift`` at its cap (120, 6), which
@@ -121,6 +124,11 @@ def outputs(c05: bool, run_cli=cli_subprocess):
     for key in jacobi.MEMBERS:
         yield "borcherds_exp %s q48 s4" % key, borcherds.borcherds_exp(
             key, TruncationWindow(48, 4)).to_json()
+    for name in verification.identities():
+        if name.startswith("lift-equals-product:") or name == "closed-form-vs-lift":
+            continue
+        rep = verification.run(name)
+        yield "identity-cap %s q%d s%d" % (name, *rep.window), repr(rep)
     if c05:
         for key in jacobi.MEMBERS:
             yield "c05 %s q5 s3" % key, repr(borcherds.compare_lift_product(key, 5, 3))

@@ -17,6 +17,6 @@ def test_outputs_equal_the_golden_digests(fresh_memos):
             if not name.startswith(("c05 ", "c06 "))}
     got = {name: output_digests.sha(data)
            for name, data in output_digests.outputs(False, output_digests.cli_in_process)}
-    assert len(got) == len(want) == 92
+    assert len(got) == len(want) == 107
     differ = sorted(name for name in want.keys() | got.keys() if got.get(name) != want.get(name))
     assert not differ, "outputs that differ from golden_digests.txt:\n" + "\n".join(differ)

@@ -5,7 +5,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from refltower.jacobi import JacobiForm, eta_power, quasi_pullback
 from refltower.series import (
@@ -17,6 +17,8 @@ from refltower.series import (
     _frame,
     _packed_reduce,
     _peel_divide,
+    _qz_decode,
+    _qz_mul,
     _restride,
     _slice_mul_py,
 )
@@ -341,6 +343,110 @@ def test_a_product_with_an_empty_operand_gets_the_meet_of_the_windows():
     empty = FourierSeries(1, 2, TruncationWindow(0, 0))
     for prod in (mono.mul(empty, mono.window), empty.mul(mono)):
         assert prod.is_zero() and prod.window == TruncationWindow(0, 0)
+
+
+def test_a_product_with_an_empty_operand_keeps_within_the_window_argument():
+    """An empty product is exact through the meet of the two windows and
+    of the window argument, either way round, as a nonzero one is."""
+    mono = FourierSeries.monomial(1, 0, (0,), 0, 2, TruncationWindow(48, 4))
+    empty = FourierSeries(1, 2, TruncationWindow(48, 4))
+    for prod in (mono.mul(empty, TruncationWindow(24, 2)), empty.mul(mono, TruncationWindow(24, 2))):
+        assert prod.is_zero() and prod.window == TruncationWindow(24, 2)
+
+
+def _dict_sums(keys, vals) -> list:
+    """[sorted keys, their nonzero sums], summed in a dict: the oracle of
+    ``_packed_reduce``."""
+    acc = {}
+    for k, v in zip(keys, vals):
+        acc[k] = acc.get(k, 0) + v
+    items = [(k, v) for k, v in sorted(acc.items()) if v]
+    return [[k for k, _ in items], [v for _, v in items]]
+
+
+_BIG = 2 ** 59 - 1  # seven of these in one group stay below 2^62
+
+
+@st.composite
+def _int64_groups(draw):
+    """Shuffled (keys, values) in groups of at most seven int64 values of
+    |v| <= 2^59, so every group sum is below 2^62 while the running sum
+    over many groups may wrap past 2^63."""
+    vals = st.integers(-_BIG, _BIG) | st.sampled_from([_BIG, -_BIG, 0])
+    groups = draw(st.lists(st.lists(vals, min_size=1, max_size=7), max_size=12))
+    pairs = [(k, v) for k, g in enumerate(groups) for v in g]
+    order = draw(st.permutations(range(len(pairs))))
+    return [pairs[i][0] * 3 for i in order], [pairs[i][1] for i in order]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_int64_groups())
+@example(([0] * 7 + [3] * 7 + [6] * 7 + [9] * 7, [_BIG] * 28))  # the running sum wraps
+@example(([5, 5, 2, 5], [_BIG, -_BIG, 0, 1]))  # a cancelling group, a zero value
+@example(([], []))
+def test_packed_reduce_equals_a_dict_sum_on_int64(case):
+    """Group sums of int64 values equal a dict sum, groups that cancel
+    dropped, also when the running sum wraps past 2^63."""
+    keys, vals = case
+    got = _packed_reduce(np.array(keys, np.int64), np.array(vals, np.int64))
+    want = _dict_sums(keys, vals)
+    assert got[1].dtype == np.int64 and want == [got[0].tolist(), got[1].tolist()]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6),
+                          st.integers(-2 ** 80, 2 ** 80) | st.fractions(max_denominator=6)),
+                max_size=30))
+@example([(1, Fraction(1, 2)), (1, Fraction(-1, 2)), (0, 2 ** 70), (0, 1)])
+def test_packed_reduce_equals_a_dict_sum_on_objects(case):
+    """Group sums of python ints and Fractions equal a dict sum, exactly."""
+    keys, vals = [k for k, _ in case], [v for _, v in case]
+    got = _packed_reduce(np.array(keys, np.int64), np.array(vals, object))
+    want = _dict_sums(keys, vals)
+    assert got[1].dtype == object and want == [got[0].tolist(), got[1].tolist()]
+
+
+@st.composite
+def _packed_pairs(draw):
+    """(r, top, pairs): up to three pairs of packed series, each {level:
+    {z: c}} with levels 0..3 and |z_i| <= 2, values small ints (int64)
+    or big ints and Fractions (object)."""
+    r, top = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    coeffs = draw(st.sampled_from([st.integers(-9, 9),
+                                   st.integers(-2 ** 70, 2 ** 70) | st.fractions(max_denominator=4)]))
+    series = st.dictionaries(st.integers(0, 3), st.dictionaries(
+        st.lists(st.integers(-2, 2), min_size=r, max_size=r).map(tuple), coeffs, max_size=4),
+        max_size=3)
+    return r, top, draw(st.lists(st.tuples(series, series), min_size=1, max_size=3))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_packed_pairs())
+@example((1, 1, [({0: {(1,): 1}, 2: {(2,): 3}}, {0: {(-1,): 2}, 1: {(1,): -1}})]))  # a level past top
+@example((2, 0, [({}, {0: {(0, 0): 1}})]))  # an empty operand
+def test_qz_mul_equals_the_dict_product_truncated(case):
+    """``_qz_mul`` of packed pairs equals the sum of their dict products
+    (``_slice_mul_py``) level by level through top, and no further."""
+    r, top, pairs = case
+    f = _frame(np.full(r, -4), np.full(r, 4), top)
+
+    def packed(series):
+        rows = [(lvl, z, c) for lvl, sl in series.items() for z, c in sl.items() if c]
+        vals = [c for *_, c in rows]
+        dtype = np.int64 if all(type(c) is int and abs(c) < 2 ** 20 for c in vals) else object
+        keys = _encode(np.array([z for _, z, _ in rows], np.int64).reshape(-1, r), f,
+                       np.array([lvl for lvl, *_ in rows], np.int64))
+        return _packed_reduce(keys, np.array(vals, object).astype(dtype))
+
+    want = {}
+    for a, b in pairs:
+        for i, A in a.items():
+            for j, B in b.items():
+                if i + j <= top:
+                    _slice_mul_py(want.setdefault(i + j, {}), A, B)
+    packs = [(packed(a), packed(b)) for a, b in pairs]
+    keys, vals = _qz_mul(packs, f, top)
+    assert _qz_decode(keys, vals, f, ()) == {lvl: sl for lvl, sl in sorted(want.items()) if sl}
 
 
 def test_exp_s_inverse():

@@ -261,6 +261,83 @@ def test_negative_control_catches_a_corrupt_held_lift_row(monkeypatch):
         "psi_7_D5": [(2, 2)]}
 
 
+def _bump_held_row(monkeypatch, key, lvl):
+    """+1 on the first held block row of level lvl, in a copy of the
+    member's ``jacobi._PSI_LEVELS`` entry."""
+    levels = list(jacobi._PSI_LEVELS[key])
+    z, v, reach, vmax = levels[lvl]
+    v = v.copy()
+    v[0] += 1
+    levels[lvl] = (z, v, reach, max(vmax, abs(int(v[0]))))
+    monkeypatch.setitem(jacobi._PSI_LEVELS, key, levels)
+
+
+def _fj1_failures(monkeypatch, corrupt):
+    """``fj1-recovery`` at (96, 4) after corrupt(monkeypatch): the report
+    passes before and fails after, with the same count."""
+    win = TruncationWindow(96, 4)
+    good = verification.run("fj1-recovery", win)
+    assert good.status == "pass"
+    corrupt(monkeypatch)
+    rep = verification.run("fj1-recovery", win)
+    assert rep.status == "fail" and rep.checked_terms == good.checked_terms
+    return rep.details
+
+
+def test_fj1_fails_on_a_corrupt_held_block_row(monkeypatch):
+    """+1 on one held row of the D5 block at q^2: the lift's layer 1 is
+    encoded from those rows, the orthant shell sum is not."""
+    assert _fj1_failures(monkeypatch, lambda mp: _bump_held_row(mp, "psi_7_D5", 1)) == {
+        "mismatches": ["psi_7_D5"]}
+
+
+def test_fj1_fails_on_a_corrupt_orthant_shell_term(monkeypatch):
+    """+1 on one vector of the orthant shell of five odd squares summing
+    to 13, which the D5 slices from q^2 on read."""
+    shell = dict(jacobi._odd_shell(5, 13, (1,)))
+    shell[next(iter(shell))] += 1
+    assert _fj1_failures(monkeypatch, lambda mp: mp.setitem(
+        jacobi._SHELL_CACHE, (5, 13, (1,)), shell)) == {"mismatches": ["psi_7_D5"]}
+
+
+def test_fj1_fails_on_an_a2_layer_key_off_its_rows(monkeypatch):
+    """A2 has no second construction: its layer 1 must be its own rows,
+    key for key, so a layer whose last key moves by one fails."""
+    real = jacobi.hecke_levels
+
+    def crooked(key, orders, depth, frame=None):
+        f, out = real(key, orders, depth, frame)
+        if key == "psi_9_A2":
+            keys, v = out[0]
+            out[0] = (np.append(keys[:-1], keys[-1] + 1), v)
+        return f, out
+
+    assert _fj1_failures(monkeypatch, lambda mp: mp.setattr(jacobi, "hecke_levels", crooked)) == {
+        "mismatches": ["psi_9_A2"]}
+
+
+def test_pullback_chain_fails_both_steps_at_a_corrupt_held_row(monkeypatch):
+    """+1 on one held D7 row at q^2 breaks D8 -> D7 (the target's rows)
+    and D7 -> D6 (the source's sum), and no other step."""
+    win = TruncationWindow(72, 0)
+    good = verification.run("quasi-pullback-chain", win)
+    assert good.status == "pass"
+    _bump_held_row(monkeypatch, "psi_5_D7", 1)
+    rep = verification.run("quasi-pullback-chain", win)
+    assert rep.status == "fail" and rep.checked_terms == good.checked_terms
+    assert [(s["from"], s["to"]) for s in rep.details["steps"] if not s["ok"]] == [
+        ("psi_4_D8", "psi_5_D7"), ("psi_5_D7", "psi_6_D6")]
+
+
+def test_fj1_and_pullback_chain_build_no_dict_slice(monkeypatch, fresh_memos):
+    """Cold, both checks read the held block rows alone: no call of
+    ``member_slice`` and nothing memoised in ``_PSI_SLICES``."""
+    slices = _count_calls(monkeypatch, jacobi, "member_slice")
+    for name in ("fj1-recovery", "quasi-pullback-chain"):
+        assert verification.run(name, TruncationWindow(96, 4)).status == "pass"
+    assert slices == [] and jacobi._PSI_SLICES == {}
+
+
 def test_integer_hyper_norm_matches_the_fraction_oracle():
     """The batched numerators are the Fraction norm, row by row: over
     _norm_den on every block slice through q = 96 (the held rows,

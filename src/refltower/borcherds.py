@@ -27,15 +27,14 @@ j_max, q depth), with read-only arrays; the memo is read and written
 only while phi0 is the series ``weak_weight0`` holds
 (``jacobi.holds_phi0``).  Every series it held is an exact quotient, so
 entries stay valid as phi0 deepens; any other phi0, a corrupted one say,
-neither hits nor replaces an entry, and its rows must be even in the
-block's sign axes (``jacobi._check_even``).  E_j is then even, and for
-D, D1 and A1 psi * E_j is held on z_i > 0 of those axes alone, as the
-lift layers are (``jacobi.hecke_levels``); ``borcherds_exp`` decodes
-each and mirrors it out whole level by level (``series._qz_decode``).
-The lift-versus-product check compares the two orthants as arrays of
-keys and values in psi * E_j's frame; only a mismatch report decodes
-them, into series cells as ``borcherds_exp`` does, for
-``FourierSeries.first_difference``.
+neither hits nor replaces an entry, and its rows must be even under the
+member's sign symmetry (``jacobi._symmetry``).  E_j is then even and
+psi * E_j odd, held as the lift layers are (``jacobi.hecke_levels``);
+``borcherds_exp`` decodes each and completes it level by level
+(``series._qz_decode``).  The lift-versus-product check compares the
+two held sides as arrays of keys and values in psi * E_j's frame; only
+a mismatch report decodes them, into series cells as ``borcherds_exp``
+does, for ``FourierSeries.first_difference``.
 
 The divisor scan walks the negative-norm support of phi0, reduces each
 Fourier index to a primitive wall vector, sums the coefficients along
@@ -50,16 +49,16 @@ multiples leave the window raises ValueError.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .jacobi import (
     MEMBERS,
-    _check_even,
     _corner_dirs,
     _divisor_plan,
     _encode_parts,
     _part_specs,
-    _sign_axes,
+    _symmetry,
     hecke_levels,
     member_slice,
     multiply_by_member,
@@ -122,9 +121,9 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
     largest reach(W_i) + reach(E_{j-i}), W_i's from ``jacobi._part_specs``.
     E_0 is the unit key; W_1..W_jmax, from ``hecke_v0``'s plan and rows,
     are encoded straight into the frame together (``jacobi._encode_parts``).
-    phi must be even in z_i on the block's sign axes, so that E_j is and
-    psi * E_j is odd there: the rows of a phi ``weak_weight0`` does not
-    hold are checked (``jacobi._check_even``, ValueError).  With int64
+    phi must be even under the member's sign symmetry, so that E_j is
+    and psi * E_j is odd: the rows of a phi ``weak_weight0`` does not
+    hold are checked (``jacobi._symmetry``, ValueError).  With int64
     values object rows of phi, a W_i whose bound reaches 2^62, or a
     quotient by j that leaves a remainder raise _NotInt64; object values
     keep the remainder as a Fraction.
@@ -132,7 +131,7 @@ def _exp_packed(key: str, j_max: int, q_depth: int, phi, dtype) -> tuple:
     meta = MEMBERS[key]
     rows = weight0_rows(key, phi, j_max * q_depth)
     if not holds_phi0(key, phi):  # the held rows are even by construction
-        _check_even(rows, _sign_axes(meta))
+        _symmetry(meta).check(rows, 1)
     plan, src = hecke_v0(rows, range(1, j_max + 1), q_depth, dtype)
     rks = _part_specs(plan, src, dtype)
     reach = [np.zeros(meta.r, np.int64)]
@@ -191,10 +190,9 @@ def exp_layers(key: str, j_max: int, q_depth: int) -> tuple:
 
 def product_layers(key: str, window: TruncationWindow):
     """(s_num, frame, keys, values) of each packed product layer inside the
-    window as ``exp_layers`` holds it, on z_i > 0 of the sign axes for D,
-    D1 and A1; a layer holding a coefficient that is not an int (only
-    the Fraction rerun leaves one) raises ArithmeticError at its first
-    such level."""
+    window as ``exp_layers`` holds it (``jacobi._symmetry``); a layer
+    holding a coefficient that is not an int (only the Fraction rerun
+    leaves one) raises ArithmeticError at its first such level."""
     meta = MEMBERS[key]
     s0 = meta.s_step
     if window.q_max < meta.val_q:
@@ -214,12 +212,12 @@ def product_layers(key: str, window: TruncationWindow):
 
 def borcherds_exp(key: str, window: TruncationWindow) -> FourierSeries:
     """The Borcherds product as a materialised series over a window, each
-    layer mirrored out whole (odd) from the sign orthant."""
+    held layer completed whole (odd)."""
     meta = MEMBERS[key]
     out = FourierSeries(meta.r, meta.den_z, window)
-    axes = _sign_axes(meta)
+    odd = partial(_symmetry(meta).whole, sign=-1)
     for s_num, f, k, v in product_layers(key, window):
-        for lvl, sl in _qz_decode(k, v, f, axes).items():
+        for lvl, sl in _qz_decode(k, v, f, odd).items():
             out.cells[(s_num, meta.val_q + 24 * lvl)] = sl
     return out
 
@@ -321,15 +319,14 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     lift layer's reach bound leave the product's box, hecke_levels
     returns a wider frame, and the product keys are moved into it first.
 
-    For D, D1 and A1 both sides are held on z_i > 0 of every sign axis
-    (``jacobi._sign_axes``).  The lift is odd there by construction (the
-    block's rows, scaled by d > 0), and so is the product, since
-    ``_exp_packed`` reads phi0 rows that are even (held, or checked), so
-    equal orthants are equal layers.  An odd layer has no key with
-    z_i = 0, so each layer's ``terms`` is 2^len(axes) times its orthant
-    count.  The first differing key of the first layer that differs is
-    reported (``FourierSeries.first_difference`` on both layers, mirrored
-    out whole, as cells), the product coefficient recomputed from E_j
+    Both sides are odd and held under the member's sign symmetry
+    (``jacobi._symmetry``): the lift by construction (the block's rows,
+    scaled by d > 0), the product since ``_exp_packed`` reads phi0 rows
+    that are even (held, or checked), so equal held sides are equal
+    layers, and each layer's ``terms`` is the object's count of its held
+    keys.  The first differing key of the first layer that differs is
+    reported (``FourierSeries.first_difference`` on both layers, completed
+    whole, as cells), the product coefficient recomputed from E_j
     (``_exp_packed`` on the same phi0); layers equal as cells raise
     AssertionError.  Raises ValueError for q_depth < 0 or s_depth < 1,
     which check nothing.
@@ -343,7 +340,7 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
     j_max = max(((s - s0) // 2) for s, _ in layers) if layers else 0
     fp, prod = exp_layers(key, j_max, q_aux)
     f, num = hecke_levels(key, [order for _, order in layers], q_aux, fp)
-    axes = _sign_axes(meta)
+    sym = _symmetry(meta)
     mismatch = None
     for (s_num, _), (kl, vl) in zip(layers, num):
         k, v = prod[(s_num - s0) // 2]
@@ -355,7 +352,7 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
         lift, rhs = FourierSeries(meta.r, meta.den_z, w), FourierSeries(meta.r, meta.den_z, w)
         for out, kv in ((lift, (kl, vl)), (rhs, (k, v))):
             out.cells = {(s_num, meta.val_q + 24 * lvl): sl
-                         for lvl, sl in _qz_decode(*kv, f, axes).items()}
+                         for lvl, sl in _qz_decode(*kv, f, partial(sym.whole, sign=-1)).items()}
         diff = lift.first_difference(rhs)
         if diff is None:
             raise AssertionError("layer s_num=%d differs as arrays but not as dicts" % s_num)
@@ -364,16 +361,16 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
         fe, E = _int64_first(_exp_packed, key, j_max, q_aux, phi)
         mismatch = {"s_num": s_num, "q_num": q, "z": z, "lift": c,
                     "product": _product_coefficient(
-                        key, _qz_decode(*E[(s_num - s0) // 2], fe, ()), q, z)}
+                        key, _qz_decode(*E[(s_num - s0) // 2], fe, None), q, z)}
         break
     return {
         "status": "pass" if mismatch is None else "fail",
         "member": key,
         "q_depth": q_depth,
         "s_depth": s_depth,
-        "layers": [{"s_num": s, "order": o, "terms": len(vs) << len(axes)}
+        "layers": [{"s_num": s, "order": o, "terms": sym.count(len(vs))}
                    for (s, o), (_, vs) in zip(layers, num)],
-        "checked_terms": sum(len(vs) for _, vs in num) << len(axes),
+        "checked_terms": sym.count(sum(len(vs) for _, vs in num)),
         "first_mismatch": mismatch,
     }
 

@@ -24,9 +24,11 @@ frame, each binomial two key shifts.  Keys enter every frame by digit
 arithmetic (``series._restride``).
 
 theta(tau, -z) = -theta(tau, z), so every D, D1 and A1 block is odd in
-each coordinate (``_sign_axes``; A2 has none), and so are its Hecke
-translates and its product with an even series: all of them are held
-on the orthant z_i > 0 alone.  The multiply keeps z_i > 0 right after
+each coordinate, and so are its Hecke translates and its product with
+an even series.  Each member's one sign-symmetry object (``_symmetry``,
+no axes for A2) says what "held" means: an odd series is held on
+z_i > 0 of every axis, an even one on z_i >= 0, each held row standing
+for itself and its sign images.  The multiply keeps z_i > 0 right after
 the theta factor of axis i, which no later factor moves, so applied to
 the unit it gives the block's rows on the orthant exactly
 (``_member_rows``, with each level's reach and max|v|), and applied to
@@ -35,8 +37,8 @@ an even E_j the orthant of psi * E_j.  The Hecke translates of the lift
 packed frame by ``_encode_parts`` (d > 0 keeps them on the orthant), as
 phi0's are from ``weight0_rows``; the division takes psi|V_p as it
 comes, on the orthant, and mirrors its even quotient out whole once.
-Readers that need every term mirror on demand (``series._mirror_rows``,
-``_mirror_out``); nothing holds both forms.  Dict slices of the A2
+Readers that need every term complete them on demand (the object's
+``whole``); nothing holds both forms.  Dict slices of the A2
 blocks are decoded from the rows, the others summed from odd shells
 (``_odd_shell``, one memoised recursion).  Each kernel picks its
 result's one dtype under ``series._int64_first``.  A packed layer is
@@ -69,7 +71,6 @@ from .series import (
     _frame,
     _int64_first,
     _level_runs,
-    _mirror_rows,
     _NotInt64,
     _packed_reduce,
     _qz_rows,
@@ -346,10 +347,9 @@ def _member_rows(key: str, q_num: int) -> tuple:
     """The block's slice at q_num as (z rows, values, reach, max|v|), no
     dict: the block times the unit layer, factor by factor
     (``multiply_by_member``), memoised per member and rebuilt only when a
-    deeper level is asked for.  The block is odd in every coordinate of
-    ``_sign_axes``, so for D, D1 and A1 the rows are its part on
-    z_i > 0, which the multiply gives exactly (``series._mirror_rows``
-    mirrors them out); A2 rows are whole.  The reach (largest |z_i| per
+    deeper level is asked for.  The rows are the block as held
+    (``_symmetry``: for D, D1 and A1 its part on z_i > 0, which the
+    multiply gives exactly); A2 rows are whole.  The reach (largest |z_i| per
     axis, int64) and max|v| of each level, the same on the orthant as
     whole, are taken once, when the block is built.  Rows are int16 when the
     product's frame fits them, decoded straight into place band by band;
@@ -696,46 +696,63 @@ def _pad(stack: list, depth: int, r: int) -> list:
     return pad
 
 
+class _SignOrthant(NamedTuple):
+    """A member's sign symmetry: z_i -> -z_i on each of ``axes`` takes a
+    series of the member to sign (its character, -1 odd, 1 even) times
+    itself.  Such a series is held on z_i > 0 (odd) or z_i >= 0 (even) of
+    every axis, each held row standing for itself and its sign images.
+    With no axes (A2) a series is held whole."""
+
+    axes: tuple
+
+    def held(self, keys, f, sign: int):
+        """Whether each packed key of an unsheared frame is held, one
+        digit pass per axis (``_coord``: a floor division by a scalar,
+        which numpy does several times faster than one broadcast pass)."""
+        m, low = np.ones(len(keys), bool), 1 if sign < 0 else 0
+        for i in self.axes:
+            m &= _coord(keys, f, i) >= low
+        return m
+
+    def whole(self, z, v, sign: int) -> tuple:
+        """Held (z rows, values) completed by their sign images, values
+        times sign once per flip, in no particular order."""
+        for i in self.axes:
+            m = z[:, i] > 0
+            zm = z[m]
+            zm[:, i] = -zm[:, i]
+            z, v = np.concatenate((z, zm)), np.concatenate((v, v[m] * sign))
+        return z, v
+
+    def count(self, n: int) -> int:
+        """The terms n held rows of an odd series stand for (none at z_i = 0)."""
+        return int(n) << len(self.axes)
+
+    def check(self, rows: tuple, sign: int) -> None:
+        """Raise ValueError unless rows (levels, z rows, values) in
+        packed-key order are invariant under the character: their held
+        part, mirrored back out (``_mirror_out``) in the symmetric frame
+        of their reach, must give them again, keys and values, which
+        holds only if they are sorted and each key has all its images."""
+        lv, z, v = rows
+        box = np.abs(z).max(axis=0, initial=0)
+        f = _frame(-box, box, int(lv[-1]) if len(lv) else 0)
+        k = _encode(z, f, lv)
+        cut = self.held(k, f, sign)
+        mk, mv = _mirror_out(k[cut], v[cut], f, self.axes, sign)
+        if not (np.array_equal(mk, k) and np.array_equal(mv, v)):
+            raise ValueError("%s is not %s in the block's sign axes"
+                             % (("weight-0 form", "even") if sign > 0 else ("series", "odd")))
+
+
 @lru_cache(maxsize=None)
-def _sign_axes(meta: MemberMeta) -> tuple:
-    """The coordinates that lie on exactly one theta factor, whose
-    direction touches no other axis: all of D, D1 and A1, none of A2.
-    theta(tau, -z) = -theta(tau, z), so the block, its Hecke translates
-    and its product with an even series are odd in each, and are held on
-    z_i > 0 alone.  Once per member."""
+def _symmetry(meta: MemberMeta) -> _SignOrthant:
+    """The member's sign symmetry, once per member: the coordinates on one
+    theta factor alone, whose direction touches no other axis (all of D,
+    D1 and A1, none of A2)."""
     dirs = _corner_dirs(meta)
-    return tuple(i for i in range(meta.r) if [sum(map(bool, d)) for d in dirs if d[i]] == [1])
-
-
-def _orthant(keys, f, axes: list, low: int):
-    """Whether each packed key of an unsheared frame has z_i >= low on
-    every axis, one digit pass per axis (``_coord``: a floor division by
-    a scalar, which numpy does several times faster than one broadcast
-    pass over all the axes' digits)."""
-    m = np.ones(len(keys), bool)
-    for i in axes:
-        m &= _coord(keys, f, i) >= low
-    return m
-
-
-def _check_even(rows: tuple, axes: list) -> None:
-    """Raise ValueError unless weight-0 rows (levels, z rows, values) in
-    packed-key order are even in z_i on every axis.  Checked by the cut's
-    own inverse, in the symmetric frame of their reach: their part on
-    z_i >= 0 (``_orthant``), mirrored back out (``_mirror_out``), must
-    give them again, keys and values.  That one equality holds only if
-    the rows are sorted, each key has all its sign images and each image
-    holds the kept key's value."""
-    lv, z, v = rows
-    if not axes:
-        return
-    box = np.abs(z).max(axis=0, initial=0)
-    f = _frame(-box, box, int(lv[-1]) if len(lv) else 0)
-    k = _encode(z, f, lv)
-    cut = _orthant(k, f, axes, 0)
-    mk, mv = _mirror_out(k[cut], v[cut], f, axes, 1)
-    if not (np.array_equal(mk, k) and np.array_equal(mv, v)):
-        raise ValueError("weight-0 form is not even in the block's sign axes")
+    return _SignOrthant(tuple(i for i in range(meta.r)
+                              if [sum(map(bool, d)) for d in dirs if d[i]] == [1]))
 
 
 def _mirror(k, v, f, i: int, sign: int) -> tuple:
@@ -837,8 +854,8 @@ def divide_by_member(keys: list, vals: list, f, key: str, depth: int) -> tuple:
     level, and each theta factor one linear binomial pass in its
     direction.
 
-    The orthant contract: on each coordinate of ``_sign_axes`` (all of
-    a D, D1 or A1 block) on which f's box is symmetric, the dividend is
+    The orthant contract: on each axis of ``_symmetry`` (all of a D, D1
+    or A1 block) on which f's box is symmetric, the dividend is
     odd and comes as its part on z_i > 0, as ``hecke_levels`` and
     ``multiply_by_member`` give it; it is divided there as it is and its
     even quotient mirrored out whole.  On any other coordinate (all of
@@ -852,10 +869,10 @@ def divide_by_member(keys: list, vals: list, f, key: str, depth: int) -> tuple:
     work = list(zip(keys, vals[:depth + 1]))
     if set().union(*(map(type, v.tolist()) for _, v in work if v.dtype == object)) - {int}:
         raise TypeError("packed division needs plain integers")
-    axes = [i for i in _sign_axes(meta) if f.lo[i] == -f.hi[i]]
-    if axes and not all(_orthant(k, f, axes, 1).all() for k, _ in work):
+    sym = _SignOrthant(tuple(i for i in _symmetry(meta).axes if f.lo[i] == -f.hi[i]))
+    if not all(sym.held(k, f, -1).all() for k, _ in work):
         raise ValueError("dividend key off the z_i > 0 orthant of the sign axes")
-    return _int64_first(_divide_packed, work, axes, f, meta, depth, _factor_stack(meta, depth))
+    return _int64_first(_divide_packed, work, sym.axes, f, meta, depth, _factor_stack(meta, depth))
 
 
 def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
@@ -875,8 +892,7 @@ def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
     reach = np.sum([np.abs([zc for _, zc, _ in t]).max(axis=0) for t in terms], axis=0)
     g = _frame(-(f.hi + reach), f.hi + reach, depth)
     factors = [[(lvl, lvl * g.stq + int(np.dot(zc, g.w)), c) for lvl, zc, c in t] for t in terms]
-    axes = _sign_axes(meta)
-    cut = [[i for i in axes if d[i]] if d else [] for d, _ in stack]
+    cut = [_SignOrthant(tuple(i for i in _symmetry(meta).axes if d and d[i])) for d, _ in stack]
     out = []
     for k, v in layers:
         if dtype is not object and v.dtype == object:
@@ -892,8 +908,8 @@ def _multiply_packed(f, layers: list, meta: MemberMeta, depth: int, stack: list,
             for lo, hi in zip(cuts, cuts[1:]):  # output levels lo..hi-1
                 src = [(at[max(lo - lvl, 0)], at[max(hi - lvl, 0)], off, c) for lvl, off, c in fac]
                 kb, vb = _reduce_parts([(k[a:b] + off, v[a:b] * c) for a, b, off, c in src])
-                if ax:
-                    keep = _orthant(kb, g, ax, 1)
+                if ax.axes:
+                    keep = ax.held(kb, g, -1)
                     kb, vb = kb[keep], vb[keep]
                 bands.append((kb, vb))
             k, v = map(np.concatenate, zip(*bands))
@@ -951,7 +967,7 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
     f, [(k, v)] = hecke_levels(key, [meta.hecke_p], q_depth)
     cuts = np.searchsorted(k, np.arange(q_depth + 2) * f.stq).tolist()
     spans = list(zip(cuts, cuts[1:]))
-    z, v0 = _mirror_rows(*_member_rows(key, meta.val_q)[:2], _sign_axes(meta))
+    z, v0 = _symmetry(meta).whole(*_member_rows(key, meta.val_q)[:2], -1)
     if dict(zip(map(tuple, z.tolist()), v0.tolist())) != _registry_corner(meta):
         raise AssertionError("packed theta block corner differs from the registry's theta cells")
     g, quo = divide_by_member([k[a:b] - j * f.stq for j, (a, b) in enumerate(spans)],

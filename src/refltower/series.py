@@ -15,7 +15,7 @@ product ``_qz_mul`` and the theta-block division and multiplication
 (``jacobi.divide_by_member``, ``jacobi.multiply_by_member``): one
 ``_Frame`` packs (level, z) into a single int64 key, ``_qz_rows`` /
 ``_encode`` and ``_decode`` / ``_qz_decode`` convert from and to dicts
-(``_qz_decode`` mirroring a layer held on one sign orthant out whole),
+(``_qz_decode`` completing a held layer with the ``whole`` it is given),
 ``_restride`` moves keys between any two frames by digit arithmetic
 (``_coord`` reads one axis of an unsheared frame the same way), and
 ``_int64_first`` reruns a kernel on Python ints when int64 cannot carry
@@ -327,28 +327,15 @@ def _level_abs(vals, runs: list, top: int) -> tuple:
     return s, m
 
 
-def _mirror_rows(z, v, axes) -> tuple:
-    """Odd (z rows, values) held on z_i > 0 of the axes, as
-    ``jacobi._member_rows`` holds a block's slice, completed by their
-    images under z_i -> -z_i, values negated once per flip, in no
-    particular order.  Built on demand for the readers that need every
-    term."""
-    for i in axes:
-        m = z[:, i] > 0
-        zm = z[m]
-        zm[:, i] = -zm[:, i]
-        z, v = np.concatenate((z, zm)), np.concatenate((v, -v[m]))
-    return z, v
-
-
-def _qz_decode(keys, vals, f: _Frame, axes) -> dict:
+def _qz_decode(keys, vals, f: _Frame, whole) -> dict:
     """{level: {z: coefficient}} of packed keys and values, sorted by
-    level, each level held on z_i > 0 of the axes (none: held whole)
-    mirrored out whole (``_mirror_rows``); the keys are decoded once."""
+    level; ``whole`` completes one level's held (z rows, values) to every
+    term (a member's ``jacobi._symmetry(meta).whole`` at the series'
+    character), None for a series held whole.  The keys are decoded once."""
     z = _decode(keys, f)
     out = {}
     for lvl, a, b in _level_runs(keys, f.stq):
-        zs, vs = _mirror_rows(z[a:b], vals[a:b], axes)
+        zs, vs = (z[a:b], vals[a:b]) if whole is None else whole(z[a:b], vals[a:b])
         out[lvl] = dict(zip(map(tuple, zs.tolist()), vs.tolist()))
     return out
 
@@ -400,7 +387,7 @@ def _qz_product(a: dict, b: dict, r: int, top: int, dtype) -> dict:
     reach = ra[3] + rb[3]
     f = _frame(-reach, reach, top)
     k, v = _qz_mul([(_qz_pack(ra, f), _qz_pack(rb, f))], f, top)
-    return _qz_decode(k, v, f, ())
+    return _qz_decode(k, v, f, None)
 
 
 def _slice_mul_into(acc: dict, A: dict, B: dict, r: int) -> None:

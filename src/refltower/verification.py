@@ -10,25 +10,24 @@ comparisons walk every Fourier cell of both sides, and the deep D-tower
 members have millions of terms per slice.  Cheap scalar identities carry
 generous caps instead.
 
-The D, D1 and A1 blocks and their product layers are held on the sign
-orthant z_i > 0 (``jacobi._sign_axes``).  A norm does not see the signs,
-and an odd slice has no key with z_i = 0, so the support checks read the
-held rows, each standing for 2^len(axes) terms, and mirror out only the
-rows a report lists (``_block_rows``, ``series._mirror_rows``); the
-integrality check counts the held product layers the same way.  The
+The blocks and their product layers are held under each member's sign
+symmetry (``jacobi._symmetry``).  A norm does not see the signs, so the
+support checks read the held rows, count the terms they stand for with
+the object, and complete only the rows a report lists (``_block_rows``);
+the integrality check counts the held product layers the same way.  The
 closed formula is odd too (each chi4 factor is), so ``closed-form-vs-lift``
-compares it on the orthant with the held lift layers
-(``jacobi.hecke_levels``), each term standing for 2^k.  ``fj1-recovery``
-compares the lift's layer 1 there with the orthant shell sum
-(``jacobi._shell_slice``), and ``quasi-pullback-chain`` steps down the D
-tower on the held rows themselves; neither builds a dict slice.
+compares it on the orthant z_i > 0 with the held lift layers
+(``jacobi.hecke_levels``).  ``fj1-recovery`` compares the lift's layer 1
+there with the orthant shell sum (``jacobi._shell_slice``), and
+``quasi-pullback-chain`` steps down the D tower on the held rows
+themselves; neither builds a dict slice.
 """
 
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
-from .series import FourierSeries, TruncationWindow, _encode, _mirror_rows, _qz_decode, np
+from .series import FourierSeries, TruncationWindow, _encode, _qz_decode, np
 from . import jacobi
 from . import lattices
 from . import lifting
@@ -157,12 +156,12 @@ def _run_support_bounds(win):
     depth = max(win.q_max // 24, 1)
     for key, meta in jacobi.MEMBERS.items():
         lat = lattices.lattice(meta.lattice_name)
-        axes = jacobi._sign_axes(meta)
+        sym = jacobi._symmetry(meta)
         for q, z, v in _block_rows(key, win.q_max, depth):
-            checked += len(z) << len(axes)
+            checked += sym.count(len(z))
             below = _hyper_norms(lat, q, z, meta.index) < 0
             if below.any():  # the whole rows below the cone, in row order
-                zb = _mirror_rows(z[below], v[below], axes)[0]
+                zb = sym.whole(z[below], v[below], -1)[0]
                 for row in zb[np.lexsort(zb.T[::-1])].tolist():
                     ok = False
                     bad.setdefault(key, []).append([q, row])
@@ -181,15 +180,15 @@ def _run_support_bounds(win):
 def _support_norms(key, win):
     """The distinct norms 2 (q/24) index - (l, l) of the block's terms
     through the window, as Fractions, and the number of terms: one array
-    pass per slice over the held rows of ``jacobi._member_rows``, each
-    2^len(axes) terms of one norm."""
+    pass per slice over the held rows of ``jacobi._member_rows``, the
+    terms counted by ``jacobi._symmetry``."""
     meta = jacobi.MEMBERS[key]
     lat = lattices.lattice(meta.lattice_name)
-    shift = len(jacobi._sign_axes(meta))
+    sym = jacobi._symmetry(meta)
     norms, count = set(), 0
     for q, z, _ in _block_rows(key, win.q_max, max(win.q_max // 24, 1)):
         norms.update(np.unique(_hyper_norms(lat, q, z, meta.index)).tolist())
-        count += len(z) << shift
+        count += sym.count(len(z))
     den = _norm_den(lat, meta.index)
     return {Fraction(n, den) for n in norms}, count
 
@@ -225,9 +224,9 @@ def _run_cusp_support(win):
 
 def _run_closed_form(win):
     """Each D_k lift layer psi|V_m, as ``jacobi.hecke_levels`` holds it
-    on the orthant z_i > 0 (level j is q^n, n = j + 1), against the
-    closed formula on the same orthant; both are odd in every z_i and
-    have no term with z_i = 0, so each held term stands for 2^k."""
+    (level j is q^n, n = j + 1), against the closed formula on the same
+    orthant z_i > 0; both are odd, so the terms are the held count of
+    ``jacobi._symmetry``."""
     ok = True
     checked = 0
     bad = {}
@@ -236,13 +235,14 @@ def _run_closed_form(win):
     orders = list(range(1, s_depth + 1))
     for k in range(2, 9):
         key = "psi_%d_D%d" % (12 - k, k)
+        sym = jacobi._symmetry(jacobi.MEMBERS[key])
         f, layers = jacobi.hecke_levels(key, orders, q_depth - 1)
         for m, (keys, vals) in zip(orders, layers):
-            lift = _qz_decode(keys, vals, f, ())
+            lift = _qz_decode(keys, vals, f, None)
             for n in range(1, q_depth + 1):
                 want = lift.get(n - 1, {})
                 got = lifting.closed_form_slice(k, n, m, (1,))
-                checked += len(want) << k
+                checked += sym.count(len(want))
                 if got != want:
                     ok = False
                     bad.setdefault(key, []).append((n, m))
@@ -411,8 +411,8 @@ def _run_pullback_chain(win):
     contiguous).  The quasi-pullback of an odd block at z' is 2 sum
     c z_last over its run (z_last > 0, the images z_last < 0 doubling
     it) over den_z = 2, one ``np.add.reduceat``; odd in z' again, it must
-    equal the next member's held rows, keys and values, each of those
-    standing for 2^(k-1) terms.  theta -> eta^3 ends the chain."""
+    equal the next member's held rows, keys and values, whose terms
+    ``jacobi._symmetry`` counts.  theta -> eta^3 ends the chain."""
     ok = True
     checked = 0
     steps = []
@@ -420,6 +420,7 @@ def _run_pullback_chain(win):
     for k in range(8, 2, -1):
         src, tgt = "psi_%d_D%d" % (12 - k, k), "psi_%d_D%d" % (13 - k, k - 1)
         good = jacobi.MEMBERS[src].weight + 1 == jacobi.MEMBERS[tgt].weight
+        sym = jacobi._symmetry(jacobi.MEMBERS[tgt])
         for (_, z, v), (_, zt, vt) in zip(_block_rows(src, win.q_max, depth),
                                           _block_rows(tgt, win.q_max, depth)):
             head = z[:, :-1]
@@ -429,7 +430,7 @@ def _run_pullback_chain(win):
             sums = np.add.reduceat(v.astype(object) * z[:, -1], cuts)  # exact, whatever the rows' dtype
             keep = sums != 0
             good = good and np.array_equal(head[cuts][keep], zt) and np.array_equal(sums[keep], vt)
-            checked += len(zt) << (k - 1)
+            checked += sym.count(len(zt))
         steps.append({"from": src, "to": tgt, "ok": good})
         ok = ok and good
     diff, terms = _theta_to_eta3(win.q_max)
@@ -455,9 +456,9 @@ def _run_integrality(win):
     checked = 0
     details = {}
     for key, meta in jacobi.MEMBERS.items():
-        shift = len(jacobi._sign_axes(meta))  # the held layers, never decoded: 2^shift terms a key
-        try:
-            checked += sum(len(k) for _, _, k, _ in borcherds.product_layers(key, win)) << shift
+        try:  # the held layers, never decoded
+            held = sum(len(k) for _, _, k, _ in borcherds.product_layers(key, win))
+            checked += jacobi._symmetry(meta).count(held)
         except ArithmeticError as exc:
             ok = False
             details[key] = str(exc)
@@ -469,22 +470,20 @@ def _run_fj1(win):
     from the block's held rows (the layer ``compare_lift_product``
     reads), against the block's other construction.  For D, D1 and A1
     that is the odd-shell sum on the orthant z_i > 0
-    (``jacobi._shell_slice``); both are odd with no key at z_i = 0, so
-    each held term stands for 2^len(axes).  A2 has no second
-    construction: its layer is checked against its own rows
-    (``jacobi._member_rows``) as packed keys, which covers the encoder
-    alone."""
+    (``jacobi._shell_slice``); both are odd, so the terms are the held
+    count of ``jacobi._symmetry``.  A2 has no second construction: its
+    layer is checked against its own rows (``jacobi._member_rows``) as
+    packed keys, which covers the encoder alone."""
     checked = 0
     bad = []
     for key, meta in jacobi.MEMBERS.items():
         top = (win.q_max - meta.val_q) // 24
         if top < 0:
             continue
-        axes = jacobi._sign_axes(meta)
         f, [(keys, vals)] = jacobi.hecke_levels(key, [1], top)
-        checked += len(keys) << len(axes)
-        if axes:
-            lift = _qz_decode(keys, vals, f, ())
+        checked += jacobi._symmetry(meta).count(len(keys))
+        if meta.family != "A2":
+            lift = _qz_decode(keys, vals, f, None)
             good = all(lift.get(j, {}) == jacobi._shell_slice(meta, meta.val_q + 24 * j, (1,))
                        for j in range(top + 1))
         else:

@@ -7,6 +7,7 @@ series, and every process-wide memo swapped for an empty one."""
 
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from hashlib import sha256
 from typing import NamedTuple
 
@@ -201,6 +202,17 @@ def is_odd(levels: list, axes: list) -> bool:
                for sl in levels for z, c in sl.items() for i in axes)
 
 
+def whole_keys(sym, k, v, f, sign: int) -> tuple:
+    """Packed (keys, values) in an unsheared frame, held under a member's
+    sign symmetry ``sym`` for the character sign, completed whole by
+    ``sym.whole``, keys sorted.  The level rides along as a last column,
+    which no axis touches."""
+    z, w = sym.whole(np.column_stack([_decode(k, f), k // f.stq]), v, sign)
+    kw = _encode(z[:, :-1], f, z[:, -1])
+    o = np.argsort(kw)
+    return kw[o], w[o]
+
+
 def divide_slices(levels: list, key: str, depth: int, frame=None) -> list:
     """``jacobi.divide_by_member`` on whole z-slice dicts, quotients as
     dicts, under its orthant contract.
@@ -215,7 +227,7 @@ def divide_slices(levels: list, key: str, depth: int, frame=None) -> list:
     the program's own dividends are.
     """
     r = jacobi.MEMBERS[key].r
-    axes = jacobi._sign_axes(jacobi.MEMBERS[key])
+    axes = jacobi._symmetry(jacobi.MEMBERS[key]).axes
     rows = [_int64_first(_qz_rows, {0: sl}, r) for sl in levels]
     odd = bool(axes) and is_odd(levels, axes)
     if frame is None:
@@ -252,15 +264,15 @@ def exp_series(key: str, j_max: int, q_depth: int, psi: bool = False) -> list:
     q0 = meta.val_q if psi else 0
     if psi:
         f, layers = borcherds.exp_layers(key, j_max, q_depth)
-        axes = jacobi._sign_axes(meta)
+        whole = partial(jacobi._symmetry(meta).whole, sign=-1)
     else:
         phi = borcherds.weak_weight0(key, max(j_max * q_depth, 1)).series
         f, layers = _int64_first(borcherds._exp_packed, key, j_max, q_depth, phi)
-        axes = ()
+        whole = None
     out = []
     for k, v in layers:
         layer = FourierSeries(meta.r, meta.den_z, TruncationWindow(q0 + 24 * q_depth, 0))
-        layer.cells = {(0, q0 + 24 * lvl): sl for lvl, sl in _qz_decode(k, v, f, axes).items()}
+        layer.cells = {(0, q0 + 24 * lvl): sl for lvl, sl in _qz_decode(k, v, f, whole).items()}
         out.append(layer)
     return out
 
@@ -285,7 +297,7 @@ def translate(key: str, phi: FourierSeries, m: int, q_depth: int) -> FourierSeri
     f, k, v = _int64_first(packed_translate, key, phi, m, q_depth)
     out = FourierSeries(phi.r, phi.den_z, TruncationWindow(24 * q_depth, 0))
     out.cells = {(0, 24 * lvl): {z: _norm_coeff(Fraction(-c, m)) for z, c in sl.items()}
-                 for lvl, sl in _qz_decode(k, v, f, ()).items()}
+                 for lvl, sl in _qz_decode(k, v, f, None).items()}
     return out
 
 
@@ -295,7 +307,7 @@ MEMOS = ((jacobi, "_SIGMA"), (jacobi, "_ETA_TABLES"), (jacobi, "_SHELL_CACHE"),
          (jacobi, "_PSI_SLICES"), (jacobi, "_PSI_LEVELS"), (jacobi, "_PHI0_CACHE"),
          (borcherds, "_EXP_MEMO"))
 CACHED = ((verification, "_reflective_keys"), (cli, "_code_digest"), (jacobi, "_hecke_plan"),
-          (jacobi, "_registry_corner"), (jacobi, "_sign_axes"), (lattices, "lattice"))
+          (jacobi, "_registry_corner"), (jacobi, "_symmetry"), (lattices, "lattice"))
 
 
 @contextmanager

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from refltower.series import FourierSeries, TruncationWindow
 from refltower import borcherds, jacobi, lifting, series, verification
 
 from helpers import (coefficient, cold_memos, copy, digest, exp_series, hecke_reach, neg,
-                     packed_translate, scaled, sub, translate)
+                     packed_translate, scaled, sub, translate, whole_keys)
 import oracles
 from oracles import exp_s
 
@@ -246,7 +247,7 @@ def test_lift_rows_encode_to_strictly_increasing_product_keys():
                 assert np.all(np.diff(k) > 0), (key, window)
 
 
-SIGN_MEMBERS = [key for key, meta in jacobi.MEMBERS.items() if jacobi._sign_axes(meta)]
+SIGN_MEMBERS = [key for key, meta in jacobi.MEMBERS.items() if jacobi._symmetry(meta).axes]
 
 
 def _sweep_sides(key, window):
@@ -261,8 +262,7 @@ def _sweep_sides(key, window):
     f, num = jacobi.hecke_levels(key, orders, q_aux, fp)
     block = {}
     for lvl in jacobi._hecke_plan(key, tuple(orders), q_aux).levels:
-        z, v = series._mirror_rows(*jacobi._member_rows(key, meta.q_grid * lvl)[:2],
-                                   jacobi._sign_axes(meta))
+        z, v = jacobi._symmetry(meta).whole(*jacobi._member_rows(key, meta.q_grid * lvl)[:2], -1)
         block[meta.q_grid * lvl] = dict(zip(map(tuple, z.tolist()), v.tolist()))
     return block, (f, num), (fp, prod)
 
@@ -272,25 +272,26 @@ def test_orthant_sides_mirror_out_to_the_all_signs_build(monkeypatch, key):
     """On every sweep window of a D, D1 or A1 member, the block held on
     z_i > 0 of its sign axes, the lift layers built from it and the cut
     psi * E_j, mirrored out whole, equal what the same code builds from
-    cold memos with no axis held on an orthant (``_sign_axes`` made to
-    give none): the all-signs multiply of the unit, its lift layers and
-    the uncut product, in the same frames, keys, values and dtypes."""
-    axes = jacobi._sign_axes(jacobi.MEMBERS[key])
+    cold memos with no axis held on an orthant (``_symmetry`` made to
+    give an object with no axes): the all-signs multiply of the unit, its
+    lift layers and the uncut product, in the same frames, keys, values
+    and dtypes."""
+    sym = jacobi._symmetry(jacobi.MEMBERS[key])
     for window in _sweep_windows(key):
         held = _sweep_sides(key, window)
         with cold_memos(), monkeypatch.context() as m:
             for mod in (jacobi, borcherds):
-                m.setattr(mod, "_sign_axes", lambda meta: [])
+                m.setattr(mod, "_symmetry", lambda meta: jacobi._SignOrthant(()))
             whole = _sweep_sides(key, window)
         assert held[0] == whole[0] and all(whole[0].values()), (key, window)
         for (f, got), (g, want) in zip(held[1:], whole[1:]):
             assert np.array_equal(f.lo, g.lo) and np.array_equal(f.hi, g.hi), (key, window)
             assert len(got) == len(want)
             for (k, v), (wk, wv) in zip(got, want):
-                assert jacobi._orthant(k, f, axes, 1).all()
-                mk, mv = jacobi._mirror_out(k, v, f, axes, -1)
+                assert sym.held(k, f, -1).all()
+                mk, mv = whole_keys(sym, k, v, f, -1)
                 assert np.array_equal(mk, wk) and np.array_equal(mv, wv), (key, window)
-                assert mv.dtype == wv.dtype and len(wk) == len(k) << len(axes)
+                assert mv.dtype == wv.dtype and len(wk) == sym.count(len(k))
 
 
 def test_negative_control_phi0_off_the_orthant_raises(monkeypatch):
@@ -531,7 +532,7 @@ def _corrupt_layer(monkeypatch, key, order, change):
     where the program holds it (so the change must keep the layer odd
     there)."""
     meta = jacobi.MEMBERS[key]
-    axes = jacobi._sign_axes(meta)
+    sym = jacobi._symmetry(meta)
     real_dicts, real_packed = jacobi.member_hecke_slice, borcherds.hecke_levels
 
     def dicts(k, m, q):
@@ -542,9 +543,9 @@ def _corrupt_layer(monkeypatch, key, order, change):
         f, out = real_packed(k, orders, depth, frame)
         if k == key and order in orders:
             t = orders.index(order)
-            sls = series._qz_decode(*out[t], f, axes)
+            sls = series._qz_decode(*out[t], f, partial(sym.whole, sign=-1))
             rows = series._qz_rows({j: {z: c for z, c in change(j, dict(sls.get(j, {}))).items()
-                                        if all(z[i] > 0 for i in axes)}
+                                        if all(z[i] > 0 for i in sym.axes)}
                                     for j in range(depth + 1)}, meta.r, np.int64)
             out[t] = series._qz_pack(rows, f)
         return f, out
@@ -586,7 +587,7 @@ def test_compare_equals_the_oracle_when_a_layer_does_not_divide(
     D and A1 lift layers are odd by construction, so there the change
     comes with every sign image of the key, negated once per flipped
     sign."""
-    axes = jacobi._sign_axes(jacobi.MEMBERS[key])
+    axes = jacobi._symmetry(jacobi.MEMBERS[key]).axes
 
     def change(j, sl):
         if j == level:
@@ -708,7 +709,7 @@ def test_packed_translate_equals_the_dict_reference():
         for q_depth, m in itertools.product(depths, (1, 2, 3)):
             f, k, v = packed_translate(key, phi, m, q_depth, np.int64)
             assert v.dtype == np.int64 and np.all(k[1:] > k[:-1]), (key, m)
-            assert series._qz_decode(k, v, f, ()) == _by_level(
+            assert series._qz_decode(k, v, f, None) == _by_level(
                 scaled(oracles.hecke_v0(phi, m, q_depth), -m)), (key, q_depth, m)
             _, kr, vr = packed_translate(key, rev, m, q_depth, np.int64)
             assert np.array_equal(kr, k) and np.array_equal(vr, v), (key, q_depth, m)
@@ -718,7 +719,7 @@ def test_packed_translate_equals_the_dict_reference():
             f, k, v = packed_translate(key, half, m, q_depth, object)
             assert v.dtype == object and np.all(k[1:] > k[:-1])
             assert any(type(c) is Fraction and c.denominator > 1 for c in v.tolist())
-            assert series._qz_decode(k, v, f, ()) == _by_level(
+            assert series._qz_decode(k, v, f, None) == _by_level(
                 scaled(oracles.hecke_v0(half, m, q_depth), -m)), (key, q_depth, m)
 
 
@@ -752,7 +753,7 @@ def test_translate_bound_past_2_62_reruns_on_python_ints(monkeypatch):
     assert all(v.dtype == object for _, v in F)
     want = _exp_oracle(key, j_max, q_depth, phi)
     for (k, v), layer in zip(F, want):
-        assert series._qz_decode(k, v, f, ()) == _by_level(layer)
+        assert series._qz_decode(k, v, f, None) == _by_level(layer)
     values = [c for _, v in F for c in v.tolist()]
     assert all(type(c) is int for c in values) and max(map(abs, values)) >= 2 ** 119
 

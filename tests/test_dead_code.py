@@ -213,3 +213,28 @@ def test_the_cold_state_helper_lists_every_process_wide_memo():
         caches |= {(mod, name) for name in got[1]}
     assert memos == {(m.__name__.rsplit(".", 1)[1], name) for m, name in MEMOS}
     assert caches == {(m.__name__.rsplit(".", 1)[1], name) for m, name in CACHED}
+
+
+_SIGN_NAMES = {"_sign_axes", "_orthant", "_mirror", "_mirror_out", "_mirror_rows", "_check_even"}
+
+
+def test_only_jacobi_knows_the_orthant_format():
+    """Which keys a member holds, how its held rows are completed, how
+    many terms they stand for and how a character is checked are the
+    operations of ``jacobi._symmetry``'s object.  No other module of
+    ``src/refltower`` names the sign-orthant helpers or shifts a term
+    count by a number of axes (``<< len(``)."""
+    seen = []
+    for path, tree in _trees(PACKAGE):
+        if os.path.basename(path) == "jacobi.py":
+            continue
+        with open(path) as fh:
+            if "<< len(" in fh.read():
+                seen.append("%s shifts a count" % os.path.basename(path))
+        names = _reads(tree) | {alias.name for node in ast.walk(tree)
+                                if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        seen += ["%s names %s" % (os.path.basename(path), name)
+                 for name in sorted(names & _SIGN_NAMES)]
+    assert seen == []

@@ -34,7 +34,7 @@ from refltower.lifting import gritsenko_lift, lift_layers
 from refltower.series import FourierSeries, TruncationWindow
 
 from helpers import (coefficient, cold_memos, divide_slices, exp_series, hecke_reach, neg,
-                     norm, scale_variables)
+                     norm, scale_variables, whole_keys)
 import oracles
 from oracles import eta_product
 
@@ -286,20 +286,22 @@ def test_odd_shell_equals_a_brute_force_enumeration(fresh_memos):
 def test_packed_block_rows_equal_the_dict_slices():
     """The block multiplied out factor by factor from the unit, held on
     z_i > 0 of its sign axes (all of D, D1 and A1, none of A2) and
-    mirrored out (``_mirror_rows``), equals the odd-shell slices (D, D1,
-    A1) and the Theta_A2 convolution (A2) at every level the sweep
-    reaches, and D7 to level 16: the held rows, all on the orthant, are
-    the slice's terms there (mirrored out they are all of them, and
-    2^len(axes) times as many), with the slice's reach and max |v|."""
+    completed whole (the ``_symmetry`` object's ``whole``), equals the
+    odd-shell slices (D, D1, A1) and the Theta_A2 convolution (A2) at
+    every level the sweep reaches, and D7 to level 16: the held rows,
+    all on the orthant, are the slice's terms there (completed they are
+    all of them, as many as the object's count), with the slice's reach
+    and max |v|."""
     assert set(SWEEP_PSI_DEPTHS) == set(MEMBERS)
     for key, depth in SWEEP_PSI_DEPTHS.items():
         val = MEMBERS[key].val_q
-        axes = jacobi._sign_axes(MEMBERS[key])
-        assert list(axes) == ([] if MEMBERS[key].family == "A2" else list(range(MEMBERS[key].r)))
+        sym = jacobi._symmetry(MEMBERS[key])
+        axes = list(sym.axes)
+        assert axes == ([] if MEMBERS[key].family == "A2" else list(range(MEMBERS[key].r)))
         for lvl in range(depth + 1):
             zh, vh, reach, vmax = jacobi._member_rows(key, val + 24 * lvl)
-            z, v = series._mirror_rows(zh, vh, axes)
-            assert len(z) == len(zh) << len(axes) and np.all(zh[:, list(axes)] > 0), (key, lvl)
+            z, v = sym.whole(zh, vh, -1)
+            assert len(z) == sym.count(len(zh)) and np.all(zh[:, axes] > 0), (key, lvl)
             want = oracles.member_slice(key, val + 24 * lvl)
             assert len(z) == len(want), (key, lvl)
             assert dict(zip(map(tuple, z.tolist()), v.tolist())) == want, (key, lvl)
@@ -584,9 +586,9 @@ def test_division_recovers_a_random_quotient(monkeypatch, key):
                            meta.r, np.int64)
     f = series._frame(-rows[3], rows[3], depth)
     g, [(k, v)] = jacobi.multiply_by_member(f, [series._qz_pack(rows, f)], key, depth)
-    axes = jacobi._sign_axes(meta)
+    axes = jacobi._symmetry(meta).axes
     orthant = [{z: c for z, c in sl.items() if all(z[i] > 0 for i in axes)} for sl in levels]
-    assert series._qz_decode(k, v, g, ()) == {j: sl for j, sl in enumerate(orthant) if sl}
+    assert series._qz_decode(k, v, g, None) == {j: sl for j, sl in enumerate(orthant) if sl}
     assert divide_slices(levels, key, depth) == [quo.cells[(0, 24 * j)]
                                                  for j in range(depth + 1)]
     z = sorted(levels[depth])[len(levels[depth]) // 2]
@@ -667,20 +669,22 @@ def test_orthant_division_equals_the_full_loop(monkeypatch, key):
     """psi|V_p is odd in every coordinate of a D, D1 or A1 block, so it is
     built and divided on one sign orthant, every coordinate folded.  At
     depths 0-4 that quotient equals the full loop's on the dividend
-    mirrored out whole (``_sign_axes`` made to fold nothing): frame,
-    sorted keys, values and dtype, on int64 and on the python-int rerun
-    that a 2^62 bound lowered to 1 forces on both."""
+    mirrored out whole (``_symmetry`` made to give an object with no
+    axes, so nothing is folded): frame, sorted keys, values and dtype, on
+    int64 and on the python-int rerun that a 2^62 bound lowered to 1
+    forces on both."""
     meta = MEMBERS[key]
-    axes = list(range(meta.r))
+    sym = jacobi._SignOrthant(tuple(range(meta.r)))
+    assert jacobi._symmetry(meta) == sym
     for depth in range(5):
         f, keys, vals = _hecke_dividend(key, depth)
-        whole = [jacobi._mirror_out(k, v, f, axes, -1) for k, v in zip(keys, vals)]
+        whole = [whole_keys(sym, k, v, f, -1) for k, v in zip(keys, vals)]
         out = {}
         for full, safe in itertools.product((False, True), (series._INT64_SAFE, 1)):
             with monkeypatch.context() as m:
                 mirrors = _spy_mirrors(m)
                 if full:
-                    m.setattr(jacobi, "_sign_axes", lambda *a: [])
+                    m.setattr(jacobi, "_symmetry", lambda meta: jacobi._SignOrthant(()))
                 m.setattr(jacobi, "_INT64_SAFE", safe)
                 out[full, safe] = jacobi.divide_by_member(
                     *(zip(*whole) if full else (keys, vals)), f, key, depth)
@@ -708,23 +712,24 @@ def test_division_refuses_a_whole_dividend_in_a_symmetric_frame(key):
     of its orthant."""
     depth = 2
     f, keys, vals = _hecke_dividend(key, depth)
-    axes = jacobi._sign_axes(MEMBERS[key])
-    whole = [jacobi._mirror_out(k, v, f, axes, -1) for k, v in zip(keys, vals)]
+    sym = jacobi._symmetry(MEMBERS[key])
+    whole = [whole_keys(sym, k, v, f, -1) for k, v in zip(keys, vals)]
     with pytest.raises(ValueError, match="orthant"):
         jacobi.divide_by_member(*zip(*whole), f, key, depth)
     g, want = jacobi.divide_by_member(keys, vals, f, key, depth)
     wide = series._frame(f.lo, f.hi + 1, 0)
     h, got = jacobi.divide_by_member([series._restride(k, f, wide) for k, _ in whole],
                                      [v for _, v in whole], wide, key, depth)
-    assert [series._qz_decode(k, v, h, ()) for k, v in got] == \
-        [series._qz_decode(k, v, g, ()) for k, v in want]
+    assert [series._qz_decode(k, v, h, None) for k, v in got] == \
+        [series._qz_decode(k, v, g, None) for k, v in want]
 
 
 def test_even_check_refuses_every_asymmetry():
-    """Weight-0 rows even in both axes, in packed-key order, pass
-    ``jacobi._check_even``, keys on an axis included; a key missing its
-    image, an image with another value or negated, rows out of order and
-    a key given twice are refused, and with no axis nothing is checked."""
+    """Weight-0 rows even in both axes, in packed-key order, pass the
+    sign-symmetry object's even check, keys on an axis included; a key
+    missing its image, an image with another value or negated, rows out
+    of order and a key given twice are refused, and with no axis rows in
+    order pass whatever their signs."""
     even = {(0, 0): 7, (0, 1): 4, (0, -1): 4, (2, 0): 3, (-2, 0): 3}
     for a, b in ((1, 2), (3, 1)):
         even.update({(s * a, t * b): 5 * a + b for s in (1, -1) for t in (1, -1)})
@@ -736,7 +741,8 @@ def test_even_check_refuses_every_asymmetry():
         if unsorted:
             rows = rows[::-1]
         lv, z, v = zip(*rows)
-        return jacobi._check_even((np.array(lv), np.array(z, dtype=np.int64), np.array(v)), [0, 1])
+        return jacobi._SignOrthant((0, 1)).check(
+            (np.array(lv), np.array(z, dtype=np.int64), np.array(v)), 1)
 
     check(even)
     for bad in ({z: c for z, c in even.items() if z != (-3, -1)}, {**even, (-3, -1): 1},
@@ -746,7 +752,75 @@ def test_even_check_refuses_every_asymmetry():
     for kw in ({"unsorted": True}, {"dup": True}):
         with pytest.raises(ValueError, match="not even"):
             check(even, **kw)
-    jacobi._check_even((np.zeros(1, np.int64), np.array([[1, 0]]), np.array([1])), [])
+    jacobi._SignOrthant(()).check((np.zeros(1, np.int64), np.array([[1, 0]]), np.array([1])), 1)
+
+
+@st.composite
+def _held_rows(draw):
+    """(member, character, {(level, z): value}): distinct nonzero terms of
+    a random member's series as held, on z_i > 0 (odd, -1) or z_i >= 0
+    (even, 1) of its sign axes, and anywhere for an A2 member."""
+    key = draw(st.sampled_from(list(MEMBERS)))
+    sign = draw(st.sampled_from([-1, 1]))
+    axes = jacobi._symmetry(MEMBERS[key]).axes
+    low = 1 if sign < 0 else 0
+    z = st.tuples(*[st.integers(low, 4) if i in axes else st.integers(-4, 4)
+                    for i in range(MEMBERS[key].r)])
+    value = st.one_of(st.integers(-9, -1), st.integers(1, 9))
+    return key, sign, draw(st.dictionaries(st.tuples(st.integers(0, 2), z), value, max_size=12))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_held_rows())
+@example(("psi_8_D4", -1, {(1, (1, 2, 1, 3)): 5, (1, (3, 1, 1, 1)): -2}))
+@example(("eta21_theta2z", 1, {(0, (0,)): 7, (0, (1,)): 4, (2, (3,)): -1}))
+@example(("psi_4_2A1", 1, {(1, (0, 0)): 7, (1, (0, 1)): 4, (1, (2, 0)): 3, (1, (1, 2)): 7,
+                           (1, (3, 1)): 16}))
+@example(("psi_3_3A2", -1, {(0, (-3, 3, 0, 0, 6, -6)): 2, (1, (0, 0, 0, 0, 0, 0)): -1}))
+def test_the_sign_symmetry_object_holds_completes_counts_and_checks(case):
+    """A member's ``jacobi._symmetry`` object on random held rows of
+    either character: completed whole and cut back to the held keys
+    (in the symmetric frame of the whole rows' reach) they come back;
+    held rows of an odd series, which has no z_i = 0, stand for as many
+    terms as the whole has; the whole rows, in packed-key order, pass
+    the check, and one value changed at a term that is not its own
+    image is refused.  An A2 member's object is the identity."""
+    key, sign, terms = case
+    meta = MEMBERS[key]
+    sym = jacobi._symmetry(meta)
+    assert sym is jacobi._symmetry(meta) and (sym.axes == ()) == (meta.family == "A2")
+    lv = np.array([j for j, _ in terms], np.int64)
+    z = np.array([t for _, t in terms], np.int64).reshape(-1, meta.r)
+    v = np.array(list(terms.values()), np.int64)
+    zl, w = sym.whole(np.column_stack([z, lv]), v, sign)  # the level rides along
+    zw, lw = zl[:, :-1], zl[:, -1]
+    box = np.abs(zw).max(axis=0, initial=0)
+    f = series._frame(-box, box, 2)
+    k = series._encode(zw, f, lw)
+    assert len(np.unique(k)) == len(k)
+    cut = sym.held(k, f, sign)
+    o = np.argsort(k[cut])
+    h = series._encode(z, f, lv)
+    assert np.array_equal(k[cut][o], np.sort(h)) and np.array_equal(w[cut][o], v[np.argsort(h)])
+    if sign < 0:
+        n = sym.count(len(z))
+        assert type(n) is int and n == len(zw)
+    if not sym.axes:
+        assert np.array_equal(zw, z) and np.array_equal(w, v)
+        assert cut.all() and sym.count(len(z)) == len(z)
+    o = np.argsort(k)
+    rows = (lw[o], zw[o], w[o])
+    sym.check(rows, sign)
+    if sign < 0 and sym.axes:  # an odd series has no term at z_i = 0
+        at = np.zeros((1, meta.r), np.int64)
+        with pytest.raises(ValueError, match="not odd"):
+            sym.check((np.append(rows[0], 3), np.vstack([rows[1], at]), np.append(rows[2], 1)), -1)
+    moved = [i for i, t in enumerate(rows[1].tolist()) if any(t[a] for a in sym.axes)]
+    if moved:
+        bad = rows[2].copy()
+        bad[moved[len(moved) // 2]] += 1
+        with pytest.raises(ValueError, match="not %s" % ("even" if sign > 0 else "odd")):
+            sym.check((rows[0], rows[1], bad), sign)
 
 
 def test_orthant_binomial_passes_see_a_twentieth_of_the_keys(monkeypatch):
@@ -755,14 +829,16 @@ def test_orthant_binomial_passes_see_a_twentieth_of_the_keys(monkeypatch):
     see."""
     key, depth = "psi_4_D8", 2
     f, keys, vals = _hecke_dividend(key, depth)
-    whole = [jacobi._mirror_out(k, v, f, list(range(8)), -1) for k, v in zip(keys, vals)]
+    sym = jacobi._symmetry(MEMBERS[key])
+    assert sym.axes == tuple(range(8))
+    whole = [whole_keys(sym, k, v, f, -1) for k, v in zip(keys, vals)]
     seen = {}
     for full in (False, True):
         with monkeypatch.context() as m:
             calls, real = [], jacobi._binomial_packed
             m.setattr(jacobi, "_binomial_packed", lambda k, *a: calls.append(len(k)) or real(k, *a))
             if full:
-                m.setattr(jacobi, "_sign_axes", lambda *a: [])
+                m.setattr(jacobi, "_symmetry", lambda meta: jacobi._SignOrthant(()))
             jacobi.divide_by_member(*(zip(*whole) if full else (keys, vals)), f, key, depth)
         seen[full] = sum(calls)
     assert 20 * seen[False] <= seen[True]
@@ -847,7 +923,8 @@ def test_division_inverts_the_multiply_under_the_orthant_contract(case):
     back whole, keys sorted, on int64 or, past 2^62, on python ints."""
     key, depth, terms, dtype = case
     meta = MEMBERS[key]
-    axes = jacobi._sign_axes(meta)
+    sym = jacobi._symmetry(meta)
+    axes = sym.axes
     levels = [{} for _ in terms]
     for sl, cell in zip(levels, terms):
         for z, c in cell.items():
@@ -867,7 +944,7 @@ def test_division_inverts_the_multiply_under_the_orthant_contract(case):
     big = max(map(abs, v)) >= 2 ** 62 - 2 ** 10
     g, [(pk, pv)] = jacobi.multiply_by_member(f, [(k[o], np.array(v, dtype=dtype)[o])], key, depth)
     assert pv.dtype == (object if big or dtype is object else np.int64)
-    assert jacobi._orthant(pk, g, axes, 1).all()
+    assert sym.held(pk, g, -1).all()
     spans = list(itertools.pairwise(np.searchsorted(pk, np.arange(depth + 2) * g.stq).tolist()))
     h, quo = jacobi.divide_by_member([pk[a:b] - j * g.stq for j, (a, b) in enumerate(spans)],
                                      [pv[a:b] for a, b in spans], g, key, depth)
@@ -1165,12 +1242,12 @@ def _hecke_levels_as_dicts(key, orders, depth):
     every layer's keys strictly increase and its reach bound
     (``jacobi._part_specs``) fits the frame."""
     f, layers = jacobi.hecke_levels(key, orders, depth)
-    axes = jacobi._sign_axes(MEMBERS[key])
+    sym = jacobi._symmetry(MEMBERS[key])
     out = {}
     for m, (k, v), reach in zip(orders, layers, hecke_reach(key, orders, depth)):
         assert np.all(np.diff(k) > 0) and np.all(reach <= f.hi)
-        assert jacobi._orthant(k, f, axes, 1).all()
-        for j, sl in series._qz_decode(k, v, f, axes).items():
+        assert sym.held(k, f, -1).all()
+        for j, sl in series._qz_decode(k, v, f, partial(sym.whole, sign=-1)).items():
             out[(m, j)] = sl
     return out
 

@@ -6,6 +6,7 @@ from math import gcd, isqrt
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from refltower import jacobi
 from refltower.lattices import CATALOGUE, EichlerClass, _dot, lattice
@@ -468,6 +469,44 @@ def test_integer_grid_matches_the_fraction_oracle():
             assert len(walls) <= 1000, key
         for n, z, m, _ in walls:
             _agree(lat, oracle, tuple(Fraction(a, lat.den) for a in z), [(n, m)])
+
+
+@functools.cache
+def _oracle(name: str) -> FractionLattice:
+    """One oracle per lattice, so that its memos outlive one example."""
+    return FractionLattice(lattice(name))
+
+
+@st.composite
+def _dual_rows(draw):
+    """(lattice, a dual vector as ambient Fractions, (n, m)): a coset
+    representative of the discriminant group plus an integer combination
+    of the oracle's basis, of a random catalogue lattice."""
+    lat = lattice(draw(st.sampled_from(sorted(CATALOGUE))))
+    ell = list(draw(st.sampled_from(lat._reps)))
+    for b in _oracle(lat.name).basis():
+        c = draw(st.integers(-6, 6))
+        ell = [a + c * x for a, x in zip(ell, b)]
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return lat, tuple(ell), (n, m if n or m or any(ell) else 1)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_dual_rows())
+@example((lattice("D8"), (Fraction(1, 2),) * 8, (2, 2)))
+@example((lattice("3A2"), (Fraction(1), Fraction(0)) * 3, (0, 1)))
+def test_lattice_kernel_equals_the_fraction_oracle_on_random_dual_rows(case):
+    """``disc_reduce``, ``content`` and ``eichler_invariant`` of the
+    integer kernel equal the ``FractionLattice`` oracle on a random dual
+    row of every catalogue lattice, ambient and on the grid; the row
+    scaled past the int64 bound raises rather than wraps."""
+    lat, ell, nm = case
+    _agree(lat, _oracle(lat.name), ell, [nm])
+    z = [int(a * lat.den) for a in ell]
+    if any(z):
+        t = 2 ** 32 // max(map(abs, z)) + 1
+        with pytest.raises(ValueError, match="^lattice arithmetic too wide for int64$"):
+            lat.eichler_invariant(nm[0], [a * t for a in z], nm[1], grid=True)
 
 
 def test_primitive_wall_equals_the_trial_division_oracle():

@@ -3,7 +3,7 @@
 import itertools
 from fractions import Fraction
 
-from refltower.series import FourierSeries, TruncationWindow, _mirror_rows, np
+from refltower.series import FourierSeries, TruncationWindow, np
 from refltower import jacobi, lifting
 
 
@@ -138,7 +138,8 @@ def test_orthant_closed_form_is_the_whole_slice_on_z_positive():
                 assert np.all(zh > 0) and np.abs(z).max(initial=0) < 32, (k, n, m)
                 held = _sorted_rows(zh, vh)
                 on = np.all(z > 0, axis=1)
+                sym = jacobi._symmetry(jacobi.MEMBERS["psi_%d_D%d" % (12 - k, k)])
                 for got, want in ((_sorted_rows(z[on], v[on]), held),
-                                  (_sorted_rows(z, v), _sorted_rows(*_mirror_rows(zh, vh, range(k))))):
+                                  (_sorted_rows(z, v), _sorted_rows(*sym.whole(zh, vh, -1)))):
                     assert all(map(np.array_equal, got, want)), (k, n, m)
-                assert len(z) == len(zh) << k, (k, n, m)
+                assert len(z) == sym.count(len(zh)) == len(zh) << k, (k, n, m)

@@ -446,7 +446,7 @@ def test_qz_mul_equals_the_dict_product_truncated(case):
                     _slice_mul_py(want.setdefault(i + j, {}), A, B)
     packs = [(packed(a), packed(b)) for a, b in pairs]
     keys, vals = _qz_mul(packs, f, top)
-    assert _qz_decode(keys, vals, f, ()) == {lvl: sl for lvl, sl in sorted(want.items()) if sl}
+    assert _qz_decode(keys, vals, f, None) == {lvl: sl for lvl, sl in sorted(want.items()) if sl}
 
 
 def test_exp_s_inverse():
@@ -573,6 +573,58 @@ def test_json_roundtrip_bytes():
     g = FourierSeries.from_json(text)
     assert g == f
     assert g.to_json() == text
+
+
+@st.composite
+def _fraction_series(draw):
+    """A series of rank 0-3 with distinct terms, coefficients nonzero
+    integers (some past 2^63) or Fractions, anywhere in its window."""
+    r, den_z = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    w = TruncationWindow(draw(st.integers(0, 48)), draw(st.integers(0, 4)))
+    key = st.tuples(st.integers(-24, w.q_max), st.integers(0, w.s_max),
+                    st.tuples(*[st.integers(-9, 9)] * r))
+    coeff = st.one_of(st.integers(-10 ** 20, 10 ** 20), st.fractions(max_denominator=12))
+    f = FourierSeries(r, den_z, w)
+    for (q, s, z), c in draw(st.dictionaries(key, coeff.filter(bool), max_size=12)).items():
+        f.add_term(q, z, s, c)
+    return f
+
+
+_CORRUPTIONS = ["swap", "outside-q", "outside-s", "zero", "z-length", "float-q", "float-s",
+                "float-z"]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_fraction_series(), st.sampled_from(_CORRUPTIONS), st.integers(0, 10 ** 6))
+@example(rand_series(random.Random(41), 3, 6, 25, 4, 30, fractions=True), "swap", 7)
+@example(rand_series(random.Random(41), 3, 6, 25, 4, 30, fractions=True), "float-z", 0)
+def test_from_json_inverts_to_json_and_refuses_one_corruption(f, kind, at):
+    """``from_json(to_json(f)) == f``, and one structural corruption of one
+    term of the body raises ValueError: two adjacent terms swapped, a
+    term outside the window, a zero coefficient, a z of the wrong length,
+    or a q, s or z entry that is not an integer."""
+    text = f.to_json()
+    assert FourierSeries.from_json(text) == f
+    doc = json.loads(text)
+    terms = doc["terms"]
+    if len(terms) < (2 if kind == "swap" else 1):
+        return
+    t = terms[at % len(terms)]
+    if kind == "swap":
+        i = at % (len(terms) - 1)
+        terms[i], terms[i + 1] = terms[i + 1], terms[i]
+    elif kind.startswith("outside"):
+        t[kind[-1]] = doc["window"][kind[-1] + "_max"] + 1
+    elif kind == "zero":
+        t["c"] = "0"
+    elif kind == "z-length":
+        t["z"].append(0)
+    elif kind == "float-z" and t["z"]:
+        t["z"][-1] += 0.5
+    else:  # float-q, float-s, and float-z at r = 0
+        t[kind[-1] if kind != "float-z" else "q"] += 0.5
+    with pytest.raises(ValueError):
+        FourierSeries.from_json(json.dumps(doc))
 
 
 def test_lowest_term_and_valuations():

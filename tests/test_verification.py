@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from refltower import borcherds, jacobi, lattices, lifting, verification
-from refltower.series import TruncationWindow, _mirror_rows, _qz_rows
+from refltower.series import TruncationWindow, _qz_rows
 
 from helpers import coefficient, copy, scaled
 
@@ -353,7 +353,7 @@ def test_integer_hyper_norm_matches_the_fraction_oracle():
         rows = verification._block_rows(key, 96, 4)
         assert [q for q, *_ in rows] == list(range(meta.val_q, 97, 24))
         for q, z, v in rows:  # held on the sign orthant: mirrored out, the slice's terms
-            z = _mirror_rows(z, v, jacobi._sign_axes(meta))[0]
+            z = jacobi._symmetry(meta).whole(z, v, -1)[0]
             assert sorted(map(tuple, z.tolist())) == sorted(jacobi.member_slice(key, q))
             cells.append((meta.index, q, z, verification._hyper_norms(lat, q, z, meta.index),
                           verification._norm_den(lat, meta.index)))

@@ -173,7 +173,7 @@ def exp_layers(key: str, j_max: int, q_depth: int) -> tuple:
     block, factor by factor (``jacobi.multiply_by_member``), memoised
     (see the module docstring).
     """
-    phi = weak_weight0(key, max(j_max * q_depth, 1)).series
+    phi = weak_weight0(key, max(j_max * q_depth, 1))
     ck = (key, j_max, q_depth)
     held = holds_phi0(key, phi)
     if held and ck in _EXP_MEMO:
@@ -271,7 +271,7 @@ def borcherds_product_form(key: str, window: TruncationWindow) -> FourierSeries:
         return out
     fw = TruncationWindow(window.q_max - wd.q_num, window.s_max - s0)
     m_max, q_depth = fw.s_max // 2, fw.q_max // 24
-    phi = weak_weight0(key, max(q_depth * max(m_max, 1), 1)).series
+    phi = weak_weight0(key, max(q_depth * max(m_max, 1), 1))
     zero = (0,) * meta.r
     for m in range(m_max + 1):
         for n in range(q_depth + 1):
@@ -357,7 +357,7 @@ def compare_lift_product(key: str, q_depth: int, s_depth: int) -> dict:
         if diff is None:
             raise AssertionError("layer s_num=%d differs as arrays but not as dicts" % s_num)
         _, q, z, c, _ = diff
-        phi = weak_weight0(key, max(j_max * q_aux, 1)).series
+        phi = weak_weight0(key, max(j_max * q_aux, 1))
         fe, E = _int64_first(_exp_packed, key, j_max, q_aux, phi)
         mismatch = {"s_num": s_num, "q_num": q, "z": z, "lift": c,
                     "product": _product_coefficient(
@@ -421,7 +421,7 @@ def _scan_walls(key: str, q_depth: int) -> tuple:
     meta = MEMBERS[key]
     lat = lattice(meta.lattice_name)
     # rows through q_depth only, so the report does not depend on the cached depth
-    lv, z, v = weight0_rows(key, weak_weight0(key, q_depth).series, q_depth)
+    lv, z, v = weight0_rows(key, weak_weight0(key, q_depth), q_depth)
     neg = lat._wall_norms(lv, z, 1) < 0  # the negative-norm support
     lv, z, v = lv[neg], z[neg], v[neg]
     # each term at level l splits as (n, m) for every n, m <= q_depth with n m = l

@@ -64,25 +64,25 @@ def expand_descriptor(desc: str, window: TruncationWindow) -> FourierSeries:
         if name in _BY_LATTICE:
             name = _BY_LATTICE[name]
         try:
-            return jacobi.build(name, window).series
+            return jacobi.build(name, window)
         except KeyError:
             raise ValueError("unknown registry name %r" % desc)
     if kind == "lift":
-        return lifting.gritsenko_lift(_resolve_member(rest), window).series
+        return lifting.gritsenko_lift(_resolve_member(rest), window)
     if kind == "borcherds":
         return borcherds.borcherds_exp(_resolve_member(rest), window)
     if kind == "product":
         return borcherds.borcherds_product_form(_resolve_member(rest), window)
     if kind == "phi0":
         key = _resolve_member(rest)
-        form = jacobi.weak_weight0(key, max(window.q_max // 24, 1))
-        return form.series.truncated(TruncationWindow(window.q_max, 0))
+        phi = jacobi.weak_weight0(key, max(window.q_max // 24, 1))
+        return phi.truncated(TruncationWindow(window.q_max, 0))
     if kind == "closedform":
         key = _resolve_member(rest)
         meta = jacobi.MEMBERS[key]
         if meta.family != "D":
             raise ValueError("closedform: covers the D tower only")
-        return lifting.closed_form_Dk(meta.r, window).series
+        return lifting.closed_form_Dk(meta.r, window)
     raise ValueError("unknown descriptor prefix %r" % kind)
 
 

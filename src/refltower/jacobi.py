@@ -49,6 +49,10 @@ theta block by the block itself; the minus sign is what makes the
 constant term positive and the exponential lift reproduce the block.
 The quotient is held as rows in packed-key order (level, then z
 lexicographic); a dict reader alone decodes its cells (``_RowSeries``).
+
+A form is its series: ``build``, ``phi0_by_division``, ``weak_weight0``
+and ``quasi_pullback`` return the ``FourierSeries`` they built, and a
+member's weight, index, lattice and copies live in ``MEMBERS`` alone.
 """
 
 from __future__ import annotations
@@ -249,16 +253,6 @@ for _c, _key in ((1, "psi_5_A1"), (2, "psi_4_2A1"), (3, "psi_3_3A1"),
 TOWER_TOPS = {"psi_4_D8", "psi_3_3A2", "psi_2_4A1"}
 
 
-class JacobiForm(NamedTuple):
-    name: str
-    series: FourierSeries
-    weight: object  # int or Fraction
-    index: Fraction
-    lattice_name: object  # str or None
-    family: object  # str or None
-    copies: int
-
-
 # ---------------------------------------------------------------------------
 # coefficient slices of the members
 
@@ -395,24 +389,17 @@ def member_series(key: str, window: TruncationWindow) -> FourierSeries:
     return f
 
 
-def build(name: str, window: TruncationWindow) -> JacobiForm:
+def build(name: str, window: TruncationWindow) -> FourierSeries:
     """Construct a registry form, exact through the window."""
     m = re.fullmatch(r"eta\^(-?\d+)", name)
     if m:
-        p = int(m.group(1))
-        return JacobiForm(name, eta_power(p, window.q_max, window.s_max),
-                          Fraction(p, 2), Fraction(0), None, None, 0)
+        return eta_power(int(m.group(1)), window.q_max, window.s_max)
     if name == "theta":
-        return JacobiForm(name, theta(window.q_max, window.s_max),
-                          Fraction(1, 2), Fraction(1, 2), None, None, 1)
+        return theta(window.q_max, window.s_max)
     if name == "Theta_A2":
-        return JacobiForm(name, theta_A2(window.q_max), 1, Fraction(1),
-                          "A2", "A2", 1)
+        return theta_A2(window.q_max)
     if name in MEMBERS:
-        meta = MEMBERS[name]
-        return JacobiForm(name, member_series(name, window), meta.weight,
-                          meta.index, meta.lattice_name, meta.family,
-                          meta.copies)
+        return member_series(name, window)
     raise KeyError("unknown registry name %r" % (name,))
 
 
@@ -955,7 +942,7 @@ class _RowSeries(FourierSeries):
         return self.cells
 
 
-def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
+def phi0_by_division(key: str, q_depth: int) -> _RowSeries:
     """The weak weight-0 form as -(psi|V_p)/psi: the Hecke levels go to
     the division as packed keys, on the orthant z_i > 0 of the sign axes
     as ``hecke_levels`` builds them from the block's rows; the quotient's,
@@ -977,15 +964,13 @@ def phi0_by_division(key: str, q_depth: int) -> JacobiForm:
             _decode(np.concatenate(qk), g), -np.concatenate(qv))
     for a in rows:
         a.flags.writeable = False
-    return JacobiForm("phi0_%s" % meta.lattice_name,
-                      _RowSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 0), rows),
-                      0, Fraction(1), meta.lattice_name, meta.family, meta.copies)
+    return _RowSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 0), rows)
 
 
-_PHI0_CACHE: dict = {}  # key -> the form; its series holds the rows (``weight0_rows``)
+_PHI0_CACHE: dict = {}  # key -> phi0's _RowSeries, which holds the rows (``weight0_rows``)
 
 
-def weak_weight0(key: str, q_depth: int) -> JacobiForm:
+def weak_weight0(key: str, q_depth: int) -> _RowSeries:
     """Weight-0 form of a member, memoised per member.
 
     Every member divides its own block: restricting a cached tower top
@@ -994,10 +979,10 @@ def weak_weight0(key: str, q_depth: int) -> JacobiForm:
     and direct division agree is a checked identity.  A deeper request
     replaces the cached form; every form cached is an exact quotient, so
     a deeper one agrees with the one it replaces on every level both hold.
-    Its series is held as rows; only a dict read decodes cells.
+    It is held as rows; only a dict read decodes cells.
     """
     cached = _PHI0_CACHE.get(key)
-    if cached is None or cached.series.window.q_max < 24 * q_depth:
+    if cached is None or cached.window.q_max < 24 * q_depth:
         cached = _PHI0_CACHE[key] = phi0_by_division(key, q_depth)
     return cached
 
@@ -1005,8 +990,7 @@ def weak_weight0(key: str, q_depth: int) -> JacobiForm:
 def holds_phi0(key: str, phi: FourierSeries) -> bool:
     """Whether phi is the very series ``weak_weight0`` holds for the member;
     a series made anywhere else, a corrupted copy say, never is."""
-    cached = _PHI0_CACHE.get(key)
-    return cached is not None and cached.series is phi
+    return _PHI0_CACHE.get(key) is phi
 
 
 def weight0_rows(key: str, phi: FourierSeries, q_depth: int) -> tuple:
@@ -1030,16 +1014,16 @@ def weight0_rows(key: str, phi: FourierSeries, q_depth: int) -> tuple:
     return tuple(a[:end] for a in rows)
 
 
-def quasi_pullback(form: JacobiForm, coord: int) -> JacobiForm:
+def quasi_pullback(f: FourierSeries, coord: int) -> FourierSeries:
     """Derivative in one elliptic variable followed by its restriction.
 
     Sends a block vanishing on z_coord = 0 to a block in one variable
-    fewer; theta goes to eta^3, and each D-family block to its neighbour.
-    One integer pass: each restricted key sums c z_coord over its terms
-    and is divided by den_z once, a Fraction only where that leaves a
-    remainder.
+    fewer, of weight one more; theta goes to eta^3, and each D-family
+    block to its neighbour.  One integer pass: each restricted key sums
+    c z_coord over its terms and is divided by den_z once, a Fraction
+    only where that leaves a remainder.
     """
-    f, d = form.series, form.series.den_z
+    d = f.den_z
     if not 0 <= coord < f.r:
         raise ValueError("coordinate out of range")
     grad = FourierSeries(f.r, d, f.window)  # den_z times the derivative in z_coord
@@ -1048,12 +1032,4 @@ def quasi_pullback(form: JacobiForm, coord: int) -> JacobiForm:
     ser = grad.restrict_z(coord)
     ser.cells = {cq: {z: Fraction(v, d) if v % d else v // d for z, v in sl.items()}
                  for cq, sl in ser.cells.items()}
-    new_lat = None
-    if form.family == "D" and form.lattice_name and form.lattice_name != "D2":
-        k = int(form.lattice_name[1:])
-        if k >= 3:
-            new_lat = "D%d" % (k - 1)
-    weight = form.weight + 1
-    return JacobiForm("qp(%s)" % form.name, ser, weight, form.index,
-                      new_lat, form.family, max(0, form.copies - 1))
-
+    return ser

@@ -3,7 +3,9 @@
 The lift of a block of weight k and index one is assembled layer by
 layer: the coefficient of s^m is the Hecke translate psi|V_m.  Members
 of the half-integral family run in display coordinates, with doubled
-exponents and odd translate orders only.
+exponents and odd translate orders only.  ``gritsenko_lift`` and
+``closed_form_Dk`` return the series they built; the weight and the
+layer step are the member's (``jacobi.MEMBERS``, ``s_step``).
 
 For the D family the lift coefficients also come straight from the
 eta coefficient table: the coefficient at (n, l, m) is
@@ -23,7 +25,6 @@ with the lift layers as ``jacobi.hecke_levels`` holds them.
 from __future__ import annotations
 
 from math import gcd as _gcd
-from typing import NamedTuple
 
 from .jacobi import (
     MEMBERS,
@@ -35,21 +36,13 @@ from .jacobi import (
 from .series import FourierSeries, TruncationWindow
 
 
-class OrthogonalModularForm(NamedTuple):
-    name: str
-    series: FourierSeries
-    weight: int
-    member_key: str
-    index_step: int  # s_num distance between Fourier-Jacobi layers
-
-
 def lift_layers(key: str, s_max: int) -> list:
     """(s_num, translate order) pairs of the layers inside an s window."""
     step = MEMBERS[key].s_step  # 1 on the half grid: odd orders only
     return [(s, s // step) for s in range(step, s_max + 1, 2)]
 
 
-def gritsenko_lift(key: str, window: TruncationWindow) -> OrthogonalModularForm:
+def gritsenko_lift(key: str, window: TruncationWindow) -> FourierSeries:
     """The arithmetic lift as a materialised series over the window."""
     meta = MEMBERS[key]
     out = FourierSeries(meta.r, meta.den_z, window)
@@ -62,7 +55,7 @@ def gritsenko_lift(key: str, window: TruncationWindow) -> OrthogonalModularForm:
             sl = member_hecke_slice(key, order, q)
             if sl:
                 out.cells[(s_num, q)] = sl
-    return OrthogonalModularForm("lift(%s)" % key, out, meta.weight, key, meta.s_step)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +105,7 @@ def closed_form_slice(k: int, n: int, m: int, signs: tuple) -> dict:
     return acc
 
 
-def closed_form_Dk(k: int, window: TruncationWindow) -> OrthogonalModularForm:
+def closed_form_Dk(k: int, window: TruncationWindow) -> FourierSeries:
     """The whole D_k lift from the closed formula, over a window."""
     out = FourierSeries(k, 2, window)
     for m in range(1, window.s_max // 2 + 1):
@@ -120,5 +113,4 @@ def closed_form_Dk(k: int, window: TruncationWindow) -> OrthogonalModularForm:
             sl = closed_form_slice(k, n, m, (1, -1))
             if sl:
                 out.cells[(2 * m, 24 * n)] = sl
-    key = "psi_%d_D%d" % (12 - k, k)
-    return OrthogonalModularForm("closedform(D%d)" % k, out, 12 - k, key, 2)
+    return out

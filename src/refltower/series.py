@@ -672,16 +672,13 @@ class FourierSeries:
 
     # -- comparison ------------------------------------------------------------
 
-    def first_difference(self, other: "FourierSeries",
-                         window: TruncationWindow = None):
+    def first_difference(self, other: "FourierSeries"):
         """First (s, q, z) key where the two series differ, or None.
 
-        Comparison runs over the meet of both windows (and the argument).
+        Comparison runs over the meet of both windows.
         """
         self._check_compatible(other)
         w = self.window.meet(other.window)
-        if window is not None:
-            w = w.meet(window)
         for (s, q) in sorted({c for c in chain(self.cells, other.cells)
                               if c[0] <= w.s_max and c[1] <= w.q_max}):
             a, b = self.cells.get((s, q), {}), other.cells.get((s, q), {})

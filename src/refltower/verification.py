@@ -88,7 +88,7 @@ def _theta_to_eta3(q_max: int) -> tuple:
     """(first difference, terms) of theta's quasi-pullback at z = 0
     against eta^3, through q_max."""
     qp = jacobi.quasi_pullback(jacobi.build("theta", TruncationWindow(q_max, 0)), 0)
-    return qp.series.first_difference(jacobi.eta_power(3, q_max)), qp.series.term_count()
+    return qp.first_difference(jacobi.eta_power(3, q_max)), qp.term_count()
 
 
 _Q0_CONST = {
@@ -104,7 +104,7 @@ def _run_q0_terms(win):
     checked = 0
     bad = {}
     for key, meta in jacobi.MEMBERS.items():
-        phi = jacobi.weak_weight0(key, max(win.q_max // 24, 1)).series
+        phi = jacobi.weak_weight0(key, max(win.q_max // 24, 1))
         got = phi.cells.get((0, 0), {})
         want = {(0,) * meta.r: _Q0_CONST[meta.family](meta)}
         for dvec in jacobi._corner_dirs(meta):
@@ -167,7 +167,7 @@ def _run_support_bounds(win):
                     bad.setdefault(key, []).append([q, row])
         floor = borcherds._norm_floor(meta.family, lat)
         pdepth = min(depth, 4)
-        lv, z, v = jacobi.weight0_rows(key, jacobi.weak_weight0(key, pdepth).series, pdepth)
+        lv, z, v = jacobi.weight0_rows(key, jacobi.weak_weight0(key, pdepth), pdepth)
         nrm = lat._wall_norms(lv, z, 1)
         checked += len(v)
         off = np.flatnonzero((nrm < 0) & ((nrm != floor) | (v != 1)))
@@ -392,7 +392,7 @@ def _run_class_invariance(win):
     depth = min(max(win.q_max // 24, 1), 3)
     for key in _CLASS_REPS:
         lat = lattices.lattice(jacobi.MEMBERS[key].lattice_name)
-        rows = jacobi.weight0_rows(key, jacobi.weak_weight0(key, depth).series, depth)
+        rows = jacobi.weight0_rows(key, jacobi.weak_weight0(key, depth), depth)
         nrm, cls, v = _class_rows(lat, *rows)
         _, group, _ = borcherds._row_unique(np.column_stack([nrm, cls]))
         # groups holding more than one distinct coefficient
@@ -443,7 +443,7 @@ def _run_weight_constant(win):
     checked = 0
     details = {}
     for key, meta in jacobi.MEMBERS.items():
-        c00 = jacobi.weak_weight0(key, 1).series.cells.get((0, 0), {}).get((0,) * meta.r, 0)
+        c00 = jacobi.weak_weight0(key, 1).cells.get((0, 0), {}).get((0,) * meta.r, 0)
         details[key] = {"weight": meta.weight, "constant": c00}
         checked += 1
         if 2 * meta.weight != c00:
@@ -500,7 +500,7 @@ def _run_fj1(win):
 def _run_delta11(win):
     depth = min(max(win.q_max // 24, 1), 3)
     held = TruncationWindow(24 * depth, 0)
-    top = jacobi.weak_weight0("psi_4_D8", depth).series
+    top = jacobi.weak_weight0("psi_4_D8", depth)
     # the restriction to z_1 = 0, ..., z_7 = 0 in one pass: sum the
     # coefficients of the held rows over (level, z_0)
     lv, z, v = jacobi.weight0_rows("psi_4_D8", top, depth)
@@ -511,7 +511,7 @@ def _run_delta11(win):
     for l, a, c in zip(lv[cuts].tolist(), z0[cuts].tolist(), sums.tolist()):
         if c:
             doubled.cells.setdefault((0, 24 * l), {})[(2 * a,)] = c
-    own = jacobi.weak_weight0("eta21_theta2z", depth).series.truncated(held)
+    own = jacobi.weak_weight0("eta21_theta2z", depth).truncated(held)
     diff = doubled.first_difference(own)
     ok = diff is None
     checked = own.term_count()

@@ -266,7 +266,7 @@ def exp_series(key: str, j_max: int, q_depth: int, psi: bool = False) -> list:
         f, layers = borcherds.exp_layers(key, j_max, q_depth)
         whole = partial(jacobi._symmetry(meta).whole, sign=-1)
     else:
-        phi = borcherds.weak_weight0(key, max(j_max * q_depth, 1)).series
+        phi = borcherds.weak_weight0(key, max(j_max * q_depth, 1))
         f, layers = _int64_first(borcherds._exp_packed, key, j_max, q_depth, phi)
         whole = None
     out = []

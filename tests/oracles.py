@@ -156,7 +156,7 @@ def scan_walls(key: str, q_depth: int) -> list:
     lat = lattice(meta.lattice_name)
     N = lat.norm_den
     floor = borcherds._FAMILY_MIN[meta.family] * N
-    phi = jacobi.weak_weight0(key, q_depth).series.truncated(
+    phi = jacobi.weak_weight0(key, q_depth).truncated(
         TruncationWindow(24 * q_depth, 0))
     walls: set = set()
     for (_, qn), sl in phi.cells.items():
@@ -230,7 +230,7 @@ def product_form(key: str, window) -> FourierSeries:
     wd = borcherds.weyl_data(key)
     m_max = max((window.s_max - wd.s_num) // 2, 0)
     q_depth = max((window.q_max - meta.val_q) // 24, 0)
-    phi = jacobi.weak_weight0(key, max(q_depth * max(m_max, 1), 1)).series
+    phi = jacobi.weak_weight0(key, max(q_depth * max(m_max, 1), 1))
     zero = (0,) * meta.r
     out = FourierSeries.monomial(1, 0, zero, 0, meta.den_z, window)
     for m in range(m_max + 1):

@@ -36,10 +36,13 @@ Run it on two commits and ``diff`` the outputs, or let it do both:
 
     PYTHONPATH=src python tests/output_digests.py [--c05] --against REV
 
-extracts REV's ``src/`` with ``git archive`` into a temporary directory,
-computes the same digests there in a child process (``--src DIR``
-digests the package under DIR), and prints only the lines that differ,
-``-`` for REV's and ``+`` for this tree's; it exits 1 if any do.
+extracts REV's ``src/``, ``tests/`` and ``perfbench/workloads.py`` with
+``git archive`` into a temporary directory, runs REV's own copy of this
+script there in a child process, and prints only the lines that differ,
+``-`` for REV's and ``+`` for this tree's; it exits 1 if any do.  Each
+side digests its outputs through its own API, so a change to what the
+program's functions return (a series in place of a wrapper object, say)
+compares cleanly as long as the outputs are the same.
 ``golden_digests.txt``
 holds its ``--c05`` lines without the total, which the tier-1 test
 ``test_golden.py`` checks; after a change meant to alter an output,
@@ -60,7 +63,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(ROOT, "src")  # the package digested; ``--src`` moves it
+SRC = os.path.join(ROOT, "src")  # the package digested
 GOLDEN = os.path.join(ROOT, "tests", "golden_digests.txt")
 
 
@@ -120,7 +123,7 @@ def outputs(c05: bool, run_cli=cli_subprocess):
                 yield "cli %s [exit %d] %s" % (kind, code, job["ref"]), out
     for key, meta in jacobi.MEMBERS.items():
         depth = 6 if meta.r <= 4 else 4
-        yield "phi0 %s d%d" % (key, depth), jacobi.phi0_by_division(key, depth).series.to_json()
+        yield "phi0 %s d%d" % (key, depth), jacobi.phi0_by_division(key, depth).to_json()
     for key in jacobi.MEMBERS:
         yield "borcherds_exp %s q48 s4" % key, borcherds.borcherds_exp(
             key, TruncationWindow(48, 4)).to_json()
@@ -148,14 +151,16 @@ def lines(c05: bool):
 
 
 def against(rev: str, c05: bool) -> int:
-    """Print the lines of this tree and of REV's ``src/`` that differ."""
+    """Print the lines of this tree and of REV that differ, REV's digested
+    by its own copy of this script on its own ``src/``."""
     with tempfile.TemporaryDirectory() as tmp:
-        tar = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+        tar = subprocess.run(["git", "archive", "--format=tar", rev, "src", "tests",
+                              "perfbench/workloads.py"], cwd=ROOT,
                              capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=tar, check=True)
-        child = subprocess.run([sys.executable, os.path.abspath(__file__),
-                                *(["--c05"] if c05 else []), "--src", os.path.join(tmp, "src")],
-                               capture_output=True, text=True, check=True)
+        child = subprocess.run([sys.executable, os.path.join(tmp, "tests", "output_digests.py"),
+                                *(["--c05"] if c05 else [])],
+                               capture_output=True, text=True, check=True, cwd=tmp)
     differ = 0
     for a, b in itertools.zip_longest(child.stdout.splitlines(), lines(c05)):
         if a != b:
@@ -167,17 +172,13 @@ def against(rev: str, c05: bool) -> int:
 
 
 def main(argv: list) -> int:
-    global SRC
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--c05", action="store_true",
                     help="add compare_lift_product(key, 5, 3) for every member and "
                          "closed-form-vs-lift at its cap")
-    ap.add_argument("--src", help="digest the refltower package under this directory")
     ap.add_argument("--against", metavar="REV",
-                    help="print only the lines that differ from REV's src/")
+                    help="print only the lines that differ from REV's outputs")
     args = ap.parse_args(argv)
-    if args.src:
-        SRC = os.path.abspath(args.src)
     sys.path.insert(0, SRC)
     if args.against:
         return against(args.against, args.c05)

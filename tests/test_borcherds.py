@@ -29,7 +29,7 @@ def test_weyl_data():
 
 
 def test_hecke_v0_relabels_towards_longer_vectors():
-    phi = jacobi.weak_weight0("psi_5_A1", 4).series
+    phi = jacobi.weak_weight0("psi_5_A1", 4)
     v2 = translate("psi_5_A1", phi, 2, 2)
     assert v2.cells[(0, 0)] == {
         (-4,): Fraction(1, 2), (-2,): 1, (0,): 15,
@@ -41,7 +41,7 @@ def test_hecke_v0_relabels_towards_longer_vectors():
 def test_exp_layers_match_direct_formulas():
     for key in ("psi_10_D2", "psi_2_4A1"):
         E = exp_series(key, 2, 3)
-        phi = jacobi.weak_weight0(key, 6).series
+        phi = jacobi.weak_weight0(key, 6)
         win = E[1].window
         assert E[0].term_count() == 1 and coefficient(E[0], 0, (0,) * E[0].r) == 1
         assert E[1].first_difference(neg(phi).truncated(win)) is None
@@ -53,7 +53,7 @@ def test_exponential_form_equals_lift():
     w = TruncationWindow(72, 4)
     for key in ("psi_10_D2", "psi_9_A2", "psi_5_A1"):
         B = borcherds.borcherds_exp(key, w)
-        L = lifting.gritsenko_lift(key, w).series
+        L = lifting.gritsenko_lift(key, w)
         assert B.first_difference(L) is None
 
 
@@ -306,14 +306,13 @@ def test_negative_control_phi0_off_the_orthant_raises(monkeypatch):
 
     def bump(images):
         def crooked(k, depth):
-            form = real(k, depth)
-            series = copy(form.series)
+            series = copy(real(k, depth))
             sl = series.cells[(0, 24)]
             z = min(sl)
             assert all(a < 0 for a in z if a)
             for signs in itertools.product((1, -1), repeat=len(z) if images else 0):
                 sl[tuple(a * sg for a, sg in zip(z, signs)) if images else z] += 1
-            return form._replace(series=series)
+            return series
         monkeypatch.setattr(borcherds, "weak_weight0", crooked)
 
     bump(images=False)
@@ -507,7 +506,7 @@ def test_sweep_rounds_after_the_first_build_no_layers(monkeypatch, fresh_memos):
         counts.append((calls.count("_exp_packed"), calls.count("_multiply_packed")))
     assert counts[0][0] == len(jobs) and counts[0][1] >= len(jobs)
     assert counts[1:] == [(0, 0), (0, 0)]
-    phi = jacobi.weak_weight0("psi_10_D2", 1).series
+    phi = jacobi.weak_weight0("psi_10_D2", 1)
     assert jacobi.holds_phi0("psi_10_D2", phi)
     assert not jacobi.holds_phi0("psi_10_D2", scaled(phi, 1))
 
@@ -517,7 +516,7 @@ def test_cold_compare_leaves_the_held_phi0_undecoded(fresh_memos):
     decodes its cells, and a later dict read gives the cells the division
     gave when it built dicts directly (their digest at depth 6)."""
     assert borcherds.compare_lift_product("psi_8_D4", 4, 3)["status"] == "pass"
-    phi = jacobi.weak_weight0("psi_8_D4", 1).series
+    phi = jacobi.weak_weight0("psi_8_D4", 1)
     assert jacobi.holds_phi0("psi_8_D4", phi) and phi.window.q_max == 144
     with pytest.raises(AttributeError):
         object.__getattribute__(phi, "cells")
@@ -644,7 +643,7 @@ def test_scan_rank_one_block_has_two_components():
     ]
     # the div-4 component is carried by walls whose own coefficient
     # vanishes; only the doubled index contributes to the multiplicity
-    phi = jacobi.weak_weight0("eta21_theta2z", 5).series
+    phi = jacobi.weak_weight0("eta21_theta2z", 5)
     assert (2,) not in phi.cells[(0, 0)]
     assert phi.cells[(0, 0)][(4,)] == 1
 
@@ -666,11 +665,10 @@ def test_scan_rejects_a_window_too_small_for_the_multiplicity_sum(monkeypatch):
     real = jacobi.weak_weight0
 
     def crooked(key, depth):
-        form = real(key, depth)
-        series = copy(form.series)
+        series = copy(real(key, depth))
         assert coefficient(series, 24, (6,)) == 0
         series.add_term(24, (6,), 0, 1)
-        return form._replace(series=series)
+        return series
 
     monkeypatch.setattr(borcherds, "weak_weight0", crooked)
     monkeypatch.setattr(jacobi, "weak_weight0", crooked)
@@ -684,7 +682,7 @@ def test_hecke_v0_rejects_shallow_windows():
     # rows through level 3 * 4 are asked for, deeper than its window
     with pytest.raises(ValueError, match="too shallow"):
         borcherds.hecke_v0(jacobi.weight0_rows(
-            "psi_5_A1", jacobi.phi0_by_division("psi_5_A1", 2).series, 12), [3], 4, np.int64)
+            "psi_5_A1", jacobi.phi0_by_division("psi_5_A1", 2), 12), [3], 4, np.int64)
 
 
 def _by_level(f):
@@ -702,7 +700,7 @@ def test_packed_translate_equals_the_dict_reference():
     runs on object values and gives Fractions."""
     for key in jacobi.MEMBERS:
         depths = sorted({q for _, q in _exp_windows(key)})
-        phi = borcherds.weak_weight0(key, 3 * depths[-1]).series
+        phi = borcherds.weak_weight0(key, 3 * depths[-1])
         rev = FourierSeries(phi.r, phi.den_z, phi.window)
         rev.cells = {cq: dict(reversed(sl.items())) for cq, sl in phi.cells.items()}
         half = scaled(phi, Fraction(1, 2))
@@ -731,7 +729,7 @@ def test_translate_bound_past_2_62_reruns_on_python_ints(monkeypatch):
     encoded, and the rerun encodes every W_i in one call, one dtype for
     all, python ints, and equals the exp_s oracle of the same phi."""
     key, j_max, q_depth = "psi_9_D3", 2, 2
-    phi = copy(borcherds.weak_weight0(key, j_max * q_depth).series)
+    phi = copy(borcherds.weak_weight0(key, j_max * q_depth))
     sl = phi.cells[(0, 0)]
     # (-2, 0, 0) and its image: the rows stay even in z, as ``_exp_packed``
     # checks, and the change is even, so every layer stays integral
@@ -765,7 +763,7 @@ def _exp_oracle(key, j_max, q_depth, phi=None):
     series."""
     meta = jacobi.MEMBERS[key]
     if phi is None:
-        phi = borcherds.weak_weight0(key, max(j_max * q_depth, 1)).series
+        phi = borcherds.weak_weight0(key, max(j_max * q_depth, 1))
     X = FourierSeries(meta.r, meta.den_z, TruncationWindow(24 * q_depth, 2 * j_max))
     for j in range(1, j_max + 1):
         for (_, q), sl in oracles.hecke_v0(phi, j, q_depth).cells.items():
@@ -900,10 +898,8 @@ def _corrupt_weight0(monkeypatch, victim, factor):
     real = jacobi.weak_weight0
 
     def crooked(key, depth):
-        form = real(key, depth)
-        if key == victim:
-            return form._replace(series=scaled(form.series, factor))
-        return form
+        phi = real(key, depth)
+        return scaled(phi, factor) if key == victim else phi
 
     monkeypatch.setattr(borcherds, "weak_weight0", crooked)
 
@@ -949,7 +945,7 @@ def test_a_fraction_in_phi0_sends_the_recursion_to_the_object_path(monkeypatch):
     monkeypatch.setattr(borcherds, "_exp_packed", spy)
     E = exp_series(key, 1, q_depth)
     assert dtypes == [np.int64, object]
-    half = borcherds.weak_weight0(key, q_depth).series
+    half = borcherds.weak_weight0(key, q_depth)
     assert [layer.cells for layer in E] == [
         layer.cells for layer in _exp_oracle(key, 1, q_depth, half)]
     assert any(type(c) is Fraction and c.denominator == 2
@@ -960,7 +956,7 @@ def test_exp_layer_remainder_stays_exact(monkeypatch, fresh_memos):
     """A translate with 2 V_2 integral but off by one: the quotient of
     2 E_2 by 2 leaves a remainder, which stays an exact Fraction."""
     real = borcherds.hecke_v0
-    phi = jacobi.weak_weight0("psi_10_D2", 4).series
+    phi = jacobi.weak_weight0("psi_10_D2", 4)
 
     def crooked(rows, orders, q_depth, dtype):
         got = real(rows, orders, q_depth, dtype)

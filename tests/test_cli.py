@@ -473,8 +473,7 @@ def test_non_integral_product_is_a_reported_error(monkeypatch, capsys):
     real = jacobi.weak_weight0
 
     def crooked(key, depth):
-        form = real(key, depth)
-        return form._replace(series=scaled(form.series, Fraction(1, 2)))
+        return scaled(real(key, depth), Fraction(1, 2))
 
     monkeypatch.setattr(borcherds, "weak_weight0", crooked)
     for argv in (["expand", "borcherds:D2", "--qmax", "3", "--smax", "2"],

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 from refltower import borcherds, jacobi, series
 from refltower.jacobi import (
     MEMBERS,
-    JacobiForm,
     _divisors,
     _eta_coeff,
     build,
@@ -30,10 +29,10 @@ from refltower.jacobi import (
     weak_weight0,
 )
 from refltower.lattices import lattice
-from refltower.lifting import gritsenko_lift, lift_layers
+from refltower.lifting import closed_form_Dk, gritsenko_lift, lift_layers
 from refltower.series import FourierSeries, TruncationWindow
 
-from helpers import (coefficient, cold_memos, divide_slices, exp_series, hecke_reach, neg,
+from helpers import (coefficient, cold_memos, copy, divide_slices, exp_series, hecke_reach, neg,
                      norm, scale_variables, whole_keys)
 import oracles
 from oracles import eta_product
@@ -75,7 +74,7 @@ def corner_slice(meta) -> dict:
     return acc
 
 
-def hecke_Vm_subst(form: JacobiForm, m: int) -> JacobiForm:
+def hecke_Vm_subst(ser: FourierSeries, key: str, m: int) -> FourierSeries:
     """The same translate as an average over tau -> (a tau + b)/d.
 
     Literal sum m^-1 sum_{ad=m} a^k sum_{b mod d} psi((a tau + b)/d, a z);
@@ -83,14 +82,14 @@ def hecke_Vm_subst(form: JacobiForm, m: int) -> JacobiForm:
     q-grids are supported: on half-integral grids the average acquires
     multiplier-system phases and stops being a plain divisor sum.
     """
-    ser = form.series
+    weight = MEMBERS[key].weight
     if any(q % 24 for (_, q) in ser.cells):
         raise ValueError("substitution average needs an integral q-grid")
     wq = ser.window.q_max // m
     out = FourierSeries(ser.r, ser.den_z, TruncationWindow(wq, ser.window.s_max))
     for a in _divisors(m):
         d = m // a
-        factor = Fraction(a ** form.weight * d, m)
+        factor = Fraction(a ** weight * d, m)
         for (s, q), sl in ser.cells.items():
             n = q // 24
             if n % d:
@@ -100,12 +99,10 @@ def hecke_Vm_subst(form: JacobiForm, m: int) -> JacobiForm:
                 continue
             for z, c in sl.items():
                 out.add_term(qq, tuple(a * x for x in z), s, factor * c)
-    return JacobiForm("%s|V_%d" % (form.name, m), out, form.weight,
-                      form.index * m, form.lattice_name, form.family,
-                      form.copies)
+    return out
 
 
-def phi0_by_general_division(key: str, q_depth: int) -> JacobiForm:
+def phi0_by_general_division(key: str, q_depth: int) -> FourierSeries:
     """Same quotient through the generic series division (cross-check path)."""
     meta = MEMBERS[key]
     p = meta.hecke_p
@@ -122,29 +119,24 @@ def phi0_by_general_division(key: str, q_depth: int) -> JacobiForm:
         if den:
             w_den.cells[(0, q)] = dict(den)
     quo = w_num.div(w_den)
-    ser = neg(quo).truncated(TruncationWindow(24 * q_depth, 0))
-    return JacobiForm("phi0_%s" % meta.lattice_name, ser, 0, Fraction(1),
-                      meta.lattice_name, meta.family, meta.copies)
+    return neg(quo).truncated(TruncationWindow(24 * q_depth, 0))
 
 
-def restrict_tower(form: JacobiForm, target_lattice: str) -> JacobiForm:
-    """Set the trailing block of elliptic variables to zero."""
+def restrict_tower(ser: FourierSeries, key: str, target_lattice: str) -> FourierSeries:
+    """Set the trailing block of elliptic variables of a member's series
+    to zero."""
     tgt = lattice(target_lattice)
     meta_family = "D" if tgt.family == "D" else ("A2" if tgt.family == "A2" else "A1")
-    if form.family in ("D", "D1"):
-        src_family = "D"
-    else:
-        src_family = form.family
+    family = MEMBERS[key].family
+    src_family = "D" if family in ("D", "D1") else family
     if src_family != meta_family:
         raise ValueError("restriction stays inside one family")
-    ser = form.series
     r_target = tgt.rank if tgt.family != "A2" else tgt.rank
     if r_target > ser.r:
         raise ValueError("restriction cannot add variables")
     while ser.r > r_target:
         ser = ser.restrict_z(ser.r - 1)
-    return JacobiForm("%s|%s" % (form.name, target_lattice), ser, form.weight,
-                      form.index, target_lattice, form.family, 0)
+    return ser
 
 
 def dual_from_z(family: str, z: tuple) -> tuple:
@@ -183,7 +175,7 @@ def test_eta_cube_from_theta_pullback():
     tf = build("theta", TruncationWindow(1200, 0))
     qp = quasi_pullback(tf, 0)
     cube = eta_power(3, 1200)
-    assert qp.series.first_difference(cube) is None
+    assert qp.first_difference(cube) is None
     # closed form: coefficient at q^(N^2/8) is (-4/N) N, nothing else
     for n in range(1, 1201):
         c = coefficient(cube, n, ())
@@ -236,23 +228,33 @@ def test_theta_a2_support_is_null():
 def test_registry_keys_and_metadata():
     assert len(MEMBERS) == 15
     w = TruncationWindow(96, 0)
-    for name in ("theta", "Theta_A2"):
-        assert build(name, w).name == name
     for key, meta in MEMBERS.items():
-        form = build(key, w)
-        assert form.name == key
-        assert form.weight == meta.weight
-        assert form.lattice_name == meta.lattice_name
         n_theta = {"D": meta.copies, "D1": 1, "A1": meta.copies,
                    "A2": 3 * meta.copies}[meta.family]
         # the A2 block carries its own eta^-1, one per copy
         eta_net = meta.eta_exp - (meta.copies if meta.family == "A2" else 0)
         assert 2 * meta.weight == eta_net + n_theta
-        assert form.series.q_valuation() == meta.val_q
-    assert build("eta^-2", w).weight == Fraction(-1)
-    assert build("theta", w).weight == Fraction(1, 2)
+        assert build(key, w).q_valuation() == meta.val_q
     with pytest.raises(KeyError):
         build("psi_4_E8", w)
+
+
+def test_every_form_constructor_returns_its_series():
+    """A form is its series: every registry name given to ``build``, a
+    weight-0 form, a quasi-pullback, a lift and a closed formula come back
+    as the ``FourierSeries`` itself.  ``holds_phi0`` knows the very
+    series ``weak_weight0`` returned, and no copy of it."""
+    w = TruncationWindow(48, 2)
+    names = ["eta^-2", "eta^3", "theta", "Theta_A2", *MEMBERS]
+    forms = [build(name, w) for name in names]
+    forms += [phi0_by_division("psi_10_D2", 1), quasi_pullback(build("theta", w), 0),
+              gritsenko_lift("psi_9_A2", w), closed_form_Dk(3, w)]
+    for key in MEMBERS:
+        phi = weak_weight0(key, 1)
+        forms.append(phi)
+        assert jacobi.holds_phi0(key, phi), key
+        assert not jacobi.holds_phi0(key, copy(phi)), key
+    assert all(isinstance(f, FourierSeries) for f in forms)
 
 
 def test_member_corner_is_binomial_product():
@@ -421,14 +423,14 @@ def test_phi0_constant_terms():
                 "psi_4_2A1": 8, "psi_3_3A1": 6, "psi_2_4A1": 4}
     for key, meta in MEMBERS.items():
         f = weak_weight0(key, 0)
-        assert coefficient(f.series, 0, (0,) * meta.r) == expected[key]
+        assert coefficient(f, 0, (0,) * meta.r) == expected[key]
 
 
 def test_phi0_q0_slices():
     # D family: constant + zeta_i + zeta_i^-1
     for k in range(2, 9):
         key = "psi_%d_D%d" % (12 - k, k)
-        sl = weak_weight0(key, 0).series.cells[(0, 0)]
+        sl = weak_weight0(key, 0).cells[(0, 0)]
         want = {(0,) * k: 24 - 2 * k}
         for i in range(k):
             for sgn in (2, -2):
@@ -437,11 +439,11 @@ def test_phi0_q0_slices():
                 want[tuple(z)] = 1
         assert sl == want
     # rank one: constant 22 + zeta^(+-1) at z = +-4
-    assert weak_weight0("eta21_theta2z", 0).series.cells[(0, 0)] == \
+    assert weak_weight0("eta21_theta2z", 0).cells[(0, 0)] == \
         {(0,): 22, (4,): 1, (-4,): 1}
     # A2 family: six unit keys per copy
     for c, key in ((1, "psi_9_A2"), (2, "psi_6_2A2"), (3, "psi_3_3A2")):
-        sl = weak_weight0(key, 0).series.cells[(0, 0)]
+        sl = weak_weight0(key, 0).cells[(0, 0)]
         want = {(0,) * (2 * c): 24 - 6 * c}
         for i in range(c):
             for pat in ((6, 0), (-6, 0), (0, 6), (0, -6), (6, -6), (-6, 6)):
@@ -452,7 +454,7 @@ def test_phi0_q0_slices():
     # A1 family
     for c, key in ((1, "psi_5_A1"), (2, "psi_4_2A1"), (3, "psi_3_3A1"),
                    (4, "psi_2_4A1")):
-        sl = weak_weight0(key, 0).series.cells[(0, 0)]
+        sl = weak_weight0(key, 0).cells[(0, 0)]
         want = {(0,) * c: 12 - 2 * c}
         for i in range(c):
             for sgn in (2, -2):
@@ -470,7 +472,7 @@ def test_phi0_negative_support_is_minimal_norm():
         f = phi0_by_division(key, depth)
         lat = lattice(meta.lattice_name)
         seen = {}
-        for (s, q), sl in f.series.cells.items():
+        for (s, q), sl in f.cells.items():
             for z, c in sl.items():
                 hyper = 2 * Fraction(q, 24) - norm(lat, dual_from_z(meta.family, z))
                 if hyper < 0:
@@ -480,7 +482,7 @@ def test_phi0_negative_support_is_minimal_norm():
 
 
 def test_phi0_d8_first_slice_values():
-    c = partial(coefficient, weak_weight0("psi_4_D8", 1).series)
+    c = partial(coefficient, weak_weight0("psi_4_D8", 1))
     assert c(24, (0,) * 8) == 128
     assert c(24, (2, 0, 0, 0, 0, 0, 0, 0)) == 36
     assert c(24, (2, 2, 0, 0, 0, 0, 0, 0)) == 8
@@ -491,10 +493,10 @@ def test_phi0_d8_first_slice_values():
 
 def test_phi0_class_invariance_samples():
     """c(n, l) depends only on the norm 2n - l^2 and on l modulo the lattice."""
-    f1 = partial(coefficient, weak_weight0("eta21_theta2z", 6).series)
+    f1 = partial(coefficient, weak_weight0("eta21_theta2z", 6))
     assert f1(24, (4,)) == 232 and f1(120, (12,)) == 232
     assert f1(48, (0,)) == 33044 and f1(96, (8,)) == 33044
-    f8 = partial(coefficient, weak_weight0("psi_4_D8", 5).series)
+    f8 = partial(coefficient, weak_weight0("psi_4_D8", 5))
     assert f8(24, (2, 0, 0, 0, 0, 0, 0, 0)) == 36
     assert f8(120, (6, 0, 0, 0, 0, 0, 0, 0)) == 36
     assert f8(24, (1,) * 8) == -8
@@ -505,19 +507,18 @@ def test_phi0_restriction_matches_division():
     for top_key, key in (("psi_4_D8", "psi_6_D6"), ("psi_3_3A2", "psi_9_A2"),
                          ("psi_2_4A1", "psi_4_2A1")):
         top = phi0_by_division(top_key, 2)
-        res = restrict_tower(top, MEMBERS[key].lattice_name)
+        res = restrict_tower(top, top_key, MEMBERS[key].lattice_name)
         own = phi0_by_division(key, 2)
-        assert res.series.first_difference(own.series) is None
+        assert res.first_difference(own) is None
 
 
 def test_phi0_d1_is_doubled_restriction():
-    top = phi0_by_division("psi_4_D8", 3)
-    ser = top.series
+    ser = phi0_by_division("psi_4_D8", 3)
     while ser.r > 1:
         ser = ser.restrict_z(ser.r - 1)
     doubled = scale_variables(ser, 1, 2)
     own = phi0_by_division("eta21_theta2z", 3)
-    assert doubled.first_difference(own.series) is None
+    assert doubled.first_difference(own) is None
 
 
 def test_phi0_general_division_agrees():
@@ -527,7 +528,7 @@ def test_phi0_general_division_agrees():
     for key, depth in cases:
         a = phi0_by_division(key, depth)
         b = phi0_by_general_division(key, depth)
-        assert a.series == b.series, key
+        assert a == b, key
 
 
 def test_division_rejects_a_corrupt_a2_dividend():
@@ -1109,7 +1110,7 @@ def test_phi0_rows_come_in_packed_key_order(key):
     copy of phi0 whose cells were inserted in reverse, are equal and
     strictly increasing in packed-key order, (level, z lexicographic)."""
     depth = 3
-    phi = weak_weight0(key, depth).series
+    phi = weak_weight0(key, depth)
     held = jacobi.weight0_rows(key, phi, depth)
     rev = FourierSeries(phi.r, phi.den_z, TruncationWindow(24 * depth, 0))
     for lv, z, c in reversed(list(zip(held[0].tolist(), map(tuple, held[1].tolist()),
@@ -1129,16 +1130,16 @@ def test_held_phi0_rows_keep_their_division_dtype(monkeypatch, fresh_memos):
     held in their place they give the same E_j and psi * E_j as the int64
     rows."""
     for key in MEMBERS:
-        assert weak_weight0(key, 2).series.rows[2].dtype == np.int64, key
+        assert weak_weight0(key, 2).rows[2].dtype == np.int64, key
     key, j_max, q_depth = "psi_8_D4", 2, 2
     held = weak_weight0(key, j_max * q_depth)
     want = [exp_series(key, j_max, q_depth, psi) for psi in (False, True)]
     with monkeypatch.context() as m:
         m.setattr(jacobi, "_INT64_SAFE", 1)
         wide = phi0_by_division(key, j_max * q_depth)
-    assert wide.series.rows[2].dtype == object
-    assert all(type(c) is int for c in wide.series.rows[2].tolist())
-    assert all(np.array_equal(a, b) for a, b in zip(wide.series.rows, held.series.rows))
+    assert wide.rows[2].dtype == object
+    assert all(type(c) is int for c in wide.rows[2].tolist())
+    assert all(np.array_equal(a, b) for a, b in zip(wide.rows, held.rows))
     monkeypatch.setitem(jacobi._PHI0_CACHE, key, wide)
     monkeypatch.setattr(borcherds, "_EXP_MEMO", {})
     got = [exp_series(key, j_max, q_depth, psi) for psi in (False, True)]
@@ -1205,7 +1206,7 @@ def test_phi0_weight0_tautology():
     depth = 3
     phi = weak_weight0(key, depth)
     psi = member_series(key, TruncationWindow(meta.val_q + 24 * depth, 0))
-    rhs = neg(psi.mul(phi.series))
+    rhs = neg(psi.mul(phi))
     lhs = FourierSeries(meta.r, meta.den_z, rhs.window)
     for j in range(depth + 1):
         q = meta.val_q + 24 * j
@@ -1218,7 +1219,7 @@ def test_phi0_weight0_tautology():
 def test_hecke_subst_agrees_with_divisor_form():
     for key, m in (("psi_5_D7", 2), ("psi_5_D7", 3), ("psi_9_A2", 2)):
         f = build(key, TruncationWindow(24 * 4 * m, 0))
-        b = hecke_Vm_subst(f, m).series
+        b = hecke_Vm_subst(f, key, m)
         for n in range(5):
             assert member_hecke_slice(key, m, 24 * n) == b.cells.get((0, 24 * n), {})
 
@@ -1226,7 +1227,7 @@ def test_hecke_subst_agrees_with_divisor_form():
 def test_hecke_on_half_grid_rules():
     f = build("psi_5_A1", TruncationWindow(12 + 24 * 4, 0))
     with pytest.raises(ValueError):
-        hecke_Vm_subst(f, 3)
+        hecke_Vm_subst(f, "psi_5_A1", 3)
     with pytest.raises(ValueError):
         member_hecke_slice("psi_5_A1", 2, 36)
     for m in (0, -2):
@@ -1323,9 +1324,9 @@ def test_divisor_terms_equal_a_brute_force_oracle():
 def test_hecke_slice_matches_series_operator():
     key, m = "psi_9_A2", 2
     f = build(key, TruncationWindow(24 * 8, 0))
-    op = hecke_Vm_subst(f, m)
+    op = hecke_Vm_subst(f, key, m)
     for n in range(1, 5):
-        cell = op.series.cells.get((0, 24 * n), {})
+        cell = op.cells.get((0, 24 * n), {})
         assert member_hecke_slice(key, m, 24 * n) == cell
 
 
@@ -1335,9 +1336,7 @@ def test_quasi_pullback_steps_down_the_tower():
         src = build("psi_%d_D%d" % (12 - k, k), w)
         tgt = build("psi_%d_D%d" % (12 - (k - 1), k - 1), w)
         qp = quasi_pullback(src, k - 1)
-        assert qp.weight == tgt.weight
-        assert qp.lattice_name == tgt.lattice_name
-        assert qp.series.first_difference(tgt.series) is None
+        assert qp.first_difference(tgt) is None
 
 
 def test_dual_coordinate_roundtrip():

@@ -514,7 +514,7 @@ def test_primitive_wall_equals_the_trial_division_oracle():
     members at depth 3, as the wall scan splits them, and its multiples."""
     for key, meta in jacobi.MEMBERS.items():
         lat = lattice(meta.lattice_name)
-        phi = jacobi.weak_weight0(key, 3).series.truncated(TruncationWindow(72, 0))
+        phi = jacobi.weak_weight0(key, 3).truncated(TruncationWindow(72, 0))
         for (_, qn), sl in phi.cells.items():
             nphi = qn // 24
             if nphi:

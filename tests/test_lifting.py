@@ -7,9 +7,8 @@ from refltower.series import FourierSeries, TruncationWindow, np
 from refltower import jacobi, lifting
 
 
-def fourier_jacobi(form: lifting.OrthogonalModularForm, s_num: int) -> FourierSeries:
+def fourier_jacobi(ser: FourierSeries, s_num: int) -> FourierSeries:
     """One Fourier-Jacobi layer of a lift as a plain q-z series."""
-    ser = form.series
     out = FourierSeries(ser.r, ser.den_z, TruncationWindow(ser.window.q_max, 0))
     for (s, q), sl in ser.cells.items():
         if s == s_num:
@@ -25,10 +24,7 @@ def test_lift_layer_grids():
 
 def test_lift_cells_are_hecke_translates():
     w = TruncationWindow(96, 4)
-    lift = lifting.gritsenko_lift("psi_9_D3", w)
-    assert lift.weight == 9
-    assert lift.index_step == 2
-    ser = lift.series
+    ser = lifting.gritsenko_lift("psi_9_D3", w)
     for (s, q), sl in ser.cells.items():
         assert sl == jacobi.member_hecke_slice("psi_9_D3", s // 2, q)
     # the s^1 layer is the block itself
@@ -47,9 +43,9 @@ def test_fourier_jacobi_extraction():
 def test_half_grid_lift_layers_are_odd():
     w = TruncationWindow(96, 5)
     lift = lifting.gritsenko_lift("psi_4_2A1", w)
-    s_values = {s for (s, q) in lift.series.cells}
+    s_values = {s for (s, q) in lift.cells}
     assert s_values == {1, 3, 5}
-    q_values = {q for (s, q) in lift.series.cells}
+    q_values = {q for (s, q) in lift.cells}
     assert all(q % 12 == 0 and (q // 12) % 2 for q in q_values)
 
 
@@ -57,8 +53,8 @@ def test_closed_form_agrees_with_lift():
     w = TruncationWindow(96, 6)
     for k in (2, 3, 4):
         key = "psi_%d_D%d" % (12 - k, k)
-        closed = lifting.closed_form_Dk(k, w).series
-        lift = lifting.gritsenko_lift(key, w).series
+        closed = lifting.closed_form_Dk(k, w)
+        lift = lifting.gritsenko_lift(key, w)
         assert closed.first_difference(lift) is None
 
 

@@ -119,10 +119,8 @@ def test_negative_control_catches_corrupt_weight0(monkeypatch):
     real = jacobi.weak_weight0
 
     def crooked(key, depth):
-        form = real(key, depth)
-        if key == "psi_5_A1":
-            return form._replace(series=scaled(form.series, 2))
-        return form
+        phi = real(key, depth)
+        return scaled(phi, 2) if key == "psi_5_A1" else phi
 
     monkeypatch.setattr(jacobi, "weak_weight0", crooked)
     rep = verification.run("q0-terms")
@@ -137,13 +135,12 @@ def test_negative_control_catches_doubled_wall(monkeypatch):
     wall = (2, 0)
 
     def crooked(key, depth):
-        form = real(key, depth)
+        phi = real(key, depth)
         if key == "psi_10_D2":
-            series = copy(form.series)
-            assert coefficient(series, 0, wall) == 1
-            series.add_term(0, wall, 0, 1)
-            return form._replace(series=series)
-        return form
+            phi = copy(phi)
+            assert coefficient(phi, 0, wall) == 1
+            phi.add_term(0, wall, 0, 1)
+        return phi
 
     monkeypatch.setattr(borcherds, "weak_weight0", crooked)
     rep = verification.run("reflective-divisor-classes", TruncationWindow(48, 0))
@@ -357,7 +354,7 @@ def test_integer_hyper_norm_matches_the_fraction_oracle():
             assert sorted(map(tuple, z.tolist())) == sorted(jacobi.member_slice(key, q))
             cells.append((meta.index, q, z, verification._hyper_norms(lat, q, z, meta.index),
                           verification._norm_den(lat, meta.index)))
-        phi = jacobi.weak_weight0(key, 2).series.truncated(TruncationWindow(48, 0))
+        phi = jacobi.weak_weight0(key, 2).truncated(TruncationWindow(48, 0))
         lv, z, _, _ = _qz_rows({q // 24: sl for (_, q), sl in phi.cells.items()}, lat.rank, object)
         assert len(z) == phi.term_count()
         cells.append((Fraction(1), 24 * lv, z, lat._wall_norms(lv, z, 1), lat.norm_den))
@@ -380,7 +377,7 @@ def test_class_rows_equal_the_per_term_keys_and_norms():
     checked = 0
     for key in verification._CLASS_REPS:
         lat = lattices.lattice(jacobi.MEMBERS[key].lattice_name)
-        phi = jacobi.weak_weight0(key, 3).series
+        phi = jacobi.weak_weight0(key, 3)
         nrm, cls, v = verification._class_rows(lat, *jacobi.weight0_rows(key, phi, 3))
         terms = [(q, z, c) for (_, q), sl in phi.truncated(TruncationWindow(72, 0)).cells.items()
                  for z, c in sl.items()]
@@ -392,7 +389,7 @@ def test_class_rows_equal_the_per_term_keys_and_norms():
         checked += len(terms)
     assert checked == verification.run("coefficient-class-invariance").checked_terms
     # a term off S^vee raises, as _dual does: (1/2, 0, ..., 0) is not in D8^vee
-    phi = copy(jacobi.weak_weight0("psi_4_D8", 1).series)
+    phi = copy(jacobi.weak_weight0("psi_4_D8", 1))
     phi.add_term(24, (1,) + (0,) * 7, 0, 1)
     with pytest.raises(ValueError):
         verification._class_rows(lattices.lattice("D8"), *jacobi.weight0_rows("psi_4_D8", phi, 1))
@@ -418,12 +415,11 @@ def _bump_phi0_term(monkeypatch, key, q, z):
     real = jacobi.weak_weight0
 
     def crooked(k, depth):
-        form = real(k, depth)
+        phi = real(k, depth)
         if k == key:
-            series = copy(form.series)
-            series.add_term(q, z, 0, 1)
-            return form._replace(series=series)
-        return form
+            phi = copy(phi)
+            phi.add_term(q, z, 0, 1)
+        return phi
 
     monkeypatch.setattr(jacobi, "weak_weight0", crooked)
 
@@ -558,7 +554,7 @@ def test_warm_identity_checks_read_held_rows(monkeypatch, fresh_memos):
     assert all(rep.status == "pass" for rep in want)
     assert restrict == [] and all(c == [] for c in rows) and decode == []
     key, j_max, q_depth = "psi_8_D4", 2, 2
-    jacobi.weight0_rows(key, jacobi.weak_weight0(key, j_max * q_depth).series, j_max * q_depth)
+    jacobi.weight0_rows(key, jacobi.weak_weight0(key, j_max * q_depth), j_max * q_depth)
     # the checks above read layers of j_max 1 only: these are still cold
     exp = _count_calls(monkeypatch, borcherds, "_exp_packed")
     borcherds.exp_layers(key, j_max, q_depth)
@@ -589,7 +585,7 @@ def test_weight0_rows_are_held_once_beside_the_held_series(monkeypatch, fresh_me
     afresh and leaves the held rows alone, and a deeper division drops the
     replaced series together with its rows."""
     key, depth = "psi_8_D4", 2
-    phi = jacobi.weak_weight0(key, depth).series
+    phi = jacobi.weak_weight0(key, depth)
     conversions = _count_calls(monkeypatch, jacobi, "_qz_rows")
     for d in range(depth + 1):
         rows = jacobi.weight0_rows(key, phi, d)

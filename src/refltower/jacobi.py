@@ -38,10 +38,13 @@ packed frame by ``_encode_parts`` (d > 0 keeps them on the orthant), as
 phi0's are from ``weight0_rows``; the division takes psi|V_p as it
 comes, on the orthant, and mirrors its even quotient out whole once.
 Readers that need every term complete them on demand (the object's
-``whole``); nothing holds both forms.  Dict slices of the A2
-blocks are decoded from the rows, the others summed from odd shells
-(``_odd_shell``, one memoised recursion).  Each kernel picks its
-result's one dtype under ``series._int64_first``.  A packed layer is
+``whole``); nothing holds both forms.  Dict slices of the A2 blocks
+are decoded from the rows, the others summed from odd shells
+(``_shell_slice`` over ``_odd_shell``, one memoised recursion).  The
+dict Hecke translates and the D-family closed formula
+(``lifting.closed_form_slice``) are one divisor sum over such slices
+(``_hecke_sum``).  Each kernel picks its result's one dtype under
+``series._int64_first``.  A packed layer is
 (keys, values); a reach bound (``_part_specs``) only chooses a frame.
 
 Each weight-0 form is minus the quotient of a Hecke translate of its
@@ -193,16 +196,16 @@ def _promote(f: FourierSeries, r: int, den_z: int) -> FourierSeries:
     return out
 
 
-def theta_A2(q_max: int) -> FourierSeries:
+def theta_A2(q_max: int, s_max: int = 0) -> FourierSeries:
     """Theta function of the A2 lattice, exponents in weight coordinates."""
     pad = 24
-    th = theta(q_max + pad)
+    th = theta(q_max + pad, s_max)
     f1 = th.map_z([[3, 0]], den_z_new=6)
     f2 = th.map_z([[-3, 3]], den_z_new=6)
     f3 = th.map_z([[0, 3]], den_z_new=6)
     prod = f1.mul(f2).mul(f3)
-    em1 = _promote(eta_power(-1, q_max + pad), 2, 6)
-    return prod.mul(em1).truncated(TruncationWindow(q_max, 0))
+    em1 = _promote(eta_power(-1, q_max + pad, s_max), 2, 6)
+    return prod.mul(em1).truncated(TruncationWindow(q_max, s_max))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +400,7 @@ def build(name: str, window: TruncationWindow) -> FourierSeries:
     if name == "theta":
         return theta(window.q_max, window.s_max)
     if name == "Theta_A2":
-        return theta_A2(window.q_max)
+        return theta_A2(window.q_max, window.s_max)
     if name in MEMBERS:
         return member_series(name, window)
     raise KeyError("unknown registry name %r" % (name,))
@@ -409,7 +412,8 @@ def build(name: str, window: TruncationWindow) -> FourierSeries:
 
 def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
     """z-slice of psi|V_m at q_num, by the divisor-sum formula on dicts
-    (no numpy; ``hecke_levels`` packs the same sum).
+    (``_hecke_sum`` over ``member_slice``, no numpy; ``hecke_levels``
+    packs the same sum).
 
     The A1 family runs in display coordinates on the half grid (q in
     steps of 12, doubled exponents, odd translate orders, so every
@@ -425,11 +429,19 @@ def member_hecke_slice(key: str, m: int, q_num: int) -> dict:
         raise ValueError("translate order must be odd on the half grid")
     if q_num % grid:
         return {}
-    n = q_num // grid
-    out = dict(member_slice(key, grid * n * m))  # d = 1: weight 1, no key to rebuild
-    for d, k in _divisor_terms(n, m)[1:]:
-        w = d ** (meta.weight - 1)
-        for z, c in member_slice(key, grid * k).items():
+    return _hecke_sum(lambda k: member_slice(key, grid * k), q_num // grid, m,
+                      meta.weight - 1)
+
+
+def _hecke_sum(slice_at, n: int, m: int, wt: int) -> dict:
+    """Sum over (d, k) of ``_divisor_terms(n, m)`` of d^wt times the
+    slice ``slice_at(k)`` with its keys scaled by d, as a fresh dict
+    (``slice_at`` may return a memo)."""
+    (_, k), *rest = _divisor_terms(n, m)
+    out = dict(slice_at(k))  # d = 1: weight 1, no key to rebuild
+    for d, k in rest:
+        w = d ** wt
+        for z, c in slice_at(k).items():
             zz = tuple([d * a for a in z])
             out[zz] = out.get(zz, 0) + w * c
             if not out[zz]:  # a sum that cancels

@@ -16,21 +16,21 @@ eta coefficient table: the coefficient at (n, l, m) is
 where z = 2l in e-coordinates, p = 24 - 3k and e_p picks coefficients
 of eta^p.  The Kronecker factor kills every vector that is not odd in
 all coordinates, which is what confines the support to the right
-cosets.  Each chi4 factor is odd, so every coefficient is odd in each
-z_i: ``closed_form_slice`` gives a whole slice, or its part on the
-orthant z_i > 0, where the ``closed-form-vs-lift`` check compares it
-with the lift layers as ``jacobi.hecke_levels`` holds them.
+cosets.  e_p(...) prod chi4 is the block's own shell expansion, so the
+formula is the lift's dict divisor sum (``jacobi._hecke_sum``) over
+``jacobi._shell_slice``.  Each chi4 factor is odd, so every coefficient
+is odd in each z_i: ``closed_form_slice`` gives a whole slice, or its
+part on the orthant z_i > 0, where the ``closed-form-vs-lift`` check
+compares it with the lift layers as ``jacobi.hecke_levels`` holds them.
 """
 
 from __future__ import annotations
 
-from math import gcd as _gcd
-
 from .jacobi import (
     MEMBERS,
-    _eta_coeff,
-    _odd_shell,
+    _hecke_sum,
     _prefetch_block,
+    _shell_slice,
     member_hecke_slice,
 )
 from .series import FourierSeries, TruncationWindow
@@ -64,45 +64,17 @@ def gritsenko_lift(key: str, window: TruncationWindow) -> FourierSeries:
 
 def closed_form_slice(k: int, n: int, m: int, signs: tuple) -> dict:
     """The (q^n, s^m) slice of the D_k lift from the eta table, on the
-    vectors whose coordinates have their signs in signs (``_odd_shell``):
-    (1,) gives its part on the orthant z_i > 0, (1, -1) all of it.
+    vectors whose coordinates have their signs in signs: (1,) gives its
+    part on the orthant z_i > 0, (1, -1) all of it.
 
-    The d-th divisor term lives on d times the odd vectors, so the
-    support is walked shell by shell for each divisor and the value is
-    assembled from the eta coefficient and the per-coordinate Kronecker
-    symbol at the rescaled index.  Each chi4 factor is odd, so the slice
-    is odd in every coordinate and has no term with z_i = 0: the orthant
-    part holds every value, each standing for its 2^k sign images.
+    The d-th divisor term is the block's shell slice at q^(nm/d^2)
+    (eta coefficient times prod chi4(w_i)), keys scaled by d, values by
+    d^(11-k).  Each chi4 factor is odd, so the slice is odd in every
+    coordinate and has no term with z_i = 0: the orthant part holds
+    every value, each standing for its 2^k sign images.
     """
-    p = 24 - 3 * k
-    acc: dict = {}
-    g = _gcd(n, m)
-    for d in range(1, g + 1):
-        if g % d:
-            continue
-        num = 24 * n * m // (d * d)
-        pw = d ** (11 - k)
-        u = 0
-        while True:
-            ssq = k + 8 * u
-            rest = num - 3 * ssq
-            if rest < p:
-                break
-            e = _eta_coeff(p, rest)
-            if e and d == 1:  # distinct shells of one divisor share no vector
-                shell = _odd_shell(k, ssq, signs)
-                acc.update(zip(shell, [e * kr for kr in shell.values()]))
-            elif e:
-                pe = pw * e
-                for w, kr in _odd_shell(k, ssq, signs).items():
-                    z = tuple(d * a for a in w)
-                    v = acc.get(z, 0) + pe * kr
-                    if v:
-                        acc[z] = v
-                    else:
-                        acc.pop(z, None)
-            u += 1
-    return acc
+    meta = MEMBERS["psi_%d_D%d" % (12 - k, k)]
+    return _hecke_sum(lambda t: _shell_slice(meta, 24 * t, signs), n, m, 11 - k)
 
 
 def closed_form_Dk(k: int, window: TruncationWindow) -> FourierSeries:

@@ -215,6 +215,14 @@ def test_the_cold_state_helper_lists_every_process_wide_memo():
     assert caches == {(m.__name__.rsplit(".", 1)[1], name) for m, name in CACHED}
 
 
+def _named(tree) -> set:
+    """Every name a module reads, imports from another module or defines."""
+    names = _reads(tree) | {alias.name for node in ast.walk(tree)
+                            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    return names | {node.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 _SIGN_NAMES = {"_sign_axes", "_orthant", "_mirror", "_mirror_out", "_mirror_rows", "_check_even"}
 
 
@@ -231,10 +239,23 @@ def test_only_jacobi_knows_the_orthant_format():
         with open(path) as fh:
             if "<< len(" in fh.read():
                 seen.append("%s shifts a count" % os.path.basename(path))
-        names = _reads(tree) | {alias.name for node in ast.walk(tree)
-                                if isinstance(node, ast.ImportFrom) for alias in node.names}
-        names |= {node.name for node in ast.walk(tree)
-                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         seen += ["%s names %s" % (os.path.basename(path), name)
-                 for name in sorted(names & _SIGN_NAMES)]
+                 for name in sorted(_named(tree) & _SIGN_NAMES)]
+    assert seen == []
+
+
+_SUM_PARTS = {"_odd_shell", "_eta_coeff", "_divisor_terms"}
+
+
+def test_only_jacobi_sums_shells_and_divisors():
+    """A block's dict slice is the eta coefficients times odd shells
+    (``jacobi._shell_slice``) and a dict Hecke translate is one divisor
+    sum over such slices (``jacobi._hecke_sum``); the closed formula is
+    those two.  No other module of ``src/refltower`` names their parts,
+    so none can grow a second shell or divisor loop."""
+    seen = []
+    for path, tree in _trees(PACKAGE):
+        if os.path.basename(path) != "jacobi.py":
+            seen += ["%s names %s" % (os.path.basename(path), name)
+                     for name in sorted(_named(tree) & _SUM_PARTS)]
     assert seen == []

@@ -242,13 +242,16 @@ def test_registry_keys_and_metadata():
 def test_every_form_constructor_returns_its_series():
     """A form is its series: every registry name given to ``build``, a
     weight-0 form, a quasi-pullback, a lift and a closed formula come back
-    as the ``FourierSeries`` itself.  ``holds_phi0`` knows the very
-    series ``weak_weight0`` returned, and no copy of it."""
+    as the ``FourierSeries`` itself, and each one built over a window
+    states that window.  ``holds_phi0`` knows the very series
+    ``weak_weight0`` returned, and no copy of it."""
     w = TruncationWindow(48, 2)
     names = ["eta^-2", "eta^3", "theta", "Theta_A2", *MEMBERS]
     forms = [build(name, w) for name in names]
-    forms += [phi0_by_division("psi_10_D2", 1), quasi_pullback(build("theta", w), 0),
-              gritsenko_lift("psi_9_A2", w), closed_form_Dk(3, w)]
+    forms += [quasi_pullback(build("theta", w), 0), gritsenko_lift("psi_9_A2", w),
+              closed_form_Dk(3, w)]
+    assert [f.window for f in forms] == [w] * len(forms)
+    forms.append(phi0_by_division("psi_10_D2", 1))
     for key in MEMBERS:
         phi = weak_weight0(key, 1)
         forms.append(phi)
@@ -1319,6 +1322,20 @@ def test_divisor_terms_equal_a_brute_force_oracle():
             want = [(d, n * m // (d * d)) for d in range(1, max(n, m) + 1)
                     if n % d == 0 and m % d == 0]
             assert jacobi._divisor_terms(n, m) == want, (n, m)
+
+
+def test_hecke_sum_scales_weights_and_drops_cancelled_sums():
+    """On a toy slice_at over n = m = 2 (divisor terms (1, 4), (2, 1)):
+    the d = 2 slice lands with keys times 2 and values times 2^wt, the sum
+    at (2, -2) cancels and is not stored, and the dicts slice_at returned
+    (memos, as ``member_slice``'s are) are left as they were."""
+    memo = {4: {(2, -2): -8, (1, 3): 5}, 1: {(1, -1): 1, (3, 1): 2}}
+    before = {k: dict(sl) for k, sl in memo.items()}
+    got = jacobi._hecke_sum(memo.__getitem__, 2, 2, 3)
+    assert got == {(1, 3): 5, (6, 2): 16}
+    assert memo == before and got is not memo[4]
+    alone = jacobi._hecke_sum(memo.__getitem__, 1, 4, 3)  # d = 1 only
+    assert alone == memo[4] and alone is not memo[4]
 
 
 def test_hecke_slice_matches_series_operator():

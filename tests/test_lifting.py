@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 from refltower.series import FourierSeries, TruncationWindow, np
-from refltower import jacobi, lifting
+from refltower import borcherds, jacobi, lifting
 
 
 def fourier_jacobi(ser: FourierSeries, s_num: int) -> FourierSeries:
@@ -50,12 +50,19 @@ def test_half_grid_lift_layers_are_odd():
 
 
 def test_closed_form_agrees_with_lift():
+    """The closed formula equals the dict lift, with which it shares the
+    divisor sum (``jacobi._hecke_sum``), and the Borcherds product of the
+    same block (``borcherds_exp``: the exponential of phi0, built by the
+    packed division and product kernels), which reads neither that sum
+    nor the shells (``_shell_slice``, ``_odd_shell``)."""
     w = TruncationWindow(96, 6)
     for k in (2, 3, 4):
         key = "psi_%d_D%d" % (12 - k, k)
         closed = lifting.closed_form_Dk(k, w)
+        assert len(closed.cells) == 12, k
         lift = lifting.gritsenko_lift(key, w)
         assert closed.first_difference(lift) is None
+        assert closed.first_difference(borcherds.borcherds_exp(key, w)) is None
 
 
 def test_closed_form_divisor_term():
@@ -82,16 +89,24 @@ def test_closed_form_nm_symmetry():
 
 
 def test_closed_form_reads_the_shell_sign_as_the_kronecker_product(monkeypatch):
-    """closed_form_slice takes prod_i chi4(w_i) from the _odd_shell map:
-    every shell it reads at the identity-mix window (72, 4) must carry
-    exactly that sign."""
-    real, seen = lifting._odd_shell, set()
+    """closed_form_slice takes prod_i chi4(w_i) from the ``jacobi._odd_shell``
+    map: every shell it reads at the identity-mix window (72, 4) must
+    carry exactly that sign.  Only the outermost reads are recorded (the
+    shells ``_shell_slice`` asks for), not the sub-shells the recursion
+    reads while its memo is cold, so the set does not depend on what ran
+    before."""
+    real, seen, depth = jacobi._odd_shell, set(), [0]
 
     def spy(r, total, signs):
-        seen.add((r, total, signs))
-        return real(r, total, signs)
+        if not depth[0]:
+            seen.add((r, total, signs))
+        depth[0] += 1
+        try:
+            return real(r, total, signs)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(lifting, "_odd_shell", spy)
+    monkeypatch.setattr(jacobi, "_odd_shell", spy)
     for k in range(2, 9):
         for m in (1, 2):
             for n in (1, 2, 3):

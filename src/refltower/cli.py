@@ -22,7 +22,9 @@ everything through q^4 and s^2.  Expansions can be cached on disk with
 descriptor and window, holding a digest of the package source that wrote
 it, a digest of the payload and its term count.  A request parses its
 series at most once, a ``compare`` of two equal digests parses neither,
-and one answered from the cache imports no numpy.
+and one answered from the cache imports no numpy and runs only this
+module and ``series``: the package runs its other modules on first use,
+so this module imports modules, never names from them.
 """
 
 import argparse
@@ -32,7 +34,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
 from itertools import groupby
 
@@ -44,25 +45,25 @@ from . import verification
 
 _SCHEMA = 1
 
-_BY_LATTICE = {meta.lattice_name: key for key, meta in jacobi.MEMBERS.items()}
+
+def _by_lattice() -> dict:
+    """Member key by block lattice name (``D8``, ``3A2``, ...)."""
+    return {meta.lattice_name: key for key, meta in jacobi.MEMBERS.items()}
 
 
 def _resolve_member(tok: str) -> str:
-    if tok in jacobi.MEMBERS:
-        return tok
-    if tok in _BY_LATTICE:
-        return _BY_LATTICE[tok]
-    raise ValueError("unknown member %r (use a key like psi_4_D8 or a "
-                     "block name like D8)" % tok)
+    key = _by_lattice().get(tok, tok)
+    if key not in jacobi.MEMBERS:
+        raise ValueError("unknown member %r (use a key like psi_4_D8 or a "
+                         "block name like D8)" % tok)
+    return key
 
 
 def expand_descriptor(desc: str, window: TruncationWindow) -> FourierSeries:
     """Build the series a descriptor names, exact through the window."""
     kind, _, rest = desc.partition(":")
     if not rest:
-        name = desc
-        if name in _BY_LATTICE:
-            name = _BY_LATTICE[name]
+        name = _by_lattice().get(desc, desc)
         try:
             return jacobi.build(name, window)
         except KeyError:
@@ -139,6 +140,7 @@ def _cached_expand(desc: str, window: TruncationWindow, cache_dir, *,
         doc = {"schema": _SCHEMA, "code": _code_digest(), "descriptor": desc,
                "q_max": window.q_max, "s_max": window.s_max,
                "series": body, "digest": digest, "terms": terms}
+        import tempfile  # a miss alone writes an entry
         # a temp file of its own, so that writers of one entry never
         # move each other's file away
         fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache_dir)

@@ -26,7 +26,8 @@ is (keys, values), keys sorted, in a frame whose box its producer sized
 from a reach (largest |z_i| per axis).  The division takes and returns
 one level per (keys, values) pair, the level digit left out.  ``np``
 here, which ``jacobi`` and ``borcherds`` import, runs numpy's import on
-its first use, so work with no kernel never pays it.
+its first use (``_lazy``), so work with no kernel never pays it; the
+package registers its other modules the same way.
 """
 
 from __future__ import annotations
@@ -39,14 +40,28 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterator, NamedTuple
 
-if "numpy" not in sys.modules:  # a module that runs numpy's import on first use
-    _spec = importlib.util.find_spec("numpy")
-    if _spec is None:
-        raise ModuleNotFoundError("refltower needs numpy", name="numpy")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(sys.modules["numpy"])
-np = sys.modules["numpy"]
+
+def _lazy(name: str):
+    """The module ``name``, registered in ``sys.modules`` and on its parent
+    package now, its body run on its first attribute access; a module
+    already imported is returned as it is.  ``import`` and ``from name
+    import x`` read the module's ``__spec__``, so they run the body at
+    once; ``from package import module`` binds it unrun."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        raise ModuleNotFoundError("refltower needs %s" % name, name=name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    if parent:
+        setattr(sys.modules[parent], child, module)
+    return module
+
+
+np = _lazy("numpy")
 
 INF = 1 << 60
 

@@ -299,40 +299,55 @@ def _python(code: str, *argv) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
-def test_import_loads_every_module_and_runs_no_numpy():
+# Prints the refltower modules that have run, to stderr: a module the
+# package registered but nothing has used yet is still lazy, of another
+# type, and reading no attribute of it keeps it so.
+_PRINT_RAN = ("print(sorted(n.split('.')[1] for n, m in sys.modules.items()"
+              " if n.startswith('refltower.') and type(m) is types.ModuleType),"
+              " file=sys.stderr)")
+
+
+def test_import_registers_every_module_and_runs_no_numpy():
+    """A bare import registers every module and runs ``series`` and
+    ``cli`` alone; the other five run on first use."""
     proc = _python(
-        "import pkgutil, sys, refltower.cli\n"
+        "import pkgutil, sys, types, refltower.cli\n"
         "print(sorted(m.name for m in pkgutil.iter_modules(refltower.__path__, 'refltower.')"
         " if m.name not in sys.modules))\n"
-        "print(sorted(n for n in sys.modules if n.startswith('numpy.')))")
+        "print(sorted(n for n in sys.modules if n.startswith('numpy.')))\n" + _PRINT_RAN)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"
+    assert proc.stderr == "['cli', 'series']\n"
 
 
 def test_cache_hits_need_no_numpy(tmp_path, capsys):
+    """Hits run no arithmetic module; dict-path misses run only what
+    they build with."""
     cache = ["--cache-dir", str(tmp_path)]
     requests = [["expand", "lift:D3", "--qmax", "2", "--smax", "2"],
                 ["expand", "lift:D3", "--qmax", "2", "--smax", "2", "--format", "json"],
                 ["compare", "lift:D2", "borcherds:D2", "--qmax", "3", "--smax", "2"],
                 ["compare", "psi_10_D2", "lift:psi_10_D2", "--qmax", "3", "--smax", "2"]]
-    blocked = ("import sys\nsys.modules['numpy'] = None\n"
-               "from refltower.cli import main\nraise SystemExit(main(sys.argv[1:]))")
+    blocked = ("import sys, types\nsys.modules['numpy'] = None\n"
+               "from refltower.cli import main\nrc = main(sys.argv[1:])\n"
+               + _PRINT_RAN + "\nraise SystemExit(rc)")
     for argv in requests:
         rc = main(argv + cache)
         want = capsys.readouterr().out
         proc = _python(blocked, *argv, *cache)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want, "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want, "['cli', 'series']\n")
     # misses on the dict path need no numpy either: the D lift, the closed
     # formula and a bare block are summed from odd shells
-    misses = [["expand", "lift:D6", "--qmax", "3", "--smax", "2"],
-              ["expand", "closedform:D7", "--qmax", "3", "--smax", "2"],
-              ["expand", "psi_8_D4"]]
-    for i, argv in enumerate(misses):
+    misses = [(["expand", "lift:D6", "--qmax", "3", "--smax", "2"], ["jacobi", "lifting"]),
+              (["expand", "closedform:D7", "--qmax", "3", "--smax", "2"], ["jacobi", "lifting"]),
+              (["expand", "psi_8_D4"], ["jacobi"])]
+    for i, (argv, ran) in enumerate(misses):
         rc = main(argv + cache)
         want = capsys.readouterr().out
         fresh = tmp_path / ("miss%d" % i)
         proc = _python(blocked, *argv, "--cache-dir", str(fresh))
-        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, want, "")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            rc, want, "%r\n" % sorted(ran + ["cli", "series"]))
         assert len(list(fresh.glob("*.json"))) == 1  # computed and written
     # the block is real: a miss needs numpy's kernels
     proc = _python(blocked, "expand", "borcherds:D3", "--qmax", "2", *cache)

@@ -2,8 +2,9 @@
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
-from refltower.series import FourierSeries, TruncationWindow, np
+from refltower.series import FourierSeries, TruncationWindow, _qz_decode, np
 from refltower import borcherds, jacobi, lifting
 
 
@@ -23,10 +24,19 @@ def test_lift_layer_grids():
 
 
 def test_lift_cells_are_hecke_translates():
-    w = TruncationWindow(96, 4)
-    ser = lifting.gritsenko_lift("psi_9_D3", w)
-    for (s, q), sl in ser.cells.items():
-        assert sl == jacobi.member_hecke_slice("psi_9_D3", s // 2, q)
+    """The dict lift (``_hecke_sum`` over ``member_slice``) equals the
+    packed translates ``jacobi.hecke_levels`` encodes from the block's
+    held rows, decoded whole; the packed side reads neither
+    ``_hecke_sum`` nor ``member_hecke_slice``."""
+    key, w = "psi_9_D3", TruncationWindow(96, 4)
+    meta = jacobi.MEMBERS[key]
+    ser = lifting.gritsenko_lift(key, w)
+    layers = lifting.lift_layers(key, w.s_max)
+    f, packed = jacobi.hecke_levels(key, [m for _, m in layers], (w.q_max - meta.val_q) // 24)
+    whole = partial(jacobi._symmetry(meta).whole, sign=-1)
+    assert ser.cells == {(s, meta.val_q + 24 * lvl): sl
+                         for (s, _), kv in zip(layers, packed)
+                         for lvl, sl in _qz_decode(*kv, f, whole).items()}
     # the s^1 layer is the block itself
     for q in (24, 48, 72, 96):
         assert ser.cells.get((2, q), {}) == jacobi.member_slice("psi_9_D3", q)

@@ -4,10 +4,13 @@ them breaks that pass.  These tests read ``perfbench/tracer.py`` without
 importing it as a package module, so nothing is written beside it."""
 
 import ast
+import json
 import os
+import subprocess
+import sys
 import types
 
-import refltower.cli  # noqa: F401  (loads every refltower module, as the tracer expects)
+import refltower.cli  # noqa: F401  (registers every refltower module; the tracer's lookups run them)
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "perfbench", "tracer.py")
@@ -68,6 +71,55 @@ def test_cache_counters_read_one_real_call(tmp_path):
     stats = t.stats["cli.cache"]
     assert (stats["calls"], stats["lookups"], stats["hits"]) == (2, 2, 1)
     assert stats["bytes"] == 2 * entry.stat().st_size
+
+
+# A traced cli-cold child (``perfbench/worker.py cli --trace-out``): a bare
+# ``import refltower.cli``, which runs ``series`` and ``cli`` and leaves the
+# other modules registered unrun, then the tracer read as ``_tracer`` reads
+# it, one traced request, and ``uninstall``.
+_TRACED_CHILD = """
+import json, sys, types
+import refltower.cli
+ran = sorted(n.split('.')[1] for n, m in sys.modules.items()
+             if n.startswith('refltower.') and type(m) is types.ModuleType)
+tracer = types.ModuleType('perfbench_tracer')
+with open(sys.argv[1]) as fh:
+    exec(compile(fh.read(), sys.argv[1], 'exec'), tracer.__dict__)
+t = tracer.Tracer()
+t.install()
+patched = list(t._patched)
+try:
+    rc = refltower.cli.main(sys.argv[2:])
+finally:
+    t.uninstall()
+print(json.dumps({
+    'ran': ran, 'rc': rc, 'hits': t.stats['cli.cache']['hits'],
+    'bindings': sorted(tracer.binding_name(o, n) for o, n, _ in patched),
+    'restored': all(vars(o)[n] is raw for o, n, raw in patched)}))
+"""
+
+
+def test_a_bare_cli_import_traces_every_binding_and_restores_it(tmp_path):
+    """The traced child's ``install`` runs the unrun modules and wraps
+    exactly the bindings this fully loaded process gives; a cache hit
+    then runs through them, and ``uninstall`` restores every object."""
+    tracer = _tracer()
+    want = sorted(tracer.binding_name(o, n) for o, n, _, _ in tracer.bindings())
+    argv = ["expand", "lift:D3", "--qmax", "2", "--smax", "2", "--cache-dir", str(tmp_path)]
+    assert refltower.cli.main(argv + ["--out", str(tmp_path / "miss.txt")]) == 0
+    src = os.path.join(os.path.dirname(TRACER), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_CHILD, TRACER, *argv, "--out", str(tmp_path / "hit.txt")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["ran"] == ["cli", "series"]
+    assert (got["rc"], got["hits"]) == (0, 1)
+    assert got["bindings"] == want
+    assert got["restored"]
+    assert (tmp_path / "hit.txt").read_text() == (tmp_path / "miss.txt").read_text()
 
 
 def test_division_counter_reads_packed_levels():

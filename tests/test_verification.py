@@ -459,6 +459,34 @@ def test_negative_control_floor_term_off_coefficient_one(monkeypatch):
     assert rep.details["violations"] == {"psi_10_D2": [[0, [2, 0], 2]]}
 
 
+def test_negative_control_nm_symmetry_names_the_bumped_member(monkeypatch):
+    """One term added to psi_7_D5|V_2 at q^1 breaks its (n, m) = (1, 2)
+    sample and no other."""
+    real = jacobi.member_hecke_slice
+
+    def crooked(key, m, q_num):
+        sl = real(key, m, q_num)
+        if (key, m, q_num) == ("psi_7_D5", 2, jacobi.MEMBERS[key].q_grid):
+            sl = dict(sl)
+            sl[(1,) * 5] = sl.get((1,) * 5, 0) + 1
+        return sl
+
+    monkeypatch.setattr(jacobi, "member_hecke_slice", crooked)
+    rep = verification.run("nm-symmetry")
+    assert rep.status == "fail" and rep.checked_terms > 0
+    assert rep.details == {"mismatches": [("psi_7_D5", 1, 2)]}
+
+
+def test_negative_control_weight_off_half_the_constant(monkeypatch):
+    """One more unit on psi_10_D2's phi0 constant term parts it from
+    twice the weight; the report names that member alone."""
+    _bump_phi0_term(monkeypatch, "psi_10_D2", 0, (0, 0))
+    rep = verification.run("weight-equals-half-constant")
+    assert rep.status == "fail"
+    assert [k for k, d in rep.details.items() if d["constant"] != 2 * d["weight"]] == ["psi_10_D2"]
+    assert rep.details["psi_10_D2"] == {"weight": 10, "constant": 21}
+
+
 @pytest.mark.parametrize("q_max", [0, 11, 23])
 def test_support_checks_fail_below_a_block_without_raising(q_max):
     """Below q = 24 a member whose block has no term inside the window is
